@@ -24,40 +24,32 @@ from .channels import Avcqc, CorrelatedSource, CqChannel, JammerKernel, averaged
 from .config import DEFAULT_TOL
 from .errors import AlphabetMismatch, ProfileOutOfRange, SolverDiverged
 from .geometry import project_simplex_rows
-from .operators import entropy_from_eigenvalues, eigvalsh_stack, validate_probability_vector
+from .operators import (
+    eigh_stack,
+    eigvalsh_stack,
+    entropy_from_eigenvalues,
+    validate_probability_vector,
+)
 
 LN2 = np.log(2.0)
 _LOG_FLOOR = 1e-18
+# eigenvalues of the solver's mixtures in [-_NEG_CLAMP, 0) are rounding and
+# count as 0 in entropies; anything more negative raises NotPositive
+_NEG_CLAMP = 1e-9
 
 
 # ---------------------------------------------------------------------------
 # batched primitives
 # ---------------------------------------------------------------------------
 
-def _log2_psd_stack(mats):
-    """Matrix log base 2 of a stack of PSD Hermitian matrices (eigenvalue floor)."""
-    a = np.asarray(mats, dtype=complex)
-    d = a.shape[-1]
-    if d == 2:
-        lam = eigvalsh_stack(a)
-        lam_c = np.clip(lam, _LOG_FLOOR, None)
-        l0 = np.log2(lam_c[..., 0])
-        l1 = np.log2(lam_c[..., 1])
-        gap = lam[..., 1] - lam[..., 0]
-        eye = np.eye(2, dtype=complex)
-        safe = np.where(gap > 1e-14, gap, 1.0)
-        p1 = (a - lam[..., 0, None, None] * eye) / safe[..., None, None]
-        out = l1[..., None, None] * p1 + l0[..., None, None] * (eye - p1)
-        lm = np.log2(np.clip((lam[..., 0] + lam[..., 1]) / 2.0, _LOG_FLOOR, None))
-        degenerate = (gap <= 1e-14)[..., None, None] * np.ones((2, 2), bool)
-        return np.where(degenerate, lm[..., None, None] * eye, out)
-    w, v = np.linalg.eigh(a)
+def _log2_from_spectra(w, v):
+    """Matrix log base 2 from a spectral decomposition (eigenvalue floor)."""
     lw = np.log2(np.clip(w, _LOG_FLOOR, None))
     return (v * lw[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def _entropy_stack(mats):
-    return entropy_from_eigenvalues(eigvalsh_stack(mats), floor=1e-9)
+    return entropy_from_eigenvalues(eigvalsh_stack(mats), floor=_NEG_CLAMP)
 
 
 def _mixed_states(states, q):
@@ -65,34 +57,38 @@ def _mixed_states(states, q):
     return np.einsum("...xs,xsij->...xij", q, states)
 
 
-def _chi_given_mixed(p, rho_x):
-    rho_bar = np.einsum("...x,...xij->...ij", p, rho_x)
-    s_bar = _entropy_stack(rho_bar)
-    s_x = _entropy_stack(rho_x)
-    return s_bar - np.einsum("...x,...x->...", p, s_x)
-
-
 def _chi_batch(p, states, q):
-    return _chi_given_mixed(p, _mixed_states(states, q))
-
-
-def _grad_q(p, states, q):
-    """Gradient of chi with respect to the kernel entries."""
+    """chi from eigenvalues only (the grid oracle's path)."""
     rho_x = _mixed_states(states, q)
     rho_bar = np.einsum("...x,...xij->...ij", p, rho_x)
-    lx = _log2_psd_stack(rho_x)
-    lb = _log2_psd_stack(rho_bar)
-    diff = lx - lb[..., None, :, :]
+    return _entropy_stack(rho_bar) - np.einsum("...x,...x->...", p, _entropy_stack(rho_x))
+
+
+def _mixture_spectra(p, states, q):
+    """One batched decomposition of the mixtures rho_x then rho_bar: (..., X+1, d[, d])."""
+    rho_x = _mixed_states(states, q)
+    rho_bar = np.einsum("...x,...xij->...ij", p, rho_x)
+    return eigh_stack(np.concatenate([rho_x, rho_bar[..., None, :, :]], axis=-3))
+
+
+def _chi_from_spectra(p, w):
+    s = entropy_from_eigenvalues(w, floor=_NEG_CLAMP)
+    return s[..., -1] - np.einsum("...x,...x->...", p, s[..., :-1])
+
+
+def _grad_q(p, states, spec):
+    """Gradient of chi with respect to the kernel entries, from the mixture spectra."""
+    logs = _log2_from_spectra(*spec)
+    diff = logs[..., :-1, :, :] - logs[..., -1:, :, :]
     return p[..., None] * np.real(np.einsum("xsij,...xji->...xs", states, diff))
 
 
-def _grad_p(p, states, q):
+def _grad_p(p, states, q, spec):
     """Per-letter relative entropy D(rho_x || rho_bar): supergradient of chi in p."""
-    rho_x = _mixed_states(states, q)
-    rho_bar = np.einsum("...x,...xij->...ij", p, rho_x)
-    lb = _log2_psd_stack(rho_bar)
-    cross = np.real(np.einsum("...xij,...ji->...x", rho_x, lb))
-    return -_entropy_stack(rho_x) - cross
+    w, v = spec
+    lb = _log2_from_spectra(w[..., -1, :], v[..., -1, :, :])
+    cross = np.real(np.einsum("...xij,...ji->...x", _mixed_states(states, q), lb))
+    return -entropy_from_eigenvalues(w[..., :-1, :], floor=_NEG_CLAMP) - cross
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +119,7 @@ def holevo_capacity(w, tol=1e-9, max_iter=200_000):
     s_x = _entropy_stack(w.states)
     for _ in range(max_iter):
         rho_bar = np.einsum("x,xij->ij", p, w.states)
-        lb = _log2_psd_stack(rho_bar)
+        lb = _log2_from_spectra(*eigh_stack(rho_bar))
         d_x = -s_x - np.real(np.einsum("xij,ji->x", w.states, lb))
         lower = float(p @ d_x)
         upper = float(d_x.max())
@@ -143,38 +139,57 @@ def holevo_capacity(w, tol=1e-9, max_iter=200_000):
 def _pg_min_kernels(states, p, q, max_iter=300, tol_obj=1e-10, window=20):
     """Batched projected-gradient descent of chi over kernels, one per row.
 
-    p, q carry a leading restart axis.  Monotone by backtracking; returns
-    the final objectives and kernels.
+    p, q carry a leading restart axis.  Monotone by backtracking.  Each
+    candidate's mixtures are decomposed once: chi comes from the
+    eigenvalues, and the accepted candidate's spectra give the next
+    gradient.  A backtracking retry evaluates only the rows that have not
+    accepted yet, and a row whose stall count (steps in a row that gained
+    at most tol_obj) has reached window is frozen and takes no more
+    steps, so every row ends exactly as it would if run on its own.  The
+    loop ends when every row is frozen or after max_iter steps.
+
+    Returns the final objectives, kernels and mixture spectra (w, v) as
+    laid out by ``_mixture_spectra``.
     """
     nr = q.shape[0]
-    eta = np.full(nr, 1.0)
-    f = _chi_batch(p, states, q)
+    q = np.array(q, dtype=float)
+    w, v = _mixture_spectra(p, states, q)
+    f = _chi_from_spectra(p, w)
     if not np.all(np.isfinite(f)):
         raise SolverDiverged("non-finite objective at the initial kernels")
+    eta = np.full(nr, 1.0)
     stall = np.zeros(nr, dtype=int)
     for _ in range(max_iter):
-        g = _grad_q(p, states, q)
-        ok = np.zeros(nr, dtype=bool)
-        q_new, f_new = q, f
-        for _try in range(30):
-            cand = project_simplex_rows(q - eta[:, None, None] * g)
-            f_cand = _chi_batch(p, states, cand)
-            better = f_cand <= f + 1e-15
-            q_new = np.where((better & ~ok)[:, None, None], cand, q_new)
-            f_new = np.where(better & ~ok, f_cand, f_new)
-            ok |= better
-            if ok.all() or eta[~ok].max(initial=0.0) < 1e-14:
-                break
-            eta = np.where(ok, eta, eta / 2.0)
-        progress = f - f_new
-        q, f = q_new, f_new
-        eta = np.where(ok, np.minimum(eta * 1.25, 1e3), eta)
-        stall = np.where(progress > tol_obj, 0, stall + 1)
-        if np.all(stall >= window):
+        live = np.flatnonzero(stall < window)
+        if live.size == 0:
             break
+        pl, ql, fl, step = p[live], q[live], f[live], eta[live]
+        g = _grad_q(pl, states, (w[live], v[live]))
+        ok = np.zeros(live.size, dtype=bool)
+        f_new = fl.copy()
+        todo = np.arange(live.size)
+        for _try in range(30):
+            cand = project_simplex_rows(ql[todo] - step[todo, None, None] * g[todo])
+            cw, cv = _mixture_spectra(pl[todo], states, cand)
+            f_cand = _chi_from_spectra(pl[todo], cw)
+            better = f_cand <= fl[todo] + 1e-15
+            acc, rows = todo[better], live[todo[better]]
+            q[rows], w[rows], v[rows] = cand[better], cw[better], cv[better]
+            f_new[acc] = f_cand[better]
+            ok[acc] = True
+            # a rejected row gives up once its step has fallen below 1e-14
+            todo = todo[~better]
+            todo = todo[step[todo] >= 1e-14]
+            if todo.size == 0:
+                break
+            step[todo] /= 2.0
+        progress = fl - f_new
+        f[live] = f_new
+        eta[live] = np.where(ok, np.minimum(step * 1.25, 1e3), step)
+        stall[live] = np.where(progress > tol_obj, 0, stall[live] + 1)
     if not np.all(np.isfinite(f)):
         raise SolverDiverged("non-finite objective during kernel descent")
-    return f, q
+    return f, q, (w, v)
 
 
 def _kernel_inits(rng, restarts, nx, ns):
@@ -199,8 +214,8 @@ def min_chi_over_jammer(w, p, seed=0, restarts=16, max_iter=2000, tol=DEFAULT_TO
     nx, ns = len(w.x_alphabet), len(w.s_alphabet)
     q = _kernel_inits(rng, restarts, nx, ns)
     pb = np.broadcast_to(pv, (restarts, nx))
-    f, q = _pg_min_kernels(w.states, pb, q, max_iter=max_iter,
-                           tol_obj=tol.solver_objective, window=20)
+    f, q, _ = _pg_min_kernels(w.states, pb, q, max_iter=max_iter,
+                              tol_obj=tol.solver_objective, window=20)
     i = int(np.argmin(f))
     val = float(max(f[i], 0.0))
     return val, JammerKernel(w.x_alphabet, w.s_alphabet, q[i])
@@ -361,36 +376,37 @@ def capacity_informed_jammer(
     states = w.states
     p = np.vstack([np.full(nx, 1.0 / nx)] + [rng.dirichlet(np.ones(nx)) for _ in range(restarts - 1)])
     q = _kernel_inits(rng, restarts, nx, ns)
-    f, q = _pg_min_kernels(states, p, q, max_iter=400, tol_obj=tol.solver_objective / 10)
+    f, q, (w_spec, v_spec) = _pg_min_kernels(states, p, q, max_iter=400,
+                                             tol_obj=tol.solver_objective / 10)
     eta = np.full(restarts, 0.5)
     stall = np.zeros(restarts, dtype=int)
     traces = [f.copy()]
     for _ in range(outer_iter):
-        g = _grad_p(p, states, q)
+        g = _grad_p(p, states, q, (w_spec, v_spec))
         g = g - g.max(axis=-1, keepdims=True)
-        ok = np.zeros(restarts, dtype=bool)
-        p_new, q_new, f_new = p, q, f
+        f_old = f.copy()
+        todo = np.arange(restarts)
         for _try in range(20):
-            logp = np.log(np.clip(p, _LOG_FLOOR, None)) + eta[:, None] * g
+            logp = np.log(np.clip(p[todo], _LOG_FLOOR, None)) + eta[todo, None] * g[todo]
             logp -= logp.max(axis=-1, keepdims=True)
             cand_p = np.exp(logp)
             cand_p /= cand_p.sum(axis=-1, keepdims=True)
-            cand_f, cand_q = _pg_min_kernels(
-                states, cand_p, q, max_iter=inner_iter, tol_obj=tol.solver_objective / 10, window=10
+            # the inner descent is row-independent, so only the rows still
+            # backtracking are solved again
+            cand_f, cand_q, (cw, cv) = _pg_min_kernels(
+                states, cand_p, q[todo], max_iter=inner_iter,
+                tol_obj=tol.solver_objective / 10, window=10,
             )
-            better = cand_f >= f - 1e-13
-            sel = better & ~ok
-            p_new = np.where(sel[:, None], cand_p, p_new)
-            q_new = np.where(sel[:, None, None], cand_q, q_new)
-            f_new = np.where(sel, cand_f, f_new)
-            ok |= better
-            if ok.all() or eta[~ok].max(initial=0.0) < 1e-10:
+            better = cand_f >= f_old[todo] - 1e-13
+            rows = todo[better]
+            p[rows], q[rows], f[rows] = cand_p[better], cand_q[better], cand_f[better]
+            w_spec[rows], v_spec[rows] = cw[better], cv[better]
+            eta[rows] = np.minimum(eta[rows] * 1.2, 50.0)
+            todo = todo[~better]
+            if todo.size == 0 or eta[todo].max() < 1e-10:
                 break
-            eta = np.where(ok, eta, eta / 2.0)
-        gain = f_new - f
-        p, q, f = p_new, q_new, f_new
-        eta = np.where(ok, np.minimum(eta * 1.2, 50.0), eta)
-        stall = np.where(gain > tol.solver_objective, 0, stall + 1)
+            eta[todo] /= 2.0
+        stall = np.where(f - f_old > tol.solver_objective, 0, stall + 1)
         traces.append(f.copy())
         if np.all(stall >= 20):
             break
@@ -398,8 +414,8 @@ def capacity_informed_jammer(
     # polish the winner's inner minimum with fresh restarts
     extra = np.concatenate([q[i][None], _kernel_inits(rng, 8, nx, ns)])
     pf = np.broadcast_to(p[i], (extra.shape[0], nx))
-    f_pol, q_pol = _pg_min_kernels(states, pf, extra, max_iter=2000,
-                                   tol_obj=tol.solver_objective / 10)
+    f_pol, q_pol, _ = _pg_min_kernels(states, pf, extra, max_iter=2000,
+                                      tol_obj=tol.solver_objective / 10)
     j = int(np.argmin(f_pol))
     value = float(min(max(f_pol[j], 0.0), np.log2(w.dim)))
     gap = None
@@ -453,11 +469,9 @@ def _aux_objective(joint_vv, k_rows):
     return i_uvp, i_uv
 
 
-def _aux_channel_search(src, budget, seed, restarts=64, grid_steps=16, slack=None):
+def _aux_channel_search(src, budget, seed, slack, restarts=64, grid_steps=16):
     """Maximize I(U;V') over Markov chains U <- V' -> V subject to the
-    leakage constraint I(U;V') - I(U;V) <= budget (+ slack)."""
-    if slack is None:
-        slack = DEFAULT_TOL.cr_constraint_slack
+    leakage constraint I(U;V') - I(U;V) <= budget + slack."""
     joint = src.joint
     nvp = len(src.v_prime_alphabet)
     nu = nvp + 1
@@ -516,8 +530,9 @@ def cr_capacity(w, src, seed=0, restarts=32, aux_restarts=64, tol=DEFAULT_TOL):
     channels with |U| = |V'| + 1 under the leakage budget given by the
     max-min value.  Ties inside the band resolve to the small case.
     """
-    cap = capacity_informed_jammer(w, seed=seed, restarts=restarts)
-    c_star = cap.value
+    c_star = capacity_informed_jammer(
+        w, seed=seed, restarts=restarts, tol=tol, certify=False
+    ).value
     i_vv = src.mutual_information()
     if i_vv <= c_star + tol.case_tie_band:
         return CrCapacityResult(
@@ -527,7 +542,9 @@ def cr_capacity(w, src, seed=0, restarts=32, aux_restarts=64, tol=DEFAULT_TOL):
             maxmin_value=c_star,
             source_mi=i_vv,
         )
-    value, aux = _aux_channel_search(src, c_star, seed=seed + 1, restarts=aux_restarts)
+    value, aux = _aux_channel_search(
+        src, c_star, seed=seed + 1, slack=tol.cr_constraint_slack, restarts=aux_restarts
+    )
     return CrCapacityResult(
         value=value,
         case_tag="large_correlation",
@@ -566,7 +583,7 @@ def cr_rate_limited_lower_bound(w, src, profile, seed=0, restarts=32, grid_resol
     f = profile.asymptotic_fraction
     if not (0.0 <= f <= 1.0):
         raise ProfileOutOfRange(f"asymptotic fraction {f} outside [0, 1]")
-    c_star = capacity_informed_jammer(w, seed=seed, restarts=restarts).value
+    c_star = capacity_informed_jammer(w, seed=seed, restarts=restarts, certify=False).value
     gp = build_g_pair(src, w.x_alphabet)
     cert = separation_test(w, src, gp, seed=seed + 1)
     rate = 0.0

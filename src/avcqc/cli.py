@@ -103,7 +103,34 @@ def build_parser():
     return p
 
 
+def _parse_list(text, caster, flag):
+    try:
+        return [caster(v) for v in text.split(",")]
+    except ValueError:
+        raise SpecParseError(f"{flag} expects a comma-separated list, got {text!r}") from None
+
+
+def _check_arguments(args):
+    """Validate and parse the numeric arguments before any computation."""
+    if getattr(args, "restarts", 1) < 1:
+        raise SpecParseError(f"--restarts must be at least 1, got {args.restarts}")
+    if args.command == "typicality":
+        if args.p:
+            args.p = _parse_list(args.p, float, "--p")
+        if args.n_min < 1:
+            raise SpecParseError(f"--n-min must be at least 1, got {args.n_min}")
+        if args.n_min > args.n_max:
+            raise SpecParseError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
+    if args.command == "discontinuity-demo":
+        args.n_list = _parse_list(args.n_list, int, "--n-list")
+        if any(n < 3 for n in args.n_list):
+            raise SpecParseError(
+                "sequence sources start at n = 3 (at n = 2 the joint is exactly uniform)"
+            )
+
+
 def _config_from_args(args):
+    _check_arguments(args)
     tol = _parse_overrides(args.tol, Tolerances(), float)
     caps = _parse_overrides(args.cap, Caps(), lambda v: int(float(v)))
     for f in fields(caps):
@@ -165,7 +192,7 @@ def cmd_typicality(cfg):
         )
     cq = CqChannel(w.x_alphabet, w.states[:, 0])
     if cfg.extras.get("p"):
-        p = np.array([float(v) for v in cfg.extras["p"].split(",")])
+        p = np.array(cfg.extras["p"])
     else:
         p = np.full(len(w.x_alphabet), 1.0 / len(w.x_alphabet))
     rep = verify_typicality_bounds(
@@ -221,11 +248,6 @@ def _demo_limit_source():
 
 
 def cmd_discontinuity_demo(cfg):
-    n_list = [int(v) for v in cfg.extras["n_list"].split(",")]
-    if any(n < 3 for n in n_list):
-        raise SpecParseError(
-            "sequence sources start at n = 3 (at n = 2 the joint is exactly uniform)"
-        )
     delta = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     states = np.stack([[delta, delta], [delta, delta]])
     w = Avcqc(("0", "1"), ("0", "1"), states)
@@ -233,7 +255,7 @@ def cmd_discontinuity_demo(cfg):
     from .channels import source_distance
 
     rows = [("n", "source_distance_to_limit", "cr_capacity")]
-    for n in n_list:
+    for n in cfg.extras["n_list"]:
         src = _demo_source(n)
         res = cr_capacity(w, src, seed=cfg.seed, tol=cfg.tol)
         rows.append((n, repr(source_distance(src, limit)), repr(res.value)))

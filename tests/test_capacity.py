@@ -189,6 +189,18 @@ class TestCrCapacity:
         assert res.case_tag == "small_correlation"
         assert res.value == pytest.approx(1.0, abs=1e-6)
 
+    def test_constraint_slack_override_reaches_aux_search(self):
+        from avcqc.config import DEFAULT_TOL, with_overrides
+
+        w, src = constant_channel(), flip_source(0.1)
+        base = cr_capacity(w, src, seed=0)
+        loose = cr_capacity(
+            w, src, seed=0, tol=with_overrides(DEFAULT_TOL, cr_constraint_slack=0.5)
+        )
+        assert base.case_tag == loose.case_tag == "large_correlation"
+        assert base.value <= 1e-6
+        assert loose.value >= base.value + 0.5
+
     def test_reduces_to_capacity_when_independent(self):
         rng = np.random.default_rng(43)
         w = random_avcqc(rng)
@@ -250,7 +262,11 @@ def test_grid_oracle_certifies_known_values():
 
 
 def test_matrix_log_matches_eigendecomposition():
-    from avcqc.capacity import _log2_psd_stack
+    from avcqc.capacity import _log2_from_spectra
+    from avcqc.operators import eigh_stack
+
+    def _log2_psd_stack(mats):
+        return _log2_from_spectra(*eigh_stack(mats))
 
     rng = np.random.default_rng(47)
     for d in (2, 3):
@@ -264,3 +280,33 @@ def test_matrix_log_matches_eigendecomposition():
     mixed = np.broadcast_to(np.eye(2, dtype=complex) / 2, (3, 2, 2))
     got = _log2_psd_stack(mixed)
     assert np.allclose(got, -np.eye(2), atol=1e-12)
+
+
+class TestKernelDescent:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_batched_rows_match_single_rows(self, dim):
+        from avcqc.capacity import _pg_min_kernels
+
+        rng = np.random.default_rng(61)
+        w = random_avcqc(rng, 2, 3, dim=dim)
+        p = rng.dirichlet(np.ones(2), size=6)
+        q = rng.dirichlet(np.ones(3), size=(6, 2))
+        f, qb, (wb, vb) = _pg_min_kernels(w.states, p, q, max_iter=300, window=10)
+        for k in range(6):
+            f1, q1, (w1, v1) = _pg_min_kernels(
+                w.states, p[k : k + 1], q[k : k + 1], max_iter=300, window=10
+            )
+            assert abs(f[k] - f1[0]) <= 1e-12
+            assert np.max(np.abs(qb[k] - q1[0])) <= 1e-12
+            assert np.max(np.abs(wb[k] - w1[0])) <= 1e-12
+
+    # values computed by the solver before the spectra were shared between
+    # chi and its gradients (random_avcqc draw, dim 3, solver seed 5)
+    @pytest.mark.parametrize(
+        "draw, nx, ns, value",
+        [(101, 2, 2, 0.07461112138531556), (102, 3, 3, 0.08965928715106974)],
+    )
+    def test_seeded_solve_matches_pinned_value(self, draw, nx, ns, value):
+        w = random_avcqc(np.random.default_rng(draw), nx, ns, dim=3)
+        res = capacity_informed_jammer(w, seed=5, certify=False)
+        assert abs(res.value - value) <= 1e-9

@@ -236,6 +236,50 @@ class TestDiscontinuityDemo:
         assert rc == 1
 
 
+class TestArgumentValidation:
+    """Bad numeric arguments exit 1 with SpecParseError before any computation."""
+
+    def _rejects(self, argv, tmp_path, capsys, flag):
+        out = tmp_path / "out"
+        rc = main(argv + ["--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "SpecParseError" in err and flag in err
+        assert not out.exists()
+
+    def _typicality(self, tmp_path, *extra):
+        chan = write_fixed_channel(tmp_path, [ZERO, ONE])
+        return ["typicality", "--channel", chan, *extra]
+
+    def test_typicality_non_numeric_p(self, tmp_path, capsys):
+        argv = self._typicality(tmp_path, "--p", "0.5,abc")
+        self._rejects(argv, tmp_path, capsys, "--p")
+
+    def test_typicality_n_min_zero(self, tmp_path, capsys):
+        argv = self._typicality(tmp_path, "--n-min", "0")
+        self._rejects(argv, tmp_path, capsys, "--n-min")
+
+    def test_typicality_n_min_above_n_max(self, tmp_path, capsys):
+        argv = self._typicality(tmp_path, "--n-min", "9", "--n-max", "8")
+        self._rejects(argv, tmp_path, capsys, "--n-max")
+
+    def test_demo_non_integer_n(self, tmp_path, capsys):
+        argv = ["discontinuity-demo", "--n-list", "3,x", "--seed", "1"]
+        self._rejects(argv, tmp_path, capsys, "--n-list")
+
+    def test_capacity_zero_restarts(self, tmp_path, capsys):
+        chan = write_channel(tmp_path, orthogonal_channel())
+        argv = ["capacity", "--channel", chan, "--seed", "1", "--restarts", "0"]
+        self._rejects(argv, tmp_path, capsys, "--restarts")
+
+    def test_cr_capacity_zero_restarts(self, tmp_path, capsys):
+        chan = write_channel(tmp_path, constant_channel())
+        src = write_source(tmp_path, [[0.5, 0.0], [0.0, 0.5]])
+        argv = ["cr-capacity", "--channel", chan, "--source", src, "--seed", "1",
+                "--restarts", "0"]
+        self._rejects(argv, tmp_path, capsys, "--restarts")
+
+
 class TestDeterminism:
     def test_capacity_byte_identical(self, tmp_path):
         chan = write_channel(tmp_path, orthogonal_channel())

@@ -160,6 +160,37 @@ class TestEigvalshStack:
         assert np.allclose(eigvalsh_stack(h), np.linalg.eigvalsh(h), atol=1e-12)
 
 
+class TestEighStack:
+    @staticmethod
+    def _check(h, w, v):
+        eye = np.eye(h.shape[-1])
+        assert np.allclose(v.conj().swapaxes(-1, -2) @ v, eye, atol=1e-12)
+        assert np.allclose((v * w[..., None, :]) @ v.conj().swapaxes(-1, -2), h, atol=1e-12)
+        assert np.all(np.diff(w, axis=-1) >= 0.0)
+
+    def test_closed_form_is_a_decomposition(self):
+        from avcqc.operators import eigh_stack, eigvalsh_stack
+
+        rng = np.random.default_rng(21)
+        g = rng.standard_normal((40, 2, 2)) + 1j * rng.standard_normal((40, 2, 2))
+        h = g + g.conj().swapaxes(-1, -2)
+        # diagonal inputs in either order, and a multiple of the identity
+        h[0], h[1], h[2] = np.diag([2.0, -1.0]), np.diag([-1.0, 2.0]), 0.3 * np.eye(2)
+        w, v = eigh_stack(h)
+        self._check(h, w, v)
+        assert np.array_equal(w, eigvalsh_stack(h))
+        assert np.allclose(w, np.linalg.eigvalsh(h), atol=1e-12)
+
+    def test_general_dimension_delegates(self):
+        from avcqc.operators import eigh_stack
+
+        rng = np.random.default_rng(22)
+        g = rng.standard_normal((2, 5, 3, 3)) + 1j * rng.standard_normal((2, 5, 3, 3))
+        h = g + g.conj().swapaxes(-1, -2)
+        w, v = eigh_stack(h)
+        self._check(h, w, v)
+
+
 class TestTensorAndPartialTrace:
     def test_product_state_reduction(self):
         full = tensor(np.eye(2) / 2, ZERO)
