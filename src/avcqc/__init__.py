@@ -40,6 +40,7 @@ from .coding import (
     worst_case_error_informed,
 )
 from .config import Caps, Tolerances
+from .geometry import embed_hermitian
 from .operators import (
     mutual_information,
     partial_trace,
@@ -56,7 +57,6 @@ from .separation import (
     SeparationCertificate,
     binary_avc_positivity,
     build_g_pair,
-    embed_hermitian,
     ensemble_state,
     induced_binary_avc,
     separation_test,

@@ -16,14 +16,12 @@ results bit for bit.
 """
 
 from dataclasses import dataclass
-from itertools import product as iproduct
-
 import numpy as np
 
 from .channels import Avcqc, CorrelatedSource, CqChannel, JammerKernel, averaged_channel
 from .config import DEFAULT_TOL
 from .errors import AlphabetMismatch, ProfileOutOfRange, SolverDiverged
-from .geometry import project_simplex_rows
+from .geometry import kernel_grid, pattern_search, project_simplex_rows, simplex_grid
 from .operators import (
     eigh_stack,
     eigvalsh_stack,
@@ -225,25 +223,6 @@ def min_chi_over_jammer(w, p, seed=0, restarts=16, max_iter=2000, tol=DEFAULT_TO
 # grid oracles (independent certification path)
 # ---------------------------------------------------------------------------
 
-def simplex_grid(k, steps):
-    """All length-k distributions with entries that are multiples of 1/steps."""
-    pts = []
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            pts.append(prefix + [remaining])
-            return
-        for v in range(remaining + 1):
-            rec(prefix + [v], remaining - v, slots - 1)
-    rec([], steps, k)
-    return np.array(pts, dtype=float) / steps
-
-
-def _kernel_grid(nx, ns, steps):
-    rows = simplex_grid(ns, steps)
-    idx = list(iproduct(range(rows.shape[0]), repeat=nx))
-    return rows[np.array(idx)]  # (M, nx, ns)
-
-
 def _chi_p_rows_vs_kernels(states, p_rows, kernels):
     """chi for every (p, kernel) pair; returns (len(p_rows), len(kernels)).
 
@@ -262,38 +241,15 @@ def _chi_p_rows_vs_kernels(states, p_rows, kernels):
     return out
 
 
-def _refine_min_kernel(states, p, q0, span0=1.0 / 32, shrink=0.5, floor=1e-6):
-    """Derivative-free local refinement of the kernel minimum (pattern search)."""
-    nx, ns = q0.shape
-    q = q0.copy()
-    best = float(_chi_batch(p, states, q[None])[0])
-    span = span0
-    while span > floor:
-        moves = [q]
-        for x in range(nx):
-            for i in range(ns):
-                for j in range(ns):
-                    if i == j:
-                        continue
-                    for t in (span, span / 2):
-                        cand = q.copy()
-                        cand[x] = cand[x] + t * (np.eye(ns)[i] - np.eye(ns)[j])
-                        moves.append(project_simplex_rows(cand))
-        batch = np.stack(moves)
-        vals = _chi_batch(np.broadcast_to(p, (batch.shape[0], nx)), states, batch)
-        k = int(np.argmin(vals))
-        if vals[k] < best - 1e-14:
-            best, q = float(vals[k]), batch[k]
-        else:
-            span *= shrink
-    return best, q
-
-
-def _refined_inner_min(states, p, kernels, chi_row=None):
-    if chi_row is None:
-        chi_row = _chi_p_rows_vs_kernels(states, p[None], kernels)[0]
-    k = int(np.argmin(chi_row))
-    return _refine_min_kernel(states, p, kernels[k].copy())
+def _refined_inner_min(states, p_rows, kernels, span):
+    """Per input distribution: the best grid kernel, refined by pattern search."""
+    table = _chi_p_rows_vs_kernels(states, p_rows, kernels)
+    out = np.empty(p_rows.shape[0])
+    for r, p in enumerate(p_rows):
+        def neg_chi(q):
+            return -_chi_batch(np.broadcast_to(p, (q.shape[0], p.size)), states, q)
+        out[r] = -pattern_search(neg_chi, kernels[int(np.argmin(table[r]))], span, 1e-6)[0]
+    return out
 
 
 def maxmin_grid_oracle(w, steps=32, eval_budget=int(2.2e7)):
@@ -315,29 +271,13 @@ def maxmin_grid_oracle(w, steps=32, eval_budget=int(2.2e7)):
     if n_p * n_kernels > eval_budget:
         return None
     p_rows = simplex_grid(nx, steps)
-    kernels = _kernel_grid(nx, ns, steps)
-    table = _chi_p_rows_vs_kernels(w.states, p_rows, kernels)
-    inner = table.min(axis=1)
-    ip = int(np.argmax(inner))
-    p = p_rows[ip].copy()
-    best, _ = _refined_inner_min(w.states, p, kernels, table[ip])
+    kernels = kernel_grid(nx, ns, steps)
+    inner = _chi_p_rows_vs_kernels(w.states, p_rows, kernels).min(axis=1)
+    p0 = p_rows[int(np.argmax(inner))]
     span = 1.0 / steps
-    while span > 1e-6:
-        improved = False
-        for i in range(nx):
-            for j in range(nx):
-                if i == j:
-                    continue
-                for t in (span, span / 2):
-                    cand = project_simplex_rows(
-                        (p + t * (np.eye(nx)[i] - np.eye(nx)[j]))[None]
-                    )[0]
-                    val, _ = _refined_inner_min(w.states, cand, kernels)
-                    if val > best + 1e-12:
-                        best, p = val, cand
-                        improved = True
-        if not improved:
-            span *= 0.5
+    best, _ = pattern_search(
+        lambda p: _refined_inner_min(w.states, p[:, 0], kernels, span), p0[None], span, 1e-6
+    )
     return float(max(best, 0.0))
 
 
@@ -485,40 +425,17 @@ def _aux_channel_search(src, budget, seed, slack, restarts=64, grid_steps=16):
 
     best_val, best_k = 0.0, np.full((nvp, nu), 1.0 / nu)
     if nvp == 2:
-        rows = simplex_grid(nu, grid_steps)
-        m = rows.shape[0]
-        ia, ib = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
-        grid = np.stack([rows[ia.ravel()], rows[ib.ravel()]], axis=1)  # (m*m, 2, nu)
+        grid = kernel_grid(nvp, nu, grid_steps)
         vals = feasible_value(grid)
         k = int(np.argmax(vals))
         if vals[k] > best_val:
             best_val, best_k = float(vals[k]), grid[k].copy()
 
     starts = [best_k] + [rng.dirichlet(np.ones(nu), size=nvp) for _ in range(restarts)]
-    eye = np.eye(nu)
     for k0 in starts:
-        k_cur = k0.copy()
-        val_cur = float(feasible_value(k_cur[None])[0])
-        span = 0.25
-        while span > 1e-7:
-            moves = [k_cur]
-            for r in range(nvp):
-                for i in range(nu):
-                    for j in range(nu):
-                        if i == j:
-                            continue
-                        cand = k_cur.copy()
-                        cand[r] = cand[r] + span * (eye[i] - eye[j])
-                        moves.append(project_simplex_rows(cand))
-            batch = np.stack(moves)
-            vals = feasible_value(batch)
-            k = int(np.argmax(vals))
-            if vals[k] > val_cur + 1e-13:
-                val_cur, k_cur = float(vals[k]), batch[k]
-            else:
-                span *= 0.5
-        if val_cur > best_val:
-            best_val, best_k = val_cur, k_cur
+        val, k_rows = pattern_search(feasible_value, k0, 0.25, 1e-7)
+        if val > best_val:
+            best_val, best_k = val, k_rows
     return max(best_val, 0.0), best_k
 
 

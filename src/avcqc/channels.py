@@ -25,17 +25,12 @@ from .errors import (
 from .geometry import affine_set_distance, embed_stack
 from .operators import (
     mutual_information,
+    read_only,
     trace_norm,
     validate_density,
     validate_joint,
     validate_probability_vector,
 )
-
-
-def _frozen(a):
-    out = np.array(a, copy=True)
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,7 +49,7 @@ class CqChannel:
         for i in range(states.shape[0]):
             validate_density(states[i])
         object.__setattr__(self, "x_alphabet", tuple(self.x_alphabet))
-        object.__setattr__(self, "states", _frozen(states))
+        object.__setattr__(self, "states", read_only(states))
 
     @property
     def dim(self):
@@ -84,7 +79,7 @@ class Avcqc:
                 validate_density(states[i, j])
         object.__setattr__(self, "x_alphabet", tuple(self.x_alphabet))
         object.__setattr__(self, "s_alphabet", tuple(self.s_alphabet))
-        object.__setattr__(self, "states", _frozen(states))
+        object.__setattr__(self, "states", read_only(states))
 
     @property
     def dim(self):
@@ -127,7 +122,7 @@ class JammerKernel:
             validate_probability_vector(rows[i])
         object.__setattr__(self, "x_alphabet", tuple(self.x_alphabet))
         object.__setattr__(self, "s_alphabet", tuple(self.s_alphabet))
-        object.__setattr__(self, "rows", _frozen(rows))
+        object.__setattr__(self, "rows", read_only(rows))
 
     @classmethod
     def uniform(cls, x_alphabet, s_alphabet):

@@ -121,6 +121,18 @@ def _check_arguments(args):
             raise SpecParseError(f"--n-min must be at least 1, got {args.n_min}")
         if args.n_min > args.n_max:
             raise SpecParseError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
+        if not 0.0 < args.alpha < 1.0:
+            raise SpecParseError(f"--alpha must lie in (0, 1), got {args.alpha}")
+    if args.command == "simulate":
+        if args.trials < 1:
+            raise SpecParseError(f"--trials must be at least 1, got {args.trials}")
+        if args.nu < 1:
+            raise SpecParseError(f"--nu must be at least 1, got {args.nu}")
+        # keys > 2**nu exactly when keys - 1 needs more than nu bits
+        if args.keys < 2 or (args.keys - 1).bit_length() > args.nu:
+            raise SpecParseError(
+                f"--keys must lie in [2, 2**nu] for --nu {args.nu}, got {args.keys}"
+            )
     if args.command == "discontinuity-demo":
         args.n_list = _parse_list(args.n_list, int, "--n-list")
         if any(n < 3 for n in args.n_list):

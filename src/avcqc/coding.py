@@ -22,13 +22,7 @@ from .errors import (
     LengthMismatch,
     NotPositive,
 )
-from .operators import eigvalsh_stack, entropy_from_eigenvalues
-
-
-def _frozen(a):
-    out = np.array(a, copy=True)
-    out.flags.writeable = False
-    return out
+from .operators import eigvalsh_stack, entropy_from_eigenvalues, read_only
 
 
 def _validate_povm(ops, tol_eig=1e-9):
@@ -45,7 +39,7 @@ def _validate_povm(ops, tol_eig=1e-9):
         raise NotPositive(
             f"decoder sum exceeds the identity by {excess:.3e} > {tol_eig:.1e}"
         )
-    return _frozen(ops)
+    return read_only(ops)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,7 +115,7 @@ class CorrelationCode:
         for vi in range(dec.shape[0]):
             _validate_povm(dec[vi])
         object.__setattr__(self, "encoders", enc)
-        object.__setattr__(self, "decoders", _frozen(dec))
+        object.__setattr__(self, "decoders", read_only(dec))
         object.__setattr__(self, "v_prime_words", tuple(tuple(u) for u in self.v_prime_words))
         object.__setattr__(self, "v_words", tuple(tuple(v) for v in self.v_words))
 
@@ -143,24 +137,24 @@ def _state_words(w, n, caps):
     return list(iproduct(w.s_alphabet, repeat=n))
 
 
-def _grouped_worst_success(w, weighted_ops, n, caps):
-    """For each codeword x: minimize tr(product_state(x, s) G_x) over state words.
+def _informed_error(w, n, entries, caps):
+    """Exact informed-jammer error from (codeword, weighted success operator) pairs.
 
-    weighted_ops maps codeword -> accumulated (weight * success operator).
-    Returns (sum of minima, {codeword: minimizing state word}).
+    Operators of equal codewords are summed into one grouped operator G_x;
+    for each codeword the jammer picks the state word s minimizing
+    tr(product_state(x, s) G_x).  Returns (error, JammerStrategy).
     """
+    grouped = {}
+    for xs, g in entries:
+        grouped[xs] = grouped[xs] + g if xs in grouped else g
     s_words = _state_words(w, n, caps)
-    total = 0.0
-    strategy = {}
-    for xs, g in weighted_ops.items():
-        best, best_s = None, None
-        for ss in s_words:
-            val = float(np.real(np.trace(product_output(w, xs, ss, caps) @ g)))
-            if best is None or val < best:
-                best, best_s = val, ss
-        total += best
-        strategy[xs] = best_s
-    return total, strategy
+    success, strategy = 0.0, {}
+    for xs, g in grouped.items():
+        vals = [float(np.real(np.trace(product_output(w, xs, ss, caps) @ g))) for ss in s_words]
+        k = int(np.argmin(vals))
+        success += vals[k]
+        strategy[xs] = s_words[k]
+    return float(min(max(1.0 - success, 0.0), 1.0)), JammerStrategy(strategy)
 
 
 def worst_case_error_informed(code, w, caps=DEFAULT_CAPS, return_strategy=False):
@@ -171,16 +165,9 @@ def worst_case_error_informed(code, w, caps=DEFAULT_CAPS, return_strategy=False)
     are tied together and handled as one group).
     """
     j_n = code.num_messages
-    grouped = {}
-    for j, xs in enumerate(code.codebook):
-        if xs not in grouped:
-            grouped[xs] = np.zeros_like(code.decoders[0])
-        grouped[xs] = grouped[xs] + code.decoders[j] / j_n
-    success, strategy = _grouped_worst_success(w, grouped, code.n, caps)
-    err = float(min(max(1.0 - success, 0.0), 1.0))
-    if return_strategy:
-        return err, JammerStrategy(strategy)
-    return err
+    entries = ((xs, code.decoders[j] / j_n) for j, xs in enumerate(code.codebook))
+    err, strategy = _informed_error(w, code.n, entries, caps)
+    return (err, strategy) if return_strategy else err
 
 
 def worst_case_error_brute_force(code, w, caps=DEFAULT_CAPS):
@@ -216,17 +203,13 @@ def random_code_error_informed(code, w, caps=DEFAULT_CAPS, return_strategy=False
     codeword value it attacks the key-conditional expected decoder.
     """
     j_n, k_n = code.num_messages, code.num_keys
-    grouped = {}
-    for k, det in enumerate(code.codes):
-        for j, xs in enumerate(det.codebook):
-            if xs not in grouped:
-                grouped[xs] = np.zeros_like(det.decoders[0])
-            grouped[xs] = grouped[xs] + det.decoders[j] / (j_n * k_n)
-    success, strategy = _grouped_worst_success(w, grouped, code.n, caps)
-    err = float(min(max(1.0 - success, 0.0), 1.0))
-    if return_strategy:
-        return err, JammerStrategy(strategy)
-    return err
+    entries = (
+        (xs, det.decoders[j] / (j_n * k_n))
+        for det in code.codes
+        for j, xs in enumerate(det.codebook)
+    )
+    err, strategy = _informed_error(w, code.n, entries, caps)
+    return (err, strategy) if return_strategy else err
 
 
 def _product_joint(src, l):
@@ -234,6 +217,21 @@ def _product_joint(src, l):
     for _ in range(l):
         joint = np.kron(joint, src.joint)
     return joint  # (|V'|^l, |V|^l), lexicographic word order
+
+
+def _source_weights(code, src, sent):
+    """Receiver-word weights per (codeword, message) of a correlation-assisted code.
+
+    sent yields (sender word index u, codeword, message); each adds the
+    product source's row P(u, .) to its (codeword, message) entry.
+    """
+    joint_l = _product_joint(src, code.l)
+    if joint_l.shape != (len(code.v_prime_words), len(code.v_words)):
+        raise DimensionMismatch("code word tables do not match the product source")
+    weights = {}
+    for ui, xs, j in sent:
+        weights[(xs, j)] = weights.get((xs, j), 0.0) + joint_l[ui]
+    return weights
 
 
 def correlation_code_error_informed(code, w, src, caps=DEFAULT_CAPS, return_strategy=False):
@@ -249,31 +247,17 @@ def correlation_code_error_informed(code, w, src, caps=DEFAULT_CAPS, return_stra
         raise EnumerationOverflow(
             f"|V'|^l * |V|^l = {n_vp * n_v} exceeds enumeration cap {caps.enumeration}"
         )
-    joint_l = _product_joint(src, code.l)
-    if joint_l.shape != (n_vp, n_v):
-        raise DimensionMismatch("code word tables do not match the product source")
     j_n = code.num_messages
-    # accumulate source-weighted decoders per distinct codeword value
-    qvec = {}
-    for ui, row in enumerate(code.encoders):
-        for j, xs in enumerate(row):
-            key = (xs, j)
-            if key not in qvec:
-                qvec[key] = np.zeros(n_v)
-            qvec[key] += joint_l[ui]
-    grouped = {}
-    dec = code.decoders
-    for (xs, j), weights in qvec.items():
-        g = np.einsum("v,vab->ab", weights, dec[:, j]) / j_n
-        if xs not in grouped:
-            grouped[xs] = g
-        else:
-            grouped[xs] = grouped[xs] + g
-    success, strategy = _grouped_worst_success(w, grouped, code.n, caps)
-    err = float(min(max(1.0 - success, 0.0), 1.0))
-    if return_strategy:
-        return err, JammerStrategy(strategy)
-    return err
+    weights = _source_weights(
+        code, src,
+        ((ui, xs, j) for ui, row in enumerate(code.encoders) for j, xs in enumerate(row)),
+    )
+    entries = (
+        (xs, np.einsum("v,vab->ab", wv, code.decoders[:, j]) / j_n)
+        for (xs, j), wv in weights.items()
+    )
+    err, strategy = _informed_error(w, code.n, entries, caps)
+    return (err, strategy) if return_strategy else err
 
 
 # ---------------------------------------------------------------------------
@@ -306,15 +290,16 @@ class TwoPartCode:
 
     def assembled_decoder(self, v_index, j):
         """D_j^{(v)} = sum_k pre_decoder(v, k) (x) inner_decoder(k, j)."""
-        blocks = [
-            np.kron(self.pre.decoders[v_index, k], self.inner.codes[k].decoders[j])
-            for k in range(self.inner.num_keys)
-        ]
-        return sum(blocks)
+        return _assembled(self.pre.decoders[v_index], self.inner, j)
 
     def encode(self, v_prime_word, j, k):
         pre_word = self.pre.encoders[self.pre.v_prime_words.index(tuple(v_prime_word))][k]
         return tuple(pre_word) + tuple(self.inner.codes[k].codebook[j])
+
+
+def _assembled(pre_ops, inner, j):
+    """sum_k pre_ops[k] (x) (decoder of message j in the inner code of key k)."""
+    return sum(np.kron(pre_ops[k], det.decoders[j]) for k, det in enumerate(inner.codes))
 
 
 def two_part_error_informed(pre, inner, w, src, caps=DEFAULT_CAPS):
@@ -323,36 +308,19 @@ def two_part_error_informed(pre, inner, w, src, caps=DEFAULT_CAPS):
     The key is the sender's private uniform randomness; the jammer sees the
     full transmitted word (both parts).
     """
-    n_vp = len(pre.v_prime_words)
-    n_v = len(pre.v_words)
-    joint_l = _product_joint(src, pre.l)
     j_n, k_n = inner.num_messages, inner.num_keys
-    # source-weight vectors per (full codeword, message)
-    qvec = {}
-    for ui in range(n_vp):
-        for k in range(k_n):
-            pre_word = pre.encoders[ui][k]
-            for j in range(j_n):
-                xs = tuple(pre_word) + tuple(inner.codes[k].codebook[j])
-                key = (xs, j)
-                if key not in qvec:
-                    qvec[key] = np.zeros(n_v)
-                qvec[key] += joint_l[ui]
-    grouped = {}
-    for (xs, j), weights in qvec.items():
-        g = None
-        for kp in range(k_n):
-            pre_part = np.einsum("v,vab->ab", weights, pre.decoders[:, kp])
-            term = np.kron(pre_part, inner.codes[kp].decoders[j])
-            g = term if g is None else g + term
-        g = g / (j_n * k_n)
-        if xs not in grouped:
-            grouped[xs] = g
-        else:
-            grouped[xs] = grouped[xs] + g
-    success, strategy = _grouped_worst_success(w, grouped, pre.n + inner.n, caps)
-    err = float(min(max(1.0 - success, 0.0), 1.0))
-    return err, JammerStrategy(strategy)
+    sent = (
+        (ui, tuple(pre.encoders[ui][k]) + tuple(inner.codes[k].codebook[j]), j)
+        for ui in range(len(pre.v_prime_words))
+        for k in range(k_n)
+        for j in range(j_n)
+    )
+    entries = (
+        (xs, _assembled([np.einsum("v,vab->ab", wv, pre.decoders[:, k]) for k in range(k_n)],
+                        inner, j) / (j_n * k_n))
+        for (xs, j), wv in _source_weights(pre, src, sent).items()
+    )
+    return _informed_error(w, pre.n + inner.n, entries, caps)
 
 
 def assemble_two_part(pre, inner, w, src, caps=DEFAULT_CAPS):
@@ -369,16 +337,9 @@ def assemble_two_part(pre, inner, w, src, caps=DEFAULT_CAPS):
     inner_error = random_code_error_informed(inner, w, caps)
     assembled_error, jammer = two_part_error_informed(pre, inner, w, src, caps)
     # POVM validity of the assembled decoders, spot-checked on every receiver word
-    d_total = pre.decoders.shape[-1] * inner.codes[0].decoders.shape[-1]
     for vi in range(len(pre.v_words)):
-        total = np.zeros((d_total, d_total), dtype=complex)
-        for j in range(inner.num_messages):
-            blocks = [
-                np.kron(pre.decoders[vi, k], inner.codes[k].decoders[j])
-                for k in range(inner.num_keys)
-            ]
-            total = total + sum(blocks)
-        excess = float(eigvalsh_stack(total - np.eye(d_total))[..., -1].max())
+        total = sum(_assembled(pre.decoders[vi], inner, j) for j in range(inner.num_messages))
+        excess = float(eigvalsh_stack(total - np.eye(total.shape[0]))[..., -1].max())
         if excess > 1e-9:
             raise NotPositive(
                 f"assembled decoder sum exceeds the identity by {excess:.3e}"

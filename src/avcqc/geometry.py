@@ -4,8 +4,13 @@ Hermitian d x d matrices form a real vector space of dimension d**2; the
 embedding used here preserves the trace inner product, so Euclidean
 geometry on the embedded vectors is Frobenius geometry on operators.
 The distance solver decides whether two affinely parameterized convex
-sets (images of products of probability simplices) intersect.
+sets (images of products of probability simplices) intersect.  The
+simplex toolbox (grids, compositions, projection and a compass search
+over row-stochastic matrices) lives here too.
 """
+
+from itertools import combinations
+from itertools import product as iproduct
 
 import numpy as np
 
@@ -69,6 +74,64 @@ def project_simplex_rows(y):
     theta = css[np.arange(flat.shape[0]), rho - 1] / rho
     out = np.maximum(flat - theta[:, None], 0.0)
     return out.reshape(y.shape)
+
+
+def compositions(k, total):
+    """All k-tuples of nonnegative integers summing to total, in lexicographic order.
+
+    Stars and bars: the k - 1 bars take increasing slots among total + k - 1,
+    and the parts are the gaps between consecutive bars.
+    """
+    end = total + k - 1
+    return [
+        tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (end,)))
+        for bars in combinations(range(end), k - 1)
+    ]
+
+
+def simplex_grid(k, steps):
+    """All length-k distributions with entries that are multiples of 1/steps."""
+    return np.array(compositions(k, steps), dtype=float) / steps
+
+
+def kernel_grid(nx, ns, steps):
+    """Every (nx, ns) row-stochastic matrix whose rows lie on simplex_grid(ns, steps)."""
+    rows = simplex_grid(ns, steps)
+    idx = list(iproduct(range(rows.shape[0]), repeat=nx))
+    return rows[np.array(idx)]  # (M, nx, ns)
+
+
+# a move must gain more than this to be taken; smaller gains are rounding
+_SEARCH_GAIN = 1e-13
+
+
+def pattern_search(f, x0, span, floor):
+    """Maximize f over row-stochastic matrices by compass search.
+
+    f maps a stack (m, rows, k) to m values.  Each round moves mass span
+    from coordinate j to coordinate i of one row, for every row and ordered
+    pair (i, j), projects all the moves onto the simplices at once and
+    takes the best one if it gains more than _SEARCH_GAIN; otherwise span
+    halves.  The search ends once span <= floor.  Returns (value, x).
+    """
+    x = np.array(x0, dtype=float)
+    rows, k = x.shape
+    eye = np.eye(k)
+    unit = [eye[i] - eye[j] for i in range(k) for j in range(k) if i != j]
+    steps = np.zeros((rows, len(unit), rows, k))
+    for r in range(rows):
+        steps[r, :, r] = unit
+    steps = steps.reshape(-1, rows, k)
+    best = float(f(x[None])[0])
+    while span > floor:
+        cand = project_simplex_rows(x + span * steps)
+        vals = f(cand)
+        b = int(np.argmax(vals))
+        if vals[b] > best + _SEARCH_GAIN:
+            best, x = float(vals[b]), cand[b]
+        else:
+            span *= 0.5
+    return best, x
 
 
 def _fista_rows(gram, lin, q0, row_len, tol, max_iter):

@@ -30,7 +30,8 @@ def _as_complex_square(m):
     return a
 
 
-def _frozen(a):
+def read_only(a):
+    """Read-only copy of an array."""
     out = np.array(a, copy=True)
     out.flags.writeable = False
     return out
@@ -42,7 +43,7 @@ def require_hermitian(m, tol=DEFAULT_TOL.hermitian):
     dev = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
     if dev > tol:
         raise NotHermitian(f"max |m - m†| entry is {dev:.3e}, exceeds tolerance {tol:.1e}")
-    return _frozen((a + a.conj().T) / 2.0)
+    return read_only((a + a.conj().T) / 2.0)
 
 
 def validate_density(m, tol=DEFAULT_TOL):
@@ -73,7 +74,7 @@ def validate_probability_vector(p, tol=DEFAULT_TOL):
     s = float(a.sum())
     if abs(s - 1.0) > tol.prob_sum:
         raise InvalidJoint(f"weights sum to {s!r}, off by {abs(s - 1.0):.3e} > {tol.prob_sum:.1e}")
-    return _frozen(np.clip(a, 0.0, None))
+    return read_only(np.clip(a, 0.0, None))
 
 
 def entropy_from_eigenvalues(eigs, floor=DEFAULT_TOL.psd_floor):
@@ -173,7 +174,7 @@ def validate_joint(joint, tol=DEFAULT_TOL):
     s = float(a.sum())
     if abs(s - 1.0) > tol.prob_sum:
         raise InvalidJoint(f"entries sum to {s!r}, off by {abs(s - 1.0):.3e} > {tol.prob_sum:.1e}")
-    return _frozen(np.clip(a, 0.0, None))
+    return read_only(np.clip(a, 0.0, None))
 
 
 def mutual_information(joint, tol=DEFAULT_TOL):

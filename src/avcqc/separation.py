@@ -20,16 +20,12 @@ from .errors import (
     AlphabetMismatch,
     DimOverflow,
     EmptyGrid,
+    EnumerationOverflow,
     Indeterminate,
     NonBinarySource,
     ZeroMutualInformation,
 )
-from .geometry import (
-    affine_set_distance,
-    embed_hermitian,
-    embed_stack,
-    unembed_hermitian,
-)
+from .geometry import affine_set_distance, embed_hermitian, kernel_grid, unembed_hermitian
 from .operators import validate_density
 
 __all__ = [
@@ -40,8 +36,6 @@ __all__ = [
     "BinaryAvc",
     "build_g_pair",
     "ensemble_state",
-    "embed_hermitian",
-    "unembed_hermitian",
     "separation_test",
     "certificate_soundness_sweep",
     "induced_binary_avc",
@@ -355,11 +349,6 @@ def induced_binary_avc(cert, w, src, gp, grid_resolution=16, caps=DEFAULT_CAPS):
     """Tabulate V(j|i) = tr(sigma_{Q, g_i} M_j) over the kernel grid."""
     if grid_resolution < 1:
         raise EmptyGrid(f"grid resolution {grid_resolution} < 1")
-    from math import comb
-
-    from .capacity import _kernel_grid
-    from .errors import EnumerationOverflow
-
     grid_size = comb(grid_resolution + len(w.s_alphabet) - 1, len(w.s_alphabet) - 1) ** len(
         w.x_alphabet
     )
@@ -371,7 +360,7 @@ def induced_binary_avc(cert, w, src, gp, grid_resolution=16, caps=DEFAULT_CAPS):
     gen0, _ = _generators(w, src, gp.g0, gp.iota, caps)
     gen1, _ = _generators(w, src, gp.g1, gp.iota, caps)
     nx, ns = len(w.x_alphabet), len(w.s_alphabet)
-    grid = _kernel_grid(nx, ns, grid_resolution)     # (M, X, S)
+    grid = kernel_grid(nx, ns, grid_resolution)     # (M, X, S)
     flat = grid.reshape(grid.shape[0], nx * ns)
     m1_vec = embed_hermitian(cert.m1)
     v10 = flat @ (gen0.T @ m1_vec)   # V(1|0) per kernel

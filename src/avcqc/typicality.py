@@ -15,12 +15,13 @@ operators involved are diagonal in per-site eigenbases.
 
 from dataclasses import dataclass
 from itertools import product as iproduct
-from math import comb, inf
+from math import comb, inf, log2
 
 import numpy as np
 
 from .config import DEFAULT_CAPS, DEFAULT_TOL
 from .errors import AlphabetMismatch, DimOverflow, EnumerationOverflow
+from .geometry import compositions
 from .operators import entropy_from_eigenvalues, validate_probability_vector
 
 _SUPPORT_FLOOR = 1e-15
@@ -70,26 +71,14 @@ def _window_count_classes(p, n, half_width, guard=DEFAULT_TOL.typicality_boundar
 
     Labels with probability below the support floor are pinned to count 0.
     """
-    k = len(p)
-    classes = []
-
-    def rec(prefix, remaining, idx):
-        if idx == k - 1:
-            c = prefix + [remaining]
-            classes.append(tuple(c))
-            return
-        for v in range(remaining + 1):
-            rec(prefix + [v], remaining - v, idx + 1)
-
-    rec([], n, 0)
     out = []
-    for c in classes:
+    for c in compositions(len(p), n):
         ok = True
-        for j in range(k):
-            if p[j] < _SUPPORT_FLOOR and c[j] > 0:
+        for j, cj in enumerate(c):
+            if p[j] < _SUPPORT_FLOOR and cj > 0:
                 ok = False
                 break
-            if abs(c[j] / n - p[j]) > half_width + guard:
+            if abs(cj / n - p[j]) > half_width + guard:
                 ok = False
                 break
         if ok:
@@ -105,9 +94,8 @@ def _multinomial(n, counts):
     return total
 
 
-def _class_aggregates(p, n, half_width):
-    """(mass, rank, min log2 prob, max log2 prob) over the typical classes."""
-    classes = _window_count_classes(p, n, half_width)
+def _class_aggregates(p, n, classes):
+    """(mass, rank, min log2 prob, max log2 prob) over the typical count classes."""
     if not classes:
         return 0.0, 0, inf, -inf
     logs = []
@@ -403,9 +391,11 @@ def verify_typicality_bounds(w, p, n_range, alpha, caps=DEFAULT_CAPS, tol=DEFAUL
     cross_mass_vals = []
     d = w.dim
     for n in ns:
-        mass, rank, lmin, lmax = _class_aggregates(sig_spec, n, alpha)
+        typ_classes = _window_count_classes(sig_spec, n, alpha)
+        mass, rank, lmin, lmax = _class_aggregates(sig_spec, n, typ_classes)
         src_mass.append(mass)
-        src_rank_req.append(abs(np.log2(rank) / n - s_sigma) if rank else inf)
+        # ranks are exact Python ints and pass 2**63 within reach of n
+        src_rank_req.append(abs(log2(rank) / n - s_sigma) if rank else inf)
         src_win_req.append(max(-s_sigma - lmin / n, s_sigma + lmax / n))
 
         counts = _type_counts(pv, n)
@@ -424,18 +414,19 @@ def verify_typicality_bounds(w, p, n_range, alpha, caps=DEFAULT_CAPS, tol=DEFAUL
             m = int(counts[xi])
             if m == 0:
                 continue
-            bmass, brank, blmin, blmax = _class_aggregates(letter_spec[x], m, alpha)
+            bmass, brank, blmin, blmax = _class_aggregates(
+                letter_spec[x], m, _window_count_classes(letter_spec[x], m, alpha)
+            )
             cmass *= bmass
             crank *= brank
             clmin += blmin
             clmax += blmax
         cond_mass.append(cmass)
-        cond_rank_req.append(abs(np.log2(crank) / n - s_cond) if crank else inf)
+        cond_rank_req.append(abs(log2(crank) / n - s_cond) if crank else inf)
         cond_win_req.append(max(-s_cond - clmin / n, s_cond + clmax / n))
 
-        typ_classes = set(_window_count_classes(sig_spec, n, alpha))
         site_values = [diag_in_sig_basis[x] for x in xs]
-        cross_mass_vals.append(_cross_mass(site_values, typ_classes, d))
+        cross_mass_vals.append(_cross_mass(site_values, set(typ_classes), d))
 
     rows, constants = [], {}
     for bound_id, data in (

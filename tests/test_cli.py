@@ -279,6 +279,29 @@ class TestArgumentValidation:
                 "--restarts", "0"]
         self._rejects(argv, tmp_path, capsys, "--restarts")
 
+    @pytest.mark.parametrize("alpha", ["-1", "0", "1"])
+    def test_typicality_alpha_outside_unit_interval(self, tmp_path, capsys, alpha):
+        argv = self._typicality(tmp_path, "--alpha", alpha)
+        self._rejects(argv, tmp_path, capsys, "--alpha")
+
+    def _simulate(self, tmp_path, *extra):
+        chan = write_channel(tmp_path, orthogonal_channel())
+        src = write_source(tmp_path, [[0.45, 0.05], [0.05, 0.45]])
+        return ["simulate", "--channel", chan, "--source", src, "--seed", "1", *extra]
+
+    def test_simulate_zero_trials(self, tmp_path, capsys):
+        argv = self._simulate(tmp_path, "--trials", "0")
+        self._rejects(argv, tmp_path, capsys, "--trials")
+
+    def test_simulate_zero_nu(self, tmp_path, capsys):
+        argv = self._simulate(tmp_path, "--nu", "0")
+        self._rejects(argv, tmp_path, capsys, "--nu")
+
+    @pytest.mark.parametrize("keys", ["1", "9"])
+    def test_simulate_keys_outside_range(self, tmp_path, capsys, keys):
+        argv = self._simulate(tmp_path, "--nu", "3", "--keys", keys)
+        self._rejects(argv, tmp_path, capsys, "--keys")
+
 
 class TestDeterminism:
     def test_capacity_byte_identical(self, tmp_path):

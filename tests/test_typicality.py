@@ -206,6 +206,17 @@ class TestVerifyBounds:
             )
             assert row.lhs == pytest.approx(-np.log2(1 - mass) / n, abs=1e-12)
 
+    def test_ranks_past_int64(self):
+        # at n = 70 the source rank sum_k C(70, k), 4 <= k <= 31, exceeds 2**63
+        w = mirror_pair_channel()
+        rep = verify_typicality_bounds(w, [0.5, 0.5], range(60, 71), 0.2)
+        assert len(rep.rows) == 7 * 11
+        rank = sum(comb(70, k) for k in range(4, 32))
+        assert rank > 2**63
+        s_sigma = -(0.75 * np.log2(0.75) + 0.25 * np.log2(0.25))
+        row = next(r for r in rep.rows if r.bound_id == "source_rank" and r.n == 70)
+        assert row.lhs == pytest.approx(abs(np.log2(float(rank)) / 70 - s_sigma), abs=1e-12)
+
     def test_average_mass_permutation_invariant(self):
         # the cross-basis overlap mass depends on the word only through its type
         from avcqc.typicality import _cross_mass, _window_count_classes
