@@ -126,10 +126,11 @@ def _check_arguments(args):
     if args.command == "simulate":
         if args.trials < 1:
             raise SpecParseError(f"--trials must be at least 1, got {args.trials}")
-        if args.nu < 1:
+        # --nu and --keys only build the pre-code, so --code leaves them unused
+        if not args.code and args.nu < 1:
             raise SpecParseError(f"--nu must be at least 1, got {args.nu}")
         # keys > 2**nu exactly when keys - 1 needs more than nu bits
-        if args.keys < 2 or (args.keys - 1).bit_length() > args.nu:
+        if not args.code and (args.keys < 2 or (args.keys - 1).bit_length() > args.nu):
             raise SpecParseError(
                 f"--keys must lie in [2, 2**nu] for --nu {args.nu}, got {args.keys}"
             )

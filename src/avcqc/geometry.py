@@ -112,17 +112,20 @@ def pattern_search(f, x0, span, floor):
     from coordinate j to coordinate i of one row, for every row and ordered
     pair (i, j), projects all the moves onto the simplices at once and
     takes the best one if it gains more than _SEARCH_GAIN; otherwise span
-    halves.  The search ends once span <= floor.  Returns (value, x).
+    halves.  The search ends once span <= floor.  Rows with one entry admit
+    no move, so such an x0 is returned as it is.  Returns (value, x).
     """
     x = np.array(x0, dtype=float)
     rows, k = x.shape
+    best = float(f(x[None])[0])
+    if k < 2:
+        return best, x
     eye = np.eye(k)
     unit = [eye[i] - eye[j] for i in range(k) for j in range(k) if i != j]
     steps = np.zeros((rows, len(unit), rows, k))
     for r in range(rows):
         steps[r, :, r] = unit
     steps = steps.reshape(-1, rows, k)
-    best = float(f(x[None])[0])
     while span > floor:
         cand = project_simplex_rows(x + span * steps)
         vals = f(cand)

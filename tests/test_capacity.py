@@ -124,6 +124,18 @@ class TestCapacityInformedJammer:
         res = capacity_informed_jammer(constant_channel(), seed=0)
         assert res.value <= 1e-9
 
+    def test_single_state_certified(self):
+        w = Avcqc((0, 1), ("s",), np.stack([[ZERO], [ONE]]))
+        res = capacity_informed_jammer(w, seed=0)
+        assert res.value == pytest.approx(1.0, abs=1e-6)
+        assert res.certified_gap is not None and res.certified_gap <= 5e-3
+
+    def test_single_input_certified(self):
+        w = Avcqc((0,), ("a", "b"), np.stack([[ZERO, ONE]]))
+        res = capacity_informed_jammer(w, seed=0)
+        assert res.value <= 1e-9
+        assert res.certified_gap is not None and res.certified_gap <= 5e-3
+
     def test_random_instances_match_oracle(self):
         rng = np.random.default_rng(31)
         for k in range(5):

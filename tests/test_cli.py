@@ -302,6 +302,25 @@ class TestArgumentValidation:
         argv = self._simulate(tmp_path, "--nu", "3", "--keys", keys)
         self._rejects(argv, tmp_path, capsys, "--keys")
 
+    def test_simulate_with_code_ignores_nu_and_keys(self, tmp_path):
+        from avcqc import CorrelationCode
+
+        code = CorrelationCode(
+            l=1,
+            n=1,
+            v_prime_words=(("0",), ("1",)),
+            v_words=(("0",), ("1",)),
+            encoders=[[("0",), ("1",)], [("1",), ("0",)]],
+            decoders=np.stack([np.stack([ZERO, ONE]), np.stack([ONE, ZERO])]),
+        )
+        code_path = tmp_path / "code.json"
+        io.dump_json(io.correlation_code_to_json(code), code_path)
+        out = tmp_path / "sim.csv"
+        argv = self._simulate(tmp_path, "--trials", "5", "--nu", "0", "--keys", "0",
+                              "--code", str(code_path), "--out", str(out))
+        assert main(argv) == 0
+        assert len(out.read_text().strip().splitlines()) == 6
+
 
 class TestDeterminism:
     def test_capacity_byte_identical(self, tmp_path):

@@ -55,3 +55,9 @@ class TestPatternSearch:
         val, x = pattern_search(self._concave(target), x0, 0.25, 1e-6)
         assert np.array_equal(x, x0)
         assert val == 0.0
+
+    def test_single_entry_rows_admit_no_move(self):
+        x0 = np.ones((2, 1))
+        val, x = pattern_search(lambda x: x.sum(axis=(1, 2)), x0, 0.25, 1e-6)
+        assert np.array_equal(x, x0)
+        assert val == 2.0
