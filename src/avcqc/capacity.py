@@ -18,7 +18,7 @@ results bit for bit.
 from dataclasses import dataclass
 import numpy as np
 
-from .channels import Avcqc, CorrelatedSource, CqChannel, JammerKernel, averaged_channel
+from .channels import JammerKernel
 from .config import DEFAULT_TOL
 from .errors import AlphabetMismatch, ProfileOutOfRange, SolverDiverged
 from .geometry import kernel_grid, pattern_search, project_simplex_rows, simplex_grid

@@ -13,10 +13,11 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .channels import CorrelatedSource, JammerStrategy, product_output
-from .config import DEFAULT_CAPS, DEFAULT_TOL
+from .channels import JammerStrategy, product_output
+from .config import DEFAULT_CAPS
 from .errors import (
     DimensionMismatch,
+    DimOverflow,
     EnumerationOverflow,
     KeySetMismatch,
     LengthMismatch,
@@ -24,8 +25,12 @@ from .errors import (
 )
 from .operators import eigvalsh_stack, entropy_from_eigenvalues, read_only
 
+# Float slack of the POVM and error-chain checks: sums of D x D operators and
+# of exact errors carry rounding well above machine epsilon.
+_CHECK_SLACK = 1e-9
 
-def _validate_povm(ops, tol_eig=1e-9):
+
+def _validate_povm(ops, tol_eig=_CHECK_SLACK):
     ops = np.asarray(ops, dtype=complex)
     for k in range(ops.shape[0]):
         lo = float(eigvalsh_stack(ops[k])[..., 0].min())
@@ -137,20 +142,43 @@ def _state_words(w, n, caps):
     return list(iproduct(w.s_alphabet, repeat=n))
 
 
+def _success_table(w, xs, g):
+    """tr((W(x_1, s_1) (x) ... (x) W(x_n, s_n)) G) for every state word s.
+
+    Contracts the legs of G site by site against W(x_i, .) of shape
+    (|S|, d, d), first site first, so the values come out in the
+    lexicographic order of the state words and no product state is built.
+    """
+    d = w.dim
+    t = g[None]                                  # (state words so far, rest, rest)
+    for x in xs:
+        rest = t.shape[-1] // d
+        t = np.einsum(
+            "tab,SbBaA->StBA", w.states[w.x_alphabet.index(x)],
+            t.reshape(t.shape[0], d, rest, d, rest),
+        ).reshape(-1, rest, rest)
+    return np.real(t.ravel())
+
+
 def _informed_error(w, n, entries, caps):
     """Exact informed-jammer error from (codeword, weighted success operator) pairs.
 
     Operators of equal codewords are summed into one grouped operator G_x;
-    for each codeword the jammer picks the state word s minimizing
-    tr(product_state(x, s) G_x).  Returns (error, JammerStrategy).
+    for each codeword the jammer picks the first state word s (in
+    lexicographic order) minimizing tr(product_state(x, s) G_x).
+    caps.product_dim bounds d^n, the side of G_x; the largest intermediate
+    of the contraction has max(d^{2n}, |S|^n) entries.  Returns
+    (error, JammerStrategy).
     """
     grouped = {}
     for xs, g in entries:
         grouped[xs] = grouped[xs] + g if xs in grouped else g
     s_words = _state_words(w, n, caps)
+    if w.dim ** n > caps.product_dim:
+        raise DimOverflow(f"product dimension {w.dim ** n} exceeds cap {caps.product_dim}")
     success, strategy = 0.0, {}
     for xs, g in grouped.items():
-        vals = [float(np.real(np.trace(product_output(w, xs, ss, caps) @ g))) for ss in s_words]
+        vals = _success_table(w, xs, g)
         k = int(np.argmin(vals))
         success += vals[k]
         strategy[xs] = s_words[k]
@@ -340,11 +368,11 @@ def assemble_two_part(pre, inner, w, src, caps=DEFAULT_CAPS):
     for vi in range(len(pre.v_words)):
         total = sum(_assembled(pre.decoders[vi], inner, j) for j in range(inner.num_messages))
         excess = float(eigvalsh_stack(total - np.eye(total.shape[0]))[..., -1].max())
-        if excess > 1e-9:
+        if excess > _CHECK_SLACK:
             raise NotPositive(
                 f"assembled decoder sum exceeds the identity by {excess:.3e}"
             )
-    if assembled_error > pre_error + inner_error + 1e-9:
+    if assembled_error > pre_error + inner_error + _CHECK_SLACK:
         raise NotPositive(
             f"error chain violated: {assembled_error:.6g} > "
             f"{pre_error:.6g} + {inner_error:.6g}"

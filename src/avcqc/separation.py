@@ -14,7 +14,7 @@ from math import comb
 
 import numpy as np
 
-from .channels import Avcqc, CorrelatedSource, JammerKernel
+from .channels import Avcqc, JammerKernel
 from .config import DEFAULT_CAPS, DEFAULT_TOL
 from .errors import (
     AlphabetMismatch,

@@ -9,7 +9,7 @@ import json
 
 import numpy as np
 
-from .channels import Avcqc, CorrelatedSource, CqChannel
+from .channels import Avcqc, CorrelatedSource
 from .coding import CorrelationCode, DeterministicCode, RandomCode
 from .errors import SpecParseError
 

@@ -18,8 +18,12 @@ from avcqc import (
     separation_test,
     worst_case_error_informed,
 )
+from avcqc import coding
+from avcqc.channels import product_output
 from avcqc.coding import two_part_error_informed, worst_case_error_brute_force
-from avcqc.errors import KeySetMismatch, NotPositive
+from avcqc.config import DEFAULT_CAPS, Caps
+from avcqc.errors import DimOverflow, KeySetMismatch, NotPositive
+from avcqc.operators import random_density
 from helpers import (
     ONE,
     PLUS,
@@ -57,9 +61,7 @@ def random_projective_code(rng, n, j, allow_duplicates=False):
     if allow_duplicates and j >= 2:
         words[1] = words[0]
     # partition basis projectors among the messages
-    decs = np.zeros((j, dim, dim), dtype=complex)
-    for b in range(dim):
-        decs[b % j] += np.outer(u[:, b], u[:, b].conj())
+    decs = np.stack([u[:, k::j] @ u[:, k::j].conj().T for k in range(j)])
     return DeterministicCode(n, tuple(words), decs)
 
 
@@ -110,6 +112,84 @@ class TestDeterministicWorstCase:
         bad = np.stack([1.5 * np.kron(ZERO, ZERO), np.kron(ONE, ONE), np.kron(ZERO, ONE)])
         with pytest.raises(NotPositive):
             DeterministicCode(2, ((0, 0), (1, 1), (0, 1)), bad)
+
+
+def product_success(w, xs, ss, g_t):
+    """tr(product_output(w, xs, ss) G) from g_t = G.T, without the D x D matrix product."""
+    return float(np.real(np.dot(product_output(w, xs, ss).ravel(), g_t.ravel())))
+
+
+class TestContraction:
+    def test_table_matches_product_states(self):
+        # d = |S| = 3, non-Hermitian G and non-index letters expose any swapped leg
+        rng = np.random.default_rng(71)
+        states = np.stack([[random_density(rng, 3) for _ in range(3)] for _ in range(3)])
+        w = Avcqc(("p", "q", "r"), ("a", "b", "c"), states)
+        g = rng.standard_normal((27, 27)) + 1j * rng.standard_normal((27, 27))
+        xs = ("r", "p", "q")
+        table = coding._success_table(w, xs, g)
+        want = [product_success(w, xs, ss, g.T) for ss in iproduct(w.s_alphabet, repeat=3)]
+        assert np.allclose(table, want, rtol=0.0, atol=1e-12)
+
+    def test_n10_under_default_caps(self):
+        rng = np.random.default_rng(73)
+        w = random_avcqc(rng)
+        code = random_projective_code(rng, 10, 4)
+        err, strategy = worst_case_error_informed(code, w, return_strategy=True)
+        grouped = {}
+        for j, xs in enumerate(code.codebook):
+            grouped[xs] = grouped.get(xs, 0) + code.decoders[j] / 4
+        total = 0.0
+        for xs, g in grouped.items():
+            g_t = np.ascontiguousarray(g.T)
+            chosen = strategy(xs)
+            success = product_success(w, xs, chosen, g_t)
+            one_err, one = coding._informed_error(w, 10, [(xs, g)], DEFAULT_CAPS)
+            assert one(xs) == chosen
+            assert success == pytest.approx(1.0 - one_err, abs=1e-12)
+            for ss in rng.integers(0, 2, size=(32, 10)):
+                assert success <= product_success(w, xs, tuple(int(s) for s in ss), g_t) + 1e-12
+            total += success
+        assert err == pytest.approx(1.0 - total, abs=1e-12)
+
+    def test_state_independent_channel_picks_first_word(self):
+        rng = np.random.default_rng(79)
+        rows = [random_density(rng, 2) for _ in range(2)]
+        w = Avcqc((0, 1), ("a", "b", "c"), np.stack([[r] * 3 for r in rows]))
+        det = random_projective_code(rng, 4, 4)
+        rand = RandomCode((random_projective_code(rng, 4, 3), random_projective_code(rng, 4, 3)))
+        for _, strategy in (
+            worst_case_error_informed(det, w, return_strategy=True),
+            random_code_error_informed(rand, w, return_strategy=True),
+        ):
+            assert set(strategy.table.values()) == {("a",) * 4}
+
+    def test_evaluator_builds_no_product_state(self, monkeypatch):
+        rng = np.random.default_rng(83)
+        w = random_avcqc(rng)
+        code = random_projective_code(rng, 3, 3)
+        want = worst_case_error_brute_force(code, w)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("product state built")
+
+        monkeypatch.setattr(coding, "product_output", refuse)
+        assert worst_case_error_informed(code, w) == pytest.approx(want, abs=1e-12)
+        with pytest.raises(AssertionError, match="product state built"):
+            worst_case_error_brute_force(code, w)
+
+    def test_product_dim_bounds_the_operator_side(self):
+        caps = Caps(product_dim=8)      # d^n = 16 at n = 4, d = 2
+        rng = np.random.default_rng(89)
+        w = random_avcqc(rng)
+        det = random_projective_code(rng, 4, 2)
+        src = CorrelatedSource(("u",), ("v",), [[1.0]])
+        with pytest.raises(DimOverflow):
+            worst_case_error_informed(det, w, caps)
+        with pytest.raises(DimOverflow):
+            random_code_error_informed(RandomCode((det, det)), w, caps)
+        with pytest.raises(DimOverflow):
+            correlation_code_error_informed(trivial_correlation_code(det), w, src, caps)
 
 
 class TestRandomCodeError:

@@ -1,0 +1,43 @@
+"""Every name a module of the package imports is read somewhere in it."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "avcqc"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source):
+    """Imported names that the module never reads and does not list in __all__."""
+    tree = ast.parse(source)
+    imported = {}
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(
+        (line, name) for name, line in imported.items() if name not in read | exported
+    )
+
+
+def test_scan_flags_an_unused_import():
+    src = "import os\nfrom numpy import array, zeros\n__all__ = ['zeros']\nos.sep\n"
+    assert unused_imports(src) == [(2, "array")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
