@@ -22,7 +22,7 @@ from .capacity import capacity_informed_jammer, cr_capacity
 from .channels import Avcqc, CorrelatedSource, CqChannel
 from .coding import cr_generation_run, repetition_precode
 from .config import Caps, Tolerances, with_overrides
-from .errors import Indeterminate, SpecParseError, ToolkitError
+from .errors import Indeterminate, NoSeparatingPrecode, SpecParseError, ToolkitError
 from .separation import NotSeparable, build_g_pair, separation_test
 from .typicality import verify_typicality_bounds
 
@@ -229,7 +229,7 @@ def cmd_simulate(cfg):
         gp = build_g_pair(src, w.x_alphabet)
         cert = separation_test(w, src, gp, seed=cfg.seed, tol=cfg.tol, caps=cfg.caps)
         if isinstance(cert, NotSeparable):
-            raise Indeterminate(
+            raise NoSeparatingPrecode(
                 "channel/source pair admits no separating pre-code; supply --code"
             )
         code = repetition_precode(

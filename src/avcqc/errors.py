@@ -69,6 +69,10 @@ class Indeterminate(ToolkitError):
     """Separation distance fell in the dead band between the thresholds."""
 
 
+class NoSeparatingPrecode(ToolkitError):
+    """The separation test found the encoder pair not separable: no pre-code exists."""
+
+
 class KeySetMismatch(ToolkitError):
     """Pre-code message set does not match the inner code key set."""
 

@@ -9,8 +9,9 @@ simplex toolbox (grids, compositions, projection and a compass search
 over row-stochastic matrices) lives here too.
 """
 
-from itertools import combinations
+from itertools import chain, combinations
 from itertools import product as iproduct
+from math import comb
 
 import numpy as np
 
@@ -79,19 +80,22 @@ def project_simplex_rows(y):
 def compositions(k, total):
     """All k-tuples of nonnegative integers summing to total, in lexicographic order.
 
-    Stars and bars: the k - 1 bars take increasing slots among total + k - 1,
-    and the parts are the gaps between consecutive bars.
+    They are the rows of the (m, k) int array returned.  Stars and bars: the
+    k - 1 bars take increasing slots among total + k - 1, and the parts are
+    the gaps between consecutive bars.
     """
     end = total + k - 1
-    return [
-        tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (end,)))
-        for bars in combinations(range(end), k - 1)
-    ]
+    m = comb(end, k - 1)
+    bars = np.fromiter(
+        chain.from_iterable(combinations(range(end), k - 1)), dtype=int, count=m * (k - 1)
+    ).reshape(m, k - 1)
+    edges = np.concatenate([np.full((m, 1), -1), bars, np.full((m, 1), end)], axis=1)
+    return np.diff(edges, axis=1) - 1
 
 
 def simplex_grid(k, steps):
     """All length-k distributions with entries that are multiples of 1/steps."""
-    return np.array(compositions(k, steps), dtype=float) / steps
+    return compositions(k, steps) / steps
 
 
 def kernel_grid(nx, ns, steps):

@@ -15,7 +15,7 @@ operators involved are diagonal in per-site eigenbases.
 
 from dataclasses import dataclass
 from itertools import product as iproduct
-from math import comb, inf, log2
+from math import comb, inf, log2, prod
 
 import numpy as np
 
@@ -24,10 +24,22 @@ from .errors import AlphabetMismatch, DimOverflow, EnumerationOverflow
 from .geometry import compositions
 from .operators import entropy_from_eigenvalues, validate_probability_vector
 
+# Labels with less probability than this are pinned to count 0: they are
+# rounding residue of clipped eigenvalues, not support.
 _SUPPORT_FLOOR = 1e-15
+# Eigenvalues closer than this share a cluster whose basis is rebuilt, so
+# eigh's arbitrary basis of a degenerate eigenspace never leaks out.
+_CLUSTER_GAP = 1e-9
+# A projected standard-basis vector shorter than this lies (up to rounding)
+# in the span of the vectors already kept, so it is skipped.
+_BASIS_NORM_FLOOR = 1e-6
+# A mass within this of 1 is 1 up to rounding: its exponent is unbounded.
+_MASS_GAP_FLOOR = 1e-15
+# A fitted exponent still passes a row it misses by this rounding margin.
+_PASS_SLACK = 1e-12
 
 
-def stable_eigh(m, cluster_gap=1e-9):
+def stable_eigh(m, cluster_gap=_CLUSTER_GAP):
     """Eigendecomposition with a reproducible convention.
 
     Eigenvalues descending; inside each near-degenerate cluster the basis
@@ -53,7 +65,7 @@ def stable_eigh(m, cluster_gap=1e-9):
                 for b in basis:
                     cand = cand - b * (b.conj() @ cand)
                 nrm = np.linalg.norm(cand)
-                if nrm > 1e-6:
+                if nrm > _BASIS_NORM_FLOOR:
                     basis.append(cand / nrm)
                 if len(basis) == stop - start:
                     break
@@ -70,20 +82,12 @@ def _window_count_classes(p, n, half_width, guard=DEFAULT_TOL.typicality_boundar
     """Count vectors c (len(p) entries, sum n) with |c/n - p| <= half_width.
 
     Labels with probability below the support floor are pinned to count 0.
+    The classes come in lexicographic order.
     """
-    out = []
-    for c in compositions(len(p), n):
-        ok = True
-        for j, cj in enumerate(c):
-            if p[j] < _SUPPORT_FLOOR and cj > 0:
-                ok = False
-                break
-            if abs(cj / n - p[j]) > half_width + guard:
-                ok = False
-                break
-        if ok:
-            out.append(c)
-    return out
+    p = np.asarray(p, dtype=float)
+    counts = compositions(p.size, n)
+    bad = (np.abs(counts / n - p) > half_width + guard) | ((p < _SUPPORT_FLOOR) & (counts > 0))
+    return [tuple(c) for c in counts[~bad.any(axis=1)].tolist()]
 
 
 def _multinomial(n, counts):
@@ -309,33 +313,44 @@ def _type_counts(p, n):
     return base
 
 
-def _cross_mass(site_values, typical_classes, d):
+def _cross_mass(site_values, typical_classes, d, caps=DEFAULT_CAPS):
     """sum over typical label sequences y of prod_i site_values[i][y_i].
 
-    Dynamic program over positions with the running label-count vector as
-    state; site_values[i][j] is the weight of label j at position i.
+    Dynamic program over positions on a dense table of the label counts
+    c_0..c_{d-2} (c_{d-1} is the position minus their sum), each axis cut
+    at the largest count a typical class uses; site_values[i][j] is the
+    weight of label j at position i.  Cells add their terms for j = d-1
+    down to 0 and the typical cells are summed in descending lexicographic
+    order, the order in which a dict DP keyed by count tuples meets its
+    keys; the two agree bit for bit unless, at d >= 3, positions differ in
+    which of their weights are exactly zero.
     """
-    states = {tuple([0] * d): 1.0}
+    classes = sorted(typical_classes, reverse=True)
+    if not classes:
+        return 0
+    keep = np.array(classes)[:, : d - 1]
+    shape = tuple(keep.max(axis=0) + 1)
+    cells = prod(shape)
+    if cells > caps.enumeration:
+        raise EnumerationOverflow(
+            f"count table of {cells} cells exceeds enumeration cap {caps.enumeration}"
+        )
+    table = np.zeros(shape)
+    table[(0,) * (d - 1)] = 1.0
     for vals in site_values:
-        nxt = {}
-        for cnt, acc in states.items():
-            for j in range(d):
-                wgt = vals[j]
-                if wgt == 0.0:
-                    continue
-                key = list(cnt)
-                key[j] += 1
-                key = tuple(key)
-                nxt[key] = nxt.get(key, 0.0) + acc * wgt
-        states = nxt
-    return sum(acc for cnt, acc in states.items() if cnt in typical_classes)
+        nxt = table * vals[d - 1]
+        for j in range(d - 2, -1, -1):
+            lead = (slice(None),) * j
+            nxt[lead + (slice(1, None),)] += table[lead + (slice(None, -1),)] * vals[j]
+        table = nxt
+    return sum(table[tuple(c)] for c in keep.tolist())
 
 
 def _mass_bound_rows(bound_id, ns, masses):
     reqs = []
     for n, mass in zip(ns, masses):
         gap = 1.0 - mass
-        if gap <= 1e-15:
+        if gap <= _MASS_GAP_FLOOR:
             reqs.append(inf)
         else:
             reqs.append(-np.log2(gap) / n)
@@ -343,7 +358,7 @@ def _mass_bound_rows(bound_id, ns, masses):
     rows = []
     for n, req in zip(ns, reqs):
         slack = 0.0 if req == fitted else float(req - fitted)
-        rows.append(BoundRow(bound_id, n, float(req), float(fitted), slack, slack >= -1e-12))
+        rows.append(BoundRow(bound_id, n, float(req), float(fitted), slack, slack >= -_PASS_SLACK))
     return rows, float(fitted)
 
 
@@ -351,7 +366,7 @@ def _exponent_bound_rows(bound_id, ns, reqs):
     fitted = max(reqs)
     rows = [
         BoundRow(bound_id, n, float(req), float(fitted), float(fitted - req),
-                 fitted - req >= -1e-12)
+                 fitted - req >= -_PASS_SLACK)
         for n, req in zip(ns, reqs)
     ]
     return rows, float(fitted)
@@ -426,7 +441,7 @@ def verify_typicality_bounds(w, p, n_range, alpha, caps=DEFAULT_CAPS, tol=DEFAUL
         cond_win_req.append(max(-s_cond - clmin / n, s_cond + clmax / n))
 
         site_values = [diag_in_sig_basis[x] for x in xs]
-        cross_mass_vals.append(_cross_mass(site_values, set(typ_classes), d))
+        cross_mass_vals.append(_cross_mass(site_values, set(typ_classes), d, caps))
 
     rows, constants = [], {}
     for bound_id, data in (

@@ -155,6 +155,15 @@ class TestTypicalityCommand:
         for line in lines[1:]:
             assert float(line.split(",")[4]) >= -1e-12
 
+    def test_enumeration_cap_reaches_verifier(self, tmp_path, capsys):
+        chan = write_fixed_channel(tmp_path, [np.diag([0.75, 0.25]), np.diag([0.75, 0.25])])
+        out = tmp_path / "typ.csv"
+        rc = main(["typicality", "--channel", chan, "--cap", "enumeration=1",
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: EnumerationOverflow")
+        assert not out.exists()
+
     def test_requires_single_state_channel(self, tmp_path, capsys):
         chan = write_channel(tmp_path, orthogonal_channel())
         out = tmp_path / "typ.csv"
@@ -177,15 +186,37 @@ class TestSimulateCommand:
         assert len(lines) == 26
         assert "agreement_rate=" in capsys.readouterr().out
 
-    def test_not_separable_channel_exits_indeterminate(self, tmp_path):
-        chan = write_channel(tmp_path, constant_channel())
+    def test_not_separable_channel_exits_no_separating_precode(self, tmp_path, capsys):
+        # a definite NotSeparable leaves no pre-code to build: an error, not exit 2
+        src = write_source(tmp_path, [[0.45, 0.05], [0.05, 0.45]])
+        out = tmp_path / "sim.csv"
+        for w in (constant_channel(), bitflip_channel()):
+            chan = write_channel(tmp_path, w)
+            rc = main(
+                ["simulate", "--channel", chan, "--source", src, "--seed", "9",
+                 "--trials", "10", "--out", str(out)]
+            )
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: NoSeparatingPrecode")
+            assert "supply --code" in err
+            assert not out.exists()
+
+    def test_dead_band_channel_exits_indeterminate(self, tmp_path, capsys):
+        eps = 2e-6
+        from avcqc import Avcqc
+
+        rho1 = (1 - eps) * ZERO + eps * ONE
+        w = Avcqc(("0", "1"), ("0", "1"), np.array([[ZERO, ZERO], [rho1, rho1]]))
+        chan = write_channel(tmp_path, w)
         src = write_source(tmp_path, [[0.45, 0.05], [0.05, 0.45]])
         out = tmp_path / "sim.csv"
         rc = main(
-            ["simulate", "--channel", chan, "--source", src, "--seed", "9",
+            ["simulate", "--channel", chan, "--source", src, "--seed", "5",
              "--trials", "10", "--out", str(out)]
         )
         assert rc == 2
+        assert capsys.readouterr().err.startswith("indeterminate: ")
         assert not out.exists()
 
     def test_accepts_code_file(self, tmp_path):

@@ -13,7 +13,7 @@ from avcqc import (
 )
 from avcqc.config import Caps
 from avcqc.errors import DimOverflow, EnumerationOverflow
-from avcqc.typicality import stable_eigh
+from avcqc.typicality import _cross_mass, _window_count_classes, stable_eigh
 from helpers import ONE, ZERO, mirror_pair_channel
 
 
@@ -219,8 +219,6 @@ class TestVerifyBounds:
 
     def test_average_mass_permutation_invariant(self):
         # the cross-basis overlap mass depends on the word only through its type
-        from avcqc.typicality import _cross_mass, _window_count_classes
-
         w = mirror_pair_channel()
         p = np.array([0.75, 0.25])
         classes = set(_window_count_classes(p, 6, 0.1))
@@ -234,3 +232,92 @@ class TestVerifyBounds:
             _cross_mass([diag[x] for x in xs], classes, 2) for xs in words
         ]
         assert max(vals) - min(vals) < 1e-10
+
+    def test_enumeration_cap_bounds_count_table(self):
+        # the cross-mass table has max_n (largest typical count_0 + 1) cells at d=2
+        w = mirror_pair_channel()
+        ns = range(4, 13)
+        cells = max(
+            max(c[0] for c in _window_count_classes(np.array([0.75, 0.25]), n, 0.1)) + 1
+            for n in ns
+        )
+        rep = verify_typicality_bounds(w, [0.5, 0.5], ns, 0.1, caps=Caps(enumeration=cells))
+        assert rep.rows == verify_typicality_bounds(w, [0.5, 0.5], ns, 0.1).rows
+        with pytest.raises(EnumerationOverflow):
+            verify_typicality_bounds(w, [0.5, 0.5], ns, 0.1, caps=Caps(enumeration=cells - 1))
+
+
+def dict_cross_mass(site_values, typical_classes, d):
+    """The cross mass as a dict DP keyed by label-count tuples (the earlier code)."""
+    states = {tuple([0] * d): 1.0}
+    for vals in site_values:
+        nxt = {}
+        for cnt, acc in states.items():
+            for j in range(d):
+                wgt = vals[j]
+                if wgt == 0.0:
+                    continue
+                key = list(cnt)
+                key[j] += 1
+                key = tuple(key)
+                nxt[key] = nxt.get(key, 0.0) + acc * wgt
+        states = nxt
+    return sum(acc for cnt, acc in states.items() if cnt in typical_classes)
+
+
+class TestCrossMass:
+    """average_state_mass against references that share none of its code."""
+
+    def test_brute_force_over_label_sequences(self):
+        # label 2 never typical under the first spectrum, label 0 under the
+        # second; one letter has a zero weight, so the two letters' supports differ
+        rng = np.random.default_rng(17)
+        letters = np.array([rng.random(3), rng.random(3)])
+        letters[1, 1] = 0.0
+        for spectrum in ([0.6, 0.4, 0.0], [0.0, 0.5, 0.5]):
+            for n in range(1, 7):
+                word = [int(b) for b in rng.integers(0, 2, size=n)]
+                site_values = letters[word]
+                want = 0.0
+                for seq in iproduct(range(3), repeat=n):
+                    counts = [seq.count(j) for j in range(3)]
+                    if all(
+                        abs(c / n - pj) <= 0.3 + 1e-12 and not (pj == 0.0 and c > 0)
+                        for c, pj in zip(counts, spectrum)
+                    ):
+                        want += np.prod([site_values[i][y] for i, y in enumerate(seq)])
+                classes = set(_window_count_classes(np.array(spectrum), n, 0.3))
+                assert abs(_cross_mass(site_values, classes, 3) - want) <= 1e-14
+
+    def test_bit_identical_to_dict_dp(self):
+        # The dict met its keys in descending lexicographic order, the order
+        # the table adds and sums in, whenever every weight is nonzero, at
+        # d=2, or when the zero weights sit on one label at every position
+        # (a zero-probability eigenlabel).  Other zero patterns reorder the
+        # dict's keys; the brute-force test covers those.
+        rng = np.random.default_rng(23)
+        for d, nx, ns in ((2, 2, range(1, 21)), (3, 3, range(1, 21)), (4, 2, range(4, 21))):
+            for zero_label in (None, d - 1, 0):
+                letters = rng.random((nx, d))
+                if zero_label is not None:
+                    letters[:, zero_label] = 0.0
+                spectrum = rng.dirichlet(np.ones(d))
+                for n in ns:
+                    word = sorted(int(x) for x in rng.integers(0, nx, size=n))
+                    site_values = letters[word]
+                    for alpha in (0.1, 0.25):
+                        classes = set(_window_count_classes(spectrum, n, alpha))
+                        assert _cross_mass(site_values, classes, d) == dict_cross_mass(
+                            site_values, classes, d
+                        )
+        letters = np.array([[0.3, 0.0], [0.0, 0.8], [0.5, 0.2]])
+        classes = set(_window_count_classes(np.array([0.4, 0.6]), 12, 0.3))
+        for word in ([0] * 4 + [1] * 4 + [2] * 4, [2, 1, 0] * 4):
+            site_values = letters[word]
+            assert _cross_mass(site_values, classes, 2) == dict_cross_mass(site_values, classes, 2)
+
+    def test_edge_cases(self):
+        vals = np.array([[0.5], [0.25], [0.5]])
+        assert _cross_mass(vals, {(3,)}, 1) == dict_cross_mass(vals, {(3,)}, 1) == 0.0625
+        assert _cross_mass(vals, set(), 1) == 0
+        assert _cross_mass(np.full((4, 2), 0.5), set(), 2) == 0
