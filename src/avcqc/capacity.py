@@ -248,7 +248,7 @@ def _refined_inner_min(states, p_rows, kernels, span):
     for r, p in enumerate(p_rows):
         def neg_chi(q):
             return -_chi_batch(np.broadcast_to(p, (q.shape[0], p.size)), states, q)
-        out[r] = -pattern_search(neg_chi, kernels[int(np.argmin(table[r]))], span, 1e-6)[0]
+        out[r] = -pattern_search(neg_chi, kernels[int(np.argmin(table[r]))][None], span, 1e-6)[0][0]
     return out
 
 
@@ -276,9 +276,9 @@ def maxmin_grid_oracle(w, steps=32, eval_budget=int(2.2e7)):
     p0 = p_rows[int(np.argmax(inner))]
     span = 1.0 / steps
     best, _ = pattern_search(
-        lambda p: _refined_inner_min(w.states, p[:, 0], kernels, span), p0[None], span, 1e-6
+        lambda p: _refined_inner_min(w.states, p[:, 0], kernels, span), p0[None, None], span, 1e-6
     )
-    return float(max(best, 0.0))
+    return float(max(best[0], 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +411,8 @@ def _aux_objective(joint_vv, k_rows):
 
 def _aux_channel_search(src, budget, seed, slack, restarts=64, grid_steps=16):
     """Maximize I(U;V') over Markov chains U <- V' -> V subject to the
-    leakage constraint I(U;V') - I(U;V) <= budget + slack."""
+    leakage constraint I(U;V') - I(U;V) <= budget + slack; all starts run
+    as one batched pattern search and the first best result wins."""
     joint = src.joint
     nvp = len(src.v_prime_alphabet)
     nu = nvp + 1
@@ -420,8 +421,7 @@ def _aux_channel_search(src, budget, seed, slack, restarts=64, grid_steps=16):
     def feasible_value(k_rows):
         i_uvp, i_uv = _aux_objective(joint, k_rows)
         feas = i_uvp - i_uv <= budget + slack
-        vals = np.where(feas, i_uvp, -1.0)
-        return vals
+        return np.where(feas, i_uvp, -1.0)
 
     best_val, best_k = 0.0, np.full((nvp, nu), 1.0 / nu)
     if nvp == 2:
@@ -431,11 +431,10 @@ def _aux_channel_search(src, budget, seed, slack, restarts=64, grid_steps=16):
         if vals[k] > best_val:
             best_val, best_k = float(vals[k]), grid[k].copy()
 
-    starts = [best_k] + [rng.dirichlet(np.ones(nu), size=nvp) for _ in range(restarts)]
-    for k0 in starts:
-        val, k_rows = pattern_search(feasible_value, k0, 0.25, 1e-7)
+    starts = np.stack([best_k] + [rng.dirichlet(np.ones(nu), size=nvp) for _ in range(restarts)])
+    for val, k_rows in zip(*pattern_search(feasible_value, starts, 0.25, 1e-7)):
         if val > best_val:
-            best_val, best_k = val, k_rows
+            best_val, best_k = float(val), k_rows
     return max(best_val, 0.0), best_k
 
 

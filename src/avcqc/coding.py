@@ -397,7 +397,9 @@ def repetition_precode(cert, gp, src, w, num_keys=2, nu=3, caps=DEFAULT_CAPS):
     Each of nu channel uses encodes one bit through the encoder pair (the
     sender applies g0 or g1 to a fresh block of iota source symbols); the
     receiver measures each use with his block of the separating measurement
-    and decodes the key by minimum Hamming distance to the key words.
+    and decodes the key by minimum Hamming distance to the key words.  Per
+    block tuple, one outer product over the sites (np.kron's multiplies) gives
+    all 2^nu outcome products; np.add.at sums them by key in bits order.
     """
     if not 2 <= num_keys <= 2 ** nu:
         raise KeySetMismatch(f"cannot place {num_keys} keys in {nu} bits")
@@ -437,23 +439,22 @@ def repetition_precode(cert, gp, src, w, num_keys=2, nu=3, caps=DEFAULT_CAPS):
         encoders.append(row)
 
     d = w.dim
-    dim_total = d ** nu
-    decoders = np.zeros((len(v_words), num_keys, dim_total, dim_total), dtype=complex)
+    decoded = [decode_word(bits) for bits in iproduct((0, 1), repeat=nu)]
+    decoders = np.zeros((len(v_words), num_keys, d ** nu, d ** nu), dtype=complex)
     site_ops = {}
     for vi, v in enumerate(v_words):
-        blocks = [
+        key = tuple(
             block_index[tuple(v_sym_index[c] for c in v[t * iota : (t + 1) * iota])]
             for t in range(nu)
-        ]
-        key = tuple(blocks)
+        )
         if key not in site_ops:
-            ops = np.zeros((num_keys, dim_total, dim_total), dtype=complex)
-            for bits in iproduct((0, 1), repeat=nu):
-                povm = np.ones((1, 1), dtype=complex)
-                for t, bit in enumerate(bits):
-                    povm = np.kron(povm, cert.measurement_block(bit, blocks[t]))
-                ops[decode_word(bits)] += povm
-            site_ops[key] = ops
+            prods = np.ones((1, 1, 1), dtype=complex)
+            for blk in key:
+                site = np.array([cert.measurement_block(b, blk) for b in (0, 1)], dtype=complex)
+                prods = (prods[:, None, :, None, :, None] * site[None, :, None, :, None, :]
+                         ).reshape(2 * len(prods), d * prods.shape[1], -1)
+            site_ops[key] = np.zeros((num_keys, d ** nu, d ** nu), dtype=complex)
+            np.add.at(site_ops[key], decoded, prods)
         decoders[vi] = site_ops[key]
     return CorrelationCode(
         l=l,

@@ -110,34 +110,34 @@ _SEARCH_GAIN = 1e-13
 
 
 def pattern_search(f, x0, span, floor):
-    """Maximize f over row-stochastic matrices by compass search.
+    """Maximize f over row-stochastic matrices by compass search, batched over starts.
 
-    f maps a stack (m, rows, k) to m values.  Each round moves mass span
-    from coordinate j to coordinate i of one row, for every row and ordered
-    pair (i, j), projects all the moves onto the simplices at once and
-    takes the best one if it gains more than _SEARCH_GAIN; otherwise span
-    halves.  The search ends once span <= floor.  Rows with one entry admit
-    no move, so such an x0 is returned as it is.  Returns (value, x).
+    x0 stacks m starts (m, rows, k); f maps a stack (n, rows, k) to n values.
+    Each round moves mass span from coordinate j to coordinate i of one row,
+    for every live start, row and ordered pair (i, j), and projects and scores
+    all moves in one call each; a start takes its best move if it gains more
+    than _SEARCH_GAIN, else its own span halves, and leaves once span <= floor,
+    so it ends as it would alone.  Returns (values (m,), x (m, rows, k)).
     """
     x = np.array(x0, dtype=float)
-    rows, k = x.shape
-    best = float(f(x[None])[0])
+    m, rows, k = x.shape
+    best = np.array(f(x), dtype=float)
     if k < 2:
         return best, x
     eye = np.eye(k)
     unit = [eye[i] - eye[j] for i in range(k) for j in range(k) if i != j]
     steps = np.zeros((rows, len(unit), rows, k))
-    for r in range(rows):
-        steps[r, :, r] = unit
+    steps[np.arange(rows), :, np.arange(rows)] = unit
     steps = steps.reshape(-1, rows, k)
-    while span > floor:
-        cand = project_simplex_rows(x + span * steps)
-        vals = f(cand)
-        b = int(np.argmax(vals))
-        if vals[b] > best + _SEARCH_GAIN:
-            best, x = float(vals[b]), cand[b]
-        else:
-            span *= 0.5
+    spans = np.full(m, float(span))
+    while (live := np.flatnonzero(spans > floor)).size:
+        cand = project_simplex_rows(x[live, None] + spans[live, None, None, None] * steps)
+        vals = f(cand.reshape(-1, rows, k)).reshape(live.size, -1)
+        b = np.argmax(vals, axis=1)
+        top = vals[np.arange(live.size), b]
+        gain = top > best[live] + _SEARCH_GAIN
+        best[live[gain]], x[live[gain]] = top[gain], cand[gain, b[gain]]
+        spans[live[~gain]] *= 0.5
     return best, x
 
 

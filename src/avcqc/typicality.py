@@ -21,7 +21,6 @@ import numpy as np
 
 from .config import DEFAULT_CAPS, DEFAULT_TOL
 from .errors import AlphabetMismatch, DimOverflow, EnumerationOverflow
-from .geometry import compositions
 from .operators import entropy_from_eigenvalues, validate_probability_vector
 
 # Labels with less probability than this are pinned to count 0: they are
@@ -78,14 +77,25 @@ def stable_eigh(m, cluster_gap=_CLUSTER_GAP):
     return w, v
 
 
-def _window_count_classes(p, n, half_width, guard=DEFAULT_TOL.typicality_boundary):
+def _window_count_classes(p, n, half_width, guard=DEFAULT_TOL.typicality_boundary,
+                          caps=DEFAULT_CAPS):
     """Count vectors c (len(p) entries, sum n) with |c/n - p| <= half_width.
 
     Labels with probability below the support floor are pinned to count 0.
-    The classes come in lexicographic order.
+    Counts grow label by label inside the window widened by one, each step's
+    candidates checked against caps.enumeration first.  Lexicographic order.
     """
     p = np.asarray(p, dtype=float)
-    counts = compositions(p.size, n)
+    reach = n * (half_width + guard)
+    lo = np.clip(np.ceil(n * p[:-1] - reach) - 1, 0, n).astype(int)
+    hi = np.where(p[:-1] < _SUPPORT_FLOOR, 0, np.clip(np.floor(n * p[:-1] + reach) + 1, 0, n))
+    counts = np.zeros((1, 0), dtype=int)
+    for side in map(np.arange, lo, hi.astype(int) + 1):
+        if (rows := len(counts) * side.size) > caps.enumeration:
+            raise EnumerationOverflow(f"{rows} window candidates exceed cap {caps.enumeration}")
+        counts = np.column_stack([np.repeat(counts, side.size, axis=0), np.tile(side, len(counts))])
+        counts = counts[counts.sum(axis=1) <= n]
+    counts = np.column_stack([counts, n - counts.sum(axis=1)])
     bad = (np.abs(counts / n - p) > half_width + guard) | ((p < _SUPPORT_FLOOR) & (counts > 0))
     return [tuple(c) for c in counts[~bad.any(axis=1)].tolist()]
 
@@ -202,7 +212,7 @@ def typical_projector(rho, n, alpha, caps=DEFAULT_CAPS):
             f"d^n = {d ** n} exceeds enumeration cap {caps.enumeration}"
         )
     spectrum = np.clip(lam, 0.0, None)
-    classes = set(_window_count_classes(spectrum, n, alpha))
+    classes = set(_window_count_classes(spectrum, n, alpha, caps=caps))
     labels = tuple(_sequences_of_classes(classes, n))
     bases = np.broadcast_to(u, (n, d, d)).copy()
     return TypicalProjector(n=n, alpha=alpha, site_bases=bases, basis_labels=labels)
@@ -235,7 +245,7 @@ def conditional_typical_projector(w, xs, alpha, caps=DEFAULT_CAPS):
     per_block_labels = {}
     total_rank = 1
     for x, pos in block_positions.items():
-        classes = set(_window_count_classes(eig[x][0], len(pos), alpha))
+        classes = set(_window_count_classes(eig[x][0], len(pos), alpha, caps=caps))
         seqs = _sequences_of_classes(classes, len(pos))
         per_block_labels[x] = seqs
         total_rank *= len(seqs)
@@ -406,7 +416,7 @@ def verify_typicality_bounds(w, p, n_range, alpha, caps=DEFAULT_CAPS, tol=DEFAUL
     cross_mass_vals = []
     d = w.dim
     for n in ns:
-        typ_classes = _window_count_classes(sig_spec, n, alpha)
+        typ_classes = _window_count_classes(sig_spec, n, alpha, caps=caps)
         mass, rank, lmin, lmax = _class_aggregates(sig_spec, n, typ_classes)
         src_mass.append(mass)
         # ranks are exact Python ints and pass 2**63 within reach of n
@@ -430,7 +440,7 @@ def verify_typicality_bounds(w, p, n_range, alpha, caps=DEFAULT_CAPS, tol=DEFAUL
             if m == 0:
                 continue
             bmass, brank, blmin, blmax = _class_aggregates(
-                letter_spec[x], m, _window_count_classes(letter_spec[x], m, alpha)
+                letter_spec[x], m, _window_count_classes(letter_spec[x], m, alpha, caps=caps)
             )
             cmass *= bmass
             crank *= brank

@@ -55,3 +55,57 @@ def binary_entropy(q):
         if v > 0.0:
             out -= v * np.log2(v)
     return out
+
+
+def kron_chain_precode(cert, gp, src, w, num_keys, nu):
+    """Reference pre-code: encoders and decoders of repetition_precode, each
+    decoder built as a sum of per-site np.kron chains, one chain per outcome
+    word in bits order."""
+    from itertools import product as iproduct
+
+    iota = gp.iota
+    l = nu * iota
+    if num_keys == 2:
+        key_words = [(0,) * nu, (1,) * nu]
+    else:
+        key_words = sorted(iproduct((0, 1), repeat=nu))[:num_keys]
+
+    def decode_word(bits):
+        dists = [sum(a != b for a, b in zip(bits, kw)) for kw in key_words]
+        return int(np.argmin(dists))
+
+    v_prime_words = list(iproduct(src.v_prime_alphabet, repeat=l))
+    v_words = list(iproduct(src.v_alphabet, repeat=l))
+    block_index = {
+        blk: i for i, blk in enumerate(iproduct(range(len(src.v_alphabet)), repeat=iota))
+    }
+    v_sym_index = {sym: i for i, sym in enumerate(src.v_alphabet)}
+    encoders = [
+        [
+            tuple(
+                (gp.g0 if kw[t] == 0 else gp.g1)[u[t * iota : (t + 1) * iota]]
+                for t in range(nu)
+            )
+            for kw in key_words
+        ]
+        for u in v_prime_words
+    ]
+    dim_total = w.dim ** nu
+    decoders = np.zeros((len(v_words), num_keys, dim_total, dim_total), dtype=complex)
+    site_ops = {}
+    for vi, v in enumerate(v_words):
+        blocks = [
+            block_index[tuple(v_sym_index[c] for c in v[t * iota : (t + 1) * iota])]
+            for t in range(nu)
+        ]
+        key = tuple(blocks)
+        if key not in site_ops:
+            ops = np.zeros((num_keys, dim_total, dim_total), dtype=complex)
+            for bits in iproduct((0, 1), repeat=nu):
+                povm = np.ones((1, 1), dtype=complex)
+                for t, bit in enumerate(bits):
+                    povm = np.kron(povm, cert.measurement_block(bit, blocks[t]))
+                ops[decode_word(bits)] += povm
+            site_ops[key] = ops
+        decoders[vi] = site_ops[key]
+    return encoders, decoders

@@ -1,8 +1,10 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
+from avcqc import Avcqc
 from avcqc import serialize as io
 from avcqc.cli import main
 from helpers import ONE, ZERO, bitflip_channel, constant_channel, orthogonal_channel
@@ -160,6 +162,20 @@ class TestTypicalityCommand:
         out = tmp_path / "typ.csv"
         rc = main(["typicality", "--channel", chan, "--cap", "enumeration=1",
                    "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: EnumerationOverflow")
+        assert not out.exists()
+
+    def test_d8_window_overflows_fast(self, tmp_path, capsys):
+        # 62,891,499 compositions of 40 into 8 parts; the window's candidates
+        # are counted against the enumeration cap before they are built
+        states = np.array([[np.eye(8) / 8], [np.diag(np.arange(1, 9) / 36)]], dtype=complex)
+        chan = write_channel(tmp_path, Avcqc(("0", "1"), ("s",), states))
+        out = tmp_path / "typ.csv"
+        start = time.perf_counter()
+        rc = main(["typicality", "--channel", chan, "--n-min", "40", "--n-max", "40",
+                   "--out", str(out)])
+        assert time.perf_counter() - start < 1.0
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: EnumerationOverflow")
         assert not out.exists()

@@ -1,4 +1,5 @@
 from itertools import product as iproduct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,11 +20,13 @@ from avcqc import (
     worst_case_error_informed,
 )
 from avcqc import coding
+from avcqc import serialize as io
 from avcqc.channels import product_output
 from avcqc.coding import two_part_error_informed, worst_case_error_brute_force
 from avcqc.config import DEFAULT_CAPS, Caps
 from avcqc.errors import DimOverflow, KeySetMismatch, NotPositive
 from avcqc.operators import random_density
+from avcqc.separation import SeparationCertificate
 from helpers import (
     ONE,
     PLUS,
@@ -31,6 +34,7 @@ from helpers import (
     bitflip_channel,
     constant_channel,
     flip_source,
+    kron_chain_precode,
     orthogonal_channel,
     random_avcqc,
 )
@@ -353,6 +357,43 @@ class TestTwoPartCode:
         det = projective_code(3, [(0, 0, 0), (1, 1, 1), (0, 1, 0)])
         with pytest.raises(KeySetMismatch):
             assemble_two_part(pre, RandomCode((det,) * 3), w, src)
+
+
+def separable_d3_instance(seed=1):
+    """Two near-pure distinct letters at d=3; the jammer mixes in 10% noise."""
+    rng = np.random.default_rng(seed)
+    letters = []
+    for _ in range(2):
+        v = np.linalg.eigh(random_density(rng, 3))[1][:, -1:]
+        letters.append(v @ v.conj().T)
+    states = np.array(
+        [[0.9 * letters[x] + 0.1 * random_density(rng, 3) for _ in range(2)] for x in range(2)]
+    )
+    return Avcqc((0, 1), (0, 1), states), flip_source(0.1)
+
+
+class TestRepetitionPrecode:
+    SPECS = Path(__file__).resolve().parents[1] / "specs"
+
+    @pytest.fixture(scope="class", params=["orthogonal-flip10", "separable-d3"])
+    def instance(self, request):
+        if request.param == "orthogonal-flip10":
+            w = io.load_channel(self.SPECS / "orthogonal_channel.json")
+            src = io.load_source(self.SPECS / "flip10_source.json")
+        else:
+            w, src = separable_d3_instance()
+        gp = build_g_pair(src, w.x_alphabet)
+        cert = separation_test(w, src, gp, seed=1)
+        assert isinstance(cert, SeparationCertificate)
+        return cert, gp, src, w
+
+    @pytest.mark.parametrize("nu, keys", [(2, 2), (3, 2), (3, 4)])
+    def test_matches_kron_chain(self, instance, nu, keys):
+        cert, gp, src, w = instance
+        code = repetition_precode(cert, gp, src, w, num_keys=keys, nu=nu)
+        encoders, decoders = kron_chain_precode(cert, gp, src, w, keys, nu)
+        assert [list(row) for row in code.encoders] == encoders
+        assert code.decoders.tobytes() == decoders.tobytes()
 
 
 class TestTwoPartDesign:

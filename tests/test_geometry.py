@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from avcqc.capacity import _aux_objective
+from avcqc.cli import _demo_source
+from avcqc.config import DEFAULT_TOL
 from avcqc.geometry import compositions, kernel_grid, pattern_search, simplex_grid
 
 
@@ -46,7 +49,8 @@ class TestPatternSearch:
     def test_reaches_maximiser_within_floor(self, target):
         target = np.array(target)
         floor = 1e-4
-        val, x = pattern_search(self._concave(target), np.full((2, 3), 1 / 3), 0.25, floor)
+        val, x = pattern_search(self._concave(target), np.full((2, 3), 1 / 3)[None], 0.25, floor)
+        val, x = val[0], x[0]
         assert np.abs(x - target).max() <= floor
         assert np.allclose(x.sum(axis=1), 1.0) and x.min() >= 0.0
         assert val == pytest.approx(float(self._concave(target)(x[None])[0]), abs=0.0)
@@ -54,12 +58,76 @@ class TestPatternSearch:
     def test_returns_start_when_no_move_gains(self):
         target = np.array(self.TARGETS[0])
         x0 = target.copy()
-        val, x = pattern_search(self._concave(target), x0, 0.25, 1e-6)
+        val, x = pattern_search(self._concave(target), x0[None], 0.25, 1e-6)
+        val, x = val[0], x[0]
         assert np.array_equal(x, x0)
         assert val == 0.0
 
     def test_single_entry_rows_admit_no_move(self):
         x0 = np.ones((2, 1))
-        val, x = pattern_search(lambda x: x.sum(axis=(1, 2)), x0, 0.25, 1e-6)
+        val, x = pattern_search(lambda x: x.sum(axis=(1, 2)), x0[None], 0.25, 1e-6)
+        val, x = val[0], x[0]
         assert np.array_equal(x, x0)
         assert val == 2.0
+
+
+class TestBatchedPatternSearch:
+    @staticmethod
+    def _assert_matches_single_starts(f, starts, span, floor):
+        vals, xs = pattern_search(f, starts, span, floor)
+        for start, val, x in zip(starts, vals, xs):
+            alone_val, alone_x = pattern_search(f, start[None], span, floor)
+            assert val == alone_val[0]
+            assert np.array_equal(x, alone_x[0])
+
+    @pytest.mark.parametrize("target", TestPatternSearch.TARGETS)
+    def test_concave_stack_matches_single_starts(self, target):
+        target = np.array(target)
+        rng = np.random.default_rng(3)
+        # the target itself is a start already at its maximizer
+        starts = np.stack(
+            [np.full((2, 3), 1 / 3), target] + [rng.dirichlet(np.ones(3), size=2) for _ in range(4)]
+        )
+        self._assert_matches_single_starts(TestPatternSearch._concave(target), starts, 0.25, 1e-6)
+
+    @pytest.mark.parametrize("budget", [0.0, 0.05, 0.2])
+    def test_demo_source_stack_matches_single_starts(self, budget):
+        # the auxiliary-channel objective of the demo's first source, as
+        # cr_capacity searches it (the demo's own leakage budget is 0); the
+        # starts are its best grid kernel, the uniform kernel and random draws
+        joint = _demo_source(3).joint
+
+        def feasible_value(k_rows):
+            i_uvp, i_uv = _aux_objective(joint, k_rows)
+            feas = i_uvp - i_uv <= budget + DEFAULT_TOL.cr_constraint_slack
+            return np.where(feas, i_uvp, -1.0)
+
+        grid = kernel_grid(2, 3, 16)
+        rng = np.random.default_rng(5)
+        starts = np.stack(
+            [grid[int(np.argmax(feasible_value(grid)))], np.full((2, 3), 1 / 3)]
+            + [rng.dirichlet(np.ones(3), size=2) for _ in range(5)]
+        )
+        self._assert_matches_single_starts(feasible_value, starts, 0.25, 1e-7)
+
+    def test_start_at_floor_stops_while_others_move(self):
+        # `near` sits 0.003 off the maximizer along a move direction, so only
+        # spans below 0.006 gain: its span halves to the floor (0.0078 <= 0.01)
+        # without a move, and were it kept searching it would move at 0.0039.
+        # `far` keeps moving for rounds after that.
+        target = np.array([[0.6, 0.3, 0.1]])
+        near = np.array([[0.603, 0.297, 0.1]])
+        far = np.array([[0.1, 0.1, 0.8]])
+        calls = []
+
+        def f(x):
+            calls.append(x.shape[0])
+            return TestPatternSearch._concave(target)(x)
+
+        val, x = pattern_search(f, near[None], 0.25, 0.01)
+        assert np.array_equal(x[0], near)
+        near_rounds = len(calls)
+        calls.clear()
+        vals, xs = pattern_search(f, np.stack([near, far]), 0.25, 0.01)
+        assert len(calls) > near_rounds + 2
+        assert np.array_equal(xs[0], near) and vals[0] == val[0]

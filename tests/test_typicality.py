@@ -13,7 +13,8 @@ from avcqc import (
 )
 from avcqc.config import Caps
 from avcqc.errors import DimOverflow, EnumerationOverflow
-from avcqc.typicality import _cross_mass, _window_count_classes, stable_eigh
+from avcqc.geometry import compositions
+from avcqc.typicality import _SUPPORT_FLOOR, _cross_mass, _window_count_classes, stable_eigh
 from helpers import ONE, ZERO, mirror_pair_channel
 
 
@@ -51,6 +52,45 @@ class TestTypicalSet:
     def test_enumeration_cap(self):
         with pytest.raises(EnumerationOverflow):
             typical_set([0.5, 0.5], 25, 0.5)
+
+
+def masked_compositions(p, n, half_width, guard=1e-12):
+    """Reference: mask every composition of n by the window, in lexicographic order."""
+    counts = compositions(p.size, n)
+    bad = (np.abs(counts / n - p) > half_width + guard) | ((p < _SUPPORT_FLOOR) & (counts > 0))
+    return [tuple(c) for c in counts[~bad.any(axis=1)].tolist()]
+
+
+class TestWindowCountClasses:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_masked_compositions(self, d):
+        rng = np.random.default_rng(d)
+        zero_first = np.concatenate([[0.0], rng.dirichlet(np.ones(d - 1))])
+        for n in range(1, 31):
+            on_grid = np.floor(rng.dirichlet(np.ones(d)) * n) / n   # exact boundary fractions
+            on_grid[-1] = 1.0 - on_grid[:-1].sum()
+            for p in (rng.dirichlet(np.ones(d)), zero_first, zero_first[::-1], on_grid):
+                for half_width in (0.0, 0.1, 0.25, 1.0):
+                    assert _window_count_classes(p, n, half_width) == masked_compositions(
+                        p, n, half_width
+                    )
+
+    def test_candidates_over_cap_raise_before_they_are_built(self):
+        # at d=8, n=40 there are 62,891,499 compositions; label by label the
+        # window reaches 1,749,539 candidates at the sixth label, over the cap
+        with pytest.raises(EnumerationOverflow, match="1749539 window candidates"):
+            _window_count_classes(np.full(8, 1 / 8), 40, 0.1)
+        capped = Caps(enumeration=100)
+        assert _window_count_classes(np.array([0.5, 0.5]), 40, 0.1, caps=capped)
+        with pytest.raises(EnumerationOverflow):
+            _window_count_classes(np.array([0.5, 0.5]), 40, 0.1, caps=Caps(enumeration=10))
+
+    def test_high_dimension_short_block(self):
+        # d=32, n=2: the window box over the first 31 labels has 3^31 points,
+        # but partial sums above n are cut at each label, so the candidates
+        # stay within the C(33, 31) = 528 compositions times 3
+        p = np.full(32, 1 / 32)
+        assert _window_count_classes(p, 2, 0.5) == masked_compositions(p, 2, 0.5)
 
 
 class TestTypicalProjector:
