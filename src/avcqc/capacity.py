@@ -389,21 +389,21 @@ def _entropy_rows(p):
     return entropy_from_eigenvalues(p, floor=1e-12)
 
 
-def _aux_objective(joint_vv, k_rows):
+def _source_entropies(joint_vv):
+    """H(V') and H(V): constant in the auxiliary channel, so a search computes them once."""
+    return _entropy_rows(joint_vv.sum(axis=1)), _entropy_rows(joint_vv.sum(axis=0))
+
+
+def _aux_objective(joint_vv, k_rows, source_entropies=None):
     """I(U;V') and I(U;V) for stacked auxiliary channels k_rows (..., V', U)."""
-    pvp = joint_vv.sum(axis=1)
-    j_uvp = pvp[:, None] * k_rows  # (..., V', U)
+    h_vp, h_v = _source_entropies(joint_vv) if source_entropies is None else source_entropies
+    j_uvp = joint_vv.sum(axis=1)[:, None] * k_rows  # (..., V', U)
     pu = j_uvp.sum(axis=-2)
-    i_uvp = (
-        _entropy_rows(pu)
-        + _entropy_rows(pvp)
-        - _entropy_rows(j_uvp.reshape(*j_uvp.shape[:-2], -1))
-    )
+    i_uvp = _entropy_rows(pu) + h_vp - _entropy_rows(j_uvp.reshape(*j_uvp.shape[:-2], -1))
     j_uv = np.einsum("vw,...vu->...uw", joint_vv, k_rows)  # (..., U, V)
-    pv = joint_vv.sum(axis=0)
     i_uv = (
         _entropy_rows(j_uv.sum(axis=-1))
-        + _entropy_rows(pv)
+        + h_v
         - _entropy_rows(j_uv.reshape(*j_uv.shape[:-2], -1))
     )
     return i_uvp, i_uv
@@ -417,9 +417,10 @@ def _aux_channel_search(src, budget, seed, slack, restarts=64, grid_steps=16):
     nvp = len(src.v_prime_alphabet)
     nu = nvp + 1
     rng = np.random.default_rng(seed)
+    h_src = _source_entropies(joint)
 
     def feasible_value(k_rows):
-        i_uvp, i_uv = _aux_objective(joint, k_rows)
+        i_uvp, i_uv = _aux_objective(joint, k_rows, h_src)
         feas = i_uvp - i_uv <= budget + slack
         return np.where(feas, i_uvp, -1.0)
 

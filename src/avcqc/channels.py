@@ -261,7 +261,7 @@ def zero_capacity_condition(
     rng = np.random.default_rng(seed)
     for i, x1 in enumerate(words_x):
         for x2 in words_x[i + 1 :]:
-            dist, _, _ = affine_set_distance(
+            dist, *_ = affine_set_distance(
                 gens[x1], gens[x2], len(words_s), len(words_s), rng, restarts=restarts
             )
             if dist > gap:

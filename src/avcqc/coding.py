@@ -31,18 +31,25 @@ _CHECK_SLACK = 1e-9
 
 
 def _validate_povm(ops, tol_eig=_CHECK_SLACK):
+    """Check a stack (..., J, D, D) of J-outcome POVMs with two batched spectra.
+
+    The first offender raises, in POVM order and positivity before the sum.
+    """
     ops = np.asarray(ops, dtype=complex)
-    for k in range(ops.shape[0]):
-        lo = float(eigvalsh_stack(ops[k])[..., 0].min())
-        if lo < -tol_eig:
+    flat = ops.reshape(-1, *ops.shape[-3:])
+    lo = eigvalsh_stack(flat)[..., 0]
+    excess = eigvalsh_stack(flat.sum(axis=1) - np.eye(ops.shape[-1]))[..., -1]
+    neg = lo < -tol_eig
+    bad = neg.any(axis=1) | (excess > tol_eig)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if neg[i].any():
+            k = int(np.argmax(neg[i]))
             raise NotPositive(
-                f"decoding operator {k} has eigenvalue {lo:.3e} < -{tol_eig:.1e}"
+                f"decoding operator {k} has eigenvalue {lo[i, k]:.3e} < -{tol_eig:.1e}"
             )
-    total = ops.sum(axis=0)
-    excess = float(eigvalsh_stack(total - np.eye(total.shape[0]))[..., -1].max())
-    if excess > tol_eig:
         raise NotPositive(
-            f"decoder sum exceeds the identity by {excess:.3e} > {tol_eig:.1e}"
+            f"decoder sum exceeds the identity by {excess[i]:.3e} > {tol_eig:.1e}"
         )
     return read_only(ops)
 
@@ -116,11 +123,9 @@ class CorrelationCode:
         enc = tuple(tuple(tuple(xs) for xs in row) for row in self.encoders)
         if any(len(xs) != self.n for row in enc for xs in row):
             raise LengthMismatch("encoder words must have length n")
-        dec = np.asarray(self.decoders, dtype=complex)
-        for vi in range(dec.shape[0]):
-            _validate_povm(dec[vi])
+        dec = _validate_povm(self.decoders)
         object.__setattr__(self, "encoders", enc)
-        object.__setattr__(self, "decoders", read_only(dec))
+        object.__setattr__(self, "decoders", dec)
         object.__setattr__(self, "v_prime_words", tuple(tuple(u) for u in self.v_prime_words))
         object.__setattr__(self, "v_words", tuple(tuple(v) for v in self.v_words))
 

@@ -1,4 +1,4 @@
-"""Real embedding of Hermitian operators and convex set-distance solvers.
+"""Real embedding of Hermitian operators and the convex set-distance solver.
 
 Hermitian d x d matrices form a real vector space of dimension d**2; the
 embedding used here preserves the trace inner product, so Euclidean
@@ -15,44 +15,19 @@ from math import comb
 
 import numpy as np
 
-from .errors import DimensionMismatch
-
 
 def embed_hermitian(h):
-    """Map a Hermitian matrix to a real vector of length dim**2.
+    """Map a Hermitian matrix to a real vector of length dim**2 (see embed_stack)."""
+    return embed_stack(h)
+
+
+def embed_stack(mats):
+    """Embed a stack (..., d, d) of Hermitian matrices; returns (..., d**2).
 
     Diagonal entries map directly; each off-diagonal pair (i < j) maps to
     sqrt(2)*Re and sqrt(2)*Im components, so dot(embed(A), embed(B)) equals
     tr(A B) for Hermitian A, B.
     """
-    a = np.asarray(h, dtype=complex)
-    d = a.shape[0]
-    iu, ju = np.triu_indices(d, k=1)
-    off = a[iu, ju]
-    return np.concatenate(
-        [np.real(np.diagonal(a)), np.sqrt(2.0) * np.real(off), np.sqrt(2.0) * np.imag(off)]
-    )
-
-
-def unembed_hermitian(vec):
-    """Inverse of embed_hermitian."""
-    v = np.asarray(vec, dtype=float)
-    d = int(round(np.sqrt(v.size)))
-    if d * d != v.size:
-        raise DimensionMismatch(f"vector length {v.size} is not a square")
-    m = np.zeros((d, d), dtype=complex)
-    np.fill_diagonal(m, v[:d])
-    iu, ju = np.triu_indices(d, k=1)
-    k = len(iu)
-    re = v[d : d + k] / np.sqrt(2.0)
-    im = v[d + k : d + 2 * k] / np.sqrt(2.0)
-    m[iu, ju] = re + 1j * im
-    m[ju, iu] = re - 1j * im
-    return m
-
-
-def embed_stack(mats):
-    """Embed a stack (..., d, d) of Hermitian matrices; returns (..., d**2)."""
     a = np.asarray(mats, dtype=complex)
     d = a.shape[-1]
     iu, ju = np.triu_indices(d, k=1)
@@ -141,38 +116,41 @@ def pattern_search(f, x0, span, floor):
     return best, x
 
 
-def _fista_rows(gram, lin, q0, row_len, tol, max_iter):
-    """Minimize q^T gram q / 2 + lin . q over rows-of-simplices (flattened q).
+# floor on the step's Lipschitz constant: identical generators give a zero Gram matrix
+_LIPSCHITZ_FLOOR = 1e-30
+# support thresholds of the polish, loosest first: entries above one form the support
+_POLISH_SUPPORT = (1e-7, 1e-10)
+# a polished entry below -this has left its simplex, so that polish is discarded
+_POLISH_NEGATIVE = 1e-10
 
-    Accelerated projected gradient with adaptive restart; gram is PSD.
+
+def _fista(gram, z, proj, fw_gap, tol, max_iter):
+    """Minimize f(z) = z . gram z over products of simplices from the feasible z.
+
+    Accelerated projected gradient with adaptive restart of the momentum;
+    gram is PSD.  Stops once fw_gap(z, grad f(z)) <= tol or after max_iter
+    steps.  The gradient 2 gram y at the momentum point y is the same
+    combination of the iterates' gradients, so each step costs one product.
     """
-    lip = max(float(np.linalg.norm(gram, 2)), 1e-30)
-    step = 1.0 / lip
-
-    def proj(v):
-        return project_simplex_rows(v.reshape(-1, row_len)).ravel()
-
-    def obj(v):
-        return 0.5 * float(v @ gram @ v) + float(lin @ v)
-
-    q = proj(q0.copy())
-    z = q.copy()
-    t = 1.0
-    f_prev = obj(q)
+    step = 1.0 / max(float(np.linalg.norm(gram, 2)), _LIPSCHITZ_FLOOR)
+    hz = gram @ z
+    f = float(z @ hz)
+    y, hy, t = z, hz, 1.0
     for _ in range(max_iter):
-        grad = gram @ z + lin
-        q_new = proj(z - step * grad)
-        t_new = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
-        z = q_new + ((t - 1.0) / t_new) * (q_new - q)
-        f_new = obj(q_new)
-        if f_new > f_prev:  # adaptive restart of the momentum
-            z = q_new.copy()
-            t_new = 1.0
-        if abs(f_prev - f_new) < tol:
-            q = q_new
+        if fw_gap(z, 2.0 * hz) <= tol:
             break
-        q, t, f_prev = q_new, t_new, f_new
-    return q, obj(q)
+        z_new = proj(y - step * hy)
+        hz_new = gram @ z_new
+        f_new = float(z_new @ hz_new)
+        t_new = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        if f_new > f:
+            y, hy, t_new = z_new, hz_new, 1.0
+        else:
+            beta = (t - 1.0) / t_new
+            y = z_new + beta * (z_new - z)
+            hy = hz_new + beta * (hz_new - hz)
+        z, hz, f, t = z_new, hz_new, f_new, t_new
+    return z
 
 
 def _polish_on_support(gen, z, row_bounds, thresh):
@@ -182,111 +160,85 @@ def _polish_on_support(gen, z, row_bounds, thresh):
     row_bounds index pairs) lie on simplices.  Entries above thresh form
     the support; each row keeps its largest entry as the eliminated
     reference coordinate, the row-sum constraints are substituted away and
-    the reduced unconstrained least squares is solved exactly.  Returns
-    (objective, z) or None when the solution leaves the nonnegative cone.
+    the reduced unconstrained least squares is solved exactly.  Returns the
+    polished z, or None when the solution leaves the nonnegative cone.
     """
-    support = z > thresh
-    offset = np.zeros(gen.shape[0])
-    cols = []
-    col_owner = []  # (row index, coordinate) per reduced column
-    refs = []
-    for r, (lo, hi) in enumerate(row_bounds):
-        sup = np.flatnonzero(support[lo:hi]) + lo
-        if sup.size == 0:
-            sup = np.array([lo + int(np.argmax(z[lo:hi]))])
-        ref = sup[np.argmax(z[sup])]
-        refs.append(ref)
-        offset += gen[:, ref]
-        for i in sup:
-            if i != ref:
-                cols.append(gen[:, i] - gen[:, ref])
-                col_owner.append((r, i))
+    owner = np.repeat(np.arange(len(row_bounds)), [hi - lo for lo, hi in row_bounds])
+    refs = np.array([lo + int(np.argmax(z[lo:hi])) for lo, hi in row_bounds])
+    free = np.flatnonzero(z > thresh)
+    free = free[~np.isin(free, refs)]
     z_new = np.zeros_like(z)
-    if cols:
-        basis = np.stack(cols, axis=1)
-        y, *_ = np.linalg.lstsq(basis, -offset, rcond=None)
-        for (r, i), val in zip(col_owner, y):
-            z_new[i] = val
-    row_extra = np.zeros(len(row_bounds))
-    for (r, i) in col_owner:
-        row_extra[r] += z_new[i]
-    for r, ref in enumerate(refs):
-        z_new[ref] = 1.0 - row_extra[r]
-    if z_new.min() < -1e-10:
+    if free.size:
+        basis = gen[:, free] - gen[:, refs[owner[free]]]
+        z_new[free] = np.linalg.lstsq(basis, -gen[:, refs].sum(axis=1), rcond=None)[0]
+    z_new[refs] = 1.0 - np.bincount(owner[free], weights=z_new[free], minlength=len(refs))
+    if z_new.min() < -_POLISH_NEGATIVE:
         return None
     z_new = np.clip(z_new, 0.0, None)
-    for lo, hi in row_bounds:
-        s = z_new[lo:hi].sum()
-        if s > 0:
-            z_new[lo:hi] /= s
-    resid = gen @ z_new
-    return float(resid @ resid), z_new
+    z_new /= np.bincount(owner, weights=z_new)[owner]
+    return z_new
 
 
 def affine_set_distance(
-    gen0,
-    gen1,
-    row_len0,
-    row_len1,
-    rng,
-    restarts=16,
-    tol=1e-12,
-    max_rounds=60,
-    inner_iter=400,
+    gen0, gen1, row_len0, row_len1, rng, restarts=16, tol=1e-12, max_iter=2000
 ):
-    """Distance between conv images {gen0 @ q0} and {gen1 @ q1}.
+    """Distance between conv images {gen0 @ q0} and {gen1 @ q1}, with a certified lower bound.
 
     gen* are (D, K*) matrices whose columns generate the sets; q* are
     flattened kernels whose consecutive groups of row_len* entries each lie
-    on a probability simplex.  The squared distance is jointly convex in
-    (q0, q1): alternating accelerated projected-gradient half-steps locate
-    the active support, then an exact least-squares polish on that support
-    removes the first-order tail (so genuinely intersecting sets report
-    distances at the rounding floor, not at the iteration budget).
+    on a probability simplex.  f(z) = |gen0 q0 - gen1 q1|^2 is jointly convex
+    in z = (q0, q1), so one accelerated projected-gradient run on the Gram
+    matrix of [gen0, -gen1], from the uniform kernels, solves it.  The run
+    stops once the Frank-Wolfe gap grad f(z) . z - sum over rows of
+    min_i grad f(z)_i, which bounds f(z) - min f, is <= tol; a least-squares
+    polish on the detected support removes the first-order tail, and the
+    gap is tested again.  Only a run that leaves the gap open is followed by
+    another, from a seeded Dirichlet draw, at most `restarts` times.
 
-    Returns (distance, q0, q1) for the best pair found.
+    Returns (distance, lower, q0, q1): distance = sqrt f at the best point
+    found and lower = sqrt max(f - gap, 0), a certified lower bound.
     """
     g0 = np.asarray(gen0, dtype=float)
     g1 = np.asarray(gen1, dtype=float)
-    k0, k1 = g0.shape[1], g1.shape[1]
-    gram0 = g0.T @ g0
-    gram1 = g1.T @ g1
+    k0 = g0.shape[1]
     joint = np.concatenate([g0, -g1], axis=1)
-    bounds = [(i, i + row_len0) for i in range(0, k0, row_len0)]
-    bounds += [(k0 + i, k0 + i + row_len1) for i in range(0, k1, row_len1)]
+    gram = joint.T @ joint
+    parts = ((slice(0, k0), row_len0), (slice(k0, joint.shape[1]), row_len1))
+    bounds = [(i, i + r) for sl, r in parts for i in range(sl.start, sl.stop, r)]
 
-    def joint_obj(q0, q1):
-        diff = g0 @ q0 - g1 @ q1
-        return float(diff @ diff)
+    def proj(v):
+        return np.concatenate(
+            [project_simplex_rows(v[sl].reshape(-1, r)).ravel() for sl, r in parts]
+        )
 
-    best = None
-    for r in range(restarts):
-        if r == 0:
-            q0 = np.full(k0, 1.0 / row_len0)
-            q1 = np.full(k1, 1.0 / row_len1)
-        else:
-            q0 = rng.dirichlet(np.ones(row_len0), size=k0 // row_len0).ravel()
-            q1 = rng.dirichlet(np.ones(row_len1), size=k1 // row_len1).ravel()
-        f = joint_obj(q0, q1)
-        for _ in range(max_rounds):
-            target = g1 @ q1
-            q0, _ = _fista_rows(gram0, -(g0.T @ target), q0, row_len0, tol, inner_iter)
-            target = g0 @ q0
-            q1, _ = _fista_rows(gram1, -(g1.T @ target), q1, row_len1, tol, inner_iter)
-            f_new = joint_obj(q0, q1)
-            done = f - f_new < tol
-            f = f_new
-            if done:
-                break
-        z = np.concatenate([q0, q1])
-        for thresh in (1e-7, 1e-10):
+    def fw_gap(z, grad):
+        row_mins = sum(float(grad[sl].reshape(-1, r).min(axis=1).sum()) for sl, r in parts)
+        return float(grad @ z) - row_mins
+
+    def exact(z):
+        # from the residual, so f near 0 is not lost to cancellation in z . gram z
+        resid = joint @ z
+        return float(resid @ resid), fw_gap(z, 2.0 * (joint.T @ resid)), z
+
+    best, lower = None, 0.0
+    for r in range(restarts + 1):
+        z = np.concatenate([
+            rng.dirichlet(np.ones(k), size=(sl.stop - sl.start) // k).ravel() if r
+            else np.full(sl.stop - sl.start, 1.0 / k)
+            for sl, k in parts
+        ])
+        z = _fista(gram, z, proj, fw_gap, tol, max_iter)
+        point = exact(z)
+        for thresh in _POLISH_SUPPORT:
             polished = _polish_on_support(joint, z, bounds, thresh)
-            if polished is not None and polished[0] < f:
-                f, z_best = polished
-                q0, q1 = z_best[:k0], z_best[k0:]
+            if polished is not None and (candidate := exact(polished))[0] < point[0]:
+                point = candidate
+        f, gap, z = point
+        lower = max(lower, f - max(gap, 0.0))
         if best is None or f < best[0]:
-            best = (f, q0.copy(), q1.copy())
-        if best[0] <= 1e-28:
+            best = (f, z)
+        if gap <= tol:
             break
-    dist = float(np.sqrt(max(best[0], 0.0)))
-    return dist, best[1], best[2]
+    f, z = best
+    # lower <= min f in exact arithmetic; the clip only drops rounding
+    return float(np.sqrt(f)), float(np.sqrt(min(lower, f))), z[:k0], z[k0:]

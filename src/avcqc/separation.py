@@ -25,7 +25,7 @@ from .errors import (
     NonBinarySource,
     ZeroMutualInformation,
 )
-from .geometry import affine_set_distance, embed_hermitian, kernel_grid, unembed_hermitian
+from .geometry import affine_set_distance, embed_stack, kernel_grid
 from .operators import validate_density
 
 __all__ = [
@@ -143,50 +143,57 @@ class EnsembleState:
     v_words: tuple
 
 
-def _block_weights(src, g, iota):
-    """weights[x_index, v_index] = P_V(v word) * P(V'-preimage of x | v word)."""
-    trans = src.sender_given_receiver       # P(V'=u | V=v), (|V'|, |V|)
-    pv = src.receiver_marginal
-    v_words = list(iproduct(range(len(src.v_alphabet)), repeat=iota))
-    pv_word = np.array([np.prod([pv[t] for t in v]) for v in v_words])
-    vp_index = {sym: i for i, sym in enumerate(src.v_prime_alphabet)}
-    x_index = {}
-    for u, x in g.items():
-        x_index.setdefault(x, []).append(tuple(vp_index[c] for c in u))
-    wgt = {}
-    for x in x_index:
-        acc = np.zeros(len(v_words))
-        for u in x_index[x]:
-            cond = np.ones(len(v_words))
-            for i, v in enumerate(v_words):
-                cond[i] = np.prod([trans[u[t], v[t]] for t in range(iota)])
-            acc += cond
-        wgt[x] = acc * pv_word
-    return wgt, v_words
+def _block_weights(src, g, iota, x_alphabet):
+    """weights[x, v] = P_V(v word) * P(V'-preimage of x under g | v word).
 
-
-def _generators(w, src, g, iota, caps=DEFAULT_CAPS):
-    """Embedded generator matrix: columns are the (x, s) basis operators.
-
-    The ensemble state for kernel Q is sum_{x,s} Q(s|x) * G[:, (x,s)].
+    Rows follow x_alphabet, columns the receiver words in lexicographic
+    order; P(u word | v word) is the iota-fold Kronecker power of the
+    transition matrix.
     """
-    nv = len(src.v_alphabet) ** iota
-    d = w.dim
-    total = nv * d
-    if total > caps.product_dim:
-        raise DimOverflow(f"ensemble dimension {total} exceeds cap {caps.product_dim}")
-    wgt, v_words = _block_weights(src, g, iota)
-    cols = []
-    for xi, x in enumerate(w.x_alphabet):
-        weights = wgt.get(x, np.zeros(nv))
-        for si in range(len(w.s_alphabet)):
-            m = np.zeros((total, total), dtype=complex)
-            for vi in range(nv):
-                m[vi * d : (vi + 1) * d, vi * d : (vi + 1) * d] = (
-                    weights[vi] * w.states[xi, si]
-                )
-            cols.append(embed_hermitian(m))
-    return np.stack(cols, axis=1), v_words  # (D, |X|*|S|)
+    cond, pv_word = np.ones((1, 1)), np.ones(1)
+    for _ in range(iota):
+        cond = np.kron(cond, src.sender_given_receiver)     # P(V'=u | V=v)
+        pv_word = np.kron(pv_word, src.receiver_marginal)
+    vp_index = {sym: i for i, sym in enumerate(src.v_prime_alphabet)}
+    x_index = {x: i for i, x in enumerate(x_alphabet)}
+    radix = (len(vp_index),) * iota
+    acc = np.zeros((len(x_alphabet), pv_word.size))
+    for u, x in g.items():
+        acc[x_index[x]] += cond[np.ravel_multi_index([vp_index[c] for c in u], radix)]
+    return acc * pv_word
+
+
+def _ensemble_blocks(w, weights, q_rows):
+    """Blocks sum_{x,s} Q(s|x) w_x(v) W(x, s) of the ensemble state, one per receiver word v."""
+    return np.einsum("xs,xv,xsij->vij", q_rows, weights, w.states)
+
+
+def _gram_factor(w, weights):
+    """Real (|V|^iota * d^2, |X||S|) matrix whose Gram matrix is
+    Gram[(x,s),(x',s')] = sum_v w_x(v) w_x'(v) tr(W(x,s) W(x',s')).
+
+    Column (x, s) stacks the embedded generator w_x(v) W(x, s) of every
+    block v; the embedding keeps the trace inner product, so Euclidean
+    distances between combinations of columns are Frobenius distances
+    between ensemble states.
+    """
+    nx, ns = len(w.x_alphabet), len(w.s_alphabet)
+    return np.einsum("xv,xse->vexs", weights, embed_stack(w.states)).reshape(-1, nx * ns)
+
+
+def _coefficients(w, weights, blocks):
+    """c[x, s] = sum_v w_x(v) tr(W(x, s) B_v): the functional B on column (x, s)."""
+    return np.einsum("xv,xsij,vji->xs", weights, w.states, blocks).real
+
+
+def _block_diag(blocks, caps):
+    """Dense block-diagonal operator on (receiver words) x (output dim)."""
+    nv, d, _ = blocks.shape
+    if nv * d > caps.product_dim:
+        raise DimOverflow(f"ensemble dimension {nv * d} exceeds cap {caps.product_dim}")
+    out = np.zeros((nv, d, nv, d), dtype=complex)
+    out[np.arange(nv), :, np.arange(nv), :] = blocks
+    return out.reshape(nv * d, nv * d)
 
 
 def ensemble_state(src, g, q, w, caps=DEFAULT_CAPS):
@@ -194,12 +201,9 @@ def ensemble_state(src, g, q, w, caps=DEFAULT_CAPS):
     if q.x_alphabet != w.x_alphabet or q.s_alphabet != w.s_alphabet:
         raise AlphabetMismatch("kernel alphabets do not match the channel")
     iota = len(next(iter(g)))
-    gen, v_words = _generators(w, src, g, iota, caps)
-    vec = gen @ q.rows.ravel()
-    mat = validate_density(unembed_hermitian(vec))
-    d = w.dim
-    nv = len(v_words)
-    blocks = np.stack([mat[i * d : (i + 1) * d, i * d : (i + 1) * d] for i in range(nv)])
+    blocks = _ensemble_blocks(w, _block_weights(src, g, iota, w.x_alphabet), q.rows)
+    mat = validate_density(_block_diag(blocks, caps))
+    v_words = iproduct(range(len(src.v_alphabet)), repeat=iota)
     return EnsembleState(matrix=mat, blocks=blocks, v_words=tuple(v_words))
 
 
@@ -219,6 +223,7 @@ class SeparationCertificate:
     m1: np.ndarray
     margin: float
     distance: float
+    distance_lower: float        # certified: the true set distance is at least this
     lambda_top: float
     lambda_floor: float
     block_dim: int               # operator acts on (receiver words) x (output dim)
@@ -235,6 +240,7 @@ class NotSeparable:
     """The two reachable sets meet: witness kernels bring them together."""
 
     witness_distance: float
+    distance_lower: float
     witness_q0: JammerKernel
     witness_q1: JammerKernel
 
@@ -242,44 +248,46 @@ class NotSeparable:
 def separation_test(w, src, gp, seed=0, restarts=16, tol=DEFAULT_TOL, caps=DEFAULT_CAPS):
     """Decide disjointness of the reachable ensemble-state sets of g0 and g1.
 
-    Distance above the separability threshold yields a certificate built
-    from the connecting direction between the closest points; distance at
-    or below the lower threshold yields NotSeparable with the witness
-    kernels; the dead band in between raises Indeterminate.
+    The set distance comes as a bracket [lower, distance] from one convex
+    solve (restarts caps its seeded restarts).  distance at or below the
+    lower threshold yields NotSeparable with the witness kernels; lower
+    above the separability threshold yields a certificate built from the
+    connecting direction between the closest points; any other bracket
+    raises Indeterminate.
     """
-    gen0, v_words = _generators(w, src, gp.g0, gp.iota, caps)
-    gen1, _ = _generators(w, src, gp.g1, gp.iota, caps)
-    ns = len(w.s_alphabet)
+    nx, ns = len(w.x_alphabet), len(w.s_alphabet)
+    wgt0 = _block_weights(src, gp.g0, gp.iota, w.x_alphabet)
+    wgt1 = _block_weights(src, gp.g1, gp.iota, w.x_alphabet)
     rng = np.random.default_rng(seed)
-    dist, q0, q1 = affine_set_distance(
-        gen0, gen1, ns, ns, rng, restarts=restarts, tol=tol.quadratic_solver
+    dist, lower, q0, q1 = affine_set_distance(
+        _gram_factor(w, wgt0), _gram_factor(w, wgt1), ns, ns, rng,
+        restarts=restarts, tol=tol.quadratic_solver,
     )
-    nx = len(w.x_alphabet)
+    q0, q1 = q0.reshape(nx, ns), q1.reshape(nx, ns)
     if dist <= tol.not_separable_below:
         return NotSeparable(
             witness_distance=dist,
-            witness_q0=JammerKernel(w.x_alphabet, w.s_alphabet, q0.reshape(nx, ns)),
-            witness_q1=JammerKernel(w.x_alphabet, w.s_alphabet, q1.reshape(nx, ns)),
+            distance_lower=lower,
+            witness_q0=JammerKernel(w.x_alphabet, w.s_alphabet, q0),
+            witness_q1=JammerKernel(w.x_alphabet, w.s_alphabet, q1),
         )
-    if dist <= tol.separable_above:
+    if lower <= tol.separable_above:
         raise Indeterminate(
-            f"set distance {dist:.3e} lies in the dead band "
+            f"set distance in [{lower:.3e}, {dist:.3e}] is not clear of the dead band "
             f"({tol.not_separable_below:.1e}, {tol.separable_above:.1e}]"
         )
-    e0, e1 = gen0 @ q0, gen1 @ q1
+    e0, e1 = _ensemble_blocks(w, wgt0, q0), _ensemble_blocks(w, wgt1, q1)
     direction = (e1 - e0) / dist
-    b = float(direction @ (e0 + e1) / 2.0)
+    b = float(np.einsum("vij,vji->", direction, e0 + e1).real / 2.0)
     # exact extremes of the linear functional over the kernel polytope
-    c0 = (gen0.T @ direction).reshape(nx, ns)
-    c1 = (gen1.T @ direction).reshape(nx, ns)
-    max0 = float(c0.max(axis=1).sum())
-    min1 = float(c1.min(axis=1).sum())
+    max0 = float(_coefficients(w, wgt0, direction).max(axis=1).sum())
+    min1 = float(_coefficients(w, wgt1, direction).min(axis=1).sum())
     margin = min(b - max0, min1 - b)
     if margin <= 0.0:
         raise Indeterminate(
             f"positive set distance {dist:.3e} but non-positive exact margin {margin:.3e}"
         )
-    a_op = unembed_hermitian(direction)
+    a_op = _block_diag(direction, caps)
     shifted = a_op - b * np.eye(a_op.shape[0])
     eigs = np.linalg.eigvalsh(shifted)
     lam_top = float(eigs[-1])
@@ -293,6 +301,7 @@ def separation_test(w, src, gp, seed=0, restarts=16, tol=DEFAULT_TOL, caps=DEFAU
         m1=m1,
         margin=float(margin),
         distance=dist,
+        distance_lower=lower,
         lambda_top=lam_top,
         lambda_floor=lam_floor,
         block_dim=a_op.shape[0],
@@ -300,16 +309,23 @@ def separation_test(w, src, gp, seed=0, restarts=16, tol=DEFAULT_TOL, caps=DEFAU
     )
 
 
-def certificate_soundness_sweep(cert, w, src, gp, kernels=1000, seed=0, caps=DEFAULT_CAPS):
+def _functional_tables(op, w, src, gp):
+    """c_i[x, s] = tr(op sigma) on the generator (x, s) of encoder g_i, i = 0, 1."""
+    nv, d = op.shape[0] // w.dim, w.dim
+    blocks = op.reshape(nv, d, nv, d)[np.arange(nv), :, np.arange(nv), :]
+    return [
+        _coefficients(w, _block_weights(src, g, gp.iota, w.x_alphabet), blocks).ravel()
+        for g in (gp.g0, gp.g1)
+    ]
+
+
+def certificate_soundness_sweep(cert, w, src, gp, kernels=1000, seed=0):
     """Count random kernels violating the half-margin separation bands."""
-    gen0, _ = _generators(w, src, gp.g0, gp.iota, caps)
-    gen1, _ = _generators(w, src, gp.g1, gp.iota, caps)
     rng = np.random.default_rng(seed)
     nx, ns = len(w.x_alphabet), len(w.s_alphabet)
     qs = rng.dirichlet(np.ones(ns), size=(kernels, nx)).reshape(kernels, nx * ns)
-    a_vec = embed_hermitian(cert.operator_a)
-    t0 = qs @ (gen0.T @ a_vec)
-    t1 = qs @ (gen1.T @ a_vec)
+    c0, c1 = _functional_tables(cert.operator_a, w, src, gp)
+    t0, t1 = qs @ c0, qs @ c1
     half = cert.margin / 2.0
     violations = int(np.sum(t0 >= cert.threshold_b - half))
     violations += int(np.sum(t1 <= cert.threshold_b + half))
@@ -357,14 +373,12 @@ def induced_binary_avc(cert, w, src, gp, grid_resolution=16, caps=DEFAULT_CAPS):
             f"kernel grid of {grid_size} points exceeds cap {caps.enumeration}"
         )
 
-    gen0, _ = _generators(w, src, gp.g0, gp.iota, caps)
-    gen1, _ = _generators(w, src, gp.g1, gp.iota, caps)
     nx, ns = len(w.x_alphabet), len(w.s_alphabet)
     grid = kernel_grid(nx, ns, grid_resolution)     # (M, X, S)
     flat = grid.reshape(grid.shape[0], nx * ns)
-    m1_vec = embed_hermitian(cert.m1)
-    v10 = flat @ (gen0.T @ m1_vec)   # V(1|0) per kernel
-    v11 = flat @ (gen1.T @ m1_vec)   # V(1|1)
+    c0, c1 = _functional_tables(cert.m1, w, src, gp)
+    v10 = flat @ c0   # V(1|0) per kernel
+    v11 = flat @ c1   # V(1|1)
     tables = np.empty((grid.shape[0], 2, 2))
     tables[:, 0, 1] = v10
     tables[:, 0, 0] = 1.0 - v10

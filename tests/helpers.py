@@ -41,6 +41,28 @@ def random_avcqc(rng, nx=2, ns=2, dim=2):
     return Avcqc(tuple(range(nx)), tuple(range(ns)), states)
 
 
+def wishart_state(rng, d, rank=None):
+    """Trace-normalized Ginibre-Wishart density matrix of the given rank."""
+    r = d if rank is None else rank
+    g = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
+    m = g @ g.conj().T
+    return m / np.real(np.trace(m))
+
+
+def separable_instance(rng, nx, d):
+    """Distinct near-pure letters; the jammer mixes in at most 20% noise.
+
+    The benchmark's fixed separation draws, rng = default_rng([2024, nx, d]).
+    """
+    letters = [wishart_state(rng, d, rank=1) for _ in range(nx)]
+    leak = rng.uniform(0.05, 0.2)
+    states = np.stack([[(1 - leak) * letters[x] + leak * wishart_state(rng, d) for _ in range(2)]
+                       for x in range(nx)])
+    f = rng.uniform(0.05, 0.2)
+    src = CorrelatedSource((0, 1), (0, 1), [[(1 - f) / 2, f / 2], [f / 2, (1 - f) / 2]])
+    return Avcqc(tuple(range(nx)), (0, 1), states), src
+
+
 def mirror_pair_channel():
     """Two near-pure mirror states averaging to diag(3/4, 1/4) under uniform p."""
     b = np.sqrt(0.92**2 - 0.5**2) / 2.0

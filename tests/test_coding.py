@@ -292,6 +292,22 @@ class TestCorrelationCodeError:
         # but the scrambled encoder wipes out half the success probability
         assert err >= 0.5 - 1e-9
 
+    def test_bad_decoder_past_the_first_receiver_word(self):
+        # one batched spectrum checks every receiver word; the offender is
+        # operator 1 of word 2, and word 3's over-full sum comes after it
+        good = np.stack([ZERO, ONE])
+        decoders = np.stack([good, good, np.stack([ZERO, ONE - 0.5 * ZERO]), 2.0 * good])
+        words = tuple(iproduct((0, 1), repeat=2))
+        kwargs = dict(l=2, n=1, v_prime_words=words, v_words=words,
+                      encoders=[[(0,), (1,)]] * 4)
+        with pytest.raises(NotPositive, match=r"decoding operator 1 has eigenvalue -5\.000e-01"):
+            CorrelationCode(decoders=decoders, **kwargs)
+        with pytest.raises(NotPositive, match=r"decoder sum exceeds the identity by 1\.000e\+00"):
+            CorrelationCode(decoders=np.stack([good, good, good, 2.0 * good]), **kwargs)
+        code = CorrelationCode(decoders=np.stack([good] * 4), **kwargs)
+        assert code.decoders.tobytes() == np.stack([good] * 4).astype(complex).tobytes()
+        assert not code.decoders.flags.writeable
+
 
 def toy_two_part(flip=0.1):
     w = orthogonal_channel()

@@ -16,9 +16,15 @@ from avcqc import (
     induced_binary_avc,
     separation_test,
 )
+from avcqc import separation
+from avcqc.config import DEFAULT_TOL
 from avcqc.errors import Indeterminate, NonBinarySource, ZeroMutualInformation
-from avcqc.geometry import unembed_hermitian
-from avcqc.separation import certificate_soundness_sweep, smallest_block_length
+from avcqc.separation import (
+    _block_weights,
+    _gram_factor,
+    certificate_soundness_sweep,
+    smallest_block_length,
+)
 from helpers import (
     ONE,
     ZERO,
@@ -27,6 +33,7 @@ from helpers import (
     constant_channel,
     flip_source,
     orthogonal_channel,
+    separable_instance,
 )
 
 
@@ -142,11 +149,26 @@ class TestEmbedding:
                     float(np.real(np.trace(a @ b))), abs=1e-12
                 )
 
-    def test_unembed_inverts(self):
-        rng = np.random.default_rng(5)
-        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        h = g + g.conj().T
-        assert np.allclose(unembed_hermitian(embed_hermitian(h)), h, atol=1e-12)
+    def test_gram_factor_keeps_the_trace_inner_product(self):
+        # column (x, s) of the factor is the generator w_x(v) W(x, s) of every
+        # block v, so the factor's Gram matrix is
+        # sum_v w_x(v) w_x'(v) tr(W(x, s) W(x', s'))
+        w, src = separable_instance(np.random.default_rng([2024, 3, 3]), 3, 3)
+        gp = build_g_pair(src, w.x_alphabet)
+        wgt0 = _block_weights(src, gp.g0, gp.iota, w.x_alphabet)
+        wgt1 = _block_weights(src, gp.g1, gp.iota, w.x_alphabet)
+        traces = np.einsum("xsij,yrji->xsyr", w.states, w.states).real
+        expected = np.einsum("xv,yv,xsyr->xsyr", wgt0, wgt1, traces).reshape(6, 6)
+        gram = _gram_factor(w, wgt0).T @ _gram_factor(w, wgt1)
+        assert np.allclose(gram, expected, atol=1e-15)
+
+
+def leaky_channel():
+    """The jammer can shrink but not close the gap: rho(x, 1) leaks 20% into
+    the opposite basis state."""
+    leak0 = 0.8 * ZERO + 0.2 * ONE
+    leak1 = 0.8 * ONE + 0.2 * ZERO
+    return Avcqc((0, 1), (0, 1), np.array([[ZERO, leak0], [ONE, leak1]]))
 
 
 class TestSeparationTest:
@@ -200,11 +222,7 @@ class TestSeparationTest:
         assert np.allclose(shift_a, -shift_b, atol=1e-9)
 
     def test_kernel_dependent_instance_distance_is_exact(self):
-        # jammer can shrink but not close the gap: rho(x, 1) leaks 20% into
-        # the opposite basis state
-        leak0 = 0.8 * ZERO + 0.2 * ONE
-        leak1 = 0.8 * ONE + 0.2 * ZERO
-        w = Avcqc((0, 1), (0, 1), np.array([[ZERO, leak0], [ONE, leak1]]))
+        w = leaky_channel()
         src = flip_source(0.1)
         gp = build_g_pair(src, (0, 1))
         cert = separation_test(w, src, gp, seed=0)
@@ -253,8 +271,101 @@ class TestSeparationTest:
         w = Avcqc((0, 1), (0, 1), np.array([[ZERO, ZERO], [rho1, rho1]]))
         src = flip_source(0.1)
         gp = build_g_pair(src, (0, 1))
-        with pytest.raises(Indeterminate):
+        with pytest.raises(Indeterminate, match="dead band"):
             separation_test(w, src, gp, seed=0)
+
+
+# set distances of the fixed separable draws separable_instance(default_rng([2024, |X|, d])),
+# as the alternating 16-restart solver that the single convex solve replaced found them
+PINNED_DISTANCES = {
+    (2, 2): 0.12857246908794326,
+    (2, 3): 0.1753330138066937,
+    (3, 2): 0.12892877750871085,
+    (3, 3): 0.1319375721861398,
+    (4, 2): 0.15293740946276554,
+    (4, 3): 0.12195612468039387,
+    (5, 2): 0.06883318221017753,
+    (5, 3): 0.13524008087710393,
+}
+
+
+def fixed_draw(nx, d):
+    w, src = separable_instance(np.random.default_rng([2024, nx, d]), nx, d)
+    return w, src, build_g_pair(src, w.x_alphabet)
+
+
+class CountingRng:
+    """Stands in for the solver's generator and counts its restart draws."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.draws = 0
+
+    def dirichlet(self, alpha, size=None):
+        self.draws += 1
+        return self.rng.dirichlet(alpha, size=size)
+
+
+class TestSetDistanceBracket:
+    @pytest.mark.parametrize("nx, d", sorted(PINNED_DISTANCES))
+    def test_fixed_draws_match_pinned_distances(self, nx, d):
+        w, src, gp = fixed_draw(nx, d)
+        cert = separation_test(w, src, gp, seed=0)
+        assert isinstance(cert, SeparationCertificate)
+        assert cert.distance == pytest.approx(PINNED_DISTANCES[nx, d], abs=1e-12)
+        # the bracket: lower <= distance, and f - lower^2 is the closing gap
+        assert cert.distance_lower <= cert.distance
+        assert cert.distance**2 - cert.distance_lower**2 <= DEFAULT_TOL.quadratic_solver
+        assert certificate_soundness_sweep(cert, w, src, gp, kernels=1000, seed=1) == 0
+
+    @pytest.mark.parametrize("instance", ["orthogonal", "leak", "draw-X3-d2"])
+    def test_random_pairs_never_closer_than_the_lower_bound(self, instance):
+        if instance == "draw-X3-d2":
+            w, src, gp = fixed_draw(3, 2)
+        else:
+            w = orthogonal_channel() if instance == "orthogonal" else leaky_channel()
+            src = flip_source(0.1)
+            gp = build_g_pair(src, (0, 1))
+        cert = separation_test(w, src, gp, seed=0)
+        rng = np.random.default_rng(9)
+        nx, ns = len(w.x_alphabet), len(w.s_alphabet)
+        for _ in range(40):
+            q0, q1 = (JammerKernel(w.x_alphabet, w.s_alphabet, rng.dirichlet(np.ones(ns), size=nx))
+                      for _ in range(2))
+            e0 = ensemble_state(src, gp.g0, q0, w).matrix
+            e1 = ensemble_state(src, gp.g1, q1, w).matrix
+            assert np.linalg.norm(e0 - e1) >= cert.distance_lower - 1e-12
+
+    def test_intersecting_sets_give_a_zero_bracket(self):
+        src = flip_source(0.1)
+        gp = build_g_pair(src, (0, 1))
+        for w in (constant_channel(), bitflip_channel()):
+            res = separation_test(w, src, gp, seed=7)
+            assert isinstance(res, NotSeparable)
+            assert 0.0 <= res.distance_lower <= res.witness_distance <= 1e-15
+
+    def test_tiny_budget_takes_the_seeded_restarts(self, monkeypatch):
+        # two steps never close the gap, so every one of the restarts runs;
+        # the bracket still clears the dead band and certifies the pinned distance
+        spy = CountingRng(0)
+        solve = separation.affine_set_distance
+
+        def tiny_budget(gen0, gen1, row_len0, row_len1, rng, **kwargs):
+            return solve(gen0, gen1, row_len0, row_len1, spy, max_iter=2, **kwargs)
+
+        monkeypatch.setattr(separation, "affine_set_distance", tiny_budget)
+        w, src, gp = fixed_draw(2, 2)
+        cert = separation_test(w, src, gp, seed=0, restarts=5)
+        assert spy.draws == 2 * 5       # one Dirichlet draw per kernel per restart
+        assert isinstance(cert, SeparationCertificate)
+        assert cert.distance_lower <= PINNED_DISTANCES[2, 2] <= cert.distance
+        assert cert.distance - cert.distance_lower > 1e-6
+        assert certificate_soundness_sweep(cert, w, src, gp, kernels=1000, seed=1) == 0
+        # the same budget on intersecting sets: the start is already optimal
+        src = flip_source(0.1)
+        res = separation_test(bitflip_channel(), src, build_g_pair(src, (0, 1)))
+        assert isinstance(res, NotSeparable)
+        assert spy.draws == 2 * 5
 
 
 class TestInducedBinaryAvc:
