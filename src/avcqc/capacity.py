@@ -6,13 +6,20 @@ The central object is the max-min value
     min over memoryless jamming kernels Q of  chi(P, averaged channel)
 
 together with the correlation-assisted common-randomness capacities built
-on top of it.  The inner minimization is not convex in general, so the
-solver combines projected-gradient descent on the kernel, entropic mirror
-ascent on the input distribution (the outer objective is concave), many
-random restarts, and an independent grid oracle on small alphabets.
+on top of it.  chi is convex in the kernel (joint convexity of the
+relative entropy) and concave in the input distribution, so the max-min
+value is a saddle value (Sion's minimax theorem).  The solver alternates
+projected-gradient descent on the kernel with entropic mirror ascent on the
+input distribution along one trajectory from the uniform start, and stops
+when a two-sided bracket around the value at its point is closed: a
+Frank-Wolfe lower bound from the convexity in the kernel, and the Holevo
+upper bound max_x D(rho_x || rho_bar).  While the bracket stays open the
+ascent restarts from the point it reached.  An independent grid oracle
+checks small alphabets.
 
-All randomness flows from a single seed; identical seeds give identical
-results bit for bit.
+The max-min solver draws no random numbers.  Elsewhere all randomness
+flows from a single seed; identical seeds give identical results bit for
+bit.
 """
 
 from dataclasses import dataclass
@@ -34,6 +41,20 @@ _LOG_FLOOR = 1e-18
 # eigenvalues of the solver's mixtures in [-_NEG_CLAMP, 0) are rounding and
 # count as 0 in entropies; anything more negative raises NotPositive
 _NEG_CLAMP = 1e-9
+# a kernel step is accepted when chi rises by at most this: rounding in chi
+# computed from spectra must not stall the descent
+_DESCENT_SLACK = 1e-15
+# a rejected kernel row stops backtracking once its step is below this: the
+# projected move is then under the rounding of the kernel entries
+_STEP_FLOOR = 1e-14
+# an outer step is accepted when the inner minimum falls by at most this:
+# the inner descent's own rounding, not a loss of the concave objective
+_ASCENT_SLACK = 1e-13
+# outer backtracking ends once the mirror step is below this
+_ETA_FLOOR = 1e-10
+# a max-min bracket at most this wide ends the solve: the value is then
+# certified to 1e-6 bits, far inside the 5e-3 the grid oracle checks
+_SADDLE_BRACKET = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +107,8 @@ def _grad_p(p, states, q, spec):
     w, v = spec
     lb = _log2_from_spectra(w[..., -1, :], v[..., -1, :, :])
     cross = np.real(np.einsum("...xij,...ji->...x", _mixed_states(states, q), lb))
-    return -entropy_from_eigenvalues(w[..., :-1, :], floor=_NEG_CLAMP) - cross
+    # 0 - S - cross, not -S - cross: a pure rho_x inside rho_bar's support gives +0.0
+    return 0.0 - entropy_from_eigenvalues(w[..., :-1, :], floor=_NEG_CLAMP) - cross
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +192,13 @@ def _pg_min_kernels(states, p, q, max_iter=300, tol_obj=1e-10, window=20):
             cand = project_simplex_rows(ql[todo] - step[todo, None, None] * g[todo])
             cw, cv = _mixture_spectra(pl[todo], states, cand)
             f_cand = _chi_from_spectra(pl[todo], cw)
-            better = f_cand <= fl[todo] + 1e-15
+            better = f_cand <= fl[todo] + _DESCENT_SLACK
             acc, rows = todo[better], live[todo[better]]
             q[rows], w[rows], v[rows] = cand[better], cw[better], cv[better]
             f_new[acc] = f_cand[better]
             ok[acc] = True
-            # a rejected row gives up once its step has fallen below 1e-14
             todo = todo[~better]
-            todo = todo[step[todo] >= 1e-14]
+            todo = todo[step[todo] >= _STEP_FLOOR]
             if todo.size == 0:
                 break
             step[todo] /= 2.0
@@ -292,6 +313,71 @@ class CapacityResult:
     argmin_q: JammerKernel
     solver_trace: tuple
     certified_gap: float | None
+    bracket: tuple                # (lo, hi) around the max-min value at the returned point
+
+
+def _ascend(states, p, q, outer_iter, inner_iter, tol):
+    """Mirror ascent from one (p, q) start, then a polish of its inner minimum.
+
+    Entropic mirror ascent on p (the ascent direction is the per-letter
+    relative entropy at the inner minimizer) alternates with
+    projected-gradient descent on the kernel; the loop ends once the
+    objective has gained at most tol.solver_objective for 20 steps in a
+    row, or after outer_iter steps.  The inner minimum at the final p is
+    then descended again from the final kernel: chi is convex in the
+    kernel, so no other start is needed.
+
+    Returns chi at the polished point, its p and kernel, the kernel's
+    mixture spectra (w, v) and the objective trace.
+    """
+    # _pg_min_kernels works on stacks: a stack of one row
+    p, q = np.array(p, dtype=float)[None], np.asarray(q)[None]
+    f, q, (w_spec, v_spec) = _pg_min_kernels(states, p, q, max_iter=400,
+                                             tol_obj=tol.solver_objective / 10)
+    eta = 0.5
+    stall = 0
+    trace = [float(f[0])]
+    for _ in range(outer_iter):
+        g = _grad_p(p, states, q, (w_spec, v_spec))
+        g = g - g.max(axis=-1, keepdims=True)
+        f_old = f
+        for _try in range(20):
+            logp = np.log(np.clip(p, _LOG_FLOOR, None)) + eta * g
+            logp -= logp.max(axis=-1, keepdims=True)
+            cand_p = np.exp(logp)
+            cand_p /= cand_p.sum(axis=-1, keepdims=True)
+            cand_f, cand_q, cand_spec = _pg_min_kernels(
+                states, cand_p, q, max_iter=inner_iter,
+                tol_obj=tol.solver_objective / 10, window=10,
+            )
+            if cand_f[0] >= f_old[0] - _ASCENT_SLACK:
+                p, q, f, (w_spec, v_spec) = cand_p, cand_q, cand_f, cand_spec
+                eta = min(eta * 1.2, 50.0)
+                break
+            if eta < _ETA_FLOOR:
+                break
+            eta /= 2.0
+        stall = 0 if f[0] - f_old[0] > tol.solver_objective else stall + 1
+        trace.append(float(f[0]))
+        if stall >= 20:
+            break
+    f_pol, q_pol, (w_pol, v_pol) = _pg_min_kernels(states, p, q, max_iter=2000,
+                                                   tol_obj=tol.solver_objective / 10)
+    return f_pol[0], p[0], q_pol[0], (w_pol[0], v_pol[0]), trace
+
+
+def _saddle_bracket(states, p, q, chi, spec):
+    """(lo, hi) with lo <= max_P min_Q chi(P, W_Q) <= hi, from the spectra at (p, q).
+
+    chi(p, W_Q) is convex in Q, so its linearisation at q minimized over
+    the kernel polytope (one vertex per row, the Frank-Wolfe gap) bounds
+    min_Q chi(p, W_Q) from below.  The value is at most C_Holevo(W_q),
+    which is at most max_x D(rho_x || rho_bar).  Both meet at a saddle
+    point.  Reuses the cached decomposition, so it costs no LAPACK call.
+    """
+    g = _grad_q(p, states, spec)
+    lo = chi + np.sum(g.min(axis=-1) - np.sum(g * q, axis=-1))
+    return float(lo), float(_grad_p(p, states, q, spec).max())
 
 
 def capacity_informed_jammer(
@@ -305,59 +391,35 @@ def capacity_informed_jammer(
 ):
     """Correlation-assisted capacity formula: max over P of min over Q of chi.
 
-    Entropic mirror ascent on P (the outer objective is concave; the ascent
-    direction is the per-letter relative entropy at the inner minimizer)
-    alternating with projected-gradient descent on Q, batched over random
-    restarts.  The certified gap compares against the independent grid
-    oracle when the alphabets permit.
+    chi(P, W_Q) is concave in P and convex in Q (joint convexity of the
+    relative entropy), so by Sion's minimax theorem the max-min value is a
+    saddle value and one ascent trajectory reaches it.  The solver runs
+    ``_ascend`` from the uniform (P, Q) start and brackets the value at the
+    point it reaches; a bracket at most _SADDLE_BRACKET wide ends the
+    solve.  While the bracket stays open the ascent restarts from that
+    point, with fresh step sizes and stall counts, at most restarts - 1
+    times.  The leg with the narrowest bracket is returned: the value lies
+    in every leg's bracket, so the narrowest is the best certificate.
+    ``solver_trace`` runs through the legs up to the returned one, and
+    ``bracket`` holds its (lo, hi).  The solve draws no random numbers;
+    ``seed`` is accepted for the seeded callers and changes nothing.  The
+    certified gap compares against the independent grid oracle when the
+    alphabets permit.
     """
-    rng = np.random.default_rng(seed)
     nx, ns = len(w.x_alphabet), len(w.s_alphabet)
     states = w.states
-    p = np.vstack([np.full(nx, 1.0 / nx)] + [rng.dirichlet(np.ones(nx)) for _ in range(restarts - 1)])
-    q = _kernel_inits(rng, restarts, nx, ns)
-    f, q, (w_spec, v_spec) = _pg_min_kernels(states, p, q, max_iter=400,
-                                             tol_obj=tol.solver_objective / 10)
-    eta = np.full(restarts, 0.5)
-    stall = np.zeros(restarts, dtype=int)
-    traces = [f.copy()]
-    for _ in range(outer_iter):
-        g = _grad_p(p, states, q, (w_spec, v_spec))
-        g = g - g.max(axis=-1, keepdims=True)
-        f_old = f.copy()
-        todo = np.arange(restarts)
-        for _try in range(20):
-            logp = np.log(np.clip(p[todo], _LOG_FLOOR, None)) + eta[todo, None] * g[todo]
-            logp -= logp.max(axis=-1, keepdims=True)
-            cand_p = np.exp(logp)
-            cand_p /= cand_p.sum(axis=-1, keepdims=True)
-            # the inner descent is row-independent, so only the rows still
-            # backtracking are solved again
-            cand_f, cand_q, (cw, cv) = _pg_min_kernels(
-                states, cand_p, q[todo], max_iter=inner_iter,
-                tol_obj=tol.solver_objective / 10, window=10,
-            )
-            better = cand_f >= f_old[todo] - 1e-13
-            rows = todo[better]
-            p[rows], q[rows], f[rows] = cand_p[better], cand_q[better], cand_f[better]
-            w_spec[rows], v_spec[rows] = cw[better], cv[better]
-            eta[rows] = np.minimum(eta[rows] * 1.2, 50.0)
-            todo = todo[~better]
-            if todo.size == 0 or eta[todo].max() < 1e-10:
-                break
-            eta[todo] /= 2.0
-        stall = np.where(f - f_old > tol.solver_objective, 0, stall + 1)
-        traces.append(f.copy())
-        if np.all(stall >= 20):
+    p, q = np.full(nx, 1.0 / nx), np.full((nx, ns), 1.0 / ns)
+    trace, best = [], None
+    for _leg in range(restarts):
+        chi, p, q, spec, leg_trace = _ascend(states, p, q, outer_iter, inner_iter, tol)
+        trace += leg_trace
+        lo, hi = _saddle_bracket(states, p, q, chi, spec)
+        if best is None or hi - lo < best[-1][1] - best[-1][0]:
+            best = (chi, p, q, tuple(trace), (lo, hi))
+        if hi - lo <= _SADDLE_BRACKET:
             break
-    i = int(np.argmax(f))
-    # polish the winner's inner minimum with fresh restarts
-    extra = np.concatenate([q[i][None], _kernel_inits(rng, 8, nx, ns)])
-    pf = np.broadcast_to(p[i], (extra.shape[0], nx))
-    f_pol, q_pol, _ = _pg_min_kernels(states, pf, extra, max_iter=2000,
-                                      tol_obj=tol.solver_objective / 10)
-    j = int(np.argmin(f_pol))
-    value = float(min(max(f_pol[j], 0.0), np.log2(w.dim)))
+    chi, p, q, trace, (lo, hi) = best
+    value = float(min(max(chi, 0.0), np.log2(w.dim)))
     gap = None
     if certify:
         oracle = maxmin_grid_oracle(w)
@@ -365,10 +427,11 @@ def capacity_informed_jammer(
             gap = abs(value - oracle)
     return CapacityResult(
         value=value,
-        argmax_p=p[i].copy(),
-        argmin_q=JammerKernel(w.x_alphabet, w.s_alphabet, q_pol[j]),
-        solver_trace=tuple(float(tr[i]) for tr in traces),
+        argmax_p=p,
+        argmin_q=JammerKernel(w.x_alphabet, w.s_alphabet, q),
+        solver_trace=trace,
         certified_gap=gap,
+        bracket=(lo, hi),
     )
 
 

@@ -64,18 +64,25 @@ def _add_common(sub, channel=True, source=False, seed=True):
     sub.add_argument("--tol", action="append", help="tolerance override name=value")
 
 
+_RESTARTS_HELP = (
+    "legs of the max-min solver's ascent (default 32): while its saddle "
+    "bracket stays wider than 1e-6, the ascent restarts from the point it "
+    "reached; a closed bracket ends the solve and leaves the rest unused"
+)
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="avcqc", description=__doc__)
     subs = p.add_subparsers(dest="command", required=True)
 
     s = subs.add_parser("capacity", help="informed-jammer max-min capacity")
     _add_common(s)
-    s.add_argument("--restarts", type=int, default=32)
+    s.add_argument("--restarts", type=int, default=32, help=_RESTARTS_HELP)
     s.add_argument("--trace-csv", help="optional CSV of (iteration, objective)")
 
     s = subs.add_parser("cr-capacity", help="correlation-assisted CR capacity")
     _add_common(s, source=True)
-    s.add_argument("--restarts", type=int, default=32)
+    s.add_argument("--restarts", type=int, default=32, help=_RESTARTS_HELP)
 
     s = subs.add_parser("separate", help="convex separation of the encoder pair")
     _add_common(s, source=True)

@@ -49,6 +49,33 @@ def wishart_state(rng, d, rank=None):
     return m / np.real(np.trace(m))
 
 
+def wishart_avcqc(rng, nx, ns, d):
+    """AVCQC whose |X| x |S| states are full-rank Ginibre-Wishart draws."""
+    states = np.stack([[wishart_state(rng, d) for _ in range(ns)] for _ in range(nx)])
+    return Avcqc(tuple(range(nx)), tuple(range(ns)), states)
+
+
+def dense_saddle_bracket(states, p, q):
+    """(lo, hi) around max_P min_Q chi(P, W_Q) at (p, q), one np.linalg.eigh per matrix.
+
+    lo: chi at (p, q) plus the Frank-Wolfe term of chi's linearisation in Q,
+    minimized over the kernel polytope.  hi: max_x D(rho_x || rho_bar).
+    """
+    def log2m(m):
+        lam, vec = np.linalg.eigh(m)
+        return (vec * np.log2(np.clip(lam, 1e-18, None))) @ vec.conj().T
+
+    rho_x = [sum(q[x, s] * states[x, s] for s in range(q.shape[1])) for x in range(q.shape[0])]
+    rho_bar = sum(px * r for px, r in zip(p, rho_x))
+    log_bar = log2m(rho_bar)
+    diffs = [log2m(r) - log_bar for r in rho_x]
+    d_x = np.array([np.real(np.trace(r @ dx)) for r, dx in zip(rho_x, diffs)])
+    grad = np.array([[p[x] * np.real(np.trace(states[x, s] @ diffs[x]))
+                      for s in range(q.shape[1])] for x in range(q.shape[0])])
+    lo = p @ d_x + np.sum(grad.min(axis=1) - np.sum(grad * q, axis=1))
+    return float(lo), float(d_x.max())
+
+
 def separable_instance(rng, nx, d):
     """Distinct near-pure letters; the jammer mixes in at most 20% noise.
 

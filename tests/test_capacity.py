@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from avcqc import (
     holevo_chi,
     min_chi_over_jammer,
 )
+from avcqc import capacity
 from avcqc.capacity import _aux_objective, maxmin_grid_oracle
 from avcqc.errors import AlphabetMismatch, ProfileOutOfRange
 from avcqc.operators import random_density, von_neumann_entropy
@@ -25,10 +28,14 @@ from helpers import (
     binary_entropy,
     bitflip_channel,
     constant_channel,
+    dense_saddle_bracket,
     flip_source,
     orthogonal_channel,
     random_avcqc,
+    wishart_avcqc,
 )
+
+SPECS = Path(__file__).resolve().parents[1] / "specs"
 
 
 class TestHolevoChi:
@@ -179,6 +186,125 @@ class TestCapacityInformedJammer:
         assert np.array_equal(a.argmax_p, b.argmax_p)
         assert np.array_equal(a.argmin_q.rows, b.argmin_q.rows)
         assert a.solver_trace == b.solver_trace
+
+
+class TestSaddleBracket:
+    @staticmethod
+    def _instance():
+        return wishart_avcqc(np.random.default_rng(71), 3, 3, 3)
+
+    def test_closed_bracket_leaves_restarts_unused(self):
+        w = self._instance()
+        one = capacity_informed_jammer(w, seed=3, restarts=1, certify=False)
+        many = capacity_informed_jammer(w, seed=3, restarts=32, certify=False)
+        lo, hi = many.bracket
+        assert hi - lo <= capacity._SADDLE_BRACKET
+        assert lo <= many.value <= hi
+        assert one.value == many.value
+        assert np.array_equal(one.argmax_p, many.argmax_p)
+        assert np.array_equal(one.argmin_q.rows, many.argmin_q.rows)
+        assert one.solver_trace == many.solver_trace
+        assert one.bracket == many.bracket
+
+    def test_open_bracket_restarts_from_where_it_stopped(self, monkeypatch):
+        legs = []
+        ascend = capacity._ascend
+
+        def spy(states, p, q, *args):
+            out = ascend(states, p, q, *args)
+            legs.append((np.array(p), np.array(q), out))
+            return out
+
+        monkeypatch.setattr(capacity, "_ascend", spy)
+        w = self._instance()
+        a = capacity_informed_jammer(w, seed=3, restarts=6, outer_iter=1, certify=False)
+        assert len(legs) == 6
+        assert np.all(legs[0][0] == 1 / 3) and np.all(legs[0][1] == 1 / 3)
+        for (_, _, prev), (p, q, _) in zip(legs, legs[1:]):
+            assert np.array_equal(p, prev[1]) and np.array_equal(q, prev[2])
+        # the trace runs through all six legs; the last one is returned
+        assert a.solver_trace == tuple(x for leg in legs for x in leg[2][4])
+        assert np.array_equal(a.argmax_p, legs[-1][2][1])
+        one = capacity_informed_jammer(w, seed=3, restarts=1, outer_iter=1, certify=False)
+        assert a.bracket[1] - a.bracket[0] < one.bracket[1] - one.bracket[0]
+        assert a.bracket[1] - a.bracket[0] > capacity._SADDLE_BRACKET
+        b = capacity_informed_jammer(w, seed=4, restarts=6, outer_iter=1, certify=False)
+        assert a.value == b.value
+        assert np.array_equal(a.argmax_p, b.argmax_p)
+        assert np.array_equal(a.argmin_q.rows, b.argmin_q.rows)
+        assert a.solver_trace == b.solver_trace
+        assert a.bracket == b.bracket
+
+    def test_narrowest_leg_is_returned(self, monkeypatch):
+        # a later leg whose bracket comes out wider does not replace the first
+        w = self._instance()
+        one = capacity_informed_jammer(w, restarts=1, outer_iter=1, certify=False)
+        bracket = capacity._saddle_bracket
+        calls = []
+
+        def widen_later_legs(*args):
+            lo, hi = bracket(*args)
+            calls.append(None)
+            return (lo, hi) if len(calls) == 1 else (lo - 1.0, hi + 1.0)
+
+        monkeypatch.setattr(capacity, "_saddle_bracket", widen_later_legs)
+        res = capacity_informed_jammer(w, restarts=3, outer_iter=1, certify=False)
+        assert len(calls) == 3
+        assert res.value == one.value
+        assert np.array_equal(res.argmax_p, one.argmax_p)
+        assert np.array_equal(res.argmin_q.rows, one.argmin_q.rows)
+        assert res.solver_trace == one.solver_trace
+        assert res.bracket == one.bracket
+
+    def test_second_leg_closes_a_stalled_trajectory(self):
+        # the sixteenth draw of the criterion-2 acceptance suite: the first
+        # leg stalls with its bracket just over _SADDLE_BRACKET wide
+        rng = np.random.default_rng(2024)
+        for _ in range(15):
+            random_avcqc(rng, nx=2, ns=2, dim=2)
+        w = random_avcqc(rng, nx=2, ns=2, dim=2)
+        one = capacity_informed_jammer(w, restarts=1, certify=False)
+        res = capacity_informed_jammer(w, certify=False)
+        assert one.bracket[1] - one.bracket[0] > capacity._SADDLE_BRACKET
+        lo, hi = res.bracket
+        assert hi - lo <= capacity._SADDLE_BRACKET
+        assert lo <= res.value <= hi
+        assert one.bracket[0] <= res.value <= one.bracket[1]
+        assert res.solver_trace[: len(one.solver_trace)] == one.solver_trace
+
+    @pytest.mark.parametrize("outer_iter", [1, 400])
+    def test_bracket_matches_dense_eigh(self, outer_iter):
+        w = self._instance()
+        res = capacity_informed_jammer(w, seed=3, restarts=4, outer_iter=outer_iter,
+                                       certify=False)
+        ref = dense_saddle_bracket(w.states, res.argmax_p, res.argmin_q.rows)
+        assert np.max(np.abs(np.subtract(res.bracket, ref))) <= 1e-10
+
+    def test_roadmap_6x4_draw_closes(self):
+        # default_rng(5) drawn in the order 2x2 d2, 3x2 d2, 2x3 d2, 3x3 d3,
+        # 4x4 d4, 5x5 d3, 6x4 d4; the last one left a 0.10 wide bracket
+        # after the 32-start batch
+        rng = np.random.default_rng(5)
+        for shape in [(2, 2, 2), (3, 2, 2), (2, 3, 2), (3, 3, 3), (4, 4, 4), (5, 5, 3)]:
+            wishart_avcqc(rng, *shape)
+        w = wishart_avcqc(rng, 6, 4, 4)
+        res = capacity_informed_jammer(w, seed=0, certify=False)
+        lo, hi = res.bracket
+        assert hi - lo <= capacity._SADDLE_BRACKET
+        assert lo <= res.value <= hi
+
+    def test_zero_capacity_is_positive_zero(self):
+        from avcqc import serialize
+
+        for name in ("bitflip", "constant"):
+            w = serialize.load_channel(str(SPECS / f"{name}_channel.json"))
+            for restarts in (1, 32):
+                res = capacity_informed_jammer(w, seed=7, restarts=restarts, certify=False)
+                assert res.value == 0.0 and not np.signbit(res.value)
+                assert not np.any(np.signbit(res.bracket))
+        src = serialize.load_source(str(SPECS / "perfect_source.json"))
+        res = cr_capacity(serialize.load_channel(str(SPECS / "constant_channel.json")), src, seed=7)
+        assert res.maxmin_value == 0.0 and not np.signbit(res.maxmin_value)
 
 
 class TestCrCapacity:

@@ -53,6 +53,15 @@ class TestEntropies:
     def test_pure_state(self):
         assert von_neumann_entropy(ZERO) == pytest.approx(0.0, abs=1e-9)
 
+    def test_pure_state_entropy_is_positive_zero(self):
+        from avcqc.operators import entropy_from_eigenvalues
+
+        assert not np.signbit(entropy_from_eigenvalues([1.0, 0.0]))
+        assert not np.any(np.signbit(entropy_from_eigenvalues(np.eye(3))))
+        assert not np.signbit(von_neumann_entropy(ZERO))
+        assert not np.signbit(von_neumann_entropy(PLUS))
+        assert not np.signbit(shannon_entropy([1, 0]))
+
     def test_mix_of_zero_and_plus(self):
         # direct 2x2 eigendecomposition oracle: eigenvalues (1 +- 1/sqrt(2)) / 2
         lam = (1 + 2 ** -0.5) / 2
