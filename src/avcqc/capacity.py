@@ -10,12 +10,13 @@ on top of it.  chi is convex in the kernel (joint convexity of the
 relative entropy) and concave in the input distribution, so the max-min
 value is a saddle value (Sion's minimax theorem).  The solver alternates
 projected-gradient descent on the kernel with entropic mirror ascent on the
-input distribution along one trajectory from the uniform start, and stops
-when a two-sided bracket around the value at its point is closed: a
+input distribution along one trajectory from the uniform start, and brackets
+the value after the first inner descent and after every outer step: a
 Frank-Wolfe lower bound from the convexity in the kernel, and the Holevo
-upper bound max_x D(rho_x || rho_bar).  While the bracket stays open the
-ascent restarts from the point it reached.  An independent grid oracle
-checks small alphabets.
+upper bound max_x D(rho_x || rho_bar).  A bracket at most 1e-6 wide ends
+the solve, and its width is the certified gap at every alphabet size.
+While the bracket stays open the ascent restarts from the point it
+reached.
 
 The max-min solver draws no random numbers.  Elsewhere all randomness
 flows from a single seed; identical seeds give identical results bit for
@@ -27,8 +28,8 @@ import numpy as np
 
 from .channels import JammerKernel
 from .config import DEFAULT_TOL
-from .errors import AlphabetMismatch, ProfileOutOfRange, SolverDiverged
-from .geometry import kernel_grid, pattern_search, project_simplex_rows, simplex_grid
+from .errors import AlphabetMismatch, InvalidArgument, ProfileOutOfRange, SolverDiverged
+from .geometry import kernel_grid, pattern_search, project_simplex_rows
 from .operators import (
     eigh_stack,
     eigvalsh_stack,
@@ -55,6 +56,16 @@ _ETA_FLOOR = 1e-10
 # a max-min bracket at most this wide ends the solve: the value is then
 # certified to 1e-6 bits, far inside the 5e-3 the grid oracle checks
 _SADDLE_BRACKET = 1e-6
+# holevo_capacity stops once its sandwich max_x D - chi is at most this
+_HOLEVO_GAP = 1e-9
+# a kernel descent step gaining at most this counts toward the stall window
+# (the default; the solvers pass their own from Tolerances)
+_DESCENT_GAIN = 1e-10
+# probabilities of the auxiliary-channel search in [-this, 0) are rounding
+# and count as 0 in its entropies
+_PROB_CLAMP = 1e-12
+# the auxiliary-channel search ends once its compass span is below this
+_AUX_SPAN_FLOOR = 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -74,13 +85,6 @@ def _entropy_stack(mats):
 def _mixed_states(states, q):
     """states (X,S,d,d), q (...,X,S) -> per-input averaged states (...,X,d,d)."""
     return np.einsum("...xs,xsij->...xij", q, states)
-
-
-def _chi_batch(p, states, q):
-    """chi from eigenvalues only (the grid oracle's path)."""
-    rho_x = _mixed_states(states, q)
-    rho_bar = np.einsum("...x,...xij->...ij", p, rho_x)
-    return _entropy_stack(rho_bar) - np.einsum("...x,...x->...", p, _entropy_stack(rho_x))
 
 
 def _mixture_spectra(p, states, q):
@@ -127,7 +131,7 @@ def holevo_chi(p, w, tol=DEFAULT_TOL):
     return max(val, 0.0)
 
 
-def holevo_capacity(w, tol=1e-9, max_iter=200_000):
+def holevo_capacity(w, tol=_HOLEVO_GAP, max_iter=200_000):
     """Holevo capacity of a fixed cq channel by fixed-point iteration.
 
     Returns (capacity, optimal input distribution).  The iteration keeps the
@@ -156,7 +160,7 @@ def holevo_capacity(w, tol=1e-9, max_iter=200_000):
 # inner minimization over jamming kernels
 # ---------------------------------------------------------------------------
 
-def _pg_min_kernels(states, p, q, max_iter=300, tol_obj=1e-10, window=20):
+def _pg_min_kernels(states, p, q, max_iter=300, tol_obj=_DESCENT_GAIN, window=20):
     """Batched projected-gradient descent of chi over kernels, one per row.
 
     p, q carry a leading restart axis.  Monotone by backtracking.  Each
@@ -211,6 +215,11 @@ def _pg_min_kernels(states, p, q, max_iter=300, tol_obj=1e-10, window=20):
     return f, q, (w, v)
 
 
+def _check_restarts(restarts):
+    if restarts < 1:
+        raise InvalidArgument(f"restarts must be at least 1, got {restarts}")
+
+
 def _kernel_inits(rng, restarts, nx, ns):
     inits = [np.full((nx, ns), 1.0 / ns)]
     for _ in range(restarts - 1):
@@ -224,6 +233,7 @@ def min_chi_over_jammer(w, p, seed=0, restarts=16, max_iter=2000, tol=DEFAULT_TO
     Returns (value, JammerKernel).  Restarts are seeded from one generator;
     the best restart wins, ties broken by restart order.
     """
+    _check_restarts(restarts)
     pv = validate_probability_vector(p, tol)
     if pv.size != len(w.x_alphabet):
         raise AlphabetMismatch(
@@ -241,68 +251,6 @@ def min_chi_over_jammer(w, p, seed=0, restarts=16, max_iter=2000, tol=DEFAULT_TO
 
 
 # ---------------------------------------------------------------------------
-# grid oracles (independent certification path)
-# ---------------------------------------------------------------------------
-
-def _chi_p_rows_vs_kernels(states, p_rows, kernels):
-    """chi for every (p, kernel) pair; returns (len(p_rows), len(kernels)).
-
-    Chunked over the input-distribution axis so the transient (chunk,
-    kernels, d, d) mixture stack stays within a fixed memory budget.
-    """
-    out = np.empty((p_rows.shape[0], kernels.shape[0]))
-    rho_x = _mixed_states(states, kernels)           # (M, X, d, d)
-    s_x = _entropy_stack(rho_x)                      # (M, X)
-    chunk = max(1, int(4e6 / max(kernels.shape[0], 1)))
-    for lo in range(0, p_rows.shape[0], chunk):
-        pr = p_rows[lo : lo + chunk]
-        rho_bar = np.einsum("px,mxij->pmij", pr, rho_x)
-        s_bar = _entropy_stack(rho_bar)
-        out[lo : lo + chunk] = s_bar - pr @ s_x.T
-    return out
-
-
-def _refined_inner_min(states, p_rows, kernels, span):
-    """Per input distribution: the best grid kernel, refined by pattern search."""
-    table = _chi_p_rows_vs_kernels(states, p_rows, kernels)
-    out = np.empty(p_rows.shape[0])
-    for r, p in enumerate(p_rows):
-        def neg_chi(q):
-            return -_chi_batch(np.broadcast_to(p, (q.shape[0], p.size)), states, q)
-        out[r] = -pattern_search(neg_chi, kernels[int(np.argmin(table[r]))][None], span, 1e-6)[0][0]
-    return out
-
-
-def maxmin_grid_oracle(w, steps=32, eval_budget=int(2.2e7)):
-    """Independent grid + local-zoom evaluation of the max-min value.
-
-    Returns None when the alphabets are too large to certify.  Grid sizes
-    are checked combinatorially before any grid is materialized.  The full
-    step-1/32 grid covers every alphabet pair with |X|, |S| <= 3 except
-    (3, 3), which is out of reach; expect roughly a minute for the
-    three-letter cases.
-    """
-    from math import comb
-
-    nx, ns = len(w.x_alphabet), len(w.s_alphabet)
-    if nx > 3 or ns > 3:
-        return None
-    n_p = comb(steps + nx - 1, nx - 1)
-    n_kernels = comb(steps + ns - 1, ns - 1) ** nx
-    if n_p * n_kernels > eval_budget:
-        return None
-    p_rows = simplex_grid(nx, steps)
-    kernels = kernel_grid(nx, ns, steps)
-    inner = _chi_p_rows_vs_kernels(w.states, p_rows, kernels).min(axis=1)
-    p0 = p_rows[int(np.argmax(inner))]
-    span = 1.0 / steps
-    best, _ = pattern_search(
-        lambda p: _refined_inner_min(w.states, p[:, 0], kernels, span), p0[None, None], span, 1e-6
-    )
-    return float(max(best[0], 0.0))
-
-
-# ---------------------------------------------------------------------------
 # the max-min capacity solver
 # ---------------------------------------------------------------------------
 
@@ -312,34 +260,57 @@ class CapacityResult:
     argmax_p: np.ndarray
     argmin_q: JammerKernel
     solver_trace: tuple
-    certified_gap: float | None
+    certified_gap: float | None   # hi - lo of the bracket, when certify is set
     bracket: tuple                # (lo, hi) around the max-min value at the returned point
 
 
+def _saddle_bracket(states, p, q, chi, spec, d_x):
+    """(lo, hi) with lo <= max_P min_Q chi(P, W_Q) <= hi, from the spectra at (p, q).
+
+    chi(p, W_Q) is convex in Q, so its linearisation at q minimized over
+    the kernel polytope (one vertex per row, the Frank-Wolfe gap) bounds
+    min_Q chi(p, W_Q) from below.  The value is at most C_Holevo(W_q),
+    which is at most max_x D(rho_x || rho_bar), the largest entry of
+    d_x = _grad_p at (p, q).  Both meet at a saddle point.  Reuses the
+    cached decomposition, so it costs no LAPACK call.
+    """
+    g = _grad_q(p, states, spec)
+    lo = chi + np.sum(g.min(axis=-1) - np.sum(g * q, axis=-1))
+    return float(lo), float(d_x.max())
+
+
 def _ascend(states, p, q, outer_iter, inner_iter, tol):
-    """Mirror ascent from one (p, q) start, then a polish of its inner minimum.
+    """Mirror ascent from one (p, q) start, stopped by its saddle bracket.
 
     Entropic mirror ascent on p (the ascent direction is the per-letter
     relative entropy at the inner minimizer) alternates with
-    projected-gradient descent on the kernel; the loop ends once the
-    objective has gained at most tol.solver_objective for 20 steps in a
-    row, or after outer_iter steps.  The inner minimum at the final p is
-    then descended again from the final kernel: chi is convex in the
-    kernel, so no other start is needed.
+    projected-gradient descent on the kernel.  The saddle bracket is taken
+    after the initial inner descent and after every outer step; once it is
+    at most _SADDLE_BRACKET wide the ascent returns at that point.  A
+    trajectory whose bracket stays open ends once the objective has gained
+    at most tol.solver_objective for 20 steps in a row, or after outer_iter
+    steps; the inner minimum at its final p is then descended again from
+    the final kernel (chi is convex in the kernel, so no other start is
+    needed) and bracketed there.
 
-    Returns chi at the polished point, its p and kernel, the kernel's
-    mixture spectra (w, v) and the objective trace.
+    Returns chi at the returned point, its p and kernel, its bracket
+    (lo, hi) and the objective trace.
     """
     # _pg_min_kernels works on stacks: a stack of one row
     p, q = np.array(p, dtype=float)[None], np.asarray(q)[None]
-    f, q, (w_spec, v_spec) = _pg_min_kernels(states, p, q, max_iter=400,
-                                             tol_obj=tol.solver_objective / 10)
+    f, q, spec = _pg_min_kernels(states, p, q, max_iter=400,
+                                 tol_obj=tol.solver_objective / 10)
     eta = 0.5
     stall = 0
     trace = [float(f[0])]
-    for _ in range(outer_iter):
-        g = _grad_p(p, states, q, (w_spec, v_spec))
-        g = g - g.max(axis=-1, keepdims=True)
+    for step in range(outer_iter + 1):
+        d_x = _grad_p(p, states, q, spec)
+        lo, hi = _saddle_bracket(states, p, q, f[0], spec, d_x)
+        if hi - lo <= _SADDLE_BRACKET:
+            return f[0], p[0], q[0], (lo, hi), trace
+        if step == outer_iter or stall >= 20:
+            break
+        g = d_x - d_x.max(axis=-1, keepdims=True)
         f_old = f
         for _try in range(20):
             logp = np.log(np.clip(p, _LOG_FLOOR, None)) + eta * g
@@ -351,7 +322,7 @@ def _ascend(states, p, q, outer_iter, inner_iter, tol):
                 tol_obj=tol.solver_objective / 10, window=10,
             )
             if cand_f[0] >= f_old[0] - _ASCENT_SLACK:
-                p, q, f, (w_spec, v_spec) = cand_p, cand_q, cand_f, cand_spec
+                p, q, f, spec = cand_p, cand_q, cand_f, cand_spec
                 eta = min(eta * 1.2, 50.0)
                 break
             if eta < _ETA_FLOOR:
@@ -359,25 +330,9 @@ def _ascend(states, p, q, outer_iter, inner_iter, tol):
             eta /= 2.0
         stall = 0 if f[0] - f_old[0] > tol.solver_objective else stall + 1
         trace.append(float(f[0]))
-        if stall >= 20:
-            break
-    f_pol, q_pol, (w_pol, v_pol) = _pg_min_kernels(states, p, q, max_iter=2000,
-                                                   tol_obj=tol.solver_objective / 10)
-    return f_pol[0], p[0], q_pol[0], (w_pol[0], v_pol[0]), trace
-
-
-def _saddle_bracket(states, p, q, chi, spec):
-    """(lo, hi) with lo <= max_P min_Q chi(P, W_Q) <= hi, from the spectra at (p, q).
-
-    chi(p, W_Q) is convex in Q, so its linearisation at q minimized over
-    the kernel polytope (one vertex per row, the Frank-Wolfe gap) bounds
-    min_Q chi(p, W_Q) from below.  The value is at most C_Holevo(W_q),
-    which is at most max_x D(rho_x || rho_bar).  Both meet at a saddle
-    point.  Reuses the cached decomposition, so it costs no LAPACK call.
-    """
-    g = _grad_q(p, states, spec)
-    lo = chi + np.sum(g.min(axis=-1) - np.sum(g * q, axis=-1))
-    return float(lo), float(_grad_p(p, states, q, spec).max())
+    f, q, spec = _pg_min_kernels(states, p, q, max_iter=2000, tol_obj=tol.solver_objective / 10)
+    bracket = _saddle_bracket(states, p, q, f[0], spec, _grad_p(p, states, q, spec))
+    return f[0], p[0], q[0], bracket, trace
 
 
 def capacity_informed_jammer(
@@ -401,36 +356,37 @@ def capacity_informed_jammer(
     times.  The leg with the narrowest bracket is returned: the value lies
     in every leg's bracket, so the narrowest is the best certificate.
     ``solver_trace`` runs through the legs up to the returned one, and
-    ``bracket`` holds its (lo, hi).  The solve draws no random numbers;
-    ``seed`` is accepted for the seeded callers and changes nothing.  The
-    certified gap compares against the independent grid oracle when the
-    alphabets permit.
+    ``bracket`` holds its (lo, hi).  ``_ascend`` checks the bracket after
+    its first inner descent and after every outer step, so a start that is
+    already a saddle point costs one inner descent.  With ``certify`` the
+    result reports ``certified_gap`` = hi - lo, at every alphabet size; the
+    value lies within it of the max-min value.  The solve draws no random
+    numbers; ``seed`` is accepted for the seeded callers and changes
+    nothing.
     """
+    _check_restarts(restarts)
     nx, ns = len(w.x_alphabet), len(w.s_alphabet)
     states = w.states
     p, q = np.full(nx, 1.0 / nx), np.full((nx, ns), 1.0 / ns)
     trace, best = [], None
     for _leg in range(restarts):
-        chi, p, q, spec, leg_trace = _ascend(states, p, q, outer_iter, inner_iter, tol)
+        chi, p, q, (lo, hi), leg_trace = _ascend(states, p, q, outer_iter, inner_iter, tol)
         trace += leg_trace
-        lo, hi = _saddle_bracket(states, p, q, chi, spec)
         if best is None or hi - lo < best[-1][1] - best[-1][0]:
             best = (chi, p, q, tuple(trace), (lo, hi))
         if hi - lo <= _SADDLE_BRACKET:
             break
     chi, p, q, trace, (lo, hi) = best
     value = float(min(max(chi, 0.0), np.log2(w.dim)))
-    gap = None
-    if certify:
-        oracle = maxmin_grid_oracle(w)
-        if oracle is not None:
-            gap = abs(value - oracle)
+    # chi at (p, q) lies in its bracket exactly; this keeps a few ulps of
+    # rounding (|X| = 1 gives hi = -1e-16 < chi = 0) from inverting it
+    lo, hi = min(lo, value), max(hi, value)
     return CapacityResult(
         value=value,
         argmax_p=p,
         argmin_q=JammerKernel(w.x_alphabet, w.s_alphabet, q),
         solver_trace=trace,
-        certified_gap=gap,
+        certified_gap=hi - lo if certify else None,
         bracket=(lo, hi),
     )
 
@@ -449,7 +405,7 @@ class CrCapacityResult:
 
 
 def _entropy_rows(p):
-    return entropy_from_eigenvalues(p, floor=1e-12)
+    return entropy_from_eigenvalues(p, floor=_PROB_CLAMP)
 
 
 def _source_entropies(joint_vv):
@@ -496,7 +452,7 @@ def _aux_channel_search(src, budget, seed, slack, restarts=64, grid_steps=16):
             best_val, best_k = float(vals[k]), grid[k].copy()
 
     starts = np.stack([best_k] + [rng.dirichlet(np.ones(nu), size=nvp) for _ in range(restarts)])
-    for val, k_rows in zip(*pattern_search(feasible_value, starts, 0.25, 1e-7)):
+    for val, k_rows in zip(*pattern_search(feasible_value, starts, 0.25, _AUX_SPAN_FLOOR)):
         if val > best_val:
             best_val, best_k = float(val), k_rows
     return max(best_val, 0.0), best_k

@@ -233,8 +233,13 @@ def source_distance(s1, s2):
     return float(np.abs(s1.joint - s2.joint).sum())
 
 
+# hull distances at most this count as intersecting (the value of the
+# separation test's Tolerances.not_separable_below)
+_HULL_GAP = 1e-7
+
+
 def zero_capacity_condition(
-    w, n=1, gap=1e-7, caps=DEFAULT_CAPS, seed=0, restarts=16
+    w, n=1, gap=_HULL_GAP, caps=DEFAULT_CAPS, seed=0, restarts=16
 ):
     """Evidence check for zero deterministic capacity with an informed jammer.
 

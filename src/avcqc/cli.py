@@ -3,15 +3,16 @@
 Subcommands map one-to-one onto the library operations: capacity and
 common-randomness solvers, the separation test, the typicality bound
 suite, the key-agreement simulation and the capacity-discontinuity
-demonstration.  Every command validates its input specs before any
-computation and writes its full output at the end, so failed runs leave
-no partial files.  Identical configuration and seed give byte-identical
+demonstration.  Every command validates its input specs and output
+paths before any computation and writes its full output at the end, so
+failed runs leave no partial files.  Identical configuration and seed give byte-identical
 outputs.
 
 Exit codes: 0 success, 1 error, 2 indeterminate separation.
 """
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, fields
 
@@ -65,9 +66,10 @@ def _add_common(sub, channel=True, source=False, seed=True):
 
 
 _RESTARTS_HELP = (
-    "legs of the max-min solver's ascent (default 32): while its saddle "
-    "bracket stays wider than 1e-6, the ascent restarts from the point it "
-    "reached; a closed bracket ends the solve and leaves the rest unused"
+    "legs of the max-min solver's ascent (default 32): the saddle bracket is "
+    "checked after every outer step and a bracket at most 1e-6 wide ends the "
+    "solve; while it stays open, the ascent restarts from the point it "
+    "reached, and the rest go unused once it closes"
 )
 
 
@@ -149,8 +151,20 @@ def _check_arguments(args):
             )
 
 
+def _check_output_path(path, flag):
+    """The directory a run will write ``path`` into exists and is writable."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise SpecParseError(f"{flag} {path}: directory {parent} does not exist")
+    if not os.access(parent, os.W_OK):
+        raise SpecParseError(f"{flag} {path}: directory {parent} is not writable")
+
+
 def _config_from_args(args):
     _check_arguments(args)
+    _check_output_path(args.out, "--out")
+    if getattr(args, "trace_csv", None):
+        _check_output_path(args.trace_csv, "--trace-csv")
     tol = _parse_overrides(args.tol, Tolerances(), float)
     caps = _parse_overrides(args.cap, Caps(), lambda v: int(float(v)))
     for f in fields(caps):

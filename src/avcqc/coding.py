@@ -28,6 +28,9 @@ from .operators import eigvalsh_stack, entropy_from_eigenvalues, read_only
 # Float slack of the POVM and error-chain checks: sums of D x D operators and
 # of exact errors carry rounding well above machine epsilon.
 _CHECK_SLACK = 1e-9
+# clamp floor for the entropy of the empirical key distribution, whose
+# entries are counts over a total and never negative
+_PROB_CLAMP = 1e-12
 
 
 def _validate_povm(ops, tol_eig=_CHECK_SLACK):
@@ -584,7 +587,7 @@ def cr_generation_run(w, src, code, trials, seed, caps=DEFAULT_CAPS):
     if agreed:
         counts = np.bincount(np.array(agreed), minlength=j_n).astype(float)
         emp = counts / counts.sum()
-        entropy = float(entropy_from_eigenvalues(emp, floor=1e-12))
+        entropy = float(entropy_from_eigenvalues(emp, floor=_PROB_CLAMP))
     else:
         entropy = 0.0
     return {"agreement_rate": rate, "empirical_entropy": entropy, "rows": rows}

@@ -81,5 +81,9 @@ class EmptyGrid(ToolkitError):
     """Kernel grid tabulation is empty."""
 
 
+class InvalidArgument(ToolkitError):
+    """A library call's argument lies outside its allowed range."""
+
+
 class SpecParseError(ToolkitError):
     """Input spec file is malformed."""

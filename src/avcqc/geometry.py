@@ -122,6 +122,8 @@ _LIPSCHITZ_FLOOR = 1e-30
 _POLISH_SUPPORT = (1e-7, 1e-10)
 # a polished entry below -this has left its simplex, so that polish is discarded
 _POLISH_NEGATIVE = 1e-10
+# Frank-Wolfe gap that ends the set-distance solve when the caller gives none
+_GAP_STOP = 1e-12
 
 
 def _fista(gram, z, proj, fw_gap, tol, max_iter):
@@ -180,7 +182,7 @@ def _polish_on_support(gen, z, row_bounds, thresh):
 
 
 def affine_set_distance(
-    gen0, gen1, row_len0, row_len1, rng, restarts=16, tol=1e-12, max_iter=2000
+    gen0, gen1, row_len0, row_len1, rng, restarts=16, tol=_GAP_STOP, max_iter=2000
 ):
     """Distance between conv images {gen0 @ q0} and {gen1 @ q1}, with a certified lower bound.
 

@@ -42,6 +42,12 @@ __all__ = [
     "binary_avc_positivity",
 ]
 
+# a source whose mutual information is at most this counts as uncorrelated
+_MI_FLOOR = 1e-12
+# the induced binary channel is positive only when its worst-case correct
+# probabilities exceed 1 in sum by more than this rounding margin
+_POSITIVITY_MARGIN = 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class GPair:
@@ -70,7 +76,7 @@ def smallest_block_length(alphabet_size):
     return kappa
 
 
-def build_g_pair(src, x_alphabet, mi_floor=1e-12):
+def build_g_pair(src, x_alphabet, mi_floor=_MI_FLOOR):
     """Construct the three-group encoder pair for a binary sender alphabet.
 
     Words of each Hamming weight are split lexicographically into matched
@@ -387,7 +393,7 @@ def induced_binary_avc(cert, w, src, gp, grid_resolution=16, caps=DEFAULT_CAPS):
     return BinaryAvc(tables=tables, kernels=grid)
 
 
-def binary_avc_positivity(bavc, seed=0, restarts=16, strict=1e-9):
+def binary_avc_positivity(bavc, seed=0, restarts=16, strict=_POSITIVITY_MARGIN):
     """Positivity condition and rate of the induced binary channel.
 
     Positive iff the worst-case correct-decision probabilities exceed 1 in

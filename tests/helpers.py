@@ -1,8 +1,12 @@
-"""Shared instance builders for the test suite."""
+"""Shared instance builders and independent references for the test suite."""
+
+from math import comb
 
 import numpy as np
 
 from avcqc import Avcqc, CorrelatedSource, CqChannel
+from avcqc.geometry import kernel_grid, pattern_search, simplex_grid
+from avcqc.operators import eigvalsh_stack, entropy_from_eigenvalues
 
 ZERO = np.array([[1, 0], [0, 0]], dtype=complex)
 ONE = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -74,6 +78,75 @@ def dense_saddle_bracket(states, p, q):
                       for s in range(q.shape[1])] for x in range(q.shape[0])])
     lo = p @ d_x + np.sum(grad.min(axis=1) - np.sum(grad * q, axis=1))
     return float(lo), float(d_x.max())
+
+
+def _entropies(mats):
+    """Von Neumann entropies of a stack; eigenvalues in [-1e-9, 0) count as 0."""
+    return entropy_from_eigenvalues(eigvalsh_stack(mats), floor=1e-9)
+
+
+def _chi_batch(p, states, q):
+    """chi for stacked input distributions p (..., X) and kernels q (..., X, S)."""
+    rho_x = np.einsum("...xs,xsij->...xij", q, states)
+    rho_bar = np.einsum("...x,...xij->...ij", p, rho_x)
+    return _entropies(rho_bar) - np.einsum("...x,...x->...", p, _entropies(rho_x))
+
+
+def _chi_p_rows_vs_kernels(states, p_rows, kernels):
+    """chi for every (p, kernel) pair; returns (len(p_rows), len(kernels)).
+
+    Chunked over the input-distribution axis so the transient (chunk,
+    kernels, d, d) mixture stack stays within a fixed memory budget.
+    """
+    out = np.empty((p_rows.shape[0], kernels.shape[0]))
+    rho_x = np.einsum("mxs,xsij->mxij", kernels, states)
+    s_x = _entropies(rho_x)                          # (M, X)
+    chunk = max(1, int(4e6 / max(kernels.shape[0], 1)))
+    for lo in range(0, p_rows.shape[0], chunk):
+        pr = p_rows[lo : lo + chunk]
+        rho_bar = np.einsum("px,mxij->pmij", pr, rho_x)
+        out[lo : lo + chunk] = _entropies(rho_bar) - pr @ s_x.T
+    return out
+
+
+def _refined_inner_min(states, p_rows, kernels, span):
+    """Per input distribution: the best grid kernel, refined by pattern search."""
+    table = _chi_p_rows_vs_kernels(states, p_rows, kernels)
+    out = np.empty(p_rows.shape[0])
+    for r, p in enumerate(p_rows):
+        def neg_chi(q):
+            return -_chi_batch(np.broadcast_to(p, (q.shape[0], p.size)), states, q)
+        out[r] = -pattern_search(neg_chi, kernels[int(np.argmin(table[r]))][None], span, 1e-6)[0][0]
+    return out
+
+
+def maxmin_grid_oracle(w, steps=32, eval_budget=int(2.2e7)):
+    """Grid + local-zoom evaluation of the max-min value, independent of the solver.
+
+    Tabulates chi on a step-1/steps grid of input distributions and
+    kernels, then refines the best grid point by pattern search, the inner
+    minimum of each candidate by a pattern search of its own.  Returns None
+    when |X| or |S| exceeds 3 or the grid would exceed eval_budget (grid
+    sizes are counted before any grid is built): every alphabet pair with
+    |X|, |S| <= 3 except (3, 3) fits, and the three-letter cases take
+    about ten seconds.
+    """
+    nx, ns = len(w.x_alphabet), len(w.s_alphabet)
+    if nx > 3 or ns > 3:
+        return None
+    n_p = comb(steps + nx - 1, nx - 1)
+    n_kernels = comb(steps + ns - 1, ns - 1) ** nx
+    if n_p * n_kernels > eval_budget:
+        return None
+    p_rows = simplex_grid(nx, steps)
+    kernels = kernel_grid(nx, ns, steps)
+    inner = _chi_p_rows_vs_kernels(w.states, p_rows, kernels).min(axis=1)
+    p0 = p_rows[int(np.argmax(inner))]
+    span = 1.0 / steps
+    best, _ = pattern_search(
+        lambda p: _refined_inner_min(w.states, p[:, 0], kernels, span), p0[None, None], span, 1e-6
+    )
+    return float(max(best[0], 0.0))
 
 
 def separable_instance(rng, nx, d):

@@ -40,6 +40,7 @@ from helpers import (
     bitflip_channel,
     constant_channel,
     flip_source,
+    maxmin_grid_oracle,
     mirror_pair_channel,
     orthogonal_channel,
     random_avcqc,
@@ -89,8 +90,11 @@ def test_criterion_2_capacity_solver_vs_oracle(criterion):
         for k in range(25):
             w = random_avcqc(rng, nx=2, ns=2, dim=2)
             res = capacity_informed_jammer(w, seed=k)
-            assert res.certified_gap is not None
-            assert res.certified_gap <= 5e-3, f"instance {k}: gap {res.certified_gap}"
+            oracle = maxmin_grid_oracle(w)
+            assert oracle is not None
+            assert abs(res.value - oracle) <= 5e-3, f"instance {k}: oracle {oracle}"
+            lo, hi = res.bracket
+            assert lo <= res.value <= hi, f"instance {k}: bracket {res.bracket}"
         assert capacity_informed_jammer(bitflip_channel(), seed=0).value <= 1e-6
         assert capacity_informed_jammer(orthogonal_channel(), seed=0).value == pytest.approx(
             1.0, abs=1e-6

@@ -18,8 +18,8 @@ from avcqc import (
     min_chi_over_jammer,
 )
 from avcqc import capacity
-from avcqc.capacity import _aux_objective, maxmin_grid_oracle
-from avcqc.errors import AlphabetMismatch, ProfileOutOfRange
+from avcqc.capacity import _aux_objective
+from avcqc.errors import AlphabetMismatch, InvalidArgument, ProfileOutOfRange
 from avcqc.operators import random_density, von_neumann_entropy
 from helpers import (
     ONE,
@@ -30,12 +30,22 @@ from helpers import (
     constant_channel,
     dense_saddle_bracket,
     flip_source,
+    maxmin_grid_oracle,
     orthogonal_channel,
     random_avcqc,
     wishart_avcqc,
 )
 
 SPECS = Path(__file__).resolve().parents[1] / "specs"
+
+
+def assert_matches_oracle(w, res):
+    """The grid oracle lies within 5e-3 of the value, and the value inside its bracket."""
+    oracle = maxmin_grid_oracle(w)
+    assert oracle is not None
+    assert abs(res.value - oracle) <= 5e-3, f"value {res.value}, oracle {oracle}"
+    lo, hi = res.bracket
+    assert lo <= res.value <= hi
 
 
 class TestHolevoChi:
@@ -117,15 +127,17 @@ class TestMinChiOverJammer:
 
 class TestCapacityInformedJammer:
     def test_orthogonal_channel(self):
-        res = capacity_informed_jammer(orthogonal_channel(), seed=0)
+        w = orthogonal_channel()
+        res = capacity_informed_jammer(w, seed=0)
         assert res.value == pytest.approx(1.0, abs=1e-6)
         assert np.allclose(res.argmax_p, [0.5, 0.5], atol=1e-4)
-        assert res.certified_gap is not None and res.certified_gap <= 5e-3
+        assert_matches_oracle(w, res)
 
     def test_bitflip_channel_zero(self):
-        res = capacity_informed_jammer(bitflip_channel(), seed=0)
+        w = bitflip_channel()
+        res = capacity_informed_jammer(w, seed=0)
         assert res.value <= 1e-6
-        assert res.certified_gap <= 5e-3
+        assert_matches_oracle(w, res)
 
     def test_constant_channel_zero(self):
         res = capacity_informed_jammer(constant_channel(), seed=0)
@@ -135,21 +147,20 @@ class TestCapacityInformedJammer:
         w = Avcqc((0, 1), ("s",), np.stack([[ZERO], [ONE]]))
         res = capacity_informed_jammer(w, seed=0)
         assert res.value == pytest.approx(1.0, abs=1e-6)
-        assert res.certified_gap is not None and res.certified_gap <= 5e-3
+        assert_matches_oracle(w, res)
 
     def test_single_input_certified(self):
         w = Avcqc((0,), ("a", "b"), np.stack([[ZERO, ONE]]))
         res = capacity_informed_jammer(w, seed=0)
         assert res.value <= 1e-9
-        assert res.certified_gap is not None and res.certified_gap <= 5e-3
+        assert_matches_oracle(w, res)
 
     def test_random_instances_match_oracle(self):
         rng = np.random.default_rng(31)
         for k in range(5):
             w = random_avcqc(rng)
             res = capacity_informed_jammer(w, seed=k)
-            assert res.certified_gap is not None
-            assert res.certified_gap <= 5e-3
+            assert_matches_oracle(w, res)
 
     def test_upper_bounded_by_deterministic_kernels(self):
         rng = np.random.default_rng(37)
@@ -239,17 +250,19 @@ class TestSaddleBracket:
         # a later leg whose bracket comes out wider does not replace the first
         w = self._instance()
         one = capacity_informed_jammer(w, restarts=1, outer_iter=1, certify=False)
-        bracket = capacity._saddle_bracket
-        calls = []
+        ascend = capacity._ascend
+        legs = []
 
         def widen_later_legs(*args):
-            lo, hi = bracket(*args)
-            calls.append(None)
-            return (lo, hi) if len(calls) == 1 else (lo - 1.0, hi + 1.0)
+            chi, p, q, (lo, hi), trace = ascend(*args)
+            legs.append(None)
+            if len(legs) > 1:
+                lo, hi = lo - 1.0, hi + 1.0
+            return chi, p, q, (lo, hi), trace
 
-        monkeypatch.setattr(capacity, "_saddle_bracket", widen_later_legs)
+        monkeypatch.setattr(capacity, "_ascend", widen_later_legs)
         res = capacity_informed_jammer(w, restarts=3, outer_iter=1, certify=False)
-        assert len(calls) == 3
+        assert len(legs) == 3
         assert res.value == one.value
         assert np.array_equal(res.argmax_p, one.argmax_p)
         assert np.array_equal(res.argmin_q.rows, one.argmin_q.rows)
@@ -392,6 +405,43 @@ class TestRateLimitedBound:
         profile = CorrelationLengthProfile(0.5, 0.6, 0.25)  # below r'' for any rate <= 1
         with pytest.raises(ProfileOutOfRange):
             cr_rate_limited_lower_bound(w, src, profile, seed=0)
+
+
+class TestCertifiedGap:
+    @pytest.mark.parametrize("name", ["bitflip", "constant", "orthogonal", "mirror_pair_fixed"])
+    def test_saddle_start_costs_one_inner_descent(self, name):
+        # the uniform (P, Q) start is a saddle point of each spec: its
+        # bracket closes before the first outer step
+        from avcqc import serialize
+
+        w = serialize.load_channel(str(SPECS / f"{name}_channel.json"))
+        res = capacity_informed_jammer(w, seed=7)
+        assert len(res.solver_trace) == 1
+        assert res.certified_gap <= capacity._SADDLE_BRACKET
+
+    def test_gap_is_bracket_width_past_the_oracle(self):
+        # |X| = |S| = 4: beyond the grid oracle's reach
+        w = wishart_avcqc(np.random.default_rng(5), 4, 4, 4)
+        res = capacity_informed_jammer(w, seed=0)
+        lo, hi = res.bracket
+        assert res.certified_gap is not None
+        assert res.certified_gap == hi - lo
+        assert res.certified_gap <= capacity._SADDLE_BRACKET
+        assert capacity_informed_jammer(w, seed=0, certify=False).certified_gap is None
+
+
+class TestRestartsValidation:
+    def test_capacity_informed_jammer(self):
+        with pytest.raises(InvalidArgument, match="restarts"):
+            capacity_informed_jammer(orthogonal_channel(), restarts=0)
+
+    def test_min_chi_over_jammer(self):
+        with pytest.raises(InvalidArgument, match="restarts"):
+            min_chi_over_jammer(orthogonal_channel(), [0.5, 0.5], restarts=0)
+
+    def test_cr_capacity(self):
+        with pytest.raises(InvalidArgument, match="restarts"):
+            cr_capacity(orthogonal_channel(), flip_source(0.1), restarts=0)
 
 
 def test_grid_oracle_certifies_known_values():

@@ -369,6 +369,54 @@ class TestArgumentValidation:
         assert len(out.read_text().strip().splitlines()) == 6
 
 
+class TestOutputPaths:
+    """An output path in a missing directory exits 1 before any computation."""
+
+    COMPUTE = ("capacity_informed_jammer", "cr_capacity", "separation_test",
+               "verify_typicality_bounds", "repetition_precode", "cr_generation_run")
+
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        from avcqc import cli
+
+        calls = []
+        for name in self.COMPUTE:
+            monkeypatch.setattr(cli, name, lambda *a, name=name, **k: calls.append(name))
+        return calls
+
+    def _argv(self, command, tmp_path):
+        chan = write_channel(tmp_path, orthogonal_channel())
+        src = write_source(tmp_path, [[0.45, 0.05], [0.05, 0.45]])
+        return {
+            "capacity": ["capacity", "--channel", chan, "--seed", "1"],
+            "cr-capacity": ["cr-capacity", "--channel", chan, "--source", src, "--seed", "1"],
+            "separate": ["separate", "--channel", chan, "--source", src, "--seed", "1"],
+            "typicality": ["typicality", "--channel", write_fixed_channel(tmp_path, [ZERO, ONE])],
+            "simulate": ["simulate", "--channel", chan, "--source", src, "--seed", "1"],
+            "discontinuity-demo": ["discontinuity-demo", "--n-list", "3", "--seed", "1"],
+        }[command]
+
+    @pytest.mark.parametrize("command", ["capacity", "cr-capacity", "separate", "typicality",
+                                         "simulate", "discontinuity-demo"])
+    def test_out_in_missing_directory(self, command, tmp_path, capsys, computed):
+        out = tmp_path / "missing" / "out"
+        rc = main(self._argv(command, tmp_path) + ["--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "SpecParseError" in err and "--out" in err
+        assert computed == []
+
+    def test_trace_csv_in_missing_directory(self, tmp_path, capsys, computed):
+        out = tmp_path / "res.json"
+        argv = self._argv("capacity", tmp_path) + [
+            "--out", str(out), "--trace-csv", str(tmp_path / "missing" / "trace.csv")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "SpecParseError" in err and "--trace-csv" in err
+        assert computed == []
+        assert not out.exists()
+
+
 class TestDeterminism:
     def test_capacity_byte_identical(self, tmp_path):
         chan = write_channel(tmp_path, orthogonal_channel())

@@ -1,4 +1,8 @@
-"""Every name a module of the package imports is read somewhere in it."""
+"""Static scans of the package source.
+
+Every name a module imports is read somewhere in it, and every tolerance
+below 1e-6 is named: a field of config.Tolerances or a module constant.
+"""
 
 import ast
 from pathlib import Path
@@ -41,3 +45,34 @@ def test_scan_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def bare_tolerances(source):
+    """(line, value) of float literals in (0, 1e-6) outside module-level assignments."""
+    tree = ast.parse(source)
+    named = {
+        id(node)
+        for stmt in tree.body
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+        for node in ast.walk(stmt)
+    }
+    return sorted(
+        (node.lineno, node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, float)
+        and 0.0 < abs(node.value) < 1e-6
+        and id(node) not in named
+    )
+
+
+def test_scan_flags_a_bare_tolerance():
+    src = "_EPS = 1e-9\ndef f(x, tol=1e-12):\n    return x > _EPS + 1e-6 + 5e-7\n"
+    assert bare_tolerances(src) == [(2, 1e-12), (3, 5e-7)]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "config.py"], ids=lambda p: p.name
+)
+def test_no_bare_tolerances(path):
+    assert bare_tolerances(path.read_text()) == []
