@@ -418,5 +418,5 @@ def binary_avc_positivity(bavc, seed=0, restarts=16, strict=_POSITIVITY_MARGIN):
     states[1, 0] = np.diag([1.0 - clip01(lo1), clip01(lo1)])
     states[1, 1] = np.diag([1.0 - clip01(hi1), clip01(hi1)])
     reduced = Avcqc((0, 1), ("lo", "hi"), states)
-    res = capacity_informed_jammer(reduced, seed=seed, restarts=restarts, certify=False)
+    res = capacity_informed_jammer(reduced, seed=seed, restarts=restarts)
     return {"positive": positive, "rate_r": res.value}

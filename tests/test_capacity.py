@@ -19,7 +19,7 @@ from avcqc import (
 )
 from avcqc import capacity
 from avcqc.capacity import _aux_objective
-from avcqc.errors import AlphabetMismatch, InvalidArgument, ProfileOutOfRange
+from avcqc.errors import AlphabetMismatch, InvalidArgument, ProfileOutOfRange, SolverDiverged
 from avcqc.operators import random_density, von_neumann_entropy
 from helpers import (
     ONE,
@@ -166,7 +166,7 @@ class TestCapacityInformedJammer:
         rng = np.random.default_rng(37)
         for k in range(5):
             w = random_avcqc(rng)
-            res = capacity_informed_jammer(w, seed=k, certify=False)
+            res = capacity_informed_jammer(w, seed=k)
             for s0 in range(2):
                 for s1 in range(2):
                     rows = np.zeros((2, 2))
@@ -184,8 +184,8 @@ class TestCapacityInformedJammer:
             enlarged = Avcqc(
                 (0, 1), (0, 1, 2), np.concatenate([base.states, new_column], axis=1)
             )
-            small = capacity_informed_jammer(base, seed=k, certify=False).value
-            big = capacity_informed_jammer(enlarged, seed=k, certify=False).value
+            small = capacity_informed_jammer(base, seed=k).value
+            big = capacity_informed_jammer(enlarged, seed=k).value
             assert big <= small + 1e-6
 
     def test_deterministic_given_seed(self):
@@ -206,8 +206,8 @@ class TestSaddleBracket:
 
     def test_closed_bracket_leaves_restarts_unused(self):
         w = self._instance()
-        one = capacity_informed_jammer(w, seed=3, restarts=1, certify=False)
-        many = capacity_informed_jammer(w, seed=3, restarts=32, certify=False)
+        one = capacity_informed_jammer(w, seed=3, restarts=1)
+        many = capacity_informed_jammer(w, seed=3, restarts=32)
         lo, hi = many.bracket
         assert hi - lo <= capacity._SADDLE_BRACKET
         assert lo <= many.value <= hi
@@ -228,7 +228,7 @@ class TestSaddleBracket:
 
         monkeypatch.setattr(capacity, "_ascend", spy)
         w = self._instance()
-        a = capacity_informed_jammer(w, seed=3, restarts=6, outer_iter=1, certify=False)
+        a = capacity_informed_jammer(w, seed=3, restarts=6, outer_iter=1)
         assert len(legs) == 6
         assert np.all(legs[0][0] == 1 / 3) and np.all(legs[0][1] == 1 / 3)
         for (_, _, prev), (p, q, _) in zip(legs, legs[1:]):
@@ -236,10 +236,10 @@ class TestSaddleBracket:
         # the trace runs through all six legs; the last one is returned
         assert a.solver_trace == tuple(x for leg in legs for x in leg[2][4])
         assert np.array_equal(a.argmax_p, legs[-1][2][1])
-        one = capacity_informed_jammer(w, seed=3, restarts=1, outer_iter=1, certify=False)
+        one = capacity_informed_jammer(w, seed=3, restarts=1, outer_iter=1)
         assert a.bracket[1] - a.bracket[0] < one.bracket[1] - one.bracket[0]
         assert a.bracket[1] - a.bracket[0] > capacity._SADDLE_BRACKET
-        b = capacity_informed_jammer(w, seed=4, restarts=6, outer_iter=1, certify=False)
+        b = capacity_informed_jammer(w, seed=4, restarts=6, outer_iter=1)
         assert a.value == b.value
         assert np.array_equal(a.argmax_p, b.argmax_p)
         assert np.array_equal(a.argmin_q.rows, b.argmin_q.rows)
@@ -249,7 +249,7 @@ class TestSaddleBracket:
     def test_narrowest_leg_is_returned(self, monkeypatch):
         # a later leg whose bracket comes out wider does not replace the first
         w = self._instance()
-        one = capacity_informed_jammer(w, restarts=1, outer_iter=1, certify=False)
+        one = capacity_informed_jammer(w, restarts=1, outer_iter=1)
         ascend = capacity._ascend
         legs = []
 
@@ -261,13 +261,32 @@ class TestSaddleBracket:
             return chi, p, q, (lo, hi), trace
 
         monkeypatch.setattr(capacity, "_ascend", widen_later_legs)
-        res = capacity_informed_jammer(w, restarts=3, outer_iter=1, certify=False)
+        res = capacity_informed_jammer(w, restarts=3, outer_iter=1)
         assert len(legs) == 3
         assert res.value == one.value
         assert np.array_equal(res.argmax_p, one.argmax_p)
         assert np.array_equal(res.argmin_q.rows, one.argmin_q.rows)
         assert res.solver_trace == one.solver_trace
         assert res.bracket == one.bracket
+
+    def test_bracket_absorbs_rounding_only(self, monkeypatch):
+        # the returned bracket is widened to hold the value by rounding
+        # only; a bracket that misses chi by more is a solver fault
+        w = self._instance()
+        ascend = capacity._ascend
+        shift = []
+
+        def move_hi_below_chi(*args):
+            chi, p, q, (lo, hi), trace = ascend(*args)
+            return chi, p, q, (lo, chi - shift[0]), trace
+
+        monkeypatch.setattr(capacity, "_ascend", move_hi_below_chi)
+        shift.append(1e-14)
+        res = capacity_informed_jammer(w, restarts=1)
+        assert res.bracket[1] == res.value
+        shift[0] = 1e-3
+        with pytest.raises(SolverDiverged, match="outside its bracket"):
+            capacity_informed_jammer(w, restarts=1)
 
     def test_second_leg_closes_a_stalled_trajectory(self):
         # the sixteenth draw of the criterion-2 acceptance suite: the first
@@ -276,8 +295,8 @@ class TestSaddleBracket:
         for _ in range(15):
             random_avcqc(rng, nx=2, ns=2, dim=2)
         w = random_avcqc(rng, nx=2, ns=2, dim=2)
-        one = capacity_informed_jammer(w, restarts=1, certify=False)
-        res = capacity_informed_jammer(w, certify=False)
+        one = capacity_informed_jammer(w, restarts=1)
+        res = capacity_informed_jammer(w)
         assert one.bracket[1] - one.bracket[0] > capacity._SADDLE_BRACKET
         lo, hi = res.bracket
         assert hi - lo <= capacity._SADDLE_BRACKET
@@ -288,8 +307,7 @@ class TestSaddleBracket:
     @pytest.mark.parametrize("outer_iter", [1, 400])
     def test_bracket_matches_dense_eigh(self, outer_iter):
         w = self._instance()
-        res = capacity_informed_jammer(w, seed=3, restarts=4, outer_iter=outer_iter,
-                                       certify=False)
+        res = capacity_informed_jammer(w, seed=3, restarts=4, outer_iter=outer_iter)
         ref = dense_saddle_bracket(w.states, res.argmax_p, res.argmin_q.rows)
         assert np.max(np.abs(np.subtract(res.bracket, ref))) <= 1e-10
 
@@ -301,7 +319,7 @@ class TestSaddleBracket:
         for shape in [(2, 2, 2), (3, 2, 2), (2, 3, 2), (3, 3, 3), (4, 4, 4), (5, 5, 3)]:
             wishart_avcqc(rng, *shape)
         w = wishart_avcqc(rng, 6, 4, 4)
-        res = capacity_informed_jammer(w, seed=0, certify=False)
+        res = capacity_informed_jammer(w, seed=0)
         lo, hi = res.bracket
         assert hi - lo <= capacity._SADDLE_BRACKET
         assert lo <= res.value <= hi
@@ -312,7 +330,7 @@ class TestSaddleBracket:
         for name in ("bitflip", "constant"):
             w = serialize.load_channel(str(SPECS / f"{name}_channel.json"))
             for restarts in (1, 32):
-                res = capacity_informed_jammer(w, seed=7, restarts=restarts, certify=False)
+                res = capacity_informed_jammer(w, seed=7, restarts=restarts)
                 assert res.value == 0.0 and not np.signbit(res.value)
                 assert not np.any(np.signbit(res.bracket))
         src = serialize.load_source(str(SPECS / "perfect_source.json"))
@@ -427,7 +445,6 @@ class TestCertifiedGap:
         assert res.certified_gap is not None
         assert res.certified_gap == hi - lo
         assert res.certified_gap <= capacity._SADDLE_BRACKET
-        assert capacity_informed_jammer(w, seed=0, certify=False).certified_gap is None
 
 
 class TestRestartsValidation:
@@ -496,5 +513,5 @@ class TestKernelDescent:
     )
     def test_seeded_solve_matches_pinned_value(self, draw, nx, ns, value):
         w = random_avcqc(np.random.default_rng(draw), nx, ns, dim=3)
-        res = capacity_informed_jammer(w, seed=5, certify=False)
+        res = capacity_informed_jammer(w, seed=5)
         assert abs(res.value - value) <= 1e-9
