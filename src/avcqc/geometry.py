@@ -10,7 +10,6 @@ over row-stochastic matrices) lives here too.
 """
 
 from itertools import chain, combinations
-from itertools import product as iproduct
 from math import comb
 
 import numpy as np
@@ -76,8 +75,9 @@ def simplex_grid(k, steps):
 def kernel_grid(nx, ns, steps):
     """Every (nx, ns) row-stochastic matrix whose rows lie on simplex_grid(ns, steps)."""
     rows = simplex_grid(ns, steps)
-    idx = list(iproduct(range(rows.shape[0]), repeat=nx))
-    return rows[np.array(idx)]  # (M, nx, ns)
+    # row-index tuples in lexicographic order, the last row varying fastest
+    idx = np.indices((rows.shape[0],) * nx).reshape(nx, -1).T
+    return rows[idx]  # (M, nx, ns)
 
 
 # a move must gain more than this to be taken; smaller gains are rounding
@@ -88,11 +88,23 @@ def pattern_search(f, x0, span, floor):
     """Maximize f over row-stochastic matrices by compass search, batched over starts.
 
     x0 stacks m starts (m, rows, k); f maps a stack (n, rows, k) to n values.
-    Each round moves mass span from coordinate j to coordinate i of one row,
-    for every live start, row and ordered pair (i, j), and projects and scores
-    all moves in one call each; a start takes its best move if it gains more
-    than _SEARCH_GAIN, else its own span halves, and leaves once span <= floor,
-    so it ends as it would alone.  Returns (values (m,), x (m, rows, k)).
+    A move shifts mass span from coordinate j to coordinate i, for each
+    ordered pair (i, j), either in one row or, when rows > 1, in every row
+    at once: (rows + 1)·k(k−1) moves per start (k(k−1) for one row).
+    The joint moves follow a ridge that crosses rows, which one-row moves
+    could only climb in a zig-zag of ever smaller gains.  Each round
+    projects and scores all moves of all live starts in one call each.  A
+    start takes its best move if it gains more than _SEARCH_GAIN and then
+    doubles its span, capped at the starting span; otherwise its span
+    halves, and it leaves once span <= floor.  No state is shared between
+    starts, so each ends as it would alone.
+
+    Termination: f is bounded on the compact set of row-stochastic matrices
+    and every success raises it by more than _SEARCH_GAIN, so a start has
+    finitely many successes s.  Each success doubles the span at most once
+    and each failure halves it, so a start fails at most
+    s + log2(span/floor) + 1 times, and runs at most
+    2·s + log2(span/floor) + 1 rounds.  Returns (values (m,), x (m, rows, k)).
     """
     x = np.array(x0, dtype=float)
     m, rows, k = x.shape
@@ -104,6 +116,8 @@ def pattern_search(f, x0, span, floor):
     steps = np.zeros((rows, len(unit), rows, k))
     steps[np.arange(rows), :, np.arange(rows)] = unit
     steps = steps.reshape(-1, rows, k)
+    if rows > 1:
+        steps = np.concatenate([steps, np.repeat(np.array(unit)[:, None], rows, axis=1)])
     spans = np.full(m, float(span))
     while (live := np.flatnonzero(spans > floor)).size:
         cand = project_simplex_rows(x[live, None] + spans[live, None, None, None] * steps)
@@ -112,7 +126,7 @@ def pattern_search(f, x0, span, floor):
         top = vals[np.arange(live.size), b]
         gain = top > best[live] + _SEARCH_GAIN
         best[live[gain]], x[live[gain]] = top[gain], cand[gain, b[gain]]
-        spans[live[~gain]] *= 0.5
+        spans[live] = np.where(gain, np.minimum(2.0 * spans[live], span), 0.5 * spans[live])
     return best, x
 
 

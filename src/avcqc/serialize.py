@@ -6,6 +6,8 @@ identical inputs produce byte-identical output files.
 """
 
 import json
+import math
+import reprlib
 
 import numpy as np
 
@@ -19,13 +21,56 @@ def matrix_to_json(m):
     return [[[float(v.real), float(v.imag)] for v in row] for row in a]
 
 
-def matrix_from_json(obj):
+def _number(v, what):
+    """v as a float if it is a finite JSON number (not a bool); else SpecParseError."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise SpecParseError(f"{what}: expected a number, got {reprlib.repr(v)}")
     try:
-        return np.array(
-            [[complex(pair[0], pair[1]) for pair in row] for row in obj], dtype=complex
+        f = float(v)
+    except OverflowError:  # an integer beyond the float range
+        f = math.inf
+    if not math.isfinite(f):
+        raise SpecParseError(f"{what}: expected a finite number, got {v!r}")
+    return f
+
+
+def _rows(obj, what):
+    """obj, checked to be a list of equal-length lists."""
+    if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
+        raise SpecParseError(f"{what}: expected a list of rows, got {reprlib.repr(obj)}")
+    if len({len(row) for row in obj}) > 1:
+        raise SpecParseError(f"{what}: ragged rows of lengths {[len(row) for row in obj]}")
+    return obj
+
+
+def _labels(obj, what):
+    """A non-empty list of string or integer labels, as strings."""
+    if not isinstance(obj, list) or not obj or not all(
+        isinstance(v, (str, int)) and not isinstance(v, bool) for v in obj
+    ):
+        raise SpecParseError(
+            f"{what}: expected a non-empty list of labels, got {reprlib.repr(obj)}"
         )
-    except (TypeError, IndexError) as exc:
-        raise SpecParseError(f"matrix entries must be [re, im] pairs: {exc}") from exc
+    return [str(v) for v in obj]
+
+
+def _field(obj, name, what):
+    if not isinstance(obj, dict):
+        raise SpecParseError(f"{what}: expected a JSON object")
+    if name not in obj:
+        raise SpecParseError(f"{what}: missing field {name!r}")
+    return obj[name]
+
+
+def _entry(pair, what):
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise SpecParseError(f"{what}: entries must be [re, im] pairs, got {reprlib.repr(pair)}")
+    return complex(_number(pair[0], what), _number(pair[1], what))
+
+
+def matrix_from_json(obj, what="matrix"):
+    rows = _rows(obj, what)
+    return np.array([[_entry(pair, what) for pair in row] for row in rows], dtype=complex)
 
 
 def _load_json(path):
@@ -55,20 +100,22 @@ def write_csv(rows, path):
 def load_channel(path):
     """AVCQC spec: {x_alphabet, s_alphabet, dim, states: {"x,s": matrix}}."""
     obj = _load_json(path)
-    try:
-        xa = [str(x) for x in obj["x_alphabet"]]
-        sa = [str(s) for s in obj["s_alphabet"]]
-        dim = int(obj["dim"])
-        states = obj["states"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecParseError(f"{path}: channel spec missing field: {exc}") from exc
+    xa = _labels(_field(obj, "x_alphabet", path), f"{path}: x_alphabet")
+    sa = _labels(_field(obj, "s_alphabet", path), f"{path}: s_alphabet")
+    dim = _number(_field(obj, "dim", path), f"{path}: dim")
+    if dim != int(dim) or dim < 1:
+        raise SpecParseError(f"{path}: dim must be a positive integer, got {dim!r}")
+    dim = int(dim)
+    states = _field(obj, "states", path)
+    if not isinstance(states, dict):
+        raise SpecParseError(f"{path}: states must map \"x,s\" keys to matrices")
     table = {}
     for x in xa:
         for s in sa:
             key = f"{x},{s}"
             if key not in states:
                 raise SpecParseError(f"{path}: missing state for key {key!r}")
-            m = matrix_from_json(states[key])
+            m = matrix_from_json(states[key], f"{path}: state {key!r}")
             if m.shape != (dim, dim):
                 raise SpecParseError(
                     f"{path}: state {key!r} has shape {m.shape}, expected ({dim}, {dim})"
@@ -93,12 +140,13 @@ def channel_to_json(w):
 def load_source(path):
     """Source spec: {v_prime: [...], v: [...], joint: [[...]]}."""
     obj = _load_json(path)
-    try:
-        vp = [str(v) for v in obj["v_prime"]]
-        vv = [str(v) for v in obj["v"]]
-        joint = np.array(obj["joint"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecParseError(f"{path}: source spec missing field: {exc}") from exc
+    vp = _labels(_field(obj, "v_prime", path), f"{path}: v_prime")
+    vv = _labels(_field(obj, "v", path), f"{path}: v")
+    what = f"{path}: joint"
+    rows = _rows(_field(obj, "joint", path), what)
+    joint = np.array([[_number(v, what) for v in row] for row in rows], dtype=float)
+    if joint.shape != (len(vp), len(vv)):
+        raise SpecParseError(f"{what} has shape {joint.shape}, expected ({len(vp)}, {len(vv)})")
     return CorrelatedSource(tuple(vp), tuple(vv), joint)
 
 

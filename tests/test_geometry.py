@@ -1,7 +1,10 @@
+from itertools import product as iproduct
+
 import numpy as np
 import pytest
 
-from avcqc.capacity import _aux_objective
+from avcqc import capacity, geometry
+from avcqc.capacity import _aux_channel_search, _aux_objective
 from avcqc.cli import _demo_source
 from avcqc.config import DEFAULT_TOL
 from avcqc.geometry import compositions, kernel_grid, pattern_search, simplex_grid
@@ -32,6 +35,14 @@ class TestCompositions:
         grid = kernel_grid(2, 3, 4)
         assert grid.shape == (len(rows) ** 2, 2, 3)
         assert np.allclose(grid.sum(axis=-1), 1.0)
+
+    @pytest.mark.parametrize("nx, ns, steps", [(1, 3, 4), (2, 3, 16), (3, 2, 8), (3, 3, 4)])
+    def test_kernel_grid_matches_product_reference(self, nx, ns, steps):
+        # reference: the itertools.product enumeration of row-index tuples
+        rows = simplex_grid(ns, steps)
+        ref = rows[np.array(list(iproduct(range(rows.shape[0]), repeat=nx)))]
+        grid = kernel_grid(nx, ns, steps)
+        assert grid.shape == ref.shape and grid.tobytes() == ref.tobytes()
 
 
 class TestPatternSearch:
@@ -131,3 +142,62 @@ class TestBatchedPatternSearch:
         vals, xs = pattern_search(f, np.stack([near, far]), 0.25, 0.01)
         assert len(calls) > near_rounds + 2
         assert np.array_equal(xs[0], near) and vals[0] == val[0]
+
+
+class TestRidgeSearch:
+    @staticmethod
+    def _ridge(x):
+        # maximal at x00 = x10 = 1, steep across the diagonal x00 = x10
+        return x[:, 0, 0] + x[:, 1, 0] - 1e3 * (x[:, 0, 0] - x[:, 1, 0]) ** 2
+
+    @staticmethod
+    def _counted(f, calls):
+        def g(x):
+            calls.append(x.shape[0])
+            return f(x)
+        return g
+
+    def test_ridge_across_rows_reached_in_few_calls(self):
+        # one-row moves alone climb this ridge in a zig-zag of 1,389 calls
+        calls = []
+        val, x = pattern_search(
+            self._counted(self._ridge, calls), np.full((1, 2, 3), 1 / 3), 0.25, 1e-7
+        )
+        assert len(calls) <= 100
+        assert np.abs(x[0] - [[1, 0, 0], [1, 0, 0]]).max() <= 1e-7
+        assert val[0] == pytest.approx(2.0, abs=1e-7)
+
+    def test_demo_aux_search_does_not_crawl(self, monkeypatch):
+        # the n=5 demo source under the demo's zero leakage budget: its best
+        # grid kernel crawled 2,773 rounds along the constraint boundary
+        calls = []
+
+        def counted_search(f, x0, span, floor):
+            return pattern_search(self._counted(f, calls), x0, span, floor)
+
+        monkeypatch.setattr(capacity, "pattern_search", counted_search)
+        value, _ = _aux_channel_search(
+            _demo_source(5), 0.0, seed=8, slack=DEFAULT_TOL.cr_constraint_slack
+        )
+        assert len(calls) <= 200
+        assert 0.0 <= value <= 1e-3
+
+    @pytest.mark.parametrize("objective", ["ridge", "concave"])
+    def test_span_never_exceeds_starting_span(self, monkeypatch, objective):
+        # every candidate stack is x + span * steps with steps of entries
+        # -1, 0, +1 in each coordinate, so its spread over moves is 2 * span
+        spans = []
+        project = geometry.project_simplex_rows
+
+        def spy(y):
+            spans.extend((y.max(axis=1) - y.min(axis=1)).max(axis=(-2, -1)) / 2)
+            return project(y)
+
+        monkeypatch.setattr(geometry, "project_simplex_rows", spy)
+        target = np.array(TestPatternSearch.TARGETS[1])
+        f = self._ridge if objective == "ridge" else TestPatternSearch._concave(target)
+        rng = np.random.default_rng(2)
+        starts = np.stack([np.full((2, 3), 1 / 3), rng.dirichlet(np.ones(3), size=2)])
+        pattern_search(f, starts, 0.25, 1e-7)
+        assert len(spans) > 2 * len(starts)
+        assert max(spans) <= 0.25 * (1 + 1e-12)

@@ -25,6 +25,26 @@ class TestChannelRoundTrip:
         assert loaded.x_alphabet == ("0", "1")
         assert np.allclose(loaded.states, w.states)
 
+    @pytest.mark.parametrize("edit", [
+        lambda o: o["states"].update({"0,0": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]}),
+        lambda o: o.update(dim=float("inf")),
+        lambda o: o.update(dim=2.5),
+        lambda o: o["states"]["0,1"][1].__setitem__(1, [float("nan"), 0.0]),
+        lambda o: o["states"]["1,0"][0].__setitem__(0, [0.0, 0.0, 1.0]),
+        lambda o: o["states"]["1,1"][0].__setitem__(0, [True, 0.0]),
+        lambda o: o.update(x_alphabet="01"),
+        lambda o: o.update(s_alphabet=[]),
+        lambda o: o.update(states=[]),
+    ], ids=["ragged rows", "infinite dim", "fractional dim", "nan entry", "triple",
+            "bool entry", "string alphabet", "empty alphabet", "states not a map"])
+    def test_malformed_spec(self, tmp_path, edit):
+        obj = io.channel_to_json(bitflip_channel())
+        edit(obj)
+        path = tmp_path / "chan.json"
+        io.dump_json(obj, path)
+        with pytest.raises(SpecParseError):
+            io.load_channel(str(path))
+
     def test_missing_state_key(self, tmp_path):
         obj = io.channel_to_json(bitflip_channel())
         del obj["states"]["0,0"]
@@ -41,6 +61,21 @@ class TestSourceRoundTrip:
         io.dump_json(io.source_to_json(src), path)
         loaded = io.load_source(str(path))
         assert np.allclose(loaded.joint, src.joint)
+
+    @pytest.mark.parametrize("joint", [
+        [[0.45, float("nan")], [0.05, 0.45]],
+        [[0.45, 0.05], [0.05, float("inf")]],
+        [[0.45, 0.05], [0.5]],
+        [[0.45, 0.05], [0.05, "0.45"]],
+        [[0.45, 0.05, 0.0], [0.05, 0.45, 0.0]],
+    ], ids=["nan", "inf", "ragged", "string entry", "shape"])
+    def test_malformed_joint(self, tmp_path, joint):
+        obj = io.source_to_json(flip_source(0.1))
+        obj["joint"] = joint
+        path = tmp_path / "src.json"
+        io.dump_json(obj, path)
+        with pytest.raises(SpecParseError):
+            io.load_source(str(path))
 
 
 class TestCodeRoundTrip:
