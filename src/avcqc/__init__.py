@@ -40,7 +40,6 @@ from .coding import (
     worst_case_error_informed,
 )
 from .config import Caps, Tolerances
-from .geometry import embed_hermitian
 from .operators import (
     mutual_information,
     partial_trace,

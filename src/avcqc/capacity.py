@@ -16,7 +16,9 @@ Frank-Wolfe lower bound from the convexity in the kernel, and the Holevo
 upper bound max_x D(rho_x || rho_bar).  A bracket at most 1e-6 wide ends
 the solve, and its width is the certified gap at every alphabet size.
 While the bracket stays open the ascent restarts from the point it
-reached.
+reached.  The inner minimum alone (``min_chi_over_jammer``) is one
+projected-gradient descent from the uniform kernel, for the same
+convexity.
 
 The max-min solver draws no random numbers.  Elsewhere all randomness
 flows from a single seed; identical seeds give identical results bit for
@@ -60,8 +62,10 @@ _SADDLE_BRACKET = 1e-6
 # spectra (|X| = 1 gives hi = -1.1e-16 below chi = 0); the returned bracket
 # is widened to hold the value by at most this, and a larger miss raises
 _BRACKET_ROUNDING = 1e-12
-# holevo_capacity stops once its sandwich max_x D - chi is at most this
+# holevo_capacity stops once its sandwich max_x D - chi is at most this, or
+# after _HOLEVO_MAX_ITER fixed-point steps
 _HOLEVO_GAP = 1e-9
+_HOLEVO_MAX_ITER = 200_000
 # a kernel descent step gaining at most this counts toward the stall window
 # (the default; the solvers pass their own from Tolerances)
 _DESCENT_GAIN = 1e-10
@@ -135,23 +139,24 @@ def holevo_chi(p, w, tol=DEFAULT_TOL):
     return max(val, 0.0)
 
 
-def holevo_capacity(w, tol=_HOLEVO_GAP, max_iter=200_000):
+def holevo_capacity(w):
     """Holevo capacity of a fixed cq channel by fixed-point iteration.
 
     Returns (capacity, optimal input distribution).  The iteration keeps the
     standard sandwich: chi(p) <= C <= max_x D(W(x) || ensemble average), and
-    stops when the gap closes below tol.
+    stops when the gap closes below _HOLEVO_GAP or after _HOLEVO_MAX_ITER
+    steps.
     """
     nx = len(w.x_alphabet)
     p = np.full(nx, 1.0 / nx)
     s_x = _entropy_stack(w.states)
-    for _ in range(max_iter):
+    for _ in range(_HOLEVO_MAX_ITER):
         rho_bar = np.einsum("x,xij->ij", p, w.states)
         lb = _log2_from_spectra(*eigh_stack(rho_bar))
         d_x = -s_x - np.real(np.einsum("xij,ji->x", w.states, lb))
         lower = float(p @ d_x)
         upper = float(d_x.max())
-        if upper - lower <= tol:
+        if upper - lower <= _HOLEVO_GAP:
             break
         logp = np.log(np.clip(p, _LOG_FLOOR, None)) + LN2 * d_x
         logp -= logp.max()
@@ -224,34 +229,25 @@ def _check_restarts(restarts):
         raise InvalidArgument(f"restarts must be at least 1, got {restarts}")
 
 
-def _kernel_inits(rng, restarts, nx, ns):
-    inits = [np.full((nx, ns), 1.0 / ns)]
-    for _ in range(restarts - 1):
-        inits.append(rng.dirichlet(np.ones(ns), size=nx))
-    return np.stack(inits)
-
-
-def min_chi_over_jammer(w, p, seed=0, restarts=16, max_iter=2000, tol=DEFAULT_TOL):
+def min_chi_over_jammer(w, p, tol=DEFAULT_TOL):
     """Minimize chi(p, averaged channel) over memoryless jamming kernels.
 
-    Returns (value, JammerKernel).  Restarts are seeded from one generator;
-    the best restart wins, ties broken by restart order.
+    Returns (value, JammerKernel).  chi(p, W_Q) is convex in Q (joint
+    convexity of the relative entropy), so every local minimum over the
+    kernel polytope is global and one projected-gradient descent from the
+    uniform kernel finds it: seeded restarts could only find the same
+    minimum again.
     """
-    _check_restarts(restarts)
     pv = validate_probability_vector(p, tol)
     if pv.size != len(w.x_alphabet):
         raise AlphabetMismatch(
             f"distribution over {pv.size} letters, channel has {len(w.x_alphabet)}"
         )
-    rng = np.random.default_rng(seed)
     nx, ns = len(w.x_alphabet), len(w.s_alphabet)
-    q = _kernel_inits(rng, restarts, nx, ns)
-    pb = np.broadcast_to(pv, (restarts, nx))
-    f, q, _ = _pg_min_kernels(w.states, pb, q, max_iter=max_iter,
-                              tol_obj=tol.solver_objective, window=20)
-    i = int(np.argmin(f))
-    val = float(max(f[i], 0.0))
-    return val, JammerKernel(w.x_alphabet, w.s_alphabet, q[i])
+    # _pg_min_kernels works on stacks: a stack of one row
+    f, q, _ = _pg_min_kernels(w.states, pv[None], np.full((1, nx, ns), 1.0 / ns),
+                              max_iter=2000, tol_obj=tol.solver_objective, window=20)
+    return float(max(f[0], 0.0)), JammerKernel(w.x_alphabet, w.s_alphabet, q[0])
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +460,7 @@ def _aux_channel_search(src, budget, seed, slack, restarts=64, grid_steps=16):
     return max(best_val, 0.0), best_k
 
 
-def cr_capacity(w, src, seed=0, restarts=32, aux_restarts=64, tol=DEFAULT_TOL):
+def cr_capacity(w, src, seed=0, restarts=32, tol=DEFAULT_TOL):
     """Correlation-assisted common-randomness capacity with an informed jammer.
 
     Small-correlation case (source MI within the max-min value): the two
@@ -482,9 +478,7 @@ def cr_capacity(w, src, seed=0, restarts=32, aux_restarts=64, tol=DEFAULT_TOL):
             maxmin_value=c_star,
             source_mi=i_vv,
         )
-    value, aux = _aux_channel_search(
-        src, c_star, seed=seed + 1, slack=tol.cr_constraint_slack, restarts=aux_restarts
-    )
+    value, aux = _aux_channel_search(src, c_star, seed=seed + 1, slack=tol.cr_constraint_slack)
     return CrCapacityResult(
         value=value,
         case_tag="large_correlation",
@@ -503,12 +497,13 @@ class CorrelationLengthProfile:
     asymptotic_fraction: float   # lim l_n / n
 
 
-def cr_rate_limited_lower_bound(w, src, profile, seed=0, restarts=32, grid_resolution=16):
+def cr_rate_limited_lower_bound(w, src, profile, seed=0, restarts=32):
     """Lower bound on the common-randomness rate under a correlation budget.
 
     Evaluates (1 - f) * maxmin + f * r'' where f is the asymptotic fraction
     of channel uses spent on correlation and r'' = 3 / r comes from the rate
-    of the induced binary channel.  When no separating pair exists (r = 0)
+    of the induced binary channel, whose correct-decision intervals are
+    exact at every alphabet size.  When no separating pair exists (r = 0)
     the correlation part contributes nothing and the profile window check
     is moot.
     """
@@ -528,8 +523,7 @@ def cr_rate_limited_lower_bound(w, src, profile, seed=0, restarts=32, grid_resol
     cert = separation_test(w, src, gp, seed=seed + 1)
     rate = 0.0
     if not isinstance(cert, NotSeparable):
-        bavc = induced_binary_avc(cert, w, src, gp, grid_resolution=grid_resolution)
-        pos = binary_avc_positivity(bavc)
+        pos = binary_avc_positivity(induced_binary_avc(cert, w, src, gp))
         if pos["positive"]:
             rate = pos["rate_r"]
     if rate <= 0.0:

@@ -238,14 +238,12 @@ def source_distance(s1, s2):
 _HULL_GAP = 1e-7
 
 
-def zero_capacity_condition(
-    w, n=1, gap=_HULL_GAP, caps=DEFAULT_CAPS, seed=0, restarts=16
-):
+def zero_capacity_condition(w, n=1, caps=DEFAULT_CAPS):
     """Evidence check for zero deterministic capacity with an informed jammer.
 
     True iff for every pair of input words of length n the convex hulls of
-    their jammer-reachable product outputs intersect (hull distance within
-    the gap tolerance).  A True answer is necessary evidence at the tested
+    their jammer-reachable product outputs intersect (hull distance at most
+    _HULL_GAP).  A True answer is necessary evidence at the tested
     n only; the underlying condition quantifies over all block lengths.
     """
     nx = len(w.x_alphabet) ** n
@@ -263,12 +261,10 @@ def zero_capacity_condition(
     for xs in words_x:
         pts = np.stack([product_output(w, xs, ss, caps) for ss in words_s])
         gens[xs] = embed_stack(pts).T  # (D, |S|^n)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     for i, x1 in enumerate(words_x):
         for x2 in words_x[i + 1 :]:
-            dist, *_ = affine_set_distance(
-                gens[x1], gens[x2], len(words_s), len(words_s), rng, restarts=restarts
-            )
-            if dist > gap:
+            dist, *_ = affine_set_distance(gens[x1], gens[x2], len(words_s), len(words_s), rng)
+            if dist > _HULL_GAP:
                 return False
     return True

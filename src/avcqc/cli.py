@@ -40,6 +40,11 @@ class RunConfig:
     extras: dict
 
 
+# fields no command reads from the run's config: specs are validated under
+# DEFAULT_TOL, and no command materializes a projector
+_INERT_FIELDS = {"hermitian", "psd_floor", "trace_one", "projector_matrix_dim"}
+
+
 def _parse_overrides(pairs, record, caster):
     out = {}
     for item in pairs or []:
@@ -48,6 +53,8 @@ def _parse_overrides(pairs, record, caster):
         name, value = item.split("=", 1)
         if name not in {f.name for f in fields(record)}:
             raise SpecParseError(f"unknown override field {name!r}")
+        if name in _INERT_FIELDS:
+            raise SpecParseError(f"override field {name!r} has no effect on any command")
         out[name] = caster(value)
     return with_overrides(record, **out) if out else record
 

@@ -77,10 +77,6 @@ class KeySetMismatch(ToolkitError):
     """Pre-code message set does not match the inner code key set."""
 
 
-class EmptyGrid(ToolkitError):
-    """Kernel grid tabulation is empty."""
-
-
 class InvalidArgument(ToolkitError):
     """A library call's argument lies outside its allowed range."""
 

@@ -15,11 +15,6 @@ from math import comb
 import numpy as np
 
 
-def embed_hermitian(h):
-    """Map a Hermitian matrix to a real vector of length dim**2 (see embed_stack)."""
-    return embed_stack(h)
-
-
 def embed_stack(mats):
     """Embed a stack (..., d, d) of Hermitian matrices; returns (..., d**2).
 

@@ -19,13 +19,12 @@ from .config import DEFAULT_CAPS, DEFAULT_TOL
 from .errors import (
     AlphabetMismatch,
     DimOverflow,
-    EmptyGrid,
-    EnumerationOverflow,
     Indeterminate,
+    InvalidArgument,
     NonBinarySource,
     ZeroMutualInformation,
 )
-from .geometry import affine_set_distance, embed_stack, kernel_grid
+from .geometry import affine_set_distance, embed_stack
 from .operators import validate_density
 
 __all__ = [
@@ -340,73 +339,52 @@ def certificate_soundness_sweep(cert, w, src, gp, kernels=1000, seed=0):
 
 @dataclass(frozen=True, eq=False)
 class BinaryAvc:
-    """Induced binary channel tabulated over a kernel certification grid."""
+    """Induced binary channel: the reachable intervals of its correct-decision probabilities."""
 
-    tables: np.ndarray           # (M, 2, 2): tables[m, i, j] = V(j | i) under kernel m
-    kernels: np.ndarray | None   # (M, |X|, |S|) grid kernels, when applicable
+    correct_intervals: tuple     # ((lo, hi) of V(0|0), (lo, hi) of V(1|1)) over all kernels
 
     def __post_init__(self):
-        t = np.asarray(self.tables, dtype=float)
-        if t.ndim != 3 or t.shape[1:] != (2, 2):
-            raise EmptyGrid(f"expected (M, 2, 2) tables, got {t.shape}")
-        if t.shape[0] == 0:
-            raise EmptyGrid("empty kernel grid")
-        object.__setattr__(self, "tables", t)
+        iv = tuple(tuple(float(v) for v in pair) for pair in self.correct_intervals)
+        if len(iv) != 2 or any(len(pair) != 2 or not pair[0] <= pair[1] for pair in iv):
+            raise InvalidArgument(f"expected two (lo, hi) intervals with lo <= hi, got {iv}")
+        object.__setattr__(self, "correct_intervals", iv)
 
     @property
     def min_correct(self):
-        """(min over grid of V(0|0), min over grid of V(1|1))."""
-        return float(self.tables[:, 0, 0].min()), float(self.tables[:, 1, 1].min())
-
-    @property
-    def correct_intervals(self):
-        """Reachable intervals of V(0|0) and V(1|1) over the grid."""
-        return (
-            (float(self.tables[:, 0, 0].min()), float(self.tables[:, 0, 0].max())),
-            (float(self.tables[:, 1, 1].min()), float(self.tables[:, 1, 1].max())),
-        )
+        """(min over kernels of V(0|0), min over kernels of V(1|1))."""
+        return self.correct_intervals[0][0], self.correct_intervals[1][0]
 
 
-def induced_binary_avc(cert, w, src, gp, grid_resolution=16, caps=DEFAULT_CAPS):
-    """Tabulate V(j|i) = tr(sigma_{Q, g_i} M_j) over the kernel grid."""
-    if grid_resolution < 1:
-        raise EmptyGrid(f"grid resolution {grid_resolution} < 1")
-    grid_size = comb(grid_resolution + len(w.s_alphabet) - 1, len(w.s_alphabet) - 1) ** len(
-        w.x_alphabet
-    )
-    if grid_size > caps.enumeration:
-        raise EnumerationOverflow(
-            f"kernel grid of {grid_size} points exceeds cap {caps.enumeration}"
-        )
+def induced_binary_avc(cert, w, src, gp):
+    """Exact reachable intervals of V(i|i) = tr(sigma_{Q, g_i} M_i) over all kernels Q.
 
+    V(1|i) = sum_{x,s} Q(s|x) c_i[x, s] is linear in the kernel, and the
+    kernel polytope is a product of one simplex per input letter, so its
+    extremes are sum_x min_s c_i[x, s] and sum_x max_s c_i[x, s]: the
+    intervals are exact, with no grid.  V(0|0) = 1 - V(1|0).
+    """
     nx, ns = len(w.x_alphabet), len(w.s_alphabet)
-    grid = kernel_grid(nx, ns, grid_resolution)     # (M, X, S)
-    flat = grid.reshape(grid.shape[0], nx * ns)
-    c0, c1 = _functional_tables(cert.m1, w, src, gp)
-    v10 = flat @ c0   # V(1|0) per kernel
-    v11 = flat @ c1   # V(1|1)
-    tables = np.empty((grid.shape[0], 2, 2))
-    tables[:, 0, 1] = v10
-    tables[:, 0, 0] = 1.0 - v10
-    tables[:, 1, 1] = v11
-    tables[:, 1, 0] = 1.0 - v11
-    return BinaryAvc(tables=tables, kernels=grid)
+    c0, c1 = (c.reshape(nx, ns) for c in _functional_tables(cert.m1, w, src, gp))
+    return BinaryAvc(correct_intervals=(
+        (1.0 - c0.max(axis=1).sum(), 1.0 - c0.min(axis=1).sum()),
+        (c1.min(axis=1).sum(), c1.max(axis=1).sum()),
+    ))
 
 
-def binary_avc_positivity(bavc, seed=0, restarts=16, strict=_POSITIVITY_MARGIN):
+def binary_avc_positivity(bavc):
     """Positivity condition and rate of the induced binary channel.
 
     Positive iff the worst-case correct-decision probabilities exceed 1 in
-    sum.  The rate is the max-min mutual information over per-input
-    mixtures of grid rows; since the rows are affine in the kernel the
-    reachable set per input is an interval, realized here as a two-state
-    varying channel with diagonal (classical) outputs and solved by the
-    same max-min machinery as the general case.
+    sum by more than _POSITIVITY_MARGIN.  The rate is the max-min mutual
+    information over the reachable rows; since the rows are affine in the
+    kernel the reachable set per input is an interval, realized here as a
+    two-state varying channel with diagonal (classical) outputs and solved
+    by the same max-min machinery as the general case.
     """
     from .capacity import capacity_informed_jammer
 
     m00, m11 = bavc.min_correct
-    positive = bool(m00 + m11 > 1.0 + strict)
+    positive = bool(m00 + m11 > 1.0 + _POSITIVITY_MARGIN)
     (lo0, hi0), (lo1, hi1) = bavc.correct_intervals
 
     def clip01(v):
@@ -418,5 +396,5 @@ def binary_avc_positivity(bavc, seed=0, restarts=16, strict=_POSITIVITY_MARGIN):
     states[1, 0] = np.diag([1.0 - clip01(lo1), clip01(lo1)])
     states[1, 1] = np.diag([1.0 - clip01(hi1), clip01(hi1)])
     reduced = Avcqc((0, 1), ("lo", "hi"), states)
-    res = capacity_informed_jammer(reduced, seed=seed, restarts=restarts)
+    res = capacity_informed_jammer(reduced)
     return {"positive": positive, "rate_r": res.value}

@@ -54,6 +54,26 @@ def _labels(obj, what):
     return [str(v) for v in obj]
 
 
+def _count(v, what):
+    """v as a positive integer: a finite JSON number with no fractional part."""
+    f = _number(v, what)
+    if f != int(f) or f < 1:
+        raise SpecParseError(f"{what} must be a positive integer, got {f!r}")
+    return int(f)
+
+
+def _words(obj, length, what):
+    """A non-empty list of words of `length` labels each, as tuples of strings."""
+    if not isinstance(obj, list) or not obj:
+        raise SpecParseError(f"{what}: expected a non-empty list of words, got {reprlib.repr(obj)}")
+    words = tuple(tuple(_labels(u, what)) for u in obj)
+    if any(len(u) != length for u in words):
+        raise SpecParseError(
+            f"{what}: words must have length {length}, got lengths {[len(u) for u in words]}"
+        )
+    return words
+
+
 def _field(obj, name, what):
     if not isinstance(obj, dict):
         raise SpecParseError(f"{what}: expected a JSON object")
@@ -71,6 +91,19 @@ def _entry(pair, what):
 def matrix_from_json(obj, what="matrix"):
     rows = _rows(obj, what)
     return np.array([[_entry(pair, what) for pair in row] for row in rows], dtype=complex)
+
+
+def _operators(obj, what):
+    """A non-empty list of square matrices of one shape, stacked (k, D, D)."""
+    if not isinstance(obj, list) or not obj:
+        raise SpecParseError(f"{what}: expected a non-empty list of matrices")
+    mats = [matrix_from_json(m, what) for m in obj]
+    d = len(mats[0])
+    if d == 0 or any(m.shape != (d, d) for m in mats):
+        raise SpecParseError(
+            f"{what}: expected square matrices of one shape, got {[m.shape for m in mats]}"
+        )
+    return np.stack(mats)
 
 
 def _load_json(path):
@@ -102,10 +135,7 @@ def load_channel(path):
     obj = _load_json(path)
     xa = _labels(_field(obj, "x_alphabet", path), f"{path}: x_alphabet")
     sa = _labels(_field(obj, "s_alphabet", path), f"{path}: s_alphabet")
-    dim = _number(_field(obj, "dim", path), f"{path}: dim")
-    if dim != int(dim) or dim < 1:
-        raise SpecParseError(f"{path}: dim must be a positive integer, got {dim!r}")
-    dim = int(dim)
+    dim = _count(_field(obj, "dim", path), f"{path}: dim")
     states = _field(obj, "states", path)
     if not isinstance(states, dict):
         raise SpecParseError(f"{path}: states must map \"x,s\" keys to matrices")
@@ -229,25 +259,32 @@ def correlation_code_to_json(code):
 
 
 def load_correlation_code(path):
+    """Correlation code spec, as written by correlation_code_to_json."""
     obj = _load_json(path)
-    try:
-        if obj.get("kind") != "correlation":
-            raise SpecParseError(f"{path}: expected a correlation code spec")
-        decoders = np.stack(
-            [np.stack([matrix_from_json(m) for m in row]) for row in obj["decoders"]]
+    if _field(obj, "kind", path) != "correlation":
+        raise SpecParseError(f"{path}: expected a correlation code spec")
+    l = _count(_field(obj, "l", path), f"{path}: l")
+    n = _count(_field(obj, "n", path), f"{path}: n")
+    vp_words = _words(_field(obj, "v_prime_words", path), l, f"{path}: v_prime_words")
+    v_words = _words(_field(obj, "v_words", path), l, f"{path}: v_words")
+    what = f"{path}: encoders"
+    enc = [_words(row, n, what) for row in _rows(_field(obj, "encoders", path), what)]
+    dec = _rows(_field(obj, "decoders", path), f"{path}: decoders")
+    # the word lists are non-empty, so a first match makes enc and dec non-empty
+    if (len(enc), len(dec)) != (len(vp_words), len(v_words)) or len(dec[0]) != len(enc[0]):
+        raise SpecParseError(
+            f"{path}: encoders and decoders must have one row per sender / receiver word "
+            f"({len(vp_words)} / {len(v_words)}) and one entry per message"
         )
-        return CorrelationCode(
-            l=int(obj["l"]),
-            n=int(obj["n"]),
-            v_prime_words=tuple(tuple(str(c) for c in u) for u in obj["v_prime_words"]),
-            v_words=tuple(tuple(str(c) for c in v) for v in obj["v_words"]),
-            encoders=[
-                [tuple(str(c) for c in xs) for xs in row] for row in obj["encoders"]
-            ],
-            decoders=decoders,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecParseError(f"{path}: code spec missing field: {exc}") from exc
+    ops = _operators([m for row in dec for m in row], f"{path}: decoders")
+    return CorrelationCode(
+        l=l,
+        n=n,
+        v_prime_words=vp_words,
+        v_words=v_words,
+        encoders=enc,
+        decoders=ops.reshape(len(dec), len(dec[0]), *ops.shape[1:]),
+    )
 
 
 def deterministic_code_to_json(code):
@@ -260,17 +297,17 @@ def deterministic_code_to_json(code):
 
 
 def load_deterministic_code(obj_or_path):
+    """Deterministic code spec (a path, or the parsed object of one)."""
     obj = _load_json(obj_or_path) if isinstance(obj_or_path, str) else obj_or_path
-    try:
-        if obj.get("kind") != "deterministic":
-            raise SpecParseError("expected a deterministic code spec")
-        return DeterministicCode(
-            n=int(obj["n"]),
-            codebook=tuple(tuple(str(c) for c in xs) for xs in obj["codebook"]),
-            decoders=np.stack([matrix_from_json(m) for m in obj["decoders"]]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecParseError(f"code spec missing field: {exc}") from exc
+    what = obj_or_path if isinstance(obj_or_path, str) else "code spec"
+    if _field(obj, "kind", what) != "deterministic":
+        raise SpecParseError(f"{what}: expected a deterministic code spec")
+    n = _count(_field(obj, "n", what), f"{what}: n")
+    return DeterministicCode(
+        n=n,
+        codebook=_words(_field(obj, "codebook", what), n, f"{what}: codebook"),
+        decoders=_operators(_field(obj, "decoders", what), f"{what}: decoders"),
+    )
 
 
 def random_code_to_json(code):
@@ -282,9 +319,9 @@ def random_code_to_json(code):
 
 def load_random_code(path):
     obj = _load_json(path)
-    try:
-        if obj.get("kind") != "random":
-            raise SpecParseError(f"{path}: expected a random code spec")
-        return RandomCode(tuple(load_deterministic_code(c) for c in obj["codes"]))
-    except (KeyError, TypeError) as exc:
-        raise SpecParseError(f"{path}: code spec missing field: {exc}") from exc
+    if _field(obj, "kind", path) != "random":
+        raise SpecParseError(f"{path}: expected a random code spec")
+    codes = _field(obj, "codes", path)
+    if not isinstance(codes, list):
+        raise SpecParseError(f"{path}: codes must be a list of deterministic code specs")
+    return RandomCode(tuple(load_deterministic_code(c) for c in codes))

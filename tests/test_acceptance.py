@@ -114,7 +114,7 @@ def test_criterion_3_separation_suite(criterion):
         cert = separation_test(w, src, gp, seed=0)
         assert cert.margin > 0
         assert certificate_soundness_sweep(cert, w, src, gp, kernels=1000, seed=1) == 0
-        bavc = induced_binary_avc(cert, w, src, gp, grid_resolution=16)
+        bavc = induced_binary_avc(cert, w, src, gp)
         m00, m11 = bavc.min_correct
         assert m00 + m11 > 1.0
 

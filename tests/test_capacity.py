@@ -105,13 +105,13 @@ class TestMinChiOverJammer:
     def test_trivial_single_state(self):
         states = np.stack([[ZERO], [ONE]])
         w = Avcqc((0, 1), ("s",), states)
-        val, q = min_chi_over_jammer(w, [0.5, 0.5], seed=0)
+        val, q = min_chi_over_jammer(w, [0.5, 0.5])
         assert val == pytest.approx(1.0, abs=1e-9)
         assert q.rows.shape == (2, 1)
 
     def test_bitflip_symmetrized_to_zero(self):
         w = bitflip_channel()
-        val, q = min_chi_over_jammer(w, [0.5, 0.5], seed=0)
+        val, q = min_chi_over_jammer(w, [0.5, 0.5])
         assert val == pytest.approx(0.0, abs=1e-8)
         # the minimizing kernel mixes both outputs to the same state
         avg = averaged_channel(w, q)
@@ -120,9 +120,21 @@ class TestMinChiOverJammer:
     def test_jammer_independent_channel_unchanged(self):
         w = orthogonal_channel()
         p = [0.25, 0.75]
-        val, _ = min_chi_over_jammer(w, p, seed=1)
+        val, _ = min_chi_over_jammer(w, p)
         fixed = CqChannel((0, 1), w.states[:, 0])
         assert val == pytest.approx(holevo_chi(p, fixed), abs=1e-9)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_single_descent_reaches_its_frank_wolfe_bound(self, seed):
+        # chi is convex in the kernel, so the Frank-Wolfe bound at the
+        # returned kernel is a lower bound on the minimum: the one descent
+        # from the uniform kernel lands within 1e-4 of it
+        rng = np.random.default_rng(seed)
+        w = wishart_avcqc(rng, 3, 3, 3)
+        p = rng.dirichlet(np.ones(3))
+        val, q = min_chi_over_jammer(w, p)
+        lo, _ = dense_saddle_bracket(w.states, p, q.rows)
+        assert lo - 1e-12 <= val <= lo + 1e-4
 
 
 class TestCapacityInformedJammer:
@@ -417,6 +429,23 @@ class TestRateLimitedBound:
         cap = capacity_informed_jammer(w, seed=0).value
         assert got == pytest.approx(0.75 * cap + 0.25 * r_pp, abs=1e-6)
 
+    def test_three_letter_wishart_composition(self):
+        # |X| = |S| = 3: past the reach of any kernel grid under the default
+        # enumeration cap, the induced channel's intervals are exact
+        from avcqc import binary_avc_positivity, build_g_pair, induced_binary_avc, separation_test
+
+        w = wishart_avcqc(np.random.default_rng(0), 3, 3, 2)
+        src = flip_source(0.05)
+        gp = build_g_pair(src, w.x_alphabet)
+        cert = separation_test(w, src, gp, seed=1)
+        pos = binary_avc_positivity(induced_binary_avc(cert, w, src, gp))
+        assert pos["positive"] and pos["rate_r"] > 0.0
+        r_pp = 3.0 / pos["rate_r"]
+        profile = CorrelationLengthProfile(r_pp + 1.0, r_pp + 2.0, 0.25)
+        got = cr_rate_limited_lower_bound(w, src, profile, seed=0)
+        cap = capacity_informed_jammer(w, seed=0).value
+        assert got == pytest.approx(0.75 * cap + 0.25 * r_pp, abs=1e-6)
+
     def test_profile_window_enforced(self):
         w = orthogonal_channel()
         src = flip_source(0.1)
@@ -451,10 +480,6 @@ class TestRestartsValidation:
     def test_capacity_informed_jammer(self):
         with pytest.raises(InvalidArgument, match="restarts"):
             capacity_informed_jammer(orthogonal_channel(), restarts=0)
-
-    def test_min_chi_over_jammer(self):
-        with pytest.raises(InvalidArgument, match="restarts"):
-            min_chi_over_jammer(orthogonal_channel(), [0.5, 0.5], restarts=0)
 
     def test_cr_capacity(self):
         with pytest.raises(InvalidArgument, match="restarts"):

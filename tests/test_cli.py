@@ -326,6 +326,17 @@ class TestArgumentValidation:
                 "--restarts", "0"]
         self._rejects(argv, tmp_path, capsys, "--restarts")
 
+    @pytest.mark.parametrize("override", [
+        "--tol=hermitian=1e-6", "--tol=psd_floor=1e-6", "--tol=trace_one=1e-6",
+        "--cap=projector_matrix_dim=2048",
+    ])
+    def test_override_without_effect_is_refused(self, tmp_path, capsys, override):
+        # specs are validated under the default tolerances and no command
+        # materializes a projector: these fields would change nothing
+        chan = write_channel(tmp_path, bitflip_channel())
+        argv = ["capacity", "--channel", chan, "--seed", "1", override]
+        self._rejects(argv, tmp_path, capsys, override.split("=")[1])
+
     @pytest.mark.parametrize("alpha", ["-1", "0", "1"])
     def test_typicality_alpha_outside_unit_interval(self, tmp_path, capsys, alpha):
         argv = self._typicality(tmp_path, "--alpha", alpha)

@@ -1,3 +1,5 @@
+from itertools import product as iproduct
+
 import numpy as np
 import pytest
 
@@ -11,14 +13,19 @@ from avcqc import (
     binary_avc_positivity,
     build_g_pair,
     capacity_informed_jammer,
-    embed_hermitian,
     ensemble_state,
     induced_binary_avc,
     separation_test,
 )
 from avcqc import separation
 from avcqc.config import DEFAULT_TOL
-from avcqc.errors import Indeterminate, NonBinarySource, ZeroMutualInformation
+from avcqc.errors import (
+    Indeterminate,
+    InvalidArgument,
+    NonBinarySource,
+    ZeroMutualInformation,
+)
+from avcqc.geometry import embed_stack
 from avcqc.separation import (
     _block_weights,
     _gram_factor,
@@ -34,6 +41,7 @@ from helpers import (
     flip_source,
     orthogonal_channel,
     separable_instance,
+    wishart_avcqc,
 )
 
 
@@ -129,13 +137,13 @@ class TestEnsembleState:
 
 class TestEmbedding:
     def test_identity_norm(self):
-        v = embed_hermitian(np.eye(2))
+        v = embed_stack(np.eye(2))
         assert v @ v == pytest.approx(2.0, abs=1e-12)
 
     def test_pauli_orthogonality(self):
         x = np.array([[0, 1], [1, 0]], dtype=complex)
         z = np.array([[1, 0], [0, -1]], dtype=complex)
-        assert embed_hermitian(x) @ embed_hermitian(z) == pytest.approx(0.0, abs=1e-12)
+        assert embed_stack(x) @ embed_stack(z) == pytest.approx(0.0, abs=1e-12)
 
     def test_gram_matrix_preserved(self):
         rng = np.random.default_rng(3)
@@ -145,7 +153,7 @@ class TestEmbedding:
             mats.append(g + g.conj().T)
         for a in mats:
             for b in mats:
-                assert embed_hermitian(a) @ embed_hermitian(b) == pytest.approx(
+                assert embed_stack(a) @ embed_stack(b) == pytest.approx(
                     float(np.real(np.trace(a @ b))), abs=1e-12
                 )
 
@@ -259,7 +267,7 @@ class TestSeparationTest:
         cert = separation_test(w, src, gp, seed=0)
         assert cert.margin == pytest.approx(cert.distance / 2, abs=1e-9)
         assert cert.block_dim == 16 * 3
-        bavc = induced_binary_avc(cert, w, src, gp, grid_resolution=8)
+        bavc = induced_binary_avc(cert, w, src, gp)
         m00, m11 = bavc.min_correct
         assert m00 + m11 > 1.0
         assert binary_avc_positivity(bavc)["positive"]
@@ -378,20 +386,59 @@ class TestInducedBinaryAvc:
 
     def test_rows_are_distributions(self):
         w, src, gp, cert = self._cert_setup()
-        bavc = induced_binary_avc(cert, w, src, gp, grid_resolution=8)
-        sums = bavc.tables.sum(axis=2)
-        assert np.allclose(sums, 1.0, atol=1e-9)
-        assert bavc.tables.min() >= -1e-9
+        bavc = induced_binary_avc(cert, w, src, gp)
+        # V(j|i) = 1 - V(1-j|i), so the rows are distributions exactly when
+        # both correct-decision intervals lie in [0, 1]
+        for lo, hi in bavc.correct_intervals:
+            assert -1e-9 <= lo <= hi <= 1.0 + 1e-9
 
     def test_orthogonal_channel_biased_correct(self):
         w, src, gp, cert = self._cert_setup()
-        bavc = induced_binary_avc(cert, w, src, gp, grid_resolution=8)
+        bavc = induced_binary_avc(cert, w, src, gp)
         m00, m11 = bavc.min_correct
         assert m00 > 0.5 and m11 > 0.5
 
+    @pytest.mark.parametrize("case", ["orthogonal+flip10", "wishart3x3+flip05"])
+    def test_intervals_match_deterministic_kernel_enumeration(self, case):
+        # independent reference: V(i|i) is linear in the kernel, so its
+        # extremes over the kernel polytope sit at its vertices, the
+        # |S|^|X| deterministic kernels; each is evaluated as tr(sigma M1)
+        # on the dense ensemble state
+        if case == "orthogonal+flip10":
+            w, src = orthogonal_channel(), flip_source(0.1)
+        else:
+            w, src = wishart_avcqc(np.random.default_rng(0), 3, 3, 2), flip_source(0.05)
+        gp = build_g_pair(src, w.x_alphabet)
+        cert = separation_test(w, src, gp, seed=0)
+        nx, ns = len(w.x_alphabet), len(w.s_alphabet)
+        v10, v11 = [], []
+        for choice in iproduct(range(ns), repeat=nx):
+            q = JammerKernel(w.x_alphabet, w.s_alphabet, np.eye(ns)[list(choice)])
+            for g, out in ((gp.g0, v10), (gp.g1, v11)):
+                out.append(np.trace(ensemble_state(src, g, q, w).matrix @ cert.m1).real)
+        (lo0, hi0), (lo1, hi1) = induced_binary_avc(cert, w, src, gp).correct_intervals
+        assert lo0 == pytest.approx(1.0 - max(v10), abs=1e-12)
+        assert hi0 == pytest.approx(1.0 - min(v10), abs=1e-12)
+        assert lo1 == pytest.approx(min(v11), abs=1e-12)
+        assert hi1 == pytest.approx(max(v11), abs=1e-12)
+
+    def test_exact_intervals_equal_the_grid_extremes(self):
+        # the 16-step kernel grid contains every vertex of the kernel
+        # polytope, so its extremes were already the exact ones
+        w, src, gp, cert = self._cert_setup()
+        (lo0, hi0), (lo1, hi1) = induced_binary_avc(cert, w, src, gp).correct_intervals
+        assert lo0 == pytest.approx(0.642222222222222, abs=1e-15)
+        assert hi0 == pytest.approx(0.6422222222222221, abs=1e-15)
+        assert lo1 == pytest.approx(0.6822222222222223, abs=1e-15)
+        assert hi1 == pytest.approx(0.6822222222222223, abs=1e-15)
+
+    def test_interval_bounds_are_ordered(self):
+        with pytest.raises(InvalidArgument):
+            BinaryAvc(correct_intervals=((0.6, 0.5), (0.6, 0.6)))
+
     def test_margin_lower_bounds_correct_sum(self):
         w, src, gp, cert = self._cert_setup()
-        bavc = induced_binary_avc(cert, w, src, gp, grid_resolution=16)
+        bavc = induced_binary_avc(cert, w, src, gp)
         m00, m11 = bavc.min_correct
         bound = 1.0 + cert.margin / (cert.lambda_top - cert.lambda_floor)
         assert m00 + m11 >= bound - 1e-9
@@ -399,33 +446,30 @@ class TestInducedBinaryAvc:
 
 class TestBinaryAvcPositivity:
     def test_noiseless_rate_one(self):
-        tables = np.array([[[1.0, 0.0], [0.0, 1.0]]])
-        res = binary_avc_positivity(BinaryAvc(tables=tables, kernels=None))
+        res = binary_avc_positivity(BinaryAvc(correct_intervals=((1.0, 1.0), (1.0, 1.0))))
         assert res["positive"] is True
         assert res["rate_r"] == pytest.approx(1.0, abs=1e-6)
 
     def test_symmetric_noisy_rows(self):
-        tables = np.array([[[0.6, 0.4], [0.4, 0.6]]])
-        res = binary_avc_positivity(BinaryAvc(tables=tables, kernels=None))
+        res = binary_avc_positivity(BinaryAvc(correct_intervals=((0.6, 0.6), (0.6, 0.6))))
         assert res["positive"] is True
         expected = 1.0 - binary_entropy(0.4)
         assert res["rate_r"] == pytest.approx(expected, abs=1e-4)
         assert expected == pytest.approx(0.02905, abs=5e-5)
 
     def test_boundary_not_positive(self):
-        tables = np.array([[[0.5, 0.5], [0.5, 0.5]]])
-        res = binary_avc_positivity(BinaryAvc(tables=tables, kernels=None))
+        res = binary_avc_positivity(BinaryAvc(correct_intervals=((0.5, 0.5), (0.5, 0.5))))
         assert res["positive"] is False
 
     def test_grid_positivity_hypothesis_exhaustive(self):
-        # when positivity holds, every grid pair satisfies the strict sum bound
+        # when positivity holds, every pair of reachable correct-decision
+        # probabilities satisfies the strict sum bound
         src = flip_source(0.1)
         gp = build_g_pair(src, (0, 1))
         w = orthogonal_channel()
         cert = separation_test(w, src, gp, seed=0)
-        bavc = induced_binary_avc(cert, w, src, gp, grid_resolution=16)
+        bavc = induced_binary_avc(cert, w, src, gp)
         res = binary_avc_positivity(bavc)
         if res["positive"]:
-            v00 = bavc.tables[:, 0, 0]
-            v11 = bavc.tables[:, 1, 1]
-            assert (v00[:, None] + v11[None, :] > 1.0).all()
+            (lo00, _), (lo11, _) = bavc.correct_intervals
+            assert lo00 + lo11 > 1.0

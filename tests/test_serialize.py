@@ -88,6 +88,21 @@ class TestCodeRoundTrip:
         assert loaded.n == 2
         assert np.allclose(loaded.decoders, code.decoders)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n", 2.7),                                   # not an integer
+        ("n", "2"),                                   # not a number
+        ("n", True),                                  # a boolean
+        ("codebook", ["00", "11"]),                   # codewords as strings
+        ("decoders", [[[[1.0, 0.0]]], [[[0.0, 0.0]], [[1.0, 0.0]]]]),  # shapes differ
+    ])
+    def test_deterministic_refuses_malformed_field(self, field, value):
+        code = DeterministicCode(
+            2, ((0, 0), (1, 1)), np.stack([np.kron(ZERO, ZERO), np.kron(ONE, ONE)])
+        )
+        obj = io.deterministic_code_to_json(code)
+        with pytest.raises(SpecParseError, match=field):
+            io.load_deterministic_code({**obj, field: value})
+
     def test_random(self, tmp_path):
         det0 = DeterministicCode(
             1, ((0,), (1,)), np.stack([ZERO, ONE])

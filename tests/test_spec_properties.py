@@ -1,10 +1,11 @@
 """Property: a malformed spec file exits 1 with a SpecParseError, never a traceback.
 
-Each example takes one channel or source file from specs/, applies one
+Each example takes one channel or source file from specs/, or a
+correlation code spec written by `correlation_code_to_json`, applies one
 mutation to one of its values (ragged rows, a non-finite number, a value
 of the wrong JSON type, a missing key, an extra [re, im] pair component)
-and runs `capacity` or `cr-capacity` on it; the examples are derandomized,
-so every run checks the same files.
+and runs `capacity`, `cr-capacity` or `simulate --code` on it; the
+examples are derandomized, so every run checks the same files.
 """
 
 import contextlib
@@ -14,10 +15,13 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from avcqc import CorrelationCode
 from avcqc.cli import main
+from avcqc.serialize import correlation_code_to_json
 
 SPECS = Path(__file__).resolve().parents[1] / "specs"
 CHANNELS = sorted(SPECS.glob("*_channel.json"))
@@ -75,16 +79,8 @@ def _replace(obj, path, value):
     return obj
 
 
-@st.composite
-def mutated_specs(draw):
-    """(command, channel spec, source spec): one of the two is mutated."""
-    command = draw(st.sampled_from(["capacity", "cr-capacity"]))
-    channel = json.loads(draw(st.sampled_from(CHANNELS)).read_text())
-    source = None
-    if command == "cr-capacity":
-        source = json.loads(draw(st.sampled_from(SOURCES)).read_text())
-    target = "source" if source is not None and draw(st.booleans()) else "channel"
-    spec = source if target == "source" else channel
+def _mutated(draw, spec):
+    """spec with one mutation applied to one of its values."""
     sites = {}
     for path, v in _nodes(spec):
         for name in _mutations(v):
@@ -103,8 +99,42 @@ def mutated_specs(draw):
         new = [r[:-1] if i == row else r for i, r in enumerate(v)]
     else:
         new = v + [draw(st.sampled_from([0.0, 1.0]))]
-    spec = _replace(spec, path, new)
+    return _replace(spec, path, new)
+
+
+@st.composite
+def mutated_specs(draw):
+    """(command, channel spec, source spec): one of the two is mutated."""
+    command = draw(st.sampled_from(["capacity", "cr-capacity"]))
+    channel = json.loads(draw(st.sampled_from(CHANNELS)).read_text())
+    source = None
+    if command == "cr-capacity":
+        source = json.loads(draw(st.sampled_from(SOURCES)).read_text())
+    target = "source" if source is not None and draw(st.booleans()) else "channel"
+    spec = _mutated(draw, source if target == "source" else channel)
     return (command, spec, source) if target == "channel" else (command, channel, spec)
+
+
+def _code_spec():
+    """Key agreement over two channel uses: l = 1, n = 2, two messages."""
+    p00, p11 = np.diag([1.0, 0, 0, 0]), np.diag([0, 0, 0, 1.0])
+    code = CorrelationCode(
+        l=1,
+        n=2,
+        v_prime_words=(("0",), ("1",)),
+        v_words=(("0",), ("1",)),
+        encoders=[[("0", "0"), ("1", "1")], [("1", "1"), ("0", "0")]],
+        decoders=np.stack([np.stack([p00, p11]), np.stack([p11, p00])]),
+    )
+    return correlation_code_to_json(code)
+
+
+CODE_SPEC = _code_spec()
+
+
+@st.composite
+def mutated_code_specs(draw):
+    return _mutated(draw, CODE_SPEC)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -122,5 +152,22 @@ def test_malformed_spec_exits_one_with_spec_parse_error(case):
         with contextlib.redirect_stderr(err):
             rc = main(argv + ["--seed", "7", "--out", str(tmp / "out.json")])
         assert not (tmp / "out.json").exists()
+    assert rc == 1
+    assert "error: SpecParseError:" in err.getvalue()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(mutated_code_specs())
+def test_malformed_code_spec_exits_one_with_spec_parse_error(code):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "code.json").write_text(json.dumps(code))
+        argv = ["simulate", "--channel", str(SPECS / "orthogonal_channel.json"),
+                "--source", str(SPECS / "flip10_source.json"), "--code", str(tmp / "code.json"),
+                "--seed", "7", "--trials", "5", "--out", str(tmp / "out.csv")]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(argv)
+        assert not (tmp / "out.csv").exists()
     assert rc == 1
     assert "error: SpecParseError:" in err.getvalue()
