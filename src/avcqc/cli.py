@@ -55,8 +55,33 @@ def _parse_overrides(pairs, record, caster):
             raise SpecParseError(f"unknown override field {name!r}")
         if name in _INERT_FIELDS:
             raise SpecParseError(f"override field {name!r} has no effect on any command")
-        out[name] = caster(value)
+        out[name] = caster(name, value)
     return with_overrides(record, **out) if out else record
+
+
+def _override_number(kind, name, text):
+    """The finite number an override spells, or SpecParseError naming the field."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise SpecParseError(f"{kind} {name} must be a number, got {text!r}") from None
+    if not np.isfinite(value):
+        raise SpecParseError(f"{kind} {name} must be finite, got {text!r}")
+    return value
+
+
+def _tolerance(name, text):
+    value = _override_number("tolerance", name, text)
+    if value < 0.0:
+        raise SpecParseError(f"tolerance {name} must be nonnegative, got {text!r}")
+    return value
+
+
+def _cap(name, text):
+    value = _override_number("cap", name, text)
+    if value != int(value):
+        raise SpecParseError(f"cap {name} must be an integer, got {text!r}")
+    return int(value)
 
 
 def _add_common(sub, channel=True, source=False, seed=True):
@@ -172,8 +197,8 @@ def _config_from_args(args):
     _check_output_path(args.out, "--out")
     if getattr(args, "trace_csv", None):
         _check_output_path(args.trace_csv, "--trace-csv")
-    tol = _parse_overrides(args.tol, Tolerances(), float)
-    caps = _parse_overrides(args.cap, Caps(), lambda v: int(float(v)))
+    tol = _parse_overrides(args.tol, Tolerances(), _tolerance)
+    caps = _parse_overrides(args.cap, Caps(), _cap)
     for f in fields(caps):
         if getattr(caps, f.name) <= 0:
             raise SpecParseError(f"cap {f.name} must be positive")

@@ -34,6 +34,7 @@ from helpers import (
     orthogonal_channel,
     random_avcqc,
     wishart_avcqc,
+    wishart_state,
 )
 
 SPECS = Path(__file__).resolve().parents[1] / "specs"
@@ -512,23 +513,94 @@ def test_matrix_log_matches_eigendecomposition():
     assert np.allclose(got, -np.eye(2), atol=1e-12)
 
 
-class TestKernelDescent:
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_batched_rows_match_single_rows(self, dim):
-        from avcqc.capacity import _pg_min_kernels
+def _descent_draw(kind):
+    """(states, p, q): a Wishart draw at d = 2 (closed-form spectra), at
+    d = 3 (LAPACK), or at d = 3 with one rank-1 state, and an interior point."""
+    rng = np.random.default_rng({"d2": 81, "d3": 82, "rank1": 83}[kind])
+    w = wishart_avcqc(rng, 3, 3, 2 if kind == "d2" else 3)
+    states = np.array(w.states)
+    if kind == "rank1":
+        states[1, 2] = wishart_state(rng, 3, rank=1)
+    return states, rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3), size=3)
 
+
+class TestKernelDescent:
+    @pytest.mark.parametrize("kind", ["d2", "d3", "rank1"])
+    def test_hessian_matches_finite_differences(self, kind):
+        # the Daleckii-Krein Hessian against central differences of the
+        # gradient, one kernel entry at a time
+        states, p, q = _descent_draw(kind)
+        h = capacity._kernel_hessian(p, states, capacity._mixture_spectra(p, states, q))
+        step = 1e-6
+        fd = np.empty_like(h)
+        for k in range(q.size):
+            e = np.zeros(q.size)
+            e[k] = step
+            e = e.reshape(q.shape)
+            up, down = (capacity._grad_q(p, states, capacity._mixture_spectra(p, states, q + sgn * e))
+                        for sgn in (1.0, -1.0))
+            fd[:, k] = ((up - down) / (2.0 * step)).ravel()
+        assert np.max(np.abs(h - fd)) <= 1e-6 * np.max(np.abs(h))
+
+    @pytest.mark.parametrize("kind", ["d2", "d3", "rank1"])
+    def test_descent_ends_on_its_frank_wolfe_gap(self, kind):
+        # the gap recomputed with one np.linalg.eigh per matrix: chi at the
+        # returned kernel minus the Frank-Wolfe lower bound there
+        states, p, _ = _descent_draw(kind)
+        f, q, _, gap = capacity._descend_kernel(states, p, np.full((3, 3), 1.0 / 3), 2000)
+        lo, _ = dense_saddle_bracket(states, p, q)
+        assert gap <= capacity._KERNEL_GAP
+        assert abs((f - lo) - gap) <= 1e-12
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_single_row_returns_its_own_spectra(self, dim):
+        # the cached spectra belong to the returned kernel, chi is its Holevo
+        # quantity, and descents from six starts agree within the gap
         rng = np.random.default_rng(61)
         w = random_avcqc(rng, 2, 3, dim=dim)
-        p = rng.dirichlet(np.ones(2), size=6)
-        q = rng.dirichlet(np.ones(3), size=(6, 2))
-        f, qb, (wb, vb) = _pg_min_kernels(w.states, p, q, max_iter=300, window=10)
-        for k in range(6):
-            f1, q1, (w1, v1) = _pg_min_kernels(
-                w.states, p[k : k + 1], q[k : k + 1], max_iter=300, window=10
-            )
-            assert abs(f[k] - f1[0]) <= 1e-12
-            assert np.max(np.abs(qb[k] - q1[0])) <= 1e-12
-            assert np.max(np.abs(wb[k] - w1[0])) <= 1e-12
+        p = rng.dirichlet(np.ones(2))
+        values = []
+        for q0 in rng.dirichlet(np.ones(3), size=(6, 2)):
+            f, q, (wq, _), _ = capacity._descend_kernel(w.states, p, q0, max_iter=300)
+            assert np.max(np.abs(wq - capacity._mixture_spectra(p, w.states, q)[0])) <= 1e-12
+            kernel = JammerKernel(w.x_alphabet, w.s_alphabet, q)
+            assert abs(f - holevo_chi(p, averaged_channel(w, kernel))) <= 1e-12
+            values.append(f)
+        assert max(values) - min(values) <= capacity._KERNEL_GAP
+
+    def test_gradient_fallback_alone_descends(self, monkeypatch):
+        # with every Newton system refused, the projected-gradient fallback
+        # still descends toward the Newton descent's minimum
+        states, p, _ = _descent_draw("d3")
+        start = np.full((3, 3), 1.0 / 3)
+        f_newton, _, _, _ = capacity._descend_kernel(states, p, start, max_iter=2000)
+        monkeypatch.setattr(capacity, "_newton_direction", lambda *a: None)
+        f, q, _, _ = capacity._descend_kernel(states, p, start, max_iter=300)
+        lo, _ = dense_saddle_bracket(states, p, q)
+        assert f_newton - capacity._KERNEL_GAP <= f <= f_newton + 1e-6
+        assert lo <= f_newton + 1e-12
+
+    def test_single_state_takes_no_step(self, monkeypatch):
+        # |S| = 1: the kernel is fixed, its gap is 0, and the descent returns
+        # from the initial spectra without trying a candidate
+        from avcqc import serialize
+
+        w = serialize.load_channel(str(SPECS / "mirror_pair_fixed_channel.json"))
+        calls = []
+        monkeypatch.setattr(capacity, "_try_kernel", lambda *a: calls.append(a))
+        f, q, _, gap = capacity._descend_kernel(w.states, np.array([0.5, 0.5]), np.ones((2, 1)), 2000)
+        assert calls == [] and gap == 0.0
+        assert np.array_equal(q, np.ones((2, 1)))
+        assert f == pytest.approx(holevo_chi([0.5, 0.5], CqChannel(w.x_alphabet, w.states[:, 0])))
+
+    def test_hard_draw_closes(self):
+        # value 3.0e-5: with the mirror step capped at 50 its bracket stayed
+        # open at 4.7e-6 after all 32 legs
+        w = wishart_avcqc(np.random.default_rng(15550441), 3, 3, 2)
+        res = capacity_informed_jammer(w)
+        assert res.certified_gap <= capacity._SADDLE_BRACKET
+        lo, hi = res.bracket
+        assert lo <= res.value <= hi
 
     # values computed by the solver before the spectra were shared between
     # chi and its gradients (random_avcqc draw, dim 3, solver seed 5)

@@ -337,6 +337,35 @@ class TestArgumentValidation:
         argv = ["capacity", "--channel", chan, "--seed", "1", override]
         self._rejects(argv, tmp_path, capsys, override.split("=")[1])
 
+    @pytest.mark.parametrize("override, field", [
+        ("--tol=separable_above=abc", "separable_above"),
+        ("--cap=product_dim=inf", "product_dim"),
+        ("--tol=solver_objective=-1", "solver_objective"),
+        ("--cap=product_dim=2.5", "product_dim"),
+    ])
+    def test_malformed_override_value(self, tmp_path, capsys, override, field):
+        # a non-numeric value, a non-finite cap, a negative tolerance and a
+        # non-integral cap: each names its field instead of a traceback
+        chan = write_channel(tmp_path, bitflip_channel())
+        argv = ["capacity", "--channel", chan, "--seed", "7", override]
+        self._rejects(argv, tmp_path, capsys, field)
+
+    def test_nan_separation_bands_are_refused(self, tmp_path, capsys):
+        # NaN bands made every distance indeterminate: exit 2 where the
+        # default run exits 0 with "separable": false
+        chan = write_channel(tmp_path, bitflip_channel())
+        src = write_source(tmp_path, [[0.45, 0.05], [0.05, 0.45]])
+        argv = ["separate", "--channel", chan, "--source", src, "--seed", "7",
+                "--tol", "not_separable_below=nan", "--tol", "separable_above=nan"]
+        self._rejects(argv, tmp_path, capsys, "not_separable_below")
+
+    def test_integral_cap_in_float_notation_is_accepted(self, tmp_path):
+        chan = write_channel(tmp_path, bitflip_channel())
+        out = tmp_path / "cap.json"
+        argv = ["capacity", "--channel", chan, "--seed", "7", "--cap", "product_dim=4e3",
+                "--out", str(out)]
+        assert main(argv) == 0 and out.exists()
+
     @pytest.mark.parametrize("alpha", ["-1", "0", "1"])
     def test_typicality_alpha_outside_unit_interval(self, tmp_path, capsys, alpha):
         argv = self._typicality(tmp_path, "--alpha", alpha)
