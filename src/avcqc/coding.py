@@ -19,6 +19,7 @@ from .errors import (
     DimensionMismatch,
     DimOverflow,
     EnumerationOverflow,
+    InvalidArgument,
     KeySetMismatch,
     LengthMismatch,
     NotPositive,
@@ -28,18 +29,35 @@ from .operators import eigvalsh_stack, entropy_from_eigenvalues, read_only
 # Float slack of the POVM and error-chain checks: sums of D x D operators and
 # of exact errors carry rounding well above machine epsilon.
 _CHECK_SLACK = 1e-9
+# complex entries per batched Cholesky call of the POVM check (512 KiB): a
+# shifted copy of the whole decoder stack, and its factor, would each add the
+# stack's size to the peak memory
+_CHOLESKY_ENTRIES = 1 << 15
 # clamp floor for the entropy of the empirical key distribution, whose
 # entries are counts over a total and never negative
 _PROB_CLAMP = 1e-12
 
 
 def _validate_povm(ops, tol_eig=_CHECK_SLACK):
-    """Check a stack (..., J, D, D) of J-outcome POVMs with two batched spectra.
+    """Check a stack (..., J, D, D) of J-outcome POVMs; return it as a complex array.
 
-    The first offender raises, in POVM order and positivity before the sum.
+    A non-finite entry raises InvalidArgument naming its (word, operator).
+    A stack is accepted once every A + tol I and every (1 + tol) I - sum_j A_j
+    has a Cholesky factor, in batches of at most _CHOLESKY_ENTRIES entries
+    (one matrix at the least).  Only when a factorization fails do the two
+    batched spectra run, to name the first offender in POVM order,
+    positivity before the sum.  Both methods read the lower triangle of a
+    Hermitian stack, so they decide alike except within rounding of the
+    threshold, where the spectra have the last word.
     """
     ops = np.asarray(ops, dtype=complex)
     flat = ops.reshape(-1, *ops.shape[-3:])
+    finite = np.isfinite(flat).all(axis=(-2, -1))
+    if not finite.all():
+        i, k = np.unravel_index(int(np.argmin(finite)), finite.shape)
+        raise InvalidArgument(f"decoding operator {k} of word {i} has a non-finite entry")
+    if _has_cholesky_factors(flat, tol_eig):
+        return ops
     lo = eigvalsh_stack(flat)[..., 0]
     excess = eigvalsh_stack(flat.sum(axis=1) - np.eye(ops.shape[-1]))[..., -1]
     neg = lo < -tol_eig
@@ -54,7 +72,23 @@ def _validate_povm(ops, tol_eig=_CHECK_SLACK):
         raise NotPositive(
             f"decoder sum exceeds the identity by {excess[i]:.3e} > {tol_eig:.1e}"
         )
-    return read_only(ops)
+    return ops
+
+
+def _has_cholesky_factors(flat, tol):
+    """Whether A + tol I and (1 + tol) I - sum_j A_j are positive definite
+    for every POVM of the stack (N, J, D, D)."""
+    eye = np.eye(flat.shape[-1])
+    singles = flat.reshape(-1, *flat.shape[-2:])
+    step = max(1, _CHOLESKY_ENTRIES // len(eye) ** 2)
+    try:
+        for i in range(0, len(singles), step):
+            np.linalg.cholesky(singles[i : i + step] + tol * eye)
+        for i in range(0, len(flat), step):
+            np.linalg.cholesky((1.0 + tol) * eye - flat[i : i + step].sum(axis=1))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +104,7 @@ class DeterministicCode:
         codebook = tuple(tuple(xs) for xs in self.codebook)
         if any(len(xs) != self.n for xs in codebook):
             raise LengthMismatch(f"codeword lengths differ from n = {self.n}")
-        dec = _validate_povm(self.decoders)
+        dec = read_only(_validate_povm(self.decoders))
         if dec.shape[0] != len(codebook):
             raise DimensionMismatch(
                 f"{dec.shape[0]} decoding operators for {len(codebook)} messages"
@@ -126,7 +160,7 @@ class CorrelationCode:
         enc = tuple(tuple(tuple(xs) for xs in row) for row in self.encoders)
         if any(len(xs) != self.n for row in enc for xs in row):
             raise LengthMismatch("encoder words must have length n")
-        dec = _validate_povm(self.decoders)
+        dec = read_only(_validate_povm(self.decoders))
         object.__setattr__(self, "encoders", enc)
         object.__setattr__(self, "decoders", dec)
         object.__setattr__(self, "v_prime_words", tuple(tuple(u) for u in self.v_prime_words))
@@ -362,24 +396,20 @@ def two_part_error_informed(pre, inner, w, src, caps=DEFAULT_CAPS):
 def assemble_two_part(pre, inner, w, src, caps=DEFAULT_CAPS):
     """Concatenate a key-carrying pre-code with a keyed inner code.
 
-    Verifies the assembled POVMs and checks the exact error chain
-    (assembled <= pre + inner) on the constructed instance.
+    Verifies the assembled POVMs of every receiver word with the decoder
+    check of the codes and checks the exact error chain (assembled <= pre +
+    inner) on the constructed instance.
     """
     if pre.num_messages != inner.num_keys:
         raise KeySetMismatch(
             f"pre-code carries {pre.num_messages} keys, inner code expects {inner.num_keys}"
         )
+    _validate_povm([
+        [_assembled(ops, inner, j) for j in range(inner.num_messages)] for ops in pre.decoders
+    ])
     pre_error, _ = correlation_code_error_informed(pre, w, src, caps, return_strategy=True)
     inner_error = random_code_error_informed(inner, w, caps)
     assembled_error, jammer = two_part_error_informed(pre, inner, w, src, caps)
-    # POVM validity of the assembled decoders, spot-checked on every receiver word
-    for vi in range(len(pre.v_words)):
-        total = sum(_assembled(pre.decoders[vi], inner, j) for j in range(inner.num_messages))
-        excess = float(eigvalsh_stack(total - np.eye(total.shape[0]))[..., -1].max())
-        if excess > _CHECK_SLACK:
-            raise NotPositive(
-                f"assembled decoder sum exceeds the identity by {excess:.3e}"
-            )
     if assembled_error > pre_error + inner_error + _CHECK_SLACK:
         raise NotPositive(
             f"error chain violated: {assembled_error:.6g} > "
@@ -404,10 +434,13 @@ def repetition_precode(cert, gp, src, w, num_keys=2, nu=3, caps=DEFAULT_CAPS):
 
     Each of nu channel uses encodes one bit through the encoder pair (the
     sender applies g0 or g1 to a fresh block of iota source symbols); the
-    receiver measures each use with his block of the separating measurement
-    and decodes the key by minimum Hamming distance to the key words.  Per
-    block tuple, one outer product over the sites (np.kron's multiplies) gives
-    all 2^nu outcome products; np.add.at sums them by key in bits order.
+    receiver measures each use with the matching block of the separating
+    measurement and decodes the key by minimum Hamming distance to the key
+    words.  Site t of receiver word v measures with block blocks[v, t]; for
+    each outcome word, in bits order, one broadcast product over the sites
+    gives that outcome's operator for every receiver word at once, and it is
+    added into the decoder of the key the word decodes to.
+    caps.product_dim bounds d^nu, the decoders' side.
     """
     if not 2 <= num_keys <= 2 ** nu:
         raise KeySetMismatch(f"cannot place {num_keys} keys in {nu} bits")
@@ -419,6 +452,9 @@ def repetition_precode(cert, gp, src, w, num_keys=2, nu=3, caps=DEFAULT_CAPS):
         raise EnumerationOverflow(
             f"source word tables at l = {l} exceed the enumeration cap"
         )
+    d = w.dim
+    if d ** nu > caps.product_dim:
+        raise DimOverflow(f"product dimension {d ** nu} exceeds cap {caps.product_dim}")
     if num_keys == 2:
         key_words = [(0,) * nu, (1,) * nu]
     else:
@@ -430,10 +466,6 @@ def repetition_precode(cert, gp, src, w, num_keys=2, nu=3, caps=DEFAULT_CAPS):
 
     v_prime_words = list(iproduct(src.v_prime_alphabet, repeat=l))
     v_words = list(iproduct(src.v_alphabet, repeat=l))
-    block_index = {
-        blk: i for i, blk in enumerate(iproduct(range(n_v_letters), repeat=iota))
-    }
-    v_sym_index = {sym: i for i, sym in enumerate(src.v_alphabet)}
 
     encoders = []
     for u in v_prime_words:
@@ -446,24 +478,23 @@ def repetition_precode(cert, gp, src, w, num_keys=2, nu=3, caps=DEFAULT_CAPS):
             row.append(word)
         encoders.append(row)
 
-    d = w.dim
-    decoded = [decode_word(bits) for bits in iproduct((0, 1), repeat=nu)]
+    # site[b, bit]: outcome bit of the measurement on receiver block b; the
+    # blocks of a receiver word are its base-(|V|^iota) digits, since both
+    # enumerate letter tuples lexicographically
+    site = np.array(
+        [[cert.measurement_block(bit, b) for bit in (0, 1)] for b in range(n_v_letters ** iota)],
+        dtype=complex,
+    )
+    blocks = np.array(list(iproduct(range(len(site)), repeat=nu)), dtype=np.intp)
     decoders = np.zeros((len(v_words), num_keys, d ** nu, d ** nu), dtype=complex)
-    site_ops = {}
-    for vi, v in enumerate(v_words):
-        key = tuple(
-            block_index[tuple(v_sym_index[c] for c in v[t * iota : (t + 1) * iota])]
-            for t in range(nu)
-        )
-        if key not in site_ops:
-            prods = np.ones((1, 1, 1), dtype=complex)
-            for blk in key:
-                site = np.array([cert.measurement_block(b, blk) for b in (0, 1)], dtype=complex)
-                prods = (prods[:, None, :, None, :, None] * site[None, :, None, :, None, :]
-                         ).reshape(2 * len(prods), d * prods.shape[1], -1)
-            site_ops[key] = np.zeros((num_keys, d ** nu, d ** nu), dtype=complex)
-            np.add.at(site_ops[key], decoded, prods)
-        decoders[vi] = site_ops[key]
+    for bits in iproduct((0, 1), repeat=nu):
+        prods = np.ones((len(v_words), 1, 1), dtype=complex)
+        for t, bit in enumerate(bits):
+            ops = site[blocks[:, t], bit]
+            prods = (prods[:, :, None, :, None] * ops[:, None, :, None, :]).reshape(
+                len(v_words), d * prods.shape[1], -1
+            )
+        decoders[:, decode_word(bits)] += prods
     return CorrelationCode(
         l=l,
         n=nu,

@@ -5,6 +5,7 @@ from math import comb
 import numpy as np
 
 from avcqc import Avcqc, CorrelatedSource, CqChannel
+from avcqc.errors import NotPositive
 from avcqc.geometry import kernel_grid, pattern_search, simplex_grid
 from avcqc.operators import eigvalsh_stack, entropy_from_eigenvalues
 
@@ -231,3 +232,42 @@ def kron_chain_precode(cert, gp, src, w, num_keys, nu):
             site_ops[key] = ops
         decoders[vi] = site_ops[key]
     return encoders, decoders
+
+
+def spectral_validate_povm(ops, tol_eig=1e-9):
+    """Reference POVM check of a stack (..., J, D, D) from full spectra.
+
+    Computes every operator's and every sum's eigenvalues and raises
+    NotPositive for the first offender, in POVM order and positivity before
+    the sum, with the messages of the package's check.
+    """
+    ops = np.asarray(ops, dtype=complex)
+    flat = ops.reshape(-1, *ops.shape[-3:])
+    lo = eigvalsh_stack(flat)[..., 0]
+    excess = eigvalsh_stack(flat.sum(axis=1) - np.eye(ops.shape[-1]))[..., -1]
+    neg = lo < -tol_eig
+    bad = neg.any(axis=1) | (excess > tol_eig)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if neg[i].any():
+            k = int(np.argmax(neg[i]))
+            raise NotPositive(
+                f"decoding operator {k} has eigenvalue {lo[i, k]:.3e} < -{tol_eig:.1e}"
+            )
+        raise NotPositive(
+            f"decoder sum exceeds the identity by {excess[i]:.3e} > {tol_eig:.1e}"
+        )
+
+
+def random_povm_stack(rng, n, j, d):
+    """n random j-outcome POVMs on C^d whose sums are c I, c in [0.5, 0.99].
+
+    Each POVM is S^{-1/2} G_j S^{-1/2} scaled by c, for complex Wishart G_j
+    with sum S, so every operator is positive definite.
+    """
+    g = rng.standard_normal((n, j, d, d)) + 1j * rng.standard_normal((n, j, d, d))
+    g = g @ g.conj().swapaxes(-1, -2)
+    lam, vec = np.linalg.eigh(g.sum(axis=1))
+    inv_sqrt = (vec * lam[:, None, :] ** -0.5) @ vec.conj().swapaxes(-1, -2)
+    ops = rng.uniform(0.5, 0.99, size=(n, 1, 1, 1)) * (inv_sqrt[:, None] @ g @ inv_sqrt[:, None])
+    return (ops + ops.conj().swapaxes(-1, -2)) / 2

@@ -24,7 +24,7 @@ from avcqc import serialize as io
 from avcqc.channels import product_output
 from avcqc.coding import two_part_error_informed, worst_case_error_brute_force
 from avcqc.config import DEFAULT_CAPS, Caps
-from avcqc.errors import DimOverflow, KeySetMismatch, NotPositive
+from avcqc.errors import DimOverflow, InvalidArgument, KeySetMismatch, NotPositive
 from avcqc.operators import random_density
 from avcqc.separation import SeparationCertificate
 from helpers import (
@@ -37,6 +37,8 @@ from helpers import (
     kron_chain_precode,
     orthogonal_channel,
     random_avcqc,
+    random_povm_stack,
+    separable_instance,
 )
 
 MINUS = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
@@ -309,6 +311,36 @@ class TestCorrelationCodeError:
         assert not code.decoders.flags.writeable
 
 
+class TestPovmCheck:
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_decoders_are_refused(self, dim, bad):
+        # NaN compares False with every threshold, and Cholesky returns NaN
+        # factors without raising, so finiteness is checked first
+        ops = np.stack([np.stack([np.eye(dim) / 2] * 2)] * 3).astype(complex)
+        ops[2, 1, dim - 1, 0] = bad
+        ops[2, 0, 0, 0] = -1.0          # a negative operator earlier in word 2
+        with pytest.raises(InvalidArgument, match="decoding operator 1 of word 2 has a non-finite"):
+            coding._validate_povm(ops)
+        with pytest.raises(InvalidArgument):
+            DeterministicCode(1, ((0,), (1,)), ops[2])
+
+    def test_accepted_stack_computes_no_spectra(self, monkeypatch):
+        def no_spectra(mats):
+            raise AssertionError("spectra computed for a valid stack")
+
+        monkeypatch.setattr(coding, "eigvalsh_stack", no_spectra)
+        ops = random_povm_stack(np.random.default_rng(5), 130, 3, 4)
+        coding._validate_povm(ops)
+        # zero operators and sums equal to the identity sit on the bounds;
+        # the tolerance shift keeps both factorizations positive definite
+        coding._validate_povm(np.stack([ZERO, ONE, np.zeros((2, 2))])[None])
+        coding._validate_povm(np.stack([np.eye(3), np.zeros((3, 3))])[None])
+        ops[129, 2] -= np.eye(4)
+        with pytest.raises(AssertionError, match="spectra computed"):
+            coding._validate_povm(ops)
+
+
 def toy_two_part(flip=0.1):
     w = orthogonal_channel()
     src = flip_source(flip)
@@ -368,6 +400,19 @@ class TestTwoPartCode:
         assert two.pre_error == pytest.approx(0.0, abs=1e-12)
         assert two.assembled_error == pytest.approx(two.inner_error, abs=1e-9)
 
+    def test_assembled_decoders_take_the_povm_check(self):
+        w, src, pre, inner = toy_two_part()
+        # codes built from valid parts always assemble to valid POVMs, so the
+        # pre-code is corrupted past its own check
+        object.__setattr__(pre, "decoders", 2.0 * pre.decoders)
+        with pytest.raises(NotPositive, match=r"decoder sum exceeds the identity by 1\.000e\+00"):
+            assemble_two_part(pre, inner, w, src)
+        bad = np.array(pre.decoders)
+        bad[3, 1, 0, 0] = np.nan
+        object.__setattr__(pre, "decoders", bad)
+        with pytest.raises(InvalidArgument, match="decoding operator 0 of word 3"):
+            assemble_two_part(pre, inner, w, src)
+
     def test_key_set_mismatch(self):
         w, src, pre, _ = toy_two_part()
         det = projective_code(3, [(0, 0, 0), (1, 1, 1), (0, 1, 0)])
@@ -391,25 +436,42 @@ def separable_d3_instance(seed=1):
 class TestRepetitionPrecode:
     SPECS = Path(__file__).resolve().parents[1] / "specs"
 
-    @pytest.fixture(scope="class", params=["orthogonal-flip10", "separable-d3"])
+    # (instance, nu, keys); the |X| = 3 draw has iota = 4 and 16 receiver
+    # blocks, so nu = 3 (l = 12) exceeds the default enumeration cap and only
+    # nu = 2 runs, with keys 3 and 4 taking the non-majority decode
+    CASES = [
+        (name, nu, keys)
+        for name in ("orthogonal-flip10", "separable-d3")
+        for nu, keys in ((2, 2), (3, 2), (3, 4))
+    ] + [("separable-X3", 2, keys) for keys in (2, 3, 4)]
+
+    @pytest.fixture(scope="class")
     def instance(self, request):
         if request.param == "orthogonal-flip10":
             w = io.load_channel(self.SPECS / "orthogonal_channel.json")
             src = io.load_source(self.SPECS / "flip10_source.json")
-        else:
+        elif request.param == "separable-d3":
             w, src = separable_d3_instance()
+        else:
+            w, src = separable_instance(np.random.default_rng([2024, 3, 2]), 3, 2)
         gp = build_g_pair(src, w.x_alphabet)
         cert = separation_test(w, src, gp, seed=1)
         assert isinstance(cert, SeparationCertificate)
         return cert, gp, src, w
 
-    @pytest.mark.parametrize("nu, keys", [(2, 2), (3, 2), (3, 4)])
+    @pytest.mark.parametrize("instance, nu, keys", CASES, indirect=["instance"])
     def test_matches_kron_chain(self, instance, nu, keys):
         cert, gp, src, w = instance
         code = repetition_precode(cert, gp, src, w, num_keys=keys, nu=nu)
         encoders, decoders = kron_chain_precode(cert, gp, src, w, keys, nu)
         assert [list(row) for row in code.encoders] == encoders
         assert code.decoders.tobytes() == decoders.tobytes()
+
+    @pytest.mark.parametrize("instance", ["separable-d3"], indirect=True)
+    def test_product_dim_bounds_the_decoder_side(self, instance):
+        cert, gp, src, w = instance
+        with pytest.raises(DimOverflow, match="product dimension 9 exceeds cap 8"):
+            repetition_precode(cert, gp, src, w, num_keys=2, nu=2, caps=Caps(product_dim=8))
 
 
 class TestTwoPartDesign:
