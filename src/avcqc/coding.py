@@ -22,6 +22,7 @@ from .errors import (
     InvalidArgument,
     KeySetMismatch,
     LengthMismatch,
+    NotHermitian,
     NotPositive,
 )
 from .operators import eigvalsh_stack, entropy_from_eigenvalues, read_only
@@ -38,26 +39,38 @@ _CHOLESKY_ENTRIES = 1 << 15
 _PROB_CLAMP = 1e-12
 
 
-def _validate_povm(ops, tol_eig=_CHECK_SLACK):
+def _validate_povm(ops, tol_eig=_CHECK_SLACK, first_word=0):
     """Check a stack (..., J, D, D) of J-outcome POVMs; return it as a complex array.
 
-    A non-finite entry raises InvalidArgument naming its (word, operator).
-    A stack is accepted once every A + tol I and every (1 + tol) I - sum_j A_j
-    has a Cholesky factor, in batches of at most _CHOLESKY_ENTRIES entries
-    (one matrix at the least).  Only when a factorization fails do the two
-    batched spectra run, to name the first offender in POVM order,
-    positivity before the sum.  Both methods read the lower triangle of a
-    Hermitian stack, so they decide alike except within rounding of the
-    threshold, where the spectra have the last word.
+    A non-finite entry raises InvalidArgument naming its (word, operator);
+    words are counted from first_word.  A stack is accepted once every
+    operator is Hermitian within tol (max |A - A†| entry) and every A + tol I
+    and (1 + tol) I - sum_j A_j has a Cholesky factor, in batches of at most
+    _CHOLESKY_ENTRIES entries (one matrix at the least).  Only when a batch
+    fails do the full checks run, to name the first offender: a non-Hermitian
+    operator raises NotHermitian, then the two batched spectra name the first
+    POVM in order, positivity before the sum.  Once the stack is Hermitian
+    within tol, either triangle determines it, so the factorizations and the
+    spectra decide alike except within rounding of the threshold, where the
+    spectra have the last word.
     """
     ops = np.asarray(ops, dtype=complex)
     flat = ops.reshape(-1, *ops.shape[-3:])
     finite = np.isfinite(flat).all(axis=(-2, -1))
     if not finite.all():
         i, k = np.unravel_index(int(np.argmin(finite)), finite.shape)
-        raise InvalidArgument(f"decoding operator {k} of word {i} has a non-finite entry")
+        raise InvalidArgument(
+            f"decoding operator {k} of word {first_word + i} has a non-finite entry"
+        )
     if _has_cholesky_factors(flat, tol_eig):
         return ops
+    dev = _adjoint_deviation(flat)
+    if (dev > tol_eig).any():
+        i, k = np.unravel_index(int(np.argmax(dev > tol_eig)), dev.shape)
+        raise NotHermitian(
+            f"decoding operator {k} of word {first_word + i} has max |A - A†| entry "
+            f"{dev[i, k]:.3e} > {tol_eig:.1e}"
+        )
     lo = eigvalsh_stack(flat)[..., 0]
     excess = eigvalsh_stack(flat.sum(axis=1) - np.eye(ops.shape[-1]))[..., -1]
     neg = lo < -tol_eig
@@ -75,14 +88,22 @@ def _validate_povm(ops, tol_eig=_CHECK_SLACK):
     return ops
 
 
+def _adjoint_deviation(a):
+    """max |A - A†| entry of each matrix of the stack (..., D, D)."""
+    return np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+
+
 def _has_cholesky_factors(flat, tol):
-    """Whether A + tol I and (1 + tol) I - sum_j A_j are positive definite
-    for every POVM of the stack (N, J, D, D)."""
+    """Whether every A is Hermitian within tol and A + tol I and
+    (1 + tol) I - sum_j A_j are positive definite for every POVM of the
+    stack (N, J, D, D)."""
     eye = np.eye(flat.shape[-1])
     singles = flat.reshape(-1, *flat.shape[-2:])
     step = max(1, _CHOLESKY_ENTRIES // len(eye) ** 2)
     try:
         for i in range(0, len(singles), step):
+            if _adjoint_deviation(singles[i : i + step]).max() > tol:
+                return False
             np.linalg.cholesky(singles[i : i + step] + tol * eye)
         for i in range(0, len(flat), step):
             np.linalg.cholesky((1.0 + tol) * eye - flat[i : i + step].sum(axis=1))
@@ -202,6 +223,12 @@ def _success_table(w, xs, g):
     return np.real(t.ravel())
 
 
+def _check_product_dim(d, n, caps):
+    """Raise DimOverflow when d^n exceeds caps.product_dim."""
+    if d ** n > caps.product_dim:
+        raise DimOverflow(f"product dimension {d ** n} exceeds cap {caps.product_dim}")
+
+
 def _informed_error(w, n, entries, caps):
     """Exact informed-jammer error from (codeword, weighted success operator) pairs.
 
@@ -216,8 +243,7 @@ def _informed_error(w, n, entries, caps):
     for xs, g in entries:
         grouped[xs] = grouped[xs] + g if xs in grouped else g
     s_words = _state_words(w, n, caps)
-    if w.dim ** n > caps.product_dim:
-        raise DimOverflow(f"product dimension {w.dim ** n} exceeds cap {caps.product_dim}")
+    _check_product_dim(w.dim, n, caps)
     success, strategy = 0.0, {}
     for xs, g in grouped.items():
         vals = _success_table(w, xs, g)
@@ -396,17 +422,20 @@ def two_part_error_informed(pre, inner, w, src, caps=DEFAULT_CAPS):
 def assemble_two_part(pre, inner, w, src, caps=DEFAULT_CAPS):
     """Concatenate a key-carrying pre-code with a keyed inner code.
 
-    Verifies the assembled POVMs of every receiver word with the decoder
-    check of the codes and checks the exact error chain (assembled <= pre +
-    inner) on the constructed instance.
+    caps.product_dim bounds d^(pre.n + inner.n), the assembled decoders'
+    side, before any is built.  Verifies the assembled POVMs with the
+    decoder check of the codes, one receiver word at a time, and checks the
+    exact error chain (assembled <= pre + inner) on the constructed instance.
     """
     if pre.num_messages != inner.num_keys:
         raise KeySetMismatch(
             f"pre-code carries {pre.num_messages} keys, inner code expects {inner.num_keys}"
         )
-    _validate_povm([
-        [_assembled(ops, inner, j) for j in range(inner.num_messages)] for ops in pre.decoders
-    ])
+    _check_product_dim(w.dim, pre.n + inner.n, caps)
+    for vi, ops in enumerate(pre.decoders):
+        _validate_povm(
+            [[_assembled(ops, inner, j) for j in range(inner.num_messages)]], first_word=vi
+        )
     pre_error, _ = correlation_code_error_informed(pre, w, src, caps, return_strategy=True)
     inner_error = random_code_error_informed(inner, w, caps)
     assembled_error, jammer = two_part_error_informed(pre, inner, w, src, caps)
@@ -453,8 +482,7 @@ def repetition_precode(cert, gp, src, w, num_keys=2, nu=3, caps=DEFAULT_CAPS):
             f"source word tables at l = {l} exceed the enumeration cap"
         )
     d = w.dim
-    if d ** nu > caps.product_dim:
-        raise DimOverflow(f"product dimension {d ** nu} exceeds cap {caps.product_dim}")
+    _check_product_dim(d, nu, caps)
     if num_keys == 2:
         key_words = [(0,) * nu, (1,) * nu]
     else:

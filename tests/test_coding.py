@@ -24,7 +24,13 @@ from avcqc import serialize as io
 from avcqc.channels import product_output
 from avcqc.coding import two_part_error_informed, worst_case_error_brute_force
 from avcqc.config import DEFAULT_CAPS, Caps
-from avcqc.errors import DimOverflow, InvalidArgument, KeySetMismatch, NotPositive
+from avcqc.errors import (
+    DimOverflow,
+    InvalidArgument,
+    KeySetMismatch,
+    NotHermitian,
+    NotPositive,
+)
 from avcqc.operators import random_density
 from avcqc.separation import SeparationCertificate
 from helpers import (
@@ -340,6 +346,24 @@ class TestPovmCheck:
         with pytest.raises(AssertionError, match="spectra computed"):
             coding._validate_povm(ops)
 
+    def test_upper_only_off_diagonal_is_refused_at_d2(self):
+        # the D = 2 closed-form spectrum reads the upper entry and Cholesky the
+        # lower one; with only the upper set, the matrix has eigenvalue -0.4
+        bad = np.array([[0.5, 0.9], [0.0, 0.5]], dtype=complex)
+        with pytest.raises(NotHermitian, match=r"operator 0 of word 0 has max \|A - A†\| entry 9\.000e-01"):
+            DeterministicCode(1, ((0,), (1,)), np.stack([bad, 0.5 * np.eye(2)]))
+
+    @pytest.mark.parametrize("dim", [2, 3, 9])
+    def test_non_hermitian_operator_is_named(self, dim):
+        ops = random_povm_stack(np.random.default_rng(dim), 70, 3, dim)
+        ops[66, 2, 0, dim - 1] += 1e-6
+        ops[68, 0, 0, 0] = -1.0         # a later negative operator comes second
+        with pytest.raises(NotHermitian, match="operator 2 of word 66 "):
+            coding._validate_povm(ops)
+        ops[66, 2, 0, dim - 1] -= 1e-6 - 1e-13   # within rounding of the adjoint
+        with pytest.raises(NotPositive, match="decoding operator 0 has eigenvalue"):
+            coding._validate_povm(ops)
+
 
 def toy_two_part(flip=0.1):
     w = orthogonal_channel()
@@ -404,14 +428,26 @@ class TestTwoPartCode:
         w, src, pre, inner = toy_two_part()
         # codes built from valid parts always assemble to valid POVMs, so the
         # pre-code is corrupted past its own check
-        object.__setattr__(pre, "decoders", 2.0 * pre.decoders)
+        good = pre.decoders
+        object.__setattr__(pre, "decoders", 2.0 * good)
         with pytest.raises(NotPositive, match=r"decoder sum exceeds the identity by 1\.000e\+00"):
             assemble_two_part(pre, inner, w, src)
-        bad = np.array(pre.decoders)
+        bad = np.array(good)
         bad[3, 1, 0, 0] = np.nan
         object.__setattr__(pre, "decoders", bad)
         with pytest.raises(InvalidArgument, match="decoding operator 0 of word 3"):
             assemble_two_part(pre, inner, w, src)
+
+    def test_product_dim_is_checked_before_assembly(self, monkeypatch):
+        w, src, pre, inner = toy_two_part()
+
+        def no_assembly(*args):
+            raise AssertionError("assembled decoder built past the cap")
+
+        monkeypatch.setattr(coding, "_assembled", no_assembly)
+        # d^3 = 8 fits each part, d^6 = 64 their concatenation
+        with pytest.raises(DimOverflow, match="product dimension 64 exceeds cap 32"):
+            assemble_two_part(pre, inner, w, src, caps=Caps(product_dim=32))
 
     def test_key_set_mismatch(self):
         w, src, pre, _ = toy_two_part()
