@@ -33,6 +33,22 @@ gap is at most 1e-9.  The bracket's lower end is lo = chi - gap, so a gap
 a thousand times below the 1e-6 bracket width leaves the width to the
 outer ascent; a tighter inner stop would buy the bracket nothing.
 
+The large-correlation common-randomness capacity is F(C*), where
+F(R) = max I(U;V') over U - V' - V with I(U;V') - I(U;V) <= R is concave
+and nondecreasing, so F(lo) <= F(C*) <= F(hi) on the max-min bracket.
+F(0) = H(K), K the Gacs-Korner common part (double Markov lemma).  For
+binary V' and R > 0, weak duality gives F(R) <= lam R + h_lam(pi0) -
+conv h_lam(pi0) for every lam >= 0, with h_lam(pi) = (1 - lam) H(pi) +
+lam H(pi T) - lam <pi, H(T)> over the laws pi of V' (T = P(V | V')),
+pi0 = P(V') and conv the lower convex envelope.  For lam >= 1, chords of
+the concave lam H(pi T) and tangents of the convex (1 - lam) H(pi) give a
+piecewise-linear minorant, so the bound stays certified; on a grid uniform
+in theta, pi = sin(theta)^2, its error is about
+(2 lam - 1) (pi / (2 _DUAL_CELLS))^2 / (2 ln 2) <= (2 lam - 1) 1.1e-7 in
+every cell.  Bisection on lam (subgradient R - I(U;V'|V)) gives the upper
+end at hi; the supporting decompositions on either side of the multiplier,
+time-shared to meet lo, give a feasible witness for the lower end.
+
 The max-min solver draws no random numbers.  Elsewhere all randomness
 flows from a single seed; identical seeds give identical results bit for
 bit.
@@ -43,8 +59,9 @@ import numpy as np
 
 from .channels import JammerKernel
 from .config import DEFAULT_TOL
-from .errors import AlphabetMismatch, InvalidArgument, ProfileOutOfRange, SolverDiverged
-from .geometry import kernel_grid, pattern_search, project_simplex_rows
+from .errors import AlphabetMismatch, InvalidArgument, NonBinarySource
+from .errors import ProfileOutOfRange, SolverDiverged
+from .geometry import project_simplex_rows
 from .operators import (
     eigh_stack,
     eigvalsh_stack,
@@ -93,11 +110,12 @@ _KERNEL_GAP = 1e-9
 _NEWTON_SHIFT = 1e-12
 # step halvings tried on a Newton direction before the gradient fallback
 _NEWTON_HALVINGS = 20
-# probabilities of the auxiliary-channel search in [-this, 0) are rounding
-# and count as 0 in its entropies
+# probabilities in [-this, 0) are rounding and count as 0 in the CR entropies
 _PROB_CLAMP = 1e-12
-# the auxiliary-channel search ends once its compass span is below this
-_AUX_SPAN_FLOOR = 1e-7
+# cells of the graded grid on which the binary CR dual builds its minorant
+_DUAL_CELLS = 4096
+# the CR dual's multiplier is bisected to an interval this narrow, relative to it
+_LAMBDA_RTOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -494,88 +512,164 @@ class CrCapacityResult:
     aux_channel: np.ndarray | None  # rows P(U | V') for the large-correlation witness
     maxmin_value: float
     source_mi: float
+    bracket: tuple                # (lo, hi) around the CR capacity
 
 
 def _entropy_rows(p):
     return entropy_from_eigenvalues(p, floor=_PROB_CLAMP)
 
 
-def _source_entropies(joint_vv):
-    """H(V') and H(V): constant in the auxiliary channel, so a search computes them once."""
-    return _entropy_rows(joint_vv.sum(axis=1)), _entropy_rows(joint_vv.sum(axis=0))
-
-
-def _aux_objective(joint_vv, k_rows, source_entropies=None):
+def _aux_objective(joint_vv, k_rows):
     """I(U;V') and I(U;V) for stacked auxiliary channels k_rows (..., V', U)."""
-    h_vp, h_v = _source_entropies(joint_vv) if source_entropies is None else source_entropies
+    def mi(j):  # I(A;B) of stacked joints (..., A, B)
+        flat = j.reshape(*j.shape[:-2], -1)
+        return _entropy_rows(j.sum(axis=-1)) + _entropy_rows(j.sum(axis=-2)) - _entropy_rows(flat)
+
     j_uvp = joint_vv.sum(axis=1)[:, None] * k_rows  # (..., V', U)
-    pu = j_uvp.sum(axis=-2)
-    i_uvp = _entropy_rows(pu) + h_vp - _entropy_rows(j_uvp.reshape(*j_uvp.shape[:-2], -1))
-    j_uv = np.einsum("vw,...vu->...uw", joint_vv, k_rows)  # (..., U, V)
-    i_uv = (
-        _entropy_rows(j_uv.sum(axis=-1))
-        + h_v
-        - _entropy_rows(j_uv.reshape(*j_uv.shape[:-2], -1))
-    )
-    return i_uvp, i_uv
+    return mi(j_uvp), mi(np.einsum("vw,...vu->...uw", joint_vv, k_rows))
 
 
-def _aux_channel_search(src, budget, seed, slack, restarts=64, grid_steps=16):
-    """Maximize I(U;V') over Markov chains U <- V' -> V subject to the
-    leakage constraint I(U;V') - I(U;V) <= budget + slack; all starts run
-    as one batched pattern search and the first best result wins."""
-    joint = src.joint
-    nvp = len(src.v_prime_alphabet)
-    nu = nvp + 1
-    rng = np.random.default_rng(seed)
-    h_src = _source_entropies(joint)
+def _gacs_korner(joint):
+    """(H(K), P(K | V')) for K the Gacs-Korner common part of (V', V): the
+    union-find components of the graph joining v', v where joint[v', v] > 0."""
+    nvp = joint.shape[0]
+    parent = list(range(sum(joint.shape)))
 
-    def feasible_value(k_rows):
-        i_uvp, i_uv = _aux_objective(joint, k_rows, h_src)
-        feas = i_uvp - i_uv <= budget + slack
-        return np.where(feas, i_uvp, -1.0)
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
 
-    best_val, best_k = 0.0, np.full((nvp, nu), 1.0 / nu)
-    if nvp == 2:
-        grid = kernel_grid(nvp, nu, grid_steps)
-        vals = feasible_value(grid)
-        k = int(np.argmax(vals))
-        if vals[k] > best_val:
-            best_val, best_k = float(vals[k]), grid[k].copy()
+    for a, b in zip(*np.nonzero(joint)):
+        parent[root(a)] = root(nvp + b)
+    roots = np.array([root(a) for a in range(nvp)])
+    aux = (roots[:, None] == np.unique(roots)).astype(float)
+    mass = joint.sum(axis=1) @ aux
+    return float(_entropy_rows(mass / mass.sum())), aux
 
-    starts = np.stack([best_k] + [rng.dirichlet(np.ones(nu), size=nvp) for _ in range(restarts)])
-    for val, k_rows in zip(*pattern_search(feasible_value, starts, 0.25, _AUX_SPAN_FLOOR)):
-        if val > best_val:
-            best_val, best_k = float(val), k_rows
-    return max(best_val, 0.0), best_k
+
+def _dual_tables(joint):
+    """Vertices (x, a, k) of the binary dual's minorant left and right of pi0; pi0, H(V'), H(V'|V).
+
+    x = P(V' = second letter).  The vertices are the grid nodes and each
+    cell's crossing of the tangents of H at its ends (the end cells keep
+    their inner tangent); the minorant of h_lam, lam >= 1, is a - lam * k
+    at a vertex and linear between them.
+    """
+    pvp = joint.sum(axis=1)
+    t = joint / pvp[:, None]
+    h_t = _entropy_rows(t)
+    x = np.sin(np.linspace(0.0, np.pi / 2, _DUAL_CELLS + 1)) ** 2
+    h = _entropy_rows(np.stack([1.0 - x, x], axis=-1))
+    c = _entropy_rows(np.outer(1.0 - x, t[0]) + np.outer(x, t[1]))
+    s = np.log2(1.0 - x[1:-1]) - np.log2(x[1:-1])  # H' at the interior nodes
+    xa, xb = x[1:-2], x[2:-1]
+    m = np.clip(xa + (h[2:-1] - h[1:-2] - s[1:] * (xb - xa)) / (s[:-1] - s[1:]), xa, xb)
+    tangent = [[h[1] - s[0] * x[1]], h[1:-2] + s[:-1] * (m - xa), [h[-2] + s[-1] * (1.0 - x[-2])]]
+    m = np.concatenate([[0.0], m, [1.0]])
+    chord = c[:-1] + (c[1:] - c[:-1]) * (m - x[:-1]) / (x[1:] - x[:-1])
+    xv, a = np.concatenate([x, m]), np.concatenate([h] + tangent)
+    k = a + (1.0 - xv) * h_t[0] + xv * h_t[1] - np.concatenate([c, chord])
+    pi0 = pvp[1] / pvp.sum()
+    h_cond = _entropy_rows(joint.ravel()) - _entropy_rows(joint.sum(axis=0))
+    sides = [(xv[side], a[side], k[side]) for side in (xv <= pi0, xv > pi0)]
+    return sides + [pi0, _entropy_rows(pvp), h_cond]
+
+
+def _dual_bisection(tables, budget):
+    """Least certified dual value over lam >= 1 met by bisection at budget > 0,
+    and the minorant's supporting decompositions (x, w) of pi0 at the last
+    lam on either side of the optimal multiplier."""
+    (xl, al, kl), (xr, ar, kr), pi0, h0, k0 = tables
+
+    def point(lam):
+        # best partners from either side in turn end on the supporting line
+        yl, yr = al - lam * kl, ar - lam * kr
+        i = int(np.argmax(xl))
+        while True:
+            j = int(np.argmin((yr - yl[i]) / (xr - xl[i])))
+            n = int(np.argmax((yr[j] - yl) / (xr[j] - xl)))
+            if not (yr[j] - yl[n]) / (xr[j] - xl[n]) > (yr[j] - yl[i]) / (xr[j] - xl[i]):
+                break
+            i = n
+        slope = (yr[j] - yl[i]) / (xr[j] - xl[i])
+        # a line of any slope below every vertex bounds the envelope at pi0
+        floor = min(np.min(yl - slope * (xl - pi0)), np.min(yr - slope * (xr - pi0)))
+        w = (xr[j] - pi0) / (xr[j] - xl[i])
+        leak = k0 - w * kl[i] - (1.0 - w) * kr[j]
+        value = float(lam * budget + h0 - lam * k0 - floor)
+        return value, budget - leak, ((xl[i], xr[j]), (w, 1.0 - w))
+
+    best, grad, dec = point(1.0)
+    sides = {grad < 0.0: dec}
+    if grad < 0.0:
+        lam_lo, lam_hi = 1.0, best / budget  # the dual is at least lam * budget
+        while lam_hi - lam_lo > _LAMBDA_RTOL * lam_hi:
+            lam = np.sqrt(lam_lo * lam_hi) if lam_hi > 2.0 * lam_lo else 0.5 * (lam_lo + lam_hi)
+            value, grad, dec = point(lam)
+            best = min(best, value)
+            sides[grad < 0.0] = dec
+            lam_lo, lam_hi = (lam, lam_hi) if grad < 0.0 else (lam_lo, lam)
+    return min(best, float(h0)), list(sides.values())
+
+
+def _time_share(joint, budget, decs):
+    """(I(U;V'), P(U | V')) of the best time-sharing of two candidates within the budget:
+    U = V', a constant U, and each decomposition (x, w) of P(V') into
+    posteriors (1 - x_u, x_u) with weights w_u."""
+    pvp = joint.sum(axis=1)
+    auxes = [np.eye(2), np.ones((2, 1))]
+    auxes += [np.stack([1.0 - np.array(x), x]) * w / pvp[:, None] for x, w in decs]
+    gain, i_uv = np.array([[v[0] for v in _aux_objective(joint, k[None])] for k in auxes]).T
+    leak = gain - i_uv
+    gain[1] = leak[1] = 0.0  # a constant U, exactly
+    la, lb = leak[:, None], leak[None, :]
+    theta = np.where(la <= budget, 1.0, (budget - lb) / np.where(la > lb, la - lb, 1.0))
+    score = np.where(lb <= budget, theta * gain[:, None] + (1.0 - theta) * gain, -np.inf)
+    a, b = np.unravel_index(np.argmax(score), score.shape)
+    aux = np.concatenate([theta[a, b] * auxes[a], (1.0 - theta[a, b]) * auxes[b]], axis=1)
+    aux = aux[:, aux.any(axis=0)] / aux.sum(axis=1, keepdims=True)
+    return float(max(_aux_objective(joint, aux[None])[0][0], 0.0)), aux
+
+
+def _large_correlation(joint, lo, hi):
+    """(value, witness P(U | V'), upper end) of F between the budgets lo <= hi; a lower
+    end above the upper by more than _BRACKET_ROUNDING raises SolverDiverged."""
+    if hi == 0.0:
+        value, aux = _gacs_korner(joint)
+        return value, aux, value
+    if joint.shape[0] != 2:
+        raise NonBinarySource(f"a positive leakage budget needs |V'| = 2, got {joint.shape[0]}")
+    tables = _dual_tables(joint)
+    upper, decs = _dual_bisection(tables, hi)
+    if lo <= 0.0:
+        value, aux = _gacs_korner(joint)
+    else:
+        value, aux = _time_share(joint, lo, decs if lo == hi else _dual_bisection(tables, lo)[1])
+    if value > upper + _BRACKET_ROUNDING:
+        raise SolverDiverged(f"CR lower end {value!r} above its upper end {upper!r}")
+    return value, aux, max(upper, value)
 
 
 def cr_capacity(w, src, seed=0, restarts=32, tol=DEFAULT_TOL):
     """Correlation-assisted common-randomness capacity with an informed jammer.
 
-    Small-correlation case (source MI within the max-min value): the two
-    rates add.  Large-correlation case: maximize I(U;V') over auxiliary
-    channels with |U| = |V'| + 1 under the leakage budget given by the
-    max-min value.  Ties inside the band resolve to the small case.
+    Small-correlation case (source MI within the max-min value, ties in
+    tol.case_tie_band included): the rates add, and the max-min bracket
+    shifts by the MI.  Large-correlation case (module docstring): H(K) if
+    the max-min hi is 0; else, for binary V', the time-shared witness at lo
+    and the dual at hi, and NonBinarySource for |V'| > 2.  ``value`` is the
+    feasible lower end.  Nothing is drawn at random: ``seed`` changes nothing.
     """
-    c_star = capacity_informed_jammer(w, seed=seed, restarts=restarts, tol=tol).value
+    cap = capacity_informed_jammer(w, seed=seed, restarts=restarts, tol=tol)
+    c_star, (lo, hi) = cap.value, cap.bracket
     i_vv = src.mutual_information()
     if i_vv <= c_star + tol.case_tie_band:
         return CrCapacityResult(
-            value=c_star + i_vv,
-            case_tag="small_correlation",
-            aux_channel=None,
-            maxmin_value=c_star,
-            source_mi=i_vv,
+            c_star + i_vv, "small_correlation", None, c_star, i_vv, (lo + i_vv, hi + i_vv)
         )
-    value, aux = _aux_channel_search(src, c_star, seed=seed + 1, slack=tol.cr_constraint_slack)
-    return CrCapacityResult(
-        value=value,
-        case_tag="large_correlation",
-        aux_channel=aux,
-        maxmin_value=c_star,
-        source_mi=i_vv,
-    )
+    value, aux, upper = _large_correlation(src.joint, lo, hi)
+    return CrCapacityResult(value, "large_correlation", aux, c_star, i_vv, (value, upper))
 
 
 @dataclass(frozen=True)

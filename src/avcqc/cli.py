@@ -309,15 +309,11 @@ def _demo_source(n):
     )
 
 
-def _demo_limit_source():
-    return CorrelatedSource(("0", "1"), ("0", "1"), np.array([[0.5, 0.0], [0.0, 0.5]]))
-
-
 def cmd_discontinuity_demo(cfg):
     delta = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     states = np.stack([[delta, delta], [delta, delta]])
     w = Avcqc(("0", "1"), ("0", "1"), states)
-    limit = _demo_limit_source()
+    limit = _demo_source(np.inf)  # eps = 2**-inf = 0: the n -> infinity limit
     from .channels import source_distance
 
     rows = [("n", "source_distance_to_limit", "cr_capacity")]

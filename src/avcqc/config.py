@@ -23,7 +23,6 @@ class Tolerances:
     # solvers
     solver_objective: float = 1e-9    # convergence: objective change over a window
     quadratic_solver: float = 1e-10   # accelerated projected gradient tolerance
-    cr_constraint_slack: float = 1e-9 # feasibility slack in the auxiliary-channel search
     case_tie_band: float = 1e-6       # small/large correlation tie band
 
 

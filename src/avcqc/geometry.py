@@ -5,8 +5,8 @@ embedding used here preserves the trace inner product, so Euclidean
 geometry on the embedded vectors is Frobenius geometry on operators.
 The distance solver decides whether two affinely parameterized convex
 sets (images of products of probability simplices) intersect.  The
-simplex toolbox (grids, compositions, projection and a compass search
-over row-stochastic matrices) lives here too.
+Euclidean projection onto the simplex and the composition enumerator
+(typicality) live here too.
 """
 
 from itertools import chain, combinations
@@ -60,69 +60,6 @@ def compositions(k, total):
     ).reshape(m, k - 1)
     edges = np.concatenate([np.full((m, 1), -1), bars, np.full((m, 1), end)], axis=1)
     return np.diff(edges, axis=1) - 1
-
-
-def simplex_grid(k, steps):
-    """All length-k distributions with entries that are multiples of 1/steps."""
-    return compositions(k, steps) / steps
-
-
-def kernel_grid(nx, ns, steps):
-    """Every (nx, ns) row-stochastic matrix whose rows lie on simplex_grid(ns, steps)."""
-    rows = simplex_grid(ns, steps)
-    # row-index tuples in lexicographic order, the last row varying fastest
-    idx = np.indices((rows.shape[0],) * nx).reshape(nx, -1).T
-    return rows[idx]  # (M, nx, ns)
-
-
-# a move must gain more than this to be taken; smaller gains are rounding
-_SEARCH_GAIN = 1e-13
-
-
-def pattern_search(f, x0, span, floor):
-    """Maximize f over row-stochastic matrices by compass search, batched over starts.
-
-    x0 stacks m starts (m, rows, k); f maps a stack (n, rows, k) to n values.
-    A move shifts mass span from coordinate j to coordinate i, for each
-    ordered pair (i, j), either in one row or, when rows > 1, in every row
-    at once: (rows + 1)·k(k−1) moves per start (k(k−1) for one row).
-    The joint moves follow a ridge that crosses rows, which one-row moves
-    could only climb in a zig-zag of ever smaller gains.  Each round
-    projects and scores all moves of all live starts in one call each.  A
-    start takes its best move if it gains more than _SEARCH_GAIN and then
-    doubles its span, capped at the starting span; otherwise its span
-    halves, and it leaves once span <= floor.  No state is shared between
-    starts, so each ends as it would alone.
-
-    Termination: f is bounded on the compact set of row-stochastic matrices
-    and every success raises it by more than _SEARCH_GAIN, so a start has
-    finitely many successes s.  Each success doubles the span at most once
-    and each failure halves it, so a start fails at most
-    s + log2(span/floor) + 1 times, and runs at most
-    2·s + log2(span/floor) + 1 rounds.  Returns (values (m,), x (m, rows, k)).
-    """
-    x = np.array(x0, dtype=float)
-    m, rows, k = x.shape
-    best = np.array(f(x), dtype=float)
-    if k < 2:
-        return best, x
-    eye = np.eye(k)
-    unit = [eye[i] - eye[j] for i in range(k) for j in range(k) if i != j]
-    steps = np.zeros((rows, len(unit), rows, k))
-    steps[np.arange(rows), :, np.arange(rows)] = unit
-    steps = steps.reshape(-1, rows, k)
-    if rows > 1:
-        steps = np.concatenate([steps, np.repeat(np.array(unit)[:, None], rows, axis=1)])
-    spans = np.full(m, float(span))
-    while (live := np.flatnonzero(spans > floor)).size:
-        cand = project_simplex_rows(x[live, None] + spans[live, None, None, None] * steps)
-        vals = f(cand.reshape(-1, rows, k)).reshape(live.size, -1)
-        b = np.argmax(vals, axis=1)
-        top = vals[np.arange(live.size), b]
-        gain = top > best[live] + _SEARCH_GAIN
-        best[live[gain]], x[live[gain]] = top[gain], cand[gain, b[gain]]
-        spans[live] = np.where(gain, np.minimum(2.0 * spans[live], span), 0.5 * spans[live])
-    return best, x
 
 
 # floor on the step's Lipschitz constant: identical generators give a zero Gram matrix

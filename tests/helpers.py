@@ -5,8 +5,9 @@ from math import comb
 import numpy as np
 
 from avcqc import Avcqc, CorrelatedSource, CqChannel
+from avcqc.capacity import _aux_objective
 from avcqc.errors import NotPositive
-from avcqc.geometry import kernel_grid, pattern_search, simplex_grid
+from avcqc.geometry import compositions, project_simplex_rows
 from avcqc.operators import eigvalsh_stack, entropy_from_eigenvalues
 
 ZERO = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -58,6 +59,124 @@ def wishart_avcqc(rng, nx, ns, d):
     """AVCQC whose |X| x |S| states are full-rank Ginibre-Wishart draws."""
     states = np.stack([[wishart_state(rng, d) for _ in range(ns)] for _ in range(nx)])
     return Avcqc(tuple(range(nx)), tuple(range(ns)), states)
+
+
+def simplex_grid(k, steps):
+    """All length-k distributions with entries that are multiples of 1/steps."""
+    return compositions(k, steps) / steps
+
+
+def kernel_grid(nx, ns, steps):
+    """Every (nx, ns) row-stochastic matrix whose rows lie on simplex_grid(ns, steps)."""
+    rows = simplex_grid(ns, steps)
+    # row-index tuples in lexicographic order, the last row varying fastest
+    idx = np.indices((rows.shape[0],) * nx).reshape(nx, -1).T
+    return rows[idx]  # (M, nx, ns)
+
+
+# a move must gain more than this to be taken; smaller gains are rounding
+_SEARCH_GAIN = 1e-13
+
+
+def pattern_search(f, x0, span, floor):
+    """Maximize f over row-stochastic matrices by compass search, batched over starts.
+
+    x0 stacks m starts (m, rows, k); f maps a stack (n, rows, k) to n values.
+    A move shifts mass span from coordinate j to coordinate i, for each
+    ordered pair (i, j), either in one row or, when rows > 1, in every row
+    at once: (rows + 1)·k(k−1) moves per start (k(k−1) for one row).
+    The joint moves follow a ridge that crosses rows, which one-row moves
+    could only climb in a zig-zag of ever smaller gains.  Each round
+    projects and scores all moves of all live starts in one call each.  A
+    start takes its best move if it gains more than _SEARCH_GAIN and then
+    doubles its span, capped at the starting span; otherwise its span
+    halves, and it leaves once span <= floor.  No state is shared between
+    starts, so each ends as it would alone.
+
+    Termination: f is bounded on the compact set of row-stochastic matrices
+    and every success raises it by more than _SEARCH_GAIN, so a start has
+    finitely many successes s.  Each success doubles the span at most once
+    and each failure halves it, so a start fails at most
+    s + log2(span/floor) + 1 times, and runs at most
+    2·s + log2(span/floor) + 1 rounds.  Returns (values (m,), x (m, rows, k)).
+    """
+    x = np.array(x0, dtype=float)
+    m, rows, k = x.shape
+    best = np.array(f(x), dtype=float)
+    if k < 2:
+        return best, x
+    eye = np.eye(k)
+    unit = [eye[i] - eye[j] for i in range(k) for j in range(k) if i != j]
+    steps = np.zeros((rows, len(unit), rows, k))
+    steps[np.arange(rows), :, np.arange(rows)] = unit
+    steps = steps.reshape(-1, rows, k)
+    if rows > 1:
+        steps = np.concatenate([steps, np.repeat(np.array(unit)[:, None], rows, axis=1)])
+    spans = np.full(m, float(span))
+    while (live := np.flatnonzero(spans > floor)).size:
+        cand = project_simplex_rows(x[live, None] + spans[live, None, None, None] * steps)
+        vals = f(cand.reshape(-1, rows, k)).reshape(live.size, -1)
+        b = np.argmax(vals, axis=1)
+        top = vals[np.arange(live.size), b]
+        gain = top > best[live] + _SEARCH_GAIN
+        best[live[gain]], x[live[gain]] = top[gain], cand[gain, b[gain]]
+        spans[live] = np.where(gain, np.minimum(2.0 * spans[live], span), 0.5 * spans[live])
+    return best, x
+
+def aux_channel_search(src, budget, seed, slack=1e-9, restarts=64, grid_steps=16):
+    """Lower-bound oracle for the large-correlation CR capacity F(budget).
+
+    Maximizes I(U;V') over auxiliary channels P(U | V') with |U| = |V'| + 1
+    subject to I(U;V') - I(U;V) <= budget + slack: the best kernel of a
+    grid (binary V') and 64 seeded Dirichlet starts, run as one batched
+    pattern search.  It has no upper bound; any feasible channel it finds
+    lies below F(budget + slack).  Returns (value, channel).
+    """
+    joint = src.joint
+    nvp = len(src.v_prime_alphabet)
+    nu = nvp + 1
+    rng = np.random.default_rng(seed)
+
+    def feasible_value(k_rows):
+        i_uvp, i_uv = _aux_objective(joint, k_rows)
+        return np.where(i_uvp - i_uv <= budget + slack, i_uvp, -1.0)
+
+    best_val, best_k = 0.0, np.full((nvp, nu), 1.0 / nu)
+    if nvp == 2:
+        grid = kernel_grid(nvp, nu, grid_steps)
+        vals = feasible_value(grid)
+        k = int(np.argmax(vals))
+        if vals[k] > best_val:
+            best_val, best_k = float(vals[k]), grid[k].copy()
+    starts = np.stack([best_k] + [rng.dirichlet(np.ones(nu), size=nvp) for _ in range(restarts)])
+    for val, k_rows in zip(*pattern_search(feasible_value, starts, 0.25, 1e-7)):
+        if val > best_val:
+            best_val, best_k = float(val), k_rows
+    return max(best_val, 0.0), best_k
+
+
+def binary_aux_grid_oracle(src, budget, steps=16):
+    """Grid evaluation of the auxiliary-channel maximization for binary V'.
+
+    Scores every kernel whose two rows P(U | V') lie on the step-1/steps
+    grid of the three-letter simplex, and returns the largest I(U;V') whose
+    leakage I(U;V') - I(U;V) is at most budget + 1e-9 (0 if none is).  The
+    entropies are plain numpy, independent of the package.
+    """
+    joint = np.asarray(src.joint)
+    rows = simplex_grid(3, steps)
+    k = rows[np.indices((len(rows), len(rows))).reshape(2, -1).T]  # (M, 2, 3)
+
+    def h(p):
+        p = p.reshape(p.shape[0], -1)
+        return -np.sum(np.where(p > 0, p * np.log2(np.where(p > 0, p, 1.0)), 0.0), axis=1)
+
+    def mi(j):
+        return np.maximum(h(j.sum(axis=2)) + h(j.sum(axis=1)) - h(j), 0.0)
+
+    i_uvp = mi(joint.sum(axis=1)[None, :, None] * k)
+    i_uv = mi(np.einsum("vw,mvu->muw", joint, k))
+    return float(np.max(i_uvp[i_uvp - i_uv <= budget + 1e-9], initial=0.0))
 
 
 def dense_saddle_bracket(states, p, q):

@@ -30,13 +30,13 @@ from avcqc import (
 from avcqc import serialize as io
 from avcqc.cli import main
 from avcqc.coding import worst_case_error_brute_force, worst_case_error_informed
-from avcqc.operators import mutual_information
 from avcqc.separation import NotSeparable, certificate_soundness_sweep
 from avcqc.typicality import verify_typicality_bounds
 from helpers import (
     ONE,
     PLUS,
     ZERO,
+    binary_aux_grid_oracle,
     bitflip_channel,
     constant_channel,
     flip_source,
@@ -171,33 +171,13 @@ def test_criterion_7_discontinuity_demo(criterion):
             values.append(cr_capacity(w, src, seed=0).value)
         assert dists == pytest.approx([0.5, 0.25, 0.125], abs=1e-12)
         assert all(a > b for a, b in zip(dists, dists[1:]))
-        assert all(v <= 1e-3 for v in values)
+        # F(0) = H(K), the Gacs-Korner common information: 0 for every
+        # noisy source, 1 bit at the limit, exactly
+        assert values == [0.0, 0.0, 0.0]
         lim_val = cr_capacity(w, limit, seed=0).value
-        assert lim_val == pytest.approx(1.0, abs=1e-6)
+        assert lim_val == 1.0
 
     criterion(7, "capacity discontinuity demo", 60.0, body)
-
-
-def _binary_aux_grid_oracle(src, budget, steps=16):
-    """Independent grid evaluation of the auxiliary-channel maximization."""
-    joint = np.asarray(src.joint)
-    pvp = joint.sum(axis=1)
-    rows = [
-        (a / steps, b / steps, (steps - a - b) / steps)
-        for a in range(steps + 1)
-        for b in range(steps + 1 - a)
-    ]
-    best = 0.0
-    for r0 in rows:
-        for r1 in rows:
-            k = np.array([r0, r1])
-            j_uvp = pvp[:, None] * k
-            i_uvp = mutual_information(j_uvp)
-            j_uv = np.einsum("vw,vu->uw", joint, k)
-            i_uv = mutual_information(j_uv)
-            if i_uvp - i_uv <= budget + 1e-9:
-                best = max(best, i_uvp)
-    return best
 
 
 def test_criterion_8_cr_capacity_case_split(criterion):
@@ -223,8 +203,9 @@ def test_criterion_8_cr_capacity_case_split(criterion):
             src2 = CorrelatedSource((0, 1), (0, 1), joint)
             res2 = cr_capacity(constant_channel(), src2, seed=0)
             assert res2.case_tag == "large_correlation"
-            oracle = _binary_aux_grid_oracle(src2, res2.maxmin_value)
+            oracle = binary_aux_grid_oracle(src2, res2.maxmin_value)
             assert abs(res2.value - oracle) <= 5e-3
+            assert oracle <= res2.bracket[1] + 1e-9
 
     criterion(8, "CR capacity case split", 60.0, body)
 

@@ -90,8 +90,9 @@ class TestCrCapacityCommand:
         )
         assert rc == 0
         res = json.loads(out.read_text())
-        assert res["value"] == pytest.approx(1.0, abs=1e-6)
+        assert res["value"] == 1.0
         assert res["case_tag"] == "large_correlation"
+        assert res["aux_channel"] == [[1.0, 0.0], [0.0, 1.0]]
 
 
 class TestSeparateCommand:
@@ -336,6 +337,18 @@ class TestArgumentValidation:
         chan = write_channel(tmp_path, bitflip_channel())
         argv = ["capacity", "--channel", chan, "--seed", "1", override]
         self._rejects(argv, tmp_path, capsys, override.split("=")[1])
+
+    @pytest.mark.parametrize("command", ["cr-capacity", "discontinuity-demo"])
+    def test_retired_constraint_slack_is_unknown(self, tmp_path, capsys, command):
+        # the large-correlation case is exact: no search slack remains to set
+        chan = write_channel(tmp_path, constant_channel())
+        src = write_source(tmp_path, [[0.5, 0.0], [0.0, 0.5]])
+        argv = {
+            "cr-capacity": ["cr-capacity", "--channel", chan, "--source", src, "--seed", "1"],
+            "discontinuity-demo": ["discontinuity-demo", "--n-list", "3", "--seed", "1"],
+        }[command]
+        self._rejects(argv + ["--tol", "cr_constraint_slack=1e-9"], tmp_path, capsys,
+                      "unknown override field 'cr_constraint_slack'")
 
     @pytest.mark.parametrize("override, field", [
         ("--tol=separable_above=abc", "separable_above"),
