@@ -8,19 +8,22 @@ The central object is the max-min value
 together with the correlation-assisted common-randomness capacities built
 on top of it.  chi is convex in the kernel (joint convexity of the
 relative entropy) and concave in the input distribution, so the max-min
-value is a saddle value (Sion's minimax theorem).  The solver alternates a
-projected Newton descent on the kernel with entropic mirror ascent on the
-input distribution along one trajectory from the uniform start, and brackets
-the value after the first inner descent and after every outer step: a
-Frank-Wolfe lower bound from the convexity in the kernel, and the Holevo
-upper bound max_x D(rho_x || rho_bar).  A bracket at most 1e-6 wide ends
-the solve, and its width is the certified gap at every alphabet size.
-While the bracket stays open the ascent restarts from the point it
-reached.  The inner minimum alone (``min_chi_over_jammer``) is one kernel
-descent from the uniform kernel, for the same convexity.
+value is a saddle value (Sion's minimax theorem).  The solver ascends
+phi(P) = min_Q chi(P, W_Q), which is concave, along one trajectory from the
+uniform start: every candidate P gets a projected Newton descent on the
+kernel, and P takes projected Newton steps on phi, with entropic mirror
+ascent as the fallback.  It brackets the value after the first inner
+descent and after every outer step: a Frank-Wolfe lower bound from the
+convexity in the kernel, and the Holevo upper bound max_x D(rho_x || rho_bar).
+A bracket at most Tolerances.maxmin_bracket wide (default 1e-6) ends the
+solve, and its width is the certified gap at every alphabet size.  While
+the bracket stays open the ascent restarts from the point it reached.  The
+inner minimum alone (``min_chi_over_jammer``) is one kernel descent from the
+uniform kernel, for the same convexity; the Holevo capacity of a fixed
+channel (``holevo_capacity``) is the solve with one jammer letter.
 
-The kernel descent's second derivatives come from the eigendecompositions
-it already caches for chi and its gradient.  For a state
+Both Newton steps take their second derivatives from the eigendecompositions
+the descent already caches for chi and its gradients.  For a state
 sigma = sum_i l_i |i><i| and directions A, B,
 
     d^2 S(sigma) / dA dB = -(1/ln 2) sum_ij A~_ij B~_ji Lambda_ij,
@@ -28,10 +31,23 @@ sigma = sum_i l_i |i><i| and directions A, B,
 with A~ = V^dag A V in sigma's eigenbasis and the Daleckii-Krein divided
 differences Lambda_ij = (ln l_i - ln l_j) / (l_i - l_j), and 1 / l_i where
 the eigenvalues coincide.  The eigenvalues are floored at 1e-18, as for the
-matrix logarithm of the gradient.  The descent stops once its Frank-Wolfe
-gap is at most 1e-9.  The bracket's lower end is lo = chi - gap, so a gap
-a thousand times below the 1e-6 bracket width leaves the width to the
-outer ascent; a tighter inner stop would buy the bracket nothing.
+matrix logarithm of the gradient.  The kernel block chi_qq gives the inner
+step.  The outer step needs the Hessian of phi, which by the envelope
+theorem is the Schur complement chi_pp - chi_pq chi_qq^-1 chi_qp at the
+inner minimizer, over the free kernel entries and under their row
+constraints; chi_pp and chi_pq come from rho_bar's spectrum the same way.
+Near the saddle the outer step converges quadratically: the bracket closes
+in a few steps at 1e-6 and at 1e-10 alike.  The kernel descent stops once
+its Frank-Wolfe gap is at most min(1e-9, width / 1000).  The bracket's
+lower end is lo = chi - gap, so that stop leaves the width to the outer
+ascent; a tighter inner stop would buy the bracket nothing.
+
+The upper end needs no support-aware relative entropy.  Flooring rho_bar's
+spectrum at 1e-18 replaces rho_bar by a full-rank positive operator sigma,
+and hi = max_x D(rho_x || sigma).  C_Holevo(W) <= max_x D(W_x || tau) holds
+for every state tau, so with tau = sigma / tr sigma the value is at most
+hi + log2 tr sigma <= hi + d 1e-18 / ln 2, far inside the 1e-12 rounding
+allowance of the returned bracket.
 
 The large-correlation common-randomness capacity is F(C*), where
 F(R) = max I(U;V') over U - V' - V with I(U;V') - I(U;V) <= R is concave
@@ -58,7 +74,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import JammerKernel
-from .config import DEFAULT_TOL
+from .config import DEFAULT_TOL, with_overrides
 from .errors import AlphabetMismatch, InvalidArgument, NonBinarySource
 from .errors import ProfileOutOfRange, SolverDiverged
 from .geometry import project_simplex_rows
@@ -91,25 +107,27 @@ _ETA_FLOOR = 1e-10
 # sets the step's scale, so near zero capacity, where the supergradient
 # spread is about 5e-6, p still moves
 _ETA_MAX = 1e300
-# a max-min bracket at most this wide ends the solve: the value is then
-# certified to 1e-6 bits, far inside the 5e-3 the grid oracle checks
-_SADDLE_BRACKET = 1e-6
 # chi lies in the bracket taken at its own point up to the rounding of the
 # spectra (|X| = 1 gives hi = -1.1e-16 below chi = 0); the returned bracket
-# is widened to hold the value by at most this, and a larger miss raises
+# is widened to hold the value by at most this, and a larger miss raises.
+# A requested bracket width (Tolerances.maxmin_bracket) must exceed it
 _BRACKET_ROUNDING = 1e-12
-# holevo_capacity stops once its sandwich max_x D - chi is at most this, or
-# after _HOLEVO_MAX_ITER fixed-point steps
-_HOLEVO_GAP = 1e-9
-_HOLEVO_MAX_ITER = 200_000
-# the kernel descent ends once its Frank-Wolfe gap is at most this: chi is
-# then within it of the inner minimum, far inside _SADDLE_BRACKET
+# holevo_capacity runs the max-min solver to a bracket this wide
+_HOLEVO_BRACKET = 1e-9
+# the kernel descent ends once its Frank-Wolfe gap is at most this, or at
+# most _KERNEL_SHARE of the requested bracket width if that is smaller:
+# chi is then within it of the inner minimum, and lo = chi - gap leaves
+# the width to the outer ascent
 _KERNEL_GAP = 1e-9
+_KERNEL_SHARE = 1e-3
 # Newton systems are shifted by this times their largest diagonal entry, so
 # that a kernel along which chi is flat still gives a solvable system
 _NEWTON_SHIFT = 1e-12
 # step halvings tried on a Newton direction before the gradient fallback
 _NEWTON_HALVINGS = 20
+# the outer Newton step holds at 0 the letters below the maximum of d_x
+# whose p_x is at most this, or at most the distance from a stationary point
+_HOLD_CAP = 1e-3
 # probabilities in [-this, 0) are rounding and count as 0 in the CR entropies
 _PROB_CLAMP = 1e-12
 # cells of the graded grid on which the binary CR dual builds its minorant
@@ -149,11 +167,16 @@ def _chi_from_spectra(p, w):
     return s[..., -1] - np.einsum("...x,...x->...", p, s[..., :-1])
 
 
-def _grad_q(p, states, spec):
-    """Gradient of chi with respect to the kernel entries, from the mixture spectra."""
+def _log_ratio_traces(states, spec):
+    """tr W_xs (log2 rho_x - log2 rho_bar), (..., X, S): the kernel gradient of chi per unit p_x."""
     logs = _log2_from_spectra(*spec)
     diff = logs[..., :-1, :, :] - logs[..., -1:, :, :]
-    return p[..., None] * np.real(np.einsum("xsij,...xji->...xs", states, diff))
+    return np.real(np.einsum("xsij,...xji->...xs", states, diff))
+
+
+def _grad_q(p, states, spec):
+    """Gradient of chi with respect to the kernel entries, from the mixture spectra."""
+    return p[..., None] * _log_ratio_traces(states, spec)
 
 
 def _grad_p(p, states, q, spec):
@@ -182,29 +205,20 @@ def holevo_chi(p, w, tol=DEFAULT_TOL):
 
 
 def holevo_capacity(w):
-    """Holevo capacity of a fixed cq channel by fixed-point iteration.
+    """Holevo capacity of a fixed cq channel: the max-min solver on its single-state AVC.
 
-    Returns (capacity, optimal input distribution).  The iteration keeps the
-    standard sandwich: chi(p) <= C <= max_x D(W(x) || ensemble average), and
-    stops when the gap closes below _HOLEVO_GAP or after _HOLEVO_MAX_ITER
-    steps.
+    Returns (capacity, optimal input distribution).  With one jammer letter
+    the kernel is fixed, the inner minimum is chi itself and the outer
+    Newton step of ``_ascend`` is a Newton step of Blahut-Arimoto on p.  The
+    solve keeps the standard sandwich chi(p) <= C <= max_x D(W(x) || ensemble
+    average) and ends once it is at most _HOLEVO_BRACKET wide; the capacity
+    returned is chi at the returned p.
     """
-    nx = len(w.x_alphabet)
-    p = np.full(nx, 1.0 / nx)
-    s_x = _entropy_stack(w.states)
-    for _ in range(_HOLEVO_MAX_ITER):
-        rho_bar = np.einsum("x,xij->ij", p, w.states)
-        lb = _log2_from_spectra(*eigh_stack(rho_bar))
-        d_x = -s_x - np.real(np.einsum("xij,ji->x", w.states, lb))
-        lower = float(p @ d_x)
-        upper = float(d_x.max())
-        if upper - lower <= _HOLEVO_GAP:
-            break
-        logp = np.log(np.clip(p, _LOG_FLOOR, None)) + LN2 * d_x
-        logp -= logp.max()
-        p = np.exp(logp)
-        p /= p.sum()
-    return max(lower, 0.0), p
+    tol = with_overrides(DEFAULT_TOL, maxmin_bracket=_HOLEVO_BRACKET)
+    value, p, _, _, _ = _saddle_solve(
+        w.states[:, None], restarts=32, outer_iter=400, inner_iter=120, tol=tol
+    )
+    return value, p
 
 
 # ---------------------------------------------------------------------------
@@ -251,38 +265,60 @@ def _kernel_hessian(p, states, spec):
     return h / LN2
 
 
-def _newton_direction(p, states, q, g, spec):
-    """Projected Newton direction on the kernel, or None if its system is singular or overflows.
+def _kernel_kkt(p, states, q, g, spec):
+    """KKT matrix of the kernel's Newton system, (F+X, F+X), and its F free entries (mask).
 
     Entries at 0 whose gradient exceeds their row's minimum are held at 0
     (an entry at most _STEP_FLOOR counts as 0: the simplex projection
     leaves rounding residues of about 3e-17 where it should leave zeros,
-    and a free residue sends the step into the fallback); on the free
-    entries the quadratic model is minimized under one zero-sum
-    constraint per row (a KKT system).  A shift of _NEWTON_SHIFT times the
-    largest diagonal entry keeps the system solvable where chi is flat in
-    the kernel, as with a duplicated jammer letter.
+    and a free residue sends the step into the fallback); the free entries
+    carry one zero-sum constraint per row.  A shift of _NEWTON_SHIFT times
+    the largest diagonal entry keeps the system solvable where chi is flat
+    in the kernel, as with a duplicated jammer letter.
     """
     nx, ns = q.shape
     free = ((q > _STEP_FLOOR) | (g == g.min(axis=1, keepdims=True))).ravel()
-    nf = int(free.sum())
     h = _kernel_hessian(p, states, spec)[np.ix_(free, free)]
-    kkt = np.zeros((nf + nx, nf + nx))
+    return _kkt_matrix(h, np.repeat(np.arange(nx), ns)[free], nx), free
+
+
+def _kkt_matrix(h, rows, nrows):
+    """[[h + shift I, A^T], [A, 0]] for a convex model h (F, F) whose entries sum
+    to zero within each group: A[r, k] = 1 where rows[k] == r, for nrows groups."""
+    nf = h.shape[0]
+    kkt = np.zeros((nf + nrows, nf + nrows))
     kkt[:nf, :nf] = h + _NEWTON_SHIFT * np.max(np.diag(h)) * np.eye(nf)
-    kkt[nf:, :nf] = np.repeat(np.arange(nx), ns)[free] == np.arange(nx)[:, None]
+    kkt[nf:, :nf] = rows == np.arange(nrows)[:, None]
     kkt[:nf, nf:] = kkt[nf:, :nf].T
+    return kkt
+
+
+def _solve_newton(kkt, rhs):
+    """kkt^-1 rhs, or None if the system is singular or the solution overflows."""
     try:
-        sol = np.linalg.solve(kkt, np.concatenate([-g.ravel()[free], np.zeros(nx)]))
+        sol = np.linalg.solve(kkt, rhs)
     except np.linalg.LinAlgError:
         return None
-    if not np.all(np.isfinite(sol)):
+    return sol if np.all(np.isfinite(sol)) else None
+
+
+def _newton_direction(p, states, q, g, spec):
+    """Projected Newton direction on the kernel, or None if its system is singular or overflows.
+
+    On the free entries of ``_kernel_kkt`` the quadratic model of chi is
+    minimized under one zero-sum constraint per row.
+    """
+    kkt, free = _kernel_kkt(p, states, q, g, spec)
+    nf = int(free.sum())
+    sol = _solve_newton(kkt, np.concatenate([-g.ravel()[free], np.zeros(q.shape[0])]))
+    if sol is None:
         return None
-    step = np.zeros(nx * ns)
+    step = np.zeros(q.size)
     step[free] = sol[:nf]
-    return step.reshape(nx, ns)
+    return step.reshape(q.shape)
 
 
-def _descend_kernel(states, p, q, max_iter):
+def _descend_kernel(states, p, q, max_iter, gap_stop=_KERNEL_GAP):
     """Projected Newton descent of chi over one jamming kernel q (X, S) at fixed p.
 
     Each step solves the Newton system of ``_newton_direction`` from the
@@ -291,7 +327,7 @@ def _descend_kernel(states, p, q, max_iter):
     accepting the first candidate at which chi does not rise beyond
     rounding.  If none is accepted, a projected-gradient step with
     backtracking is tried instead.  The descent ends once the Frank-Wolfe
-    gap is at most _KERNEL_GAP, when neither step finds a new kernel at
+    gap is at most gap_stop, when neither step finds a new kernel at
     which chi does not rise (chi has reached its rounding floor), or after
     max_iter steps.  On |S| = 1 the gap is 0 and no step is taken.
 
@@ -309,7 +345,7 @@ def _descend_kernel(states, p, q, max_iter):
         # chi is convex in q, so chi at q exceeds the inner minimum by at most
         # this Frank-Wolfe gap: the linearisation's drop to its best vertex
         gap = float(np.sum(g * q) - np.sum(g.min(axis=-1)))
-        if gap <= _KERNEL_GAP or step == max_iter:
+        if gap <= gap_stop or step == max_iter:
             break
         found = None
         direction = _newton_direction(p, states, q, g, spec)
@@ -388,29 +424,156 @@ class CapacityResult:
     bracket: tuple                # (lo, hi) around the max-min value at the returned point
 
 
-def _ascend(states, p, q, outer_iter, inner_iter, tol):
-    """Mirror ascent from one (p, q) start, stopped by its saddle bracket.
+def _input_hessian(p, states, q, spec):
+    """chi_pp (X, X) and chi_pq (X, X*S) at (p, q), from the mixture spectra.
 
-    Entropic mirror ascent on p (the ascent direction is the per-letter
-    relative entropy at the inner minimizer) alternates with the projected
-    Newton descent on the kernel (``_descend_kernel``), which ends each
-    inner minimum on a Frank-Wolfe gap of at most _KERNEL_GAP.  The mirror
-    step grows by 1.2 after an accepted step and halves after a rejected
-    one, bounded only by _ETA_MAX, so its scale follows the supergradient's
-    and not a fixed cap.  The saddle bracket is taken after the initial
-    inner descent and after every outer step; its lower end is chi minus
-    the kernel's Frank-Wolfe gap, so the gap stop costs the bracket at most
-    1e-9.  Once the bracket is at most _SADDLE_BRACKET wide the ascent
-    returns at that point.  A trajectory whose bracket stays open ends once
-    the objective has gained at most tol.solver_objective for 20 steps in a
-    row, or after outer_iter steps, and returns the bracket at its last
-    point.
+    In rho_bar's eigenbasis V, with A~ = V^dag A V and Lambda from
+    ``_dk_weights`` at rho_bar's spectrum,
+
+        chi_pp[x, x']       = -(1/ln 2) sum_ij (rho~_x)_ij (rho~_x')_ji Lambda_ij,
+        chi_pq[x, (x', s')] = delta_xx' tr W_x's' (log2 rho_x - log2 rho_bar)
+                              - (p_x' / ln 2) sum_ij (rho~_x)_ij (W~_x's')_ji Lambda_ij:
+
+    p enters chi through rho_bar and linearly through -sum_x p_x S(rho_x),
+    and the kernel row x' moves rho_x' and, with weight p_x', rho_bar.
+    """
+    w, v = spec
+    nx, ns, d = states.shape[0], states.shape[1], states.shape[-1]
+    lam = _dk_weights(w[-1]).ravel()
+    bar = (v[-1].conj().T @ states @ v[-1]).reshape(nx * ns, d * d)
+    rho = np.einsum("xs,xsk->xk", q, bar.reshape(nx, ns, d * d))
+    weighted = rho * lam
+    chi_pp = -np.real(weighted @ rho.conj().T) / LN2
+    chi_pq = -np.real(weighted @ bar.conj().T) * np.repeat(p, ns) / LN2
+    rows = np.arange(nx)
+    chi_pq.reshape(nx, nx, ns)[rows, rows] += _log_ratio_traces(states, spec)
+    return chi_pp, chi_pq
+
+
+def _envelope_hessian(p, states, q, spec):
+    """Hessian of phi(p) = min_q chi(p, q) at an inner minimizer q, (X, X), or None.
+
+    The Schur complement chi_pp - chi_pq chi_qq^-1 chi_qp over the free
+    kernel entries of ``_kernel_kkt``, under their row constraints: the
+    kernel's response dq/dp solves the kernel's KKT system with the
+    right-hand sides -chi_qp, and phi'' = chi_pp + chi_pq dq/dp.  The
+    response sums to zero in each kernel row, so per-row constants in
+    chi_pq drop out.  None if the kernel's system is singular.
+    """
+    chi_pp, chi_pq = _input_hessian(p, states, q, spec)
+    kkt, free = _kernel_kkt(p, states, q, _grad_q(p, states, spec), spec)
+    nf = int(free.sum())
+    rhs = np.zeros((kkt.shape[0], p.size))
+    rhs[:nf] = -chi_pq[:, free].T
+    sol = _solve_newton(kkt, rhs)
+    if sol is None:
+        return None
+    return chi_pp + chi_pq[:, free] @ sol[:nf]
+
+
+def _input_direction(p, states, q, d_x, spec):
+    """Projected Newton direction on p for phi(p) = min_q chi(p, q), or None.
+
+    Letters whose d_x is below the maximum and whose p_x is at most
+    min(_HOLD_CAP, |p - project(p + d)|_1) are held: the step takes them
+    to 0.  The bound shrinks with the distance from a stationary point
+    (the epsilon-active set of Bertsekas' projected Newton method), so near
+    the saddle only letters at 0 are held, while far from it a letter about
+    to leave the support is not left to the Newton model, where a nearly
+    duplicated letter makes it steer the whole step.  On the rest, the
+    quadratic model of phi with the envelope gradient d_x and the Hessian
+    of ``_envelope_hessian`` is maximized under sum delta = 0 (the same
+    shifted KKT system as the kernel's).  The direction is scaled to
+    entries of at most 1, the width of the simplex: a nearly flat model
+    would otherwise put every trial step far outside it.
+    """
+    h = _envelope_hessian(p, states, q, spec)
+    if h is None:
+        return None
+    floor = min(_HOLD_CAP, float(np.sum(np.abs(p - project_simplex_rows(p + d_x)))))
+    free = (p > max(floor, _STEP_FLOOR)) | (d_x == d_x.max())
+    held = np.where(free, 0.0, -p)
+    kkt = _kkt_matrix(-h[np.ix_(free, free)], np.zeros(int(free.sum()), dtype=int), 1)
+    rhs = np.concatenate([d_x[free] + h[free] @ held, [-held.sum()]])
+    sol = _solve_newton(kkt, rhs)
+    if sol is None:
+        return None
+    step = held
+    step[free] = sol[:-1]
+    return step / max(1.0, np.max(np.abs(step)))
+
+
+def _newton_ascent(states, p, q, f, d_x, spec, inner_iter, gap_stop):
+    """(p, inner descent) at the first accepted candidate on the Newton direction, or None.
+
+    Tries project_simplex_rows(p + t delta) for t = 1, 1/2, ..., each with
+    an inner descent warm-started from q, and accepts the first at which the
+    inner minimum falls by at most _ASCENT_SLACK.
+    """
+    direction = _input_direction(p, states, q, d_x, spec)
+    if direction is None:
+        return None
+    t = 1.0
+    for _try in range(_NEWTON_HALVINGS):
+        cand_p = project_simplex_rows(p + t * direction)
+        if np.array_equal(cand_p, p):
+            return None
+        cand = _descend_kernel(states, cand_p, q, inner_iter, gap_stop)
+        if cand[0] >= f - _ASCENT_SLACK:
+            return cand_p, cand
+        t /= 2.0
+    return None
+
+
+def _mirror_ascent(states, p, q, f, d_x, eta, inner_iter, gap_stop):
+    """(p, inner descent) at the first accepted entropic mirror step or None, and the next eta.
+
+    The step grows by 1.2 after an accepted step and halves after each
+    rejected one, bounded only by _ETA_MAX, so its scale follows the
+    supergradient's and not a fixed cap.
+    """
+    g = d_x - d_x.max()
+    for _try in range(20):
+        logp = np.log(np.clip(p, _LOG_FLOOR, None)) + eta * g
+        logp -= logp.max()
+        cand_p = np.exp(logp)
+        cand_p /= cand_p.sum()
+        cand = _descend_kernel(states, cand_p, q, inner_iter, gap_stop)
+        if cand[0] >= f - _ASCENT_SLACK:
+            return (cand_p, cand), min(eta * 1.2, _ETA_MAX)
+        if eta < _ETA_FLOOR:
+            break
+        eta /= 2.0
+    return None, eta
+
+
+def _ascend(states, p, q, outer_iter, inner_iter, tol):
+    """Newton ascent on p from one (p, q) start, stopped by its saddle bracket.
+
+    The objective is phi(p) = min_q chi(p, q), concave in p.  Its envelope
+    gradient is the per-letter relative entropy d_x at the inner minimizer,
+    and its Hessian the Schur complement of ``_envelope_hessian``, both
+    from the spectra the inner descent cached.  Each outer step takes the
+    projected Newton step of ``_newton_ascent`` and falls back to the
+    entropic mirror step of ``_mirror_ascent`` when no Newton candidate is
+    accepted.  Every candidate p gets a projected Newton descent on the
+    kernel (``_descend_kernel``), which ends on a Frank-Wolfe gap of at most
+    min(_KERNEL_GAP, _KERNEL_SHARE * tol.maxmin_bracket).  The saddle
+    bracket is taken after the initial inner descent and after every outer
+    step; its lower end is chi minus the kernel's Frank-Wolfe gap, so the
+    gap stop costs the bracket at most a thousandth of its width.  Once the
+    bracket is at most tol.maxmin_bracket wide the ascent returns at that
+    point.  A trajectory whose bracket stays open ends once the objective
+    has gained at most tol.solver_objective for 20 steps in a row, or after
+    outer_iter steps, and returns the bracket at its last point.
 
     Returns chi at the returned point, its p and kernel, its bracket
     (lo, hi) and the objective trace.
     """
+    width = tol.maxmin_bracket
+    gap_stop = min(_KERNEL_GAP, width * _KERNEL_SHARE)
     p = np.array(p, dtype=float)
-    f, q, spec, gap = _descend_kernel(states, p, q, max_iter=400)
+    f, q, spec, gap = _descend_kernel(states, p, q, 400, gap_stop)
     eta = 0.5
     stall = 0
     trace = [float(f)]
@@ -419,31 +582,54 @@ def _ascend(states, p, q, outer_iter, inner_iter, tol):
         # chi(p, W_Q) is convex in Q, so chi minus the kernel's Frank-Wolfe
         # gap bounds min_Q chi(p, W_Q), hence the max-min value, from below;
         # the value is at most C_Holevo(W_q) <= max_x D(rho_x || rho_bar),
-        # the largest entry of d_x.  Both meet at a saddle point, and both
+        # the largest entry of d_x (see the module docstring for the floor
+        # on rho_bar's spectrum).  Both meet at a saddle point, and both
         # come from the cached spectra, so the bracket costs no LAPACK call
         lo, hi = float(f - gap), float(d_x.max())
-        if hi - lo <= _SADDLE_BRACKET:
+        if hi - lo <= width:
             return f, p, q, (lo, hi), trace
         if step == outer_iter or stall >= 20:
             break
-        g = d_x - d_x.max(axis=-1, keepdims=True)
         f_old = f
-        for _try in range(20):
-            logp = np.log(np.clip(p, _LOG_FLOOR, None)) + eta * g
-            logp -= logp.max(axis=-1, keepdims=True)
-            cand_p = np.exp(logp)
-            cand_p /= cand_p.sum(axis=-1, keepdims=True)
-            cand = _descend_kernel(states, cand_p, q, inner_iter)
-            if cand[0] >= f_old - _ASCENT_SLACK:
-                p, (f, q, spec, gap) = cand_p, cand
-                eta = min(eta * 1.2, _ETA_MAX)
-                break
-            if eta < _ETA_FLOOR:
-                break
-            eta /= 2.0
+        found = _newton_ascent(states, p, q, f, d_x, spec, inner_iter, gap_stop)
+        if found is None:
+            found, eta = _mirror_ascent(states, p, q, f, d_x, eta, inner_iter, gap_stop)
+        if found is not None:
+            p, (f, q, spec, gap) = found
         stall = 0 if f - f_old > tol.solver_objective else stall + 1
         trace.append(float(f))
     return f, p, q, (lo, hi), trace
+
+
+def _saddle_solve(states, restarts, outer_iter, inner_iter, tol):
+    """(value, p, q, trace, (lo, hi)) of the max-min solve on states (X, S, d, d).
+
+    Runs ``_ascend`` from the uniform (P, Q) start and restarts it from the
+    point it reached while the bracket stays wider than tol.maxmin_bracket,
+    at most restarts - 1 times; the leg with the narrowest bracket is
+    returned, widened to hold the value by at most _BRACKET_ROUNDING.
+    """
+    _check_restarts(restarts)
+    if not tol.maxmin_bracket > _BRACKET_ROUNDING:
+        raise InvalidArgument(
+            f"maxmin_bracket must exceed the bracket rounding {_BRACKET_ROUNDING}, "
+            f"got {tol.maxmin_bracket!r}"
+        )
+    nx, ns, d = states.shape[0], states.shape[1], states.shape[-1]
+    p, q = np.full(nx, 1.0 / nx), np.full((nx, ns), 1.0 / ns)
+    trace, best = [], None
+    for _leg in range(restarts):
+        chi, p, q, (lo, hi), leg_trace = _ascend(states, p, q, outer_iter, inner_iter, tol)
+        trace += leg_trace
+        if best is None or hi - lo < best[-1][1] - best[-1][0]:
+            best = (chi, p, q, tuple(trace), (lo, hi))
+        if hi - lo <= tol.maxmin_bracket:
+            break
+    chi, p, q, trace, (lo, hi) = best
+    value = float(min(max(chi, 0.0), np.log2(d)))
+    if not lo - _BRACKET_ROUNDING <= value <= hi + _BRACKET_ROUNDING:
+        raise SolverDiverged(f"value {value!r} outside its bracket ({lo!r}, {hi!r})")
+    return value, p, q, trace, (min(lo, value), max(hi, value))
 
 
 def capacity_informed_jammer(
@@ -461,36 +647,21 @@ def capacity_informed_jammer(
     relative entropy), so by Sion's minimax theorem the max-min value is a
     saddle value and one ascent trajectory reaches it.  The solver runs
     ``_ascend`` from the uniform (P, Q) start and brackets the value at the
-    point it reaches; a bracket at most _SADDLE_BRACKET wide ends the
-    solve.  While the bracket stays open the ascent restarts from that
-    point, with fresh step sizes and stall counts, at most restarts - 1
-    times.  The leg with the narrowest bracket is returned: the value lies
-    in every leg's bracket, so the narrowest is the best certificate.
-    ``solver_trace`` runs through the legs up to the returned one, and
-    ``bracket`` holds its (lo, hi).  ``_ascend`` checks the bracket after
-    its first inner descent and after every outer step, so a start that is
-    already a saddle point costs one inner descent.  ``certified_gap`` is
-    hi - lo, at every alphabet size; the value lies within it of the
-    max-min value.  The solve draws no random numbers; ``seed`` and
-    ``certify`` are accepted for existing callers and change nothing.
+    point it reaches; a bracket at most tol.maxmin_bracket wide ends the
+    solve, and a width at most _BRACKET_ROUNDING raises InvalidArgument.
+    While the bracket stays open the ascent restarts from that point, with
+    fresh step sizes and stall counts, at most restarts - 1 times.  The leg
+    with the narrowest bracket is returned: the value lies in every leg's
+    bracket, so the narrowest is the best certificate.  ``solver_trace``
+    runs through the legs up to the returned one, and ``bracket`` holds its
+    (lo, hi).  ``_ascend`` checks the bracket after its first inner descent
+    and after every outer step, so a start that is already a saddle point
+    costs one inner descent.  ``certified_gap`` is hi - lo, at every
+    alphabet size; the value lies within it of the max-min value.  The
+    solve draws no random numbers; ``seed`` and ``certify`` are accepted for
+    existing callers and change nothing.
     """
-    _check_restarts(restarts)
-    nx, ns = len(w.x_alphabet), len(w.s_alphabet)
-    states = w.states
-    p, q = np.full(nx, 1.0 / nx), np.full((nx, ns), 1.0 / ns)
-    trace, best = [], None
-    for _leg in range(restarts):
-        chi, p, q, (lo, hi), leg_trace = _ascend(states, p, q, outer_iter, inner_iter, tol)
-        trace += leg_trace
-        if best is None or hi - lo < best[-1][1] - best[-1][0]:
-            best = (chi, p, q, tuple(trace), (lo, hi))
-        if hi - lo <= _SADDLE_BRACKET:
-            break
-    chi, p, q, trace, (lo, hi) = best
-    value = float(min(max(chi, 0.0), np.log2(w.dim)))
-    if not lo - _BRACKET_ROUNDING <= value <= hi + _BRACKET_ROUNDING:
-        raise SolverDiverged(f"value {value!r} outside its bracket ({lo!r}, {hi!r})")
-    lo, hi = min(lo, value), max(hi, value)
+    value, p, q, trace, (lo, hi) = _saddle_solve(w.states, restarts, outer_iter, inner_iter, tol)
     return CapacityResult(
         value=value,
         argmax_p=p,

@@ -99,8 +99,9 @@ def _add_common(sub, channel=True, source=False, seed=True):
 
 _RESTARTS_HELP = (
     "legs of the max-min solver's ascent (default 32): the saddle bracket is "
-    "checked after every outer step and a bracket at most 1e-6 wide ends the "
-    "solve; while it stays open, the ascent restarts from the point it "
+    "checked after every outer step and a bracket at most --tol "
+    "maxmin_bracket wide (default 1e-6) ends the solve; while it stays open, "
+    "the ascent restarts from the point it "
     "reached, and the rest go unused once it closes"
 )
 

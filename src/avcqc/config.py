@@ -24,6 +24,7 @@ class Tolerances:
     solver_objective: float = 1e-9    # convergence: objective change over a window
     quadratic_solver: float = 1e-10   # accelerated projected gradient tolerance
     case_tie_band: float = 1e-6       # small/large correlation tie band
+    maxmin_bracket: float = 1e-6      # a max-min saddle bracket this wide ends the solve
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from avcqc import (
 )
 from avcqc import capacity
 from avcqc.capacity import _aux_objective
+from avcqc.config import DEFAULT_TOL, with_overrides
 from avcqc.errors import (
     AlphabetMismatch,
     InvalidArgument,
@@ -107,6 +108,27 @@ class TestHolevoCapacity:
             holevo_chi([t, 1 - t], w) for t in np.linspace(0.0, 1.0, 2001)
         )
         assert val == pytest.approx(grid, abs=1e-6)
+
+    def test_single_state_draw_closes_its_sandwich(self, monkeypatch):
+        # default_rng(4) 3x1 d2: the mirror step crawled through 405 outer
+        # steps here; the Newton step of Blahut-Arimoto closes the sandwich
+        # chi(p) <= C <= max_x D(W(x) || rho_bar) to 1e-9 in a few
+        w = wishart_avcqc(np.random.default_rng(4), 3, 1, 2)
+        fixed = CqChannel(w.x_alphabet, w.states[:, 0])
+        legs = []
+        ascend = capacity._ascend
+
+        def spy(*args):
+            legs.append(ascend(*args))
+            return legs[-1]
+
+        monkeypatch.setattr(capacity, "_ascend", spy)
+        val, p = holevo_capacity(fixed)
+        assert len(legs) == 1 and len(legs[0][4]) - 1 <= 8
+        lo, hi = dense_saddle_bracket(w.states, p, np.ones((3, 1)))
+        assert lo - 1e-12 <= val <= hi and hi - lo <= 1e-9
+        assert val == capacity_informed_jammer(w, tol=with_overrides(
+            DEFAULT_TOL, maxmin_bracket=1e-9)).value
 
 
 class TestMinChiOverJammer:
@@ -229,7 +251,7 @@ class TestSaddleBracket:
         one = capacity_informed_jammer(w, seed=3, restarts=1)
         many = capacity_informed_jammer(w, seed=3, restarts=32)
         lo, hi = many.bracket
-        assert hi - lo <= capacity._SADDLE_BRACKET
+        assert hi - lo <= DEFAULT_TOL.maxmin_bracket
         assert lo <= many.value <= hi
         assert one.value == many.value
         assert np.array_equal(one.argmax_p, many.argmax_p)
@@ -238,6 +260,10 @@ class TestSaddleBracket:
         assert one.bracket == many.bracket
 
     def test_open_bracket_restarts_from_where_it_stopped(self, monkeypatch):
+        # the Newton step closes this draw on its third one-step leg; with
+        # the mirror fallback alone each one-step leg narrows the bracket a
+        # little and leaves it open, so all six legs run
+        monkeypatch.setattr(capacity, "_newton_ascent", lambda *a: None)
         legs = []
         ascend = capacity._ascend
 
@@ -258,7 +284,7 @@ class TestSaddleBracket:
         assert np.array_equal(a.argmax_p, legs[-1][2][1])
         one = capacity_informed_jammer(w, seed=3, restarts=1, outer_iter=1)
         assert a.bracket[1] - a.bracket[0] < one.bracket[1] - one.bracket[0]
-        assert a.bracket[1] - a.bracket[0] > capacity._SADDLE_BRACKET
+        assert a.bracket[1] - a.bracket[0] > DEFAULT_TOL.maxmin_bracket
         b = capacity_informed_jammer(w, seed=4, restarts=6, outer_iter=1)
         assert a.value == b.value
         assert np.array_equal(a.argmax_p, b.argmax_p)
@@ -308,18 +334,33 @@ class TestSaddleBracket:
         with pytest.raises(SolverDiverged, match="outside its bracket"):
             capacity_informed_jammer(w, restarts=1)
 
-    def test_second_leg_closes_a_stalled_trajectory(self):
-        # the sixteenth draw of the criterion-2 acceptance suite: the first
-        # leg stalls with its bracket just over _SADDLE_BRACKET wide
+    def test_second_leg_closes_a_stalled_trajectory(self, monkeypatch):
+        # the sixteenth draw of the criterion-2 acceptance suite: a first leg
+        # of mirror steps alone stalls with its bracket just over the width
+        # (the Newton step closes it on the first leg), and the second leg,
+        # with the Newton step back, closes it from where the first stopped
         rng = np.random.default_rng(2024)
         for _ in range(15):
             random_avcqc(rng, nx=2, ns=2, dim=2)
         w = random_avcqc(rng, nx=2, ns=2, dim=2)
+        assert capacity_informed_jammer(w, restarts=1).certified_gap <= DEFAULT_TOL.maxmin_bracket
+        legs = []
+        ascend, newton = capacity._ascend, capacity._newton_ascent
+
+        def count_legs(*args):
+            legs.append(None)
+            return ascend(*args)
+
+        monkeypatch.setattr(capacity, "_ascend", count_legs)
+        monkeypatch.setattr(capacity, "_newton_ascent",
+                            lambda *a: newton(*a) if len(legs) > 1 else None)
         one = capacity_informed_jammer(w, restarts=1)
+        legs.clear()
         res = capacity_informed_jammer(w)
-        assert one.bracket[1] - one.bracket[0] > capacity._SADDLE_BRACKET
+        assert len(legs) == 2
+        assert one.bracket[1] - one.bracket[0] > DEFAULT_TOL.maxmin_bracket
         lo, hi = res.bracket
-        assert hi - lo <= capacity._SADDLE_BRACKET
+        assert hi - lo <= DEFAULT_TOL.maxmin_bracket
         assert lo <= res.value <= hi
         assert one.bracket[0] <= res.value <= one.bracket[1]
         assert res.solver_trace[: len(one.solver_trace)] == one.solver_trace
@@ -341,8 +382,30 @@ class TestSaddleBracket:
         w = wishart_avcqc(rng, 6, 4, 4)
         res = capacity_informed_jammer(w, seed=0)
         lo, hi = res.bracket
-        assert hi - lo <= capacity._SADDLE_BRACKET
+        assert hi - lo <= DEFAULT_TOL.maxmin_bracket
         assert lo <= res.value <= hi
+
+    def test_requested_width_closes_the_seven_roadmap_draws(self):
+        # default_rng(5) drawn in the order 2x2 d2, 3x2 d2, 2x3 d2, 3x3 d3,
+        # 4x4 d4, 5x5 d3, 6x4 d4: the mirror step took up to 732 outer steps
+        # to a 1e-10 bracket; each closes on its first leg, inside the
+        # default solve's bracket
+        tight = with_overrides(DEFAULT_TOL, maxmin_bracket=1e-10)
+        rng = np.random.default_rng(5)
+        for shape in [(2, 2, 2), (3, 2, 2), (2, 3, 2), (3, 3, 3), (4, 4, 4), (5, 5, 3), (6, 4, 4)]:
+            w = wishart_avcqc(rng, *shape)
+            res = capacity_informed_jammer(w, restarts=1, tol=tight)
+            lo, hi = res.bracket
+            assert res.certified_gap <= 1e-10 and lo <= res.value <= hi
+            assert len(res.solver_trace) - 1 <= 12
+            coarse = capacity_informed_jammer(w).bracket
+            assert coarse[0] <= res.value <= coarse[1]
+
+    @pytest.mark.parametrize("width", [1e-12, 0.0, float("nan")])
+    def test_width_within_the_bracket_rounding_is_refused(self, width):
+        with pytest.raises(InvalidArgument, match="maxmin_bracket"):
+            capacity_informed_jammer(orthogonal_channel(),
+                                     tol=with_overrides(DEFAULT_TOL, maxmin_bracket=width))
 
     def test_zero_capacity_is_positive_zero(self):
         from avcqc import serialize
@@ -546,7 +609,7 @@ class TestCertifiedGap:
         w = serialize.load_channel(str(SPECS / f"{name}_channel.json"))
         res = capacity_informed_jammer(w, seed=7)
         assert len(res.solver_trace) == 1
-        assert res.certified_gap <= capacity._SADDLE_BRACKET
+        assert res.certified_gap <= DEFAULT_TOL.maxmin_bracket
 
     def test_gap_is_bracket_width_past_the_oracle(self):
         # |X| = |S| = 4: beyond the grid oracle's reach
@@ -555,7 +618,7 @@ class TestCertifiedGap:
         lo, hi = res.bracket
         assert res.certified_gap is not None
         assert res.certified_gap == hi - lo
-        assert res.certified_gap <= capacity._SADDLE_BRACKET
+        assert res.certified_gap <= DEFAULT_TOL.maxmin_bracket
 
 
 class TestRestartsValidation:
@@ -679,7 +742,7 @@ class TestKernelDescent:
         # open at 4.7e-6 after all 32 legs
         w = wishart_avcqc(np.random.default_rng(15550441), 3, 3, 2)
         res = capacity_informed_jammer(w)
-        assert res.certified_gap <= capacity._SADDLE_BRACKET
+        assert res.certified_gap <= DEFAULT_TOL.maxmin_bracket
         lo, hi = res.bracket
         assert lo <= res.value <= hi
 
@@ -693,3 +756,136 @@ class TestKernelDescent:
         w = random_avcqc(np.random.default_rng(draw), nx, ns, dim=3)
         res = capacity_informed_jammer(w, seed=5)
         assert abs(res.value - value) <= 1e-9
+
+
+def _outer_draw(kind):
+    """(states, p, q0) at d = 3 for the outer Hessian checks: an interior p,
+    a p with a zero entry, every state inside one 2-dimensional subspace
+    (rank-deficient rho_bar), or a duplicated jammer letter (singular chi_qq)."""
+    rng = np.random.default_rng({"interior": 91, "zero_p": 92, "rank2": 93, "duplicate": 94}[kind])
+    if kind == "rank2":
+        states = np.zeros((3, 3, 3, 3), dtype=complex)
+        states[:, :, :2, :2] = np.array(wishart_avcqc(rng, 3, 3, 2).states)
+    else:
+        states = np.array(wishart_avcqc(rng, 3, 3, 3).states)
+    if kind == "duplicate":
+        states[:, 2] = states[:, 0]
+    p = rng.dirichlet(np.ones(3))
+    if kind == "zero_p":
+        p = np.array([p[0] + p[1], 0.0, p[2]])
+    return states, p, rng.dirichlet(np.ones(3), size=3)
+
+
+def _inner_minimum(states, p, q0):
+    """(kernel, spectra) of the inner minimum, run down to a Frank-Wolfe gap of 1e-14."""
+    _, q, spec, _ = capacity._descend_kernel(states, p, q0, 2000, gap_stop=1e-14)
+    return q, spec
+
+
+class TestOuterNewton:
+    STEP = 1e-5
+
+    @pytest.mark.parametrize("kind", ["interior", "zero_p", "rank2", "duplicate"])
+    def test_chi_pp_matches_finite_differences(self, kind):
+        # d_x = D(rho_x || rho_bar) at a fixed kernel, one letter at a time
+        states, p, q = _outer_draw(kind)
+        chi_pp, _ = capacity._input_hessian(p, states, q, capacity._mixture_spectra(p, states, q))
+        fd = np.empty_like(chi_pp)
+        for k in range(p.size):
+            e = np.zeros(p.size)
+            e[k] = self.STEP
+            up, down = (capacity._grad_p(p + sgn * e, states, q,
+                                         capacity._mixture_spectra(p + sgn * e, states, q))
+                        for sgn in (1.0, -1.0))
+            fd[:, k] = (up - down) / (2.0 * self.STEP)
+        assert np.allclose(chi_pp, chi_pp.T, rtol=0.0, atol=1e-12)
+        assert np.max(np.abs(chi_pp - fd)) <= 1e-7 * np.max(np.abs(chi_pp))
+
+    @pytest.mark.parametrize("kind", ["interior", "zero_p", "rank2", "duplicate"])
+    def test_chi_pq_matches_finite_differences(self, kind):
+        # d_x at a fixed p along zero-sum moves of one kernel row: the
+        # per-row constant of chi_pq drops out
+        states, p, q = _outer_draw(kind)
+        _, chi_pq = capacity._input_hessian(p, states, q, capacity._mixture_spectra(p, states, q))
+        nx, ns = q.shape
+        for x in range(nx):
+            for s in range(1, ns):
+                e = np.zeros(q.shape)
+                e[x, s], e[x, 0] = self.STEP, -self.STEP
+                up, down = (capacity._grad_p(p, states, q + sgn * e,
+                                             capacity._mixture_spectra(p, states, q + sgn * e))
+                            for sgn in (1.0, -1.0))
+                fd = (up - down) / (2.0 * self.STEP)
+                model = chi_pq @ (e.ravel() / self.STEP)
+                assert np.max(np.abs(model - fd)) <= 1e-7 * np.max(np.abs(chi_pq))
+
+    @pytest.mark.parametrize("kind", ["interior", "zero_p", "rank2", "duplicate"])
+    def test_envelope_hessian_matches_finite_differences(self, kind):
+        # the envelope gradient d_x at the re-solved inner minimum, along
+        # zero-sum moves of the letters with p_x > 0; the Schur complement
+        # is symmetric and negative semidefinite on them
+        states, p, q0 = _outer_draw(kind)
+        q, spec = _inner_minimum(states, p, q0)
+        h = capacity._envelope_hessian(p, states, q, spec)
+        used = np.flatnonzero(p > 0.0)
+        for k in used[1:]:
+            u = np.zeros(p.size)
+            u[k], u[used[0]] = 1.0, -1.0
+            grads = []
+            for sgn in (1.0, -1.0):
+                pk = p + sgn * self.STEP * u
+                qk, speck = _inner_minimum(states, pk, q)
+                grads.append(capacity._grad_p(pk, states, qk, speck))
+            fd = (grads[0] - grads[1]) / (2.0 * self.STEP)
+            assert np.max(np.abs(h @ u - fd)) <= 1e-7 * np.max(np.abs(h[np.ix_(used, used)]))
+        block = h[np.ix_(used, used)]
+        assert np.allclose(block, block.T, rtol=0.0, atol=1e-9 * np.max(np.abs(block)))
+        centred = np.eye(used.size) - 1.0 / used.size
+        assert np.max(np.linalg.eigvalsh(centred @ block @ centred)) <= 1e-9 * np.max(np.abs(block))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_nearly_duplicated_input_letter_closes(self, seed):
+        # letter 5 is 0.999 letter 0 + 0.001 letter 4 and the jammer letter
+        # is duplicated: phi is nearly flat along e_0 - e_5 and chi_qq is
+        # singular.  The capped direction and the held letters keep the
+        # Newton step in use (the mirror step took 28 to 2,010 outer steps)
+        base = wishart_avcqc(np.random.default_rng(seed), 5, 1, 3).states
+        states = np.concatenate([base, base], axis=1)
+        states = np.concatenate([states, 0.999 * states[:1] + 0.001 * states[-1:]], axis=0)
+        res = capacity_informed_jammer(Avcqc(tuple(range(6)), (0, 1), states), restarts=1)
+        assert res.certified_gap <= DEFAULT_TOL.maxmin_bracket
+        assert len(res.solver_trace) - 1 <= 10
+
+    def test_single_state_hessian_is_chi_pp(self):
+        # |S| = 1: the kernel cannot respond, and the outer step is a Newton
+        # step of Blahut-Arimoto on chi_pp
+        states, p, _ = _outer_draw("interior")
+        states, q = states[:, :1], np.ones((3, 1))
+        spec = capacity._mixture_spectra(p, states, q)
+        chi_pp, _ = capacity._input_hessian(p, states, q, spec)
+        assert np.allclose(capacity._envelope_hessian(p, states, q, spec), chi_pp,
+                           rtol=0.0, atol=1e-12 * np.max(np.abs(chi_pp)))
+
+    def test_upper_end_holds_on_a_rank_deficient_mixture(self):
+        # every state inside one 2-dimensional subspace of C^3: rho_bar's
+        # third eigenvalue is floored at 1e-18, which moves hi by at most
+        # d 1e-18 / ln 2 from max_x D(rho_x || rho_bar) taken on the support;
+        # hi stays above chi, and the value is that of the channel at d = 2
+        states, _, _ = _outer_draw("rank2")
+        start = np.full(3, 1.0 / 3), np.full((3, 3), 1.0 / 3)
+        chi, p, q, (lo, hi), _ = capacity._ascend(states, *start, 400, 120, DEFAULT_TOL)
+        assert lo <= chi <= hi
+        rho_x = np.einsum("xs,xsij->xij", q, states[:, :, :2, :2])
+        log_bar = _log2m(np.einsum("x,xij->ij", p, rho_x))
+        on_support = max(np.real(np.trace(r @ (_log2m(r) - log_bar))) for r in rho_x)
+        assert abs(hi - on_support) <= 1e-12
+        res3 = capacity_informed_jammer(Avcqc((0, 1, 2), (0, 1, 2), states))
+        res2 = capacity_informed_jammer(Avcqc((0, 1, 2), (0, 1, 2), states[:, :, :2, :2]))
+        assert res3.bracket[0] <= res3.value <= res3.bracket[1]
+        assert abs(res3.value - res2.value) <= DEFAULT_TOL.maxmin_bracket
+
+
+def _log2m(m):
+    """Matrix log base 2 of a full-rank density matrix, one np.linalg.eigh."""
+    lam, vec = np.linalg.eigh(m)
+    return (vec * np.log2(lam)) @ vec.conj().T

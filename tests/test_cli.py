@@ -7,7 +7,14 @@ import pytest
 from avcqc import Avcqc
 from avcqc import serialize as io
 from avcqc.cli import main
-from helpers import ONE, ZERO, bitflip_channel, constant_channel, orthogonal_channel
+from helpers import (
+    ONE,
+    ZERO,
+    bitflip_channel,
+    constant_channel,
+    orthogonal_channel,
+    wishart_avcqc,
+)
 
 
 def write_channel(tmp_path, w, name="channel.json"):
@@ -371,6 +378,21 @@ class TestArgumentValidation:
         argv = ["separate", "--channel", chan, "--source", src, "--seed", "7",
                 "--tol", "not_separable_below=nan", "--tol", "separable_above=nan"]
         self._rejects(argv, tmp_path, capsys, "not_separable_below")
+
+    def test_requested_bracket_width(self, tmp_path, capsys):
+        # --tol maxmin_bracket sets the width that ends the max-min solve;
+        # a width within the bracket's rounding (1e-12) exits 1
+        w = wishart_avcqc(np.random.default_rng(15550441), 3, 3, 2)
+        chan = write_channel(tmp_path, w)
+        out = tmp_path / "cap.json"
+        argv = ["capacity", "--channel", chan, "--seed", "7", "--out", str(out)]
+        assert main(argv + ["--tol", "maxmin_bracket=1e-10"]) == 0
+        assert json.loads(out.read_text())["certified_gap"] <= 1e-10
+        out.unlink()
+        assert main(argv + ["--tol", "maxmin_bracket=1e-12"]) == 1
+        err = capsys.readouterr().err
+        assert "InvalidArgument" in err and "maxmin_bracket" in err
+        assert not out.exists()
 
     def test_integral_cap_in_float_notation_is_accepted(self, tmp_path):
         chan = write_channel(tmp_path, bitflip_channel())
