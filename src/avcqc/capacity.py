@@ -77,7 +77,7 @@ from .channels import JammerKernel
 from .config import DEFAULT_TOL, with_overrides
 from .errors import AlphabetMismatch, InvalidArgument, NonBinarySource
 from .errors import ProfileOutOfRange, SolverDiverged
-from .geometry import project_simplex_rows
+from .geometry import _STEP_FLOOR, _free_entries, _kkt_matrix, _solve_newton, project_simplex_rows
 from .operators import (
     eigh_stack,
     eigvalsh_stack,
@@ -93,10 +93,6 @@ _NEG_CLAMP = 1e-9
 # a kernel step is accepted when chi rises by at most this: rounding in chi
 # computed from spectra must not stall the descent
 _DESCENT_SLACK = 1e-15
-# kernel entries and gradient steps below this are under the rounding of the
-# kernel entries: such an entry counts as 0 in the Newton step's active set,
-# and the gradient fallback stops backtracking at such a step
-_STEP_FLOOR = 1e-14
 # an outer step is accepted when the inner minimum falls by at most this:
 # the inner descent's own rounding, not a loss of the concave objective
 _ASCENT_SLACK = 1e-13
@@ -120,9 +116,6 @@ _HOLEVO_BRACKET = 1e-9
 # the width to the outer ascent
 _KERNEL_GAP = 1e-9
 _KERNEL_SHARE = 1e-3
-# Newton systems are shifted by this times their largest diagonal entry, so
-# that a kernel along which chi is flat still gives a solvable system
-_NEWTON_SHIFT = 1e-12
 # step halvings tried on a Newton direction before the gradient fallback
 _NEWTON_HALVINGS = 20
 # the outer Newton step holds at 0 the letters below the maximum of d_x
@@ -268,38 +261,16 @@ def _kernel_hessian(p, states, spec):
 def _kernel_kkt(p, states, q, g, spec):
     """KKT matrix of the kernel's Newton system, (F+X, F+X), and its F free entries (mask).
 
-    Entries at 0 whose gradient exceeds their row's minimum are held at 0
-    (an entry at most _STEP_FLOOR counts as 0: the simplex projection
-    leaves rounding residues of about 3e-17 where it should leave zeros,
-    and a free residue sends the step into the fallback); the free entries
-    carry one zero-sum constraint per row.  A shift of _NEWTON_SHIFT times
-    the largest diagonal entry keeps the system solvable where chi is flat
-    in the kernel, as with a duplicated jammer letter.
+    ``geometry._free_entries`` picks the free entries (a free rounding
+    residue at 0 would send the step into the fallback); they carry one
+    zero-sum constraint per row.  The shift of ``geometry._kkt_matrix``
+    keeps the system solvable where chi is flat in the kernel, as with a
+    duplicated jammer letter.
     """
     nx, ns = q.shape
-    free = ((q > _STEP_FLOOR) | (g == g.min(axis=1, keepdims=True))).ravel()
+    free = _free_entries(q, g).ravel()
     h = _kernel_hessian(p, states, spec)[np.ix_(free, free)]
     return _kkt_matrix(h, np.repeat(np.arange(nx), ns)[free], nx), free
-
-
-def _kkt_matrix(h, rows, nrows):
-    """[[h + shift I, A^T], [A, 0]] for a convex model h (F, F) whose entries sum
-    to zero within each group: A[r, k] = 1 where rows[k] == r, for nrows groups."""
-    nf = h.shape[0]
-    kkt = np.zeros((nf + nrows, nf + nrows))
-    kkt[:nf, :nf] = h + _NEWTON_SHIFT * np.max(np.diag(h)) * np.eye(nf)
-    kkt[nf:, :nf] = rows == np.arange(nrows)[:, None]
-    kkt[:nf, nf:] = kkt[nf:, :nf].T
-    return kkt
-
-
-def _solve_newton(kkt, rhs):
-    """kkt^-1 rhs, or None if the system is singular or the solution overflows."""
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError:
-        return None
-    return sol if np.all(np.isfinite(sol)) else None
 
 
 def _newton_direction(p, states, q, g, spec):
@@ -875,7 +846,7 @@ def cr_rate_limited_lower_bound(w, src, profile, seed=0, restarts=32):
         raise ProfileOutOfRange(f"asymptotic fraction {f} outside [0, 1]")
     c_star = capacity_informed_jammer(w, seed=seed, restarts=restarts).value
     gp = build_g_pair(src, w.x_alphabet)
-    cert = separation_test(w, src, gp, seed=seed + 1)
+    cert = separation_test(w, src, gp)
     rate = 0.0
     if not isinstance(cert, NotSeparable):
         pos = binary_avc_positivity(induced_binary_avc(cert, w, src, gp))

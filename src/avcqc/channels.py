@@ -261,10 +261,9 @@ def zero_capacity_condition(w, n=1, caps=DEFAULT_CAPS):
     for xs in words_x:
         pts = np.stack([product_output(w, xs, ss, caps) for ss in words_s])
         gens[xs] = embed_stack(pts).T  # (D, |S|^n)
-    rng = np.random.default_rng(0)
     for i, x1 in enumerate(words_x):
         for x2 in words_x[i + 1 :]:
-            dist, *_ = affine_set_distance(gens[x1], gens[x2], len(words_s), len(words_s), rng)
+            dist, *_ = affine_set_distance(gens[x1], gens[x2], len(words_s), len(words_s))
             if dist > _HULL_GAP:
                 return False
     return True

@@ -241,7 +241,7 @@ def cmd_separate(cfg):
     w = io.load_channel(cfg.channel_path)
     src = io.load_source(cfg.source_path)
     gp = build_g_pair(src, w.x_alphabet)
-    res = separation_test(w, src, gp, seed=cfg.seed, tol=cfg.tol, caps=cfg.caps)
+    res = separation_test(w, src, gp, tol=cfg.tol, caps=cfg.caps)
     if isinstance(res, NotSeparable):
         payload = io.not_separable_to_json(res)
     else:
@@ -281,7 +281,7 @@ def cmd_simulate(cfg):
         code = io.load_correlation_code(cfg.extras["code"])
     else:
         gp = build_g_pair(src, w.x_alphabet)
-        cert = separation_test(w, src, gp, seed=cfg.seed, tol=cfg.tol, caps=cfg.caps)
+        cert = separation_test(w, src, gp, tol=cfg.tol, caps=cfg.caps)
         if isinstance(cert, NotSeparable):
             raise NoSeparatingPrecode(
                 "channel/source pair admits no separating pre-code; supply --code"

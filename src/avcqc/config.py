@@ -22,7 +22,7 @@ class Tolerances:
     not_separable_below: float = 1e-7 # distance <= this => NotSeparable
     # solvers
     solver_objective: float = 1e-9    # convergence: objective change over a window
-    quadratic_solver: float = 1e-10   # accelerated projected gradient tolerance
+    quadratic_solver: float = 1e-10   # Frank-Wolfe gap that stops the set distance's Newton solve
     case_tie_band: float = 1e-6       # small/large correlation tie band
     maxmin_bracket: float = 1e-6      # a max-min saddle bracket this wide ends the solve
 

@@ -5,14 +5,26 @@ embedding used here preserves the trace inner product, so Euclidean
 geometry on the embedded vectors is Frobenius geometry on operators.
 The distance solver decides whether two affinely parameterized convex
 sets (images of products of probability simplices) intersect.  The
-Euclidean projection onto the simplex and the composition enumerator
-(typicality) live here too.
+Euclidean projection onto the simplex and the pieces of a projected Newton
+step on products of simplices (its active set and its KKT system), which
+the kernel descent in capacity shares, live here too.
 """
 
-from itertools import chain, combinations
-from math import comb
-
 import numpy as np
+
+# entries at most this are under the rounding of a simplex projection, which
+# leaves residues of about 3e-17 where it should leave zeros: such an entry
+# counts as 0 in a Newton step's active set (the kernel descent's gradient
+# fallback also stops backtracking at a step this small)
+_STEP_FLOOR = 1e-14
+# Newton systems are shifted by this times their largest diagonal entry, so
+# that a model flat along some direction (a duplicated generator or jammer
+# letter) still gives a solvable system
+_NEWTON_SHIFT = 1e-12
+# Frank-Wolfe gap that ends the set-distance solve when the caller gives none
+_GAP_STOP = 1e-12
+# Newton steps of the set-distance solve when the caller gives no budget
+_DISTANCE_STEPS = 100
 
 
 def embed_stack(mats):
@@ -46,147 +58,124 @@ def project_simplex_rows(y):
     return out.reshape(y.shape)
 
 
-def compositions(k, total):
-    """All k-tuples of nonnegative integers summing to total, in lexicographic order.
+def _free_entries(q, g):
+    """Mask of the entries of q that a projected Newton step moves, row by row on the last axis.
 
-    They are the rows of the (m, k) int array returned.  Stars and bars: the
-    k - 1 bars take increasing slots among total + k - 1, and the parts are
-    the gaps between consecutive bars.
+    An entry at most _STEP_FLOOR whose gradient g exceeds its row's minimum
+    is held at 0; every other entry is free.  The row's minimizing entries
+    are always free, so each row keeps at least one.
     """
-    end = total + k - 1
-    m = comb(end, k - 1)
-    bars = np.fromiter(
-        chain.from_iterable(combinations(range(end), k - 1)), dtype=int, count=m * (k - 1)
-    ).reshape(m, k - 1)
-    edges = np.concatenate([np.full((m, 1), -1), bars, np.full((m, 1), end)], axis=1)
-    return np.diff(edges, axis=1) - 1
+    return (q > _STEP_FLOOR) | (g == g.min(axis=-1, keepdims=True))
 
 
-# floor on the step's Lipschitz constant: identical generators give a zero Gram matrix
-_LIPSCHITZ_FLOOR = 1e-30
-# support thresholds of the polish, loosest first: entries above one form the support
-_POLISH_SUPPORT = (1e-7, 1e-10)
-# a polished entry below -this has left its simplex, so that polish is discarded
-_POLISH_NEGATIVE = 1e-10
-# Frank-Wolfe gap that ends the set-distance solve when the caller gives none
-_GAP_STOP = 1e-12
+def _kkt_matrix(h, rows, nrows):
+    """[[h + shift I, A^T], [A, 0]] for a convex model h (F, F) whose entries sum
+    to zero within each group: A[r, k] = 1 where rows[k] == r, for nrows groups."""
+    nf = h.shape[0]
+    kkt = np.zeros((nf + nrows, nf + nrows))
+    kkt[:nf, :nf] = h + _NEWTON_SHIFT * np.max(np.diag(h)) * np.eye(nf)
+    kkt[nf:, :nf] = rows == np.arange(nrows)[:, None]
+    kkt[:nf, nf:] = kkt[nf:, :nf].T
+    return kkt
 
 
-def _fista(gram, z, proj, fw_gap, tol, max_iter):
-    """Minimize f(z) = z . gram z over products of simplices from the feasible z.
-
-    Accelerated projected gradient with adaptive restart of the momentum;
-    gram is PSD.  Stops once fw_gap(z, grad f(z)) <= tol or after max_iter
-    steps.  The gradient 2 gram y at the momentum point y is the same
-    combination of the iterates' gradients, so each step costs one product.
-    """
-    step = 1.0 / max(float(np.linalg.norm(gram, 2)), _LIPSCHITZ_FLOOR)
-    hz = gram @ z
-    f = float(z @ hz)
-    y, hy, t = z, hz, 1.0
-    for _ in range(max_iter):
-        if fw_gap(z, 2.0 * hz) <= tol:
-            break
-        z_new = proj(y - step * hy)
-        hz_new = gram @ z_new
-        f_new = float(z_new @ hz_new)
-        t_new = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
-        if f_new > f:
-            y, hy, t_new = z_new, hz_new, 1.0
-        else:
-            beta = (t - 1.0) / t_new
-            y = z_new + beta * (z_new - z)
-            hy = hz_new + beta * (hz_new - hz)
-        z, hz, f, t = z_new, hz_new, f_new, t_new
-    return z
-
-
-def _polish_on_support(gen, z, row_bounds, thresh):
-    """Exact equality-constrained least squares on the detected support.
-
-    gen is (D, K); z a feasible flattened point whose rows (given by
-    row_bounds index pairs) lie on simplices.  Entries above thresh form
-    the support; each row keeps its largest entry as the eliminated
-    reference coordinate, the row-sum constraints are substituted away and
-    the reduced unconstrained least squares is solved exactly.  Returns the
-    polished z, or None when the solution leaves the nonnegative cone.
-    """
-    owner = np.repeat(np.arange(len(row_bounds)), [hi - lo for lo, hi in row_bounds])
-    refs = np.array([lo + int(np.argmax(z[lo:hi])) for lo, hi in row_bounds])
-    free = np.flatnonzero(z > thresh)
-    free = free[~np.isin(free, refs)]
-    z_new = np.zeros_like(z)
-    if free.size:
-        basis = gen[:, free] - gen[:, refs[owner[free]]]
-        z_new[free] = np.linalg.lstsq(basis, -gen[:, refs].sum(axis=1), rcond=None)[0]
-    z_new[refs] = 1.0 - np.bincount(owner[free], weights=z_new[free], minlength=len(refs))
-    if z_new.min() < -_POLISH_NEGATIVE:
+def _solve_newton(kkt, rhs):
+    """kkt^-1 rhs, or None if the system is singular or the solution overflows."""
+    try:
+        sol = np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError:
         return None
-    z_new = np.clip(z_new, 0.0, None)
-    z_new /= np.bincount(owner, weights=z_new)[owner]
-    return z_new
+    return sol if np.all(np.isfinite(sol)) else None
 
 
-def affine_set_distance(
-    gen0, gen1, row_len0, row_len1, rng, restarts=16, tol=_GAP_STOP, max_iter=2000
-):
+def _feasible_direction(hess, grad, z, free, owner, nrows):
+    """Newton direction of f on the free entries of z, or None if its system is singular.
+
+    The KKT system of the Hessian hess carries one zero-sum constraint per
+    row (owner gives each entry's row).  Free entries at 0 that the
+    direction would push below 0 are held there as well and the system is
+    solved again, until the direction is feasible.  Every row keeps its
+    entries above _STEP_FLOOR, so none is left without a free entry.
+    """
+    while True:
+        sol = _solve_newton(
+            _kkt_matrix(hess[np.ix_(free, free)], owner[free], nrows),
+            np.concatenate([-grad[free], np.zeros(nrows)]),
+        )
+        if sol is None:
+            return None
+        direction = np.zeros_like(z)
+        direction[free] = sol[: free.sum()]
+        leaving = free & (z <= _STEP_FLOOR) & (direction < 0.0)
+        if not leaving.any():
+            return direction
+        free = free & ~leaving
+
+
+def affine_set_distance(gen0, gen1, row_len0, row_len1, tol=_GAP_STOP, max_iter=_DISTANCE_STEPS):
     """Distance between conv images {gen0 @ q0} and {gen1 @ q1}, with a certified lower bound.
 
     gen* are (D, K*) matrices whose columns generate the sets; q* are
     flattened kernels whose consecutive groups of row_len* entries each lie
-    on a probability simplex.  f(z) = |gen0 q0 - gen1 q1|^2 is jointly convex
-    in z = (q0, q1), so one accelerated projected-gradient run on the Gram
-    matrix of [gen0, -gen1], from the uniform kernels, solves it.  The run
-    stops once the Frank-Wolfe gap grad f(z) . z - sum over rows of
-    min_i grad f(z)_i, which bounds f(z) - min f, is <= tol; a least-squares
-    polish on the detected support removes the first-order tail, and the
-    gap is tested again.  Only a run that leaves the gap open is followed by
-    another, from a seeded Dirichlet draw, at most `restarts` times.
+    on a probability simplex.  f(z) = |gen0 q0 - gen1 q1|^2 is a convex
+    quadratic in z = (q0, q1) with the constant Hessian 2G, G the Gram
+    matrix of [gen0, -gen1], so a Newton step on the right face is exact.
+    From the uniform kernels, each step holds at 0 the entries that
+    ``_free_entries`` holds, and also every entry at 0 that the step would
+    push below 0, so that the direction D from the KKT system of 2G on the
+    free entries (one zero-sum constraint per row) is feasible.  It tries
+    the projection of z + t D for t = 1 and then for the largest t that
+    keeps the free entries nonnegative, which lands the blocking entry on 0
+    (halving t would only halve it), and accepts the first point at which
+    f does not rise.  The solve ends once the Frank-Wolfe gap
+    grad f(z) . z - sum over rows of min_i grad f(z)_i, which bounds
+    f(z) - min f, is <= tol, after max_iter steps, or when no step finds a
+    new point.  One to three steps close the gap on the separation draws.
 
-    Returns (distance, lower, q0, q1): distance = sqrt f at the best point
-    found and lower = sqrt max(f - gap, 0), a certified lower bound.
+    Returns (distance, lower, q0, q1): distance = sqrt f at the returned
+    point and lower = sqrt max(f - gap, 0), a certified lower bound; f and
+    the gap are taken from the residual gen0 q0 - gen1 q1.
     """
     g0 = np.asarray(gen0, dtype=float)
     g1 = np.asarray(gen1, dtype=float)
-    k0 = g0.shape[1]
+    k0, k1 = g0.shape[1], g1.shape[1]
     joint = np.concatenate([g0, -g1], axis=1)
-    gram = joint.T @ joint
-    parts = ((slice(0, k0), row_len0), (slice(k0, joint.shape[1]), row_len1))
-    bounds = [(i, i + r) for sl, r in parts for i in range(sl.start, sl.stop, r)]
+    hess = 2.0 * (joint.T @ joint)
+    parts = ((slice(0, k0), row_len0), (slice(k0, k0 + k1), row_len1))
+    owner = np.concatenate([np.arange(k0) // row_len0, k0 // row_len0 + np.arange(k1) // row_len1])
+    nrows = int(owner[-1]) + 1
+
+    def rows(v):
+        return [v[sl].reshape(-1, r) for sl, r in parts]
 
     def proj(v):
-        return np.concatenate(
-            [project_simplex_rows(v[sl].reshape(-1, r)).ravel() for sl, r in parts]
-        )
+        return np.concatenate([project_simplex_rows(r).ravel() for r in rows(v)])
 
-    def fw_gap(z, grad):
-        row_mins = sum(float(grad[sl].reshape(-1, r).min(axis=1).sum()) for sl, r in parts)
-        return float(grad @ z) - row_mins
-
-    def exact(z):
-        # from the residual, so f near 0 is not lost to cancellation in z . gram z
-        resid = joint @ z
-        return float(resid @ resid), fw_gap(z, 2.0 * (joint.T @ resid)), z
-
-    best, lower = None, 0.0
-    for r in range(restarts + 1):
-        z = np.concatenate([
-            rng.dirichlet(np.ones(k), size=(sl.stop - sl.start) // k).ravel() if r
-            else np.full(sl.stop - sl.start, 1.0 / k)
-            for sl, k in parts
-        ])
-        z = _fista(gram, z, proj, fw_gap, tol, max_iter)
-        point = exact(z)
-        for thresh in _POLISH_SUPPORT:
-            polished = _polish_on_support(joint, z, bounds, thresh)
-            if polished is not None and (candidate := exact(polished))[0] < point[0]:
-                point = candidate
-        f, gap, z = point
-        lower = max(lower, f - max(gap, 0.0))
-        if best is None or f < best[0]:
-            best = (f, z)
-        if gap <= tol:
+    z = np.concatenate([np.full(sl.stop - sl.start, 1.0 / r) for sl, r in parts])
+    # f and its gradient from the residual, so f near 0 is not lost to
+    # cancellation in z . G z
+    resid = joint @ z
+    for step in range(max_iter + 1):
+        f, grad = float(resid @ resid), 2.0 * (joint.T @ resid)
+        gap = float(grad @ z) - sum(float(g.min(axis=1).sum()) for g in rows(grad))
+        if gap <= tol or step == max_iter:
             break
-    f, z = best
-    # lower <= min f in exact arithmetic; the clip only drops rounding
-    return float(np.sqrt(f)), float(np.sqrt(min(lower, f))), z[:k0], z[k0:]
+        free = np.concatenate([_free_entries(q, g).ravel() for q, g in zip(rows(z), rows(grad))])
+        direction = _feasible_direction(hess, grad, z, free, owner, nrows)
+        if direction is None:
+            break
+        down = direction < 0.0
+        t_block = min(1.0, float(np.min(z[down] / -direction[down]))) if down.any() else 1.0
+        for t in (1.0, t_block) if t_block < 1.0 else (1.0,):
+            cand = proj(z + t * direction)
+            # f(cand) - f(z), free of the cancellation between the two values
+            moved = joint @ (cand - z)
+            if float(moved @ (2.0 * resid + moved)) <= 0.0:
+                break
+        else:
+            break
+        if np.array_equal(cand, z):
+            break
+        z, resid = cand, joint @ cand
+    # f - gap <= min f in exact arithmetic; a negative gap is rounding
+    return float(np.sqrt(f)), float(np.sqrt(max(f - max(gap, 0.0), 0.0))), z[:k0], z[k0:]

@@ -250,23 +250,23 @@ class NotSeparable:
     witness_q1: JammerKernel
 
 
-def separation_test(w, src, gp, seed=0, restarts=16, tol=DEFAULT_TOL, caps=DEFAULT_CAPS):
+def separation_test(w, src, gp, seed=0, tol=DEFAULT_TOL, caps=DEFAULT_CAPS):
     """Decide disjointness of the reachable ensemble-state sets of g0 and g1.
 
-    The set distance comes as a bracket [lower, distance] from one convex
-    solve (restarts caps its seeded restarts).  distance at or below the
-    lower threshold yields NotSeparable with the witness kernels; lower
-    above the separability threshold yields a certificate built from the
-    connecting direction between the closest points; any other bracket
-    raises Indeterminate.
+    The set distance comes as a bracket [lower, distance] from one
+    projected Newton solve of the convex quadratic (``affine_set_distance``,
+    stopped on a Frank-Wolfe gap of tol.quadratic_solver), which draws no
+    random numbers: seed has no effect.  distance at or below the lower
+    threshold yields NotSeparable with the witness kernels; lower above the
+    separability threshold yields a certificate built from the connecting
+    direction between the closest points; any other bracket raises
+    Indeterminate.
     """
     nx, ns = len(w.x_alphabet), len(w.s_alphabet)
     wgt0 = _block_weights(src, gp.g0, gp.iota, w.x_alphabet)
     wgt1 = _block_weights(src, gp.g1, gp.iota, w.x_alphabet)
-    rng = np.random.default_rng(seed)
     dist, lower, q0, q1 = affine_set_distance(
-        _gram_factor(w, wgt0), _gram_factor(w, wgt1), ns, ns, rng,
-        restarts=restarts, tol=tol.quadratic_solver,
+        _gram_factor(w, wgt0), _gram_factor(w, wgt1), ns, ns, tol=tol.quadratic_solver
     )
     q0, q1 = q0.reshape(nx, ns), q1.reshape(nx, ns)
     if dist <= tol.not_separable_below:

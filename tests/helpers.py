@@ -1,5 +1,6 @@
 """Shared instance builders and independent references for the test suite."""
 
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -7,7 +8,7 @@ import numpy as np
 from avcqc import Avcqc, CorrelatedSource, CqChannel
 from avcqc.capacity import _aux_objective
 from avcqc.errors import NotPositive
-from avcqc.geometry import compositions, project_simplex_rows
+from avcqc.geometry import project_simplex_rows
 from avcqc.operators import eigvalsh_stack, entropy_from_eigenvalues
 
 ZERO = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -59,6 +60,22 @@ def wishart_avcqc(rng, nx, ns, d):
     """AVCQC whose |X| x |S| states are full-rank Ginibre-Wishart draws."""
     states = np.stack([[wishart_state(rng, d) for _ in range(ns)] for _ in range(nx)])
     return Avcqc(tuple(range(nx)), tuple(range(ns)), states)
+
+
+def compositions(k, total):
+    """All k-tuples of nonnegative integers summing to total, in lexicographic order.
+
+    They are the rows of the (m, k) int array returned.  Stars and bars: the
+    k - 1 bars take increasing slots among total + k - 1, and the parts are
+    the gaps between consecutive bars.
+    """
+    end = total + k - 1
+    m = comb(end, k - 1)
+    bars = np.fromiter(
+        chain.from_iterable(combinations(range(end), k - 1)), dtype=int, count=m * (k - 1)
+    ).reshape(m, k - 1)
+    edges = np.concatenate([np.full((m, 1), -1), bars, np.full((m, 1), end)], axis=1)
+    return np.diff(edges, axis=1) - 1
 
 
 def simplex_grid(k, steps):

@@ -4,10 +4,21 @@ import numpy as np
 import pytest
 
 import helpers
+from avcqc import geometry
 from avcqc.capacity import _aux_objective
 from avcqc.cli import _demo_source
-from avcqc.geometry import compositions
-from helpers import kernel_grid, pattern_search, simplex_grid
+from avcqc.geometry import affine_set_distance
+from avcqc.separation import _block_weights, _gram_factor, build_g_pair
+from helpers import (
+    bitflip_channel,
+    compositions,
+    constant_channel,
+    flip_source,
+    kernel_grid,
+    pattern_search,
+    separable_instance,
+    simplex_grid,
+)
 
 
 def recursive_compositions(k, total):
@@ -43,6 +54,71 @@ class TestCompositions:
         ref = rows[np.array(list(iproduct(range(rows.shape[0]), repeat=nx)))]
         grid = kernel_grid(nx, ns, steps)
         assert grid.shape == ref.shape and grid.tobytes() == ref.tobytes()
+
+
+def pair_generators(w, src):
+    """The separation test's generator matrices (D, |X||S|) of g0 and g1."""
+    gp = build_g_pair(src, w.x_alphabet)
+    return [_gram_factor(w, _block_weights(src, g, gp.iota, w.x_alphabet)) for g in (gp.g0, gp.g1)]
+
+
+class TestAffineSetDistance:
+    def test_duplicated_generators_keep_the_distance(self):
+        # repeating a column inside its row leaves every convex hull as it
+        # was, but makes the Gram matrix singular
+        rng = np.random.default_rng(8)
+        gen0, gen1 = rng.standard_normal((5, 6)), rng.standard_normal((5, 4)) + 0.5
+        dist = affine_set_distance(gen0, gen1, 3, 2)[0]
+        dup0 = gen0[:, [0, 1, 2, 0, 3, 4, 5, 5]]                # rows of 4
+        dup1 = gen1[:, [0, 1, 1, 2, 2, 3]]                      # rows of 3
+        gram = np.concatenate([dup0, -dup1], axis=1)
+        assert np.linalg.matrix_rank(gram.T @ gram) < gram.shape[1]
+        d, lower, q0, q1 = affine_set_distance(dup0, dup1, 4, 3)
+        assert d == pytest.approx(dist, abs=1e-12)
+        assert lower <= d and d**2 - lower**2 <= 1e-12
+        assert np.allclose(q0.reshape(2, 4).sum(axis=1), 1.0) and q0.min() >= 0.0
+        assert np.allclose(q1.reshape(2, 3).sum(axis=1), 1.0) and q1.min() >= 0.0
+
+    @pytest.mark.parametrize(
+        "seed, dim, row_len, rows, shift", [(2, 3, 3, (2, 2), 0.0), (125, 15, 5, (5, 7), 3.0)]
+    )
+    def test_random_pairs_close_their_gap(self, seed, dim, row_len, rows, shift):
+        # seed 2: a rank-3 Gram matrix on 12 entries, where a descent that
+        # halves its step only halves the blocking entry and stalled 0.05
+        # above the distance.  Seed 125: sets about 70 apart, where comparing
+        # f(candidate) with f(z) reads the rounding of f near 5e3 as a rise
+        # and stopped 0.13 above it
+        rng = np.random.default_rng(seed)
+        gen0 = rng.standard_normal((dim, rows[0] * row_len))
+        gen1 = rng.standard_normal((dim, rows[1] * row_len)) + shift
+        dist, lower, _, _ = affine_set_distance(gen0, gen1, row_len, row_len)
+        assert dist**2 - lower**2 <= 1e-12 * max(1.0, dist**2)
+        q = rng.dirichlet(np.ones(row_len), size=(2000, sum(rows))).reshape(2000, -1)
+        pts = q @ np.concatenate([gen0, -gen1], axis=1).T
+        assert np.linalg.norm(pts, axis=1).min() >= lower
+
+    @pytest.mark.parametrize("channel", [constant_channel, bitflip_channel])
+    def test_intersecting_sets_close_at_the_uniform_start(self, monkeypatch, channel):
+        calls = []
+        project = geometry.project_simplex_rows
+        monkeypatch.setattr(
+            geometry, "project_simplex_rows", lambda y: calls.append(y) or project(y)
+        )
+        gen0, gen1 = pair_generators(channel(), flip_source(0.1))
+        dist, lower, q0, q1 = affine_set_distance(gen0, gen1, 2, 2)
+        assert calls == []                                      # no step taken
+        assert 0.0 <= lower <= dist <= 1e-15
+        assert np.array_equal(q0, np.full(q0.size, 0.5)) and np.array_equal(q1, q0)
+
+    def test_largest_block_draw_closes_in_three_steps(self):
+        # |X| = 5, d = 3 at iota = 4: the largest separation draw of the
+        # finite-block benchmark, 144-dimensional generators
+        w, src = separable_instance(np.random.default_rng([2024, 5, 3]), 5, 3)
+        gen0, gen1 = pair_generators(w, src)
+        assert gen0.shape == gen1.shape == (144, 10)
+        dist, lower, _, _ = affine_set_distance(gen0, gen1, 2, 2, max_iter=3)
+        assert dist**2 - lower**2 <= 1e-12
+        assert dist == pytest.approx(affine_set_distance(gen0, gen1, 2, 2)[0], abs=1e-15)
 
 
 class TestPatternSearch:

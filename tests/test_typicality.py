@@ -13,9 +13,8 @@ from avcqc import (
 )
 from avcqc.config import Caps
 from avcqc.errors import DimOverflow, EnumerationOverflow
-from avcqc.geometry import compositions
 from avcqc.typicality import _SUPPORT_FLOOR, _cross_mass, _window_count_classes, stable_eigh
-from helpers import ONE, ZERO, mirror_pair_channel
+from helpers import ONE, ZERO, compositions, mirror_pair_channel
 
 
 def enumerate_window(p, n, width):
