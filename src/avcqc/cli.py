@@ -90,20 +90,12 @@ def _add_common(sub, channel=True, source=False, seed=True):
     if source:
         sub.add_argument("--source", required=True, help="correlated source JSON")
     if seed:
-        sub.add_argument("--seed", required=True, type=int, help="solver seed")
+        sub.add_argument("--seed", required=True, type=int,
+                         help="seed of the simulate trials; the solvers draw no random numbers")
     sub.add_argument("--out", required=True, help="output path")
     sub.add_argument("--cap", "--caps", dest="cap", action="append",
                      help="cap override name=value")
     sub.add_argument("--tol", action="append", help="tolerance override name=value")
-
-
-_RESTARTS_HELP = (
-    "legs of the max-min solver's ascent (default 32): the saddle bracket is "
-    "checked after every outer step and a bracket at most --tol "
-    "maxmin_bracket wide (default 1e-6) ends the solve; while it stays open, "
-    "the ascent restarts from the point it "
-    "reached, and the rest go unused once it closes"
-)
 
 
 def build_parser():
@@ -112,12 +104,10 @@ def build_parser():
 
     s = subs.add_parser("capacity", help="informed-jammer max-min capacity")
     _add_common(s)
-    s.add_argument("--restarts", type=int, default=32, help=_RESTARTS_HELP)
     s.add_argument("--trace-csv", help="optional CSV of (iteration, objective)")
 
     s = subs.add_parser("cr-capacity", help="correlation-assisted CR capacity")
     _add_common(s, source=True)
-    s.add_argument("--restarts", type=int, default=32, help=_RESTARTS_HELP)
 
     s = subs.add_parser("separate", help="convex separation of the encoder pair")
     _add_common(s, source=True)
@@ -154,8 +144,6 @@ def _parse_list(text, caster, flag):
 
 def _check_arguments(args):
     """Validate and parse the numeric arguments before any computation."""
-    if getattr(args, "restarts", 1) < 1:
-        raise SpecParseError(f"--restarts must be at least 1, got {args.restarts}")
     if args.command == "typicality":
         if args.p:
             args.p = _parse_list(args.p, float, "--p")
@@ -217,9 +205,7 @@ def _config_from_args(args):
 
 def cmd_capacity(cfg):
     w = io.load_channel(cfg.channel_path)
-    res = capacity_informed_jammer(
-        w, seed=cfg.seed, restarts=cfg.extras["restarts"], tol=cfg.tol
-    )
+    res = capacity_informed_jammer(w, tol=cfg.tol)
     io.dump_json(io.capacity_result_to_json(res), cfg.out_path)
     if cfg.extras.get("trace_csv"):
         rows = [("iteration", "objective")] + [
@@ -232,7 +218,7 @@ def cmd_capacity(cfg):
 def cmd_cr_capacity(cfg):
     w = io.load_channel(cfg.channel_path)
     src = io.load_source(cfg.source_path)
-    res = cr_capacity(w, src, seed=cfg.seed, restarts=cfg.extras["restarts"], tol=cfg.tol)
+    res = cr_capacity(w, src, tol=cfg.tol)
     io.dump_json(io.cr_result_to_json(res), cfg.out_path)
     return 0
 
@@ -320,9 +306,9 @@ def cmd_discontinuity_demo(cfg):
     rows = [("n", "source_distance_to_limit", "cr_capacity")]
     for n in cfg.extras["n_list"]:
         src = _demo_source(n)
-        res = cr_capacity(w, src, seed=cfg.seed, tol=cfg.tol)
+        res = cr_capacity(w, src, tol=cfg.tol)
         rows.append((n, repr(source_distance(src, limit)), repr(res.value)))
-    res = cr_capacity(w, limit, seed=cfg.seed, tol=cfg.tol)
+    res = cr_capacity(w, limit, tol=cfg.tol)
     rows.append(("limit", repr(0.0), repr(res.value)))
     io.write_csv(rows, cfg.out_path)
     return 0

@@ -168,13 +168,13 @@ def test_criterion_7_discontinuity_demo(criterion):
                 (0, 1), (0, 1), [[0.5 - eps, eps], [eps, 0.5 - eps]]
             )
             dists.append(source_distance(src, limit))
-            values.append(cr_capacity(w, src, seed=0).value)
+            values.append(cr_capacity(w, src).value)
         assert dists == pytest.approx([0.5, 0.25, 0.125], abs=1e-12)
         assert all(a > b for a, b in zip(dists, dists[1:]))
         # F(0) = H(K), the Gacs-Korner common information: 0 for every
         # noisy source, 1 bit at the limit, exactly
         assert values == [0.0, 0.0, 0.0]
-        lim_val = cr_capacity(w, limit, seed=0).value
+        lim_val = cr_capacity(w, limit).value
         assert lim_val == 1.0
 
     criterion(7, "capacity discontinuity demo", 60.0, body)
@@ -195,13 +195,13 @@ def test_criterion_8_cr_capacity_case_split(criterion):
         q = (lo + hi) / 2
         src = flip_source(q)
         assert src.mutual_information() == pytest.approx(0.5, abs=1e-9)
-        res = cr_capacity(orthogonal_channel(), src, seed=0)
+        res = cr_capacity(orthogonal_channel(), src)
         assert res.case_tag == "small_correlation"
         assert res.value == pytest.approx(1.5, abs=5e-3)
 
         for joint in ([[0.5, 0.0], [0.0, 0.5]], [[3 / 8, 1 / 8], [1 / 8, 3 / 8]]):
             src2 = CorrelatedSource((0, 1), (0, 1), joint)
-            res2 = cr_capacity(constant_channel(), src2, seed=0)
+            res2 = cr_capacity(constant_channel(), src2)
             assert res2.case_tag == "large_correlation"
             oracle = binary_aux_grid_oracle(src2, res2.maxmin_value)
             assert abs(res2.value - oracle) <= 5e-3

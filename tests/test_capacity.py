@@ -115,16 +115,16 @@ class TestHolevoCapacity:
         # chi(p) <= C <= max_x D(W(x) || rho_bar) to 1e-9 in a few
         w = wishart_avcqc(np.random.default_rng(4), 3, 1, 2)
         fixed = CqChannel(w.x_alphabet, w.states[:, 0])
-        legs = []
+        runs = []
         ascend = capacity._ascend
 
         def spy(*args):
-            legs.append(ascend(*args))
-            return legs[-1]
+            runs.append(ascend(*args))
+            return runs[-1]
 
         monkeypatch.setattr(capacity, "_ascend", spy)
         val, p = holevo_capacity(fixed)
-        assert len(legs) == 1 and len(legs[0][4]) - 1 <= 8
+        assert len(runs) == 1 and len(runs[0][4]) - 1 <= 8
         lo, hi = dense_saddle_bracket(w.states, p, np.ones((3, 1)))
         assert lo - 1e-12 <= val <= hi and hi - lo <= 1e-9
         assert val == capacity_informed_jammer(w, tol=with_overrides(
@@ -259,61 +259,37 @@ class TestSaddleBracket:
         assert one.solver_trace == many.solver_trace
         assert one.bracket == many.bracket
 
-    def test_open_bracket_restarts_from_where_it_stopped(self, monkeypatch):
-        # the Newton step closes this draw on its third one-step leg; with
-        # the mirror fallback alone each one-step leg narrows the bracket a
-        # little and leaves it open, so all six legs run
+    def test_one_step_solve_returns_an_open_bracket(self):
+        # the uniform start of this draw is not a saddle point: one outer
+        # step leaves the bracket open, and it still holds the max-min value
+        w = self._instance()
+        res = capacity_informed_jammer(w, outer_iter=1)
+        lo, hi = res.bracket
+        assert len(res.solver_trace) == 2
+        assert hi - lo > DEFAULT_TOL.maxmin_bracket
+        assert lo <= res.value <= hi
+        closed = capacity_informed_jammer(w)
+        assert closed.certified_gap <= DEFAULT_TOL.maxmin_bracket
+        assert lo <= closed.value <= hi
+        ref = dense_saddle_bracket(w.states, res.argmax_p, res.argmin_q.rows)
+        assert np.max(np.abs(np.subtract(res.bracket, ref))) <= 1e-10
+
+    def test_rejected_newton_step_ends_the_trajectory(self, monkeypatch):
+        # with no Newton candidate accepted the solve stops after its first
+        # inner descent, at the uniform input, with an open bracket around
+        # the max-min value
+        w = self._instance()
+        closed = capacity_informed_jammer(w)
         monkeypatch.setattr(capacity, "_newton_ascent", lambda *a: None)
-        legs = []
-        ascend = capacity._ascend
-
-        def spy(states, p, q, *args):
-            out = ascend(states, p, q, *args)
-            legs.append((np.array(p), np.array(q), out))
-            return out
-
-        monkeypatch.setattr(capacity, "_ascend", spy)
-        w = self._instance()
-        a = capacity_informed_jammer(w, seed=3, restarts=6, outer_iter=1)
-        assert len(legs) == 6
-        assert np.all(legs[0][0] == 1 / 3) and np.all(legs[0][1] == 1 / 3)
-        for (_, _, prev), (p, q, _) in zip(legs, legs[1:]):
-            assert np.array_equal(p, prev[1]) and np.array_equal(q, prev[2])
-        # the trace runs through all six legs; the last one is returned
-        assert a.solver_trace == tuple(x for leg in legs for x in leg[2][4])
-        assert np.array_equal(a.argmax_p, legs[-1][2][1])
-        one = capacity_informed_jammer(w, seed=3, restarts=1, outer_iter=1)
-        assert a.bracket[1] - a.bracket[0] < one.bracket[1] - one.bracket[0]
-        assert a.bracket[1] - a.bracket[0] > DEFAULT_TOL.maxmin_bracket
-        b = capacity_informed_jammer(w, seed=4, restarts=6, outer_iter=1)
-        assert a.value == b.value
-        assert np.array_equal(a.argmax_p, b.argmax_p)
-        assert np.array_equal(a.argmin_q.rows, b.argmin_q.rows)
-        assert a.solver_trace == b.solver_trace
-        assert a.bracket == b.bracket
-
-    def test_narrowest_leg_is_returned(self, monkeypatch):
-        # a later leg whose bracket comes out wider does not replace the first
-        w = self._instance()
-        one = capacity_informed_jammer(w, restarts=1, outer_iter=1)
-        ascend = capacity._ascend
-        legs = []
-
-        def widen_later_legs(*args):
-            chi, p, q, (lo, hi), trace = ascend(*args)
-            legs.append(None)
-            if len(legs) > 1:
-                lo, hi = lo - 1.0, hi + 1.0
-            return chi, p, q, (lo, hi), trace
-
-        monkeypatch.setattr(capacity, "_ascend", widen_later_legs)
-        res = capacity_informed_jammer(w, restarts=3, outer_iter=1)
-        assert len(legs) == 3
-        assert res.value == one.value
-        assert np.array_equal(res.argmax_p, one.argmax_p)
-        assert np.array_equal(res.argmin_q.rows, one.argmin_q.rows)
-        assert res.solver_trace == one.solver_trace
-        assert res.bracket == one.bracket
+        res = capacity_informed_jammer(w)
+        lo, hi = res.bracket
+        assert len(res.solver_trace) == 1
+        assert np.all(res.argmax_p == 1 / 3)
+        assert hi - lo > DEFAULT_TOL.maxmin_bracket
+        assert lo <= res.value <= hi
+        assert lo <= closed.value <= hi
+        ref = dense_saddle_bracket(w.states, res.argmax_p, res.argmin_q.rows)
+        assert np.max(np.abs(np.subtract(res.bracket, ref))) <= 1e-10
 
     def test_bracket_absorbs_rounding_only(self, monkeypatch):
         # the returned bracket is widened to hold the value by rounding
@@ -328,47 +304,16 @@ class TestSaddleBracket:
 
         monkeypatch.setattr(capacity, "_ascend", move_hi_below_chi)
         shift.append(1e-14)
-        res = capacity_informed_jammer(w, restarts=1)
+        res = capacity_informed_jammer(w)
         assert res.bracket[1] == res.value
         shift[0] = 1e-3
         with pytest.raises(SolverDiverged, match="outside its bracket"):
-            capacity_informed_jammer(w, restarts=1)
-
-    def test_second_leg_closes_a_stalled_trajectory(self, monkeypatch):
-        # the sixteenth draw of the criterion-2 acceptance suite: a first leg
-        # of mirror steps alone stalls with its bracket just over the width
-        # (the Newton step closes it on the first leg), and the second leg,
-        # with the Newton step back, closes it from where the first stopped
-        rng = np.random.default_rng(2024)
-        for _ in range(15):
-            random_avcqc(rng, nx=2, ns=2, dim=2)
-        w = random_avcqc(rng, nx=2, ns=2, dim=2)
-        assert capacity_informed_jammer(w, restarts=1).certified_gap <= DEFAULT_TOL.maxmin_bracket
-        legs = []
-        ascend, newton = capacity._ascend, capacity._newton_ascent
-
-        def count_legs(*args):
-            legs.append(None)
-            return ascend(*args)
-
-        monkeypatch.setattr(capacity, "_ascend", count_legs)
-        monkeypatch.setattr(capacity, "_newton_ascent",
-                            lambda *a: newton(*a) if len(legs) > 1 else None)
-        one = capacity_informed_jammer(w, restarts=1)
-        legs.clear()
-        res = capacity_informed_jammer(w)
-        assert len(legs) == 2
-        assert one.bracket[1] - one.bracket[0] > DEFAULT_TOL.maxmin_bracket
-        lo, hi = res.bracket
-        assert hi - lo <= DEFAULT_TOL.maxmin_bracket
-        assert lo <= res.value <= hi
-        assert one.bracket[0] <= res.value <= one.bracket[1]
-        assert res.solver_trace[: len(one.solver_trace)] == one.solver_trace
+            capacity_informed_jammer(w)
 
     @pytest.mark.parametrize("outer_iter", [1, 400])
     def test_bracket_matches_dense_eigh(self, outer_iter):
         w = self._instance()
-        res = capacity_informed_jammer(w, seed=3, restarts=4, outer_iter=outer_iter)
+        res = capacity_informed_jammer(w, outer_iter=outer_iter)
         ref = dense_saddle_bracket(w.states, res.argmax_p, res.argmin_q.rows)
         assert np.max(np.abs(np.subtract(res.bracket, ref))) <= 1e-10
 
@@ -388,13 +333,13 @@ class TestSaddleBracket:
     def test_requested_width_closes_the_seven_roadmap_draws(self):
         # default_rng(5) drawn in the order 2x2 d2, 3x2 d2, 2x3 d2, 3x3 d3,
         # 4x4 d4, 5x5 d3, 6x4 d4: the mirror step took up to 732 outer steps
-        # to a 1e-10 bracket; each closes on its first leg, inside the
-        # default solve's bracket
+        # to a 1e-10 bracket; each closes in at most 12, inside the default
+        # solve's bracket
         tight = with_overrides(DEFAULT_TOL, maxmin_bracket=1e-10)
         rng = np.random.default_rng(5)
         for shape in [(2, 2, 2), (3, 2, 2), (2, 3, 2), (3, 3, 3), (4, 4, 4), (5, 5, 3), (6, 4, 4)]:
             w = wishart_avcqc(rng, *shape)
-            res = capacity_informed_jammer(w, restarts=1, tol=tight)
+            res = capacity_informed_jammer(w, tol=tight)
             lo, hi = res.bracket
             assert res.certified_gap <= 1e-10 and lo <= res.value <= hi
             assert len(res.solver_trace) - 1 <= 12
@@ -412,12 +357,11 @@ class TestSaddleBracket:
 
         for name in ("bitflip", "constant"):
             w = serialize.load_channel(str(SPECS / f"{name}_channel.json"))
-            for restarts in (1, 32):
-                res = capacity_informed_jammer(w, seed=7, restarts=restarts)
-                assert res.value == 0.0 and not np.signbit(res.value)
-                assert not np.any(np.signbit(res.bracket))
+            res = capacity_informed_jammer(w)
+            assert res.value == 0.0 and not np.signbit(res.value)
+            assert not np.any(np.signbit(res.bracket))
         src = serialize.load_source(str(SPECS / "perfect_source.json"))
-        res = cr_capacity(serialize.load_channel(str(SPECS / "constant_channel.json")), src, seed=7)
+        res = cr_capacity(serialize.load_channel(str(SPECS / "constant_channel.json")), src)
         assert res.maxmin_value == 0.0 and not np.signbit(res.maxmin_value)
 
 
@@ -425,7 +369,7 @@ class TestCrCapacity:
     def test_constant_channel_perfect_correlation(self):
         # zero budget: H(K) with K = V' = V, witnessed by the identity
         src = CorrelatedSource((0, 1), (0, 1), [[0.5, 0.0], [0.0, 0.5]])
-        res = cr_capacity(constant_channel(), src, seed=0)
+        res = cr_capacity(constant_channel(), src)
         assert res.case_tag == "large_correlation"
         assert res.value == 1.0 and res.bracket == (1.0, 1.0)
         assert res.aux_channel.tolist() == [[1.0, 0.0], [0.0, 1.0]]
@@ -433,7 +377,7 @@ class TestCrCapacity:
     def test_constant_channel_noisy_source_zero(self):
         # a joint with full support has a trivial common part: exactly 0
         src = CorrelatedSource((0, 1), (0, 1), [[3 / 8, 1 / 8], [1 / 8, 3 / 8]])
-        res = cr_capacity(constant_channel(), src, seed=0)
+        res = cr_capacity(constant_channel(), src)
         assert res.case_tag == "large_correlation"
         assert res.value == 0.0 and not np.signbit(res.value)
         assert res.bracket == (0.0, 0.0)
@@ -441,7 +385,7 @@ class TestCrCapacity:
 
     def test_orthogonal_channel_independent_source(self):
         src = CorrelatedSource((0, 1), (0, 1), [[0.25, 0.25], [0.25, 0.25]])
-        res = cr_capacity(orthogonal_channel(), src, seed=0)
+        res = cr_capacity(orthogonal_channel(), src)
         assert res.case_tag == "small_correlation"
         assert res.value == pytest.approx(1.0, abs=1e-6)
 
@@ -450,13 +394,13 @@ class TestCrCapacity:
         w = random_avcqc(rng)
         src = CorrelatedSource((0, 1), (0, 1), [[0.18, 0.42], [0.12, 0.28]])
         assert src.mutual_information() == pytest.approx(0.0, abs=1e-12)
-        res = cr_capacity(w, src, seed=7)
+        res = cr_capacity(w, src)
         cap = capacity_informed_jammer(w, seed=7).value
         assert res.value == pytest.approx(cap, abs=1e-6)
 
     def test_case_two_witness_is_feasible(self):
         src = CorrelatedSource((0, 1), (0, 1), [[0.5, 0.0], [0.0, 0.5]])
-        res = cr_capacity(constant_channel(), src, seed=0)
+        res = cr_capacity(constant_channel(), src)
         i_uvp, i_uv = _aux_objective(src.joint, res.aux_channel[None])
         assert i_uvp[0] - i_uv[0] <= res.maxmin_value + 1e-6
         assert i_uvp[0] == pytest.approx(res.value, abs=1e-6)
@@ -533,7 +477,7 @@ class TestLargeCorrelation:
         # orthogonal channel: C* = 1 > 0; the source carries log2(3) > 1 bits
         src = CorrelatedSource((0, 1, 2), (0, 1, 2), np.eye(3) / 3)
         with pytest.raises(NonBinarySource, match=r"\|V'\| = 2"):
-            cr_capacity(orthogonal_channel(), src, seed=0)
+            cr_capacity(orthogonal_channel(), src)
 
     def test_three_letter_sender_at_zero_budget(self):
         # the constant channel's bracket is (0, 0): H(K) for any alphabet
@@ -548,7 +492,7 @@ class TestRateLimitedBound:
     def test_vanishing_fraction_gives_capacity(self):
         profile = CorrelationLengthProfile(50.0, 60.0, 0.0)
         got = cr_rate_limited_lower_bound(
-            orthogonal_channel(), flip_source(0.1), profile, seed=0
+            orthogonal_channel(), flip_source(0.1), profile
         )
         cap = capacity_informed_jammer(orthogonal_channel(), seed=0).value
         assert got == pytest.approx(cap, abs=1e-9)
@@ -556,7 +500,7 @@ class TestRateLimitedBound:
     def test_constant_channel_guard_path(self):
         profile = CorrelationLengthProfile(4.0, 5.0, 0.25)
         got = cr_rate_limited_lower_bound(
-            constant_channel(), flip_source(0.1), profile, seed=0
+            constant_channel(), flip_source(0.1), profile
         )
         assert got == pytest.approx(0.0, abs=1e-9)
 
@@ -570,7 +514,7 @@ class TestRateLimitedBound:
         rate = binary_avc_positivity(induced_binary_avc(cert, w, src, gp))["rate_r"]
         r_pp = 3.0 / rate
         profile = CorrelationLengthProfile(r_pp + 1.0, r_pp + 2.0, 0.25)
-        got = cr_rate_limited_lower_bound(w, src, profile, seed=0)
+        got = cr_rate_limited_lower_bound(w, src, profile)
         cap = capacity_informed_jammer(w, seed=0).value
         assert got == pytest.approx(0.75 * cap + 0.25 * r_pp, abs=1e-6)
 
@@ -587,7 +531,7 @@ class TestRateLimitedBound:
         assert pos["positive"] and pos["rate_r"] > 0.0
         r_pp = 3.0 / pos["rate_r"]
         profile = CorrelationLengthProfile(r_pp + 1.0, r_pp + 2.0, 0.25)
-        got = cr_rate_limited_lower_bound(w, src, profile, seed=0)
+        got = cr_rate_limited_lower_bound(w, src, profile)
         cap = capacity_informed_jammer(w, seed=0).value
         assert got == pytest.approx(0.75 * cap + 0.25 * r_pp, abs=1e-6)
 
@@ -596,7 +540,7 @@ class TestRateLimitedBound:
         src = flip_source(0.1)
         profile = CorrelationLengthProfile(0.5, 0.6, 0.25)  # below r'' for any rate <= 1
         with pytest.raises(ProfileOutOfRange):
-            cr_rate_limited_lower_bound(w, src, profile, seed=0)
+            cr_rate_limited_lower_bound(w, src, profile)
 
 
 class TestCertifiedGap:
@@ -619,16 +563,6 @@ class TestCertifiedGap:
         assert res.certified_gap is not None
         assert res.certified_gap == hi - lo
         assert res.certified_gap <= DEFAULT_TOL.maxmin_bracket
-
-
-class TestRestartsValidation:
-    def test_capacity_informed_jammer(self):
-        with pytest.raises(InvalidArgument, match="restarts"):
-            capacity_informed_jammer(orthogonal_channel(), restarts=0)
-
-    def test_cr_capacity(self):
-        with pytest.raises(InvalidArgument, match="restarts"):
-            cr_capacity(orthogonal_channel(), flip_source(0.1), restarts=0)
 
 
 def test_grid_oracle_certifies_known_values():
@@ -852,9 +786,27 @@ class TestOuterNewton:
         base = wishart_avcqc(np.random.default_rng(seed), 5, 1, 3).states
         states = np.concatenate([base, base], axis=1)
         states = np.concatenate([states, 0.999 * states[:1] + 0.001 * states[-1:]], axis=0)
-        res = capacity_informed_jammer(Avcqc(tuple(range(6)), (0, 1), states), restarts=1)
+        res = capacity_informed_jammer(Avcqc(tuple(range(6)), (0, 1), states))
         assert res.certified_gap <= DEFAULT_TOL.maxmin_bracket
         assert len(res.solver_trace) - 1 <= 10
+
+    @pytest.mark.parametrize("seed, nx, ns, d", [(0, 3, 3, 3), (0, 4, 2, 2), (3, 3, 3, 3),
+                                                 (4, 4, 2, 2)])
+    def test_near_duplicate_pure_letters_close(self, seed, nx, ns, d):
+        # input letter 1 is 1e-6 away from letter 0 under every jammer letter,
+        # and all states are pure, so phi is nearly flat between them.  An
+        # outer candidate is compared to the accuracy of the inner minima,
+        # the kernel's Frank-Wolfe stop of 1e-9; compared at 1e-13, every
+        # Newton candidate is rejected and the bracket stays open
+        rng = np.random.default_rng(seed)
+        states = np.array([[wishart_state(rng, d, rank=1) for _ in range(ns)] for _ in range(nx)])
+        states[1] = (1 - 1e-6) * states[0] + 1e-6 * states[1]
+        res = capacity_informed_jammer(Avcqc(tuple(range(nx)), tuple(range(ns)), states))
+        lo, hi = res.bracket
+        assert res.certified_gap <= DEFAULT_TOL.maxmin_bracket
+        assert lo <= res.value <= hi
+        ref = dense_saddle_bracket(states, res.argmax_p, res.argmin_q.rows)
+        assert np.max(np.abs(np.subtract(res.bracket, ref))) <= 1e-10
 
     def test_single_state_hessian_is_chi_pp(self):
         # |S| = 1: the kernel cannot respond, and the outer step is a Newton
@@ -872,8 +824,7 @@ class TestOuterNewton:
         # d 1e-18 / ln 2 from max_x D(rho_x || rho_bar) taken on the support;
         # hi stays above chi, and the value is that of the channel at d = 2
         states, _, _ = _outer_draw("rank2")
-        start = np.full(3, 1.0 / 3), np.full((3, 3), 1.0 / 3)
-        chi, p, q, (lo, hi), _ = capacity._ascend(states, *start, 400, 120, DEFAULT_TOL)
+        chi, p, q, (lo, hi), _ = capacity._ascend(states, 400, 120, DEFAULT_TOL)
         assert lo <= chi <= hi
         rho_x = np.einsum("xs,xsij->xij", q, states[:, :, :2, :2])
         log_bar = _log2m(np.einsum("x,xij->ij", p, rho_x))

@@ -322,18 +322,6 @@ class TestArgumentValidation:
         argv = ["discontinuity-demo", "--n-list", "3,x", "--seed", "1"]
         self._rejects(argv, tmp_path, capsys, "--n-list")
 
-    def test_capacity_zero_restarts(self, tmp_path, capsys):
-        chan = write_channel(tmp_path, orthogonal_channel())
-        argv = ["capacity", "--channel", chan, "--seed", "1", "--restarts", "0"]
-        self._rejects(argv, tmp_path, capsys, "--restarts")
-
-    def test_cr_capacity_zero_restarts(self, tmp_path, capsys):
-        chan = write_channel(tmp_path, constant_channel())
-        src = write_source(tmp_path, [[0.5, 0.0], [0.0, 0.5]])
-        argv = ["cr-capacity", "--channel", chan, "--source", src, "--seed", "1",
-                "--restarts", "0"]
-        self._rejects(argv, tmp_path, capsys, "--restarts")
-
     @pytest.mark.parametrize("override", [
         "--tol=hermitian=1e-6", "--tol=psd_floor=1e-6", "--tol=trace_one=1e-6",
         "--cap=projector_matrix_dim=2048",
@@ -357,10 +345,16 @@ class TestArgumentValidation:
         self._rejects(argv + ["--tol", "cr_constraint_slack=1e-9"], tmp_path, capsys,
                       "unknown override field 'cr_constraint_slack'")
 
+    def test_retired_solver_objective_is_unknown(self, tmp_path, capsys):
+        # the max-min solve is one trajectory with no stall window to set
+        chan = write_channel(tmp_path, bitflip_channel())
+        argv = ["capacity", "--channel", chan, "--seed", "7", "--tol", "solver_objective=1e-9"]
+        self._rejects(argv, tmp_path, capsys, "unknown override field 'solver_objective'")
+
     @pytest.mark.parametrize("override, field", [
         ("--tol=separable_above=abc", "separable_above"),
         ("--cap=product_dim=inf", "product_dim"),
-        ("--tol=solver_objective=-1", "solver_objective"),
+        ("--tol=quadratic_solver=-1", "quadratic_solver"),
         ("--cap=product_dim=2.5", "product_dim"),
     ])
     def test_malformed_override_value(self, tmp_path, capsys, override, field):
