@@ -98,8 +98,16 @@ def _add_common(sub, channel=True, source=False, seed=True):
     sub.add_argument("--tol", action="append", help="tolerance override name=value")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a SpecParseError (exit 1): argparse's own
+    exit code 2 is the one for an indeterminate separation."""
+
+    def error(self, message):
+        raise SpecParseError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    p = argparse.ArgumentParser(prog="avcqc", description=__doc__)
+    p = _Parser(prog="avcqc", description=__doc__)
     subs = p.add_subparsers(dest="command", required=True)
 
     s = subs.add_parser("capacity", help="informed-jammer max-min capacity")
@@ -325,9 +333,8 @@ _DISPATCH = {
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = _config_from_args(args)
         return _DISPATCH[args.command](cfg)
     except Indeterminate as exc:

@@ -10,12 +10,15 @@ dropped by float rounding.
 The bound verifier never materializes d**n operators: every quantity it
 needs (masses, ranks, extremal eigenvalue products, cross-basis overlap
 masses) reduces to aggregates over letter-count classes because all the
-operators involved are diagonal in per-site eigenbases.
+operators involved are diagonal in per-site eigenbases.  It covers a range
+of block lengths in one array pass: one enumerator grows the classes of
+every n together, their aggregates are array sums, and one dynamic program
+runs the cross masses on a stack of count tables, in chunks within the cap.
 """
 
 from dataclasses import dataclass
 from itertools import product as iproduct
-from math import comb, inf, log2, prod
+from math import factorial, inf, log2, prod
 
 import numpy as np
 
@@ -77,51 +80,95 @@ def stable_eigh(m, cluster_gap=_CLUSTER_GAP):
     return w, v
 
 
-def _window_count_classes(p, n, half_width, guard=DEFAULT_TOL.typicality_boundary,
-                          caps=DEFAULT_CAPS):
-    """Count vectors c (len(p) entries, sum n) with |c/n - p| <= half_width.
+def _chunks(extents, cap):
+    """Consecutive (start, stop) row runs of extents, each the longest whose stack,
+    (stop - start) * prod(largest extents in the run), is within cap, or one row."""
+    runs = [(0, 0)]
+    while (start := runs[-1][1]) < len(extents):
+        stack = np.maximum.accumulate(extents[start:]).prod(axis=1, dtype=float)
+        stack *= np.arange(1, stack.size + 1)
+        runs.append((start, start + max(1, int(np.searchsorted(stack, cap, "right")))))
+    return runs[1:]
+
+
+def _spread(values, bounds, fill):
+    """Row g holds values[bounds[g]:bounds[g + 1]] in order, then at least one fill."""
+    sizes = np.diff(bounds)
+    rows = np.repeat(np.arange(sizes.size), sizes)
+    out = np.full((sizes.size, sizes.max(initial=0) + 1), fill, dtype=np.asarray(values).dtype)
+    out[rows, np.arange(len(values)) - bounds[rows]] = values
+    return out
+
+
+def _window_classes(p, ns, half_width, guard=DEFAULT_TOL.typicality_boundary,
+                    caps=DEFAULT_CAPS):
+    """Count vectors c (len(p) entries, sum n) with |c/n - p| <= half_width, for each n in ns.
 
     Labels with probability below the support floor are pinned to count 0.
-    Counts grow label by label inside the window widened by one, each step's
-    candidates checked against caps.enumeration first.  Lexicographic order.
+    All block lengths grow together, label by label: a row carries its n,
+    takes the counts of n's window widened by one and is dropped once its
+    partial sum passes n.  Each n's candidates are checked against
+    caps.enumeration before every label; an n over it stops there.  Block
+    lengths go in batches whose stacked window boxes stay within the cap.
+    Returns (counts, bounds, over): counts[bounds[i]:bounds[i + 1]] are the
+    classes of ns[i] in lexicographic order, over[i] its overflow or None.
     """
-    p = np.asarray(p, dtype=float)
-    reach = n * (half_width + guard)
-    lo = np.clip(np.ceil(n * p[:-1] - reach) - 1, 0, n).astype(int)
-    hi = np.where(p[:-1] < _SUPPORT_FLOOR, 0, np.clip(np.floor(n * p[:-1] + reach) + 1, 0, n))
-    counts = np.zeros((1, 0), dtype=int)
-    for side in map(np.arange, lo, hi.astype(int) + 1):
-        if (rows := len(counts) * side.size) > caps.enumeration:
-            raise EnumerationOverflow(f"{rows} window candidates exceed cap {caps.enumeration}")
-        counts = np.column_stack([np.repeat(counts, side.size, axis=0), np.tile(side, len(counts))])
-        counts = counts[counts.sum(axis=1) <= n]
-    counts = np.column_stack([counts, n - counts.sum(axis=1)])
-    bad = (np.abs(counts / n - p) > half_width + guard) | ((p < _SUPPORT_FLOOR) & (counts > 0))
-    return [tuple(c) for c in counts[~bad.any(axis=1)].tolist()]
+    p, nv = np.asarray(p, dtype=float), np.asarray(ns, dtype=int)
+    reach, centre = nv * (half_width + guard), np.multiply.outer(nv, p[:-1])
+    lo = np.clip(np.ceil(centre - reach[:, None]) - 1, 0, nv[:, None]).astype(int)
+    hi = np.clip(np.floor(centre + reach[:, None]) + 1, 0, nv[:, None]).astype(int)
+    size = np.maximum(np.where(p[:-1] < _SUPPORT_FLOOR, 0, hi) - lo + 1, 0)
+    over, found = [None] * nv.size, [(np.zeros((0, p.size), dtype=int), np.zeros(0, dtype=int))]
+    for g0, g1 in _chunks(size, caps.enumeration):
+        row, total = np.arange(g0, g1), np.zeros(g1 - g0, dtype=int)
+        counts = np.zeros((g1 - g0, 0), dtype=int)
+        for j in range(p.size - 1):
+            cand = np.bincount(row - g0, minlength=g1 - g0) * size[g0:g1, j]
+            for g in np.flatnonzero(cand > caps.enumeration):
+                over[g0 + g] = f"{cand[g]} window candidates exceed cap {caps.enumeration}"
+            reps = np.where(cand[row - g0] > caps.enumeration, 0, size[row, j])
+            idx = np.repeat(np.arange(row.size), reps)
+            col = lo[row[idx], j] + np.arange(idx.size) - np.repeat(np.cumsum(reps) - reps, reps)
+            fits = total[idx] + col <= nv[row[idx]]
+            idx, col = idx[fits], col[fits]
+            row, total, counts = row[idx], total[idx] + col, np.column_stack([counts[idx], col])
+        counts = np.column_stack([counts, nv[row] - total])
+        bad = (np.abs(counts / nv[row, None] - p) > half_width + guard) | (
+            (p < _SUPPORT_FLOOR) & (counts > 0))
+        found.append((counts[~bad.any(axis=1)], row[~bad.any(axis=1)]))
+    counts, row = (np.concatenate(parts) for parts in zip(*found))
+    return counts, np.searchsorted(row, np.arange(nv.size + 1)), over
 
 
-def _multinomial(n, counts):
-    total, rem = 1, n
-    for c in counts:
-        total *= comb(rem, c)
-        rem -= c
-    return total
+def _window_count_classes(p, n, half_width, guard=DEFAULT_TOL.typicality_boundary,
+                          caps=DEFAULT_CAPS):
+    """The window classes of one block length as tuples; over the cap it raises."""
+    counts, _, over = _window_classes(p, [n], half_width, guard, caps)
+    if over[0]:
+        raise EnumerationOverflow(over[0])
+    return [tuple(c) for c in counts.tolist()]
 
 
-def _class_aggregates(p, n, classes):
-    """(mass, rank, min log2 prob, max log2 prob) over the typical count classes."""
-    if not classes:
-        return 0.0, 0, inf, -inf
-    logs = []
-    mass = 0.0
-    rank = 0
-    for c in classes:
-        lp = sum(ci * np.log2(p[j]) for j, ci in enumerate(c) if ci > 0)
-        m = _multinomial(n, c)
-        rank += m
-        mass += m * 2.0 ** lp
-        logs.append(lp)
-    return float(mass), rank, float(min(logs)), float(max(logs))
+def _class_aggregates(p, counts, bounds):
+    """Per block length, (mass, rank, min log2 prob, max log2 prob) over its classes.
+
+    A class's log2 probability adds its labels' terms in label order,
+    skipping zero counts; the mass adds multinomial * 2**lp class by class,
+    each power a scalar one (numpy's vectorized power can differ in the
+    last bit); ranks are exact Python ints.
+    """
+    lp = np.zeros(len(counts))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j, col in enumerate(counts.T):
+            lp = np.where(col > 0, lp + col * np.log2(p[j]), lp)
+    n = counts.sum(axis=1)
+    fact = np.array([factorial(k) for k in range(n.max(initial=0) + 1)], dtype=object)
+    mult = fact[n] // np.prod(fact[counts], axis=1)
+    terms = mult.astype(float) * np.array([2.0 ** x for x in lp.tolist()])
+    return list(zip(np.cumsum(_spread(terms, bounds, 0.0), axis=1)[:, -1].tolist(),
+                    _spread(mult, bounds, 0).sum(axis=1).tolist(),
+                    _spread(lp, bounds, inf).min(axis=1).tolist(),
+                    _spread(lp, bounds, -inf).max(axis=1).tolist()))
 
 
 def typical_set(p, n, delta, caps=DEFAULT_CAPS, tol=DEFAULT_TOL):
@@ -130,38 +177,23 @@ def typical_set(p, n, delta, caps=DEFAULT_CAPS, tol=DEFAULT_TOL):
     Sequences are tuples of indices into p's alphabet.
     """
     pv = validate_probability_vector(p, tol)
-    k = pv.size
+    _check_sequences("|alphabet|", pv.size, n, caps)
+    classes = _window_count_classes(pv, n, delta / pv.size, tol.typicality_boundary, caps)
+    return _sequences_of_classes(classes, n)
+
+
+def _check_sequences(name, k, n, caps):
     if k ** n > caps.enumeration:
-        raise EnumerationOverflow(
-            f"|alphabet|^n = {k ** n} exceeds enumeration cap {caps.enumeration}"
-        )
-    width = delta / k
-    out = []
-    for seq in iproduct(range(k), repeat=n):
-        counts = [0] * k
-        for c in seq:
-            counts[c] += 1
-        if all(
-            abs(counts[j] / n - pv[j]) <= width + tol.typicality_boundary
-            and not (pv[j] < _SUPPORT_FLOOR and counts[j] > 0)
-            for j in range(k)
-        ):
-            out.append(seq)
-    return out
+        raise EnumerationOverflow(f"{name}^n = {k ** n} exceeds enumeration cap "
+                                  f"{caps.enumeration}")
 
 
 def _sequences_of_classes(classes, n):
-    """Expand count classes into the explicit label sequences."""
+    """Expand count classes into the explicit label sequences, in lexicographic order."""
     classes = set(classes)
-    out = []
     k = len(next(iter(classes))) if classes else 0
-    for seq in iproduct(range(k), repeat=n):
-        counts = [0] * k
-        for c in seq:
-            counts[c] += 1
-        if tuple(counts) in classes:
-            out.append(seq)
-    return out
+    return [seq for seq in iproduct(range(k), repeat=n)
+            if tuple(map(seq.count, range(k))) in classes]
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,12 +239,8 @@ def typical_projector(rho, n, alpha, caps=DEFAULT_CAPS):
     """
     lam, u = stable_eigh(np.asarray(rho, dtype=complex))
     d = lam.size
-    if d ** n > caps.enumeration:
-        raise EnumerationOverflow(
-            f"d^n = {d ** n} exceeds enumeration cap {caps.enumeration}"
-        )
-    spectrum = np.clip(lam, 0.0, None)
-    classes = set(_window_count_classes(spectrum, n, alpha, caps=caps))
+    _check_sequences("d", d, n, caps)
+    classes = _window_count_classes(np.clip(lam, 0.0, None), n, alpha, caps=caps)
     labels = tuple(_sequences_of_classes(classes, n))
     bases = np.broadcast_to(u, (n, d, d)).copy()
     return TypicalProjector(n=n, alpha=alpha, site_bases=bases, basis_labels=labels)
@@ -226,29 +254,19 @@ def conditional_typical_projector(w, xs, alpha, caps=DEFAULT_CAPS):
     set of the letter's output spectrum (window +-alpha).
     """
     xs = tuple(xs)
-    n = len(xs)
-    d = w.dim
-    if d ** n > caps.enumeration:
-        raise EnumerationOverflow(
-            f"d^n = {d ** n} exceeds enumeration cap {caps.enumeration}"
-        )
-    eig = {}
-    for x in set(xs):
-        lam, u = stable_eigh(w.state(x))
-        eig[x] = (np.clip(lam, 0.0, None), u)
-    bases = np.zeros((n, d, d), dtype=complex)
-    for i, x in enumerate(xs):
-        bases[i] = eig[x][1]
+    n, d = len(xs), w.dim
+    _check_sequences("d", d, n, caps)
+    eig = {x: stable_eigh(w.state(x)) for x in set(xs)}
+    bases = np.array([eig[x][1] for x in xs], dtype=complex).reshape(n, d, d)
     block_positions = {}
     for i, x in enumerate(xs):
         block_positions.setdefault(x, []).append(i)
-    per_block_labels = {}
-    total_rank = 1
-    for x, pos in block_positions.items():
-        classes = set(_window_count_classes(eig[x][0], len(pos), alpha, caps=caps))
-        seqs = _sequences_of_classes(classes, len(pos))
-        per_block_labels[x] = seqs
-        total_rank *= len(seqs)
+    per_block_labels = {
+        x: _sequences_of_classes(_window_count_classes(
+            np.clip(eig[x][0], 0.0, None), len(pos), alpha, caps=caps), len(pos))
+        for x, pos in block_positions.items()
+    }
+    total_rank = prod(map(len, per_block_labels.values()))
     if total_rank > caps.enumeration:
         raise EnumerationOverflow(
             f"conditional typical rank {total_rank} exceeds cap {caps.enumeration}"
@@ -312,58 +330,65 @@ class TypicalityReport:
         return [head] + body
 
 
-def _type_counts(p, n):
-    """Deterministic largest-remainder rounding of n*p to integer counts."""
-    base = np.floor(n * p).astype(int)
-    rem = n - base.sum()
-    frac = n * p - base
-    order = np.argsort(-frac, kind="stable")
-    for i in range(rem):
-        base[order[i]] += 1
-    return base
+def _type_counts(p, ns):
+    """Deterministic largest-remainder rounding of n*p to integer counts, a row per n in ns."""
+    scaled = np.multiply.outer(np.asarray(ns, dtype=int), p)
+    base = np.floor(scaled).astype(int)
+    place = np.argsort(np.argsort(base - scaled, axis=1, kind="stable"), axis=1)
+    return base + (place < (np.asarray(ns) - base.sum(axis=1))[:, None])
 
 
-def _cross_mass(site_values, typical_classes, d, caps=DEFAULT_CAPS):
-    """sum over typical label sequences y of prod_i site_values[i][y_i].
+def _cross_mass(values, runs, classes, bounds, d, caps=DEFAULT_CAPS):
+    """Per group g, the sum over its typical label sequences y of prod_i v_i[y_i].
 
-    Dynamic program over positions on a dense table of the label counts
-    c_0..c_{d-2} (c_{d-1} is the position minus their sum), each axis cut
-    at the largest count a typical class uses; site_values[i][j] is the
-    weight of label j at position i.  Cells add their terms for j = d-1
-    down to 0 and the typical cells are summed in descending lexicographic
-    order, the order in which a dict DP keyed by count tuples meets its
-    keys; the two agree bit for bit unless, at d >= 3, positions differ in
-    which of their weights are exactly zero.
+    Group g's positions are runs[g, x] positions weighted values[x], x in
+    order.  A DP over the positions fills a table of the label counts
+    c_0..c_{d-2} (c_{d-1} is the position minus their sum), each axis cut at
+    the largest count of g's classes, classes[bounds[g]:bounds[g + 1]]; a
+    table over caps.enumeration cells gets an overflow and no mass.  Tables
+    are stacked at a common shape (cells inside a smaller shape come out
+    bit-identical) in chunks within the cap, and a run advances only tables
+    with positions left in it.  Cells add their terms for j = d-1 down to 0;
+    typical cells are summed in descending lexicographic order, as a dict
+    DP keyed by count tuples meets its keys: the two agree bit for bit
+    unless, at d >= 3, positions differ in which weights are exactly zero.
+    Returns (masses, over).
     """
-    classes = sorted(typical_classes, reverse=True)
-    if not classes:
-        return 0
-    keep = np.array(classes)[:, : d - 1]
-    shape = tuple(keep.max(axis=0) + 1)
-    cells = prod(shape)
-    if cells > caps.enumeration:
-        raise EnumerationOverflow(
-            f"count table of {cells} cells exceeds enumeration cap {caps.enumeration}"
-        )
-    table = np.zeros(shape)
-    table[(0,) * (d - 1)] = 1.0
-    for vals in site_values:
-        nxt = table * vals[d - 1]
-        for j in range(d - 2, -1, -1):
-            lead = (slice(None),) * j
-            nxt[lead + (slice(1, None),)] += table[lead + (slice(None, -1),)] * vals[j]
-        table = nxt
-    return sum(table[tuple(c)] for c in keep.tolist())
+    sizes, keep = np.diff(bounds), classes[:, : d - 1]
+    rows, shape = np.repeat(np.arange(sizes.size), sizes), np.ones((sizes.size, d - 1), dtype=int)
+    np.maximum.at(shape, rows, keep + 1)
+    cells = shape.prod(axis=1)
+    over = [f"count table of {c} cells exceeds enumeration cap {caps.enumeration}"
+            if s and c > caps.enumeration else None for s, c in zip(sizes, cells)]
+    live, vals = np.flatnonzero((sizes > 0) & (cells <= caps.enumeration)), np.zeros(len(keep))
+    for a, b in _chunks(shape[live], caps.enumeration):
+        group = live[a:b]
+        table = np.zeros((group.size,) + tuple(shape[group].max(axis=0)))
+        table[(slice(None),) + (0,) * (d - 1)] = 1.0
+        for x, v in enumerate(values):
+            order = np.argsort(-runs[group, x], kind="stable")
+            table, group = table[order], group[order]
+            for step in range(1, runs[group, x].max() + 1):
+                active = np.count_nonzero(runs[group, x] >= step)
+                # the first run leaves all tables equal: advance one, copy it on
+                t = table[: 1 if x == 0 else active]
+                nxt = t * v[d - 1]
+                for j in range(d - 2, -1, -1):
+                    lead = (slice(None),) * (j + 1)
+                    nxt[lead + (slice(1, None),)] += t[lead + (slice(None, -1),)] * v[j]
+                t[...] = nxt
+                if x == 0:
+                    table[np.count_nonzero(runs[group, 0] > step):active] = table[0]
+        slot = np.full(sizes.size, -1)
+        slot[group] = np.arange(group.size)
+        mine = slot[rows] >= 0
+        vals[mine] = table[(slot[rows[mine]],) + tuple(keep[mine].T)]
+    return np.cumsum(_spread(vals, bounds, 0.0)[:, ::-1], axis=1)[:, -1], over
 
 
 def _mass_bound_rows(bound_id, ns, masses):
-    reqs = []
-    for n, mass in zip(ns, masses):
-        gap = 1.0 - mass
-        if gap <= _MASS_GAP_FLOOR:
-            reqs.append(inf)
-        else:
-            reqs.append(-np.log2(gap) / n)
+    gaps = [1.0 - mass for mass in masses]
+    reqs = [inf if gap <= _MASS_GAP_FLOOR else -np.log2(gap) / n for n, gap in zip(ns, gaps)]
     fitted = min(reqs)
     rows = []
     for n, req in zip(ns, reqs):
@@ -389,7 +414,9 @@ def verify_typicality_bounds(w, p, n_range, alpha, caps=DEFAULT_CAPS, tol=DEFAUL
     tested range; a row passes when the fitted constant still satisfies
     that block length.  Input words are built by largest-remainder rounding
     of the requested input distribution, and the conditional bounds use the
-    realized empirical type.
+    realized empirical type, each letter's classes enumerated once per count.
+    The first n over caps.enumeration raises with the first check it fails:
+    source window, letter windows in order, count table.
     """
     pv = validate_probability_vector(p, tol)
     if pv.size != len(w.x_alphabet):
@@ -397,80 +424,52 @@ def verify_typicality_bounds(w, p, n_range, alpha, caps=DEFAULT_CAPS, tol=DEFAUL
             f"distribution over {pv.size} letters, channel has {len(w.x_alphabet)}"
         )
     ns = list(n_range)
-    sigma = np.einsum("x,xij->ij", pv, w.states)
-    sig_lam, sig_u = stable_eigh(sigma)
+    grid = sorted(set(ns))
+    at = {n: g for g, n in enumerate(grid)}
+    sig_lam, sig_u = stable_eigh(np.einsum("x,xij->ij", pv, w.states))
     sig_spec = np.clip(sig_lam, 0.0, None)
     s_sigma = float(entropy_from_eigenvalues(sig_spec))
-    letter_spec = {}
-    for x in w.x_alphabet:
-        lam, _ = stable_eigh(w.state(x))
-        letter_spec[x] = np.clip(lam, 0.0, None)
+    letter_spec = [np.clip(stable_eigh(w.state(x))[0], 0.0, None) for x in w.x_alphabet]
+    letter_h = [entropy_from_eigenvalues(spec) for spec in letter_spec]
     # diagonal of each letter state in the averaged state's eigenbasis
-    diag_in_sig_basis = {
-        x: np.real(np.einsum("ij,jk,ki->i", sig_u.conj().T, w.state(x), sig_u))
-        for x in w.x_alphabet
-    }
+    diag_in_sig_basis = np.array([
+        np.real(np.einsum("ij,jk,ki->i", sig_u.conj().T, w.state(x), sig_u)) for x in w.x_alphabet])
+    types = _type_counts(pv, grid)
+    guard = tol.typicality_boundary
+    typ, bounds, src_over = _window_classes(sig_spec, grid, alpha, guard, caps)
+    src = _class_aggregates(sig_spec, typ, bounds)
+    cond = []
+    for spec, m_col in zip(letter_spec, types.T):
+        ms = sorted(set(m_col.tolist()) - {0})
+        classes, m_bounds, m_over = _window_classes(spec, ms, alpha, guard, caps)
+        cond.append(dict(zip(ms, zip(_class_aggregates(spec, classes, m_bounds), m_over))))
+    cross, cross_over = _cross_mass(diag_in_sig_basis, types, typ, bounds, w.dim, caps)
 
-    src_mass, src_rank_req, src_win_req = [], [], []
-    cond_mass, cond_win_req, cond_rank_req = [], [], []
-    cross_mass_vals = []
-    d = w.dim
+    series = {bound_id: [] for bound_id in BOUND_IDS}
     for n in ns:
-        typ_classes = _window_count_classes(sig_spec, n, alpha, caps=caps)
-        mass, rank, lmin, lmax = _class_aggregates(sig_spec, n, typ_classes)
-        src_mass.append(mass)
-        # ranks are exact Python ints and pass 2**63 within reach of n
-        src_rank_req.append(abs(log2(rank) / n - s_sigma) if rank else inf)
-        src_win_req.append(max(-s_sigma - lmin / n, s_sigma + lmax / n))
-
-        counts = _type_counts(pv, n)
-        xs = []
-        for xi, x in enumerate(w.x_alphabet):
-            xs.extend([x] * counts[xi])
-        type_fracs = counts / n
-        s_cond = float(
-            sum(
-                type_fracs[xi] * entropy_from_eigenvalues(letter_spec[x])
-                for xi, x in enumerate(w.x_alphabet)
-            )
-        )
+        g = at[n]
+        letters = [(xi, m) for xi, m in enumerate(types[g].tolist()) if m]
+        checks = [src_over[g]] + [cond[xi][m][1] for xi, m in letters] + [cross_over[g]]
+        if msg := next(filter(None, checks), None):
+            raise EnumerationOverflow(msg)
+        type_fracs = types[g] / n
+        s_cond = float(sum(type_fracs[xi] * h for xi, h in enumerate(letter_h)))
         cmass, crank, clmin, clmax = 1.0, 1, 0.0, 0.0
-        for xi, x in enumerate(w.x_alphabet):
-            m = int(counts[xi])
-            if m == 0:
-                continue
-            bmass, brank, blmin, blmax = _class_aggregates(
-                letter_spec[x], m, _window_count_classes(letter_spec[x], m, alpha, caps=caps)
-            )
-            cmass *= bmass
-            crank *= brank
-            clmin += blmin
-            clmax += blmax
-        cond_mass.append(cmass)
-        cond_rank_req.append(abs(log2(crank) / n - s_cond) if crank else inf)
-        cond_win_req.append(max(-s_cond - clmin / n, s_cond + clmax / n))
-
-        site_values = [diag_in_sig_basis[x] for x in xs]
-        cross_mass_vals.append(_cross_mass(site_values, set(typ_classes), d, caps))
+        for xi, m in letters:
+            bmass, brank, blmin, blmax = cond[xi][m][0]
+            cmass, crank, clmin, clmax = cmass * bmass, crank * brank, clmin + blmin, clmax + blmax
+        for kind, (mass, rank, lmin, lmax), h in (
+            ("source", src[g], s_sigma), ("conditional", (cmass, crank, clmin, clmax), s_cond)
+        ):
+            series[f"{kind}_mass"].append(mass)
+            # ranks are exact Python ints and pass 2**63 within reach of n
+            series[f"{kind}_rank"].append(abs(log2(rank) / n - h) if rank else inf)
+            series[f"{kind}_eigen_window"].append(max(-h - lmin / n, h + lmax / n))
+        series["average_state_mass"].append(cross[g])
 
     rows, constants = [], {}
-    for bound_id, data in (
-        ("source_mass", src_mass),
-        ("conditional_mass", cond_mass),
-        ("average_state_mass", cross_mass_vals),
-    ):
-        r, c = _mass_bound_rows(bound_id, ns, data)
-        rows.extend(r)
-        constants[bound_id] = c
-    for bound_id, reqs in (
-        ("source_rank", src_rank_req),
-        ("source_eigen_window", src_win_req),
-        ("conditional_rank", cond_rank_req),
-        ("conditional_eigen_window", cond_win_req),
-    ):
-        r, c = _exponent_bound_rows(bound_id, ns, reqs)
-        rows.extend(r)
-        constants[bound_id] = c
-    order = {b: i for i, b in enumerate(BOUND_IDS)}
-    rows.sort(key=lambda r: (order[r.bound_id], r.n))
+    for bound_id, reqs in series.items():
+        fit = _mass_bound_rows if bound_id.endswith("_mass") else _exponent_bound_rows
+        bound_rows, constants[bound_id] = fit(bound_id, ns, reqs)
+        rows.extend(sorted(bound_rows, key=lambda r: r.n))
     return TypicalityReport(rows=tuple(rows), constants=constants)

@@ -1,15 +1,24 @@
 """Shared instance builders and independent references for the test suite."""
 
 from itertools import chain, combinations
-from math import comb
+from math import comb, inf, log2, prod
 
 import numpy as np
 
 from avcqc import Avcqc, CorrelatedSource, CqChannel
 from avcqc.capacity import _aux_objective
-from avcqc.errors import NotPositive
+from avcqc.config import DEFAULT_CAPS, DEFAULT_TOL
+from avcqc.errors import AlphabetMismatch, EnumerationOverflow, NotPositive
 from avcqc.geometry import project_simplex_rows
-from avcqc.operators import eigvalsh_stack, entropy_from_eigenvalues
+from avcqc.operators import eigvalsh_stack, entropy_from_eigenvalues, validate_probability_vector
+from avcqc.typicality import (
+    _SUPPORT_FLOOR,
+    BOUND_IDS,
+    TypicalityReport,
+    _exponent_bound_rows,
+    _mass_bound_rows,
+    stable_eigh,
+)
 
 ZERO = np.array([[1, 0], [0, 0]], dtype=complex)
 ONE = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -407,3 +416,185 @@ def random_povm_stack(rng, n, j, d):
     inv_sqrt = (vec * lam[:, None, :] ** -0.5) @ vec.conj().swapaxes(-1, -2)
     ops = rng.uniform(0.5, 0.99, size=(n, 1, 1, 1)) * (inv_sqrt[:, None] @ g @ inv_sqrt[:, None])
     return (ops + ops.conj().swapaxes(-1, -2)) / 2
+
+
+# ---------------------------------------------------------------------------
+# per-block-length typicality verifier (reference for the batched one)
+# ---------------------------------------------------------------------------
+
+def per_block_window_classes(p, n, half_width, guard=DEFAULT_TOL.typicality_boundary,
+                             caps=DEFAULT_CAPS):
+    """Count vectors c (len(p) entries, sum n) with |c/n - p| <= half_width, one n.
+
+    Labels with probability below the support floor are pinned to count 0.
+    Counts grow label by label inside the window widened by one, each step's
+    candidates checked against caps.enumeration first.  Lexicographic order.
+    """
+    p = np.asarray(p, dtype=float)
+    reach = n * (half_width + guard)
+    lo = np.clip(np.ceil(n * p[:-1] - reach) - 1, 0, n).astype(int)
+    hi = np.where(p[:-1] < _SUPPORT_FLOOR, 0, np.clip(np.floor(n * p[:-1] + reach) + 1, 0, n))
+    counts = np.zeros((1, 0), dtype=int)
+    for side in map(np.arange, lo, hi.astype(int) + 1):
+        if (rows := len(counts) * side.size) > caps.enumeration:
+            raise EnumerationOverflow(f"{rows} window candidates exceed cap {caps.enumeration}")
+        counts = np.column_stack([np.repeat(counts, side.size, axis=0), np.tile(side, len(counts))])
+        counts = counts[counts.sum(axis=1) <= n]
+    counts = np.column_stack([counts, n - counts.sum(axis=1)])
+    bad = (np.abs(counts / n - p) > half_width + guard) | ((p < _SUPPORT_FLOOR) & (counts > 0))
+    return [tuple(c) for c in counts[~bad.any(axis=1)].tolist()]
+
+
+def _type_counts(p, n):
+    """Deterministic largest-remainder rounding of n*p to integer counts."""
+    base = np.floor(n * p).astype(int)
+    rem = n - base.sum()
+    frac = n * p - base
+    order = np.argsort(-frac, kind="stable")
+    for i in range(rem):
+        base[order[i]] += 1
+    return base
+
+
+def _multinomial(n, counts):
+    total, rem = 1, n
+    for c in counts:
+        total *= comb(rem, c)
+        rem -= c
+    return total
+
+
+def per_block_class_aggregates(p, n, classes):
+    """(mass, rank, min log2 prob, max log2 prob) over the typical count classes."""
+    if not classes:
+        return 0.0, 0, inf, -inf
+    logs = []
+    mass = 0.0
+    rank = 0
+    for c in classes:
+        lp = sum(ci * np.log2(p[j]) for j, ci in enumerate(c) if ci > 0)
+        m = _multinomial(n, c)
+        rank += m
+        mass += m * 2.0 ** lp
+        logs.append(lp)
+    return float(mass), rank, float(min(logs)), float(max(logs))
+
+
+def per_block_cross_mass(site_values, typical_classes, d, caps=DEFAULT_CAPS):
+    """sum over typical label sequences y of prod_i site_values[i][y_i].
+
+    Dynamic program over the positions on a dense table of the label counts
+    c_0..c_{d-2}, each axis cut at the largest count a typical class uses;
+    typical cells summed in descending lexicographic order.
+    """
+    classes = sorted(typical_classes, reverse=True)
+    if not classes:
+        return 0
+    keep = np.array(classes)[:, : d - 1]
+    shape = tuple(keep.max(axis=0) + 1)
+    cells = prod(shape)
+    if cells > caps.enumeration:
+        raise EnumerationOverflow(
+            f"count table of {cells} cells exceeds enumeration cap {caps.enumeration}"
+        )
+    table = np.zeros(shape)
+    table[(0,) * (d - 1)] = 1.0
+    for vals in site_values:
+        nxt = table * vals[d - 1]
+        for j in range(d - 2, -1, -1):
+            lead = (slice(None),) * j
+            nxt[lead + (slice(1, None),)] += table[lead + (slice(None, -1),)] * vals[j]
+        table = nxt
+    return sum(table[tuple(c)] for c in keep.tolist())
+
+
+def per_block_typicality_bounds(w, p, n_range, alpha, caps=DEFAULT_CAPS, tol=DEFAULT_TOL):
+    """verify_typicality_bounds computed one block length at a time.
+
+    Each n enumerates its own source and conditional window classes, sums
+    their aggregates class by class and runs its own cross-mass DP over its
+    n positions; the first n with a count over caps.enumeration raises.
+    """
+    pv = validate_probability_vector(p, tol)
+    if pv.size != len(w.x_alphabet):
+        raise AlphabetMismatch(
+            f"distribution over {pv.size} letters, channel has {len(w.x_alphabet)}"
+        )
+    ns = list(n_range)
+    sigma = np.einsum("x,xij->ij", pv, w.states)
+    sig_lam, sig_u = stable_eigh(sigma)
+    sig_spec = np.clip(sig_lam, 0.0, None)
+    s_sigma = float(entropy_from_eigenvalues(sig_spec))
+    letter_spec = {}
+    for x in w.x_alphabet:
+        lam, _ = stable_eigh(w.state(x))
+        letter_spec[x] = np.clip(lam, 0.0, None)
+    diag_in_sig_basis = {
+        x: np.real(np.einsum("ij,jk,ki->i", sig_u.conj().T, w.state(x), sig_u))
+        for x in w.x_alphabet
+    }
+
+    src_mass, src_rank_req, src_win_req = [], [], []
+    cond_mass, cond_win_req, cond_rank_req = [], [], []
+    cross_mass_vals = []
+    d = w.dim
+    guard = tol.typicality_boundary
+    for n in ns:
+        typ_classes = per_block_window_classes(sig_spec, n, alpha, guard, caps)
+        mass, rank, lmin, lmax = per_block_class_aggregates(sig_spec, n, typ_classes)
+        src_mass.append(mass)
+        src_rank_req.append(abs(log2(rank) / n - s_sigma) if rank else inf)
+        src_win_req.append(max(-s_sigma - lmin / n, s_sigma + lmax / n))
+
+        counts = _type_counts(pv, n)
+        xs = []
+        for xi, x in enumerate(w.x_alphabet):
+            xs.extend([x] * counts[xi])
+        type_fracs = counts / n
+        s_cond = float(
+            sum(
+                type_fracs[xi] * entropy_from_eigenvalues(letter_spec[x])
+                for xi, x in enumerate(w.x_alphabet)
+            )
+        )
+        cmass, crank, clmin, clmax = 1.0, 1, 0.0, 0.0
+        for xi, x in enumerate(w.x_alphabet):
+            m = int(counts[xi])
+            if m == 0:
+                continue
+            bmass, brank, blmin, blmax = per_block_class_aggregates(
+                letter_spec[x], m,
+                per_block_window_classes(letter_spec[x], m, alpha, guard, caps),
+            )
+            cmass *= bmass
+            crank *= brank
+            clmin += blmin
+            clmax += blmax
+        cond_mass.append(cmass)
+        cond_rank_req.append(abs(log2(crank) / n - s_cond) if crank else inf)
+        cond_win_req.append(max(-s_cond - clmin / n, s_cond + clmax / n))
+
+        site_values = [diag_in_sig_basis[x] for x in xs]
+        cross_mass_vals.append(per_block_cross_mass(site_values, set(typ_classes), d, caps))
+
+    rows, constants = [], {}
+    for bound_id, data in (
+        ("source_mass", src_mass),
+        ("conditional_mass", cond_mass),
+        ("average_state_mass", cross_mass_vals),
+    ):
+        r, c = _mass_bound_rows(bound_id, ns, data)
+        rows.extend(r)
+        constants[bound_id] = c
+    for bound_id, reqs in (
+        ("source_rank", src_rank_req),
+        ("source_eigen_window", src_win_req),
+        ("conditional_rank", cond_rank_req),
+        ("conditional_eigen_window", cond_win_req),
+    ):
+        r, c = _exponent_bound_rows(bound_id, ns, reqs)
+        rows.extend(r)
+        constants[bound_id] = c
+    order = {b: i for i, b in enumerate(BOUND_IDS)}
+    rows.sort(key=lambda r: (order[r.bound_id], r.n))
+    return TypicalityReport(rows=tuple(rows), constants=constants)

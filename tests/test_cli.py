@@ -291,6 +291,33 @@ class TestDiscontinuityDemo:
         assert rc == 1
 
 
+class TestUsageErrors:
+    """argparse's usage errors exit 1, not 2 (the indeterminate-separation code)."""
+
+    def test_unknown_flag(self, tmp_path, capsys):
+        chan = write_channel(tmp_path, bitflip_channel())
+        out = tmp_path / "cap.json"
+        rc = main(["capacity", "--channel", chan, "--seed", "7", "--restarts", "1",
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: SpecParseError: ") and "--restarts" in err
+        assert not out.exists()
+
+    def test_missing_channel(self, tmp_path, capsys):
+        rc = main(["capacity", "--seed", "7", "--out", str(tmp_path / "cap.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: SpecParseError: avcqc capacity: ") and "--channel" in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["typicality", "--help"]])
+    def test_help_exits_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: avcqc" in capsys.readouterr().out
+
+
 class TestArgumentValidation:
     """Bad numeric arguments exit 1 with SpecParseError before any computation."""
 

@@ -11,10 +11,24 @@ from avcqc import (
     typical_set,
     verify_typicality_bounds,
 )
-from avcqc.config import Caps
+from avcqc.config import Caps, Tolerances
 from avcqc.errors import DimOverflow, EnumerationOverflow
-from avcqc.typicality import _SUPPORT_FLOOR, _cross_mass, _window_count_classes, stable_eigh
-from helpers import ONE, ZERO, compositions, mirror_pair_channel
+from avcqc.typicality import (
+    _SUPPORT_FLOOR,
+    _cross_mass,
+    _window_classes,
+    _window_count_classes,
+    stable_eigh,
+)
+from helpers import (
+    ONE,
+    ZERO,
+    compositions,
+    mirror_pair_channel,
+    per_block_typicality_bounds,
+    per_block_window_classes,
+    wishart_state,
+)
 
 
 def enumerate_window(p, n, width):
@@ -268,7 +282,7 @@ class TestVerifyBounds:
         }
         words = [(0, 0, 0, 1, 1, 1), (1, 1, 1, 0, 0, 0), (0, 1, 0, 1, 0, 1)]
         vals = [
-            _cross_mass([diag[x] for x in xs], classes, 2) for xs in words
+            cross_mass([diag[x] for x in xs], classes, 2) for xs in words
         ]
         assert max(vals) - min(vals) < 1e-10
 
@@ -284,6 +298,16 @@ class TestVerifyBounds:
         assert rep.rows == verify_typicality_bounds(w, [0.5, 0.5], ns, 0.1).rows
         with pytest.raises(EnumerationOverflow):
             verify_typicality_bounds(w, [0.5, 0.5], ns, 0.1, caps=Caps(enumeration=cells - 1))
+
+
+def cross_mass(site_values, typical_classes, d):
+    """_cross_mass on one word, each position a run of its own."""
+    site_values = np.asarray(site_values, dtype=float)
+    classes = np.array(sorted(typical_classes), dtype=int).reshape(-1, d)
+    masses, over = _cross_mass(site_values, np.ones((1, len(site_values)), dtype=int), classes,
+                               np.array([0, len(classes)]), d)
+    assert over == [None]
+    return masses[0]
 
 
 def dict_cross_mass(site_values, typical_classes, d):
@@ -326,7 +350,7 @@ class TestCrossMass:
                     ):
                         want += np.prod([site_values[i][y] for i, y in enumerate(seq)])
                 classes = set(_window_count_classes(np.array(spectrum), n, 0.3))
-                assert abs(_cross_mass(site_values, classes, 3) - want) <= 1e-14
+                assert abs(cross_mass(site_values, classes, 3) - want) <= 1e-14
 
     def test_bit_identical_to_dict_dp(self):
         # The dict met its keys in descending lexicographic order, the order
@@ -346,17 +370,134 @@ class TestCrossMass:
                     site_values = letters[word]
                     for alpha in (0.1, 0.25):
                         classes = set(_window_count_classes(spectrum, n, alpha))
-                        assert _cross_mass(site_values, classes, d) == dict_cross_mass(
+                        assert cross_mass(site_values, classes, d) == dict_cross_mass(
                             site_values, classes, d
                         )
         letters = np.array([[0.3, 0.0], [0.0, 0.8], [0.5, 0.2]])
         classes = set(_window_count_classes(np.array([0.4, 0.6]), 12, 0.3))
         for word in ([0] * 4 + [1] * 4 + [2] * 4, [2, 1, 0] * 4):
             site_values = letters[word]
-            assert _cross_mass(site_values, classes, 2) == dict_cross_mass(site_values, classes, 2)
+            assert cross_mass(site_values, classes, 2) == dict_cross_mass(site_values, classes, 2)
 
     def test_edge_cases(self):
         vals = np.array([[0.5], [0.25], [0.5]])
-        assert _cross_mass(vals, {(3,)}, 1) == dict_cross_mass(vals, {(3,)}, 1) == 0.0625
-        assert _cross_mass(vals, set(), 1) == 0
-        assert _cross_mass(np.full((4, 2), 0.5), set(), 2) == 0
+        assert cross_mass(vals, {(3,)}, 1) == dict_cross_mass(vals, {(3,)}, 1) == 0.0625
+        assert cross_mass(vals, set(), 1) == 0
+        assert cross_mass(np.full((4, 2), 0.5), set(), 2) == 0
+
+
+def typicality_outcome(verify, *args, **kwargs):
+    """The report's CSV rows, or the overflow message it raised."""
+    try:
+        return verify(*args, **kwargs).to_csv_rows()
+    except EnumerationOverflow as exc:
+        return f"EnumerationOverflow: {exc}"
+
+
+class TestOnePassAgainstPerBlock:
+    """The one-pass verifier against the per-block-length reference, bit for bit."""
+
+    @staticmethod
+    def draw(rng):
+        d, nx = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+        if rng.random() < 0.25:
+            # every letter leaves the last label empty: a source label below the floor
+            states = [np.pad(wishart_state(rng, d - 1), (0, 1)) for _ in range(nx)]
+        else:
+            states = [wishart_state(rng, d, rank=int(rng.integers(1, d + 1))) for _ in range(nx)]
+        w = CqChannel(tuple(range(nx)), np.stack(states))
+        start = int(rng.integers(1, 6))
+        stop = start + int(rng.integers(1, {2: 40, 3: 24, 4: 14}[d]))
+        return w, rng.dirichlet(np.ones(nx)), range(start, stop), float(rng.uniform(0.02, 0.3))
+
+    def test_random_channels(self):
+        rng = np.random.default_rng(9)
+        seen = set()
+        for _ in range(48):
+            w, p, ns, alpha = self.draw(rng)
+            sig_spec = np.clip(np.linalg.eigvalsh(np.einsum("x,xij->ij", p, w.states)), 0, None)
+            seen |= {("letters", len(w.x_alphabet)), ("start", ns.start)}
+            seen |= {("floor",)} if sig_spec.min() < _SUPPORT_FLOOR else set()
+            assert verify_typicality_bounds(w, p, ns, alpha).to_csv_rows() == (
+                per_block_typicality_bounds(w, p, ns, alpha).to_csv_rows()
+            )
+        assert {("letters", 3), ("start", 1), ("floor",)} <= seen
+
+    @pytest.mark.parametrize("ns, alpha", [(range(4, 13), 0.1), (range(60, 71), 0.2)])
+    def test_readme_and_past_int64(self, ns, alpha):
+        w = mirror_pair_channel()
+        assert verify_typicality_bounds(w, [0.5, 0.5], ns, alpha).to_csv_rows() == (
+            per_block_typicality_bounds(w, [0.5, 0.5], ns, alpha).to_csv_rows()
+        )
+
+    def test_unsorted_repeated_block_lengths(self):
+        w = mirror_pair_channel()
+        ns = [9, 4, 12, 4, 7]
+        assert verify_typicality_bounds(w, [0.3, 0.7], ns, 0.15).to_csv_rows() == (
+            per_block_typicality_bounds(w, [0.3, 0.7], ns, 0.15).to_csv_rows()
+        )
+
+    def test_caps_raise_as_per_block(self):
+        # small caps make the batched checks, chunks and raises differ from
+        # the default path; each run raises what the per-n reference raises
+        rng = np.random.default_rng(4)
+        raised = set()
+        for cap in (3, 10, 30, 100, 300, 1000, 5000) * 4:
+            w, p, ns, alpha = self.draw(rng)
+            caps = Caps(enumeration=cap)
+            got = typicality_outcome(verify_typicality_bounds, w, p, ns, alpha, caps=caps)
+            assert got == typicality_outcome(per_block_typicality_bounds, w, p, ns, alpha, caps=caps)
+            raised |= {word for word in ("window", "table") if isinstance(got, str) and word in got}
+        assert raised == {"window", "table"}
+
+
+class TestBatchedCaps:
+    """caps.enumeration on the batched enumerator and the stacked DP."""
+
+    # d=4, maximally mixed, alpha=0.3: the window candidates at the last label
+    # grow with n to 702 (n=14) and 940 (n=15), above every count table (at
+    # most 729 cells) and every letter's window (at most 198 candidates)
+    MIXED = CqChannel((0, 1), np.stack([np.eye(4, dtype=complex) / 4] * 2))
+
+    def test_one_block_length_over_the_window_cap(self):
+        counts, bounds, over = _window_classes(np.full(4, 0.25), range(4, 16), 0.3,
+                                               caps=Caps(enumeration=939))
+        assert over == [None] * 11 + ["940 window candidates exceed cap 939"]
+        for i, n in enumerate(range(4, 15)):
+            got = [tuple(c) for c in counts[bounds[i]:bounds[i + 1]].tolist()]
+            assert got == per_block_window_classes(np.full(4, 0.25), n, 0.3)
+        assert bounds[-2] == bounds[-1]
+
+    @pytest.mark.parametrize("ns", [range(4, 16), [9, 15, 4, 12]])
+    def test_verifier_raises_with_that_count(self, ns):
+        caps = Caps(enumeration=939)
+        with pytest.raises(EnumerationOverflow, match="^940 window candidates exceed cap 939$"):
+            verify_typicality_bounds(self.MIXED, [0.5, 0.5], ns, 0.3, caps=caps)
+        rep = verify_typicality_bounds(self.MIXED, [0.5, 0.5], range(4, 15), 0.3, caps=caps)
+        assert rep.rows == verify_typicality_bounds(self.MIXED, [0.5, 0.5], range(4, 15), 0.3).rows
+
+    def test_cap_at_the_largest_table_chunks_the_stack(self):
+        rng = np.random.default_rng(5)
+        w = CqChannel((0, 1, 2), np.stack([wishart_state(rng, 3) for _ in range(3)]))
+        p, ns = [0.2, 0.3, 0.5], range(3, 31)
+        sig_spec = np.clip(stable_eigh(np.einsum("x,xij->ij", p, w.states))[0], 0, None)
+        cells = max(
+            int(np.prod(np.array(classes)[:, :2].max(axis=0) + 1))
+            for n in ns if (classes := per_block_window_classes(sig_spec, n, 0.1))
+        )
+        rep = verify_typicality_bounds(w, p, ns, 0.1, caps=Caps(enumeration=cells))
+        assert rep.to_csv_rows() == verify_typicality_bounds(w, p, ns, 0.1).to_csv_rows()
+        with pytest.raises(EnumerationOverflow, match=f"^count table of {cells} cells exceeds"):
+            verify_typicality_bounds(w, p, ns, 0.1, caps=Caps(enumeration=cells - 1))
+
+
+class TestTypicalityBoundaryOverride:
+    def test_guard_reaches_the_verifier(self):
+        # spectrum (3/4, 1/4), n=4, alpha=0.1: only the count 1 of label 1 is
+        # typical; a guard of 0.2 widens the window to the counts 0..2
+        w = CqChannel((0, 1), np.stack([np.diag([0.75, 0.25]).astype(complex)] * 2))
+        args = (w, [0.5, 0.5], range(4, 9), 0.1)
+        wide = Tolerances(typicality_boundary=0.2)
+        rows = verify_typicality_bounds(*args, tol=wide).to_csv_rows()
+        assert rows != verify_typicality_bounds(*args).to_csv_rows()
+        assert rows == per_block_typicality_bounds(*args, tol=wide).to_csv_rows()
