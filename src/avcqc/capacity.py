@@ -107,7 +107,7 @@ _HOLEVO_BRACKET = 1e-9
 # the width to the outer ascent
 _KERNEL_GAP = 1e-9
 _KERNEL_SHARE = 1e-3
-# step halvings tried on a Newton direction before the gradient fallback
+# step halvings tried on a Newton direction before the kernel descent stops
 _NEWTON_HALVINGS = 20
 # the outer Newton step holds at 0 the letters below the maximum of d_x
 # whose p_x is at most this, or at most the distance from a stationary point
@@ -252,7 +252,7 @@ def _kernel_kkt(p, states, q, g, spec):
     """KKT matrix of the kernel's Newton system, (F+X, F+X), and its F free entries (mask).
 
     ``geometry._free_entries`` picks the free entries (a free rounding
-    residue at 0 would send the step into the fallback); they carry one
+    residue at 0 could block the step and stop the descent); they carry one
     zero-sum constraint per row.  The shift of ``geometry._kkt_matrix``
     keeps the system solvable where chi is flat in the kernel, as with a
     duplicated jammer letter.
@@ -286,11 +286,12 @@ def _descend_kernel(states, p, q, max_iter, gap_stop=_KERNEL_GAP):
     Hessian of the cached spectra (no eigendecomposition beyond the one per
     candidate) and tries project_simplex_rows(q + t D) for t = 1, 1/2, ...,
     accepting the first candidate at which chi does not rise beyond
-    rounding.  If none is accepted, a projected-gradient step with
-    backtracking is tried instead.  The descent ends once the Frank-Wolfe
-    gap is at most gap_stop, when neither step finds a new kernel at
-    which chi does not rise (chi has reached its rounding floor), or after
-    max_iter steps.  On |S| = 1 the gap is 0 and no step is taken.
+    rounding.  The descent ends once the Frank-Wolfe gap is at most
+    gap_stop, when no candidate is accepted (chi has reached its rounding
+    floor, or the Newton system is singular), or after max_iter steps.  It
+    returns the gap of its last kernel, so chi - gap bounds the inner
+    minimum from below wherever it stops.  On |S| = 1 the gap is 0 and no
+    step is taken.
 
     Returns chi, the kernel, the mixture spectra (w, v) as laid out by
     ``_mixture_spectra`` and the Frank-Wolfe gap, all at the returned kernel.
@@ -300,7 +301,6 @@ def _descend_kernel(states, p, q, max_iter, gap_stop=_KERNEL_GAP):
     f = _chi_from_spectra(p, spec[0])
     if not np.isfinite(f):
         raise SolverDiverged("non-finite objective at the initial kernel")
-    eta = 1.0
     for step in range(max_iter + 1):
         g = _grad_q(p, states, spec)
         # chi is convex in q, so chi at q exceeds the inner minimum by at most
@@ -308,22 +308,15 @@ def _descend_kernel(states, p, q, max_iter, gap_stop=_KERNEL_GAP):
         gap = float(np.sum(g * q) - np.sum(g.min(axis=-1)))
         if gap <= gap_stop or step == max_iter:
             break
-        found = None
         direction = _newton_direction(p, states, q, g, spec)
-        if direction is not None:
-            t = 1.0
-            for _try in range(_NEWTON_HALVINGS):
-                found = _try_kernel(states, p, q, f, q + t * direction)
-                if found is not None:
-                    break
-                t /= 2.0
-        if found is None:
-            while eta >= _STEP_FLOOR:
-                found = _try_kernel(states, p, q, f, q - eta * g)
-                if found is not None:
-                    eta = min(eta * 1.25, 1e3)
-                    break
-                eta /= 2.0
+        if direction is None:
+            break
+        t, found = 1.0, None
+        for _try in range(_NEWTON_HALVINGS):
+            found = _try_kernel(states, p, q, f, q + t * direction)
+            if found is not None:
+                break
+            t /= 2.0
         if found is None:
             break
         f, q, spec = found
@@ -354,7 +347,9 @@ def min_chi_over_jammer(w, p, tol=DEFAULT_TOL):
     (``_descend_kernel``) takes projected Newton steps with the Hessian of
     chi from the cached spectra (the Daleckii-Krein formula in the module
     docstring) and stops once its Frank-Wolfe gap is at most _KERNEL_GAP,
-    so the value lies within 1e-9 of the minimum.
+    so the value lies within 1e-9 of the minimum.  It also stops, further
+    from the minimum, if no Newton candidate keeps chi from rising; no
+    measured draw does.
     """
     pv = validate_probability_vector(p, tol)
     if pv.size != len(w.x_alphabet):

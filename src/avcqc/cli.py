@@ -14,7 +14,7 @@ Exit codes: 0 success, 1 error, 2 indeterminate separation.
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 import numpy as np
 
@@ -26,18 +26,6 @@ from .config import Caps, Tolerances, with_overrides
 from .errors import Indeterminate, NoSeparatingPrecode, SpecParseError, ToolkitError
 from .separation import NotSeparable, build_g_pair, separation_test
 from .typicality import verify_typicality_bounds
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    channel_path: str | None
-    source_path: str | None
-    seed: int | None
-    out_path: str
-    tol: Tolerances
-    caps: Caps
-    extras: dict
 
 
 # fields no command reads from the run's config: specs are validated under
@@ -135,11 +123,8 @@ def build_parser():
     s.add_argument("--keys", type=int, default=2, help="pre-code key count")
 
     s = subs.add_parser("discontinuity-demo", help="capacity jump under vanishing source perturbations")
+    _add_common(s, channel=False)
     s.add_argument("--n-list", default="3,4,5", help="sequence indices, each >= 3")
-    s.add_argument("--seed", required=True, type=int)
-    s.add_argument("--out", required=True)
-    s.add_argument("--cap", "--caps", dest="cap", action="append")
-    s.add_argument("--tol", action="append")
     return p
 
 
@@ -190,106 +175,97 @@ def _check_output_path(path, flag):
 
 
 def _config_from_args(args):
+    """Validate the arguments and replace the override lists by args.tol and args.caps."""
     _check_arguments(args)
     _check_output_path(args.out, "--out")
     if getattr(args, "trace_csv", None):
         _check_output_path(args.trace_csv, "--trace-csv")
-    tol = _parse_overrides(args.tol, Tolerances(), _tolerance)
-    caps = _parse_overrides(args.cap, Caps(), _cap)
-    for f in fields(caps):
-        if getattr(caps, f.name) <= 0:
+    args.tol = _parse_overrides(args.tol, Tolerances(), _tolerance)
+    args.caps = _parse_overrides(args.cap, Caps(), _cap)
+    for f in fields(args.caps):
+        if getattr(args.caps, f.name) <= 0:
             raise SpecParseError(f"cap {f.name} must be positive")
-    return RunConfig(
-        command=args.command,
-        channel_path=getattr(args, "channel", None),
-        source_path=getattr(args, "source", None),
-        seed=getattr(args, "seed", None),
-        out_path=args.out,
-        tol=tol,
-        caps=caps,
-        extras=vars(args),
-    )
 
 
-def cmd_capacity(cfg):
-    w = io.load_channel(cfg.channel_path)
-    res = capacity_informed_jammer(w, tol=cfg.tol)
-    io.dump_json(io.capacity_result_to_json(res), cfg.out_path)
-    if cfg.extras.get("trace_csv"):
+def cmd_capacity(args):
+    w = io.load_channel(args.channel)
+    res = capacity_informed_jammer(w, tol=args.tol)
+    io.dump_json(io.capacity_result_to_json(res), args.out)
+    if args.trace_csv:
         rows = [("iteration", "objective")] + [
             (i, repr(v)) for i, v in enumerate(res.solver_trace)
         ]
-        io.write_csv(rows, cfg.extras["trace_csv"])
+        io.write_csv(rows, args.trace_csv)
     return 0
 
 
-def cmd_cr_capacity(cfg):
-    w = io.load_channel(cfg.channel_path)
-    src = io.load_source(cfg.source_path)
-    res = cr_capacity(w, src, tol=cfg.tol)
-    io.dump_json(io.cr_result_to_json(res), cfg.out_path)
+def cmd_cr_capacity(args):
+    w = io.load_channel(args.channel)
+    src = io.load_source(args.source)
+    res = cr_capacity(w, src, tol=args.tol)
+    io.dump_json(io.cr_result_to_json(res), args.out)
     return 0
 
 
-def cmd_separate(cfg):
-    w = io.load_channel(cfg.channel_path)
-    src = io.load_source(cfg.source_path)
+def cmd_separate(args):
+    w = io.load_channel(args.channel)
+    src = io.load_source(args.source)
     gp = build_g_pair(src, w.x_alphabet)
-    res = separation_test(w, src, gp, tol=cfg.tol, caps=cfg.caps)
+    res = separation_test(w, src, gp, tol=args.tol, caps=args.caps)
     if isinstance(res, NotSeparable):
         payload = io.not_separable_to_json(res)
     else:
         payload = io.certificate_to_json(res)
     payload["g_pair"] = io.gpair_to_json(gp)
-    io.dump_json(payload, cfg.out_path)
+    io.dump_json(payload, args.out)
     return 0
 
 
-def cmd_typicality(cfg):
-    w = io.load_channel(cfg.channel_path)
+def cmd_typicality(args):
+    w = io.load_channel(args.channel)
     if len(w.s_alphabet) != 1:
         raise SpecParseError(
             "typicality runs on a fixed channel: supply an AVCQC spec with one state"
         )
     cq = CqChannel(w.x_alphabet, w.states[:, 0])
-    if cfg.extras.get("p"):
-        p = np.array(cfg.extras["p"])
+    if args.p:
+        p = np.array(args.p)
     else:
         p = np.full(len(w.x_alphabet), 1.0 / len(w.x_alphabet))
     rep = verify_typicality_bounds(
         cq,
         p,
-        range(cfg.extras["n_min"], cfg.extras["n_max"] + 1),
-        cfg.extras["alpha"],
-        caps=cfg.caps,
-        tol=cfg.tol,
+        range(args.n_min, args.n_max + 1),
+        args.alpha,
+        caps=args.caps,
+        tol=args.tol,
     )
-    io.write_csv(rep.to_csv_rows(), cfg.out_path)
+    io.write_csv(rep.to_csv_rows(), args.out)
     return 0
 
 
-def cmd_simulate(cfg):
-    w = io.load_channel(cfg.channel_path)
-    src = io.load_source(cfg.source_path)
-    if cfg.extras.get("code"):
-        code = io.load_correlation_code(cfg.extras["code"])
+def cmd_simulate(args):
+    w = io.load_channel(args.channel)
+    src = io.load_source(args.source)
+    if args.code:
+        code = io.load_correlation_code(args.code)
     else:
         gp = build_g_pair(src, w.x_alphabet)
-        cert = separation_test(w, src, gp, tol=cfg.tol, caps=cfg.caps)
+        cert = separation_test(w, src, gp, tol=args.tol, caps=args.caps)
         if isinstance(cert, NotSeparable):
             raise NoSeparatingPrecode(
                 "channel/source pair admits no separating pre-code; supply --code"
             )
         code = repetition_precode(
-            cert, gp, src, w, num_keys=cfg.extras["keys"], nu=cfg.extras["nu"], caps=cfg.caps
+            cert, gp, src, w, num_keys=args.keys, nu=args.nu, caps=args.caps
         )
-    res = cr_generation_run(w, src, code, cfg.extras["trials"], cfg.seed, caps=cfg.caps)
+    res = cr_generation_run(w, src, code, args.trials, args.seed, caps=args.caps)
     rows = [("trial", "v_prime", "v", "j", "decoded", "jammer_choice")]
     rows += [
         (r["trial"], r["v_prime"], r["v"], r["j"], r["decoded"], r["jammer_choice"])
         for r in res["rows"]
     ]
-    io.write_csv(rows, cfg.out_path)
+    io.write_csv(rows, args.out)
     print(
         f"agreement_rate={res['agreement_rate']!r} "
         f"empirical_entropy={res['empirical_entropy']!r}"
@@ -304,7 +280,7 @@ def _demo_source(n):
     )
 
 
-def cmd_discontinuity_demo(cfg):
+def cmd_discontinuity_demo(args):
     delta = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     states = np.stack([[delta, delta], [delta, delta]])
     w = Avcqc(("0", "1"), ("0", "1"), states)
@@ -312,13 +288,13 @@ def cmd_discontinuity_demo(cfg):
     from .channels import source_distance
 
     rows = [("n", "source_distance_to_limit", "cr_capacity")]
-    for n in cfg.extras["n_list"]:
+    for n in args.n_list:
         src = _demo_source(n)
-        res = cr_capacity(w, src, tol=cfg.tol)
+        res = cr_capacity(w, src, tol=args.tol)
         rows.append((n, repr(source_distance(src, limit)), repr(res.value)))
-    res = cr_capacity(w, limit, tol=cfg.tol)
+    res = cr_capacity(w, limit, tol=args.tol)
     rows.append(("limit", repr(0.0), repr(res.value)))
-    io.write_csv(rows, cfg.out_path)
+    io.write_csv(rows, args.out)
     return 0
 
 
@@ -335,8 +311,8 @@ _DISPATCH = {
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        cfg = _config_from_args(args)
-        return _DISPATCH[args.command](cfg)
+        _config_from_args(args)
+        return _DISPATCH[args.command](args)
     except Indeterminate as exc:
         print(f"indeterminate: {exc}", file=sys.stderr)
         return 2

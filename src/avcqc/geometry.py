@@ -14,8 +14,7 @@ import numpy as np
 
 # entries at most this are under the rounding of a simplex projection, which
 # leaves residues of about 3e-17 where it should leave zeros: such an entry
-# counts as 0 in a Newton step's active set (the kernel descent's gradient
-# fallback also stops backtracking at a step this small)
+# counts as 0 in a Newton step's active set
 _STEP_FLOOR = 1e-14
 # Newton systems are shifted by this times their largest diagonal entry, so
 # that a model flat along some direction (a duplicated generator or jammer

@@ -227,10 +227,3 @@ def partial_trace(op, dims, axis):
     keep = int(np.prod([d for i, d in enumerate(dims) if i != axis]))
     return t.reshape(keep, keep)
 
-
-def random_density(rng, dim, rank=None):
-    """Random density operator (normalized Wishart); test/oracle helper."""
-    r = dim if rank is None else rank
-    g = rng.standard_normal((dim, r)) + 1j * rng.standard_normal((dim, r))
-    m = g @ g.conj().T
-    return m / np.real(np.trace(m))

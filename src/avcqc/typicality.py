@@ -5,7 +5,9 @@ window (|freq - p| <= delta/|alphabet|); the subspace projectors use a
 per-eigenlabel window of half-width alpha, which is the convention under
 which the finite-block-length bound suite below is satisfiable at small n.
 Both comparisons carry a 1e-12 guard so exact boundary fractions are not
-dropped by float rounding.
+dropped by float rounding.  The typical set and both projectors expand the
+window's count classes into their label sequences, so caps.enumeration
+bounds the number of typical sequences, never |alphabet|**n.
 
 The bound verifier never materializes d**n operators: every quantity it
 needs (masses, ranks, extremal eigenvalue products, cross-basis overlap
@@ -17,11 +19,11 @@ runs the cross masses on a stack of count tables, in chunks within the cap.
 """
 
 from dataclasses import dataclass
-from itertools import product as iproduct
 from math import factorial, inf, log2, prod
 
 import numpy as np
 
+from .channels import CqChannel
 from .config import DEFAULT_CAPS, DEFAULT_TOL
 from .errors import AlphabetMismatch, DimOverflow, EnumerationOverflow
 from .operators import entropy_from_eigenvalues, validate_probability_vector
@@ -140,15 +142,6 @@ def _window_classes(p, ns, half_width, guard=DEFAULT_TOL.typicality_boundary,
     return counts, np.searchsorted(row, np.arange(nv.size + 1)), over
 
 
-def _window_count_classes(p, n, half_width, guard=DEFAULT_TOL.typicality_boundary,
-                          caps=DEFAULT_CAPS):
-    """The window classes of one block length as tuples; over the cap it raises."""
-    counts, _, over = _window_classes(p, [n], half_width, guard, caps)
-    if over[0]:
-        raise EnumerationOverflow(over[0])
-    return [tuple(c) for c in counts.tolist()]
-
-
 def _class_aggregates(p, counts, bounds):
     """Per block length, (mass, rank, min log2 prob, max log2 prob) over its classes.
 
@@ -171,29 +164,39 @@ def _class_aggregates(p, counts, bounds):
                     _spread(lp, bounds, -inf).max(axis=1).tolist()))
 
 
+def _label_sequences(p, n, half_width, guard, caps):
+    """The length-n label sequences with counts in the window, (m, n) ints in lexicographic order.
+
+    Their number, the sum of the classes' multinomials, is checked against
+    caps.enumeration before any is built.  Each class is expanded position
+    by position, every row branching on the labels it has left, and the
+    rows are sorted once.
+    """
+    counts, bounds, over = _window_classes(p, [n], half_width, guard, caps)
+    if over[0]:
+        raise EnumerationOverflow(over[0])
+    total = _class_aggregates(p, counts, bounds)[0][1]
+    if total > caps.enumeration:
+        raise EnumerationOverflow(f"{total} typical sequences exceed enumeration cap "
+                                  f"{caps.enumeration}")
+    left, seqs = counts, np.zeros((len(counts), 0), dtype=int)
+    for _ in range(n):
+        row, label = np.nonzero(left)
+        left = left[row]
+        left[np.arange(row.size), label] -= 1
+        seqs = np.column_stack([seqs[row], label])
+    return seqs[np.lexsort(seqs.T[::-1])] if n else seqs
+
+
 def typical_set(p, n, delta, caps=DEFAULT_CAPS, tol=DEFAULT_TOL):
     """Enumerate sequences whose letter frequencies are delta/|alphabet| close to p.
 
-    Sequences are tuples of indices into p's alphabet.
+    Sequences are tuples of indices into p's alphabet, in lexicographic
+    order; more than caps.enumeration of them raise.
     """
     pv = validate_probability_vector(p, tol)
-    _check_sequences("|alphabet|", pv.size, n, caps)
-    classes = _window_count_classes(pv, n, delta / pv.size, tol.typicality_boundary, caps)
-    return _sequences_of_classes(classes, n)
-
-
-def _check_sequences(name, k, n, caps):
-    if k ** n > caps.enumeration:
-        raise EnumerationOverflow(f"{name}^n = {k ** n} exceeds enumeration cap "
-                                  f"{caps.enumeration}")
-
-
-def _sequences_of_classes(classes, n):
-    """Expand count classes into the explicit label sequences, in lexicographic order."""
-    classes = set(classes)
-    k = len(next(iter(classes))) if classes else 0
-    return [seq for seq in iproduct(range(k), repeat=n)
-            if tuple(map(seq.count, range(k))) in classes]
+    seqs = _label_sequences(pv, n, delta / pv.size, tol.typicality_boundary, caps)
+    return [tuple(s) for s in seqs.tolist()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,15 +238,11 @@ class TypicalProjector:
 def typical_projector(rho, n, alpha, caps=DEFAULT_CAPS):
     """Projector onto the alpha-typical subspace of rho^(x n).
 
-    The window is +-alpha per eigenlabel frequency.
+    The window is +-alpha per eigenlabel frequency.  This is the conditional
+    typical projector of the one-letter channel rho on the word of n copies
+    of its letter; rho must be a density operator.
     """
-    lam, u = stable_eigh(np.asarray(rho, dtype=complex))
-    d = lam.size
-    _check_sequences("d", d, n, caps)
-    classes = _window_count_classes(np.clip(lam, 0.0, None), n, alpha, caps=caps)
-    labels = tuple(_sequences_of_classes(classes, n))
-    bases = np.broadcast_to(u, (n, d, d)).copy()
-    return TypicalProjector(n=n, alpha=alpha, site_bases=bases, basis_labels=labels)
+    return conditional_typical_projector(CqChannel((0,), [rho]), (0,) * n, alpha, caps)
 
 
 def conditional_typical_projector(w, xs, alpha, caps=DEFAULT_CAPS):
@@ -251,35 +250,31 @@ def conditional_typical_projector(w, xs, alpha, caps=DEFAULT_CAPS):
 
     Per input letter, the positions carrying that letter get the letter's
     output eigenbasis, and their label subsequences range over the typical
-    set of the letter's output spectrum (window +-alpha).
+    set of the letter's output spectrum (window +-alpha).  Basis labels
+    run over the letters' subsequences in C order, letters sorted by str.
+    More than caps.enumeration typical subsequences of one letter, or
+    basis labels in all, raise.
     """
     xs = tuple(xs)
     n, d = len(xs), w.dim
-    _check_sequences("d", d, n, caps)
-    eig = {x: stable_eigh(w.state(x)) for x in set(xs)}
+    letters = sorted(dict.fromkeys(xs), key=str)
+    eig = {x: stable_eigh(w.state(x)) for x in letters}
     bases = np.array([eig[x][1] for x in xs], dtype=complex).reshape(n, d, d)
-    block_positions = {}
-    for i, x in enumerate(xs):
-        block_positions.setdefault(x, []).append(i)
-    per_block_labels = {
-        x: _sequences_of_classes(_window_count_classes(
-            np.clip(eig[x][0], 0.0, None), len(pos), alpha, caps=caps), len(pos))
-        for x, pos in block_positions.items()
-    }
-    total_rank = prod(map(len, per_block_labels.values()))
+    positions = [[i for i, y in enumerate(xs) if y == x] for x in letters]
+    blocks = [_label_sequences(np.clip(eig[x][0], 0.0, None), len(pos), alpha,
+                               DEFAULT_TOL.typicality_boundary, caps)
+              for x, pos in zip(letters, positions)]
+    total_rank = prod(map(len, blocks))
     if total_rank > caps.enumeration:
         raise EnumerationOverflow(
             f"conditional typical rank {total_rank} exceeds cap {caps.enumeration}"
         )
-    labels = []
-    block_keys = sorted(block_positions.keys(), key=str)
-    for combo in iproduct(*(per_block_labels[x] for x in block_keys)):
-        full = [0] * n
-        for x, sub in zip(block_keys, combo):
-            for slot, j in zip(block_positions[x], sub):
-                full[slot] = j
-        labels.append(tuple(full))
-    return TypicalProjector(n=n, alpha=alpha, site_bases=bases, basis_labels=tuple(labels))
+    pick = np.indices([len(b) for b in blocks]).reshape(len(blocks), total_rank)
+    labels = np.zeros((total_rank, n), dtype=int)
+    for block, pos, rows in zip(blocks, positions, pick):
+        labels[:, pos] = block[rows]
+    return TypicalProjector(n=n, alpha=alpha, site_bases=bases,
+                            basis_labels=tuple(map(tuple, labels.tolist())))
 
 
 # ---------------------------------------------------------------------------

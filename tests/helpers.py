@@ -49,10 +49,8 @@ def flip_source(flip):
 
 
 def random_avcqc(rng, nx=2, ns=2, dim=2):
-    from avcqc.operators import random_density
-
     states = np.stack(
-        [[random_density(rng, dim) for _ in range(ns)] for _ in range(nx)]
+        [[wishart_state(rng, dim) for _ in range(ns)] for _ in range(nx)]
     )
     return Avcqc(tuple(range(nx)), tuple(range(ns)), states)
 
@@ -307,6 +305,30 @@ def separable_instance(rng, nx, d):
     f = rng.uniform(0.05, 0.2)
     src = CorrelatedSource((0, 1), (0, 1), [[(1 - f) / 2, f / 2], [f / 2, (1 - f) / 2]])
     return Avcqc(tuple(range(nx)), (0, 1), states), src
+
+
+def scattered_labels(xs, letter_labels):
+    """Reference basis labels of a conditional typical projector on the word xs.
+
+    letter_labels[x] lists the typical label subsequences of the positions
+    carrying letter x.  Every combination of one subsequence per letter,
+    letters sorted by str and the first varying slowest, is scattered into
+    its positions.
+    """
+    from itertools import product as iproduct
+
+    block_positions = {}
+    for i, x in enumerate(xs):
+        block_positions.setdefault(x, []).append(i)
+    block_keys = sorted(block_positions, key=str)
+    labels = []
+    for combo in iproduct(*(letter_labels[x] for x in block_keys)):
+        full = [0] * len(xs)
+        for x, sub in zip(block_keys, combo):
+            for slot, j in zip(block_positions[x], sub):
+                full[slot] = j
+        labels.append(tuple(full))
+    return tuple(labels)
 
 
 def mirror_pair_channel():

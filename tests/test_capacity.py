@@ -27,7 +27,7 @@ from avcqc.errors import (
     ProfileOutOfRange,
     SolverDiverged,
 )
-from avcqc.operators import random_density, von_neumann_entropy
+from avcqc.operators import von_neumann_entropy
 from helpers import (
     ONE,
     PLUS,
@@ -81,7 +81,7 @@ class TestHolevoChi:
     def test_concavity_in_input_distribution(self):
         rng = np.random.default_rng(23)
         for _ in range(100):
-            states = np.stack([random_density(rng, 2) for _ in range(3)])
+            states = np.stack([wishart_state(rng, 2) for _ in range(3)])
             w = CqChannel((0, 1, 2), states)
             p = rng.dirichlet(np.ones(3))
             q = rng.dirichlet(np.ones(3))
@@ -101,7 +101,7 @@ class TestHolevoCapacity:
 
     def test_matches_direct_maximization_on_grid(self):
         rng = np.random.default_rng(29)
-        states = np.stack([random_density(rng, 2) for _ in range(2)])
+        states = np.stack([wishart_state(rng, 2) for _ in range(2)])
         w = CqChannel((0, 1), states)
         val, _ = holevo_capacity(w)
         grid = max(
@@ -222,7 +222,7 @@ class TestCapacityInformedJammer:
         rng = np.random.default_rng(41)
         for k in range(5):
             base = random_avcqc(rng, ns=2)
-            new_column = np.stack([random_density(rng, 2) for _ in range(2)])[:, None]
+            new_column = np.stack([wishart_state(rng, 2) for _ in range(2)])[:, None]
             enlarged = Avcqc(
                 (0, 1), (0, 1, 2), np.concatenate([base.states, new_column], axis=1)
             )
@@ -579,7 +579,7 @@ def test_matrix_log_matches_eigendecomposition():
 
     rng = np.random.default_rng(47)
     for d in (2, 3):
-        mats = np.stack([random_density(rng, d) for _ in range(10)])
+        mats = np.stack([wishart_state(rng, d) for _ in range(10)])
         got = _log2_psd_stack(mats)
         for k in range(10):
             w, v = np.linalg.eigh(mats[k])
@@ -646,17 +646,18 @@ class TestKernelDescent:
             values.append(f)
         assert max(values) - min(values) <= capacity._KERNEL_GAP
 
-    def test_gradient_fallback_alone_descends(self, monkeypatch):
-        # with every Newton system refused, the projected-gradient fallback
-        # still descends toward the Newton descent's minimum
+    def test_refused_newton_system_stops_on_its_gap(self, monkeypatch):
+        # with every Newton system refused, the descent returns its start
+        # kernel and that kernel's gap, which still bounds the minimum below
         states, p, _ = _descent_draw("d3")
         start = np.full((3, 3), 1.0 / 3)
         f_newton, _, _, _ = capacity._descend_kernel(states, p, start, max_iter=2000)
         monkeypatch.setattr(capacity, "_newton_direction", lambda *a: None)
-        f, q, _, _ = capacity._descend_kernel(states, p, start, max_iter=300)
-        lo, _ = dense_saddle_bracket(states, p, q)
-        assert f_newton - capacity._KERNEL_GAP <= f <= f_newton + 1e-6
-        assert lo <= f_newton + 1e-12
+        f, q, _, gap = capacity._descend_kernel(states, p, start, max_iter=300)
+        lo, _ = dense_saddle_bracket(states, p, start)
+        assert np.array_equal(q, start)
+        assert abs((f - lo) - gap) <= 1e-12
+        assert f - gap <= f_newton + 1e-12
 
     def test_single_state_takes_no_step(self, monkeypatch):
         # |S| = 1: the kernel is fixed, its gap is 0, and the descent returns

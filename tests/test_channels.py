@@ -14,8 +14,8 @@ from avcqc import (
 )
 from avcqc.config import Caps
 from avcqc.errors import AlphabetMismatch, DimOverflow, LengthMismatch
-from avcqc.operators import partial_trace, random_density, trace_distance, trace_norm
-from helpers import ONE, ZERO, bitflip_channel, constant_channel, orthogonal_channel
+from avcqc.operators import partial_trace, trace_distance, trace_norm
+from helpers import ONE, ZERO, bitflip_channel, constant_channel, orthogonal_channel, wishart_state
 
 
 class TestAveragedChannel:
@@ -81,7 +81,7 @@ class TestProductOutput:
 
     def test_marginals_match_letters(self):
         rng = np.random.default_rng(5)
-        states = np.stack([[random_density(rng, 2) for _ in range(2)] for _ in range(2)])
+        states = np.stack([[wishart_state(rng, 2) for _ in range(2)] for _ in range(2)])
         w = Avcqc((0, 1), (0, 1), states)
         xs, ss = (0, 1, 1), (1, 0, 1)
         full = product_output(w, xs, ss)
@@ -108,8 +108,8 @@ class TestDiamondDistance:
     def test_equals_trace_norm_max_over_letters(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
-            s1 = np.stack([random_density(rng, 2) for _ in range(2)])
-            s2 = np.stack([random_density(rng, 2) for _ in range(2)])
+            s1 = np.stack([wishart_state(rng, 2) for _ in range(2)])
+            s2 = np.stack([wishart_state(rng, 2) for _ in range(2)])
             w1, w2 = CqChannel((0, 1), s1), CqChannel((0, 1), s2)
             direct = max(2 * trace_distance(s1[i], s2[i]) for i in range(2))
             assert cq_diamond_distance(w1, w2) == pytest.approx(direct, abs=1e-12)
@@ -117,7 +117,7 @@ class TestDiamondDistance:
     def test_metric_properties(self):
         rng = np.random.default_rng(10)
         chans = [
-            CqChannel((0, 1), np.stack([random_density(rng, 2) for _ in range(2)]))
+            CqChannel((0, 1), np.stack([wishart_state(rng, 2) for _ in range(2)]))
             for _ in range(6)
         ]
         for a in chans:
@@ -134,8 +134,8 @@ class TestDiamondDistance:
         # product-input differences at n=2 never exceed the sum of two
         # single-letter differences, consistent with the n=1 reduction
         rng = np.random.default_rng(12)
-        s1 = np.stack([random_density(rng, 2) for _ in range(2)])
-        s2 = np.stack([random_density(rng, 2) for _ in range(2)])
+        s1 = np.stack([wishart_state(rng, 2) for _ in range(2)])
+        s2 = np.stack([wishart_state(rng, 2) for _ in range(2)])
         w1, w2 = CqChannel((0, 1), s1), CqChannel((0, 1), s2)
         d1 = cq_diamond_distance(w1, w2)
         for x1 in range(2):

@@ -31,7 +31,6 @@ from avcqc.errors import (
     NotHermitian,
     NotPositive,
 )
-from avcqc.operators import random_density
 from avcqc.separation import SeparationCertificate
 from helpers import (
     ONE,
@@ -45,6 +44,7 @@ from helpers import (
     random_avcqc,
     random_povm_stack,
     separable_instance,
+    wishart_state,
 )
 
 MINUS = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
@@ -135,7 +135,7 @@ class TestContraction:
     def test_table_matches_product_states(self):
         # d = |S| = 3, non-Hermitian G and non-index letters expose any swapped leg
         rng = np.random.default_rng(71)
-        states = np.stack([[random_density(rng, 3) for _ in range(3)] for _ in range(3)])
+        states = np.stack([[wishart_state(rng, 3) for _ in range(3)] for _ in range(3)])
         w = Avcqc(("p", "q", "r"), ("a", "b", "c"), states)
         g = rng.standard_normal((27, 27)) + 1j * rng.standard_normal((27, 27))
         xs = ("r", "p", "q")
@@ -166,7 +166,7 @@ class TestContraction:
 
     def test_state_independent_channel_picks_first_word(self):
         rng = np.random.default_rng(79)
-        rows = [random_density(rng, 2) for _ in range(2)]
+        rows = [wishart_state(rng, 2) for _ in range(2)]
         w = Avcqc((0, 1), ("a", "b", "c"), np.stack([[r] * 3 for r in rows]))
         det = random_projective_code(rng, 4, 4)
         rand = RandomCode((random_projective_code(rng, 4, 3), random_projective_code(rng, 4, 3)))
@@ -461,10 +461,10 @@ def separable_d3_instance(seed=1):
     rng = np.random.default_rng(seed)
     letters = []
     for _ in range(2):
-        v = np.linalg.eigh(random_density(rng, 3))[1][:, -1:]
+        v = np.linalg.eigh(wishart_state(rng, 3))[1][:, -1:]
         letters.append(v @ v.conj().T)
     states = np.array(
-        [[0.9 * letters[x] + 0.1 * random_density(rng, 3) for _ in range(2)] for x in range(2)]
+        [[0.9 * letters[x] + 0.1 * wishart_state(rng, 3) for _ in range(2)] for x in range(2)]
     )
     return Avcqc((0, 1), (0, 1), states), flip_source(0.1)
 

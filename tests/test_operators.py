@@ -18,7 +18,7 @@ from avcqc.errors import (
     NotPositive,
     TraceNotOne,
 )
-from helpers import ONE, PLUS, ZERO
+from helpers import ONE, PLUS, ZERO, wishart_state
 
 
 class TestValidateDensity:
@@ -78,12 +78,10 @@ class TestEntropies:
         assert direct == pytest.approx(0.81128, abs=5e-6)
 
     def test_entropy_concavity_spot_check(self):
-        from avcqc.operators import random_density
-
         rng = np.random.default_rng(7)
         for _ in range(100):
             d = int(rng.integers(2, 4))
-            rho, sig = random_density(rng, d), random_density(rng, d)
+            rho, sig = wishart_state(rng, d), wishart_state(rng, d)
             for lam in (0.25, 0.5, 0.75):
                 mix = lam * rho + (1 - lam) * sig
                 assert von_neumann_entropy(mix) >= (
@@ -143,11 +141,9 @@ class TestTraceDistance:
             trace_distance(np.eye(2) / 2, np.eye(3) / 3)
 
     def test_triangle_inequality(self):
-        from avcqc.operators import random_density
-
         rng = np.random.default_rng(13)
         for _ in range(100):
-            a, b, c = (random_density(rng, 3) for _ in range(3))
+            a, b, c = (wishart_state(rng, 3) for _ in range(3))
             assert trace_distance(a, c) <= trace_distance(a, b) + trace_distance(b, c) + 1e-9
 
 
@@ -219,11 +215,9 @@ class TestTensorAndPartialTrace:
         assert np.allclose(reduced, np.eye(2) / 2, atol=1e-12)
 
     def test_trace_preserving(self):
-        from avcqc.operators import random_density
-
         rng = np.random.default_rng(17)
         for _ in range(20):
-            op = tensor(random_density(rng, 2), random_density(rng, 3))
+            op = tensor(wishart_state(rng, 2), wishart_state(rng, 3))
             for axis in (0, 1):
                 red = partial_trace(op, (2, 3), axis)
                 assert np.trace(red) == pytest.approx(np.trace(op), abs=1e-10)

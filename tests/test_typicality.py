@@ -1,5 +1,5 @@
 from itertools import product as iproduct
-from math import comb
+from math import comb, prod
 
 import numpy as np
 import pytest
@@ -12,12 +12,11 @@ from avcqc import (
     verify_typicality_bounds,
 )
 from avcqc.config import Caps, Tolerances
-from avcqc.errors import DimOverflow, EnumerationOverflow
+from avcqc.errors import DimOverflow, EnumerationOverflow, TraceNotOne
 from avcqc.typicality import (
     _SUPPORT_FLOOR,
     _cross_mass,
     _window_classes,
-    _window_count_classes,
     stable_eigh,
 )
 from helpers import (
@@ -27,18 +26,31 @@ from helpers import (
     mirror_pair_channel,
     per_block_typicality_bounds,
     per_block_window_classes,
+    scattered_labels,
     wishart_state,
 )
 
 
 def enumerate_window(p, n, width):
-    """Independent oracle: brute-force frequency-window enumeration."""
+    """Independent oracle: brute-force frequency-window enumeration.
+
+    Labels with probability below the support floor may not occur.
+    """
     out = []
     for seq in iproduct(range(len(p)), repeat=n):
         counts = [seq.count(j) for j in range(len(p))]
-        if all(abs(c / n - pj) <= width + 1e-12 for c, pj in zip(counts, p)):
+        if all(abs(c / n - pj) <= width + 1e-12 and not (pj < _SUPPORT_FLOOR and c)
+               for c, pj in zip(counts, p)):
             out.append(seq)
     return out
+
+
+def _window_count_classes(p, n, half_width, caps=Caps()):
+    """The window classes of one block length as tuples; over the cap it raises."""
+    counts, _, over = _window_classes(p, [n], half_width, caps=caps)
+    if over[0]:
+        raise EnumerationOverflow(over[0])
+    return [tuple(c) for c in counts.tolist()]
 
 
 class TestTypicalSet:
@@ -61,6 +73,20 @@ class TestTypicalSet:
             n = int(rng.integers(3, 8))
             delta = float(rng.uniform(0.05, 0.8))
             assert typical_set(p, n, delta) == enumerate_window(p, n, delta / 2)
+
+    @pytest.mark.parametrize("d, n_max", [(3, 7), (4, 6)])
+    def test_matches_enumeration_oracle_with_pinned_labels(self, d, n_max):
+        # a window of at least 1/n would admit a count of 1 on the label
+        # below the support floor, which stays pinned at 0
+        rng = np.random.default_rng(d)
+        for n in range(1, n_max + 1):
+            for floor_label in (0.0, 1e-16, None):
+                p = rng.dirichlet(np.ones(d))
+                if floor_label is not None:
+                    p[int(rng.integers(d))] = floor_label
+                    p /= p.sum()
+                for delta in (0.3, d / n):
+                    assert typical_set(p, n, delta) == enumerate_window(p, n, delta / d)
 
     def test_enumeration_cap(self):
         with pytest.raises(EnumerationOverflow):
@@ -134,6 +160,16 @@ class TestTypicalProjector:
         assert np.allclose(m @ m, m, atol=1e-10)
         assert np.isclose(np.trace(m).real, tp.rank, atol=1e-9)
 
+    def test_cap_counts_typical_sequences(self):
+        # 2**21 label sequences exceed the cap, but only the typical ones are built
+        assert typical_projector(np.diag([0.75, 0.25]), 21, 0.1).rank == 196_878
+        with pytest.raises(EnumerationOverflow, match="1269301 typical sequences"):
+            typical_projector(np.diag([0.75, 0.25]), 24, 0.1)
+
+    def test_rejects_non_density_operator(self):
+        with pytest.raises(TraceNotOne):
+            typical_projector(np.diag([0.75, 0.35]), 3, 0.1)
+
     def test_matrix_cap(self):
         tp = typical_projector(np.diag([0.75, 0.25]), 12, 0.1)
         with pytest.raises(DimOverflow):
@@ -204,6 +240,27 @@ class TestConditionalProjector:
         c0 = len(enumerate_window(np.clip(lam0, 0, None), 3, 0.3))
         c1 = len(enumerate_window(np.clip(lam1, 0, None), 3, 0.3))
         assert cp.rank == c0 * c1
+
+    @pytest.mark.parametrize("xs, alpha", [
+        (("b", "a", "a", "b", "a", "b", "b"), 0.25),
+        (("b", "a", "c", "a", "b", "a", "c"), 0.3),
+        (("c", "a", "a", "c", "b"), 0.45),
+        (("e", "a", "e", "b", "e"), 0.15),
+    ])
+    def test_labels_match_scatter_oracle(self, xs, alpha):
+        # letter "e" is maximally mixed: three positions have no count within
+        # 0.15 of 1/2, so its window and the projector are empty
+        rng = np.random.default_rng(31)
+        states = [wishart_state(rng, 2) for _ in range(3)] + [np.eye(2) / 2]
+        w = CqChannel(("a", "b", "c", "e"), np.stack(states))
+        letter_labels = {
+            x: enumerate_window(np.clip(stable_eigh(w.state(x))[0], 0, None), xs.count(x), alpha)
+            for x in set(xs)
+        }
+        cp = conditional_typical_projector(w, xs, alpha)
+        assert cp.basis_labels == scattered_labels(xs, letter_labels)
+        assert cp.rank == prod(map(len, letter_labels.values()))
+        assert (cp.rank == 0) == ("e" in xs)
 
     def test_idempotent(self):
         w = mirror_pair_channel()
