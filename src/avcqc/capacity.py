@@ -74,17 +74,12 @@ bit.
 from dataclasses import dataclass
 import numpy as np
 
-from .channels import JammerKernel
+from .channels import JammerKernel, _input_distribution
 from .config import DEFAULT_TOL, with_overrides
-from .errors import AlphabetMismatch, InvalidArgument, NonBinarySource
+from .errors import InvalidArgument, NonBinarySource
 from .errors import ProfileOutOfRange, SolverDiverged
 from .geometry import _STEP_FLOOR, _free_entries, _kkt_matrix, _solve_newton, project_simplex_rows
-from .operators import (
-    eigh_stack,
-    eigvalsh_stack,
-    entropy_from_eigenvalues,
-    validate_probability_vector,
-)
+from .operators import eigh_stack, eigvalsh_stack, entropy_from_eigenvalues
 
 LN2 = np.log(2.0)
 _LOG_FLOOR = 1e-18
@@ -178,11 +173,7 @@ def _grad_p(p, states, q, spec):
 
 def holevo_chi(p, w, tol=DEFAULT_TOL):
     """chi(p; W) = S(sum_x p(x) W(x)) - sum_x p(x) S(W(x)) in bits."""
-    pv = validate_probability_vector(p, tol)
-    if pv.size != len(w.x_alphabet):
-        raise AlphabetMismatch(
-            f"distribution over {pv.size} letters, channel has {len(w.x_alphabet)}"
-        )
+    pv = _input_distribution(p, w, tol)
     rho_bar = np.einsum("x,xij->ij", pv, w.states)
     val = float(_entropy_stack(rho_bar) - pv @ _entropy_stack(w.states))
     return max(val, 0.0)
@@ -351,11 +342,7 @@ def min_chi_over_jammer(w, p, tol=DEFAULT_TOL):
     from the minimum, if no Newton candidate keeps chi from rising; no
     measured draw does.
     """
-    pv = validate_probability_vector(p, tol)
-    if pv.size != len(w.x_alphabet):
-        raise AlphabetMismatch(
-            f"distribution over {pv.size} letters, channel has {len(w.x_alphabet)}"
-        )
+    pv = _input_distribution(p, w, tol)
     nx, ns = len(w.x_alphabet), len(w.s_alphabet)
     f, q, _, _ = _descend_kernel(w.states, pv, np.full((nx, ns), 1.0 / ns), max_iter=2000)
     return float(max(f, 0.0)), JammerKernel(w.x_alphabet, w.s_alphabet, q)
@@ -530,8 +517,12 @@ def _saddle_solve(states, outer_iter, inner_iter, tol):
     """(value, p, q, trace, (lo, hi)) of the max-min solve on states (X, S, d, d).
 
     One ``_ascend`` trajectory; its bracket is widened to hold the value by
-    at most _BRACKET_ROUNDING.
+    at most _BRACKET_ROUNDING.  A negative step budget raises InvalidArgument.
     """
+    if min(outer_iter, inner_iter) < 0:
+        raise InvalidArgument(
+            f"outer_iter and inner_iter must be >= 0, got {outer_iter!r} and {inner_iter!r}"
+        )
     if not tol.maxmin_bracket > _BRACKET_ROUNDING:
         raise InvalidArgument(
             f"maxmin_bracket must exceed the bracket rounding {_BRACKET_ROUNDING}, "

@@ -24,6 +24,7 @@ from .errors import (
 )
 from .geometry import affine_set_distance, embed_stack
 from .operators import (
+    _distribution_rows,
     mutual_information,
     read_only,
     trace_norm,
@@ -42,12 +43,11 @@ class CqChannel:
 
     def __post_init__(self):
         states = np.asarray(self.states, dtype=complex)
-        if states.shape[0] != len(self.x_alphabet):
+        if states.shape[:-2] != (len(self.x_alphabet),):
             raise AlphabetMismatch(
-                f"{states.shape[0]} states for {len(self.x_alphabet)} input letters"
+                f"state table {states.shape[:-2]} does not match alphabet ({len(self.x_alphabet)},)"
             )
-        for i in range(states.shape[0]):
-            validate_density(states[i])
+        validate_density(states)
         object.__setattr__(self, "x_alphabet", tuple(self.x_alphabet))
         object.__setattr__(self, "states", read_only(states))
 
@@ -69,14 +69,12 @@ class Avcqc:
 
     def __post_init__(self):
         states = np.asarray(self.states, dtype=complex)
-        if states.shape[:2] != (len(self.x_alphabet), len(self.s_alphabet)):
+        if states.shape[:-2] != (len(self.x_alphabet), len(self.s_alphabet)):
             raise AlphabetMismatch(
-                f"state table {states.shape[:2]} does not match alphabets "
+                f"state table {states.shape[:-2]} does not match alphabets "
                 f"({len(self.x_alphabet)}, {len(self.s_alphabet)})"
             )
-        for i in range(states.shape[0]):
-            for j in range(states.shape[1]):
-                validate_density(states[i, j])
+        validate_density(states)
         object.__setattr__(self, "x_alphabet", tuple(self.x_alphabet))
         object.__setattr__(self, "s_alphabet", tuple(self.s_alphabet))
         object.__setattr__(self, "states", read_only(states))
@@ -87,20 +85,6 @@ class Avcqc:
 
     def state(self, x, s):
         return self.states[self.x_alphabet.index(x), self.s_alphabet.index(s)]
-
-    @classmethod
-    def from_table(cls, x_alphabet, s_alphabet, table):
-        """Build from a {(x, s): matrix} mapping; the table must be complete."""
-        x_alphabet, s_alphabet = tuple(x_alphabet), tuple(s_alphabet)
-        first = np.asarray(table[(x_alphabet[0], s_alphabet[0])], dtype=complex)
-        d = first.shape[0]
-        states = np.zeros((len(x_alphabet), len(s_alphabet), d, d), dtype=complex)
-        for i, x in enumerate(x_alphabet):
-            for j, s in enumerate(s_alphabet):
-                if (x, s) not in table:
-                    raise AlphabetMismatch(f"state table misses entry for ({x!r}, {s!r})")
-                states[i, j] = np.asarray(table[(x, s)], dtype=complex)
-        return cls(x_alphabet, s_alphabet, states)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,8 +102,7 @@ class JammerKernel:
                 f"kernel shape {rows.shape} does not match alphabets "
                 f"({len(self.x_alphabet)}, {len(self.s_alphabet)})"
             )
-        for i in range(rows.shape[0]):
-            validate_probability_vector(rows[i])
+        _distribution_rows(rows, DEFAULT_TOL)
         object.__setattr__(self, "x_alphabet", tuple(self.x_alphabet))
         object.__setattr__(self, "s_alphabet", tuple(self.s_alphabet))
         object.__setattr__(self, "rows", read_only(rows))
@@ -187,6 +170,22 @@ class JammerStrategy:
         return cls({xs: tuple(fn(xs)) for xs in product(tuple(x_alphabet), repeat=n)})
 
 
+def _input_distribution(p, w, tol=DEFAULT_TOL):
+    """p validated as a distribution over the input letters of w, read-only."""
+    pv = validate_probability_vector(p, tol)
+    if pv.size != len(w.x_alphabet):
+        raise AlphabetMismatch(
+            f"distribution over {pv.size} letters, channel has {len(w.x_alphabet)}"
+        )
+    return pv
+
+
+def _check_product_dim(d, n, caps):
+    """Raise DimOverflow when d^n exceeds caps.product_dim."""
+    if d ** n > caps.product_dim:
+        raise DimOverflow(f"product dimension {d ** n} exceeds cap {caps.product_dim}")
+
+
 def averaged_channel(w, q):
     """Channel seen through a memoryless jamming kernel: mix states per input."""
     if q.x_alphabet != w.x_alphabet or q.s_alphabet != w.s_alphabet:
@@ -200,9 +199,7 @@ def product_output(w, xs, ss, caps=DEFAULT_CAPS):
     xs, ss = tuple(xs), tuple(ss)
     if len(xs) != len(ss):
         raise LengthMismatch(f"input word length {len(xs)} != state word length {len(ss)}")
-    dim = w.dim ** len(xs)
-    if dim > caps.product_dim:
-        raise DimOverflow(f"product dimension {dim} exceeds cap {caps.product_dim}")
+    _check_product_dim(w.dim, len(xs), caps)
     out = np.ones((1, 1), dtype=complex)
     for x, s in zip(xs, ss):
         out = np.kron(out, w.state(x, s))
@@ -253,8 +250,7 @@ def zero_capacity_condition(w, n=1, caps=DEFAULT_CAPS):
             f"|X|^n = {nx} or |S|^n = {ns} exceeds caps "
             f"({caps.enumeration}, {caps.jammer_states})"
         )
-    if w.dim ** n > caps.product_dim:
-        raise DimOverflow(f"product dimension {w.dim ** n} exceeds cap {caps.product_dim}")
+    _check_product_dim(w.dim, n, caps)
     words_x = list(product(w.x_alphabet, repeat=n))
     words_s = list(product(w.s_alphabet, repeat=n))
     gens = {}

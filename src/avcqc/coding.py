@@ -13,11 +13,10 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .channels import JammerStrategy, product_output
+from .channels import JammerStrategy, _check_product_dim, product_output
 from .config import DEFAULT_CAPS
 from .errors import (
     DimensionMismatch,
-    DimOverflow,
     EnumerationOverflow,
     InvalidArgument,
     KeySetMismatch,
@@ -39,17 +38,18 @@ _CHOLESKY_ENTRIES = 1 << 15
 _PROB_CLAMP = 1e-12
 
 
-def _validate_povm(ops, tol_eig=_CHECK_SLACK, first_word=0):
+def _validate_povm(ops, first_word=0):
     """Check a stack (..., J, D, D) of J-outcome POVMs; return it as a complex array.
 
     A non-finite entry raises InvalidArgument naming its (word, operator);
-    words are counted from first_word.  A stack is accepted once every
-    operator is Hermitian within tol (max |A - A†| entry) and every A + tol I
-    and (1 + tol) I - sum_j A_j has a Cholesky factor, in batches of at most
-    _CHOLESKY_ENTRIES entries (one matrix at the least).  Only when a batch
-    fails do the full checks run, to name the first offender: a non-Hermitian
-    operator raises NotHermitian, then the two batched spectra name the first
-    POVM in order, positivity before the sum.  Once the stack is Hermitian
+    words are counted from first_word.  With tol = _CHECK_SLACK, a stack is
+    accepted once every operator is Hermitian within tol (max |A - A†| entry)
+    and every A + tol I and (1 + tol) I - sum_j A_j has a Cholesky factor,
+    in batches of at most _CHOLESKY_ENTRIES entries (one matrix at the
+    least).  Only when a batch fails do the full checks run, to name the
+    first offender: a non-Hermitian operator raises NotHermitian, then the
+    two batched spectra name the first POVM in order, positivity before the
+    sum.  Once the stack is Hermitian
     within tol, either triangle determines it, so the factorizations and the
     spectra decide alike except within rounding of the threshold, where the
     spectra have the last word.
@@ -62,28 +62,28 @@ def _validate_povm(ops, tol_eig=_CHECK_SLACK, first_word=0):
         raise InvalidArgument(
             f"decoding operator {k} of word {first_word + i} has a non-finite entry"
         )
-    if _has_cholesky_factors(flat, tol_eig):
+    if _has_cholesky_factors(flat, _CHECK_SLACK):
         return ops
     dev = _adjoint_deviation(flat)
-    if (dev > tol_eig).any():
-        i, k = np.unravel_index(int(np.argmax(dev > tol_eig)), dev.shape)
+    if (dev > _CHECK_SLACK).any():
+        i, k = np.unravel_index(int(np.argmax(dev > _CHECK_SLACK)), dev.shape)
         raise NotHermitian(
             f"decoding operator {k} of word {first_word + i} has max |A - A†| entry "
-            f"{dev[i, k]:.3e} > {tol_eig:.1e}"
+            f"{dev[i, k]:.3e} > {_CHECK_SLACK:.1e}"
         )
     lo = eigvalsh_stack(flat)[..., 0]
     excess = eigvalsh_stack(flat.sum(axis=1) - np.eye(ops.shape[-1]))[..., -1]
-    neg = lo < -tol_eig
-    bad = neg.any(axis=1) | (excess > tol_eig)
+    neg = lo < -_CHECK_SLACK
+    bad = neg.any(axis=1) | (excess > _CHECK_SLACK)
     if bad.any():
         i = int(np.argmax(bad))
         if neg[i].any():
             k = int(np.argmax(neg[i]))
             raise NotPositive(
-                f"decoding operator {k} has eigenvalue {lo[i, k]:.3e} < -{tol_eig:.1e}"
+                f"decoding operator {k} has eigenvalue {lo[i, k]:.3e} < -{_CHECK_SLACK:.1e}"
             )
         raise NotPositive(
-            f"decoder sum exceeds the identity by {excess[i]:.3e} > {tol_eig:.1e}"
+            f"decoder sum exceeds the identity by {excess[i]:.3e} > {_CHECK_SLACK:.1e}"
         )
     return ops
 
@@ -221,12 +221,6 @@ def _success_table(w, xs, g):
             t.reshape(t.shape[0], d, rest, d, rest),
         ).reshape(-1, rest, rest)
     return np.real(t.ravel())
-
-
-def _check_product_dim(d, n, caps):
-    """Raise DimOverflow when d^n exceeds caps.product_dim."""
-    if d ** n > caps.product_dim:
-        raise DimOverflow(f"product dimension {d ** n} exceeds cap {caps.product_dim}")
 
 
 def _informed_error(w, n, entries, caps):
@@ -377,20 +371,12 @@ class TwoPartCode:
     jammer: JammerStrategy
 
     @property
-    def n_total(self):
-        return self.pre.n + self.inner.n
-
-    @property
     def num_messages(self):
         return self.inner.num_messages
 
     def assembled_decoder(self, v_index, j):
         """D_j^{(v)} = sum_k pre_decoder(v, k) (x) inner_decoder(k, j)."""
         return _assembled(self.pre.decoders[v_index], self.inner, j)
-
-    def encode(self, v_prime_word, j, k):
-        pre_word = self.pre.encoders[self.pre.v_prime_words.index(tuple(v_prime_word))][k]
-        return tuple(pre_word) + tuple(self.inner.codes[k].codebook[j])
 
 
 def _assembled(pre_ops, inner, j):
@@ -436,7 +422,7 @@ def assemble_two_part(pre, inner, w, src, caps=DEFAULT_CAPS):
         _validate_povm(
             [[_assembled(ops, inner, j) for j in range(inner.num_messages)]], first_word=vi
         )
-    pre_error, _ = correlation_code_error_informed(pre, w, src, caps, return_strategy=True)
+    pre_error = correlation_code_error_informed(pre, w, src, caps)
     inner_error = random_code_error_informed(inner, w, caps)
     assembled_error, jammer = two_part_error_informed(pre, inner, w, src, caps)
     if assembled_error > pre_error + inner_error + _CHECK_SLACK:
@@ -565,7 +551,7 @@ def cr_generation_run(w, src, code, trials, seed, caps=DEFAULT_CAPS):
     a uniformly random guess.
     """
     if trials < 1:
-        raise EnumerationOverflow("trials must be >= 1")
+        raise InvalidArgument(f"trials must be >= 1, got {trials!r}")
     two_part = isinstance(code, TwoPartCode)
     if two_part:
         jammer = code.jammer
@@ -598,14 +584,9 @@ def cr_generation_run(w, src, code, trials, seed, caps=DEFAULT_CAPS):
     j_n = code.num_messages
     vp_index = {u: i for i, u in enumerate(words_src.v_prime_words)}
     v_index = {v: i for i, v in enumerate(words_src.v_words)}
-    pairs = [
-        (up, v)
-        for up in src.v_prime_alphabet
-        for v in src.v_alphabet
-    ]
-    pair_probs = np.array(
-        [src.joint[src.v_prime_alphabet.index(up), src.v_alphabet.index(v)] for up, v in pairs]
-    )
+    # pairs and joint entries both run over (v', v) with v fastest
+    pairs = list(iproduct(src.v_prime_alphabet, src.v_alphabet))
+    pair_probs = src.joint.ravel()
     pair_probs = pair_probs / pair_probs.sum()
     rows = []
     agreed = []

@@ -14,19 +14,19 @@ from .config import DEFAULT_TOL
 from .errors import (
     BadSubsystemIndex,
     DimensionMismatch,
+    InvalidArgument,
     InvalidJoint,
     NotHermitian,
     NotPositive,
     TraceNotOne,
 )
 
-LOG2E = 1.0 / np.log(2.0)
-
 
 def _as_complex_square(m):
+    """m as a complex square matrix or stack (..., d, d) of them, d >= 1, or DimensionMismatch."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim < 2 or not a.shape[-1] == a.shape[-2] > 0:
+        raise DimensionMismatch(f"expected a square matrix or a stack of them, got shape {a.shape}")
     return a
 
 
@@ -37,44 +37,71 @@ def read_only(a):
     return out
 
 
+def _refuse(bad, error, message):
+    """Raise error(message(index)) at the first True flag of bad, one per entry,
+    matrix or row; the index prefixes the text when bad holds more than one."""
+    if bad.any():
+        at = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        raise error((f"at {list(map(int, at))}: " if at else "") + message(at))
+
+
 def require_hermitian(m, tol=DEFAULT_TOL.hermitian):
-    """Return m as a read-only complex array, or raise NotHermitian."""
+    """Hermitian part of a matrix or a stack (..., d, d) of them, read-only.
+
+    A non-finite entry raises InvalidArgument, a max |m - m†| entry above
+    tol raises NotHermitian; either names the first offender of a stack.
+    """
     a = _as_complex_square(m)
-    dev = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
-    if dev > tol:
-        raise NotHermitian(f"max |m - m†| entry is {dev:.3e}, exceeds tolerance {tol:.1e}")
-    return read_only((a + a.conj().T) / 2.0)
+    _refuse(~np.isfinite(a), InvalidArgument, lambda at: f"entry {a[at]} is not finite")
+    adj = a.conj().swapaxes(-1, -2)
+    dev = np.abs(a - adj).max(axis=(-2, -1), initial=0.0)
+    _refuse(dev > tol, NotHermitian,
+            lambda at: f"max |m - m†| entry is {dev[at]:.3e}, exceeds tolerance {tol:.1e}")
+    return read_only((a + adj) / 2.0)
 
 
 def validate_density(m, tol=DEFAULT_TOL):
-    """Validate a density operator: Hermitian, PSD, unit trace.
+    """Validate a density operator, or a stack (..., d, d) of them in one pass.
 
-    Eigenvalues in [-psd_floor, 0) are tolerated (they are clamped later by
-    the entropy routines); anything more negative raises NotPositive.
+    Each must be finite, Hermitian, PSD and of unit trace; the first
+    offender of a stack is named.  Eigenvalues in [-psd_floor, 0) are
+    tolerated (the entropy routines clamp them); anything more negative
+    raises NotPositive.  Returns the Hermitian part, read-only.
     """
     a = require_hermitian(m, tol.hermitian)
-    eigs = np.linalg.eigvalsh(a)
-    if eigs[0] < -tol.psd_floor:
-        raise NotPositive(
-            f"minimum eigenvalue {eigs[0]:.3e} is below the floor -{tol.psd_floor:.1e}"
-        )
-    tr = float(np.real(np.trace(a)))
-    if abs(tr - 1.0) > tol.trace_one:
-        raise TraceNotOne(f"trace is {tr!r}, |trace - 1| = {abs(tr - 1.0):.3e} exceeds {tol.trace_one:.1e}")
+    low = eigvalsh_stack(a)[..., 0]
+    _refuse(low < -tol.psd_floor, NotPositive, lambda at: (
+        f"minimum eigenvalue {low[at]:.3e} is below the floor -{tol.psd_floor:.1e}"))
+    tr = np.real(np.trace(a, axis1=-2, axis2=-1))
+    _refuse(np.abs(tr - 1.0) > tol.trace_one, TraceNotOne, lambda at: (
+        f"trace is {float(tr[at])!r}, |trace - 1| = {abs(tr[at] - 1.0):.3e} "
+        f"exceeds {tol.trace_one:.1e}"))
     return a
 
 
+def _distribution_rows(a, tol, nouns=("weight", "weights"), axis=-1):
+    """a clipped at 0, read-only, once each row along axis is a distribution.
+
+    A non-finite entry raises InvalidArgument; an entry below -tol.prob_sum
+    or a row sum off 1 by more raises InvalidJoint, naming the first row of
+    a stack.
+    """
+    _refuse(~np.isfinite(a), InvalidArgument, lambda at: f"entry {a[at]} is not finite")
+    low = a.min(axis=axis, initial=np.inf)
+    _refuse(low < -tol.prob_sum, InvalidJoint,
+            lambda at: f"negative {nouns[0]} {low[at]:.3e} below -{tol.prob_sum:.1e}")
+    s = a.sum(axis=axis)
+    _refuse(np.abs(s - 1.0) > tol.prob_sum, InvalidJoint, lambda at: (
+        f"{nouns[1]} sum to {float(s[at])!r}, off by {abs(s[at] - 1.0):.3e} > {tol.prob_sum:.1e}"))
+    return read_only(np.clip(a, 0.0, None))
+
+
 def validate_probability_vector(p, tol=DEFAULT_TOL):
-    """Validate a finite distribution: nonnegative entries summing to 1."""
+    """Validate a finite distribution: finite nonnegative entries summing to 1."""
     a = np.asarray(p, dtype=float)
     if a.ndim != 1:
         raise InvalidJoint(f"expected a 1-d weight vector, got shape {a.shape}")
-    if a.size and a.min() < -tol.prob_sum:
-        raise InvalidJoint(f"negative weight {a.min():.3e} below -{tol.prob_sum:.1e}")
-    s = float(a.sum())
-    if abs(s - 1.0) > tol.prob_sum:
-        raise InvalidJoint(f"weights sum to {s!r}, off by {abs(s - 1.0):.3e} > {tol.prob_sum:.1e}")
-    return read_only(np.clip(a, 0.0, None))
+    return _distribution_rows(a, tol)
 
 
 def entropy_from_eigenvalues(eigs, floor=DEFAULT_TOL.psd_floor):
@@ -166,16 +193,11 @@ def shannon_entropy(p, tol=DEFAULT_TOL):
 
 
 def validate_joint(joint, tol=DEFAULT_TOL):
-    """Validate a joint distribution given as a 2-d nonnegative array."""
+    """Validate a joint distribution given as a 2-d array: its entries are one distribution."""
     a = np.asarray(joint, dtype=float)
     if a.ndim != 2:
         raise InvalidJoint(f"expected a 2-d joint matrix, got shape {a.shape}")
-    if a.min() < -tol.prob_sum:
-        raise InvalidJoint(f"negative entry {a.min():.3e} below -{tol.prob_sum:.1e}")
-    s = float(a.sum())
-    if abs(s - 1.0) > tol.prob_sum:
-        raise InvalidJoint(f"entries sum to {s!r}, off by {abs(s - 1.0):.3e} > {tol.prob_sum:.1e}")
-    return read_only(np.clip(a, 0.0, None))
+    return _distribution_rows(a, tol, ("entry", "entries"), axis=(0, 1))
 
 
 def mutual_information(joint, tol=DEFAULT_TOL):
@@ -216,9 +238,9 @@ def partial_trace(op, dims, axis):
     a = _as_complex_square(op)
     dims = tuple(int(d) for d in dims)
     total = int(np.prod(dims))
-    if a.shape[0] != total:
+    if a.shape != (total, total):
         raise DimensionMismatch(
-            f"operator dimension {a.shape[0]} != product of factors {total}"
+            f"operator of shape {a.shape} is not square of side the product of factors {total}"
         )
     if not (0 <= axis < len(dims)):
         raise BadSubsystemIndex(f"axis {axis} out of range for {len(dims)} factors")

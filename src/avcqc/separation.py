@@ -62,10 +62,6 @@ class GPair:
     g1: dict
     groups: dict  # word -> 1 (pinned pair), 2 (free pair), 3 (shared leftover)
 
-    def preimage(self, which, x):
-        g = self.g0 if which == 0 else self.g1
-        return tuple(sorted(u for u, val in g.items() if val == x))
-
 
 def smallest_block_length(alphabet_size):
     """Smallest kappa whose halved binomial column sums cover the alphabet."""
@@ -75,7 +71,7 @@ def smallest_block_length(alphabet_size):
     return kappa
 
 
-def build_g_pair(src, x_alphabet, mi_floor=_MI_FLOOR):
+def build_g_pair(src, x_alphabet):
     """Construct the three-group encoder pair for a binary sender alphabet.
 
     Words of each Hamming weight are split lexicographically into matched
@@ -87,9 +83,9 @@ def build_g_pair(src, x_alphabet, mi_floor=_MI_FLOOR):
         raise NonBinarySource(
             f"sender alphabet has {len(src.v_prime_alphabet)} symbols, need 2"
         )
-    if src.mutual_information() <= mi_floor:
+    if src.mutual_information() <= _MI_FLOOR:
         raise ZeroMutualInformation(
-            f"source mutual information {src.mutual_information():.3e} <= {mi_floor:.1e}"
+            f"source mutual information {src.mutual_information():.3e} <= {_MI_FLOOR:.1e}"
         )
     x_alphabet = tuple(x_alphabet)
     alpha = len(x_alphabet)

@@ -139,9 +139,9 @@ def load_channel(path):
     states = _field(obj, "states", path)
     if not isinstance(states, dict):
         raise SpecParseError(f"{path}: states must map \"x,s\" keys to matrices")
-    table = {}
-    for x in xa:
-        for s in sa:
+    table = np.zeros((len(xa), len(sa), dim, dim), dtype=complex)
+    for i, x in enumerate(xa):
+        for j, s in enumerate(sa):
             key = f"{x},{s}"
             if key not in states:
                 raise SpecParseError(f"{path}: missing state for key {key!r}")
@@ -150,8 +150,8 @@ def load_channel(path):
                 raise SpecParseError(
                     f"{path}: state {key!r} has shape {m.shape}, expected ({dim}, {dim})"
                 )
-            table[(x, s)] = m
-    return Avcqc.from_table(tuple(xa), tuple(sa), table)
+            table[i, j] = m
+    return Avcqc(tuple(xa), tuple(sa), table)
 
 
 def channel_to_json(w):

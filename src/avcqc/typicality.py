@@ -20,12 +20,13 @@ runs the cross masses on a stack of count tables, in chunks within the cap.
 
 from dataclasses import dataclass
 from math import factorial, inf, log2, prod
+from numbers import Integral, Real
 
 import numpy as np
 
-from .channels import CqChannel
+from .channels import CqChannel, _input_distribution
 from .config import DEFAULT_CAPS, DEFAULT_TOL
-from .errors import AlphabetMismatch, DimOverflow, EnumerationOverflow
+from .errors import AlphabetMismatch, DimOverflow, EnumerationOverflow, InvalidArgument
 from .operators import entropy_from_eigenvalues, validate_probability_vector
 
 # Labels with less probability than this are pinned to count 0: they are
@@ -43,7 +44,20 @@ _MASS_GAP_FLOOR = 1e-15
 _PASS_SLACK = 1e-12
 
 
-def stable_eigh(m, cluster_gap=_CLUSTER_GAP):
+def _block_length(n):
+    """n if it is an integer >= 1 (not a bool), else InvalidArgument."""
+    if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
+        raise InvalidArgument(f"block length must be an integer >= 1, got {n!r}")
+    return int(n)
+
+
+def _check_window(v, name):
+    """Raise InvalidArgument naming v unless it is a finite real number > 0."""
+    if not (isinstance(v, Real) and 0.0 < v < inf):
+        raise InvalidArgument(f"{name} must be finite and > 0, got {v!r}")
+
+
+def stable_eigh(m):
     """Eigendecomposition with a reproducible convention.
 
     Eigenvalues descending; inside each near-degenerate cluster the basis
@@ -58,7 +72,7 @@ def stable_eigh(m, cluster_gap=_CLUSTER_GAP):
     start = 0
     while start < d:
         stop = start + 1
-        while stop < d and w[start] - w[stop] < cluster_gap:
+        while stop < d and w[start] - w[stop] < _CLUSTER_GAP:
             stop += 1
         if stop - start > 1:
             span = v[:, start:stop]
@@ -142,6 +156,13 @@ def _window_classes(p, ns, half_width, guard=DEFAULT_TOL.typicality_boundary,
     return counts, np.searchsorted(row, np.arange(nv.size + 1)), over
 
 
+def _multinomials(counts):
+    """n! / prod_j c_j! of each count row c (n its sum), as exact Python ints."""
+    n = counts.sum(axis=1)
+    fact = np.array([factorial(k) for k in range(n.max(initial=0) + 1)], dtype=object)
+    return fact[n] // np.prod(fact[counts], axis=1)
+
+
 def _class_aggregates(p, counts, bounds):
     """Per block length, (mass, rank, min log2 prob, max log2 prob) over its classes.
 
@@ -154,9 +175,7 @@ def _class_aggregates(p, counts, bounds):
     with np.errstate(divide="ignore", invalid="ignore"):
         for j, col in enumerate(counts.T):
             lp = np.where(col > 0, lp + col * np.log2(p[j]), lp)
-    n = counts.sum(axis=1)
-    fact = np.array([factorial(k) for k in range(n.max(initial=0) + 1)], dtype=object)
-    mult = fact[n] // np.prod(fact[counts], axis=1)
+    mult = _multinomials(counts)
     terms = mult.astype(float) * np.array([2.0 ** x for x in lp.tolist()])
     return list(zip(np.cumsum(_spread(terms, bounds, 0.0), axis=1)[:, -1].tolist(),
                     _spread(mult, bounds, 0).sum(axis=1).tolist(),
@@ -175,7 +194,7 @@ def _label_sequences(p, n, half_width, guard, caps):
     counts, bounds, over = _window_classes(p, [n], half_width, guard, caps)
     if over[0]:
         raise EnumerationOverflow(over[0])
-    total = _class_aggregates(p, counts, bounds)[0][1]
+    total = sum(_multinomials(counts).tolist())
     if total > caps.enumeration:
         raise EnumerationOverflow(f"{total} typical sequences exceed enumeration cap "
                                   f"{caps.enumeration}")
@@ -192,9 +211,12 @@ def typical_set(p, n, delta, caps=DEFAULT_CAPS, tol=DEFAULT_TOL):
     """Enumerate sequences whose letter frequencies are delta/|alphabet| close to p.
 
     Sequences are tuples of indices into p's alphabet, in lexicographic
-    order; more than caps.enumeration of them raise.
+    order; more than caps.enumeration of them raise.  n must be an integer
+    >= 1 and delta finite and > 0.
     """
     pv = validate_probability_vector(p, tol)
+    n = _block_length(n)
+    _check_window(delta, "delta")
     seqs = _label_sequences(pv, n, delta / pv.size, tol.typicality_boundary, caps)
     return [tuple(s) for s in seqs.tolist()]
 
@@ -240,9 +262,10 @@ def typical_projector(rho, n, alpha, caps=DEFAULT_CAPS):
 
     The window is +-alpha per eigenlabel frequency.  This is the conditional
     typical projector of the one-letter channel rho on the word of n copies
-    of its letter; rho must be a density operator.
+    of its letter; rho must be a density operator and n an integer >= 1.
     """
-    return conditional_typical_projector(CqChannel((0,), [rho]), (0,) * n, alpha, caps)
+    return conditional_typical_projector(CqChannel((0,), [rho]), (0,) * _block_length(n),
+                                         alpha, caps)
 
 
 def conditional_typical_projector(w, xs, alpha, caps=DEFAULT_CAPS):
@@ -253,11 +276,15 @@ def conditional_typical_projector(w, xs, alpha, caps=DEFAULT_CAPS):
     set of the letter's output spectrum (window +-alpha).  Basis labels
     run over the letters' subsequences in C order, letters sorted by str.
     More than caps.enumeration typical subsequences of one letter, or
-    basis labels in all, raise.
+    basis labels in all, raise, as do an empty word, a letter outside the
+    input alphabet and an alpha that is not finite and > 0.
     """
     xs = tuple(xs)
-    n, d = len(xs), w.dim
+    n, d = _block_length(len(xs)), w.dim
+    _check_window(alpha, "alpha")
     letters = sorted(dict.fromkeys(xs), key=str)
+    if stray := [x for x in letters if x not in w.x_alphabet]:
+        raise AlphabetMismatch(f"letters {stray} are not in the input alphabet {w.x_alphabet}")
     eig = {x: stable_eigh(w.state(x)) for x in letters}
     bases = np.array([eig[x][1] for x in xs], dtype=complex).reshape(n, d, d)
     positions = [[i for i, y in enumerate(xs) if y == x] for x in letters]
@@ -411,14 +438,14 @@ def verify_typicality_bounds(w, p, n_range, alpha, caps=DEFAULT_CAPS, tol=DEFAUL
     of the requested input distribution, and the conditional bounds use the
     realized empirical type, each letter's classes enumerated once per count.
     The first n over caps.enumeration raises with the first check it fails:
-    source window, letter windows in order, count table.
+    source window, letter windows in order, count table.  n_range must be
+    non-empty, of integers >= 1, and alpha finite and > 0.
     """
-    pv = validate_probability_vector(p, tol)
-    if pv.size != len(w.x_alphabet):
-        raise AlphabetMismatch(
-            f"distribution over {pv.size} letters, channel has {len(w.x_alphabet)}"
-        )
-    ns = list(n_range)
+    pv = _input_distribution(p, w, tol)
+    ns = [_block_length(n) for n in n_range]
+    if not ns:
+        raise InvalidArgument("n_range holds no block length")
+    _check_window(alpha, "alpha")
     grid = sorted(set(ns))
     at = {n: g for g, n in enumerate(grid)}
     sig_lam, sig_u = stable_eigh(np.einsum("x,xij->ij", pv, w.states))

@@ -92,6 +92,33 @@ class TestHolevoChi:
             )
 
 
+class TestBoundaryValidation:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_holevo_chi_refuses_non_finite(self, bad):
+        w = CqChannel((0, 1), np.stack([ZERO, ONE]))
+        with pytest.raises(InvalidArgument, match=r"^at \[1\]: entry .* is not finite"):
+            holevo_chi([1.0, bad], w)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_min_chi_refuses_non_finite(self, bad):
+        with pytest.raises(InvalidArgument, match=r"^at \[0\]: entry .* is not finite"):
+            min_chi_over_jammer(bitflip_channel(), [bad, 1.0])
+
+    def test_min_chi_alphabet_mismatch(self):
+        with pytest.raises(AlphabetMismatch, match="distribution over 3 letters, channel has 2"):
+            min_chi_over_jammer(bitflip_channel(), [0.5, 0.25, 0.25])
+
+    @pytest.mark.parametrize("budget", [{"outer_iter": -1}, {"inner_iter": -1},
+                                        {"outer_iter": -3, "inner_iter": -2}])
+    def test_negative_step_budget_refused(self, budget):
+        with pytest.raises(InvalidArgument, match="outer_iter and inner_iter must be >= 0"):
+            capacity_informed_jammer(bitflip_channel(), **budget)
+
+    def test_zero_step_budgets_accepted(self):
+        res = capacity_informed_jammer(bitflip_channel(), outer_iter=0, inner_iter=0)
+        assert res.bracket[0] <= res.value <= res.bracket[1]
+
+
 class TestHolevoCapacity:
     def test_orthogonal_states_capacity_one(self):
         w = CqChannel((0, 1), np.stack([ZERO, ONE]))

@@ -13,7 +13,16 @@ from avcqc import (
     zero_capacity_condition,
 )
 from avcqc.config import Caps
-from avcqc.errors import AlphabetMismatch, DimOverflow, LengthMismatch
+from avcqc.errors import (
+    AlphabetMismatch,
+    DimOverflow,
+    InvalidArgument,
+    InvalidJoint,
+    LengthMismatch,
+    NotHermitian,
+    NotPositive,
+    TraceNotOne,
+)
 from avcqc.operators import partial_trace, trace_distance, trace_norm
 from helpers import ONE, ZERO, bitflip_channel, constant_channel, orthogonal_channel, wishart_state
 
@@ -194,3 +203,76 @@ class TestZeroCapacityCondition:
 
     def test_orthogonal_false(self):
         assert zero_capacity_condition(orthogonal_channel(), n=1) is False
+
+
+NON_FINITE = [float("nan"), float("inf"), -float("inf")]
+
+
+class TestStackedValidation:
+    """Each constructor validates its whole array in one call, refuses
+    non-finite entries and names the first offender of a stack."""
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_cq_channel_refuses_non_finite(self, bad):
+        states = np.stack([ZERO, ONE, np.eye(2) / 2])
+        states[1, 0, 1] = bad
+        with pytest.raises(InvalidArgument, match=r"^at \[1, 0, 1\]: entry .* is not finite"):
+            CqChannel((0, 1, 2), states)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_avcqc_refuses_non_finite(self, bad):
+        states = np.array(bitflip_channel().states)
+        states[1, 0, 1, 1] = bad
+        with pytest.raises(InvalidArgument, match=r"^at \[1, 0, 1, 1\]: entry "):
+            Avcqc((0, 1), (0, 1), states)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_jammer_kernel_refuses_non_finite(self, bad):
+        rows = np.full((3, 2), 0.5)
+        rows[2, 1] = bad
+        with pytest.raises(InvalidArgument, match=r"^at \[2, 1\]: entry "):
+            JammerKernel((0, 1, 2), (0, 1), rows)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_correlated_source_refuses_non_finite(self, bad):
+        joint = np.full((2, 2), 0.25)
+        joint[1, 0] = bad
+        with pytest.raises(InvalidArgument, match=r"^at \[1, 0\]: entry "):
+            CorrelatedSource((0, 1), (0, 1), joint)
+
+    @pytest.mark.parametrize("bad, error, text", [
+        (np.array([[0.5, 0.6], [0.6, 0.5]]), NotPositive, "minimum eigenvalue -1.000e-01"),
+        (np.array([[0.5, 0.5], [0.0, 0.5]]), NotHermitian, "max |m - m†| entry is 5.000e-01"),
+        (np.eye(2), TraceNotOne, "trace is 2.0"),
+    ], ids=["indefinite", "non-hermitian", "trace two"])
+    def test_one_bad_state_in_the_middle_is_named(self, bad, error, text):
+        rng = np.random.default_rng(8)
+        states = np.stack([[wishart_state(rng, 2) for _ in range(3)] for _ in range(3)])
+        states[1, 1] = bad
+        with pytest.raises(error, match=r"^at \[1, 1\]: ") as exc:
+            Avcqc((0, 1, 2), ("a", "b", "c"), states)
+        assert text in str(exc.value)
+        with pytest.raises(error, match=r"^at \[4\]: "):
+            CqChannel(tuple(range(9)), states.reshape(9, 2, 2))
+
+    def test_kernel_row_named(self):
+        with pytest.raises(InvalidJoint, match=r"^at \[1\]: weights sum to 0.9"):
+            JammerKernel((0, 1, 2), (0, 1), [[0.5, 0.5], [0.5, 0.4], [1.0, 0.0]])
+        with pytest.raises(InvalidJoint, match=r"^at \[2\]: negative weight -1.000e-01"):
+            JammerKernel((0, 1, 2), (0, 1), [[0.5, 0.5], [0.5, 0.5], [1.1, -0.1]])
+
+    def test_state_table_shape_mismatch(self):
+        with pytest.raises(AlphabetMismatch, match=r"table \(2,\) does not match alphabet \(3,\)"):
+            CqChannel((0, 1, 2), np.stack([ZERO, ONE]))
+        with pytest.raises(AlphabetMismatch, match=r"state table \(2, 2\)"):
+            Avcqc((0, 1), (0,), bitflip_channel().states)
+
+    def test_input_arrays_stored_unchanged(self):
+        rng = np.random.default_rng(9)
+        states = np.stack([[wishart_state(rng, 3) for _ in range(2)] for _ in range(2)])
+        states[0, 1, 0, 1] += 1e-13  # Hermitian within tolerance, but not exactly
+        w = Avcqc((0, 1), (0, 1), states)
+        assert w.states.tobytes() == states.astype(complex).tobytes()
+        assert not w.states.flags.writeable
+        rows = np.array([[0.25, 0.75], [1.0 + 1e-13, -1e-13]])
+        assert JammerKernel((0, 1), (0, 1), rows).rows.tobytes() == rows.tobytes()

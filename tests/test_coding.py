@@ -542,6 +542,18 @@ class TestCrGeneration:
         assert res["agreement_rate"] == pytest.approx(1.0, abs=1e-12)
         assert 0.0 <= res["empirical_entropy"] <= 1.0
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_below_one_refused(self, trials):
+        w = orthogonal_channel()
+        src = CorrelatedSource((0, 1), (0, 1), [[0.5, 0.0], [0.0, 0.5]])
+        code = CorrelationCode(
+            l=1, n=1, v_prime_words=((0,), (1,)), v_words=((0,), (1,)),
+            encoders=[[(0,), (1,)], [(1,), (0,)]],
+            decoders=np.stack([np.stack([ZERO, ONE]), np.stack([ONE, ZERO])]),
+        )
+        with pytest.raises(InvalidArgument, match=f"trials must be >= 1, got {trials}"):
+            cr_generation_run(w, src, code, trials=trials, seed=1)
+
     def test_constant_channel_guessing(self):
         w = constant_channel()
         src = CorrelatedSource((0, 1), (0, 1), [[0.5, 0.0], [0.0, 0.5]])

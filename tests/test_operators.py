@@ -13,11 +13,13 @@ from avcqc import (
 from avcqc.errors import (
     BadSubsystemIndex,
     DimensionMismatch,
+    InvalidArgument,
     InvalidJoint,
     NotHermitian,
     NotPositive,
     TraceNotOne,
 )
+from avcqc.operators import validate_joint, validate_probability_vector
 from helpers import ONE, PLUS, ZERO, wishart_state
 
 
@@ -44,6 +46,75 @@ class TestValidateDensity:
     def test_wrong_trace_rejected(self):
         with pytest.raises(TraceNotOne):
             validate_density(np.eye(2))
+
+
+    def test_stack_validated_in_one_call(self):
+        rng = np.random.default_rng(3)
+        states = np.stack([[wishart_state(rng, 3) for _ in range(2)] for _ in range(4)])
+        out = validate_density(states)
+        assert out.shape == states.shape and not out.flags.writeable
+        for i in range(4):
+            for j in range(2):
+                assert np.array_equal(out[i, j], validate_density(states[i, j]))
+
+    def test_stack_names_first_offender(self):
+        states = np.stack([np.eye(2) / 2] * 5)
+        states[3] = [[0.5, 0.6], [0.6, 0.5]]
+        states[4] = np.eye(2)
+        with pytest.raises(NotPositive, match=r"^at \[3\]: minimum eigenvalue"):
+            validate_density(states)
+
+    def test_single_matrix_message_unprefixed(self):
+        with pytest.raises(TraceNotOne, match=r"^trace is 2.0"):
+            validate_density(np.eye(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_refused(self, bad):
+        m = np.eye(2, dtype=complex) / 2
+        m[0, 1] = bad
+        with pytest.raises(InvalidArgument, match=r"^at \[0, 1\]: entry .* is not finite"):
+            validate_density(m)
+
+    def test_non_square_stack(self):
+        with pytest.raises(DimensionMismatch):
+            validate_density(np.ones((2, 2, 3)) / 2)
+        with pytest.raises(DimensionMismatch):
+            validate_density([0.5, 0.5])
+        with pytest.raises(DimensionMismatch):
+            validate_density(np.zeros((3, 0, 0)))
+
+
+class TestDistributions:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_refused(self, bad):
+        with pytest.raises(InvalidArgument, match=r"^at \[2\]: entry "):
+            validate_probability_vector([0.5, 0.5, bad])
+        with pytest.raises(InvalidArgument, match=r"^at \[1, 0\]: entry "):
+            validate_joint([[0.5, 0.0], [bad, 0.5]])
+        with pytest.raises(InvalidArgument):
+            shannon_entropy([bad, 1.0])
+
+    def test_messages_unchanged(self):
+        with pytest.raises(InvalidJoint, match=r"^weights sum to 0.9"):
+            validate_probability_vector([0.5, 0.4])
+        with pytest.raises(InvalidJoint, match=r"^negative weight -1.000e-01"):
+            validate_probability_vector([1.1, -0.1])
+        with pytest.raises(InvalidJoint, match=r"^entries sum to 0.9"):
+            validate_joint([[0.5, 0.0], [0.0, 0.4]])
+        with pytest.raises(InvalidJoint, match=r"^negative entry -1.000e-01"):
+            validate_joint([[0.6, 0.0], [0.5, -0.1]])
+
+    def test_shape_checks(self):
+        with pytest.raises(InvalidJoint, match="1-d weight vector"):
+            validate_probability_vector([[0.5, 0.5]])
+        with pytest.raises(InvalidJoint, match="2-d joint matrix"):
+            validate_joint([0.5, 0.5])
+
+    def test_clipped_and_read_only(self):
+        p = validate_probability_vector([1.0 + 1e-13, -1e-13])
+        assert p.tolist() == [1.0 + 1e-13, 0.0] and not p.flags.writeable
+        j = validate_joint([[0.5, -1e-13], [0.0, 0.5 + 1e-13]])
+        assert j.shape == (2, 2) and j[0, 1] == 0.0 and not j.flags.writeable
 
 
 class TestEntropies:

@@ -3,7 +3,7 @@ import pytest
 
 from avcqc import DeterministicCode, RandomCode, serialize as io
 from avcqc.errors import SpecParseError
-from helpers import ONE, ZERO, bitflip_channel, flip_source
+from helpers import ONE, ZERO, bitflip_channel, flip_source, wishart_avcqc
 
 
 class TestMatrixRoundTrip:
@@ -46,12 +46,22 @@ class TestChannelRoundTrip:
             io.load_channel(str(path))
 
     def test_missing_state_key(self, tmp_path):
+        # load_channel fills the state table itself, so it alone refuses the gap
         obj = io.channel_to_json(bitflip_channel())
-        del obj["states"]["0,0"]
+        del obj["states"]["1,0"]
         path = tmp_path / "chan.json"
         io.dump_json(obj, path)
-        with pytest.raises(SpecParseError):
+        with pytest.raises(SpecParseError, match="missing state for key '1,0'"):
             io.load_channel(str(path))
+
+    def test_loaded_states_are_the_spec_entries(self, tmp_path):
+        rng = np.random.default_rng(4)
+        w = wishart_avcqc(rng, 3, 2, 3)
+        path = tmp_path / "chan.json"
+        io.dump_json(io.channel_to_json(w), path)
+        loaded = io.load_channel(str(path))
+        assert loaded.states.tobytes() == w.states.tobytes()
+        assert (loaded.x_alphabet, loaded.s_alphabet) == (("0", "1", "2"), ("0", "1"))
 
 
 class TestSourceRoundTrip:

@@ -12,7 +12,14 @@ from avcqc import (
     verify_typicality_bounds,
 )
 from avcqc.config import Caps, Tolerances
-from avcqc.errors import DimOverflow, EnumerationOverflow, TraceNotOne
+from avcqc.errors import (
+    AlphabetMismatch,
+    DimOverflow,
+    EnumerationOverflow,
+    InvalidArgument,
+    ToolkitError,
+    TraceNotOne,
+)
 from avcqc.typicality import (
     _SUPPORT_FLOOR,
     _cross_mass,
@@ -558,3 +565,64 @@ class TestTypicalityBoundaryOverride:
         rows = verify_typicality_bounds(*args, tol=wide).to_csv_rows()
         assert rows != verify_typicality_bounds(*args).to_csv_rows()
         assert rows == per_block_typicality_bounds(*args, tol=wide).to_csv_rows()
+
+
+NAN, INF = float("nan"), float("inf")
+HALF = np.diag([0.5, 0.5])
+
+
+class TestBoundaryValidation:
+    """Block lengths, windows and letters are refused with a ToolkitError at
+    the boundary, before any enumeration."""
+
+    @pytest.mark.parametrize("call, error, text", [
+        (lambda: typical_set([0.5, 0.5], -1, 0.3), InvalidArgument, "block length"),
+        (lambda: typical_set([0.5, 0.5], 0, 0.3), InvalidArgument, "block length"),
+        (lambda: typical_set([0.5, 0.5], 2.0, 0.3), InvalidArgument, "block length"),
+        (lambda: typical_set([0.5, 0.5], True, 0.3), InvalidArgument, "block length"),
+        (lambda: typical_set([0.5, 0.5], 4, -1.0), InvalidArgument, "delta"),
+        (lambda: typical_set([0.5, 0.5], 4, NAN), InvalidArgument, "delta"),
+        (lambda: typical_set([0.5, 0.5], 4, INF), InvalidArgument, "delta"),
+        (lambda: typical_set([NAN, 1.0], 4, 0.3), InvalidArgument, "not finite"),
+        (lambda: typical_projector(HALF, -1, 0.1), InvalidArgument, "block length"),
+        (lambda: typical_projector(HALF, 0, 0.1), InvalidArgument, "block length"),
+        (lambda: typical_projector(HALF, 2.0, 0.1), InvalidArgument, "block length"),
+        (lambda: typical_projector(HALF, 3, 0.0), InvalidArgument, "alpha"),
+        (lambda: typical_projector(HALF, 3, NAN), InvalidArgument, "alpha"),
+        (lambda: conditional_typical_projector(mirror_pair_channel(), (), 0.1),
+         InvalidArgument, "block length"),
+        (lambda: conditional_typical_projector(mirror_pair_channel(), (0, 2, 1), 0.1),
+         AlphabetMismatch, r"letters \[2\]"),
+        (lambda: conditional_typical_projector(mirror_pair_channel(), (0, 1), -1.0),
+         InvalidArgument, "alpha"),
+        (lambda: verify_typicality_bounds(mirror_pair_channel(), [0.5, 0.5], [], 0.1),
+         InvalidArgument, "n_range"),
+        (lambda: verify_typicality_bounds(mirror_pair_channel(), [0.5, 0.5], range(-2, 4), 0.1),
+         InvalidArgument, "block length"),
+        (lambda: verify_typicality_bounds(mirror_pair_channel(), [0.5, 0.5], [4, 5.0], 0.1),
+         InvalidArgument, "block length"),
+        (lambda: verify_typicality_bounds(mirror_pair_channel(), [0.5, 0.5], range(4, 8), -1.0),
+         InvalidArgument, "alpha"),
+        (lambda: verify_typicality_bounds(mirror_pair_channel(), [0.5, 0.5], range(4, 8), NAN),
+         InvalidArgument, "alpha"),
+        (lambda: verify_typicality_bounds(mirror_pair_channel(), [0.5, 0.5], range(4, 8), INF),
+         InvalidArgument, "alpha"),
+        (lambda: verify_typicality_bounds(mirror_pair_channel(), [0.5, 0.5, 0.0], range(4, 8), 0.1),
+         AlphabetMismatch, "distribution over 3 letters, channel has 2"),
+    ], ids=[
+        "set n=-1", "set n=0", "set n=2.0", "set n=True", "set delta<0", "set delta nan",
+        "set delta inf", "set p nan", "projector n=-1", "projector n=0", "projector n=2.0",
+        "projector alpha=0", "projector alpha nan", "conditional empty word",
+        "conditional stray letter", "conditional alpha<0", "verify empty range",
+        "verify n=-2", "verify n=5.0", "verify alpha<0", "verify alpha nan", "verify alpha inf",
+        "verify p over 3 letters",
+    ])
+    def test_refused(self, call, error, text):
+        with pytest.raises(error, match=text) as exc:
+            call()
+        assert isinstance(exc.value, ToolkitError)
+
+    def test_integer_types_accepted(self):
+        assert typical_set([0.5, 0.5], np.int64(2), 2.0) == typical_set([0.5, 0.5], 2, 2.0)
+        rep = verify_typicality_bounds(mirror_pair_channel(), [0.5, 0.5], np.arange(4, 7), 0.1)
+        assert [r.n for r in rep.rows[:3]] == [4, 5, 6]
