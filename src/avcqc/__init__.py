@@ -30,6 +30,7 @@ from .coding import (
     CorrelationCode,
     DeterministicCode,
     RandomCode,
+    RepetitionPrecode,
     TwoPartCode,
     assemble_two_part,
     correlation_code_error_informed,

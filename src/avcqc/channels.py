@@ -34,6 +34,17 @@ from .operators import (
 )
 
 
+def _check_alphabets(what, shape, *alphabets):
+    """Raise AlphabetMismatch unless the table's leading shape is the
+    alphabet sizes and no alphabet is empty."""
+    sizes = tuple(len(a) for a in alphabets)
+    if shape != sizes:
+        plural = "s" if len(sizes) > 1 else ""
+        raise AlphabetMismatch(f"{what} {shape} does not match alphabet{plural} {sizes}")
+    if 0 in sizes:
+        raise AlphabetMismatch(f"{what} {shape} has an empty alphabet")
+
+
 @dataclass(frozen=True, eq=False)
 class CqChannel:
     """Map from a finite input alphabet to density operators."""
@@ -43,10 +54,7 @@ class CqChannel:
 
     def __post_init__(self):
         states = np.asarray(self.states, dtype=complex)
-        if states.shape[:-2] != (len(self.x_alphabet),):
-            raise AlphabetMismatch(
-                f"state table {states.shape[:-2]} does not match alphabet ({len(self.x_alphabet)},)"
-            )
+        _check_alphabets("state table", states.shape[:-2], self.x_alphabet)
         validate_density(states)
         object.__setattr__(self, "x_alphabet", tuple(self.x_alphabet))
         object.__setattr__(self, "states", read_only(states))
@@ -69,11 +77,7 @@ class Avcqc:
 
     def __post_init__(self):
         states = np.asarray(self.states, dtype=complex)
-        if states.shape[:-2] != (len(self.x_alphabet), len(self.s_alphabet)):
-            raise AlphabetMismatch(
-                f"state table {states.shape[:-2]} does not match alphabets "
-                f"({len(self.x_alphabet)}, {len(self.s_alphabet)})"
-            )
+        _check_alphabets("state table", states.shape[:-2], self.x_alphabet, self.s_alphabet)
         validate_density(states)
         object.__setattr__(self, "x_alphabet", tuple(self.x_alphabet))
         object.__setattr__(self, "s_alphabet", tuple(self.s_alphabet))
@@ -97,11 +101,7 @@ class JammerKernel:
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=float)
-        if rows.shape != (len(self.x_alphabet), len(self.s_alphabet)):
-            raise AlphabetMismatch(
-                f"kernel shape {rows.shape} does not match alphabets "
-                f"({len(self.x_alphabet)}, {len(self.s_alphabet)})"
-            )
+        _check_alphabets("kernel shape", rows.shape, self.x_alphabet, self.s_alphabet)
         _distribution_rows(rows, DEFAULT_TOL)
         object.__setattr__(self, "x_alphabet", tuple(self.x_alphabet))
         object.__setattr__(self, "s_alphabet", tuple(self.s_alphabet))

@@ -9,7 +9,8 @@ under the configured caps, not bounds.
 """
 
 from dataclasses import dataclass
-from itertools import product as iproduct
+from functools import cached_property
+from itertools import chain, product as iproduct
 
 import numpy as np
 
@@ -33,26 +34,30 @@ _CHECK_SLACK = 1e-9
 # shifted copy of the whole decoder stack, and its factor, would each add the
 # stack's size to the peak memory
 _CHOLESKY_ENTRIES = 1 << 15
+# success values of one codeword this close count as a tie for the jammer's
+# pick: mathematically equal values differ by rounding, and by a different
+# rounding in the site-form and the dense evaluator
+_TIE_SLACK = 1e-12
 # clamp floor for the entropy of the empirical key distribution, whose
 # entries are counts over a total and never negative
 _PROB_CLAMP = 1e-12
 
 
-def _validate_povm(ops, first_word=0):
+def _validate_povm(ops, first_word=0, unit="word"):
     """Check a stack (..., J, D, D) of J-outcome POVMs; return it as a complex array.
 
-    A non-finite entry raises InvalidArgument naming its (word, operator);
-    words are counted from first_word.  With tol = _CHECK_SLACK, a stack is
-    accepted once every operator is Hermitian within tol (max |A - A†| entry)
-    and every A + tol I and (1 + tol) I - sum_j A_j has a Cholesky factor,
-    in batches of at most _CHOLESKY_ENTRIES entries (one matrix at the
-    least).  Only when a batch fails do the full checks run, to name the
-    first offender: a non-Hermitian operator raises NotHermitian, then the
-    two batched spectra name the first POVM in order, positivity before the
-    sum.  Once the stack is Hermitian
-    within tol, either triangle determines it, so the factorizations and the
-    spectra decide alike except within rounding of the threshold, where the
-    spectra have the last word.
+    Every error names the offending POVM as `unit` i, counted from
+    first_word.  A non-finite entry raises InvalidArgument.  With
+    tol = _CHECK_SLACK, a stack is accepted once every operator is Hermitian
+    within tol (max |A - A†| entry) and every A + tol I and
+    (1 + tol) I - sum_j A_j has a Cholesky factor, in batches of at most
+    _CHOLESKY_ENTRIES entries (one matrix at the least).  Only when a batch
+    fails do the full checks run, to name the first offender: a
+    non-Hermitian operator raises NotHermitian, then the two batched spectra
+    name the first POVM in order, positivity before the sum.  Once the stack
+    is Hermitian within tol, either triangle determines it, so the
+    factorizations and the spectra decide alike except within rounding of
+    the threshold, where the spectra have the last word.
     """
     ops = np.asarray(ops, dtype=complex)
     flat = ops.reshape(-1, *ops.shape[-3:])
@@ -60,7 +65,7 @@ def _validate_povm(ops, first_word=0):
     if not finite.all():
         i, k = np.unravel_index(int(np.argmin(finite)), finite.shape)
         raise InvalidArgument(
-            f"decoding operator {k} of word {first_word + i} has a non-finite entry"
+            f"decoding operator {k} of {unit} {first_word + i} has a non-finite entry"
         )
     if _has_cholesky_factors(flat, _CHECK_SLACK):
         return ops
@@ -68,7 +73,7 @@ def _validate_povm(ops, first_word=0):
     if (dev > _CHECK_SLACK).any():
         i, k = np.unravel_index(int(np.argmax(dev > _CHECK_SLACK)), dev.shape)
         raise NotHermitian(
-            f"decoding operator {k} of word {first_word + i} has max |A - A†| entry "
+            f"decoding operator {k} of {unit} {first_word + i} has max |A - A†| entry "
             f"{dev[i, k]:.3e} > {_CHECK_SLACK:.1e}"
         )
     lo = eigvalsh_stack(flat)[..., 0]
@@ -80,10 +85,12 @@ def _validate_povm(ops, first_word=0):
         if neg[i].any():
             k = int(np.argmax(neg[i]))
             raise NotPositive(
-                f"decoding operator {k} has eigenvalue {lo[i, k]:.3e} < -{_CHECK_SLACK:.1e}"
+                f"decoding operator {k} has eigenvalue {lo[i, k]:.3e} < -{_CHECK_SLACK:.1e} "
+                f"in {unit} {first_word + i}"
             )
         raise NotPositive(
-            f"decoder sum exceeds the identity by {excess[i]:.3e} > {_CHECK_SLACK:.1e}"
+            f"decoder sum exceeds the identity by {excess[i]:.3e} > {_CHECK_SLACK:.1e} "
+            f"in {unit} {first_word + i}"
         )
     return ops
 
@@ -223,6 +230,22 @@ def _success_table(w, xs, g):
     return np.real(t.ravel())
 
 
+def _jammer_picks(tables, s_words):
+    """(error, JammerStrategy) from (codeword, success per state word) pairs.
+
+    For each codeword the jammer picks the first state word (in
+    lexicographic order) whose success is within _TIE_SLACK of the
+    minimum, so that exact ties do not go to whichever word rounding
+    favours; the error is one minus the summed minima, clipped to [0, 1].
+    """
+    success, strategy = 0.0, {}
+    for xs, vals in tables:
+        low = vals.min()
+        success += low
+        strategy[xs] = s_words[int(np.argmax(vals <= low + _TIE_SLACK))]
+    return float(min(max(1.0 - success, 0.0), 1.0)), JammerStrategy(strategy)
+
+
 def _informed_error(w, n, entries, caps):
     """Exact informed-jammer error from (codeword, weighted success operator) pairs.
 
@@ -238,13 +261,7 @@ def _informed_error(w, n, entries, caps):
         grouped[xs] = grouped[xs] + g if xs in grouped else g
     s_words = _state_words(w, n, caps)
     _check_product_dim(w.dim, n, caps)
-    success, strategy = 0.0, {}
-    for xs, g in grouped.items():
-        vals = _success_table(w, xs, g)
-        k = int(np.argmin(vals))
-        success += vals[k]
-        strategy[xs] = s_words[k]
-    return float(min(max(1.0 - success, 0.0), 1.0)), JammerStrategy(strategy)
+    return _jammer_picks(((xs, _success_table(w, xs, g)) for xs, g in grouped.items()), s_words)
 
 
 def worst_case_error_informed(code, w, caps=DEFAULT_CAPS, return_strategy=False):
@@ -329,7 +346,9 @@ def correlation_code_error_informed(code, w, src, caps=DEFAULT_CAPS, return_stra
 
     The jamming function is applied outside the source average: the jammer
     observes the channel input word (which may reveal an equivalence class
-    of sender words) but neither source realization directly.
+    of sender words) but neither source realization directly.  A
+    RepetitionPrecode is evaluated site by site and never builds its dense
+    decoders.
     """
     n_vp = len(code.v_prime_words)
     n_v = len(code.v_words)
@@ -337,6 +356,9 @@ def correlation_code_error_informed(code, w, src, caps=DEFAULT_CAPS, return_stra
         raise EnumerationOverflow(
             f"|V'|^l * |V|^l = {n_vp * n_v} exceeds enumeration cap {caps.enumeration}"
         )
+    if isinstance(code, RepetitionPrecode):
+        err, strategy = _precode_error(code, w, src, caps)
+        return (err, strategy) if return_strategy else err
     j_n = code.num_messages
     weights = _source_weights(
         code, src,
@@ -363,7 +385,7 @@ class TwoPartCode:
     the pre-decoder for each key against that key's inner decoder.
     """
 
-    pre: CorrelationCode         # messages of the pre-code are the keys
+    pre: CorrelationCode         # or RepetitionPrecode; its messages are the keys
     inner: RandomCode
     pre_error: float
     inner_error: float
@@ -444,6 +466,62 @@ def assemble_two_part(pre, inner, w, src, caps=DEFAULT_CAPS):
 # pre-code construction from a separation certificate
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, eq=False)
+class RepetitionPrecode:
+    """Key-carrying pre-code in site form: one two-outcome measurement per use.
+
+    Channel use t of key k carries bit key_words[k][t]: the sender maps its
+    t-th block of iota = l / n source symbols to block_letters[u][bit], and
+    the receiver measures its t-th block b with the pair site[b].  The
+    blocks of a word are its base-(number of blocks) digits, first use
+    first, since words and blocks both enumerate letter tuples
+    lexicographically.  The outcome words, in iproduct order, decode to the
+    keys bit_keys.  It has every field of CorrelationCode; the dense
+    decoders are built on first read.
+    """
+
+    l: int                       # correlation block length, n * iota
+    n: int                       # channel uses, one bit each
+    v_prime_words: tuple         # sender words, fixed order
+    v_words: tuple               # receiver words, fixed order
+    encoders: tuple              # (|V'|^l rows) x (K keys) of input words
+    key_words: tuple             # key -> bit word of length n
+    bit_keys: np.ndarray         # (2^n,) key of each outcome word
+    block_letters: tuple         # sender block -> (letter under g0, letter under g1)
+    site: np.ndarray             # (|V|^iota, 2, d, d)
+
+    def __post_init__(self):
+        # tensor products of POVMs are POVMs, and grouping outcomes keeps
+        # them so: checking the site pairs checks every dense decoder
+        site = read_only(_validate_povm(self.site, unit="measurement block"))
+        object.__setattr__(self, "site", site)
+        object.__setattr__(self, "bit_keys", read_only(np.asarray(self.bit_keys, dtype=np.intp)))
+
+    @property
+    def num_messages(self):
+        return len(self.key_words)
+
+    @cached_property
+    def decoders(self):
+        """(|V|^l, K, d^n, d^n) decoders, read-only: for each outcome word,
+        in bits order, one broadcast product over the sites gives that
+        outcome's operator for every receiver word at once, and it is added
+        into the decoder of the key the word decodes to."""
+        n_v, d = len(self.v_words), self.site.shape[-1]
+        blocks = np.array(list(iproduct(range(len(self.site)), repeat=self.n)), dtype=np.intp)
+        decoders = np.zeros((n_v, self.num_messages, d ** self.n, d ** self.n), dtype=complex)
+        for bits, k in zip(iproduct((0, 1), repeat=self.n), self.bit_keys):
+            prods = np.ones((n_v, 1, 1), dtype=complex)
+            for t, bit in enumerate(bits):
+                ops = self.site[blocks[:, t], bit]
+                prods = (prods[:, :, None, :, None] * ops[:, None, :, None, :]).reshape(
+                    n_v, d * prods.shape[1], -1
+                )
+            decoders[:, k] += prods
+        decoders.flags.writeable = False
+        return decoders
+
+
 def repetition_precode(cert, gp, src, w, num_keys=2, nu=3, caps=DEFAULT_CAPS):
     """Key-carrying pre-code from a separating measurement.
 
@@ -451,11 +529,10 @@ def repetition_precode(cert, gp, src, w, num_keys=2, nu=3, caps=DEFAULT_CAPS):
     sender applies g0 or g1 to a fresh block of iota source symbols); the
     receiver measures each use with the matching block of the separating
     measurement and decodes the key by minimum Hamming distance to the key
-    words.  Site t of receiver word v measures with block blocks[v, t]; for
-    each outcome word, in bits order, one broadcast product over the sites
-    gives that outcome's operator for every receiver word at once, and it is
-    added into the decoder of the key the word decodes to.
-    caps.product_dim bounds d^nu, the decoders' side.
+    words.  Returns the code in site form: the |V|^iota measurement pairs
+    are checked as POVMs, and no d^nu x d^nu decoder is built.
+    caps.product_dim bounds d^nu, the side of the decoders a reader may
+    build.
     """
     if not 2 <= num_keys <= 2 ** nu:
         raise KeySetMismatch(f"cannot place {num_keys} keys in {nu} bits")
@@ -467,56 +544,75 @@ def repetition_precode(cert, gp, src, w, num_keys=2, nu=3, caps=DEFAULT_CAPS):
         raise EnumerationOverflow(
             f"source word tables at l = {l} exceed the enumeration cap"
         )
-    d = w.dim
-    _check_product_dim(d, nu, caps)
+    _check_product_dim(w.dim, nu, caps)
     if num_keys == 2:
         key_words = [(0,) * nu, (1,) * nu]
     else:
         key_words = sorted(iproduct((0, 1), repeat=nu))[:num_keys]
-
-    def decode_word(bits):
-        dists = [sum(a != b for a, b in zip(bits, kw)) for kw in key_words]
-        return int(np.argmin(dists))
-
-    v_prime_words = list(iproduct(src.v_prime_alphabet, repeat=l))
-    v_words = list(iproduct(src.v_alphabet, repeat=l))
-
-    encoders = []
-    for u in v_prime_words:
-        row = []
-        for kw in key_words:
-            word = tuple(
-                (gp.g0 if kw[t] == 0 else gp.g1)[u[t * iota : (t + 1) * iota]]
-                for t in range(nu)
-            )
-            row.append(word)
-        encoders.append(row)
-
-    # site[b, bit]: outcome bit of the measurement on receiver block b; the
-    # blocks of a receiver word are its base-(|V|^iota) digits, since both
-    # enumerate letter tuples lexicographically
-    site = np.array(
-        [[cert.measurement_block(bit, b) for bit in (0, 1)] for b in range(n_v_letters ** iota)],
-        dtype=complex,
+    bit_keys = [
+        int(np.argmin([sum(a != b for a, b in zip(bits, kw)) for kw in key_words]))
+        for bits in iproduct((0, 1), repeat=nu)
+    ]
+    block_letters = tuple(
+        (gp.g0[u], gp.g1[u]) for u in iproduct(src.v_prime_alphabet, repeat=iota)
     )
-    blocks = np.array(list(iproduct(range(len(site)), repeat=nu)), dtype=np.intp)
-    decoders = np.zeros((len(v_words), num_keys, d ** nu, d ** nu), dtype=complex)
-    for bits in iproduct((0, 1), repeat=nu):
-        prods = np.ones((len(v_words), 1, 1), dtype=complex)
-        for t, bit in enumerate(bits):
-            ops = site[blocks[:, t], bit]
-            prods = (prods[:, :, None, :, None] * ops[:, None, :, None, :]).reshape(
-                len(v_words), d * prods.shape[1], -1
-            )
-        decoders[:, decode_word(bits)] += prods
-    return CorrelationCode(
+    # key k's codewords, in sender word order: one letter column per use
+    per_key = (iproduct(*([pair[bit] for pair in block_letters] for bit in kw)) for kw in key_words)
+    encoders = tuple(zip(*per_key))
+    site = [
+        [cert.measurement_block(bit, b) for bit in (0, 1)] for b in range(n_v_letters ** iota)
+    ]
+    return RepetitionPrecode(
         l=l,
         n=nu,
-        v_prime_words=tuple(v_prime_words),
-        v_words=tuple(v_words),
+        v_prime_words=tuple(iproduct(src.v_prime_alphabet, repeat=l)),
+        v_words=tuple(iproduct(src.v_alphabet, repeat=l)),
         encoders=encoders,
-        decoders=decoders,
+        key_words=tuple(key_words),
+        bit_keys=bit_keys,
+        block_letters=block_letters,
+        site=site,
     )
+
+
+def _site_traces(code, w):
+    """T[b, bit, x, s] = tr(W(x, s) M[b, bit]) for the site pairs of a
+    RepetitionPrecode."""
+    if code.site.shape[-1] != w.dim:
+        raise DimensionMismatch(
+            f"measurement side {code.site.shape[-1]} != channel output dimension {w.dim}"
+        )
+    return np.real(np.einsum("xsij,bkji->bkxs", w.states, code.site))
+
+
+def _precode_error(code, w, src, caps):
+    """Exact informed-jammer error of a RepetitionPrecode, site by site.
+
+    The source is i.i.d. and each encoder acts block by block, so for a key
+    k and codeword x^n the sender words mapping to it form a product set
+    and the success factorizes over the uses:
+      A[c, x, bit, s] = sum_{u : g_c(u) = x} sum_b P_iota(u, b) T[b, bit, x, s]
+      success(x^n, s^n) = (1/K) sum_bits prod_t A[key_words[k][t], x_t, bits_t, s_t],
+    k = bit_keys[bits], over s^n in lexicographic order: 2^n |S|^n products
+    per codeword.  The jammer then picks as in _informed_error.
+    """
+    s_words = _state_words(w, code.n, caps)
+    joint = _product_joint(src, code.l // code.n)
+    if joint.shape != (len(code.block_letters), len(code.site)):
+        raise DimensionMismatch("code block tables do not match the product source")
+    letters = np.array([[w.x_alphabet.index(x) for x in pair] for pair in code.block_letters])
+    maps_to = (letters[:, :, None] == np.arange(len(w.x_alphabet))).astype(float)
+    weighted = np.einsum("ub,bkxs->ukxs", joint, _site_traces(code, w))
+    a = np.einsum("ucx,ukxs->cxks", maps_to, weighted)
+    words = list(dict.fromkeys(chain.from_iterable(code.encoders)))
+    xi = np.array([[w.x_alphabet.index(x) for x in xs] for xs in words], dtype=np.intp)
+    success = 0.0
+    for bits, k in zip(iproduct((0, 1), repeat=code.n), code.bit_keys):
+        prods = np.ones((len(words), 1))
+        for t, (c, bit) in enumerate(zip(code.key_words[k], bits)):
+            prods = (prods[:, :, None] * a[c, xi[:, t], bit][:, None, :]).reshape(len(words), -1)
+        success = success + prods
+    return _jammer_picks(zip(words, success / code.num_messages), s_words)
 
 
 def two_part_design(rate_r, n, c_k=1.0):
@@ -539,11 +635,18 @@ def two_part_design(rate_r, n, c_k=1.0):
 # common-randomness generation protocol
 # ---------------------------------------------------------------------------
 
+def _decoder_probs(dec, w, xs, ss, caps):
+    """tr(D_j rho) for the decoders (J, D, D) and the product output of (xs, ss)."""
+    return np.real(np.einsum("jab,ba->j", dec, product_output(w, xs, ss, caps)))
+
+
 def cr_generation_run(w, src, code, trials, seed, caps=DEFAULT_CAPS):
     """Monte-Carlo key agreement over a correlation code under the exact
     worst-case-per-codeword jammer.
 
-    Accepts a CorrelationCode or an assembled TwoPartCode (whose sender
+    Accepts a CorrelationCode, a RepetitionPrecode (whose outcome
+    probabilities are products of the site traces, with no product state
+    or dense decoder) or an assembled TwoPartCode (whose sender
     additionally draws the private key each trial).  Returns a dict with
     the agreement rate, the empirical entropy (bits) of the agreed value,
     and per-trial records.  Measurement outcomes are sampled from the
@@ -552,8 +655,7 @@ def cr_generation_run(w, src, code, trials, seed, caps=DEFAULT_CAPS):
     """
     if trials < 1:
         raise InvalidArgument(f"trials must be >= 1, got {trials!r}")
-    two_part = isinstance(code, TwoPartCode)
-    if two_part:
+    if isinstance(code, TwoPartCode):
         jammer = code.jammer
         words_src = code.pre
         decoder_cache = {}
@@ -564,12 +666,12 @@ def cr_generation_run(w, src, code, trials, seed, caps=DEFAULT_CAPS):
                 code.inner.codes[k].codebook[j]
             )
 
-        def decoders_for(v_i):
+        def outcome_probs(v_i, xs, ss):
             if v_i not in decoder_cache:
                 decoder_cache[v_i] = np.stack(
                     [code.assembled_decoder(v_i, j) for j in range(code.num_messages)]
                 )
-            return decoder_cache[v_i]
+            return _decoder_probs(decoder_cache[v_i], w, xs, ss, caps)
 
     else:
         _, jammer = correlation_code_error_informed(code, w, src, caps, return_strategy=True)
@@ -578,8 +680,21 @@ def cr_generation_run(w, src, code, trials, seed, caps=DEFAULT_CAPS):
         def encode(u_index, j, rng):
             return code.encoders[u_index][j]
 
-        def decoders_for(v_i):
-            return code.decoders[v_i]
+        if isinstance(code, RepetitionPrecode):
+            traces = _site_traces(code, w)
+            n_blocks = (len(code.site),) * code.n
+
+            def outcome_probs(v_i, xs, ss):
+                # P(bits) = prod_t T[b_t, bits_t, x_t, s_t], summed per key
+                p = np.ones(1)
+                for b, x, s in zip(np.unravel_index(v_i, n_blocks), xs, ss):
+                    p = np.outer(p, traces[b, :, w.x_alphabet.index(x), w.s_alphabet.index(s)])
+                return np.bincount(code.bit_keys, weights=p.ravel(), minlength=code.num_messages)
+
+        else:
+
+            def outcome_probs(v_i, xs, ss):
+                return _decoder_probs(code.decoders[v_i], w, xs, ss, caps)
 
     j_n = code.num_messages
     vp_index = {u: i for i, u in enumerate(words_src.v_prime_words)}
@@ -599,9 +714,7 @@ def cr_generation_run(w, src, code, trials, seed, caps=DEFAULT_CAPS):
         j = int(rng.integers(j_n))
         xs = encode(vp_index[u_word], j, rng)
         ss = jammer(xs)
-        rho = product_output(w, xs, ss, caps)
-        dec = decoders_for(v_index[v_word])
-        probs = np.real(np.einsum("jab,ba->j", dec, rho))
+        probs = outcome_probs(v_index[v_word], xs, ss)
         probs = np.clip(probs, 0.0, None)
         fail = max(1.0 - probs.sum(), 0.0)
         full = np.append(probs, fail)

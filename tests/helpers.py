@@ -406,7 +406,8 @@ def spectral_validate_povm(ops, tol_eig=1e-9):
 
     Computes every operator's and every sum's eigenvalues and raises
     NotPositive for the first offender, in POVM order and positivity before
-    the sum, with the messages of the package's check.
+    the sum, with the messages of the package's check on words counted
+    from 0.
     """
     ops = np.asarray(ops, dtype=complex)
     flat = ops.reshape(-1, *ops.shape[-3:])
@@ -419,10 +420,11 @@ def spectral_validate_povm(ops, tol_eig=1e-9):
         if neg[i].any():
             k = int(np.argmax(neg[i]))
             raise NotPositive(
-                f"decoding operator {k} has eigenvalue {lo[i, k]:.3e} < -{tol_eig:.1e}"
+                f"decoding operator {k} has eigenvalue {lo[i, k]:.3e} < -{tol_eig:.1e} "
+                f"in word {i}"
             )
         raise NotPositive(
-            f"decoder sum exceeds the identity by {excess[i]:.3e} > {tol_eig:.1e}"
+            f"decoder sum exceeds the identity by {excess[i]:.3e} > {tol_eig:.1e} in word {i}"
         )
 
 

@@ -267,6 +267,19 @@ class TestStackedValidation:
         with pytest.raises(AlphabetMismatch, match=r"state table \(2, 2\)"):
             Avcqc((0, 1), (0,), bitflip_channel().states)
 
+    def test_empty_input_alphabet_refused(self):
+        with pytest.raises(AlphabetMismatch, match=r"state table \(0,\) has an empty alphabet"):
+            CqChannel((), np.zeros((0, 2, 2)))
+
+    def test_empty_state_alphabet_refused(self):
+        # before the check, capacity_informed_jammer divided by |S| = 0
+        with pytest.raises(AlphabetMismatch, match=r"state table \(1, 0\) has an empty alphabet"):
+            Avcqc((0,), (), np.zeros((1, 0, 2, 2)))
+
+    def test_empty_kernel_alphabets_refused(self):
+        with pytest.raises(AlphabetMismatch, match=r"kernel shape \(0, 0\) has an empty alphabet"):
+            JammerKernel((), (), np.zeros((0, 0)))
+
     def test_input_arrays_stored_unchanged(self):
         rng = np.random.default_rng(9)
         states = np.stack([[wishart_state(rng, 3) for _ in range(2)] for _ in range(2)])

@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import product as iproduct
 from pathlib import Path
 
@@ -456,6 +457,19 @@ class TestTwoPartCode:
             assemble_two_part(pre, RandomCode((det,) * 3), w, src)
 
 
+def assert_site_error_matches_dense(pre, w, src):
+    """The site-form error and jammer of a pre-code equal the dense
+    evaluator's on a CorrelationCode with the same words and decoders."""
+    err, jammer = correlation_code_error_informed(pre, w, src, return_strategy=True)
+    dense = CorrelationCode(
+        l=pre.l, n=pre.n, v_prime_words=pre.v_prime_words, v_words=pre.v_words,
+        encoders=pre.encoders, decoders=pre.decoders,
+    )
+    want, want_jammer = correlation_code_error_informed(dense, w, src, return_strategy=True)
+    assert abs(err - want) <= 1e-13
+    assert jammer == want_jammer
+
+
 def separable_d3_instance(seed=1):
     """Two near-pure distinct letters at d=3; the jammer mixes in 10% noise."""
     rng = np.random.default_rng(seed)
@@ -508,6 +522,56 @@ class TestRepetitionPrecode:
         cert, gp, src, w = instance
         with pytest.raises(DimOverflow, match="product dimension 9 exceeds cap 8"):
             repetition_precode(cert, gp, src, w, num_keys=2, nu=2, caps=Caps(product_dim=8))
+
+    @pytest.mark.parametrize("instance, nu, keys", CASES, indirect=["instance"])
+    def test_site_error_matches_dense(self, instance, nu, keys):
+        cert, gp, src, w = instance
+        assert_site_error_matches_dense(repetition_precode(cert, gp, src, w, keys, nu), w, src)
+
+    @pytest.mark.parametrize("nx, d", [(nx, d) for nx in (2, 3, 4, 5) for d in (2, 3)])
+    def test_site_error_matches_dense_on_separable_draws(self, nx, d):
+        w, src = separable_instance(np.random.default_rng([2024, nx, d]), nx, d)
+        gp = build_g_pair(src, w.x_alphabet)
+        cert = separation_test(w, src, gp)
+        assert isinstance(cert, SeparationCertificate)
+        pre = repetition_precode(cert, gp, src, w, num_keys=2, nu=3 if gp.iota == 3 else 2)
+        assert_site_error_matches_dense(pre, w, src)
+
+    def test_site_form_builds_no_dense_stack(self, monkeypatch):
+        w, src, pre, _ = toy_two_part()
+
+        def no_dense(*args, **kwargs):
+            raise AssertionError("dense decoder or product state built")
+
+        monkeypatch.setattr(coding.RepetitionPrecode, "decoders", property(no_dense))
+        monkeypatch.setattr(coding, "product_output", no_dense)
+        correlation_code_error_informed(pre, w, src)
+        res = cr_generation_run(w, src, pre, trials=40, seed=31)
+        assert len(res["rows"]) == 40
+
+    @pytest.mark.parametrize("instance", ["orthogonal-flip10"], indirect=True)
+    @pytest.mark.parametrize("which, defect, error, message", [
+        ("m0", "nan", InvalidArgument,
+         r"decoding operator 0 of measurement block 5 has a non-finite entry"),
+        ("m0", "negative", NotPositive,
+         r"decoding operator 0 has eigenvalue -5\.000e-01 < -1\.0e-09 in measurement block 5"),
+        ("m1", "over-full", NotPositive,
+         r"decoder sum exceeds the identity by 5\.000e-01 > 1\.0e-09 in measurement block 5"),
+    ])
+    def test_site_povm_check_names_the_block(self, instance, which, defect, error, message):
+        cert, gp, src, w = instance
+        d = w.dim
+        m = np.array(getattr(cert, which))
+        blk = slice(5 * d, 6 * d)
+        if defect == "nan":
+            m[blk, blk][0, 0] = np.nan
+        elif defect == "negative":
+            m[blk, blk] = -0.5 * np.eye(d)
+        else:
+            m[blk, blk] += 0.5 * np.eye(d)
+        bad = dataclasses.replace(cert, **{which: m})
+        with pytest.raises(error, match=message):
+            repetition_precode(bad, gp, src, w, num_keys=2, nu=2)
 
 
 class TestTwoPartDesign:
