@@ -10,13 +10,14 @@ under the configured caps, not bounds.
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, product as iproduct
+from itertools import chain, product as iproduct, zip_longest
 
 import numpy as np
 
 from .channels import JammerStrategy, _check_product_dim, product_output
 from .config import DEFAULT_CAPS
 from .errors import (
+    AlphabetMismatch,
     DimensionMismatch,
     EnumerationOverflow,
     InvalidArgument,
@@ -326,6 +327,49 @@ def _product_joint(src, l):
     return joint  # (|V'|^l, |V|^l), lexicographic word order
 
 
+def _check_code_alphabets(code, w, src):
+    """Raise AlphabetMismatch unless a correlation code fits the source and channel.
+
+    A CorrelationCode's sender and receiver words must be the source's
+    l-words in lexicographic order, the order in which the product source
+    indexes them, and every encoder letter must be a channel input letter.
+    A RepetitionPrecode's evaluators read the source's blocks, not its
+    words, and repetition_precode builds its encoders from its block
+    letters, so only those letters are checked.  The error names the first
+    offending word or letter.
+    """
+    inputs = set(w.x_alphabet)
+    if isinstance(code, RepetitionPrecode):
+        for b, pair in enumerate(code.block_letters):
+            for x in pair:
+                if x not in inputs:
+                    raise AlphabetMismatch(
+                        f"letter {x!r} of sender block {b} is not in the channel's input "
+                        f"alphabet {w.x_alphabet}"
+                    )
+        return
+    for side, words, alphabet in (
+        ("sender", code.v_prime_words, src.v_prime_alphabet),
+        ("receiver", code.v_words, src.v_alphabet),
+    ):
+        for i, (word, expected) in enumerate(
+            zip_longest(words, iproduct(alphabet, repeat=code.l))
+        ):
+            if word != expected:
+                raise AlphabetMismatch(
+                    f"{side} word {i} of the code is {'missing' if word is None else word}, "
+                    f"the source's is {'missing' if expected is None else expected}"
+                )
+    for u, row in enumerate(code.encoders):
+        for j, xs in enumerate(row):
+            for x in xs:
+                if x not in inputs:
+                    raise AlphabetMismatch(
+                        f"encoder letter {x!r} of sender word {u}, message {j} is not in "
+                        f"the channel's input alphabet {w.x_alphabet}"
+                    )
+
+
 def _source_weights(code, src, sent):
     """Receiver-word weights per (codeword, message) of a correlation-assisted code.
 
@@ -348,7 +392,8 @@ def correlation_code_error_informed(code, w, src, caps=DEFAULT_CAPS, return_stra
     observes the channel input word (which may reveal an equivalence class
     of sender words) but neither source realization directly.  A
     RepetitionPrecode is evaluated site by site and never builds its dense
-    decoders.
+    decoders.  A code that does not fit the source and channel raises
+    AlphabetMismatch (see _check_code_alphabets).
     """
     n_vp = len(code.v_prime_words)
     n_v = len(code.v_words)
@@ -356,9 +401,14 @@ def correlation_code_error_informed(code, w, src, caps=DEFAULT_CAPS, return_stra
         raise EnumerationOverflow(
             f"|V'|^l * |V|^l = {n_vp * n_v} exceeds enumeration cap {caps.enumeration}"
         )
+    _check_code_alphabets(code, w, src)
     if isinstance(code, RepetitionPrecode):
         err, strategy = _precode_error(code, w, src, caps)
         return (err, strategy) if return_strategy else err
+    if code.decoders.shape[-1] != w.dim ** code.n:
+        raise DimensionMismatch(
+            f"decoder side {code.decoders.shape[-1]} != d^n = {w.dim ** code.n}"
+        )
     j_n = code.num_messages
     weights = _source_weights(
         code, src,
@@ -635,112 +685,140 @@ def two_part_design(rate_r, n, c_k=1.0):
 # common-randomness generation protocol
 # ---------------------------------------------------------------------------
 
-def _decoder_probs(dec, w, xs, ss, caps):
-    """tr(D_j rho) for the decoders (J, D, D) and the product output of (xs, ss)."""
-    return np.real(np.einsum("jab,ba->j", dec, product_output(w, xs, ss, caps)))
-
-
 def cr_generation_run(w, src, code, trials, seed, caps=DEFAULT_CAPS):
     """Monte-Carlo key agreement over a correlation code under the exact
     worst-case-per-codeword jammer.
 
-    Accepts a CorrelationCode, a RepetitionPrecode (whose outcome
-    probabilities are products of the site traces, with no product state
-    or dense decoder) or an assembled TwoPartCode (whose sender
-    additionally draws the private key each trial).  Returns a dict with
-    the agreement rate, the empirical entropy (bits) of the agreed value,
-    and per-trial records.  Measurement outcomes are sampled from the
-    exact outcome probabilities; a failed (completion) outcome decodes to
-    a uniformly random guess.
+    Accepts a CorrelationCode, a RepetitionPrecode or an assembled
+    TwoPartCode, whose sender additionally draws the private key each
+    trial.  Trial t draws from its own stream,
+    default_rng(SeedSequence(entropy=seed, spawn_key=(t,))), in this order:
+    random(l), the uniforms of the l source pairs; integers(J), the
+    message; integers(K), the private key (TwoPartCode only); random(), the
+    outcome uniform; integers(J), the guess a failed outcome decodes to.
+    A record therefore does not depend on `trials`: the first m rows of a
+    run are the rows of an m-trial run.  A pair or an outcome is the first
+    index whose normalised cumulative probability exceeds its uniform, as
+    Generator.choice draws it.
+
+    The outcome probabilities of all trials come from one batched pass.
+    For a RepetitionPrecode they are the products of the site traces
+    T[b, bit, x, s] over the nu sites, summed per key, with no product
+    state or dense decoder; otherwise each distinct codeword's product
+    state is built once and each distinct (receiver word, codeword) pair
+    is contracted with its decoders once.  The probabilities are clipped at
+    0 and completed by the failure entry max(1 - sum, 0).  Returns a dict
+    with the agreement rate, the empirical entropy (bits) of the agreed
+    value, and per-trial records.
     """
     if trials < 1:
         raise InvalidArgument(f"trials must be >= 1, got {trials!r}")
-    if isinstance(code, TwoPartCode):
-        jammer = code.jammer
-        words_src = code.pre
-        decoder_cache = {}
-
-        def encode(u_index, j, rng):
-            k = int(rng.integers(code.inner.num_keys))
-            return tuple(words_src.encoders[u_index][k]) + tuple(
-                code.inner.codes[k].codebook[j]
-            )
-
-        def outcome_probs(v_i, xs, ss):
-            if v_i not in decoder_cache:
-                decoder_cache[v_i] = np.stack(
-                    [code.assembled_decoder(v_i, j) for j in range(code.num_messages)]
-                )
-            return _decoder_probs(decoder_cache[v_i], w, xs, ss, caps)
-
+    two_part = isinstance(code, TwoPartCode)
+    if two_part:
+        pre, jammer = code.pre, code.jammer
+        _check_code_alphabets(pre, w, src)
     else:
+        pre = code
         _, jammer = correlation_code_error_informed(code, w, src, caps, return_strategy=True)
-        words_src = code
+    j_n, k_n, l = code.num_messages, code.inner.num_keys if two_part else 1, pre.l
 
-        def encode(u_index, j, rng):
-            return code.encoders[u_index][j]
-
-        if isinstance(code, RepetitionPrecode):
-            traces = _site_traces(code, w)
-            n_blocks = (len(code.site),) * code.n
-
-            def outcome_probs(v_i, xs, ss):
-                # P(bits) = prod_t T[b_t, bits_t, x_t, s_t], summed per key
-                p = np.ones(1)
-                for b, x, s in zip(np.unravel_index(v_i, n_blocks), xs, ss):
-                    p = np.outer(p, traces[b, :, w.x_alphabet.index(x), w.s_alphabet.index(s)])
-                return np.bincount(code.bit_keys, weights=p.ravel(), minlength=code.num_messages)
-
-        else:
-
-            def outcome_probs(v_i, xs, ss):
-                return _decoder_probs(code.decoders[v_i], w, xs, ss, caps)
-
-    j_n = code.num_messages
-    vp_index = {u: i for i, u in enumerate(words_src.v_prime_words)}
-    v_index = {v: i for i, v in enumerate(words_src.v_words)}
-    # pairs and joint entries both run over (v', v) with v fastest
-    pairs = list(iproduct(src.v_prime_alphabet, src.v_alphabet))
-    pair_probs = src.joint.ravel()
-    pair_probs = pair_probs / pair_probs.sum()
-    rows = []
-    agreed = []
-    hits = 0
+    # draw pass: each trial's stream, in the order of the docstring
+    pair_u = np.empty((trials, l))
+    outcome_u = np.empty(trials)
+    msg, key, guess = (np.zeros(trials, dtype=np.intp) for _ in range(3))
     for t in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
-        drawn = rng.choice(len(pairs), size=words_src.l, p=pair_probs)
-        u_word = tuple(pairs[i][0] for i in drawn)
-        v_word = tuple(pairs[i][1] for i in drawn)
-        j = int(rng.integers(j_n))
-        xs = encode(vp_index[u_word], j, rng)
-        ss = jammer(xs)
-        probs = outcome_probs(v_index[v_word], xs, ss)
-        probs = np.clip(probs, 0.0, None)
-        fail = max(1.0 - probs.sum(), 0.0)
-        full = np.append(probs, fail)
-        full = full / full.sum()
-        outcome = int(rng.choice(j_n + 1, p=full))
-        if outcome == j_n:   # completion outcome: guess uniformly
-            outcome = int(rng.integers(j_n))
-        ok = outcome == j
-        hits += ok
-        if ok:
-            agreed.append(j)
-        rows.append(
-            {
-                "trial": t,
-                "v_prime": "".join(str(c) for c in u_word),
-                "v": "".join(str(c) for c in v_word),
-                "j": j,
-                "decoded": outcome,
-                "jammer_choice": "".join(str(c) for c in ss),
+        pair_u[t] = rng.random(l)
+        msg[t] = rng.integers(j_n)
+        if two_part:
+            key[t] = rng.integers(k_n)
+        outcome_u[t] = rng.random()
+        guess[t] = rng.integers(j_n)
+    # pairs and joint entries both run over (v', v) with v fastest
+    pair_probs = src.joint.ravel()
+    pair_cdf = (pair_probs / pair_probs.sum()).cumsum()
+    pair_cdf /= pair_cdf[-1]
+    n_vp, n_v = len(src.v_prime_alphabet), len(src.v_alphabet)
+    vp_letters, v_letters = np.divmod(pair_cdf.searchsorted(pair_u, side="right"), n_v)
+    # the code's words are the l-words in lexicographic order
+    u_index = vp_letters @ n_vp ** np.arange(l - 1, -1, -1)
+    sent, which = np.unique((u_index * k_n + key) * j_n + msg, return_inverse=True)
+    word_ids = {}
+    word_of_sent = []
+    for c in sent.tolist():
+        c, j = divmod(c, j_n)
+        u, k = divmod(c, k_n)
+        if two_part:
+            xs = pre.encoders[u][k] + code.inner.codes[k].codebook[j]
+        else:
+            xs = pre.encoders[u][j]
+        word_of_sent.append(word_ids.setdefault(xs, len(word_ids)))
+    word = np.array(word_of_sent, dtype=np.intp)[which]   # codeword id of each trial
+    words = list(word_ids)
+    states = [jammer(xs) for xs in words]
+
+    # probability pass
+    if isinstance(code, RepetitionPrecode):
+        # P(bits) = prod_t T[b_t, bits_t, x_t, s_t], first site first, added
+        # into its key in outcome-word order
+        traces = _site_traces(code, w)
+        iota = l // code.n
+        blocks = v_letters.reshape(trials, code.n, iota) @ n_v ** np.arange(iota - 1, -1, -1)
+        xi = np.array([[w.x_alphabet.index(x) for x in xs] for xs in words], dtype=np.intp)
+        si = np.array([[w.s_alphabet.index(s) for s in ss] for ss in states], dtype=np.intp)
+        sites = traces[blocks, :, xi[word], si[word]]          # (trials, nu, 2)
+        prods = sites[:, 0]
+        for t in range(1, code.n):
+            prods = (prods[:, :, None] * sites[:, t, None, :]).reshape(trials, -1)
+        probs = np.zeros((trials, j_n))
+        for i, k in enumerate(code.bit_keys.tolist()):
+            probs[:, k] += prods[:, i]
+    else:
+        rhos = [product_output(w, xs, ss, caps) for xs, ss in zip(words, states)]
+        v_index = v_letters @ n_v ** np.arange(l - 1, -1, -1)
+        if two_part:
+            decoders = {
+                v_i: np.stack([code.assembled_decoder(v_i, j) for j in range(j_n)])
+                for v_i in set(v_index.tolist())
             }
-        )
-    rate = hits / trials
-    if agreed:
-        counts = np.bincount(np.array(agreed), minlength=j_n).astype(float)
-        emp = counts / counts.sum()
-        entropy = float(entropy_from_eigenvalues(emp, floor=_PROB_CLAMP))
+        else:
+            decoders = pre.decoders
+        seen, pair_of = np.unique(v_index * len(words) + word, return_inverse=True)
+        table = [
+            np.real(np.einsum("jab,ba->j", decoders[v_i], rhos[c]))
+            for v_i, c in (divmod(vc, len(words)) for vc in seen.tolist())
+        ]
+        probs = np.array(table)[pair_of]
+
+    # outcome pass: the completion entry takes the missing mass
+    probs = np.clip(probs, 0.0, None)
+    full = np.concatenate([probs, np.maximum(1.0 - probs.sum(axis=1), 0.0)[:, None]], axis=1)
+    cdf = (full / full.sum(axis=1, keepdims=True)).cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    outcome = (cdf <= outcome_u[:, None]).sum(axis=1)
+    decoded = np.where(outcome == j_n, guess, outcome)
+
+    ok = decoded == msg
+    hits = int(ok.sum())
+    if hits:
+        counts = np.bincount(msg[ok], minlength=j_n).astype(float)
+        entropy = float(entropy_from_eigenvalues(counts / counts.sum(), floor=_PROB_CLAMP))
     else:
         entropy = 0.0
-    return {"agreement_rate": rate, "empirical_entropy": entropy, "rows": rows}
+    vp_text = np.array([str(c) for c in src.v_prime_alphabet], dtype=object)[vp_letters]
+    v_text = np.array([str(c) for c in src.v_alphabet], dtype=object)[v_letters]
+    s_text = ["".join(str(c) for c in ss) for ss in states]
+    rows = [
+        {
+            "trial": t,
+            "v_prime": "".join(us),
+            "v": "".join(vs),
+            "j": j,
+            "decoded": d,
+            "jammer_choice": s_text[c],
+        }
+        for t, (us, vs, j, d, c) in enumerate(
+            zip(vp_text.tolist(), v_text.tolist(), msg.tolist(), decoded.tolist(), word.tolist())
+        )
+    ]
+    return {"agreement_rate": hits / trials, "empirical_entropy": entropy, "rows": rows}

@@ -1,12 +1,20 @@
 """Shared instance builders and independent references for the test suite."""
 
-from itertools import chain, combinations
+from itertools import chain, combinations, product as iproduct
 from math import comb, inf, log2, prod
 
 import numpy as np
 
 from avcqc import Avcqc, CorrelatedSource, CqChannel
 from avcqc.capacity import _aux_objective
+from avcqc.channels import product_output
+from avcqc.coding import (
+    _PROB_CLAMP,
+    RepetitionPrecode,
+    TwoPartCode,
+    _site_traces,
+    correlation_code_error_informed,
+)
 from avcqc.config import DEFAULT_CAPS, DEFAULT_TOL
 from avcqc.errors import AlphabetMismatch, EnumerationOverflow, NotPositive
 from avcqc.geometry import project_simplex_rows
@@ -399,6 +407,98 @@ def kron_chain_precode(cert, gp, src, w, num_keys, nu):
             site_ops[key] = ops
         decoders[vi] = site_ops[key]
     return encoders, decoders
+
+
+def cr_generation_reference(w, src, code, trials, seed, caps=DEFAULT_CAPS):
+    """Reference key-agreement run: coding.cr_generation_run as one loop over
+    the trials, each drawing its source pairs and outcome with rng.choice and
+    building its outcome probabilities (and, on the dense path, its product
+    state) on its own."""
+    def dense_probs(dec, xs, ss):
+        return np.real(np.einsum("jab,ba->j", dec, product_output(w, xs, ss, caps)))
+
+    if isinstance(code, TwoPartCode):
+        jammer = code.jammer
+        words_src = code.pre
+        decoder_cache = {}
+
+        def encode(u_index, j, rng):
+            k = int(rng.integers(code.inner.num_keys))
+            return tuple(words_src.encoders[u_index][k]) + tuple(
+                code.inner.codes[k].codebook[j]
+            )
+
+        def outcome_probs(v_i, xs, ss):
+            if v_i not in decoder_cache:
+                decoder_cache[v_i] = np.stack(
+                    [code.assembled_decoder(v_i, j) for j in range(code.num_messages)]
+                )
+            return dense_probs(decoder_cache[v_i], xs, ss)
+
+    else:
+        _, jammer = correlation_code_error_informed(code, w, src, caps, return_strategy=True)
+        words_src = code
+
+        def encode(u_index, j, rng):
+            return code.encoders[u_index][j]
+
+        if isinstance(code, RepetitionPrecode):
+            traces = _site_traces(code, w)
+            n_blocks = (len(code.site),) * code.n
+
+            def outcome_probs(v_i, xs, ss):
+                p = np.ones(1)
+                for b, x, s in zip(np.unravel_index(v_i, n_blocks), xs, ss):
+                    p = np.outer(p, traces[b, :, w.x_alphabet.index(x), w.s_alphabet.index(s)])
+                return np.bincount(code.bit_keys, weights=p.ravel(), minlength=code.num_messages)
+
+        else:
+
+            def outcome_probs(v_i, xs, ss):
+                return dense_probs(code.decoders[v_i], xs, ss)
+
+    j_n = code.num_messages
+    vp_index = {u: i for i, u in enumerate(words_src.v_prime_words)}
+    v_index = {v: i for i, v in enumerate(words_src.v_words)}
+    pairs = list(iproduct(src.v_prime_alphabet, src.v_alphabet))
+    pair_probs = src.joint.ravel()
+    pair_probs = pair_probs / pair_probs.sum()
+    rows = []
+    agreed = []
+    hits = 0
+    for t in range(trials):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
+        drawn = rng.choice(len(pairs), size=words_src.l, p=pair_probs)
+        u_word = tuple(pairs[i][0] for i in drawn)
+        v_word = tuple(pairs[i][1] for i in drawn)
+        j = int(rng.integers(j_n))
+        xs = encode(vp_index[u_word], j, rng)
+        ss = jammer(xs)
+        probs = np.clip(outcome_probs(v_index[v_word], xs, ss), 0.0, None)
+        full = np.append(probs, max(1.0 - probs.sum(), 0.0))
+        outcome = int(rng.choice(j_n + 1, p=full / full.sum()))
+        if outcome == j_n:
+            outcome = int(rng.integers(j_n))
+        ok = outcome == j
+        hits += ok
+        if ok:
+            agreed.append(j)
+        rows.append(
+            {
+                "trial": t,
+                "v_prime": "".join(str(c) for c in u_word),
+                "v": "".join(str(c) for c in v_word),
+                "j": j,
+                "decoded": outcome,
+                "jammer_choice": "".join(str(c) for c in ss),
+            }
+        )
+    if agreed:
+        counts = np.bincount(np.array(agreed), minlength=j_n).astype(float)
+        entropy = float(entropy_from_eigenvalues(counts / counts.sum(), floor=_PROB_CLAMP))
+    else:
+        entropy = 0.0
+    return {"agreement_rate": hits / trials, "empirical_entropy": entropy, "rows": rows}
 
 
 def spectral_validate_povm(ops, tol_eig=1e-9):

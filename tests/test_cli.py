@@ -269,6 +269,36 @@ class TestSimulateCommand:
         rows = out.read_text().strip().splitlines()[1:]
         assert all(r.split(",")[3] == r.split(",")[4] for r in rows)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("v_prime_words", [["a"], ["b"]],
+         "error: AlphabetMismatch: sender word 0 of the code is ('a',), the source's is ('0',)"),
+        ("encoders", [[["0"], ["1"]], [["1"], ["7"]]],
+         "error: AlphabetMismatch: encoder letter '7' of sender word 1, message 1 is not in "
+         "the channel's input alphabet ('0', '1')"),
+    ], ids=["relabelled-sender-words", "encoder-letter-outside-channel"])
+    def test_code_file_that_does_not_fit_exits_1(self, tmp_path, capsys, field, value, message):
+        from avcqc import CorrelationCode
+
+        chan = write_channel(tmp_path, orthogonal_channel())
+        src = write_source(tmp_path, [[0.5, 0.0], [0.0, 0.5]])
+        code = CorrelationCode(
+            l=1, n=1, v_prime_words=(("0",), ("1",)), v_words=(("0",), ("1",)),
+            encoders=[[("0",), ("1",)], [("1",), ("0",)]],
+            decoders=np.stack([np.stack([ZERO, ONE]), np.stack([ONE, ZERO])]),
+        )
+        spec = io.correlation_code_to_json(code)
+        spec[field] = value
+        code_path = tmp_path / "code.json"
+        io.dump_json(spec, code_path)
+        out = tmp_path / "sim.csv"
+        rc = main(
+            ["simulate", "--channel", chan, "--source", src, "--seed", "9",
+             "--trials", "30", "--code", str(code_path), "--out", str(out)]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.strip() == message
+        assert not out.exists()
+
 
 class TestDiscontinuityDemo:
     def test_demo_rows(self, tmp_path):

@@ -26,6 +26,8 @@ from avcqc.channels import product_output
 from avcqc.coding import two_part_error_informed, worst_case_error_brute_force
 from avcqc.config import DEFAULT_CAPS, Caps
 from avcqc.errors import (
+    AlphabetMismatch,
+    DimensionMismatch,
     DimOverflow,
     InvalidArgument,
     KeySetMismatch,
@@ -39,6 +41,7 @@ from helpers import (
     ZERO,
     bitflip_channel,
     constant_channel,
+    cr_generation_reference,
     flip_source,
     kron_chain_precode,
     orthogonal_channel,
@@ -366,11 +369,23 @@ class TestPovmCheck:
             coding._validate_povm(ops)
 
 
-def toy_two_part(flip=0.1):
-    w = orthogonal_channel()
-    src = flip_source(flip)
+def leaky_channel(leak):
+    """The orthogonal channel whose jammer state 1 leaks `leak` of either
+    letter into the other."""
+    leak0 = (1 - leak) * ZERO + leak * ONE
+    leak1 = (1 - leak) * ONE + leak * ZERO
+    return Avcqc((0, 1), (0, 1), np.array([[ZERO, leak0], [ONE, leak1]]))
+
+
+def toy_two_part(flip=0.1, leak=None):
+    """Pre-code and inner code over the orthogonal channel and a flip
+    source, or with leak over leaky_channel(leak) and a 5% flip source."""
+    if leak is None:
+        w, src, seed = orthogonal_channel(), flip_source(flip), 3
+    else:
+        w, src, seed = leaky_channel(leak), flip_source(0.05), 2
     gp = build_g_pair(src, (0, 1))
-    cert = separation_test(w, src, gp, seed=3)
+    cert = separation_test(w, src, gp, seed=seed)
     pre = repetition_precode(cert, gp, src, w, num_keys=2, nu=3)
     det_k0 = projective_code(3, [(0, 0, 0), (1, 1, 1)])
     det_k1 = DeterministicCode(
@@ -457,15 +472,21 @@ class TestTwoPartCode:
             assemble_two_part(pre, RandomCode((det,) * 3), w, src)
 
 
+def as_dense(pre):
+    """A site-form pre-code as a CorrelationCode with the same words and decoders."""
+    return CorrelationCode(
+        l=pre.l, n=pre.n, v_prime_words=pre.v_prime_words, v_words=pre.v_words,
+        encoders=pre.encoders, decoders=pre.decoders,
+    )
+
+
 def assert_site_error_matches_dense(pre, w, src):
     """The site-form error and jammer of a pre-code equal the dense
     evaluator's on a CorrelationCode with the same words and decoders."""
     err, jammer = correlation_code_error_informed(pre, w, src, return_strategy=True)
-    dense = CorrelationCode(
-        l=pre.l, n=pre.n, v_prime_words=pre.v_prime_words, v_words=pre.v_words,
-        encoders=pre.encoders, decoders=pre.decoders,
+    want, want_jammer = correlation_code_error_informed(
+        as_dense(pre), w, src, return_strategy=True
     )
-    want, want_jammer = correlation_code_error_informed(dense, w, src, return_strategy=True)
     assert abs(err - want) <= 1e-13
     assert jammer == want_jammer
 
@@ -647,24 +668,8 @@ class TestCrGeneration:
     def test_assembled_code_agreement_under_active_jammer(self):
         # the jammer can leak 20% of either letter into the other; separation
         # still holds and the assembled two-part code meets its exact bound
-        leak0 = 0.8 * ZERO + 0.2 * ONE
-        leak1 = 0.8 * ONE + 0.2 * ZERO
-        from avcqc import Avcqc
-
-        w = Avcqc((0, 1), (0, 1), np.array([[ZERO, leak0], [ONE, leak1]]))
-        src = flip_source(0.05)
-        gp = build_g_pair(src, (0, 1))
-        cert = separation_test(w, src, gp, seed=2)
-        pre = repetition_precode(cert, gp, src, w, num_keys=2, nu=3)
-        det_k0 = projective_code(3, [(0, 0, 0), (1, 1, 1)])
-        det_k1 = DeterministicCode(
-            3,
-            ((1, 1, 1), (0, 0, 0)),
-            np.stack(
-                [np.kron(np.kron(ONE, ONE), ONE), np.kron(np.kron(ZERO, ZERO), ZERO)]
-            ),
-        )
-        two = assemble_two_part(pre, RandomCode((det_k0, det_k1)), w, src)
+        w, src, pre, inner = toy_two_part(leak=0.2)
+        two = assemble_two_part(pre, inner, w, src)
         assert two.inner_error > 0  # the jammer really hurts the inner code
         trials = 300
         res = cr_generation_run(w, src, two, trials=trials, seed=37)
@@ -676,3 +681,150 @@ class TestCrGeneration:
         a = cr_generation_run(w, src, pre, trials=40, seed=31)
         b = cr_generation_run(w, src, pre, trials=40, seed=31)
         assert a == b
+
+
+# (nu, keys) designs of the repetition pre-code with keys <= 2^nu
+SITE_DESIGNS = [(nu, keys) for nu in (1, 2, 3) for keys in (2, 3, 4) if keys <= 2 ** nu]
+
+
+def leaky_precode(nu, keys):
+    """Site-form pre-code over leaky_channel(0.2), where the jammer's picks
+    change the outcome probabilities."""
+    w, src = leaky_channel(0.2), flip_source(0.05)
+    gp = build_g_pair(src, (0, 1))
+    cert = separation_test(w, src, gp, seed=2)
+    return w, src, repetition_precode(cert, gp, src, w, num_keys=keys, nu=nu)
+
+
+def wide_dense_code():
+    """Dense 12-message code on a random 3-letter channel: its 13-entry
+    outcome vectors are past the 8 entries where numpy's sums switch to
+    blocked pairwise summation."""
+    rng = np.random.default_rng(41)
+    w = random_avcqc(rng, nx=3, ns=2, dim=2)
+    src = CorrelatedSource((0, 1), (0, 1), [[0.4, 0.1], [0.15, 0.35]])
+    code = CorrelationCode(
+        l=1, n=1, v_prime_words=((0,), (1,)), v_words=((0,), (1,)),
+        encoders=[[(int(x),) for x in rng.integers(3, size=12)] for _ in range(2)],
+        decoders=random_povm_stack(rng, 2, 12, 2),
+    )
+    return w, src, code
+
+
+def code_instance(kind):
+    """(w, src, code) of each code kind cr_generation_run accepts."""
+    if kind == "site":
+        return leaky_precode(3, 4)
+    if kind == "dense":
+        w, src, pre = leaky_precode(3, 4)
+        return w, src, as_dense(pre)
+    w, src, pre, inner = toy_two_part(leak=0.2)
+    return w, src, assemble_two_part(pre, inner, w, src)
+
+
+def assert_runs_match_reference(w, src, code, trials=(1, 7, 200), seeds=(3, 11, 2024)):
+    for t in trials:
+        for seed in seeds:
+            got = cr_generation_run(w, src, code, trials=t, seed=seed)
+            want = cr_generation_reference(w, src, code, trials=t, seed=seed)
+            assert got == want
+            assert repr(got) == repr(want)
+
+
+class TestCrGenerationMatchesReference:
+    """The batched run equals the per-trial rng.choice loop, record for record."""
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["site", "dense"])
+    @pytest.mark.parametrize("nu, keys", SITE_DESIGNS)
+    def test_precode(self, nu, keys, dense):
+        w, src, pre = leaky_precode(nu, keys)
+        assert_runs_match_reference(w, src, as_dense(pre) if dense else pre)
+
+    @pytest.mark.parametrize("leak", [None, 0.2], ids=["toy", "active-jammer"])
+    def test_two_part(self, leak):
+        w, src, pre, inner = toy_two_part(leak=leak)
+        assert_runs_match_reference(w, src, assemble_two_part(pre, inner, w, src))
+
+    def test_wide_dense_code(self):
+        assert_runs_match_reference(*wide_dense_code())
+
+
+class TestCrGenerationStreams:
+    @pytest.mark.parametrize("kind", ["site", "dense", "two-part"])
+    def test_rows_do_not_depend_on_trials(self, kind):
+        w, src, code = code_instance(kind)
+        rows = cr_generation_run(w, src, code, trials=60, seed=5)["rows"]
+        for m in (1, 23):
+            assert cr_generation_run(w, src, code, trials=m, seed=5)["rows"] == rows[:m]
+
+    @pytest.mark.parametrize("kind", ["dense", "two-part"])
+    def test_one_product_state_per_codeword(self, kind, monkeypatch):
+        w, src, code = code_instance(kind)
+        built = []
+
+        def spy(w, xs, ss, caps=DEFAULT_CAPS):
+            built.append((tuple(xs), tuple(ss)))
+            return product_output(w, xs, ss, caps)
+
+        monkeypatch.setattr(coding, "product_output", spy)
+        cr_generation_run(w, src, code, trials=200, seed=5)
+        assert len(set(built)) == len(built) < 200
+
+
+class TestCodeFitsSourceAndChannel:
+    """A code whose words or letters do not fit raises before any work."""
+
+    def _code(self, **change):
+        w = orthogonal_channel()
+        src = CorrelatedSource((0, 1), (0, 1), [[0.5, 0.0], [0.0, 0.5]])
+        fields = dict(
+            l=2, n=1,
+            v_prime_words=tuple(iproduct((0, 1), repeat=2)),
+            v_words=tuple(iproduct((0, 1), repeat=2)),
+            encoders=[[(0,), (1,)]] * 4,
+            decoders=np.stack([np.stack([ZERO, ONE])] * 4),
+        )
+        fields.update(change)
+        return w, src, CorrelationCode(**fields)
+
+    @pytest.mark.parametrize("change, error, message", [
+        ({"v_prime_words": ((0, 0), (0, 1), (1, 1), (1, 0))}, AlphabetMismatch,
+         r"sender word 2 of the code is \(1, 1\), the source's is \(1, 0\)"),
+        ({"v_prime_words": (("a", "a"), ("a", "b"), ("b", "a"), ("b", "b"))}, AlphabetMismatch,
+         r"sender word 0 of the code is \('a', 'a'\), the source's is \(0, 0\)"),
+        ({"v_words": ((0, 0), (0, 1), (1, 0))}, AlphabetMismatch,
+         r"receiver word 3 of the code is missing, the source's is \(1, 1\)"),
+        ({"encoders": [[(0,), (1,)]] * 3 + [[(0,), (2,)]]}, AlphabetMismatch,
+         r"encoder letter 2 of sender word 3, message 1 is not in the channel's input "
+         r"alphabet \(0, 1\)"),
+        ({"decoders": np.stack([np.stack([np.eye(4) / 2] * 2)] * 4)}, DimensionMismatch,
+         r"decoder side 4 != d\^n = 2"),
+    ], ids=["sender-order", "sender-labels", "receiver-count", "encoder-letter", "side"])
+    def test_refused(self, change, error, message):
+        w, src, code = self._code(**change)
+        with pytest.raises(error, match=message):
+            correlation_code_error_informed(code, w, src)
+        with pytest.raises(error, match=message):
+            cr_generation_run(w, src, code, trials=5, seed=1)
+
+    def test_two_part_pre_code_checked(self):
+        w, src, pre, inner = toy_two_part()
+        two = assemble_two_part(pre, inner, w, src)
+        relabelled = dataclasses.replace(
+            two, pre=dataclasses.replace(as_dense(pre), v_words=pre.v_words[::-1])
+        )
+        with pytest.raises(AlphabetMismatch, match="receiver word 0 of the code"):
+            cr_generation_run(w, src, relabelled, trials=5, seed=1)
+
+    def test_site_form_letters_checked(self):
+        w, src, pre, _ = toy_two_part()
+        relabelled = Avcqc(("a", "b"), w.s_alphabet, w.states)
+        message = r"letter 0 of sender block 0 is not in the channel's input alphabet \('a', 'b'\)"
+        with pytest.raises(AlphabetMismatch, match=message):
+            correlation_code_error_informed(pre, relabelled, src)
+        with pytest.raises(AlphabetMismatch, match=message):
+            cr_generation_run(relabelled, src, pre, trials=5, seed=1)
+
+    def test_fitting_code_runs(self):
+        w, src, code = self._code()
+        assert correlation_code_error_informed(code, w, src) == pytest.approx(0.0, abs=1e-12)
