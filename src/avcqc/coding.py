@@ -253,6 +253,8 @@ def _informed_error(w, n, entries, caps):
     Operators of equal codewords are summed into one grouped operator G_x;
     for each codeword the jammer picks the first state word s (in
     lexicographic order) minimizing tr(product_state(x, s) G_x).
+    A codeword letter outside the channel's input alphabet raises
+    AlphabetMismatch naming the letter and the codeword.
     caps.product_dim bounds d^n, the side of G_x; the largest intermediate
     of the contraction has max(d^{2n}, |S|^n) entries.  Returns
     (error, JammerStrategy).
@@ -260,6 +262,13 @@ def _informed_error(w, n, entries, caps):
     grouped = {}
     for xs, g in entries:
         grouped[xs] = grouped[xs] + g if xs in grouped else g
+    for xs in grouped:
+        for x in xs:
+            if x not in w.x_alphabet:
+                raise AlphabetMismatch(
+                    f"letter {x!r} of codeword {xs} is not in the channel's input "
+                    f"alphabet {w.x_alphabet}"
+                )
     s_words = _state_words(w, n, caps)
     _check_product_dim(w.dim, n, caps)
     return _jammer_picks(((xs, _success_table(w, xs, g)) for xs, g in grouped.items()), s_words)
@@ -431,8 +440,10 @@ class TwoPartCode:
     """Key-establishing pre-code concatenated with a keyed message code.
 
     The first part depends only on the shared correlation (it carries the
-    key), the second only on (message, key).  The assembled decoder sums
-    the pre-decoder for each key against that key's inner decoder.
+    key), the second only on (message, key).  No whole-word decoder is
+    built: parts that pass their own POVM checks within _CHECK_SLACK = 1e-9
+    form a POVM within (1 + 1e-9)^2 - 1, about 2e-9, since
+    sum_j sum_k P_k (x) Q_kj = sum_k P_k (x) (sum_j Q_kj) <= I.
     """
 
     pre: CorrelationCode         # or RepetitionPrecode; its messages are the keys
@@ -446,53 +457,43 @@ class TwoPartCode:
     def num_messages(self):
         return self.inner.num_messages
 
-    def assembled_decoder(self, v_index, j):
-        """D_j^{(v)} = sum_k pre_decoder(v, k) (x) inner_decoder(k, j)."""
-        return _assembled(self.pre.decoders[v_index], self.inner, j)
-
-
-def _assembled(pre_ops, inner, j):
-    """sum_k pre_ops[k] (x) (decoder of message j in the inner code of key k)."""
-    return sum(np.kron(pre_ops[k], det.decoders[j]) for k, det in enumerate(inner.codes))
-
 
 def two_part_error_informed(pre, inner, w, src, caps=DEFAULT_CAPS):
-    """Exact informed-jammer error of the assembled two-part code.
+    """Exact informed-jammer error of a two-part code, from its two parts.
 
     The key is the sender's private uniform randomness; the jammer sees the
-    full transmitted word (both parts).
+    full transmitted word (both parts), whose success table with message j
+    is sum_k a_k(s_pre) b_kj(s_inner) / JK: a_k the pre part's
+    _success_table against its source-weighted decoder of key k, b_kj the
+    inner part's against inner.codes[k].decoders[j].
     """
     j_n, k_n = inner.num_messages, inner.num_keys
+    s_words = _state_words(w, pre.n + inner.n, caps)
     sent = (
         (ui, tuple(pre.encoders[ui][k]) + tuple(inner.codes[k].codebook[j]), j)
         for ui in range(len(pre.v_prime_words))
         for k in range(k_n)
         for j in range(j_n)
     )
-    entries = (
-        (xs, _assembled([np.einsum("v,vab->ab", wv, pre.decoders[:, k]) for k in range(k_n)],
-                        inner, j) / (j_n * k_n))
-        for (xs, j), wv in _source_weights(pre, src, sent).items()
-    )
-    return _informed_error(w, pre.n + inner.n, entries, caps)
+    tables = {}
+    for (xs, j), wv in _source_weights(pre, src, sent).items():
+        a = [_success_table(w, xs[: pre.n], g) for g in np.einsum("v,vkab->kab", wv, pre.decoders)]
+        b = [_success_table(w, xs[pre.n :], det.decoders[j]) for det in inner.codes]
+        table = np.einsum("ka,kb->ab", a, b).ravel() / (j_n * k_n)
+        tables[xs] = tables[xs] + table if xs in tables else table
+    return _jammer_picks(tables.items(), s_words)
 
 
 def assemble_two_part(pre, inner, w, src, caps=DEFAULT_CAPS):
     """Concatenate a key-carrying pre-code with a keyed inner code.
 
-    caps.product_dim bounds d^(pre.n + inner.n), the assembled decoders'
-    side, before any is built.  Verifies the assembled POVMs with the
-    decoder check of the codes, one receiver word at a time, and checks the
-    exact error chain (assembled <= pre + inner) on the constructed instance.
+    Each part is evaluated, and so checked, on its own (see TwoPartCode),
+    and the exact error chain (assembled <= pre + inner) is checked on the
+    constructed instance.
     """
     if pre.num_messages != inner.num_keys:
         raise KeySetMismatch(
             f"pre-code carries {pre.num_messages} keys, inner code expects {inner.num_keys}"
-        )
-    _check_product_dim(w.dim, pre.n + inner.n, caps)
-    for vi, ops in enumerate(pre.decoders):
-        _validate_povm(
-            [[_assembled(ops, inner, j) for j in range(inner.num_messages)]], first_word=vi
         )
     pre_error = correlation_code_error_informed(pre, w, src, caps)
     inner_error = random_code_error_informed(inner, w, caps)
@@ -579,10 +580,10 @@ def repetition_precode(cert, gp, src, w, num_keys=2, nu=3, caps=DEFAULT_CAPS):
     sender applies g0 or g1 to a fresh block of iota source symbols); the
     receiver measures each use with the matching block of the separating
     measurement and decodes the key by minimum Hamming distance to the key
-    words.  Returns the code in site form: the |V|^iota measurement pairs
-    are checked as POVMs, and no d^nu x d^nu decoder is built.
-    caps.product_dim bounds d^nu, the side of the decoders a reader may
-    build.
+    words (see _key_words), the first on a tie.  Returns the code in site
+    form: the |V|^iota measurement pairs are checked as POVMs, and no
+    d^nu x d^nu decoder is built.  caps.product_dim bounds d^nu, the side
+    of the decoders a reader may build.
     """
     if not 2 <= num_keys <= 2 ** nu:
         raise KeySetMismatch(f"cannot place {num_keys} keys in {nu} bits")
@@ -595,10 +596,7 @@ def repetition_precode(cert, gp, src, w, num_keys=2, nu=3, caps=DEFAULT_CAPS):
             f"source word tables at l = {l} exceed the enumeration cap"
         )
     _check_product_dim(w.dim, nu, caps)
-    if num_keys == 2:
-        key_words = [(0,) * nu, (1,) * nu]
-    else:
-        key_words = sorted(iproduct((0, 1), repeat=nu))[:num_keys]
+    key_words = _key_words(nu, num_keys)
     bit_keys = [
         int(np.argmin([sum(a != b for a, b in zip(bits, kw)) for kw in key_words]))
         for bits in iproduct((0, 1), repeat=nu)
@@ -623,6 +621,19 @@ def repetition_precode(cert, gp, src, w, num_keys=2, nu=3, caps=DEFAULT_CAPS):
         block_letters=block_letters,
         site=site,
     )
+
+
+def _key_words(nu, num_keys):
+    """The first num_keys words of the greedy lexicographic binary code of
+    length nu at the largest minimum Hamming distance that yields
+    num_keys words; for two keys, 0^nu and 1^nu."""
+    for dist in range(nu, 0, -1):
+        words = []
+        for bits in iproduct((0, 1), repeat=nu):
+            if all(sum(a != b for a, b in zip(bits, kw)) >= dist for kw in words):
+                words.append(bits)
+                if len(words) == num_keys:
+                    return words
 
 
 def _site_traces(code, w):
@@ -706,7 +717,10 @@ def cr_generation_run(w, src, code, trials, seed, caps=DEFAULT_CAPS):
     T[b, bit, x, s] over the nu sites, summed per key, with no product
     state or dense decoder; otherwise each distinct codeword's product
     state is built once and each distinct (receiver word, codeword) pair
-    is contracted with its decoders once.  The probabilities are clipped at
+    is contracted with its decoders once.  A TwoPartCode's are
+    sum_k pre[k] inner[k, j], its pre part's as above on the first pre.n
+    letters, its inner part's from one product state per distinct (inner
+    word, inner state word).  The probabilities are clipped at
     0 and completed by the failure entry max(1 - sum, 0).  Returns a dict
     with the agreement rate, the empirical entropy (bits) of the agreed
     value, and per-trial records.
@@ -757,38 +771,42 @@ def cr_generation_run(w, src, code, trials, seed, caps=DEFAULT_CAPS):
     words = list(word_ids)
     states = [jammer(xs) for xs in words]
 
-    # probability pass
-    if isinstance(code, RepetitionPrecode):
+    # probability pass: the pre part's, then a two-part code's inner part's
+    rhos = {}   # product state per distinct (part word, part state word)
+
+    def part_states(part):
+        pairs = [(xs[part], ss[part]) for xs, ss in zip(words, states)]
+        rhos.update((p, product_output(w, *p, caps)) for p in dict.fromkeys(pairs) if p not in rhos)
+        return np.array([rhos[p] for p in pairs])
+
+    if isinstance(pre, RepetitionPrecode):
         # P(bits) = prod_t T[b_t, bits_t, x_t, s_t], first site first, added
         # into its key in outcome-word order
-        traces = _site_traces(code, w)
-        iota = l // code.n
-        blocks = v_letters.reshape(trials, code.n, iota) @ n_v ** np.arange(iota - 1, -1, -1)
+        traces = _site_traces(pre, w)
+        iota = l // pre.n
+        blocks = v_letters.reshape(trials, pre.n, iota) @ n_v ** np.arange(iota - 1, -1, -1)
         xi = np.array([[w.x_alphabet.index(x) for x in xs] for xs in words], dtype=np.intp)
         si = np.array([[w.s_alphabet.index(s) for s in ss] for ss in states], dtype=np.intp)
-        sites = traces[blocks, :, xi[word], si[word]]          # (trials, nu, 2)
+        sites = traces[blocks, :, xi[word, : pre.n], si[word, : pre.n]]   # (trials, nu, 2)
         prods = sites[:, 0]
-        for t in range(1, code.n):
+        for t in range(1, pre.n):
             prods = (prods[:, :, None] * sites[:, t, None, :]).reshape(trials, -1)
-        probs = np.zeros((trials, j_n))
-        for i, k in enumerate(code.bit_keys.tolist()):
+        probs = np.zeros((trials, pre.num_messages))
+        for i, k in enumerate(pre.bit_keys.tolist()):
             probs[:, k] += prods[:, i]
     else:
-        rhos = [product_output(w, xs, ss, caps) for xs, ss in zip(words, states)]
+        pre_rhos = part_states(slice(pre.n))
         v_index = v_letters @ n_v ** np.arange(l - 1, -1, -1)
-        if two_part:
-            decoders = {
-                v_i: np.stack([code.assembled_decoder(v_i, j) for j in range(j_n)])
-                for v_i in set(v_index.tolist())
-            }
-        else:
-            decoders = pre.decoders
         seen, pair_of = np.unique(v_index * len(words) + word, return_inverse=True)
         table = [
-            np.real(np.einsum("jab,ba->j", decoders[v_i], rhos[c]))
+            np.real(np.einsum("jab,ba->j", pre.decoders[v_i], pre_rhos[c]))
             for v_i, c in (divmod(vc, len(words)) for vc in seen.tolist())
         ]
         probs = np.array(table)[pair_of]
+    if two_part:
+        dec = np.stack([det.decoders for det in code.inner.codes])   # (K, J, D, D)
+        inner_probs = np.real(np.einsum("kjab,cba->ckj", dec, part_states(slice(pre.n, None))))
+        probs = np.einsum("tk,tkj->tj", probs, inner_probs[word])
 
     # outcome pass: the completion entry takes the missing mass
     probs = np.clip(probs, 0.0, None)

@@ -7,7 +7,7 @@ import numpy as np
 
 from avcqc import Avcqc, CorrelatedSource, CqChannel
 from avcqc.capacity import _aux_objective
-from avcqc.channels import product_output
+from avcqc.channels import JammerStrategy, product_output
 from avcqc.coding import (
     _PROB_CLAMP,
     RepetitionPrecode,
@@ -363,10 +363,16 @@ def kron_chain_precode(cert, gp, src, w, num_keys, nu):
 
     iota = gp.iota
     l = nu * iota
-    if num_keys == 2:
-        key_words = [(0,) * nu, (1,) * nu]
-    else:
-        key_words = sorted(iproduct((0, 1), repeat=nu))[:num_keys]
+    # the first num_keys words of the greedy lexicographic code at the
+    # largest minimum distance that has num_keys words
+    for dist in range(nu, 0, -1):
+        key_words = []
+        for bits in iproduct((0, 1), repeat=nu):
+            if all(sum(a != b for a, b in zip(bits, kw)) >= dist for kw in key_words):
+                key_words.append(bits)
+        if len(key_words) >= num_keys:
+            key_words = key_words[:num_keys]
+            break
 
     def decode_word(bits):
         dists = [sum(a != b for a, b in zip(bits, kw)) for kw in key_words]
@@ -409,11 +415,52 @@ def kron_chain_precode(cert, gp, src, w, num_keys, nu):
     return encoders, decoders
 
 
+def kron_assembled_decoders(pre, inner, v_index):
+    """(J, D, D) whole-word decoders of a two-part code for one receiver word:
+    sum_k pre.decoders[v, k] (x) (inner decoder of message j under key k),
+    each built with np.kron."""
+    return np.stack([
+        sum(np.kron(pre.decoders[v_index, k], det.decoders[j]) for k, det in enumerate(inner.codes))
+        for j in range(inner.num_messages)
+    ])
+
+
+def two_part_error_reference(pre, inner, w, src, caps=DEFAULT_CAPS):
+    """Reference (error, JammerStrategy) of a two-part code on its whole
+    words: each full word's decoder sum, with the source-weighted pre
+    decoders kron-assembled against the inner ones, is traced against every
+    full product state, and the jammer takes the first state word within
+    1e-12 of the minimum."""
+    j_n, k_n = inner.num_messages, inner.num_keys
+    joint = np.ones((1, 1))
+    for _ in range(pre.l):
+        joint = np.kron(joint, src.joint)
+    weights = {}
+    for ui, k, j in iproduct(range(len(pre.v_prime_words)), range(k_n), range(j_n)):
+        xs = tuple(pre.encoders[ui][k]) + tuple(inner.codes[k].codebook[j])
+        weights[xs, j] = weights.get((xs, j), 0.0) + joint[ui]
+    grouped = {}
+    for (xs, j), wv in weights.items():
+        pre_ops = np.einsum("v,vkab->kab", wv, pre.decoders)
+        g = sum(np.kron(pre_ops[k], det.decoders[j]) for k, det in enumerate(inner.codes))
+        grouped[xs] = grouped.get(xs, 0.0) + g / (j_n * k_n)
+    s_words = list(iproduct(w.s_alphabet, repeat=pre.n + inner.n))
+    success, strategy = 0.0, {}
+    for xs, g in grouped.items():
+        vals = np.array([
+            np.real(np.trace(product_output(w, xs, ss, caps) @ g)) for ss in s_words
+        ])
+        success += vals.min()
+        strategy[xs] = s_words[int(np.argmax(vals <= vals.min() + 1e-12))]
+    return min(max(1.0 - success, 0.0), 1.0), JammerStrategy(strategy)
+
+
 def cr_generation_reference(w, src, code, trials, seed, caps=DEFAULT_CAPS):
     """Reference key-agreement run: coding.cr_generation_run as one loop over
     the trials, each drawing its source pairs and outcome with rng.choice and
     building its outcome probabilities (and, on the dense path, its product
-    state) on its own."""
+    state) on its own.  A two-part code runs on its kron-assembled
+    whole-word decoders and full product states."""
     def dense_probs(dec, xs, ss):
         return np.real(np.einsum("jab,ba->j", dec, product_output(w, xs, ss, caps)))
 
@@ -430,9 +477,7 @@ def cr_generation_reference(w, src, code, trials, seed, caps=DEFAULT_CAPS):
 
         def outcome_probs(v_i, xs, ss):
             if v_i not in decoder_cache:
-                decoder_cache[v_i] = np.stack(
-                    [code.assembled_decoder(v_i, j) for j in range(code.num_messages)]
-                )
+                decoder_cache[v_i] = kron_assembled_decoders(code.pre, code.inner, v_i)
             return dense_probs(decoder_cache[v_i], xs, ss)
 
     else:

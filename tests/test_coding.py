@@ -1,5 +1,5 @@
 import dataclasses
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +48,7 @@ from helpers import (
     random_avcqc,
     random_povm_stack,
     separable_instance,
+    two_part_error_reference,
     wishart_state,
 )
 
@@ -123,6 +124,14 @@ class TestDeterministicWorstCase:
             assert worst_case_error_informed(code, larger) >= (
                 worst_case_error_informed(code, base) - 1e-12
             )
+
+    def test_letter_outside_the_input_alphabet_refused(self):
+        code = DeterministicCode(1, ((0,), (2,)), np.stack([ZERO, ONE]))
+        with pytest.raises(
+            AlphabetMismatch,
+            match=r"letter 2 of codeword \(2,\) is not in the channel's input alphabet \(0, 1\)",
+        ):
+            worst_case_error_informed(code, orthogonal_channel())
 
     def test_povm_validation(self):
         bad = np.stack([1.5 * np.kron(ZERO, ZERO), np.kron(ONE, ONE), np.kron(ZERO, ONE)])
@@ -235,6 +244,12 @@ class TestRandomCodeError:
             det = random_projective_code(rng, 2, 2)
             rand = RandomCode((det, random_projective_code(rng, 2, 2)))
             assert random_code_error_informed(rand, w) >= 0.5 - 1e-9
+
+    def test_letter_outside_the_input_alphabet_refused(self):
+        det = projective_code(1, [(0,), (1,)])
+        bad = DeterministicCode(1, ((1,), ("a",)), np.stack([ONE, ZERO]))
+        with pytest.raises(AlphabetMismatch, match=r"letter 'a' of codeword \('a',\) is not in"):
+            random_code_error_informed(RandomCode((det, bad)), orthogonal_channel())
 
     def test_key_count_mismatch(self):
         det2 = projective_code(2, [(0, 0), (1, 1)])
@@ -440,30 +455,49 @@ class TestTwoPartCode:
         assert two.pre_error == pytest.approx(0.0, abs=1e-12)
         assert two.assembled_error == pytest.approx(two.inner_error, abs=1e-9)
 
-    def test_assembled_decoders_take_the_povm_check(self):
-        w, src, pre, inner = toy_two_part()
-        # codes built from valid parts always assemble to valid POVMs, so the
-        # pre-code is corrupted past its own check
-        good = pre.decoders
-        object.__setattr__(pre, "decoders", 2.0 * good)
-        with pytest.raises(NotPositive, match=r"decoder sum exceeds the identity by 1\.000e\+00"):
-            assemble_two_part(pre, inner, w, src)
-        bad = np.array(good)
-        bad[3, 1, 0, 0] = np.nan
-        object.__setattr__(pre, "decoders", bad)
-        with pytest.raises(InvalidArgument, match="decoding operator 0 of word 3"):
-            assemble_two_part(pre, inner, w, src)
+    @pytest.mark.parametrize("flip, leak", [(0.1, None), (0.3, None), (None, 0.2), (None, 0.05)])
+    def test_error_matches_kron_reference(self, flip, leak):
+        w, src, pre, inner = toy_two_part(flip=flip, leak=leak)
+        err, jammer = two_part_error_informed(pre, inner, w, src)
+        want, want_jammer = two_part_error_reference(pre, inner, w, src)
+        assert abs(err - want) <= 1e-12
+        assert jammer == want_jammer
 
-    def test_product_dim_is_checked_before_assembly(self, monkeypatch):
-        w, src, pre, inner = toy_two_part()
-
-        def no_assembly(*args):
-            raise AssertionError("assembled decoder built past the cap")
-
-        monkeypatch.setattr(coding, "_assembled", no_assembly)
+    def test_whole_word_past_product_dim_runs_on_its_parts(self):
+        w, src, pre, inner = toy_two_part(leak=0.2)
         # d^3 = 8 fits each part, d^6 = 64 their concatenation
-        with pytest.raises(DimOverflow, match="product dimension 64 exceeds cap 32"):
-            assemble_two_part(pre, inner, w, src, caps=Caps(product_dim=32))
+        small = Caps(product_dim=32)
+        two = assemble_two_part(pre, inner, w, src, caps=small)
+        want = assemble_two_part(pre, inner, w, src)
+        assert (two.pre_error, two.inner_error, two.assembled_error) == (
+            want.pre_error, want.inner_error, want.assembled_error
+        )
+        assert two.jammer == want.jammer
+        assert cr_generation_run(w, src, two, trials=60, seed=5, caps=small) == cr_generation_run(
+            w, src, want, trials=60, seed=5
+        )
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["site", "dense"])
+    def test_no_product_state_on_the_whole_word(self, dense, monkeypatch):
+        w, src, pre, inner = toy_two_part(leak=0.2)
+        pre = as_dense(pre) if dense else pre
+        lengths = []
+
+        def spy(w, xs, ss, caps=DEFAULT_CAPS):
+            lengths.append(len(xs))
+            return product_output(w, xs, ss, caps)
+
+        monkeypatch.setattr(coding, "product_output", spy)
+        two = assemble_two_part(pre, inner, w, src)
+        cr_generation_run(w, src, two, trials=200, seed=5)
+        assert lengths and max(lengths) <= max(pre.n, inner.n)
+
+    def test_inner_letters_checked(self):
+        w, src, pre, _ = toy_two_part()
+        det = projective_code(3, [(0, 0, 0), (1, 1, 1)])
+        bad = DeterministicCode(3, ((0, 0, 0), (1, 2, 1)), det.decoders)
+        with pytest.raises(AlphabetMismatch, match=r"letter 2 of codeword \(1, 2, 1\) is not in"):
+            assemble_two_part(pre, RandomCode((det, bad)), w, src)
 
     def test_key_set_mismatch(self):
         w, src, pre, _ = toy_two_part()
@@ -537,6 +571,12 @@ class TestRepetitionPrecode:
         encoders, decoders = kron_chain_precode(cert, gp, src, w, keys, nu)
         assert [list(row) for row in code.encoders] == encoders
         assert code.decoders.tobytes() == decoders.tobytes()
+
+    @pytest.mark.parametrize("keys", [3, 4])
+    def test_key_words_at_distance_two(self, keys):
+        _, _, pre = leaky_precode(3, keys)
+        dists = [sum(a != b for a, b in zip(u, v)) for u, v in combinations(pre.key_words, 2)]
+        assert min(dists) == 2
 
     @pytest.mark.parametrize("instance", ["separable-d3"], indirect=True)
     def test_product_dim_bounds_the_decoder_side(self, instance):
