@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 error, 2 indeterminate separation.
 """
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import fields
@@ -94,6 +95,7 @@ class _Parser(argparse.ArgumentParser):
         raise SpecParseError(f"{self.prog}: {message}")
 
 
+@functools.cache  # parse_args leaves the parser as it was, so main reuses one
 def build_parser():
     p = _Parser(prog="avcqc", description=__doc__)
     subs = p.add_subparsers(dest="command", required=True)
@@ -180,6 +182,8 @@ def _config_from_args(args):
     _check_output_path(args.out, "--out")
     if getattr(args, "trace_csv", None):
         _check_output_path(args.trace_csv, "--trace-csv")
+        if os.path.realpath(args.trace_csv) == os.path.realpath(args.out):
+            raise SpecParseError(f"--trace-csv {args.trace_csv} names the same file as --out")
     args.tol = _parse_overrides(args.tol, Tolerances(), _tolerance)
     args.caps = _parse_overrides(args.cap, Caps(), _cap)
     for f in fields(args.caps):

@@ -247,6 +247,17 @@ def _jammer_picks(tables, s_words):
     return float(min(max(1.0 - success, 0.0), 1.0)), JammerStrategy(strategy)
 
 
+def _check_codeword_letters(w, codewords):
+    """Raise AlphabetMismatch naming the first letter outside the channel's inputs."""
+    for xs in codewords:
+        for x in xs:
+            if x not in w.x_alphabet:
+                raise AlphabetMismatch(
+                    f"letter {x!r} of codeword {xs} is not in the channel's input "
+                    f"alphabet {w.x_alphabet}"
+                )
+
+
 def _informed_error(w, n, entries, caps):
     """Exact informed-jammer error from (codeword, weighted success operator) pairs.
 
@@ -262,13 +273,7 @@ def _informed_error(w, n, entries, caps):
     grouped = {}
     for xs, g in entries:
         grouped[xs] = grouped[xs] + g if xs in grouped else g
-    for xs in grouped:
-        for x in xs:
-            if x not in w.x_alphabet:
-                raise AlphabetMismatch(
-                    f"letter {x!r} of codeword {xs} is not in the channel's input "
-                    f"alphabet {w.x_alphabet}"
-                )
+    _check_codeword_letters(w, grouped)
     s_words = _state_words(w, n, caps)
     _check_product_dim(w.dim, n, caps)
     return _jammer_picks(((xs, _success_table(w, xs, g)) for xs, g in grouped.items()), s_words)
@@ -465,8 +470,13 @@ def two_part_error_informed(pre, inner, w, src, caps=DEFAULT_CAPS):
     full transmitted word (both parts), whose success table with message j
     is sum_k a_k(s_pre) b_kj(s_inner) / JK: a_k the pre part's
     _success_table against its source-weighted decoder of key k, b_kj the
-    inner part's against inner.codes[k].decoders[j].
+    inner part's against inner.codes[k].decoders[j].  A pre part that does
+    not fit the source and channel (see _check_code_alphabets), or an inner
+    codeword letter outside the channel's inputs, raises AlphabetMismatch.
     """
+    _check_code_alphabets(pre, w, src)
+    for det in inner.codes:
+        _check_codeword_letters(w, det.codebook)
     j_n, k_n = inner.num_messages, inner.num_keys
     s_words = _state_words(w, pre.n + inner.n, caps)
     sent = (

@@ -1,10 +1,12 @@
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from avcqc import Avcqc
+from avcqc import cli
 from avcqc import serialize as io
 from avcqc.cli import main
 from helpers import (
@@ -15,6 +17,8 @@ from helpers import (
     orthogonal_channel,
     wishart_avcqc,
 )
+
+SPECS = Path(__file__).resolve().parents[1] / "specs"
 
 
 def write_channel(tmp_path, w, name="channel.json"):
@@ -532,6 +536,17 @@ class TestOutputPaths:
         assert "SpecParseError" in err and "--out" in err
         assert computed == []
 
+    def test_trace_csv_naming_out_is_refused(self, tmp_path, capsys, computed):
+        out = tmp_path / "res.json"
+        # the same file under another spelling
+        trace = f"{tmp_path}/./res.json"
+        argv = self._argv("capacity", tmp_path) + ["--out", str(out), "--trace-csv", trace]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"error: SpecParseError: --trace-csv {trace} names the same file as --out" in err
+        assert computed == []
+        assert not out.exists()
+
     def test_trace_csv_in_missing_directory(self, tmp_path, capsys, computed):
         out = tmp_path / "res.json"
         argv = self._argv("capacity", tmp_path) + [
@@ -567,3 +582,48 @@ class TestDeterminism:
             assert rc == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestCachedParser:
+    """main builds its parser once per process; no call leaves state in it."""
+
+    def _capacity(self, out, *extra):
+        chan = str(SPECS / "wishart_3x3_d2_channel.json")
+        return main(["capacity", "--channel", chan, "--seed", "7", "--out", str(out), *extra])
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_overrides_do_not_leak(self, tmp_path):
+        cli.build_parser.cache_clear()
+        first = tmp_path / "first.json"
+        assert self._capacity(first) == 0
+        tight = tmp_path / "tight.json"
+        assert self._capacity(tight, "--tol", "maxmin_bracket=1e-10",
+                              "--cap", "jammer_states=7") == 0
+        again = tmp_path / "again.json"
+        assert self._capacity(again) == 0
+        assert tight.read_bytes() != first.read_bytes()
+        assert again.read_bytes() == first.read_bytes()
+        args = cli.build_parser().parse_args(["capacity", "--channel", "c", "--seed", "7",
+                                              "--out", "o"])
+        assert args.tol is None and args.cap is None
+
+    def test_usage_error_then_valid_call(self, tmp_path, capsys):
+        out = tmp_path / "cap.json"
+        assert self._capacity(out, "--restarts", "1") == 1
+        assert "--restarts" in capsys.readouterr().err
+        assert not out.exists()
+        assert self._capacity(out) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads(out.read_text())["certified_gap"] <= 1e-6
+
+    @pytest.mark.parametrize("command", sorted(cli._DISPATCH))
+    def test_help_twice_prints_the_same(self, command, capsys):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--help"])
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] and f"usage: avcqc {command}" in texts[0]

@@ -498,6 +498,8 @@ class TestTwoPartCode:
         bad = DeterministicCode(3, ((0, 0, 0), (1, 2, 1)), det.decoders)
         with pytest.raises(AlphabetMismatch, match=r"letter 2 of codeword \(1, 2, 1\) is not in"):
             assemble_two_part(pre, RandomCode((det, bad)), w, src)
+        with pytest.raises(AlphabetMismatch, match=r"letter 2 of codeword \(1, 2, 1\) is not in"):
+            two_part_error_informed(pre, RandomCode((det, bad)), w, src)
 
     def test_key_set_mismatch(self):
         w, src, pre, _ = toy_two_part()
@@ -855,6 +857,8 @@ class TestCodeFitsSourceAndChannel:
         )
         with pytest.raises(AlphabetMismatch, match="receiver word 0 of the code"):
             cr_generation_run(w, src, relabelled, trials=5, seed=1)
+        with pytest.raises(AlphabetMismatch, match="receiver word 0 of the code"):
+            two_part_error_informed(relabelled.pre, inner, w, src)
 
     def test_site_form_letters_checked(self):
         w, src, pre, _ = toy_two_part()
