@@ -619,7 +619,9 @@ def _gacs_korner(joint):
     for a, b in zip(*np.nonzero(joint)):
         parent[root(a)] = root(nvp + b)
     roots = np.array([root(a) for a in range(nvp)])
-    aux = (roots[:, None] == np.unique(roots)).astype(float)
+    # plain np.unique imports numpy.ma on its first call; return_inverse does not
+    labels, component = np.unique(roots, return_inverse=True)
+    aux = np.eye(len(labels))[component]
     mass = joint.sum(axis=1) @ aux
     return float(_entropy_rows(mass / mass.sum())), aux
 

@@ -151,6 +151,8 @@ def _check_arguments(args):
     if args.command == "simulate":
         if args.trials < 1:
             raise SpecParseError(f"--trials must be at least 1, got {args.trials}")
+        if args.seed < 0:
+            raise SpecParseError(f"--seed must be nonnegative, got {args.seed}")
         # --nu and --keys only build the pre-code, so --code leaves them unused
         if not args.code and args.nu < 1:
             raise SpecParseError(f"--nu must be at least 1, got {args.nu}")

@@ -733,10 +733,13 @@ def cr_generation_run(w, src, code, trials, seed, caps=DEFAULT_CAPS):
     word, inner state word).  The probabilities are clipped at
     0 and completed by the failure entry max(1 - sum, 0).  Returns a dict
     with the agreement rate, the empirical entropy (bits) of the agreed
-    value, and per-trial records.
+    value, and per-trial records.  `seed` must be a nonnegative integer:
+    None, which would draw fresh OS entropy on every run, is refused.
     """
     if trials < 1:
         raise InvalidArgument(f"trials must be >= 1, got {trials!r}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidArgument(f"seed must be a nonnegative integer, got {seed!r}")
     two_part = isinstance(code, TwoPartCode)
     if two_part:
         pre, jammer = code.pre, code.jammer

@@ -12,7 +12,7 @@ import reprlib
 import numpy as np
 
 from .channels import Avcqc, CorrelatedSource
-from .coding import CorrelationCode, DeterministicCode, RandomCode
+from .coding import CorrelationCode
 from .errors import SpecParseError
 
 
@@ -285,43 +285,3 @@ def load_correlation_code(path):
         encoders=enc,
         decoders=ops.reshape(len(dec), len(dec[0]), *ops.shape[1:]),
     )
-
-
-def deterministic_code_to_json(code):
-    return {
-        "kind": "deterministic",
-        "n": code.n,
-        "codebook": [list(xs) for xs in code.codebook],
-        "decoders": [matrix_to_json(d) for d in code.decoders],
-    }
-
-
-def load_deterministic_code(obj_or_path):
-    """Deterministic code spec (a path, or the parsed object of one)."""
-    obj = _load_json(obj_or_path) if isinstance(obj_or_path, str) else obj_or_path
-    what = obj_or_path if isinstance(obj_or_path, str) else "code spec"
-    if _field(obj, "kind", what) != "deterministic":
-        raise SpecParseError(f"{what}: expected a deterministic code spec")
-    n = _count(_field(obj, "n", what), f"{what}: n")
-    return DeterministicCode(
-        n=n,
-        codebook=_words(_field(obj, "codebook", what), n, f"{what}: codebook"),
-        decoders=_operators(_field(obj, "decoders", what), f"{what}: decoders"),
-    )
-
-
-def random_code_to_json(code):
-    return {
-        "kind": "random",
-        "codes": [deterministic_code_to_json(c) for c in code.codes],
-    }
-
-
-def load_random_code(path):
-    obj = _load_json(path)
-    if _field(obj, "kind", path) != "random":
-        raise SpecParseError(f"{path}: expected a random code spec")
-    codes = _field(obj, "codes", path)
-    if not isinstance(codes, list):
-        raise SpecParseError(f"{path}: codes must be a list of deterministic code specs")
-    return RandomCode(tuple(load_deterministic_code(c) for c in codes))

@@ -5,7 +5,7 @@ from math import comb, inf, log2, prod
 
 import numpy as np
 
-from avcqc import Avcqc, CorrelatedSource, CqChannel
+from avcqc import Avcqc, CorrelatedSource, CqChannel, DeterministicCode, RandomCode
 from avcqc.capacity import _aux_objective
 from avcqc.channels import JammerStrategy, product_output
 from avcqc.coding import (
@@ -16,9 +16,10 @@ from avcqc.coding import (
     correlation_code_error_informed,
 )
 from avcqc.config import DEFAULT_CAPS, DEFAULT_TOL
-from avcqc.errors import AlphabetMismatch, EnumerationOverflow, NotPositive
+from avcqc.errors import AlphabetMismatch, EnumerationOverflow, NotPositive, SpecParseError
 from avcqc.geometry import project_simplex_rows
 from avcqc.operators import eigvalsh_stack, entropy_from_eigenvalues, validate_probability_vector
+from avcqc.serialize import _count, _field, _load_json, _operators, _words, matrix_to_json
 from avcqc.typicality import (
     _SUPPORT_FLOOR,
     BOUND_IDS,
@@ -767,3 +768,47 @@ def per_block_typicality_bounds(w, p, n_range, alpha, caps=DEFAULT_CAPS, tol=DEF
     order = {b: i for i, b in enumerate(BOUND_IDS)}
     rows.sort(key=lambda r: (order[r.bound_id], r.n))
     return TypicalityReport(rows=tuple(rows), constants=constants)
+
+
+# ---------------------------------------------------------------------------
+# code files: deterministic and random codes, read by no command
+# ---------------------------------------------------------------------------
+
+def deterministic_code_to_json(code):
+    return {
+        "kind": "deterministic",
+        "n": code.n,
+        "codebook": [list(xs) for xs in code.codebook],
+        "decoders": [matrix_to_json(d) for d in code.decoders],
+    }
+
+
+def load_deterministic_code(obj_or_path):
+    """Deterministic code spec (a path, or the parsed object of one)."""
+    obj = _load_json(obj_or_path) if isinstance(obj_or_path, str) else obj_or_path
+    what = obj_or_path if isinstance(obj_or_path, str) else "code spec"
+    if _field(obj, "kind", what) != "deterministic":
+        raise SpecParseError(f"{what}: expected a deterministic code spec")
+    n = _count(_field(obj, "n", what), f"{what}: n")
+    return DeterministicCode(
+        n=n,
+        codebook=_words(_field(obj, "codebook", what), n, f"{what}: codebook"),
+        decoders=_operators(_field(obj, "decoders", what), f"{what}: decoders"),
+    )
+
+
+def random_code_to_json(code):
+    return {
+        "kind": "random",
+        "codes": [deterministic_code_to_json(c) for c in code.codes],
+    }
+
+
+def load_random_code(path):
+    obj = _load_json(path)
+    if _field(obj, "kind", path) != "random":
+        raise SpecParseError(f"{path}: expected a random code spec")
+    codes = _field(obj, "codes", path)
+    if not isinstance(codes, list):
+        raise SpecParseError(f"{path}: codes must be a list of deterministic code specs")
+    return RandomCode(tuple(load_deterministic_code(c) for c in codes))

@@ -493,6 +493,18 @@ class TestLargeCorrelation:
         zero, aux, upper = capacity._large_correlation(src.joint, 0.0, 0.05)
         assert zero == 0.0 and aux.tolist() == [[1.0], [1.0]] and upper == hi
 
+    def test_gacs_korner_columns_follow_ascending_roots(self):
+        # three components, {v'0, v2}, {v'1, v'3, v0}, {v'2, v1}: each row's
+        # union-find root is its column node nvp + v, so the roots are
+        # [6, 4, 5, 4] and the first row lands in the last column
+        joint = np.array([[0.0, 0.0, 0.1], [0.2, 0.0, 0.0], [0.0, 0.3, 0.0], [0.4, 0.0, 0.0]])
+        value, aux = capacity._gacs_korner(joint)
+        roots = np.array([6, 4, 5, 4])
+        want = (roots[:, None] == np.unique(roots)).astype(float)
+        assert aux.dtype == want.dtype and aux.shape == want.shape
+        assert aux.tobytes() == want.tobytes()
+        assert value == pytest.approx(-sum(m * np.log2(m) for m in (0.6, 0.3, 0.1)), abs=1e-15)
+
     def test_past_h_vv_the_identity_is_exact(self):
         # a budget of at least H(V'|V) admits U = V': F = H(V') at both ends
         src = flip_source(0.01)

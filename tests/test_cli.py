@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -470,6 +473,11 @@ class TestArgumentValidation:
         argv = self._simulate(tmp_path, "--trials", "0")
         self._rejects(argv, tmp_path, capsys, "--trials")
 
+    def test_simulate_negative_seed_before_any_spec_is_read(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        argv = ["simulate", "--channel", missing, "--source", missing, "--seed", "-1"]
+        self._rejects(argv, tmp_path, capsys, "--seed must be nonnegative")
+
     def test_simulate_zero_nu(self, tmp_path, capsys):
         argv = self._simulate(tmp_path, "--nu", "0")
         self._rejects(argv, tmp_path, capsys, "--nu")
@@ -627,3 +635,46 @@ class TestCachedParser:
             assert exc.value.code == 0
             texts.append(capsys.readouterr().out)
         assert texts[0] == texts[1] and f"usage: avcqc {command}" in texts[0]
+
+
+class TestImportedModules:
+    """No command loads a numpy package it does not use."""
+
+    # one run of each command on the README specs, as in the README
+    COMMANDS = [
+        "capacity --channel {s}/bitflip_channel.json --seed 7 --out {o}/cap.json",
+        "cr-capacity --channel {s}/constant_channel.json --source {s}/perfect_source.json"
+        " --seed 7 --out {o}/cr.json",
+        "separate --channel {s}/orthogonal_channel.json --source {s}/flip10_source.json"
+        " --seed 7 --out {o}/cert.json",
+        "typicality --channel {s}/mirror_pair_fixed_channel.json --p 0.5,0.5"
+        " --n-min 4 --n-max 12 --alpha 0.1 --out {o}/bounds.csv",
+        "simulate --channel {s}/orthogonal_channel.json --source {s}/flip10_source.json"
+        " --seed 7 --trials 200 --out {o}/trials.csv",
+        "discontinuity-demo --n-list 3,4,5 --seed 7 --out {o}/demo.csv",
+    ]
+
+    SCRIPT = """
+import contextlib, io, json, sys
+from avcqc.cli import main
+at_import = "numpy.ma" in sys.modules
+codes = []
+for command in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(command.split()))
+print(json.dumps({"at_import": at_import, "codes": codes,
+                  "ma": sorted(m for m in sys.modules if (m + ".").startswith("numpy.ma."))}))
+"""
+
+    def test_no_command_imports_numpy_ma(self, tmp_path):
+        commands = [c.format(s=SPECS, o=tmp_path) for c in self.COMMANDS]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        run = subprocess.run([sys.executable, "-c", self.SCRIPT, json.dumps(commands)],
+                             capture_output=True, text=True, env=env, check=True)
+        res = json.loads(run.stdout)
+        if res["at_import"]:
+            pytest.skip("this numpy loads numpy.ma when it is imported")
+        assert res["codes"] == [0] * len(commands)
+        assert res["ma"] == []

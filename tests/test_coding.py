@@ -681,6 +681,24 @@ class TestCrGeneration:
         with pytest.raises(InvalidArgument, match=f"trials must be >= 1, got {trials}"):
             cr_generation_run(w, src, code, trials=trials, seed=1)
 
+    @pytest.mark.parametrize("seed", [-1, None, True, 1.5, "7"])
+    def test_seed_not_a_nonnegative_integer_refused(self, seed, monkeypatch):
+        # refused before the jammer is computed; None would draw OS entropy
+        w, src, pre, _ = toy_two_part()
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("computed before the seed was checked")
+
+        monkeypatch.setattr(coding, "correlation_code_error_informed", no_work)
+        with pytest.raises(InvalidArgument, match="seed must be a nonnegative integer"):
+            cr_generation_run(w, src, pre, trials=3, seed=seed)
+
+    def test_numpy_integer_seed_is_its_int(self):
+        w, src, pre, _ = toy_two_part()
+        assert cr_generation_run(w, src, pre, trials=5, seed=np.int64(3)) == cr_generation_run(
+            w, src, pre, trials=5, seed=3
+        )
+
     def test_constant_channel_guessing(self):
         w = constant_channel()
         src = CorrelatedSource((0, 1), (0, 1), [[0.5, 0.0], [0.0, 0.5]])

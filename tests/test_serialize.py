@@ -3,7 +3,17 @@ import pytest
 
 from avcqc import DeterministicCode, RandomCode, serialize as io
 from avcqc.errors import SpecParseError
-from helpers import ONE, ZERO, bitflip_channel, flip_source, wishart_avcqc
+from helpers import (
+    ONE,
+    ZERO,
+    bitflip_channel,
+    deterministic_code_to_json,
+    flip_source,
+    load_deterministic_code,
+    load_random_code,
+    random_code_to_json,
+    wishart_avcqc,
+)
 
 
 class TestMatrixRoundTrip:
@@ -93,8 +103,8 @@ class TestCodeRoundTrip:
         code = DeterministicCode(
             2, ((0, 0), (1, 1)), np.stack([np.kron(ZERO, ZERO), np.kron(ONE, ONE)])
         )
-        obj = io.deterministic_code_to_json(code)
-        loaded = io.load_deterministic_code(obj)
+        obj = deterministic_code_to_json(code)
+        loaded = load_deterministic_code(obj)
         assert loaded.n == 2
         assert np.allclose(loaded.decoders, code.decoders)
 
@@ -109,9 +119,9 @@ class TestCodeRoundTrip:
         code = DeterministicCode(
             2, ((0, 0), (1, 1)), np.stack([np.kron(ZERO, ZERO), np.kron(ONE, ONE)])
         )
-        obj = io.deterministic_code_to_json(code)
+        obj = deterministic_code_to_json(code)
         with pytest.raises(SpecParseError, match=field):
-            io.load_deterministic_code({**obj, field: value})
+            load_deterministic_code({**obj, field: value})
 
     def test_random(self, tmp_path):
         det0 = DeterministicCode(
@@ -122,7 +132,7 @@ class TestCodeRoundTrip:
         )
         code = RandomCode((det0, det1))
         path = tmp_path / "code.json"
-        io.dump_json(io.random_code_to_json(code), path)
-        loaded = io.load_random_code(str(path))
+        io.dump_json(random_code_to_json(code), path)
+        loaded = load_random_code(str(path))
         assert loaded.num_keys == 2
         assert np.allclose(loaded.codes[1].decoders, det1.decoders)
