@@ -706,21 +706,29 @@ def two_part_design(rate_r, n, c_k=1.0):
 # common-randomness generation protocol
 # ---------------------------------------------------------------------------
 
+def _choice_index(p, u):
+    """The index Generator.choice(len(p), p=p) reads from each uniform in u:
+    the first whose normalised cumulative probability exceeds it."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(u, side="right")
+
+
 def cr_generation_run(w, src, code, trials, seed, caps=DEFAULT_CAPS):
     """Monte-Carlo key agreement over a correlation code under the exact
     worst-case-per-codeword jammer.
 
     Accepts a CorrelationCode, a RepetitionPrecode or an assembled
     TwoPartCode, whose sender additionally draws the private key each
-    trial.  Trial t draws from its own stream,
-    default_rng(SeedSequence(entropy=seed, spawn_key=(t,))), in this order:
-    random(l), the uniforms of the l source pairs; integers(J), the
-    message; integers(K), the private key (TwoPartCode only); random(), the
-    outcome uniform; integers(J), the guess a failed outcome decodes to.
-    A record therefore does not depend on `trials`: the first m rows of a
-    run are the rows of an m-trial run.  A pair or an outcome is the first
-    index whose normalised cumulative probability exceeds its uniform, as
-    Generator.choice draws it.
+    trial.  All draws are one table default_rng(seed).random((trials,
+    l + 3)), with one more column for a TwoPartCode; row t holds trial t's
+    uniforms in this order: the l source pairs, the message (uniform over
+    J), the private key (uniform over K, TwoPartCode only), the outcome,
+    the guess (uniform over J) a failed outcome decodes to.  Each draw is
+    the first index whose normalised cumulative probability exceeds its
+    uniform, as Generator.choice reads one.  numpy fills the table row by
+    row from the one stream, so a record does not depend on `trials`: the
+    first m rows of a run are the rows of an m-trial run.
 
     The outcome probabilities of all trials come from one batched pass.
     For a RepetitionPrecode they are the products of the site traces
@@ -733,11 +741,15 @@ def cr_generation_run(w, src, code, trials, seed, caps=DEFAULT_CAPS):
     word, inner state word).  The probabilities are clipped at
     0 and completed by the failure entry max(1 - sum, 0).  Returns a dict
     with the agreement rate, the empirical entropy (bits) of the agreed
-    value, and per-trial records.  `seed` must be a nonnegative integer:
-    None, which would draw fresh OS entropy on every run, is refused.
+    value, and per-trial records.  `trials` must be an integer >= 1 and
+    `seed` a nonnegative integer: None, which would draw fresh OS entropy
+    on every run, is refused.
     """
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)):
+        raise InvalidArgument(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise InvalidArgument(f"trials must be >= 1, got {trials!r}")
+    trials = int(trials)
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise InvalidArgument(f"seed must be a nonnegative integer, got {seed!r}")
     two_part = isinstance(code, TwoPartCode)
@@ -749,24 +761,15 @@ def cr_generation_run(w, src, code, trials, seed, caps=DEFAULT_CAPS):
         _, jammer = correlation_code_error_informed(code, w, src, caps, return_strategy=True)
     j_n, k_n, l = code.num_messages, code.inner.num_keys if two_part else 1, pre.l
 
-    # draw pass: each trial's stream, in the order of the docstring
-    pair_u = np.empty((trials, l))
-    outcome_u = np.empty(trials)
-    msg, key, guess = (np.zeros(trials, dtype=np.intp) for _ in range(3))
-    for t in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
-        pair_u[t] = rng.random(l)
-        msg[t] = rng.integers(j_n)
-        if two_part:
-            key[t] = rng.integers(k_n)
-        outcome_u[t] = rng.random()
-        guess[t] = rng.integers(j_n)
+    # draw pass: row t holds trial t's uniforms, in the order of the docstring
+    u = np.random.default_rng(seed).random((trials, l + 3 + two_part))
+    msg_u, *key_u, outcome_u, guess_u = u[:, l:].T
+    msg, guess = (_choice_index(np.full(j_n, 1 / j_n), c) for c in (msg_u, guess_u))
+    key = _choice_index(np.full(k_n, 1 / k_n), key_u[0]) if two_part else 0
     # pairs and joint entries both run over (v', v) with v fastest
     pair_probs = src.joint.ravel()
-    pair_cdf = (pair_probs / pair_probs.sum()).cumsum()
-    pair_cdf /= pair_cdf[-1]
     n_vp, n_v = len(src.v_prime_alphabet), len(src.v_alphabet)
-    vp_letters, v_letters = np.divmod(pair_cdf.searchsorted(pair_u, side="right"), n_v)
+    vp_letters, v_letters = np.divmod(_choice_index(pair_probs / pair_probs.sum(), u[:, :l]), n_v)
     # the code's words are the l-words in lexicographic order
     u_index = vp_letters @ n_vp ** np.arange(l - 1, -1, -1)
     sent, which = np.unique((u_index * k_n + key) * j_n + msg, return_inverse=True)

@@ -458,10 +458,16 @@ def two_part_error_reference(pre, inner, w, src, caps=DEFAULT_CAPS):
 
 def cr_generation_reference(w, src, code, trials, seed, caps=DEFAULT_CAPS):
     """Reference key-agreement run: coding.cr_generation_run as one loop over
-    the trials, each drawing its source pairs and outcome with rng.choice and
-    building its outcome probabilities (and, on the dense path, its product
-    state) on its own.  A two-part code runs on its kron-assembled
-    whole-word decoders and full product states."""
+    the trials, each drawing its source pairs, message, key, outcome and
+    guess with rng.choice from one default_rng(seed) stream and building its
+    outcome probabilities (and, on the dense path, its product state) on its
+    own.  A two-part code runs on its kron-assembled whole-word decoders and
+    full product states."""
+    rng = np.random.default_rng(seed)
+
+    def uniform_index(n):
+        return int(rng.choice(n, p=np.full(n, 1 / n)))
+
     def dense_probs(dec, xs, ss):
         return np.real(np.einsum("jab,ba->j", dec, product_output(w, xs, ss, caps)))
 
@@ -470,8 +476,8 @@ def cr_generation_reference(w, src, code, trials, seed, caps=DEFAULT_CAPS):
         words_src = code.pre
         decoder_cache = {}
 
-        def encode(u_index, j, rng):
-            k = int(rng.integers(code.inner.num_keys))
+        def encode(u_index, j):
+            k = uniform_index(code.inner.num_keys)
             return tuple(words_src.encoders[u_index][k]) + tuple(
                 code.inner.codes[k].codebook[j]
             )
@@ -485,7 +491,7 @@ def cr_generation_reference(w, src, code, trials, seed, caps=DEFAULT_CAPS):
         _, jammer = correlation_code_error_informed(code, w, src, caps, return_strategy=True)
         words_src = code
 
-        def encode(u_index, j, rng):
+        def encode(u_index, j):
             return code.encoders[u_index][j]
 
         if isinstance(code, RepetitionPrecode):
@@ -513,18 +519,18 @@ def cr_generation_reference(w, src, code, trials, seed, caps=DEFAULT_CAPS):
     agreed = []
     hits = 0
     for t in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
         drawn = rng.choice(len(pairs), size=words_src.l, p=pair_probs)
         u_word = tuple(pairs[i][0] for i in drawn)
         v_word = tuple(pairs[i][1] for i in drawn)
-        j = int(rng.integers(j_n))
-        xs = encode(vp_index[u_word], j, rng)
+        j = uniform_index(j_n)
+        xs = encode(vp_index[u_word], j)
         ss = jammer(xs)
         probs = np.clip(outcome_probs(v_index[v_word], xs, ss), 0.0, None)
         full = np.append(probs, max(1.0 - probs.sum(), 0.0))
         outcome = int(rng.choice(j_n + 1, p=full / full.sum()))
+        guess = uniform_index(j_n)
         if outcome == j_n:
-            outcome = int(rng.integers(j_n))
+            outcome = guess
         ok = outcome == j
         hits += ok
         if ok:

@@ -681,6 +681,24 @@ class TestCrGeneration:
         with pytest.raises(InvalidArgument, match=f"trials must be >= 1, got {trials}"):
             cr_generation_run(w, src, code, trials=trials, seed=1)
 
+    @pytest.mark.parametrize("trials", [2.5, True, "3"])
+    def test_trials_not_an_integer_refused(self, trials, monkeypatch):
+        w, src, pre, _ = toy_two_part()
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("computed before trials was checked")
+
+        monkeypatch.setattr(coding, "correlation_code_error_informed", no_work)
+        with pytest.raises(InvalidArgument, match="trials must be an integer"):
+            cr_generation_run(w, src, pre, trials=trials, seed=1)
+
+    def test_numpy_integer_trials_is_its_int(self):
+        w, src, pre, _ = toy_two_part()
+        got = cr_generation_run(w, src, pre, trials=np.int64(3), seed=1)
+        want = cr_generation_run(w, src, pre, trials=3, seed=1)
+        assert got == want
+        assert repr(got) == repr(want)
+
     @pytest.mark.parametrize("seed", [-1, None, True, 1.5, "7"])
     def test_seed_not_a_nonnegative_integer_refused(self, seed, monkeypatch):
         # refused before the jammer is computed; None would draw OS entropy
@@ -816,6 +834,24 @@ class TestCrGenerationStreams:
         rows = cr_generation_run(w, src, code, trials=60, seed=5)["rows"]
         for m in (1, 23):
             assert cr_generation_run(w, src, code, trials=m, seed=5)["rows"] == rows[:m]
+
+    @pytest.mark.parametrize("kind", ["site", "dense", "two-part"])
+    def test_one_generator_per_run(self, kind, monkeypatch):
+        w, src, code = code_instance(kind)
+        made = []
+        default_rng = np.random.default_rng
+
+        def rng_spy(*args, **kwargs):
+            made.append(args)
+            return default_rng(*args, **kwargs)
+
+        def no_seed_sequence(*args, **kwargs):
+            raise AssertionError("a SeedSequence was built directly")
+
+        monkeypatch.setattr(np.random, "default_rng", rng_spy)
+        monkeypatch.setattr(np.random, "SeedSequence", no_seed_sequence)
+        cr_generation_run(w, src, code, trials=200, seed=5)
+        assert made == [(5,)]
 
     @pytest.mark.parametrize("kind", ["dense", "two-part"])
     def test_one_product_state_per_codeword(self, kind, monkeypatch):
