@@ -217,6 +217,7 @@ def cmd_separate(args):
     w = io.load_channel(args.channel)
     src = io.load_source(args.source)
     gp = build_g_pair(src, w.x_alphabet)
+    io.check_gpair_keys(gp)
     res = separation_test(w, src, gp, tol=args.tol, caps=args.caps)
     if isinstance(res, NotSeparable):
         payload = io.not_separable_to_json(res)

@@ -216,18 +216,20 @@ def _state_words(w, n, caps):
 def _success_table(w, xs, g):
     """tr((W(x_1, s_1) (x) ... (x) W(x_n, s_n)) G) for every state word s.
 
-    Contracts the legs of G site by site against W(x_i, .) of shape
-    (|S|, d, d), first site first, so the values come out in the
-    lexicographic order of the state words and no product state is built.
+    Contracts the legs of G site by site, first site first: the running
+    table (T, d*rest, d*rest) is copied to (T, d^2, rest^2) with the
+    site's legs (b, a) as one axis, and one matmul by W(x_i, .)^T as
+    (|S|, d^2) gives the next table (T*|S|, rest, rest).  The values come
+    out in the lexicographic order of the state words and no product
+    state is built.
     """
     d = w.dim
     t = g[None]                                  # (state words so far, rest, rest)
     for x in xs:
         rest = t.shape[-1] // d
-        t = np.einsum(
-            "tab,SbBaA->StBA", w.states[w.x_alphabet.index(x)],
-            t.reshape(t.shape[0], d, rest, d, rest),
-        ).reshape(-1, rest, rest)
+        site = w.states[w.x_alphabet.index(x)].swapaxes(1, 2).reshape(-1, d * d)
+        legs = t.reshape(-1, d, rest, d, rest).transpose(0, 1, 3, 2, 4)
+        t = (site @ legs.reshape(-1, d * d, rest * rest)).reshape(-1, rest, rest)
     return np.real(t.ravel())
 
 
@@ -258,16 +260,22 @@ def _check_codeword_letters(w, codewords):
                 )
 
 
-def _informed_error(w, n, entries, caps):
-    """Exact informed-jammer error from (codeword, weighted success operator) pairs.
+def _informed_error(w, n, entries, weight, caps):
+    """Exact informed-jammer error from (codeword, success operator) pairs.
 
     Operators of equal codewords are summed into one grouped operator G_x;
     for each codeword the jammer picks the first state word s (in
-    lexicographic order) minimizing tr(product_state(x, s) G_x).
+    lexicographic order) minimizing weight * tr(product_state(x, s) G_x),
+    weight being the entries' common weight (1/J, or 1/(J K) for a random
+    code), applied to each success table rather than to the operators.
     A codeword letter outside the channel's input alphabet raises
     AlphabetMismatch naming the letter and the codeword.
-    caps.product_dim bounds d^n, the side of G_x; the largest intermediate
-    of the contraction has max(d^{2n}, |S|^n) entries.  Returns
+    _success_table contracts G_x with one matmul per site, about
+    n * max(|S| d^{2n}, |S|^n d^2) operations.  Each site copies the
+    running table once with the site's legs side by side (T x d^2 x rest^2
+    entries for T state-word prefixes, d^{2n} at the first site), so the
+    largest intermediate has max(d^{2n}, |S|^n) entries.
+    caps.product_dim bounds d^n, the side of G_x.  Returns
     (error, JammerStrategy).
     """
     grouped = {}
@@ -276,7 +284,9 @@ def _informed_error(w, n, entries, caps):
     _check_codeword_letters(w, grouped)
     s_words = _state_words(w, n, caps)
     _check_product_dim(w.dim, n, caps)
-    return _jammer_picks(((xs, _success_table(w, xs, g)) for xs, g in grouped.items()), s_words)
+    return _jammer_picks(
+        ((xs, _success_table(w, xs, g) * weight) for xs, g in grouped.items()), s_words
+    )
 
 
 def worst_case_error_informed(code, w, caps=DEFAULT_CAPS, return_strategy=False):
@@ -286,9 +296,8 @@ def worst_case_error_informed(code, w, caps=DEFAULT_CAPS, return_strategy=False)
     codewords of the per-codeword worst case (messages sharing a codeword
     are tied together and handled as one group).
     """
-    j_n = code.num_messages
-    entries = ((xs, code.decoders[j] / j_n) for j, xs in enumerate(code.codebook))
-    err, strategy = _informed_error(w, code.n, entries, caps)
+    entries = zip(code.codebook, code.decoders)
+    err, strategy = _informed_error(w, code.n, entries, 1 / code.num_messages, caps)
     return (err, strategy) if return_strategy else err
 
 
@@ -324,13 +333,9 @@ def random_code_error_informed(code, w, caps=DEFAULT_CAPS, return_strategy=False
     The jammer sees the transmitted word but not the key: for each distinct
     codeword value it attacks the key-conditional expected decoder.
     """
-    j_n, k_n = code.num_messages, code.num_keys
-    entries = (
-        (xs, det.decoders[j] / (j_n * k_n))
-        for det in code.codes
-        for j, xs in enumerate(det.codebook)
-    )
-    err, strategy = _informed_error(w, code.n, entries, caps)
+    entries = chain.from_iterable(zip(det.codebook, det.decoders) for det in code.codes)
+    weight = 1 / (code.num_messages * code.num_keys)
+    err, strategy = _informed_error(w, code.n, entries, weight, caps)
     return (err, strategy) if return_strategy else err
 
 
@@ -423,16 +428,14 @@ def correlation_code_error_informed(code, w, src, caps=DEFAULT_CAPS, return_stra
         raise DimensionMismatch(
             f"decoder side {code.decoders.shape[-1]} != d^n = {w.dim ** code.n}"
         )
-    j_n = code.num_messages
     weights = _source_weights(
         code, src,
         ((ui, xs, j) for ui, row in enumerate(code.encoders) for j, xs in enumerate(row)),
     )
     entries = (
-        (xs, np.einsum("v,vab->ab", wv, code.decoders[:, j]) / j_n)
-        for (xs, j), wv in weights.items()
+        (xs, np.einsum("v,vab->ab", wv, code.decoders[:, j])) for (xs, j), wv in weights.items()
     )
-    err, strategy = _informed_error(w, code.n, entries, caps)
+    err, strategy = _informed_error(w, code.n, entries, 1 / code.num_messages, caps)
     return (err, strategy) if return_strategy else err
 
 

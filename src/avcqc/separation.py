@@ -148,20 +148,19 @@ def _block_weights(src, g, iota, x_alphabet):
     """weights[x, v] = P_V(v word) * P(V'-preimage of x under g | v word).
 
     Rows follow x_alphabet, columns the receiver words in lexicographic
-    order; P(u word | v word) is the iota-fold Kronecker power of the
-    transition matrix.
+    order.  P(u word | v word) and P_V(v word) are products of per-symbol
+    entries taken left to right, gathered at once for every (sender
+    word of g, receiver word) pair; the rows of each letter's preimage
+    are added in the order of g.
     """
-    cond, pv_word = np.ones((1, 1)), np.ones(1)
-    for _ in range(iota):
-        cond = np.kron(cond, src.sender_given_receiver)     # P(V'=u | V=v)
-        pv_word = np.kron(pv_word, src.receiver_marginal)
     vp_index = {sym: i for i, sym in enumerate(src.v_prime_alphabet)}
     x_index = {x: i for i, x in enumerate(x_alphabet)}
-    radix = (len(vp_index),) * iota
-    acc = np.zeros((len(x_alphabet), pv_word.size))
-    for u, x in g.items():
-        acc[x_index[x]] += cond[np.ravel_multi_index([vp_index[c] for c in u], radix)]
-    return acc * pv_word
+    u_idx = np.array([[vp_index[c] for c in u] for u in g])
+    v_idx = np.indices((len(src.v_alphabet),) * iota).reshape(iota, -1)
+    cond = src.sender_given_receiver[u_idx[:, :, None], v_idx].prod(axis=1)
+    acc = np.zeros((len(x_alphabet), v_idx.shape[1]))
+    np.add.at(acc, [x_index[x] for x in g.values()], cond)
+    return acc * src.receiver_marginal[v_idx].prod(axis=0)
 
 
 def _ensemble_blocks(w, weights, q_rows):

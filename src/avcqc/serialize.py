@@ -139,18 +139,26 @@ def load_channel(path):
     states = _field(obj, "states", path)
     if not isinstance(states, dict):
         raise SpecParseError(f"{path}: states must map \"x,s\" keys to matrices")
-    table = np.zeros((len(xa), len(sa), dim, dim), dtype=complex)
+    keys = {}
     for i, x in enumerate(xa):
         for j, s in enumerate(sa):
             key = f"{x},{s}"
-            if key not in states:
-                raise SpecParseError(f"{path}: missing state for key {key!r}")
-            m = matrix_from_json(states[key], f"{path}: state {key!r}")
-            if m.shape != (dim, dim):
+            i0, j0 = keys.setdefault(key, (i, j))
+            if (i0, j0) != (i, j):
                 raise SpecParseError(
-                    f"{path}: state {key!r} has shape {m.shape}, expected ({dim}, {dim})"
+                    f"{path}: state key {key!r} is the key of both pairs "
+                    f"{(xa[i0], sa[j0])} and {(x, s)}: every (x, s) pair needs its own key"
                 )
-            table[i, j] = m
+    table = np.zeros((len(xa), len(sa), dim, dim), dtype=complex)
+    for key, (i, j) in keys.items():
+        if key not in states:
+            raise SpecParseError(f"{path}: missing state for key {key!r}")
+        m = matrix_from_json(states[key], f"{path}: state {key!r}")
+        if m.shape != (dim, dim):
+            raise SpecParseError(
+                f"{path}: state {key!r} has shape {m.shape}, expected ({dim}, {dim})"
+            )
+        table[i, j] = m
     return Avcqc(tuple(xa), tuple(sa), table)
 
 
@@ -231,15 +239,36 @@ def not_separable_to_json(res):
     }
 
 
+def _word_key(u):
+    return "".join(str(c) for c in u)
+
+
+def check_gpair_keys(gp):
+    """Raise SpecParseError unless gpair_to_json gives every block word its own key.
+
+    Its tables key a sender block word by its labels joined without a
+    separator, so labels such as "a" and "aa" would write two words as one key.
+    """
+    seen = {}
+    for u in gp.groups:
+        key = _word_key(u)
+        other = seen.setdefault(key, u)
+        if other != u:
+            raise SpecParseError(
+                f"sender block words {other} and {u} both write as g-pair key {key!r}: "
+                "the source's v_prime labels must join to distinct keys"
+            )
+
+
 def gpair_to_json(gp):
     def table(g):
-        return {"".join(str(c) for c in u): str(x) for u, x in sorted(g.items())}
+        return {_word_key(u): str(x) for u, x in sorted(g.items())}
 
     return {
         "iota": gp.iota,
         "g0": table(gp.g0),
         "g1": table(gp.g1),
-        "groups": {"".join(str(c) for c in u): grp for u, grp in sorted(gp.groups.items())},
+        "groups": {_word_key(u): grp for u, grp in sorted(gp.groups.items())},
     }
 
 

@@ -356,6 +356,37 @@ def binary_entropy(q):
     return out
 
 
+def kron_block_weights(src, g, iota, x_alphabet):
+    """Reference for separation._block_weights: weights[x, v] from the
+    iota-fold Kronecker powers of the transition matrix and the receiver
+    marginal, one preimage row added per word of g."""
+    cond, pv_word = np.ones((1, 1)), np.ones(1)
+    for _ in range(iota):
+        cond = np.kron(cond, src.sender_given_receiver)     # P(V'=u | V=v)
+        pv_word = np.kron(pv_word, src.receiver_marginal)
+    vp_index = {sym: i for i, sym in enumerate(src.v_prime_alphabet)}
+    x_index = {x: i for i, x in enumerate(x_alphabet)}
+    radix = (len(vp_index),) * iota
+    acc = np.zeros((len(x_alphabet), pv_word.size))
+    for u, x in g.items():
+        acc[x_index[x]] += cond[np.ravel_multi_index([vp_index[c] for c in u], radix)]
+    return acc * pv_word
+
+
+def einsum_success_table(w, xs, g):
+    """Reference for coding._success_table: each site contracted by one
+    five-axis einsum, first site first."""
+    d = w.dim
+    t = g[None]
+    for x in xs:
+        rest = t.shape[-1] // d
+        t = np.einsum(
+            "tab,SbBaA->StBA", w.states[w.x_alphabet.index(x)],
+            t.reshape(t.shape[0], d, rest, d, rest),
+        ).reshape(-1, rest, rest)
+    return np.real(t.ravel())
+
+
 def kron_chain_precode(cert, gp, src, w, num_keys, nu):
     """Reference pre-code: encoders and decoders of repetition_precode, each
     decoder built as a sum of per-site np.kron chains, one chain per outcome

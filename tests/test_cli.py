@@ -153,6 +153,39 @@ class TestSeparateCommand:
         assert rc == 2
         assert not out.exists()
 
+    def test_sender_labels_whose_block_words_join_to_one_key_are_refused(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the separation test ran")
+
+        monkeypatch.setattr(cli, "separation_test", no_work)
+        src = tmp_path / "source.json"
+        io.dump_json({"v_prime": ["a", "aa"], "v": ["0", "1"],
+                      "joint": [[0.45, 0.05], [0.05, 0.45]]}, src)
+        out = tmp_path / "sep.json"
+        rc = main(["separate", "--channel", str(SPECS / "orthogonal_channel.json"),
+                   "--source", str(src), "--seed", "7", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: SpecParseError: sender block words ")
+        assert "('a', 'a', 'aa') and ('a', 'aa', 'a')" in err
+        assert not out.exists()
+
+    def test_multi_character_sender_labels_write_every_block_word(self, tmp_path):
+        src = tmp_path / "source.json"
+        io.dump_json({"v_prime": ["x0", "x1"], "v": ["0", "1"],
+                      "joint": [[0.45, 0.05], [0.05, 0.45]]}, src)
+        out = tmp_path / "sep.json"
+        rc = main(["separate", "--channel", str(SPECS / "orthogonal_channel.json"),
+                   "--source", str(src), "--seed", "7", "--out", str(out)])
+        assert rc == 0
+        gp = json.loads(out.read_text())["g_pair"]
+        assert gp["iota"] == 3
+        for table in ("g0", "g1", "groups"):
+            assert len(gp[table]) == 8
+            assert "x0x1x1" in gp[table]
+
 
 class TestTypicalityCommand:
     def test_bound_suite_csv(self, tmp_path):

@@ -42,6 +42,7 @@ from helpers import (
     bitflip_channel,
     constant_channel,
     cr_generation_reference,
+    einsum_success_table,
     flip_source,
     kron_chain_precode,
     orthogonal_channel,
@@ -156,6 +157,52 @@ class TestContraction:
         want = [product_success(w, xs, ss, g.T) for ss in iproduct(w.s_alphabet, repeat=3)]
         assert np.allclose(table, want, rtol=0.0, atol=1e-12)
 
+    def test_table_matches_einsum_reference_at_d3(self):
+        rng = np.random.default_rng(72)
+        states = np.stack([[wishart_state(rng, 3) for _ in range(3)] for _ in range(3)])
+        w = Avcqc(("p", "q", "r"), ("a", "b", "c"), states)
+        g = rng.standard_normal((27, 27)) + 1j * rng.standard_normal((27, 27))
+        for xs in (("r", "p", "q"), ("q",), ("p", "p")):
+            g_n = g[: 3 ** len(xs), : 3 ** len(xs)]
+            table = coding._success_table(w, xs, g_n)
+            assert np.abs(table - einsum_success_table(w, xs, g_n)).max() <= 1e-13
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_table_matches_einsum_reference_at_d2(self, n):
+        rng = np.random.default_rng([97, n])
+        w = random_avcqc(rng)
+        g = rng.standard_normal((2 ** n, 2 ** n)) + 1j * rng.standard_normal((2 ** n, 2 ** n))
+        xs = tuple(int(b) for b in rng.integers(0, 2, n))
+        table = coding._success_table(w, xs, g)
+        assert np.abs(table - einsum_success_table(w, xs, g)).max() <= 1e-13
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_evaluators_match_with_the_einsum_reference(self, n, monkeypatch):
+        rng = np.random.default_rng([101, n])
+        w = random_avcqc(rng)
+        det = random_projective_code(rng, n, 4, allow_duplicates=True)
+        other = random_projective_code(rng, n, 4)
+        rand = RandomCode((det, other))
+        corr = CorrelationCode(
+            l=1, n=n, v_prime_words=((0,), (1,)), v_words=((0,), (1,)),
+            encoders=[det.codebook, (det.codebook[0],) + other.codebook[1:]],
+            decoders=np.stack([det.decoders, other.decoders]),
+        )
+        src = flip_source(0.1)
+
+        def evaluate():
+            return [
+                worst_case_error_informed(det, w, return_strategy=True),
+                random_code_error_informed(rand, w, return_strategy=True),
+                correlation_code_error_informed(corr, w, src, return_strategy=True),
+            ]
+
+        got = evaluate()
+        monkeypatch.setattr(coding, "_success_table", einsum_success_table)
+        for (err, strategy), (want, want_strategy) in zip(got, evaluate()):
+            assert abs(err - want) <= 1e-14
+            assert strategy == want_strategy
+
     def test_n10_under_default_caps(self):
         rng = np.random.default_rng(73)
         w = random_avcqc(rng)
@@ -169,7 +216,7 @@ class TestContraction:
             g_t = np.ascontiguousarray(g.T)
             chosen = strategy(xs)
             success = product_success(w, xs, chosen, g_t)
-            one_err, one = coding._informed_error(w, 10, [(xs, g)], DEFAULT_CAPS)
+            one_err, one = coding._informed_error(w, 10, [(xs, g)], 1.0, DEFAULT_CAPS)
             assert one(xs) == chosen
             assert success == pytest.approx(1.0 - one_err, abs=1e-12)
             for ss in rng.integers(0, 2, size=(32, 10)):

@@ -39,6 +39,7 @@ from helpers import (
     bitflip_channel,
     constant_channel,
     flip_source,
+    kron_block_weights,
     orthogonal_channel,
     separable_instance,
     wishart_avcqc,
@@ -133,6 +134,33 @@ class TestEnsembleState:
         ens = ensemble_state(src, g, q, w)
         for vi in range(2):
             assert np.allclose(ens.blocks[vi], 0.5 * np.eye(2) / 2, atol=1e-12)
+
+
+class TestBlockWeights:
+    """_block_weights gives the Kronecker-power reference's table bit for bit."""
+
+    @pytest.mark.parametrize("nx, d", [(nx, d) for nx in (2, 3, 4, 5) for d in (2, 3)])
+    def test_fixed_draws(self, nx, d):
+        w, src = separable_instance(np.random.default_rng([2024, nx, d]), nx, d)
+        gp = build_g_pair(src, w.x_alphabet)
+        for g in (gp.g0, gp.g1):
+            got = _block_weights(src, g, gp.iota, w.x_alphabet)
+            want = kron_block_weights(src, g, gp.iota, w.x_alphabet)
+            assert got.shape == want.shape and (got == want).all()
+
+    @pytest.mark.parametrize("joint", [
+        [[0.3, 0.05, 0.12], [0.02, 0.33, 0.18]],
+        [[0.4, 0.0, 0.1], [0.1, 0.0, 0.4]],
+    ], ids=["three receiver symbols", "receiver marginal with a zero"])
+    def test_receiver_alphabets(self, joint):
+        src = CorrelatedSource(("u", "w"), ("a", "b", "c"), joint)
+        for letters in (("x", "y"), ("x", "y", "z")):
+            gp = build_g_pair(src, letters)
+            for g in (gp.g0, gp.g1):
+                got = _block_weights(src, g, gp.iota, letters)
+                want = kron_block_weights(src, g, gp.iota, letters)
+                assert got.shape == (len(letters), 3 ** gp.iota)
+                assert (got == want).all()
 
 
 class TestEmbedding:

@@ -64,6 +64,31 @@ class TestChannelRoundTrip:
         with pytest.raises(SpecParseError, match="missing state for key '1,0'"):
             io.load_channel(str(path))
 
+    def test_labels_joining_to_one_state_key_are_refused(self, tmp_path):
+        # ("a", "b,c") and ("a,b", "c") both write as "a,b,c": the spec
+        # below gives 3 keys for 4 pairs
+        state = [[[1.0, 0.0]]]
+        obj = {"x_alphabet": ["a", "a,b"], "s_alphabet": ["b,c", "c"], "dim": 1,
+               "states": {"a,b,c": state, "a,c": state, "a,b,b,c": state}}
+        path = tmp_path / "chan.json"
+        io.dump_json(obj, path)
+        with pytest.raises(SpecParseError, match=r"state key 'a,b,c' is the key of both pairs "
+                                                 r"\('a', 'b,c'\) and \('a,b', 'c'\)"):
+            io.load_channel(str(path))
+
+    def test_labels_with_commas_and_distinct_keys_load(self, tmp_path):
+        w = bitflip_channel()
+        obj = io.channel_to_json(w)
+        obj["x_alphabet"] = ["0,", "1,"]
+        obj["states"] = {f"{x},{s}": m for (x, s), m in zip(
+            [(x, s) for x in obj["x_alphabet"] for s in obj["s_alphabet"]],
+            obj["states"].values())}
+        path = tmp_path / "chan.json"
+        io.dump_json(obj, path)
+        loaded = io.load_channel(str(path))
+        assert loaded.x_alphabet == ("0,", "1,")
+        assert loaded.states.tobytes() == w.states.tobytes()
+
     def test_loaded_states_are_the_spec_entries(self, tmp_path):
         rng = np.random.default_rng(4)
         w = wishart_avcqc(rng, 3, 2, 3)
