@@ -36,13 +36,16 @@ from .operators import (
 
 def _check_alphabets(what, shape, *alphabets):
     """Raise AlphabetMismatch unless the table's leading shape is the
-    alphabet sizes and no alphabet is empty."""
+    alphabet sizes, no alphabet is empty and no alphabet repeats a label."""
     sizes = tuple(len(a) for a in alphabets)
     if shape != sizes:
         plural = "s" if len(sizes) > 1 else ""
         raise AlphabetMismatch(f"{what} {shape} does not match alphabet{plural} {sizes}")
     if 0 in sizes:
         raise AlphabetMismatch(f"{what} {shape} has an empty alphabet")
+    repeated = [x for a in alphabets for i, x in enumerate(a) if x in a[:i]]
+    if repeated:
+        raise AlphabetMismatch(f"{what} {shape}: label {repeated[0]!r} repeats in its alphabet")
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,11 +126,7 @@ class CorrelatedSource:
 
     def __post_init__(self):
         joint = validate_joint(np.asarray(self.joint, dtype=float), DEFAULT_TOL)
-        if joint.shape != (len(self.v_prime_alphabet), len(self.v_alphabet)):
-            raise AlphabetMismatch(
-                f"joint shape {joint.shape} does not match alphabets "
-                f"({len(self.v_prime_alphabet)}, {len(self.v_alphabet)})"
-            )
+        _check_alphabets("joint shape", joint.shape, self.v_prime_alphabet, self.v_alphabet)
         object.__setattr__(self, "v_prime_alphabet", tuple(self.v_prime_alphabet))
         object.__setattr__(self, "v_alphabet", tuple(self.v_alphabet))
         object.__setattr__(self, "joint", joint)

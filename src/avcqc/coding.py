@@ -199,6 +199,27 @@ class CorrelationCode:
     def num_messages(self):
         return len(self.encoders[0])
 
+    def _key_tables(self, w, src, caps):
+        """(pairs, tables) per distinct (codeword, sent message) pair, in
+        encoder order: tables[i, k] is _success_table of pair i against
+        message k's decoders, each weighted by the source mass its receiver
+        word has jointly with the sender words sending pair i."""
+        if self.decoders.shape[-1] != w.dim ** self.n:
+            raise DimensionMismatch(
+                f"decoder side {self.decoders.shape[-1]} != d^n = {w.dim ** self.n}"
+            )
+        _check_product_dim(w.dim, self.n, caps)
+        joint_l = _product_joint(src, self.l)
+        weights = {}
+        for ui, row in enumerate(self.encoders):
+            for j, xs in enumerate(row):
+                weights[xs, j] = weights.get((xs, j), 0.0) + joint_l[ui]
+        tables = [
+            [_success_table(w, xs, g) for g in np.tensordot(wv, self.decoders, axes=1)]
+            for (xs, _), wv in weights.items()
+        ]
+        return list(weights), np.array(tables)
+
 
 # ---------------------------------------------------------------------------
 # exact error evaluation
@@ -236,17 +257,20 @@ def _success_table(w, xs, g):
 def _jammer_picks(tables, s_words):
     """(error, JammerStrategy) from (codeword, success per state word) pairs.
 
-    For each codeword the jammer picks the first state word (in
-    lexicographic order) whose success is within _TIE_SLACK of the
-    minimum, so that exact ties do not go to whichever word rounding
-    favours; the error is one minus the summed minima, clipped to [0, 1].
+    Tables of equal codewords are added up in order.  For each codeword
+    the jammer picks the first state word (in lexicographic order) whose
+    success is within _TIE_SLACK of the minimum, so that exact ties do not
+    go to whichever word rounding favours; the error is one minus the
+    minima summed in codeword order, clipped to [0, 1].
     """
-    success, strategy = 0.0, {}
+    grouped = {}
     for xs, vals in tables:
-        low = vals.min()
-        success += low
-        strategy[xs] = s_words[int(np.argmax(vals <= low + _TIE_SLACK))]
-    return float(min(max(1.0 - success, 0.0), 1.0)), JammerStrategy(strategy)
+        grouped[xs] = grouped[xs] + vals if xs in grouped else vals
+    vals = np.reshape(list(grouped.values()), (len(grouped), len(s_words)))
+    low = vals.min(axis=1)
+    picks = np.argmax(vals <= low[:, None] + _TIE_SLACK, axis=1).tolist()
+    strategy = JammerStrategy({xs: s_words[i] for xs, i in zip(grouped, picks)})
+    return float(min(max(1.0 - sum(low.tolist()), 0.0), 1.0)), strategy
 
 
 def _check_codeword_letters(w, codewords):
@@ -261,22 +285,16 @@ def _check_codeword_letters(w, codewords):
 
 
 def _informed_error(w, n, entries, weight, caps):
-    """Exact informed-jammer error from (codeword, success operator) pairs.
+    """Exact informed-jammer (error, JammerStrategy) from (codeword, operator) pairs.
 
-    Operators of equal codewords are summed into one grouped operator G_x;
-    for each codeword the jammer picks the first state word s (in
-    lexicographic order) minimizing weight * tr(product_state(x, s) G_x),
-    weight being the entries' common weight (1/J, or 1/(J K) for a random
-    code), applied to each success table rather than to the operators.
-    A codeword letter outside the channel's input alphabet raises
-    AlphabetMismatch naming the letter and the codeword.
-    _success_table contracts G_x with one matmul per site, about
-    n * max(|S| d^{2n}, |S|^n d^2) operations.  Each site copies the
-    running table once with the site's legs side by side (T x d^2 x rest^2
-    entries for T state-word prefixes, d^{2n} at the first site), so the
-    largest intermediate has max(d^{2n}, |S|^n) entries.
-    caps.product_dim bounds d^n, the side of G_x.  Returns
-    (error, JammerStrategy).
+    Operators of equal codewords are summed into one grouped operator G_x,
+    whose success table, times the entries' common weight (1/J, or 1/(J K)
+    for a random code), goes to _jammer_picks.  A codeword letter outside
+    the channel's input alphabet raises AlphabetMismatch naming the letter
+    and the codeword.  _success_table takes about
+    n * max(|S| d^{2n}, |S|^n d^2) operations, and its largest
+    intermediate has max(d^{2n}, |S|^n) entries.  caps.product_dim bounds
+    d^n, the side of G_x.
     """
     grouped = {}
     for xs, g in entries:
@@ -347,15 +365,14 @@ def _product_joint(src, l):
 
 
 def _check_code_alphabets(code, w, src):
-    """Raise AlphabetMismatch unless a correlation code fits the source and channel.
+    """Raise AlphabetMismatch, naming the first offending word or letter,
+    unless a correlation code fits the source and channel.
 
     A CorrelationCode's sender and receiver words must be the source's
-    l-words in lexicographic order, the order in which the product source
-    indexes them, and every encoder letter must be a channel input letter.
-    A RepetitionPrecode's evaluators read the source's blocks, not its
-    words, and repetition_precode builds its encoders from its block
-    letters, so only those letters are checked.  The error names the first
-    offending word or letter.
+    l-words in lexicographic order, the product source's, and every encoder
+    letter a channel input letter.  A RepetitionPrecode is read through its
+    blocks, and its encoders come from its block letters: only those
+    letters are checked.
     """
     inputs = set(w.x_alphabet)
     if isinstance(code, RepetitionPrecode):
@@ -389,53 +406,28 @@ def _check_code_alphabets(code, w, src):
                     )
 
 
-def _source_weights(code, src, sent):
-    """Receiver-word weights per (codeword, message) of a correlation-assisted code.
-
-    sent yields (sender word index u, codeword, message); each adds the
-    product source's row P(u, .) to its (codeword, message) entry.
-    """
-    joint_l = _product_joint(src, code.l)
-    if joint_l.shape != (len(code.v_prime_words), len(code.v_words)):
-        raise DimensionMismatch("code word tables do not match the product source")
-    weights = {}
-    for ui, xs, j in sent:
-        weights[(xs, j)] = weights.get((xs, j), 0.0) + joint_l[ui]
-    return weights
-
-
 def correlation_code_error_informed(code, w, src, caps=DEFAULT_CAPS, return_strategy=False):
     """Exact informed-jammer error of a correlation-assisted code.
 
     The jamming function is applied outside the source average: the jammer
     observes the channel input word (which may reveal an equivalence class
-    of sender words) but neither source realization directly.  A
-    RepetitionPrecode is evaluated site by site and never builds its dense
-    decoders.  A code that does not fit the source and channel raises
-    AlphabetMismatch (see _check_code_alphabets).
+    of sender words) but neither source realization directly.  The
+    success of a codeword is the sum, over the messages j it carries, of
+    row j of its (codeword, j) success table (see _key_tables), divided by
+    J; a RepetitionPrecode never builds its dense decoders.  A code that
+    does not fit the source and channel raises AlphabetMismatch (see
+    _check_code_alphabets).
     """
-    n_vp = len(code.v_prime_words)
-    n_v = len(code.v_words)
-    if n_vp * n_v > caps.enumeration:
+    n_words = len(code.v_prime_words) * len(code.v_words)
+    if n_words > caps.enumeration:
         raise EnumerationOverflow(
-            f"|V'|^l * |V|^l = {n_vp * n_v} exceeds enumeration cap {caps.enumeration}"
+            f"|V'|^l * |V|^l = {n_words} exceeds enumeration cap {caps.enumeration}"
         )
     _check_code_alphabets(code, w, src)
-    if isinstance(code, RepetitionPrecode):
-        err, strategy = _precode_error(code, w, src, caps)
-        return (err, strategy) if return_strategy else err
-    if code.decoders.shape[-1] != w.dim ** code.n:
-        raise DimensionMismatch(
-            f"decoder side {code.decoders.shape[-1]} != d^n = {w.dim ** code.n}"
-        )
-    weights = _source_weights(
-        code, src,
-        ((ui, xs, j) for ui, row in enumerate(code.encoders) for j, xs in enumerate(row)),
-    )
-    entries = (
-        (xs, np.einsum("v,vab->ab", wv, code.decoders[:, j])) for (xs, j), wv in weights.items()
-    )
-    err, strategy = _informed_error(w, code.n, entries, 1 / code.num_messages, caps)
+    s_words = _state_words(w, code.n, caps)
+    pairs, tables = code._key_tables(w, src, caps)
+    success = tables[np.arange(len(pairs)), [k for _, k in pairs]] / code.num_messages
+    err, strategy = _jammer_picks(zip((xs for xs, _ in pairs), success), s_words)
     return (err, strategy) if return_strategy else err
 
 
@@ -470,31 +462,32 @@ def two_part_error_informed(pre, inner, w, src, caps=DEFAULT_CAPS):
     """Exact informed-jammer error of a two-part code, from its two parts.
 
     The key is the sender's private uniform randomness; the jammer sees the
-    full transmitted word (both parts), whose success table with message j
-    is sum_k a_k(s_pre) b_kj(s_inner) / JK: a_k the pre part's
-    _success_table against its source-weighted decoder of key k, b_kj the
-    inner part's against inner.codes[k].decoders[j].  A pre part that does
-    not fit the source and channel (see _check_code_alphabets), or an inner
-    codeword letter outside the channel's inputs, raises AlphabetMismatch.
+    full transmitted word (both parts).  Pre word x under key k followed by
+    key k's inner word j has the success table sum_k' a_k'(s_pre) b_k'(s_inner)
+    / JK: a the pre part's (x, k) table (see _key_tables), whose row k' is
+    the mass decoding to key k', and b_k' the inner word's _success_table
+    against inner.codes[k'].decoders[j].  A pre part that does not fit the
+    source and channel (see _check_code_alphabets), or an inner codeword
+    letter outside the channel's inputs, raises AlphabetMismatch.
     """
     _check_code_alphabets(pre, w, src)
     for det in inner.codes:
         _check_codeword_letters(w, det.codebook)
     j_n, k_n = inner.num_messages, inner.num_keys
     s_words = _state_words(w, pre.n + inner.n, caps)
-    sent = (
-        (ui, tuple(pre.encoders[ui][k]) + tuple(inner.codes[k].codebook[j]), j)
-        for ui in range(len(pre.v_prime_words))
-        for k in range(k_n)
-        for j in range(j_n)
+    pairs, a = pre._key_tables(w, src, caps)
+    # b[k, j, k'] is inner word j of key k against key k''s decoder of j
+    b = np.array([
+        [[_success_table(w, xs, det.decoders[j]) for det in inner.codes]
+         for j, xs in enumerate(sent.codebook)]
+        for sent in inner.codes
+    ])
+    whole = np.einsum("nka,njkb->njab", a, b[[k for _, k in pairs]]) / (j_n * k_n)
+    return _jammer_picks(
+        ((x_pre + xs, table.ravel()) for (x_pre, k), rows in zip(pairs, whole)
+         for xs, table in zip(inner.codes[k].codebook, rows)),
+        s_words,
     )
-    tables = {}
-    for (xs, j), wv in _source_weights(pre, src, sent).items():
-        a = [_success_table(w, xs[: pre.n], g) for g in np.einsum("v,vkab->kab", wv, pre.decoders)]
-        b = [_success_table(w, xs[pre.n :], det.decoders[j]) for det in inner.codes]
-        table = np.einsum("ka,kb->ab", a, b).ravel() / (j_n * k_n)
-        tables[xs] = tables[xs] + table if xs in tables else table
-    return _jammer_picks(tables.items(), s_words)
 
 
 def assemble_two_part(pre, inner, w, src, caps=DEFAULT_CAPS):
@@ -541,7 +534,9 @@ class RepetitionPrecode:
     first, since words and blocks both enumerate letter tuples
     lexicographically.  The outcome words, in iproduct order, decode to the
     keys bit_keys.  It has every field of CorrelationCode; the dense
-    decoders are built on first read.
+    decoders are built on first read, for readers such as
+    correlation_code_to_json: the error, the two-part error and simulate
+    run on the site pairs.
     """
 
     l: int                       # correlation block length, n * iota
@@ -564,6 +559,31 @@ class RepetitionPrecode:
     @property
     def num_messages(self):
         return len(self.key_words)
+
+    def _key_tables(self, w, src, caps):
+        """(pairs, tables) as CorrelationCode._key_tables, site by site.
+
+        The source is i.i.d. and each encoder acts block by block, so a
+        (x^n, k) table is _site_products of the factors A[c_t, x_t], c_t =
+        key_words[k][t], of the source-averaged site table
+          A[c, x, bit, s] = sum_{u : g_c(u) = x} sum_b P_iota(u, b) T[b, bit, x, s].
+        Key k sends every product of the letters its bits give some block:
+        its pairs come from block_letters, each use's letters in block order.
+        """
+        joint = _product_joint(src, self.l // self.n)
+        if joint.shape != (len(self.block_letters), len(self.site)):
+            raise DimensionMismatch("code block tables do not match the product source")
+        letters = np.array([[w.x_alphabet.index(x) for x in pair] for pair in self.block_letters])
+        maps_to = (letters[:, :, None] == np.arange(len(w.x_alphabet))).astype(float)
+        weighted = np.einsum("ub,bkxs->ukxs", joint, _site_traces(self, w))
+        a = np.einsum("ucx,ukxs->cxks", maps_to, weighted)
+        words, xi, keys = [], [], []
+        for k, bits in enumerate(self.key_words):
+            words += iproduct(*(dict.fromkeys(p[c] for p in self.block_letters) for c in bits))
+            xi += iproduct(*(dict.fromkeys(letters[:, c].tolist()) for c in bits))
+            keys += [k] * (len(xi) - len(keys))
+        factors = a[np.array(self.key_words)[keys], np.array(xi)]    # (pairs, nu, 2, |S|)
+        return list(zip(words, keys)), _site_products(factors, self.bit_keys, self.num_messages)
 
     @cached_property
     def decoders(self):
@@ -602,9 +622,8 @@ def repetition_precode(cert, gp, src, w, num_keys=2, nu=3, caps=DEFAULT_CAPS):
         raise KeySetMismatch(f"cannot place {num_keys} keys in {nu} bits")
     iota = gp.iota
     l = nu * iota
-    n_vp_letters = len(src.v_prime_alphabet)
     n_v_letters = len(src.v_alphabet)
-    if (n_vp_letters ** l) * (n_v_letters ** l) > caps.enumeration:
+    if (len(src.v_prime_alphabet) * n_v_letters) ** l > caps.enumeration:
         raise EnumerationOverflow(
             f"source word tables at l = {l} exceed the enumeration cap"
         )
@@ -649,6 +668,22 @@ def _key_words(nu, num_keys):
                     return words
 
 
+def _site_products(factors, bit_keys, num_keys):
+    """(N, K, m^nu) tables from per-use factors (N, nu, 2, m): entry
+    [i, k, s^nu] adds, over the outcome words decoding to key k in index
+    order, the product over the uses t of factors[i, t, bits_t, s_t],
+    first use first."""
+    n_rows, nu, _, m = factors.shape
+    prods = factors[:, 0]
+    for t in range(1, nu):
+        prods = prods[:, :, None, :, None] * factors[:, t, None, :, None, :]
+        prods = prods.reshape(n_rows, 2 ** (t + 1), m ** (t + 1))
+    tables = np.zeros((n_rows, num_keys, m ** nu))
+    for i, k in enumerate(bit_keys.tolist()):
+        tables[:, k] += prods[:, i]
+    return tables
+
+
 def _site_traces(code, w):
     """T[b, bit, x, s] = tr(W(x, s) M[b, bit]) for the site pairs of a
     RepetitionPrecode."""
@@ -659,50 +694,24 @@ def _site_traces(code, w):
     return np.real(np.einsum("xsij,bkji->bkxs", w.states, code.site))
 
 
-def _precode_error(code, w, src, caps):
-    """Exact informed-jammer error of a RepetitionPrecode, site by site.
-
-    The source is i.i.d. and each encoder acts block by block, so for a key
-    k and codeword x^n the sender words mapping to it form a product set
-    and the success factorizes over the uses:
-      A[c, x, bit, s] = sum_{u : g_c(u) = x} sum_b P_iota(u, b) T[b, bit, x, s]
-      success(x^n, s^n) = (1/K) sum_bits prod_t A[key_words[k][t], x_t, bits_t, s_t],
-    k = bit_keys[bits], over s^n in lexicographic order: 2^n |S|^n products
-    per codeword.  The jammer then picks as in _informed_error.
-    """
-    s_words = _state_words(w, code.n, caps)
-    joint = _product_joint(src, code.l // code.n)
-    if joint.shape != (len(code.block_letters), len(code.site)):
-        raise DimensionMismatch("code block tables do not match the product source")
-    letters = np.array([[w.x_alphabet.index(x) for x in pair] for pair in code.block_letters])
-    maps_to = (letters[:, :, None] == np.arange(len(w.x_alphabet))).astype(float)
-    weighted = np.einsum("ub,bkxs->ukxs", joint, _site_traces(code, w))
-    a = np.einsum("ucx,ukxs->cxks", maps_to, weighted)
-    words = list(dict.fromkeys(chain.from_iterable(code.encoders)))
-    xi = np.array([[w.x_alphabet.index(x) for x in xs] for xs in words], dtype=np.intp)
-    success = 0.0
-    for bits, k in zip(iproduct((0, 1), repeat=code.n), code.bit_keys):
-        prods = np.ones((len(words), 1))
-        for t, (c, bit) in enumerate(zip(code.key_words[k], bits)):
-            prods = (prods[:, :, None] * a[c, xi[:, t], bit][:, None, :]).reshape(len(words), -1)
-        success = success + prods
-    return _jammer_picks(zip(words, success / code.num_messages), s_words)
-
-
 def two_part_design(rate_r, n, c_k=1.0):
     """Desk-scale block design for a two-part code at channel length n.
 
     The pre-code spends nu = ceil((3 / rate) * log2 n) uses establishing a
     key drawn from ceil(c_k * n**2) values; rate_r is the induced binary
-    channel's max-min rate.
+    channel's max-min rate.  rate_r and c_k must be finite and > 0 and n an
+    integer >= 2, and both sizes finite, or InvalidArgument is raised.
     """
-    if rate_r <= 0.0:
-        raise ValueError(f"binary channel rate {rate_r} must be positive")
-    if n < 2:
-        raise ValueError(f"channel length {n} must be at least 2")
-    nu = int(np.ceil((3.0 / rate_r) * np.log2(n)))
-    num_keys = int(np.ceil(c_k * n * n))
-    return {"nu": nu, "num_keys": num_keys}
+    for name, v in (("rate_r", rate_r), ("c_k", c_k)):
+        if not (isinstance(v, (int, float, np.integer, np.floating)) and 0 < v < np.inf):
+            raise InvalidArgument(f"{name} must be a finite number > 0, got {v!r}")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
+        raise InvalidArgument(f"channel length n must be an integer >= 2, got {n!r}")
+    try:
+        return {"nu": int(np.ceil((3.0 / rate_r) * np.log2(float(n)))),
+                "num_keys": int(np.ceil(c_k * n * n))}
+    except OverflowError as exc:
+        raise InvalidArgument(f"rate_r={rate_r!r}, n={n!r}, c_k={c_k!r}: no finite design") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -734,15 +743,15 @@ def cr_generation_run(w, src, code, trials, seed, caps=DEFAULT_CAPS):
     first m rows of a run are the rows of an m-trial run.
 
     The outcome probabilities of all trials come from one batched pass.
-    For a RepetitionPrecode they are the products of the site traces
-    T[b, bit, x, s] over the nu sites, summed per key, with no product
-    state or dense decoder; otherwise each distinct codeword's product
-    state is built once and each distinct (receiver word, codeword) pair
-    is contracted with its decoders once.  A TwoPartCode's are
-    sum_k pre[k] inner[k, j], its pre part's as above on the first pre.n
-    letters, its inner part's from one product state per distinct (inner
-    word, inner state word).  The probabilities are clipped at
-    0 and completed by the failure entry max(1 - sum, 0).  Returns a dict
+    A RepetitionPrecode's are _site_products of the site traces
+    T[b, bit, x, s] at each trial's blocks and state word (m = 1), with no
+    product state or dense decoder; a CorrelationCode contracts each
+    distinct (receiver word, codeword) pair with its decoders once, on one
+    product state per codeword.  A TwoPartCode's are sum_k pre[k] inner[k, j]:
+    its pre part's as above on the first pre.n letters, its inner part's
+    from one product state per distinct (inner word, inner state word).
+    They are clipped at 0 and completed by the failure entry
+    max(1 - sum, 0).  Returns a dict
     with the agreement rate, the empirical entropy (bits) of the agreed
     value, and per-trial records.  `trials` must be an integer >= 1 and
     `seed` a nonnegative integer: None, which would draw fresh OS entropy
@@ -776,15 +785,12 @@ def cr_generation_run(w, src, code, trials, seed, caps=DEFAULT_CAPS):
     # the code's words are the l-words in lexicographic order
     u_index = vp_letters @ n_vp ** np.arange(l - 1, -1, -1)
     sent, which = np.unique((u_index * k_n + key) * j_n + msg, return_inverse=True)
-    word_ids = {}
-    word_of_sent = []
+    word_ids, word_of_sent = {}, []
     for c in sent.tolist():
         c, j = divmod(c, j_n)
         u, k = divmod(c, k_n)
-        if two_part:
-            xs = pre.encoders[u][k] + code.inner.codes[k].codebook[j]
-        else:
-            xs = pre.encoders[u][j]
+        xs = (pre.encoders[u][k] + code.inner.codes[k].codebook[j] if two_part
+              else pre.encoders[u][j])
         word_of_sent.append(word_ids.setdefault(xs, len(word_ids)))
     word = np.array(word_of_sent, dtype=np.intp)[which]   # codeword id of each trial
     words = list(word_ids)
@@ -799,20 +805,13 @@ def cr_generation_run(w, src, code, trials, seed, caps=DEFAULT_CAPS):
         return np.array([rhos[p] for p in pairs])
 
     if isinstance(pre, RepetitionPrecode):
-        # P(bits) = prod_t T[b_t, bits_t, x_t, s_t], first site first, added
-        # into its key in outcome-word order
         traces = _site_traces(pre, w)
         iota = l // pre.n
         blocks = v_letters.reshape(trials, pre.n, iota) @ n_v ** np.arange(iota - 1, -1, -1)
         xi = np.array([[w.x_alphabet.index(x) for x in xs] for xs in words], dtype=np.intp)
         si = np.array([[w.s_alphabet.index(s) for s in ss] for ss in states], dtype=np.intp)
         sites = traces[blocks, :, xi[word, : pre.n], si[word, : pre.n]]   # (trials, nu, 2)
-        prods = sites[:, 0]
-        for t in range(1, pre.n):
-            prods = (prods[:, :, None] * sites[:, t, None, :]).reshape(trials, -1)
-        probs = np.zeros((trials, pre.num_messages))
-        for i, k in enumerate(pre.bit_keys.tolist()):
-            probs[:, k] += prods[:, i]
+        probs = _site_products(sites[..., None], pre.bit_keys, pre.num_messages)[..., 0]
     else:
         pre_rhos = part_states(slice(pre.n))
         v_index = v_letters @ n_v ** np.arange(l - 1, -1, -1)
@@ -845,15 +844,9 @@ def cr_generation_run(w, src, code, trials, seed, caps=DEFAULT_CAPS):
     vp_text = np.array([str(c) for c in src.v_prime_alphabet], dtype=object)[vp_letters]
     v_text = np.array([str(c) for c in src.v_alphabet], dtype=object)[v_letters]
     s_text = ["".join(str(c) for c in ss) for ss in states]
+    fields = ("trial", "v_prime", "v", "j", "decoded", "jammer_choice")
     rows = [
-        {
-            "trial": t,
-            "v_prime": "".join(us),
-            "v": "".join(vs),
-            "j": j,
-            "decoded": d,
-            "jammer_choice": s_text[c],
-        }
+        dict(zip(fields, (t, "".join(us), "".join(vs), j, d, s_text[c])))
         for t, (us, vs, j, d, c) in enumerate(
             zip(vp_text.tolist(), v_text.tolist(), msg.tolist(), decoded.tolist(), word.tolist())
         )

@@ -43,15 +43,22 @@ def _rows(obj, what):
     return obj
 
 
-def _labels(obj, what):
-    """A non-empty list of string or integer labels, as strings."""
+def _labels(obj, what, distinct=True):
+    """A non-empty list of string or integer labels, as strings; with distinct, no two alike."""
     if not isinstance(obj, list) or not obj or not all(
         isinstance(v, (str, int)) and not isinstance(v, bool) for v in obj
     ):
         raise SpecParseError(
             f"{what}: expected a non-empty list of labels, got {reprlib.repr(obj)}"
         )
-    return [str(v) for v in obj]
+    labels = [str(v) for v in obj]
+    for i, label in enumerate(labels):
+        if distinct and label in labels[:i]:
+            raise SpecParseError(
+                f"{what}: labels {obj[labels.index(label)]!r} and {obj[i]!r} both read "
+                f"{label!r}; every label must be distinct"
+            )
+    return labels
 
 
 def _count(v, what):
@@ -66,7 +73,7 @@ def _words(obj, length, what):
     """A non-empty list of words of `length` labels each, as tuples of strings."""
     if not isinstance(obj, list) or not obj:
         raise SpecParseError(f"{what}: expected a non-empty list of words, got {reprlib.repr(obj)}")
-    words = tuple(tuple(_labels(u, what)) for u in obj)
+    words = tuple(tuple(_labels(u, what, distinct=False)) for u in obj)
     if any(len(u) != length for u in words):
         raise SpecParseError(
             f"{what}: words must have length {length}, got lengths {[len(u) for u in words]}"

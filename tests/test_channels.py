@@ -280,6 +280,20 @@ class TestStackedValidation:
         with pytest.raises(AlphabetMismatch, match=r"kernel shape \(0, 0\) has an empty alphabet"):
             JammerKernel((), (), np.zeros((0, 0)))
 
+    def test_repeated_label_refused(self):
+        with pytest.raises(AlphabetMismatch, match=r"joint shape \(2, 2\): label 0 repeats"):
+            CorrelatedSource((0, 0), (0, 1), [[0.45, 0.05], [0.05, 0.45]])
+        with pytest.raises(AlphabetMismatch, match=r"joint shape \(2, 2\): label 'b' repeats"):
+            CorrelatedSource(("a", "b"), ("b", "b"), [[0.45, 0.05], [0.05, 0.45]])
+        with pytest.raises(AlphabetMismatch, match=r"state table \(2, 2\): label 1 repeats"):
+            Avcqc((0, 1), (1, 1), bitflip_channel().states)
+        with pytest.raises(AlphabetMismatch, match=r"table \(2,\): label 'x' repeats"):
+            CqChannel(("x", "x"), np.stack([ZERO, ONE]))
+
+    def test_source_shape_mismatch_named(self):
+        with pytest.raises(AlphabetMismatch, match=r"joint shape \(2, 2\) does not match alphabets \(2, 3\)"):
+            CorrelatedSource((0, 1), (0, 1, 2), [[0.45, 0.05], [0.05, 0.45]])
+
     def test_input_arrays_stored_unchanged(self):
         rng = np.random.default_rng(9)
         states = np.stack([[wishart_state(rng, 3) for _ in range(2)] for _ in range(2)])

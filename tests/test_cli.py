@@ -187,6 +187,29 @@ class TestSeparateCommand:
             assert "x0x1x1" in gp[table]
 
 
+REPEATED_LABEL_SOURCES = [
+    ({"v_prime": ["0", "0"], "v": ["0", "1"]}, "v_prime: labels '0' and '0' both read '0'"),
+    ({"v_prime": ["0", "1"], "v": [0, "0"]}, "v: labels 0 and '0' both read '0'"),
+]
+
+
+@pytest.mark.parametrize("command", ["separate", "simulate"])
+@pytest.mark.parametrize("labels, message", REPEATED_LABEL_SOURCES, ids=["v_prime", "v"])
+def test_source_with_a_repeated_label_exits_1(command, labels, message, tmp_path, capsys):
+    # before the check, separate wrote a NotSeparable result for the first
+    # source (its two sender letters read as one) and a certificate for the second
+    src = tmp_path / "source.json"
+    io.dump_json({**labels, "joint": [[0.45, 0.05], [0.05, 0.45]]}, src)
+    out = tmp_path / "out.json"
+    rc = main([command, "--channel", str(SPECS / "orthogonal_channel.json"),
+               "--source", str(src), "--seed", "7", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: SpecParseError: ")
+    assert message in err
+    assert not out.exists()
+
+
 class TestTypicalityCommand:
     def test_bound_suite_csv(self, tmp_path):
         b = np.sqrt(0.92**2 - 0.5**2) / 2

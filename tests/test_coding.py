@@ -659,6 +659,36 @@ class TestRepetitionPrecode:
         res = cr_generation_run(w, src, pre, trials=40, seed=31)
         assert len(res["rows"]) == 40
 
+    def test_two_part_with_a_site_pre_part_reads_no_dense_decoders(self, monkeypatch):
+        w, src, pre, inner = toy_two_part(leak=0.2)
+
+        def no_dense(*args, **kwargs):
+            raise AssertionError("dense pre decoders read")
+
+        monkeypatch.setattr(coding.RepetitionPrecode, "decoders", property(no_dense))
+        err, jammer = two_part_error_informed(pre, inner, w, src)
+        two = assemble_two_part(pre, inner, w, src)
+        assert (two.assembled_error, two.jammer) == (err, jammer)
+
+    @pytest.mark.parametrize("instance", ["flip", "leak", "separable-d3"])
+    def test_site_and_dense_tables_agree(self, instance):
+        # every (codeword, sent key, decoded key) entry, the off-diagonal
+        # rows included, not only the rows the pre-code's own error reads
+        if instance == "separable-d3":
+            w, src = separable_d3_instance()
+            gp = build_g_pair(src, w.x_alphabet)
+            pre = repetition_precode(separation_test(w, src, gp, seed=1), gp, src, w)
+        else:
+            w, src, pre, _ = toy_two_part(**({"flip": 0.1} if instance == "flip" else {"leak": 0.2}))
+        site = dict(zip(*pre._key_tables(w, src, DEFAULT_CAPS)))
+        dense = dict(zip(*as_dense(pre)._key_tables(w, src, DEFAULT_CAPS)))
+        assert site.keys() == dense.keys()
+        assert max(np.abs(site[p] - dense[p]).max() for p in site) <= 1e-13
+        sent_under = {}
+        for xs, k in site:
+            sent_under.setdefault(xs, set()).add(k)
+        assert max(len(keys) for keys in sent_under.values()) >= 2
+
     @pytest.mark.parametrize("instance", ["orthogonal-flip10"], indirect=True)
     @pytest.mark.parametrize("which, defect, error, message", [
         ("m0", "nan", InvalidArgument,
@@ -692,8 +722,35 @@ class TestTwoPartDesign:
         assert design == {"nu": 9, "num_keys": 64}
         design = two_part_design(0.5, 4, c_k=2.0)
         assert design == {"nu": 12, "num_keys": 32}
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgument):
             two_part_design(0.0, 8)
+
+    @pytest.mark.parametrize("args, message", [
+        ((np.inf, 8), "rate_r must be a finite number > 0, got inf"),
+        ((np.nan, 8), "rate_r must be a finite number > 0, got nan"),
+        ((-1.0, 8), "rate_r must be a finite number > 0"),
+        (("1", 8), "rate_r must be a finite number > 0"),
+        ((1.0, 2.5), r"n must be an integer >= 2, got 2\.5"),
+        ((1.0, True), "n must be an integer >= 2, got True"),
+        ((1.0, 1), "n must be an integer >= 2, got 1"),
+        ((1.0, 8, -1.0), r"c_k must be a finite number > 0, got -1\.0"),
+        ((1.0, 8, np.inf), "c_k must be a finite number > 0, got inf"),
+        ((1.0, 8, np.nan), "c_k must be a finite number > 0, got nan"),
+        ((1e-320, 8), "no finite design"),
+        ((1.0, 8, 1e307), "no finite design"),
+    ])
+    def test_out_of_range_inputs_refused(self, args, message):
+        from avcqc import two_part_design
+
+        with pytest.raises(InvalidArgument, match=message):
+            two_part_design(*args)
+
+    def test_numpy_scalars_accepted(self):
+        from avcqc import two_part_design
+
+        assert two_part_design(np.float64(0.5), np.int64(4), c_k=np.float32(2.0)) == {
+            "nu": 12, "num_keys": 32
+        }
 
 
 class TestCrGeneration:

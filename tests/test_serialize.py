@@ -123,6 +123,32 @@ class TestSourceRoundTrip:
             io.load_source(str(path))
 
 
+    @pytest.mark.parametrize("field, labels, named", [
+        ("v_prime", ["0", "0"], "'0' and '0'"),
+        ("v", [0, "0"], "0 and '0'"),
+        ("v", ["a", "b", 7, "7"], "7 and '7'"),
+    ])
+    def test_labels_that_read_alike_are_refused(self, tmp_path, field, labels, named):
+        obj = io.source_to_json(flip_source(0.1))
+        obj[field] = labels
+        obj["joint"] = [[1.0 / (2 * len(obj["v"]))] * len(obj["v"])] * len(obj["v_prime"])
+        path = tmp_path / "src.json"
+        io.dump_json(obj, path)
+        with pytest.raises(SpecParseError, match=f"{field}: labels {named} both read "):
+            io.load_source(str(path))
+
+    def test_channel_label_that_repeats_is_refused(self, tmp_path):
+        obj = io.channel_to_json(bitflip_channel())
+        obj["s_alphabet"] = ["0", 0]
+        path = tmp_path / "chan.json"
+        io.dump_json(obj, path)
+        with pytest.raises(SpecParseError, match="s_alphabet: labels '0' and 0 both read '0'"):
+            io.load_channel(str(path))
+
+    def test_code_words_may_repeat_a_letter(self, tmp_path):
+        assert io._words([["0", "0"], [1, 1]], 2, "words") == (("0", "0"), ("1", "1"))
+
+
 class TestCodeRoundTrip:
     def test_deterministic(self):
         code = DeterministicCode(
