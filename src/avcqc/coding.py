@@ -189,7 +189,19 @@ class CorrelationCode:
         enc = tuple(tuple(tuple(xs) for xs in row) for row in self.encoders)
         if any(len(xs) != self.n for row in enc for xs in row):
             raise LengthMismatch("encoder words must have length n")
+        messages = sorted({len(row) for row in enc})
+        if len(enc) != len(self.v_prime_words) or len(messages) != 1 or messages[0] < 1:
+            raise DimensionMismatch(
+                f"encoders have {len(enc)} rows of {messages} messages for "
+                f"{len(self.v_prime_words)} sender words: need one row per sender word, "
+                f"all of the same J >= 1 messages"
+            )
         dec = read_only(_validate_povm(self.decoders))
+        if dec.ndim != 4 or dec.shape[1] != messages[0]:
+            raise DimensionMismatch(
+                f"decoders of shape {dec.shape[:-2]} do not hold one {messages[0]}-outcome "
+                f"POVM per receiver word"
+            )
         object.__setattr__(self, "encoders", enc)
         object.__setattr__(self, "decoders", dec)
         object.__setattr__(self, "v_prime_words", tuple(tuple(u) for u in self.v_prime_words))
@@ -370,9 +382,10 @@ def _check_code_alphabets(code, w, src):
 
     A CorrelationCode's sender and receiver words must be the source's
     l-words in lexicographic order, the product source's, and every encoder
-    letter a channel input letter.  A RepetitionPrecode is read through its
-    blocks, and its encoders come from its block letters: only those
-    letters are checked.
+    letter a channel input letter; after these, decoders that do not hold
+    one row per receiver word raise DimensionMismatch.  A RepetitionPrecode
+    is read through its blocks, and its encoders come from its block
+    letters: only those letters are checked.
     """
     inputs = set(w.x_alphabet)
     if isinstance(code, RepetitionPrecode):
@@ -404,6 +417,10 @@ def _check_code_alphabets(code, w, src):
                         f"encoder letter {x!r} of sender word {u}, message {j} is not in "
                         f"the channel's input alphabet {w.x_alphabet}"
                     )
+    if len(code.decoders) != len(code.v_words):
+        raise DimensionMismatch(
+            f"{len(code.decoders)} decoder rows for {len(code.v_words)} receiver words"
+        )
 
 
 def correlation_code_error_informed(code, w, src, caps=DEFAULT_CAPS, return_strategy=False):

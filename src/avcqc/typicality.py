@@ -12,13 +12,14 @@ bounds the number of typical sequences, never |alphabet|**n.
 The bound verifier never materializes d**n operators: every quantity it
 needs (masses, ranks, extremal eigenvalue products, cross-basis overlap
 masses) reduces to aggregates over letter-count classes because all the
-operators involved are diagonal in per-site eigenbases.  It covers a range
-of block lengths in one array pass: one enumerator grows the classes of
-every n together, their aggregates are array sums, and one dynamic program
-runs the cross masses on a stack of count tables, in chunks within the cap.
+operators involved are diagonal in per-site eigenbases.  One array pass
+covers a range of block lengths: one enumerator grows the classes of the
+source and every letter at every n, and one dynamic program runs the cross
+masses on flat count tables that block lengths share while their words agree.
 """
 
 from dataclasses import dataclass
+from itertools import repeat
 from math import factorial, inf, log2, prod
 from numbers import Integral, Real
 
@@ -46,14 +47,16 @@ _PASS_SLACK = 1e-12
 
 def _block_length(n):
     """n if it is an integer >= 1 (not a bool), else InvalidArgument."""
+    if type(n) is int and n >= 1:
+        return n
     if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
         raise InvalidArgument(f"block length must be an integer >= 1, got {n!r}")
     return int(n)
 
 
 def _check_window(v, name):
-    """Raise InvalidArgument naming v unless it is a finite real number > 0."""
-    if not (isinstance(v, Real) and 0.0 < v < inf):
+    """Raise InvalidArgument naming v unless it is a finite real number > 0, not a bool."""
+    if isinstance(v, bool) or not (isinstance(v, Real) and 0.0 < v < inf):
         raise InvalidArgument(f"{name} must be finite and > 0, got {v!r}")
 
 
@@ -89,11 +92,9 @@ def stable_eigh(m):
                     break
             v[:, start:stop] = np.stack(basis, axis=1)
         start = stop
-    for k in range(d):
-        i = int(np.argmax(np.abs(v[:, k])))
-        ph = v[i, k] / abs(v[i, k])
-        v[:, k] = v[:, k] / ph
-    return w, v
+    # np.abs(v.T) gives each column's bits, as a loop over columns did; np.abs(v) may not
+    top = v[np.argmax(np.abs(v.T), axis=1), np.arange(d)]
+    return w, v / np.array([t / abs(t) for t in top])
 
 
 def _chunks(extents, cap):
@@ -118,41 +119,49 @@ def _spread(values, bounds, fill):
 
 def _window_classes(p, ns, half_width, guard=DEFAULT_TOL.typicality_boundary,
                     caps=DEFAULT_CAPS):
-    """Count vectors c (len(p) entries, sum n) with |c/n - p| <= half_width, for each n in ns.
+    """Count vectors c (sum n) with |c/n - p| <= half_width, for each row (p, n) of (p, ns).
 
-    Labels with probability below the support floor are pinned to count 0.
-    All block lengths grow together, label by label: a row carries its n,
-    takes the counts of n's window widened by one and is dropped once its
-    partial sum passes n.  Each n's candidates are checked against
-    caps.enumeration before every label; an n over it stops there.  Block
-    lengths go in batches whose stacked window boxes stay within the cap.
-    Returns (counts, bounds, over): counts[bounds[i]:bounds[i + 1]] are the
-    classes of ns[i] in lexicographic order, over[i] its overflow or None.
+    p is one spectrum for every n or one per n; labels below the support
+    floor are pinned to count 0.  Rows grow label by label, checked against
+    caps.enumeration before each and stopped once over it: a row whose window
+    box (windows widened by one) could pass the cap takes the box's counts
+    with partial sums up to n, any other row the window counts from which the
+    later windows still reach n.  Rows go in batches whose boxes stack within
+    the cap.  Returns (counts, bounds, over): row i's classes, in lexicographic
+    order, are counts[bounds[i]:bounds[i + 1]], over[i] its overflow or None.
     """
-    p, nv = np.asarray(p, dtype=float), np.asarray(ns, dtype=int)
-    reach, centre = nv * (half_width + guard), np.multiply.outer(nv, p[:-1])
+    nv = np.asarray(ns, dtype=int)
+    p = np.broadcast_to(np.asarray(p, dtype=float), (nv.size, np.shape(p)[-1]))
+    reach, centre = nv * (half_width + guard), nv[:, None] * p
     lo = np.clip(np.ceil(centre - reach[:, None]) - 1, 0, nv[:, None]).astype(int)
     hi = np.clip(np.floor(centre + reach[:, None]) + 1, 0, nv[:, None]).astype(int)
-    size = np.maximum(np.where(p[:-1] < _SUPPORT_FLOOR, 0, hi) - lo + 1, 0)
-    over, found = [None] * nv.size, [(np.zeros((0, p.size), dtype=int), np.zeros(0, dtype=int))]
-    for g0, g1 in _chunks(size, caps.enumeration):
-        row, total = np.arange(g0, g1), np.zeros(g1 - g0, dtype=int)
-        counts = np.zeros((g1 - g0, 0), dtype=int)
-        for j in range(p.size - 1):
+    size = np.maximum(np.where(p < _SUPPORT_FLOOR, 0, hi) - lo + 1, 0)
+    vals = lo[..., None] + np.arange(size.max(initial=0))
+    ok = (vals < (lo + size)[..., None]) & (  # an interval: |c/n - p| is monotone on each side
+        np.abs(vals / nv[:, None, None] - p[..., None]) <= half_width + guard)
+    box = (np.prod(np.maximum(size[:, :-1], 1), axis=1, dtype=float) > caps.enumeration)[:, None]
+    first, width = np.where(box, lo, lo + ok.argmax(axis=2)), np.where(box, size, ok.sum(axis=2))
+    low = np.where(box, 0, first[:, ::-1].cumsum(axis=1)[:, ::-1])
+    high = np.where(box, nv[:, None], (first + width - 1)[:, ::-1].cumsum(axis=1)[:, ::-1])
+    over, found = [None] * nv.size, [(np.zeros((0, p.shape[1]), dtype=int), np.zeros(0, dtype=int))]
+    for g0, g1 in _chunks(size[:, :-1], caps.enumeration):
+        row, total, counts = np.arange(g0, g1), np.zeros(g1 - g0, int), np.zeros((g1 - g0, 0), int)
+        for j in range(p.shape[1] - 1):
             cand = np.bincount(row - g0, minlength=g1 - g0) * size[g0:g1, j]
             for g in np.flatnonzero(cand > caps.enumeration):
                 over[g0 + g] = f"{cand[g]} window candidates exceed cap {caps.enumeration}"
-            reps = np.where(cand[row - g0] > caps.enumeration, 0, size[row, j])
+            reps = np.where(cand[row - g0] > caps.enumeration, 0, width[row, j])
             idx = np.repeat(np.arange(row.size), reps)
-            col = lo[row[idx], j] + np.arange(idx.size) - np.repeat(np.cumsum(reps) - reps, reps)
-            fits = total[idx] + col <= nv[row[idx]]
-            idx, col = idx[fits], col[fits]
-            row, total, counts = row[idx], total[idx] + col, np.column_stack([counts[idx], col])
-        counts = np.column_stack([counts, nv[row] - total])
-        bad = (np.abs(counts / nv[row, None] - p) > half_width + guard) | (
-            (p < _SUPPORT_FLOOR) & (counts > 0))
-        found.append((counts[~bad.any(axis=1)], row[~bad.any(axis=1)]))
+            col = first[row[idx], j] + np.arange(idx.size) - np.repeat(np.cumsum(reps) - reps, reps)
+            part, at = total[idx] + col, row[idx]
+            fits = (part + low[at, j + 1] <= nv[at]) & (part + high[at, j + 1] >= nv[at])
+            row, total, counts = at[fits], part[fits], np.column_stack([counts[idx], col])[fits]
+        found.append((np.column_stack([counts, nv[row] - total]), row))
     counts, row = (np.concatenate(parts) for parts in zip(*found))
+    if box.any():   # box rows took counts outside their windows
+        keep = ~((np.abs(counts / nv[row, None] - p[row]) > half_width + guard)
+                 | ((p[row] < _SUPPORT_FLOOR) & (counts > 0))).any(axis=1)
+        counts, row = counts[keep], row[keep]
     return counts, np.searchsorted(row, np.arange(nv.size + 1)), over
 
 
@@ -164,23 +173,23 @@ def _multinomials(counts):
 
 
 def _class_aggregates(p, counts, bounds):
-    """Per block length, (mass, rank, min log2 prob, max log2 prob) over its classes.
+    """Per row, arrays (mass, rank, min log2 prob, max log2 prob) over its classes.
 
-    A class's log2 probability adds its labels' terms in label order,
-    skipping zero counts; the mass adds multinomial * 2**lp class by class,
-    each power a scalar one (numpy's vectorized power can differ in the
-    last bit); ranks are exact Python ints.
+    Row i has spectrum p[i] and classes counts[bounds[i]:bounds[i + 1]].  A
+    class's log2 probability adds its labels' nonzero-count terms in order;
+    the mass adds multinomial * 2**lp class by class, each power a scalar one
+    (numpy's vectorized power can differ in the last bit); ranks are exact.
     """
-    lp = np.zeros(len(counts))
+    lp, mult = np.zeros(len(counts)), _multinomials(counts)
     with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.log2(p)[np.repeat(np.arange(len(p)), np.diff(bounds))]
         for j, col in enumerate(counts.T):
-            lp = np.where(col > 0, lp + col * np.log2(p[j]), lp)
-    mult = _multinomials(counts)
-    terms = mult.astype(float) * np.array([2.0 ** x for x in lp.tolist()])
-    return list(zip(np.cumsum(_spread(terms, bounds, 0.0), axis=1)[:, -1].tolist(),
-                    _spread(mult, bounds, 0).sum(axis=1).tolist(),
-                    _spread(lp, bounds, inf).min(axis=1).tolist(),
-                    _spread(lp, bounds, -inf).max(axis=1).tolist()))
+            lp = np.where(col > 0, lp + col * logs[:, j], lp)
+    terms = mult.astype(float) * np.fromiter(map(pow, repeat(2.0), lp.tolist()), float, lp.size)
+    mults, cuts = mult.tolist(), bounds.tolist()
+    return (np.cumsum(_spread(terms, bounds, 0.0), axis=1)[:, -1],
+            np.array([sum(mults[a:b]) for a, b in zip(cuts, cuts[1:])], dtype=object),
+            _spread(lp, bounds, inf).min(axis=1), _spread(lp, bounds, -inf).max(axis=1))
 
 
 def _label_sequences(p, n, half_width, guard, caps):
@@ -328,6 +337,9 @@ class BoundRow:
     slack: float   # how much the fitted constant over-satisfies this n
     passed: bool
 
+    def __init__(self, bound_id, n, lhs, rhs, slack, passed):  # not six frozen setattrs
+        vars(self).update(bound_id=bound_id, n=n, lhs=lhs, rhs=rhs, slack=slack, passed=passed)
+
 
 @dataclass(frozen=True, eq=False)
 class TypicalityReport:
@@ -352,14 +364,6 @@ class TypicalityReport:
         return [head] + body
 
 
-def _type_counts(p, ns):
-    """Deterministic largest-remainder rounding of n*p to integer counts, a row per n in ns."""
-    scaled = np.multiply.outer(np.asarray(ns, dtype=int), p)
-    base = np.floor(scaled).astype(int)
-    place = np.argsort(np.argsort(base - scaled, axis=1, kind="stable"), axis=1)
-    return base + (place < (np.asarray(ns) - base.sum(axis=1))[:, None])
-
-
 def _cross_mass(values, runs, classes, bounds, d, caps=DEFAULT_CAPS):
     """Per group g, the sum over its typical label sequences y of prod_i v_i[y_i].
 
@@ -367,66 +371,62 @@ def _cross_mass(values, runs, classes, bounds, d, caps=DEFAULT_CAPS):
     order.  A DP over the positions fills a table of the label counts
     c_0..c_{d-2} (c_{d-1} is the position minus their sum), each axis cut at
     the largest count of g's classes, classes[bounds[g]:bounds[g + 1]]; a
-    table over caps.enumeration cells gets an overflow and no mass.  Tables
-    are stacked at a common shape (cells inside a smaller shape come out
-    bit-identical) in chunks within the cap, and a run advances only tables
-    with positions left in it.  Cells add their terms for j = d-1 down to 0;
-    typical cells are summed in descending lexicographic order, as a dict
-    DP keyed by count tuples meets its keys: the two agree bit for bit
-    unless, at d >= 3, positions differ in which weights are exactly zero.
-    Returns (masses, over).
+    table over caps.enumeration cells gets an overflow and no mass.  Groups
+    agreeing on runs 0..x-1 share a table, stepped through letter x to their
+    longest run and copied at each of their runs.  A chunk's tables are the
+    rows of one stack, longest run first, each flat at the chunk's extents
+    with a zero guard plane below every count axis: the shift by e_j is one
+    slice at offset strides[j], and the guards wrapped shifts write are
+    re-zeroed after each step.  Chunks are formed on guarded extents, so a
+    lone table may pass the cap by its guards, a factor prod_j (e_j + 1) / e_j
+    <= 2**(d-1).  Cells add their terms for j = d-1 down to 0 (a guard's
+    0.0 * v_j leaves a nonnegative cell as it is); typical cells are summed in
+    descending lexicographic order, as a dict DP keyed by count tuples meets
+    its keys: the two agree bit for bit unless, at d >= 3, positions differ
+    in which weights are exactly zero.  Returns (masses, over).
     """
-    sizes, keep = np.diff(bounds), classes[:, : d - 1]
+    sizes, keep = np.diff(bounds), classes[: bounds[-1], : d - 1]
     rows, shape = np.repeat(np.arange(sizes.size), sizes), np.ones((sizes.size, d - 1), dtype=int)
-    np.maximum.at(shape, rows, keep + 1)
+    shape[sizes > 0] = np.maximum.reduceat(keep, bounds[:-1][sizes > 0]) + 1 if keep.size else 1
     cells = shape.prod(axis=1)
     over = [f"count table of {c} cells exceeds enumeration cap {caps.enumeration}"
             if s and c > caps.enumeration else None for s, c in zip(sizes, cells)]
     live, vals = np.flatnonzero((sizes > 0) & (cells <= caps.enumeration)), np.zeros(len(keep))
-    for a, b in _chunks(shape[live], caps.enumeration):
-        group = live[a:b]
-        table = np.zeros((group.size,) + tuple(shape[group].max(axis=0)))
-        table[(slice(None),) + (0,) * (d - 1)] = 1.0
-        for x, v in enumerate(values):
-            order = np.argsort(-runs[group, x], kind="stable")
-            table, group = table[order], group[order]
-            for step in range(1, runs[group, x].max() + 1):
-                active = np.count_nonzero(runs[group, x] >= step)
-                # the first run leaves all tables equal: advance one, copy it on
-                t = table[: 1 if x == 0 else active]
-                nxt = t * v[d - 1]
-                for j in range(d - 2, -1, -1):
-                    lead = (slice(None),) * (j + 1)
-                    nxt[lead + (slice(1, None),)] += t[lead + (slice(None, -1),)] * v[j]
-                t[...] = nxt
-                if x == 0:
-                    table[np.count_nonzero(runs[group, 0] > step):active] = table[0]
-        slot = np.full(sizes.size, -1)
-        slot[group] = np.arange(group.size)
-        mine = slot[rows] >= 0
-        vals[mine] = table[(slot[rows[mine]],) + tuple(keep[mine].T)]
+    for a, b in _chunks(shape[live] + 1, caps.enumeration):
+        group = live[a:b][np.lexsort(runs[live[a:b]].T[::-1])]  # letter x's tables: segments
+        ext, srt = (shape[group].max(axis=0) + 1).tolist(), runs[group]
+        strides = [prod(ext[j + 1:]) for j in range(d - 1)]
+        head = np.logical_or.accumulate(np.insert(srt[1:] != srt[:-1], 0, True, axis=0), axis=1)
+        # each table's first group and its row in the stack
+        first, place, stack = [0], np.zeros(1, dtype=int), np.eye(1, prod(ext), sum(strides))
+        for x, v in enumerate(values.tolist()):
+            p_first = np.flatnonzero(head[:, x])
+            run, p_place = srt[p_first, x], np.argsort(np.argsort(-np.maximum.reduceat(
+                srt[:, min(x + 1, len(values) - 1)], p_first), kind="stable"))
+            by = np.argsort(run, kind="stable")
+            copies = list(zip(run[by].tolist(), p_place[by].tolist(),
+                              place[np.searchsorted(first, p_first[by], "right") - 1].tolist()))
+            longest = sorted(np.maximum.reduceat(srt[:, x], first).tolist(), reverse=True)
+            nxt, other, k, c = np.empty((run.size, prod(ext))), np.empty_like(stack), len(stack), 0
+            for step in range(longest[0] + 1):
+                if step:
+                    while longest[k - 1] < step:
+                        k -= 1
+                    t, out = stack[:k].reshape(-1), other[:k].reshape(-1)
+                    np.multiply(t, v[d - 1], out=out)
+                    for j in range(d - 2, -1, -1):
+                        out[strides[j]:] += t[: -strides[j]] * v[j]
+                    for j in range(d - 1):
+                        out.reshape(-1, ext[j], strides[j])[:, 0] = 0.0
+                    stack, other = other, stack
+                while c < len(copies) and copies[c][0] == step:
+                    nxt[copies[c][1]], c = stack[copies[c][2]], c + 1
+            first, place, stack = p_first, p_place, nxt
+        pos = np.full(sizes.size, -1)
+        pos[group] = place[np.cumsum(head[:, -1]) - 1] * stack.shape[1]
+        mine = pos[rows] >= 0
+        vals[mine] = stack.ravel()[pos[rows[mine]] + (keep[mine] + 1) @ np.asarray(strides, int)]
     return np.cumsum(_spread(vals, bounds, 0.0)[:, ::-1], axis=1)[:, -1], over
-
-
-def _mass_bound_rows(bound_id, ns, masses):
-    gaps = [1.0 - mass for mass in masses]
-    reqs = [inf if gap <= _MASS_GAP_FLOOR else -np.log2(gap) / n for n, gap in zip(ns, gaps)]
-    fitted = min(reqs)
-    rows = []
-    for n, req in zip(ns, reqs):
-        slack = 0.0 if req == fitted else float(req - fitted)
-        rows.append(BoundRow(bound_id, n, float(req), float(fitted), slack, slack >= -_PASS_SLACK))
-    return rows, float(fitted)
-
-
-def _exponent_bound_rows(bound_id, ns, reqs):
-    fitted = max(reqs)
-    rows = [
-        BoundRow(bound_id, n, float(req), float(fitted), float(fitted - req),
-                 fitted - req >= -_PASS_SLACK)
-        for n, req in zip(ns, reqs)
-    ]
-    return rows, float(fitted)
 
 
 def verify_typicality_bounds(w, p, n_range, alpha, caps=DEFAULT_CAPS, tol=DEFAULT_TOL):
@@ -446,52 +446,52 @@ def verify_typicality_bounds(w, p, n_range, alpha, caps=DEFAULT_CAPS, tol=DEFAUL
     if not ns:
         raise InvalidArgument("n_range holds no block length")
     _check_window(alpha, "alpha")
-    grid = sorted(set(ns))
-    at = {n: g for g, n in enumerate(grid)}
     sig_lam, sig_u = stable_eigh(np.einsum("x,xij->ij", pv, w.states))
-    sig_spec = np.clip(sig_lam, 0.0, None)
-    s_sigma = float(entropy_from_eigenvalues(sig_spec))
-    letter_spec = [np.clip(stable_eigh(w.state(x))[0], 0.0, None) for x in w.x_alphabet]
-    letter_h = [entropy_from_eigenvalues(spec) for spec in letter_spec]
-    # diagonal of each letter state in the averaged state's eigenbasis
-    diag_in_sig_basis = np.array([
-        np.real(np.einsum("ij,jk,ki->i", sig_u.conj().T, w.state(x), sig_u)) for x in w.x_alphabet])
-    types = _type_counts(pv, grid)
-    guard = tol.typicality_boundary
-    typ, bounds, src_over = _window_classes(sig_spec, grid, alpha, guard, caps)
-    src = _class_aggregates(sig_spec, typ, bounds)
-    cond = []
-    for spec, m_col in zip(letter_spec, types.T):
-        ms = sorted(set(m_col.tolist()) - {0})
-        classes, m_bounds, m_over = _window_classes(spec, ms, alpha, guard, caps)
-        cond.append(dict(zip(ms, zip(_class_aggregates(spec, classes, m_bounds), m_over))))
-    cross, cross_over = _cross_mass(diag_in_sig_basis, types, typ, bounds, w.dim, caps)
-
-    series = {bound_id: [] for bound_id in BOUND_IDS}
-    for n in ns:
-        g = at[n]
-        letters = [(xi, m) for xi, m in enumerate(types[g].tolist()) if m]
-        checks = [src_over[g]] + [cond[xi][m][1] for xi, m in letters] + [cross_over[g]]
+    # spectra: the averaged state's, then each letter's; diag: the letters in its eigenbasis
+    spec = np.clip([sig_lam] + [stable_eigh(w.state(x))[0] for x in w.x_alphabet], 0.0, None)
+    diag = np.array([np.real(np.einsum("ij,jk,ki->i", sig_u.conj().T, w.state(x), sig_u))
+                     for x in w.x_alphabet])
+    grid, h = np.array(sorted(set(ns))), entropy_from_eigenvalues(spec)
+    # each n's input word: n*p rounded to counts by largest remainders, letters in order
+    at, scaled = np.searchsorted(grid, ns), np.multiply.outer(grid, pv)
+    types = np.floor(scaled).astype(int)
+    types += np.argsort(np.argsort(types - scaled, axis=1, kind="stable"), axis=1) < (
+        grid - types.sum(axis=1))[:, None]
+    # one enumerator pass: the source at each n, then each letter at each of its counts
+    ms = [np.array(sorted(set(m.tolist()) - {0}), dtype=int) for m in types.T]
+    first = np.cumsum([0, grid.size] + [m.size for m in ms])
+    which, on = np.repeat(np.arange(first.size - 1), np.diff(first)), types > 0
+    counts, bounds, over = _window_classes(spec[which], np.concatenate([grid] + ms), alpha,
+                                           tol.typicality_boundary, caps)
+    mass, rank, lmin, lmax = _class_aggregates(spec[which], counts, bounds)
+    cross, cross_over = _cross_mass(diag, types, counts, bounds[: grid.size + 1], w.dim, caps)
+    cond = np.where(on, np.column_stack([f + np.searchsorted(m, col) for f, m, col in
+                                         zip(first[1:], ms, types.T)]), 0)
+    for g in at.tolist() if any(over) or any(cross_over) else ():
+        checks = [over[r] for r in [g, *cond[g, on[g]]]] + [cross_over[g]]
         if msg := next(filter(None, checks), None):
             raise EnumerationOverflow(msg)
-        type_fracs = types[g] / n
-        s_cond = float(sum(type_fracs[xi] * h for xi, h in enumerate(letter_h)))
-        cmass, crank, clmin, clmax = 1.0, 1, 0.0, 0.0
-        for xi, m in letters:
-            bmass, brank, blmin, blmax = cond[xi][m][0]
-            cmass, crank, clmin, clmax = cmass * bmass, crank * brank, clmin + blmin, clmax + blmax
-        for kind, (mass, rank, lmin, lmax), h in (
-            ("source", src[g], s_sigma), ("conditional", (cmass, crank, clmin, clmax), s_cond)
-        ):
-            series[f"{kind}_mass"].append(mass)
-            # ranks are exact Python ints and pass 2**63 within reach of n
-            series[f"{kind}_rank"].append(abs(log2(rank) / n - h) if rank else inf)
-            series[f"{kind}_eigen_window"].append(max(-h - lmin / n, h + lmax / n))
-        series["average_state_mass"].append(cross[g])
-
-    rows, constants = [], {}
-    for bound_id, reqs in series.items():
-        fit = _mass_bound_rows if bound_id.endswith("_mass") else _exponent_bound_rows
-        bound_rows, constants[bound_id] = fit(bound_id, ns, reqs)
-        rows.extend(sorted(bound_rows, key=lambda r: r.n))
+    cmass = np.cumprod(np.where(on, mass[cond], 1.0), axis=1)[:, -1]  # letter by letter
+    clmin, clmax = (np.cumsum(np.where(on, a[cond], 0.0), axis=1)[:, -1] for a in (lmin, lmax))
+    series, src = {"average_state_mass": cross}, slice(grid.size)
+    for kind, ent, b_mass, b_rank, b_min, b_max in (
+            ("source", h[0], mass[src], rank[src], lmin[src], lmax[src]),
+            ("conditional", np.cumsum(types / grid[:, None] * h[1:], axis=1)[:, -1],
+             cmass, np.prod(np.where(on, rank[cond], 1), axis=1), clmin, clmax)):
+        # ranks are exact Python ints and pass 2**63 within reach of n
+        lr, low, high = (np.array([log2(r) if r else inf for r in b_rank.tolist()]),
+                         -ent - b_min / grid, ent + b_max / grid)
+        series.update({f"{kind}_mass": b_mass, f"{kind}_rank": np.abs(lr / grid - ent),
+                       f"{kind}_eigen_window": np.where(high > low, high, low)})
+    # a mass bound needs -log2(1 - mass) / n and fits the least, an exponent bound the largest
+    rows, constants, order, nv = [], {}, np.argsort(ns, kind="stable"), np.asarray(ns)
+    for bound_id in BOUND_IDS:
+        reqs, mass_bound = series[bound_id][at], bound_id.endswith("_mass")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if mass_bound:
+                reqs = np.where(1.0 - reqs <= _MASS_GAP_FLOOR, inf, -np.log2(1.0 - reqs) / nv)
+            fit = constants[bound_id] = min(reqs.tolist()) if mass_bound else max(reqs.tolist())
+            slack = (np.where(reqs == fit, 0.0, reqs - fit) if mass_bound else fit - reqs)[order]
+        rows += map(BoundRow, repeat(bound_id), nv[order].tolist(), reqs[order].tolist(),
+                    repeat(fit), slack.tolist(), (slack >= -_PASS_SLACK).tolist())
     return TypicalityReport(rows=tuple(rows), constants=constants)

@@ -21,11 +21,12 @@ from avcqc.geometry import project_simplex_rows
 from avcqc.operators import eigvalsh_stack, entropy_from_eigenvalues, validate_probability_vector
 from avcqc.serialize import _count, _field, _load_json, _operators, _words, matrix_to_json
 from avcqc.typicality import (
+    _MASS_GAP_FLOOR,
+    _PASS_SLACK,
     _SUPPORT_FLOOR,
     BOUND_IDS,
+    BoundRow,
     TypicalityReport,
-    _exponent_bound_rows,
-    _mass_bound_rows,
     stable_eigh,
 )
 
@@ -713,6 +714,29 @@ def per_block_cross_mass(site_values, typical_classes, d, caps=DEFAULT_CAPS):
             nxt[lead + (slice(1, None),)] += table[lead + (slice(None, -1),)] * vals[j]
         table = nxt
     return sum(table[tuple(c)] for c in keep.tolist())
+
+
+def _mass_bound_rows(bound_id, ns, masses):
+    """A mass bound's rows and fitted exponent, one scalar requirement per n."""
+    gaps = [1.0 - mass for mass in masses]
+    reqs = [inf if gap <= _MASS_GAP_FLOOR else -np.log2(gap) / n for n, gap in zip(ns, gaps)]
+    fitted = min(reqs)
+    rows = []
+    for n, req in zip(ns, reqs):
+        slack = 0.0 if req == fitted else float(req - fitted)
+        rows.append(BoundRow(bound_id, n, float(req), float(fitted), slack, slack >= -_PASS_SLACK))
+    return rows, float(fitted)
+
+
+def _exponent_bound_rows(bound_id, ns, reqs):
+    """An exponent bound's rows and fitted exponent, one scalar requirement per n."""
+    fitted = max(reqs)
+    rows = [
+        BoundRow(bound_id, n, float(req), float(fitted), float(fitted - req),
+                 fitted - req >= -_PASS_SLACK)
+        for n, req in zip(ns, reqs)
+    ]
+    return rows, float(fitted)
 
 
 def per_block_typicality_bounds(w, p, n_range, alpha, caps=DEFAULT_CAPS, tol=DEFAULT_TOL):

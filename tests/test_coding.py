@@ -1030,3 +1030,45 @@ class TestCodeFitsSourceAndChannel:
     def test_fitting_code_runs(self):
         w, src, code = self._code()
         assert correlation_code_error_informed(code, w, src) == pytest.approx(0.0, abs=1e-12)
+
+    def test_decoder_rows_checked_after_the_words(self):
+        w, src, code = self._code()
+        short = dataclasses.replace(code, decoders=code.decoders[:3])
+        with pytest.raises(DimensionMismatch, match="^3 decoder rows for 4 receiver words$"):
+            correlation_code_error_informed(short, w, src)
+        with pytest.raises(DimensionMismatch, match="^3 decoder rows for 4 receiver words$"):
+            cr_generation_run(w, src, short, trials=5, seed=1)
+
+
+class TestCorrelationCodeShapes:
+    """A code whose tables do not match its words is refused when it is built."""
+
+    SPECS = Path(__file__).resolve().parents[1] / "specs"
+    KW = dict(l=1, n=1, v_prime_words=(("0",), ("1",)), v_words=(("0",), ("1",)),
+              decoders=np.stack([np.stack([ZERO, ONE]), np.stack([ONE, ZERO])]))
+
+    def test_full_table_is_error_free(self):
+        # with one encoder row fewer the same code once read an error of 0.5
+        w = io.load_channel(self.SPECS / "orthogonal_channel.json")
+        src = io.load_source(self.SPECS / "perfect_source.json")
+        code = CorrelationCode(encoders=[[("0",), ("1",)], [("1",), ("0",)]], **self.KW)
+        assert correlation_code_error_informed(code, w, src) == 0.0
+
+    @pytest.mark.parametrize("encoders, counts", [
+        ([[("0",), ("1",)]], r"1 rows of \[2\] messages for 2 sender words"),
+        ([[("0",), ("1",)]] * 3, r"3 rows of \[2\] messages for 2 sender words"),
+        ([[("0",), ("1",)], [("1",)]], r"2 rows of \[1, 2\] messages for 2 sender words"),
+        ([[], []], r"2 rows of \[0\] messages for 2 sender words"),
+    ], ids=["short", "long", "ragged", "no-messages"])
+    def test_encoder_table_refused(self, encoders, counts):
+        with pytest.raises(DimensionMismatch, match=f"^encoders have {counts}: need one row"):
+            CorrelationCode(encoders=encoders, **self.KW)
+
+    @pytest.mark.parametrize("decoders, shape", [
+        (np.stack([np.stack([ZERO, ONE, 0 * ONE])] * 2), r"\(2, 3\)"),
+        (np.stack([ZERO, ONE]), r"\(2,\)"),
+    ], ids=["three-outcomes", "one-povm"])
+    def test_decoder_table_refused(self, decoders, shape):
+        kw = dict(self.KW, decoders=decoders)
+        with pytest.raises(DimensionMismatch, match=rf"^decoders of shape {shape} do not hold"):
+            CorrelationCode(encoders=[[("0",), ("1",)], [("1",), ("0",)]], **kw)

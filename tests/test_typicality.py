@@ -555,6 +555,63 @@ class TestBatchedCaps:
             verify_typicality_bounds(w, p, ns, 0.1, caps=Caps(enumeration=cells - 1))
 
 
+def smallest_fitting_cap(w, p, ns, alpha):
+    """The least caps.enumeration under which the per-block reference raises nothing."""
+    lo, hi = 1, Caps().enumeration
+    while lo < hi:
+        mid = (lo + hi) // 2
+        fits = not isinstance(typicality_outcome(per_block_typicality_bounds, w, p, ns, alpha,
+                                                 caps=Caps(enumeration=mid)), str)
+        lo, hi = (lo, mid) if fits else (mid + 1, hi)
+    return lo
+
+
+class TestPrefixSharedTables:
+    """The one-pass verifier at the benchmark's shapes and where words share prefixes."""
+
+    @staticmethod
+    def wishart_channel(seed, d, nx=2):
+        rng = np.random.default_rng(seed)
+        return CqChannel(tuple(range(nx)), np.stack([wishart_state(rng, d) for _ in range(nx)]))
+
+    @pytest.mark.parametrize("d, ns, seed", [(3, range(4, 49), 31), (4, range(4, 37), 32),
+                                             (4, range(4, 37), 33)])
+    def test_benchmark_shapes_against_per_block(self, d, ns, seed):
+        # two letters and alpha = 0.1 at the block lengths of the benchmark's
+        # d = 3 and d = 4 draws, up to its largest count tables
+        w = self.wishart_channel(seed, d)
+        u = np.random.default_rng(seed).uniform(0.3, 0.7)
+        p = [u, 1.0 - u]
+        assert verify_typicality_bounds(w, p, ns, 0.1).to_csv_rows() == (
+            per_block_typicality_bounds(w, p, ns, 0.1).to_csv_rows())
+
+    def test_three_letters_sharing_two_runs(self):
+        # most of the word is letter 2, so consecutive n agree on the runs of
+        # letters 0 and 1 and read one table through them
+        w = self.wishart_channel(34, 3, nx=3)
+        p, ns = [0.1, 0.15, 0.75], range(4, 31)
+        heads = {}
+        for n in ns:
+            m = np.floor(n * np.array(p)).astype(int)
+            order = np.argsort(np.floor(n * np.array(p)) - n * np.array(p), kind="stable")
+            m[order[: n - m.sum()]] += 1
+            heads.setdefault(tuple(m[:2]), set()).add(int(m[2]))
+        assert max(len(tails) for tails in heads.values()) >= 4
+        assert verify_typicality_bounds(w, p, ns, 0.15).to_csv_rows() == (
+            per_block_typicality_bounds(w, p, ns, 0.15).to_csv_rows())
+
+    @pytest.mark.parametrize("d, ns, seed", [(3, range(4, 49), 31), (4, range(4, 37), 32)])
+    def test_cap_boundary(self, d, ns, seed):
+        w, p = self.wishart_channel(seed, d), [0.45, 0.55]
+        cap = smallest_fitting_cap(w, p, ns, 0.1)
+        rows = verify_typicality_bounds(w, p, ns, 0.1, caps=Caps(enumeration=cap)).to_csv_rows()
+        assert rows == verify_typicality_bounds(w, p, ns, 0.1).to_csv_rows()
+        below = Caps(enumeration=cap - 1)
+        got = typicality_outcome(verify_typicality_bounds, w, p, ns, 0.1, caps=below)
+        assert got.startswith("EnumerationOverflow: ")
+        assert got == typicality_outcome(per_block_typicality_bounds, w, p, ns, 0.1, caps=below)
+
+
 class TestTypicalityBoundaryOverride:
     def test_guard_reaches_the_verifier(self):
         # spectrum (3/4, 1/4), n=4, alpha=0.1: only the count 1 of label 1 is
@@ -583,6 +640,7 @@ class TestBoundaryValidation:
         (lambda: typical_set([0.5, 0.5], 4, -1.0), InvalidArgument, "delta"),
         (lambda: typical_set([0.5, 0.5], 4, NAN), InvalidArgument, "delta"),
         (lambda: typical_set([0.5, 0.5], 4, INF), InvalidArgument, "delta"),
+        (lambda: typical_set([0.5, 0.5], 4, True), InvalidArgument, "delta"),
         (lambda: typical_set([NAN, 1.0], 4, 0.3), InvalidArgument, "not finite"),
         (lambda: typical_projector(HALF, -1, 0.1), InvalidArgument, "block length"),
         (lambda: typical_projector(HALF, 0, 0.1), InvalidArgument, "block length"),
@@ -607,14 +665,17 @@ class TestBoundaryValidation:
          InvalidArgument, "alpha"),
         (lambda: verify_typicality_bounds(mirror_pair_channel(), [0.5, 0.5], range(4, 8), INF),
          InvalidArgument, "alpha"),
+        (lambda: verify_typicality_bounds(mirror_pair_channel(), [0.5, 0.5], range(4, 8), True),
+         InvalidArgument, "alpha"),
         (lambda: verify_typicality_bounds(mirror_pair_channel(), [0.5, 0.5, 0.0], range(4, 8), 0.1),
          AlphabetMismatch, "distribution over 3 letters, channel has 2"),
     ], ids=[
         "set n=-1", "set n=0", "set n=2.0", "set n=True", "set delta<0", "set delta nan",
-        "set delta inf", "set p nan", "projector n=-1", "projector n=0", "projector n=2.0",
-        "projector alpha=0", "projector alpha nan", "conditional empty word",
+        "set delta inf", "set delta=True", "set p nan", "projector n=-1", "projector n=0",
+        "projector n=2.0", "projector alpha=0", "projector alpha nan", "conditional empty word",
         "conditional stray letter", "conditional alpha<0", "verify empty range",
         "verify n=-2", "verify n=5.0", "verify alpha<0", "verify alpha nan", "verify alpha inf",
+        "verify alpha=True",
         "verify p over 3 letters",
     ])
     def test_refused(self, call, error, text):
