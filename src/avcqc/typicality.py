@@ -47,8 +47,6 @@ _PASS_SLACK = 1e-12
 
 def _block_length(n):
     """n if it is an integer >= 1 (not a bool), else InvalidArgument."""
-    if type(n) is int and n >= 1:
-        return n
     if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
         raise InvalidArgument(f"block length must be an integer >= 1, got {n!r}")
     return int(n)
@@ -92,9 +90,11 @@ def stable_eigh(m):
                     break
             v[:, start:stop] = np.stack(basis, axis=1)
         start = stop
-    # np.abs(v.T) gives each column's bits, as a loop over columns did; np.abs(v) may not
-    top = v[np.argmax(np.abs(v.T), axis=1), np.arange(d)]
-    return w, v / np.array([t / abs(t) for t in top])
+    for k in range(d):
+        i = int(np.argmax(np.abs(v[:, k])))
+        ph = v[i, k] / abs(v[i, k])
+        v[:, k] = v[:, k] / ph
+    return w, v
 
 
 def _chunks(extents, cap):
@@ -122,46 +122,39 @@ def _window_classes(p, ns, half_width, guard=DEFAULT_TOL.typicality_boundary,
     """Count vectors c (sum n) with |c/n - p| <= half_width, for each row (p, n) of (p, ns).
 
     p is one spectrum for every n or one per n; labels below the support
-    floor are pinned to count 0.  Rows grow label by label, checked against
-    caps.enumeration before each and stopped once over it: a row whose window
-    box (windows widened by one) could pass the cap takes the box's counts
-    with partial sums up to n, any other row the window counts from which the
-    later windows still reach n.  Rows go in batches whose boxes stack within
-    the cap.  Returns (counts, bounds, over): row i's classes, in lexicographic
-    order, are counts[bounds[i]:bounds[i + 1]], over[i] its overflow or None.
+    floor are pinned to count 0.  All rows grow together, label by label: a
+    row takes the counts of its window widened by one and is dropped once its
+    partial sum passes n.  Each row's candidates are checked against
+    caps.enumeration before every label; a row over it stops there.  Rows go
+    in batches whose stacked window boxes stay within the cap.  Returns
+    (counts, bounds, over): row i's classes, in lexicographic order, are
+    counts[bounds[i]:bounds[i + 1]], over[i] its overflow or None.
     """
     nv = np.asarray(ns, dtype=int)
     p = np.broadcast_to(np.asarray(p, dtype=float), (nv.size, np.shape(p)[-1]))
-    reach, centre = nv * (half_width + guard), nv[:, None] * p
+    reach, centre = nv * (half_width + guard), nv[:, None] * p[:, :-1]
     lo = np.clip(np.ceil(centre - reach[:, None]) - 1, 0, nv[:, None]).astype(int)
     hi = np.clip(np.floor(centre + reach[:, None]) + 1, 0, nv[:, None]).astype(int)
-    size = np.maximum(np.where(p < _SUPPORT_FLOOR, 0, hi) - lo + 1, 0)
-    vals = lo[..., None] + np.arange(size.max(initial=0))
-    ok = (vals < (lo + size)[..., None]) & (  # an interval: |c/n - p| is monotone on each side
-        np.abs(vals / nv[:, None, None] - p[..., None]) <= half_width + guard)
-    box = (np.prod(np.maximum(size[:, :-1], 1), axis=1, dtype=float) > caps.enumeration)[:, None]
-    first, width = np.where(box, lo, lo + ok.argmax(axis=2)), np.where(box, size, ok.sum(axis=2))
-    low = np.where(box, 0, first[:, ::-1].cumsum(axis=1)[:, ::-1])
-    high = np.where(box, nv[:, None], (first + width - 1)[:, ::-1].cumsum(axis=1)[:, ::-1])
+    size = np.maximum(np.where(p[:, :-1] < _SUPPORT_FLOOR, 0, hi) - lo + 1, 0)
     over, found = [None] * nv.size, [(np.zeros((0, p.shape[1]), dtype=int), np.zeros(0, dtype=int))]
-    for g0, g1 in _chunks(size[:, :-1], caps.enumeration):
-        row, total, counts = np.arange(g0, g1), np.zeros(g1 - g0, int), np.zeros((g1 - g0, 0), int)
+    for g0, g1 in _chunks(size, caps.enumeration):
+        row, total = np.arange(g0, g1), np.zeros(g1 - g0, dtype=int)
+        counts = np.zeros((g1 - g0, 0), dtype=int)
         for j in range(p.shape[1] - 1):
             cand = np.bincount(row - g0, minlength=g1 - g0) * size[g0:g1, j]
             for g in np.flatnonzero(cand > caps.enumeration):
                 over[g0 + g] = f"{cand[g]} window candidates exceed cap {caps.enumeration}"
-            reps = np.where(cand[row - g0] > caps.enumeration, 0, width[row, j])
+            reps = np.where(cand[row - g0] > caps.enumeration, 0, size[row, j])
             idx = np.repeat(np.arange(row.size), reps)
-            col = first[row[idx], j] + np.arange(idx.size) - np.repeat(np.cumsum(reps) - reps, reps)
-            part, at = total[idx] + col, row[idx]
-            fits = (part + low[at, j + 1] <= nv[at]) & (part + high[at, j + 1] >= nv[at])
-            row, total, counts = at[fits], part[fits], np.column_stack([counts[idx], col])[fits]
-        found.append((np.column_stack([counts, nv[row] - total]), row))
+            col = lo[row[idx], j] + np.arange(idx.size) - np.repeat(np.cumsum(reps) - reps, reps)
+            fits = total[idx] + col <= nv[row[idx]]
+            idx, col = idx[fits], col[fits]
+            row, total, counts = row[idx], total[idx] + col, np.column_stack([counts[idx], col])
+        counts = np.column_stack([counts, nv[row] - total])
+        bad = (np.abs(counts / nv[row, None] - p[row]) > half_width + guard) | (
+            (p[row] < _SUPPORT_FLOOR) & (counts > 0))
+        found.append((counts[~bad.any(axis=1)], row[~bad.any(axis=1)]))
     counts, row = (np.concatenate(parts) for parts in zip(*found))
-    if box.any():   # box rows took counts outside their windows
-        keep = ~((np.abs(counts / nv[row, None] - p[row]) > half_width + guard)
-                 | ((p[row] < _SUPPORT_FLOOR) & (counts > 0))).any(axis=1)
-        counts, row = counts[keep], row[keep]
     return counts, np.searchsorted(row, np.arange(nv.size + 1)), over
 
 
@@ -185,7 +178,7 @@ def _class_aggregates(p, counts, bounds):
         logs = np.log2(p)[np.repeat(np.arange(len(p)), np.diff(bounds))]
         for j, col in enumerate(counts.T):
             lp = np.where(col > 0, lp + col * logs[:, j], lp)
-    terms = mult.astype(float) * np.fromiter(map(pow, repeat(2.0), lp.tolist()), float, lp.size)
+    terms = mult.astype(float) * np.array([2.0 ** x for x in lp.tolist()])
     mults, cuts = mult.tolist(), bounds.tolist()
     return (np.cumsum(_spread(terms, bounds, 0.0), axis=1)[:, -1],
             np.array([sum(mults[a:b]) for a, b in zip(cuts, cuts[1:])], dtype=object),
@@ -336,9 +329,6 @@ class BoundRow:
     rhs: float     # fitted exponent shared across the tested range
     slack: float   # how much the fitted constant over-satisfies this n
     passed: bool
-
-    def __init__(self, bound_id, n, lhs, rhs, slack, passed):  # not six frozen setattrs
-        vars(self).update(bound_id=bound_id, n=n, lhs=lhs, rhs=rhs, slack=slack, passed=passed)
 
 
 @dataclass(frozen=True, eq=False)

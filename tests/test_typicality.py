@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product as iproduct
 from math import comb, prod
 
@@ -130,6 +131,25 @@ class TestWindowCountClasses:
         assert _window_count_classes(np.array([0.5, 0.5]), 40, 0.1, caps=capped)
         with pytest.raises(EnumerationOverflow):
             _window_count_classes(np.array([0.5, 0.5]), 40, 0.1, caps=Caps(enumeration=10))
+
+    @pytest.mark.parametrize("call, count", [
+        # n = 10**9: the free label's window holds 500,000,003 counts
+        (lambda: typical_set([0.5, 0.5], 10**9, 0.5), 500000003),
+        # d = 4, n = 10**7: the source's first label has 5,500,002
+        (lambda: verify_typicality_bounds(
+            CqChannel((0, 1), np.stack([np.eye(4, dtype=complex) / 4] * 2)), [0.5, 0.5],
+            [10**7], 0.3), 5500002),
+    ], ids=["typical_set", "verifier"])
+    def test_huge_block_length_raises_before_any_window_is_built(self, call, count):
+        # the cap check comes before any array the size of a window is allocated
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationOverflow, match=f"^{count} window candidates exceed"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_high_dimension_short_block(self):
         # d=32, n=2: the window box over the first 31 labels has 3^31 points,
