@@ -23,20 +23,27 @@ inner minimum alone (``min_chi_over_jammer``) is one kernel descent from the
 uniform kernel, for the same convexity; the Holevo capacity of a fixed
 channel (``holevo_capacity``) is the solve with one jammer letter.
 
-Both Newton steps take their second derivatives from the eigendecompositions
-the descent already caches for chi and its gradients.  For a state
-sigma = sum_i l_i |i><i| and directions A, B,
+Each point (P, Q) is evaluated once (``_Point``).  A candidate costs one
+batched eigendecomposition of the mixtures rho_x and rho_bar and their
+entropies: chi, all that its accept test reads.  An accepted point rotates
+the states once into the eigenbases of rho_x and rho_bar, and everything
+else is read from that rotation: the kernel gradient as diagonal traces
+against the spectra floored at 1e-18 (no matrix logarithm is built), its
+Frank-Wolfe gap, d_x = D(rho_x || rho_bar) and the second derivatives.  For
+a state sigma = sum_i l_i |i><i| and directions A, B,
 
     d^2 S(sigma) / dA dB = -(1/ln 2) sum_ij A~_ij B~_ji Lambda_ij,
 
 with A~ = V^dag A V in sigma's eigenbasis and the Daleckii-Krein divided
 differences Lambda_ij = (ln l_i - ln l_j) / (l_i - l_j), and 1 / l_i where
-the eigenvalues coincide.  The eigenvalues are floored at 1e-18, as for the
-matrix logarithm of the gradient.  The kernel block chi_qq gives the inner
+the (floored) eigenvalues coincide.  The kernel block chi_qq gives the inner
 step.  The outer step needs the Hessian of phi, which by the envelope
 theorem is the Schur complement chi_pp - chi_pq chi_qq^-1 chi_qp at the
 inner minimizer, over the free kernel entries and under their row
-constraints; chi_pp and chi_pq come from rho_bar's spectrum the same way.
+constraints; chi_pp and chi_pq come from rho_bar's rotation the same way.
+Its solve is the kernel's response dQ/dP.  At an outer Newton candidate P'
+the point (P', project(Q + dQ/dP (P' - P))) is evaluated first, and if its
+own bracket is closed the solve ends there, without the inner re-solve.
 Near the saddle the outer step converges quadratically: the bracket closes
 in a few steps at 1e-6 and at 1e-10 alike.  The kernel descent stops once
 its Frank-Wolfe gap is at most min(1e-9, width / 1000).  The bracket's
@@ -72,6 +79,8 @@ bit.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
+
 import numpy as np
 
 from .channels import JammerKernel, _input_distribution
@@ -116,60 +125,98 @@ _LAMBDA_RTOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
-# batched primitives
+# one evaluated point (p, q)
 # ---------------------------------------------------------------------------
 
-def _log2_from_spectra(w, v):
-    """Matrix log base 2 from a spectral decomposition (eigenvalue floor)."""
-    lw = np.log2(np.clip(w, _LOG_FLOOR, None))
-    return (v * lw[..., None, :]) @ v.conj().swapaxes(-1, -2)
-
-
-def _entropy_stack(mats):
-    return entropy_from_eigenvalues(eigvalsh_stack(mats), floor=_NEG_CLAMP)
-
-
-def _mixed_states(states, q):
-    """states (X,S,d,d), q (...,X,S) -> per-input averaged states (...,X,d,d)."""
-    return np.einsum("...xs,xsij->...xij", q, states)
-
-
 def _mixture_spectra(p, states, q):
-    """One batched decomposition of the mixtures rho_x then rho_bar: (..., X+1, d[, d])."""
-    rho_x = _mixed_states(states, q)
-    rho_bar = np.einsum("...x,...xij->...ij", p, rho_x)
-    return eigh_stack(np.concatenate([rho_x, rho_bar[..., None, :, :]], axis=-3))
+    """One batched decomposition of the mixtures rho_x then rho_bar: (X+1, d[, d])."""
+    rho_x = np.einsum("xs,xsij->xij", q, states)
+    rho_bar = p @ rho_x.reshape(len(p), -1)
+    return eigh_stack(np.concatenate([rho_x, rho_bar.reshape(rho_x[:1].shape)]))
 
 
-def _chi_from_spectra(p, w):
-    s = entropy_from_eigenvalues(w, floor=_NEG_CLAMP)
-    return s[..., -1] - np.einsum("...x,...x->...", p, s[..., :-1])
+def _dk_weights(w):
+    """Daleckii-Krein divided differences of ln at a spectrum: (..., d, d).
+
+    Lambda_ij = (ln l_i - ln l_j) / (l_i - l_j), and 1 / l_i where the two
+    coincide, with the eigenvalues floored at _LOG_FLOOR.  Written as
+    log1p(x) / x / b with b the smaller eigenvalue and x = (a - b) / b,
+    which keeps its digits when a and b are close.
+    """
+    lam = np.maximum(w, _LOG_FLOOR)
+    a = np.maximum(lam[..., :, None], lam[..., None, :])
+    b = np.minimum(lam[..., :, None], lam[..., None, :])
+    x = (a - b) / b
+    safe = np.where(x > 0.0, x, 1.0)
+    return np.where(x > 0.0, np.log1p(safe) / safe, 1.0) / b
 
 
-def _log_ratio_traces(states, spec):
-    """tr W_xs (log2 rho_x - log2 rho_bar), (..., X, S): the kernel gradient of chi per unit p_x."""
-    logs = _log2_from_spectra(*spec)
-    diff = logs[..., :-1, :, :] - logs[..., -1:, :, :]
-    return np.real(np.einsum("xsij,...xji->...xs", states, diff))
+class _Point:
+    """One evaluated (p, q) on states (X, S, d, d), each quantity computed once: building
+    it costs one ``_mixture_spectra`` and the entropies (chi).  ``derive``, called once the
+    point is accepted, rotates the states into the eigenbases of rho_x and rho_bar, and
+    everything else is read from that rotation."""
 
+    def __init__(self, states, p, q):
+        self.states, self.p, self.q = states, p, q
+        self.spec = _mixture_spectra(p, states, q)
+        self.s = entropy_from_eigenvalues(self.spec[0], floor=_NEG_CLAMP)
+        self.chi = self.s[-1] - p @ self.s[:-1]
 
-def _grad_q(p, states, spec):
-    """Gradient of chi with respect to the kernel entries, from the mixture spectra."""
-    return p[..., None] * _log_ratio_traces(states, spec)
+    def derive(self):
+        """The rotated states, the kernel gradient, its Frank-Wolfe gap and d_x; returns self."""
+        w, v = self.spec
+        vh = v.conj().swapaxes(-1, -2)
+        self.own = vh[:-1, None] @ self.states @ v[:-1, None]
+        self.bar = vh[-1] @ self.states @ v[-1]
+        # tr W log2 sigma = sum_i (V^dag W V)_ii log2 l_i in sigma's eigenbasis
+        # V, with the spectrum floored at _LOG_FLOOR: no matrix log is built
+        lw = np.log2(np.maximum(w, _LOG_FLOOR))
+        own_log = (self.own.diagonal(axis1=-2, axis2=-1).real @ lw[:-1, :, None])[..., 0]
+        bar_log = self.bar.diagonal(axis1=-2, axis2=-1).real @ lw[-1]
+        # tr W_xs (log2 rho_x - log2 rho_bar): the kernel gradient of chi per unit p_x
+        self.ratio = own_log - bar_log
+        self.grad = self.p[:, None] * self.ratio
+        # chi is convex in q, so chi at q exceeds the inner minimum by at most
+        # this Frank-Wolfe gap: the linearisation's drop to its best vertex
+        self.gap = float((self.grad * self.q).sum() - self.grad.min(axis=-1).sum())
+        # d_x = D(rho_x || rho_bar), the supergradient of chi in p.  0 - S -
+        # cross, not -S - cross: a pure rho_x inside rho_bar's support gives +0.0
+        self.d_x = 0.0 - self.s[:-1] - (self.q * bar_log).sum(axis=-1)
+        return self
 
+    @cached_property
+    def lam(self):
+        """Daleckii-Krein weights of the X+1 spectra, (X+1, 2 d^2): each twice, as
+        sum_ij A_ij B_ji Lambda_ij (A, B Hermitian) is real, a product of (Re, Im) pairs."""
+        return _dk_weights(self.spec[0]).reshape(len(self.s), -1).repeat(2, axis=-1)
 
-def _grad_p(p, states, q, spec):
-    """Per-letter relative entropy D(rho_x || rho_bar): supergradient of chi in p."""
-    w, v = spec
-    lb = _log2_from_spectra(w[..., -1, :], v[..., -1, :, :])
-    cross = np.real(np.einsum("...xij,...ji->...x", _mixed_states(states, q), lb))
-    # 0 - S - cross, not -S - cross: a pure rho_x inside rho_bar's support gives +0.0
-    return 0.0 - entropy_from_eigenvalues(w[..., :-1, :], floor=_NEG_CLAMP) - cross
+    @cached_property
+    def kernel_hessian(self):
+        """Hessian of chi in the kernel entries, (X*S, X*S): rho_bar moves with every entry
+        (weight p_x) and rho_x with its own row only, so H[(x,s),(x',s')] =
+        (delta_xx' p_x K_x(W_xs, W_xs') - p_x p_x' K_bar(W_xs, W_x's')) / ln 2."""
+        nx, ns = self.q.shape
+        bar = self.bar.reshape(nx * ns, -1).view(float)
+        own = self.own.reshape(nx, ns, -1).view(float)
+        pw = self.p.repeat(ns)
+        h = -(pw[:, None] * pw) * ((bar * self.lam[-1]) @ bar.T)
+        k_x = (own * self.lam[:-1, None]) @ own.swapaxes(-1, -2)
+        rows = np.arange(nx)
+        h.reshape(nx, ns, nx, ns)[rows, :, rows, :] += self.p[:, None, None] * k_x
+        return h / LN2
+
+    def bracket(self):  # (lo, hi) around the max-min value, see ``_ascend``
+        return float(self.chi - self.gap), float(self.d_x.max())
 
 
 # ---------------------------------------------------------------------------
 # Holevo quantity and fixed-channel capacity
 # ---------------------------------------------------------------------------
+
+def _entropy_stack(mats):
+    return entropy_from_eigenvalues(eigvalsh_stack(mats), floor=_NEG_CLAMP)
+
 
 def holevo_chi(p, w, tol=DEFAULT_TOL):
     """chi(p; W) = S(sum_x p(x) W(x)) - sum_x p(x) S(W(x)) in bits."""
@@ -191,55 +238,14 @@ def holevo_capacity(w):
     Newton step is accepted; the capacity returned is chi at the returned p.
     """
     tol = with_overrides(DEFAULT_TOL, maxmin_bracket=_HOLEVO_BRACKET)
-    value, p, _, _, _ = _saddle_solve(w.states[:, None], outer_iter=400, inner_iter=120, tol=tol)
-    return value, p
+    return _saddle_solve(w.states[:, None], outer_iter=400, inner_iter=120, tol=tol)[:2]
 
 
 # ---------------------------------------------------------------------------
 # inner minimization over jamming kernels
 # ---------------------------------------------------------------------------
 
-def _dk_weights(w):
-    """Daleckii-Krein divided differences of ln at a spectrum: (..., d, d).
-
-    Lambda_ij = (ln l_i - ln l_j) / (l_i - l_j), and 1 / l_i where the two
-    coincide, with the eigenvalues floored at _LOG_FLOOR as in
-    ``_log2_from_spectra``.  Written as log1p(x) / x / b with b the smaller
-    eigenvalue and x = (a - b) / b, which keeps its digits when a and b are
-    close.
-    """
-    lam = np.clip(w, _LOG_FLOOR, None)
-    a = np.maximum(lam[..., :, None], lam[..., None, :])
-    b = np.minimum(lam[..., :, None], lam[..., None, :])
-    x = (a - b) / b
-    safe = np.where(x > 0.0, x, 1.0)
-    return np.where(x > 0.0, np.log1p(safe) / safe, 1.0) / b
-
-
-def _kernel_hessian(p, states, spec):
-    """Hessian of chi in the kernel entries, (X*S, X*S), from the mixture spectra.
-
-    For a direction A at a state sigma with eigenbasis V,
-    d^2 S(sigma) / dA dB = -(1/ln 2) sum_ij A~_ij B~_ji Lambda_ij with
-    A~ = V^dag A V and Lambda from ``_dk_weights``.  rho_bar moves with every
-    entry (weight p_x) and rho_x with its own row only, so
-    H[(x,s),(x',s')] = (delta_xx' p_x K_x(W_xs, W_xs') - p_x p_x' K_bar(W_xs, W_x's')) / ln 2.
-    """
-    w, v = spec
-    nx, ns, d = states.shape[0], states.shape[1], states.shape[-1]
-    lam = _dk_weights(w).reshape(nx + 1, d * d)
-    vh = v.conj().swapaxes(-1, -2)
-    bar = (vh[-1] @ states @ v[-1]).reshape(nx * ns, d * d)
-    h = -np.outer(np.repeat(p, ns), np.repeat(p, ns)) * np.real((bar * lam[-1]) @ bar.conj().T)
-    own = (vh[:-1, None] @ states @ v[:-1, None]).reshape(nx, ns, d * d)
-    k_x = np.real(np.einsum("xsk,xk,xtk->xst", own, lam[:-1], own.conj()))
-    blocks = h.reshape(nx, ns, nx, ns)
-    rows = np.arange(nx)
-    blocks[rows, :, rows, :] += p[:, None, None] * k_x
-    return h / LN2
-
-
-def _kernel_kkt(p, states, q, g, spec):
+def _kernel_kkt(pt):
     """KKT matrix of the kernel's Newton system, (F+X, F+X), and its F free entries (mask).
 
     ``geometry._free_entries`` picks the free entries (a free rounding
@@ -248,84 +254,67 @@ def _kernel_kkt(p, states, q, g, spec):
     keeps the system solvable where chi is flat in the kernel, as with a
     duplicated jammer letter.
     """
-    nx, ns = q.shape
-    free = _free_entries(q, g).ravel()
-    h = _kernel_hessian(p, states, spec)[np.ix_(free, free)]
-    return _kkt_matrix(h, np.repeat(np.arange(nx), ns)[free], nx), free
+    nx, ns = pt.q.shape
+    free = _free_entries(pt.q, pt.grad).ravel()
+    h = pt.kernel_hessian[free][:, free]
+    return _kkt_matrix(h, np.arange(nx).repeat(ns)[free], nx), free
 
 
-def _newton_direction(p, states, q, g, spec):
-    """Projected Newton direction on the kernel, or None if its system is singular or overflows.
-
-    On the free entries of ``_kernel_kkt`` the quadratic model of chi is
-    minimized under one zero-sum constraint per row.
-    """
-    kkt, free = _kernel_kkt(p, states, q, g, spec)
-    nf = int(free.sum())
-    sol = _solve_newton(kkt, np.concatenate([-g.ravel()[free], np.zeros(q.shape[0])]))
+def _newton_direction(pt):
+    """Minimizer of chi's quadratic model on the free entries of ``_kernel_kkt``, one
+    zero-sum constraint per row, or None if its system is singular or overflows."""
+    kkt, free = _kernel_kkt(pt)
+    sol = _solve_newton(kkt, np.concatenate([-pt.grad.ravel()[free], np.zeros(pt.q.shape[0])]))
     if sol is None:
         return None
-    step = np.zeros(q.size)
-    step[free] = sol[:nf]
-    return step.reshape(q.shape)
+    step = np.zeros(pt.q.size)
+    step[free] = sol[: free.sum()]
+    return step.reshape(pt.q.shape)
 
 
 def _descend_kernel(states, p, q, max_iter, gap_stop=_KERNEL_GAP):
     """Projected Newton descent of chi over one jamming kernel q (X, S) at fixed p.
 
-    Each step solves the Newton system of ``_newton_direction`` from the
-    Hessian of the cached spectra (no eigendecomposition beyond the one per
-    candidate) and tries project_simplex_rows(q + t D) for t = 1, 1/2, ...,
-    accepting the first candidate at which chi does not rise beyond
-    rounding.  The descent ends once the Frank-Wolfe gap is at most
-    gap_stop, when no candidate is accepted (chi has reached its rounding
-    floor, or the Newton system is singular), or after max_iter steps.  It
-    returns the gap of its last kernel, so chi - gap bounds the inner
-    minimum from below wherever it stops.  On |S| = 1 the gap is 0 and no
-    step is taken.
-
-    Returns chi, the kernel, the mixture spectra (w, v) as laid out by
-    ``_mixture_spectra`` and the Frank-Wolfe gap, all at the returned kernel.
+    Each step solves the Newton system of ``_newton_direction`` and tries
+    project_simplex_rows(q + t D) for t = 1, 1/2, ..., accepting the first
+    candidate at which chi does not rise beyond rounding.  The descent ends
+    once the Frank-Wolfe gap is at most gap_stop, when no candidate is
+    accepted (chi has reached its rounding floor, or the Newton system is
+    singular), or after max_iter steps.  It returns its last point, derived:
+    chi - gap there bounds the inner minimum from below wherever it stops.
+    On |S| = 1 the gap is 0 and no step is taken.
     """
-    q = np.array(q, dtype=float)
-    spec = _mixture_spectra(p, states, q)
-    f = _chi_from_spectra(p, spec[0])
-    if not np.isfinite(f):
+    pt = _Point(states, p, np.array(q, dtype=float))
+    if not np.isfinite(pt.chi):
         raise SolverDiverged("non-finite objective at the initial kernel")
     for step in range(max_iter + 1):
-        g = _grad_q(p, states, spec)
-        # chi is convex in q, so chi at q exceeds the inner minimum by at most
-        # this Frank-Wolfe gap: the linearisation's drop to its best vertex
-        gap = float(np.sum(g * q) - np.sum(g.min(axis=-1)))
-        if gap <= gap_stop or step == max_iter:
+        pt.derive()
+        if pt.gap <= gap_stop or step == max_iter:
             break
-        direction = _newton_direction(p, states, q, g, spec)
+        direction = _newton_direction(pt)
         if direction is None:
             break
         t, found = 1.0, None
         for _try in range(_NEWTON_HALVINGS):
-            found = _try_kernel(states, p, q, f, q + t * direction)
+            found = _try_kernel(pt, pt.q + t * direction)
             if found is not None:
                 break
             t /= 2.0
         if found is None:
             break
-        f, q, spec = found
-    if not np.isfinite(f):
+        pt = found
+    if not np.isfinite(pt.chi):
         raise SolverDiverged("non-finite objective during kernel descent")
-    return f, q, spec, gap
+    return pt
 
 
-def _try_kernel(states, p, q, f, target):
-    """(chi, kernel, spectra) at the projection of target, if chi does not rise there."""
+def _try_kernel(pt, target):
+    """The point at the projection of target, if chi does not rise there from pt."""
     cand = project_simplex_rows(target)
-    if np.array_equal(cand, q):
+    if (cand == pt.q).all():
         return None
-    spec = _mixture_spectra(p, states, cand)
-    f_cand = _chi_from_spectra(p, spec[0])
-    if f_cand <= f + _DESCENT_SLACK:
-        return f_cand, cand, spec
-    return None
+    found = _Point(pt.states, pt.p, cand)
+    return found if found.chi <= pt.chi + _DESCENT_SLACK else None
 
 
 def min_chi_over_jammer(w, p, tol=DEFAULT_TOL):
@@ -335,17 +324,15 @@ def min_chi_over_jammer(w, p, tol=DEFAULT_TOL):
     convexity of the relative entropy), so every local minimum over the
     kernel polytope is global and one descent from the uniform kernel finds
     it: seeded restarts could only find the same minimum again.  The descent
-    (``_descend_kernel``) takes projected Newton steps with the Hessian of
-    chi from the cached spectra (the Daleckii-Krein formula in the module
-    docstring) and stops once its Frank-Wolfe gap is at most _KERNEL_GAP,
-    so the value lies within 1e-9 of the minimum.  It also stops, further
-    from the minimum, if no Newton candidate keeps chi from rising; no
-    measured draw does.
+    (``_descend_kernel``) takes projected Newton steps and stops once its
+    Frank-Wolfe gap is at most _KERNEL_GAP, so the value lies within 1e-9 of
+    the minimum.  It also stops, further from the minimum, if no Newton
+    candidate keeps chi from rising; no measured draw does.
     """
     pv = _input_distribution(p, w, tol)
     nx, ns = len(w.x_alphabet), len(w.s_alphabet)
-    f, q, _, _ = _descend_kernel(w.states, pv, np.full((nx, ns), 1.0 / ns), max_iter=2000)
-    return float(max(f, 0.0)), JammerKernel(w.x_alphabet, w.s_alphabet, q)
+    pt = _descend_kernel(w.states, pv, np.full((nx, ns), 1.0 / ns), max_iter=2000)
+    return float(max(pt.chi, 0.0)), JammerKernel(w.x_alphabet, w.s_alphabet, pt.q)
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +347,11 @@ class CapacityResult:
     solver_trace: tuple
     certified_gap: float          # hi - lo of the bracket
     bracket: tuple                # (lo, hi) around the max-min value at the returned point
+    stop_reason: str              # "bracket", "max_iter" or "no_step": how the outer ascent ended
 
 
-def _input_hessian(p, states, q, spec):
-    """chi_pp (X, X) and chi_pq (X, X*S) at (p, q), from the mixture spectra.
+def _input_hessian(pt):
+    """chi_pp (X, X) and chi_pq (X, X*S) at a derived point.
 
     In rho_bar's eigenbasis V, with A~ = V^dag A V and Lambda from
     ``_dk_weights`` at rho_bar's spectrum,
@@ -375,42 +363,43 @@ def _input_hessian(p, states, q, spec):
     p enters chi through rho_bar and linearly through -sum_x p_x S(rho_x),
     and the kernel row x' moves rho_x' and, with weight p_x', rho_bar.
     """
-    w, v = spec
-    nx, ns, d = states.shape[0], states.shape[1], states.shape[-1]
-    lam = _dk_weights(w[-1]).ravel()
-    bar = (v[-1].conj().T @ states @ v[-1]).reshape(nx * ns, d * d)
-    rho = np.einsum("xs,xsk->xk", q, bar.reshape(nx, ns, d * d))
-    weighted = rho * lam
-    chi_pp = -np.real(weighted @ rho.conj().T) / LN2
-    chi_pq = -np.real(weighted @ bar.conj().T) * np.repeat(p, ns) / LN2
+    nx, ns = pt.q.shape
+    bar = pt.bar.reshape(nx, ns, -1).view(float)
+    rho = (pt.q[:, None] @ bar)[:, 0]
+    bar = bar.reshape(nx * ns, -1)
+    weighted = rho * pt.lam[-1]
+    chi_pp = -(weighted @ rho.T) / LN2
+    chi_pq = -(weighted @ bar.T) * pt.p.repeat(ns) / LN2
     rows = np.arange(nx)
-    chi_pq.reshape(nx, nx, ns)[rows, rows] += _log_ratio_traces(states, spec)
+    chi_pq.reshape(nx, nx, ns)[rows, rows] += pt.ratio
     return chi_pp, chi_pq
 
 
-def _envelope_hessian(p, states, q, spec):
-    """Hessian of phi(p) = min_q chi(p, q) at an inner minimizer q, (X, X), or None.
+def _envelope_hessian(pt):
+    """Hessian of phi(p) = min_q chi(p, q) at an inner minimizer (X, X) and dq/dp (X*S, X), or None.
 
     The Schur complement chi_pp - chi_pq chi_qq^-1 chi_qp over the free
     kernel entries of ``_kernel_kkt``, under their row constraints: the
     kernel's response dq/dp solves the kernel's KKT system with the
     right-hand sides -chi_qp, and phi'' = chi_pp + chi_pq dq/dp.  The
-    response sums to zero in each kernel row, so per-row constants in
-    chi_pq drop out.  None if the kernel's system is singular.
+    response is 0 on the held entries and sums to zero in each kernel row,
+    so per-row constants in chi_pq drop out.  None if the system is singular.
     """
-    chi_pp, chi_pq = _input_hessian(p, states, q, spec)
-    kkt, free = _kernel_kkt(p, states, q, _grad_q(p, states, spec), spec)
+    chi_pp, chi_pq = _input_hessian(pt)
+    kkt, free = _kernel_kkt(pt)
     nf = int(free.sum())
-    rhs = np.zeros((kkt.shape[0], p.size))
+    rhs = np.zeros((kkt.shape[0], pt.p.size))
     rhs[:nf] = -chi_pq[:, free].T
     sol = _solve_newton(kkt, rhs)
     if sol is None:
         return None
-    return chi_pp + chi_pq[:, free] @ sol[:nf]
+    response = np.zeros((pt.q.size, pt.p.size))
+    response[free] = sol[:nf]
+    return chi_pp + chi_pq[:, free] @ sol[:nf], response
 
 
-def _input_direction(p, states, q, d_x, spec):
-    """Projected Newton direction on p for phi(p) = min_q chi(p, q), or None.
+def _input_direction(pt):
+    """Projected Newton direction on p for phi(p) = min_q chi(p, q) and dq/dp, or None.
 
     Letters whose d_x is below the maximum and whose p_x is at most
     min(_HOLD_CAP, |p - project(p + d)|_1) are held: the step takes them
@@ -425,44 +414,54 @@ def _input_direction(p, states, q, d_x, spec):
     entries of at most 1, the width of the simplex: a nearly flat model
     would otherwise put every trial step far outside it.
     """
-    h = _envelope_hessian(p, states, q, spec)
-    if h is None:
+    found = _envelope_hessian(pt)
+    if found is None:
         return None
+    h, response = found
+    p, d_x = pt.p, pt.d_x
     floor = min(_HOLD_CAP, float(np.sum(np.abs(p - project_simplex_rows(p + d_x)))))
     free = (p > max(floor, _STEP_FLOOR)) | (d_x == d_x.max())
     held = np.where(free, 0.0, -p)
-    kkt = _kkt_matrix(-h[np.ix_(free, free)], np.zeros(int(free.sum()), dtype=int), 1)
+    kkt = _kkt_matrix(-h[free][:, free], np.zeros(int(free.sum()), dtype=int), 1)
     rhs = np.concatenate([d_x[free] + h[free] @ held, [-held.sum()]])
     sol = _solve_newton(kkt, rhs)
     if sol is None:
         return None
     step = held
     step[free] = sol[:-1]
-    return step / max(1.0, np.max(np.abs(step)))
+    return step / max(1.0, np.max(np.abs(step))), response
 
 
-def _newton_ascent(states, p, q, f, d_x, spec, inner_iter, gap_stop):
-    """(p, inner descent) at the first accepted candidate on the Newton direction, or None.
+def _newton_ascent(pt, inner_iter, gap_stop, width):
+    """The derived point at the first accepted candidate on the Newton direction, or None.
 
-    Tries project_simplex_rows(p + t delta) for t = 1, 1/2, ..., each with
-    an inner descent warm-started from q, and accepts the first at which the
-    inner minimum falls by at most gap_stop.  Both inner minima are known
-    only to the kernel descent's Frank-Wolfe stop gap_stop, so a smaller
-    fall is no loss of the concave objective.  Compared more finely, every
-    candidate was rejected on draws whose phi is nearly flat between two
-    input letters 1e-6 apart, and their brackets stayed open.
+    Tries project_simplex_rows(p + t delta) for t = 1, 1/2, ...  A candidate
+    p' whose point at the kernel's first-order response, project_simplex_rows
+    (q + dq/dp (p' - p)), has a bracket at most width wide is returned as
+    it is.  Otherwise p' gets an inner descent warm-started from q, and is
+    accepted if the inner minimum falls by at most gap_stop.  Both inner
+    minima are known only to the kernel descent's Frank-Wolfe stop
+    gap_stop, so a smaller fall is no loss of the concave objective.
+    Compared more finely, every candidate was rejected on draws whose phi
+    is nearly flat between two input letters 1e-6 apart.
     """
-    direction = _input_direction(p, states, q, d_x, spec)
-    if direction is None:
+    found = _input_direction(pt)
+    if found is None:
         return None
+    direction, response = found
     t = 1.0
     for _try in range(_NEWTON_HALVINGS):
-        cand_p = project_simplex_rows(p + t * direction)
-        if np.array_equal(cand_p, p):
+        cand_p = project_simplex_rows(pt.p + t * direction)
+        if (cand_p == pt.p).all():
             return None
-        cand = _descend_kernel(states, cand_p, q, inner_iter, gap_stop)
-        if cand[0] >= f - gap_stop:
-            return cand_p, cand
+        moved = (response @ (cand_p - pt.p)).reshape(pt.q.shape)
+        guess = _Point(pt.states, cand_p, project_simplex_rows(pt.q + moved)).derive()
+        lo, hi = guess.bracket()
+        if hi - lo <= width:
+            return guess
+        cand = _descend_kernel(pt.states, cand_p, pt.q, inner_iter, gap_stop)
+        if cand.chi >= pt.chi - gap_stop:
+            return cand
         t /= 2.0
     return None
 
@@ -472,49 +471,47 @@ def _ascend(states, outer_iter, inner_iter, tol):
 
     The objective is phi(p) = min_q chi(p, q), concave in p.  Its envelope
     gradient is the per-letter relative entropy d_x at the inner minimizer,
-    and its Hessian the Schur complement of ``_envelope_hessian``, both
-    from the spectra the inner descent cached.  Each outer step is the
-    projected Newton step of ``_newton_ascent``.  Every candidate p gets a
-    projected Newton descent on the kernel (``_descend_kernel``), which ends
-    on a Frank-Wolfe gap of at most
+    and its Hessian the Schur complement of ``_envelope_hessian``.  Each
+    outer step is the projected Newton step of ``_newton_ascent``, whose
+    inner descents end on a Frank-Wolfe gap of at most
     min(_KERNEL_GAP, _KERNEL_SHARE * tol.maxmin_bracket).  The saddle
     bracket is taken after the initial inner descent and after every outer
-    step; its lower end is chi minus the kernel's Frank-Wolfe gap, so the
-    gap stop costs the bracket at most a thousandth of its width.  The
-    ascent ends once the bracket is at most tol.maxmin_bracket wide, after
-    outer_iter steps, or when no Newton candidate is accepted, and returns
-    the bracket at that point.
+    step; its lower end is chi minus that gap, so the gap stop costs the
+    bracket at most a thousandth of its width.  The ascent ends once the
+    bracket is at most tol.maxmin_bracket wide ("bracket"), after
+    outer_iter steps ("max_iter"), or when no Newton candidate is accepted
+    ("no_step"), and returns the bracket at that point.
 
     Returns chi at the returned point, its p and kernel, its bracket
-    (lo, hi) and the objective trace.
+    (lo, hi), the objective trace and the stop reason.
     """
     width = tol.maxmin_bracket
     gap_stop = min(_KERNEL_GAP, width * _KERNEL_SHARE)
     nx, ns = states.shape[:2]
-    p = np.full(nx, 1.0 / nx)
-    f, q, spec, gap = _descend_kernel(states, p, np.full((nx, ns), 1.0 / ns), 400, gap_stop)
-    trace = [float(f)]
+    pt = _descend_kernel(states, np.full(nx, 1.0 / nx), np.full((nx, ns), 1.0 / ns), 400, gap_stop)
+    trace = [float(pt.chi)]
     for step in range(outer_iter + 1):
-        d_x = _grad_p(p, states, q, spec)
         # chi(p, W_Q) is convex in Q, so chi minus the kernel's Frank-Wolfe
         # gap bounds min_Q chi(p, W_Q), hence the max-min value, from below;
         # the value is at most C_Holevo(W_q) <= max_x D(rho_x || rho_bar),
         # the largest entry of d_x (see the module docstring for the floor
         # on rho_bar's spectrum).  Both meet at a saddle point, and both
-        # come from the cached spectra, so the bracket costs no LAPACK call
-        lo, hi = float(f - gap), float(d_x.max())
+        # are read from the point, so the bracket costs no LAPACK call
+        lo, hi = pt.bracket()
         if hi - lo <= width or step == outer_iter:
+            reason = "bracket" if hi - lo <= width else "max_iter"
             break
-        found = _newton_ascent(states, p, q, f, d_x, spec, inner_iter, gap_stop)
+        found = _newton_ascent(pt, inner_iter, gap_stop, width)
         if found is None:
+            reason = "no_step"
             break
-        p, (f, q, spec, gap) = found
-        trace.append(float(f))
-    return f, p, q, (lo, hi), trace
+        pt = found
+        trace.append(float(pt.chi))
+    return pt.chi, pt.p, pt.q, (lo, hi), trace, reason
 
 
 def _saddle_solve(states, outer_iter, inner_iter, tol):
-    """(value, p, q, trace, (lo, hi)) of the max-min solve on states (X, S, d, d).
+    """(value, p, q, trace, (lo, hi), stop reason) of the max-min solve on states (X, S, d, d).
 
     One ``_ascend`` trajectory; its bracket is widened to hold the value by
     at most _BRACKET_ROUNDING.  A negative step budget raises InvalidArgument.
@@ -528,11 +525,11 @@ def _saddle_solve(states, outer_iter, inner_iter, tol):
             f"maxmin_bracket must exceed the bracket rounding {_BRACKET_ROUNDING}, "
             f"got {tol.maxmin_bracket!r}"
         )
-    chi, p, q, (lo, hi), trace = _ascend(states, outer_iter, inner_iter, tol)
+    chi, p, q, (lo, hi), trace, reason = _ascend(states, outer_iter, inner_iter, tol)
     value = float(min(max(chi, 0.0), np.log2(states.shape[-1])))
     if not lo - _BRACKET_ROUNDING <= value <= hi + _BRACKET_ROUNDING:
         raise SolverDiverged(f"value {value!r} outside its bracket ({lo!r}, {hi!r})")
-    return value, p, q, tuple(trace), (min(lo, value), max(hi, value))
+    return value, p, q, tuple(trace), (min(lo, value), max(hi, value)), reason
 
 
 def capacity_informed_jammer(
@@ -556,17 +553,18 @@ def capacity_informed_jammer(
     every outer step, so a start that is already a saddle point costs one
     inner descent.  A trajectory that stops with its bracket open (after
     outer_iter steps, or with no Newton candidate accepted) still returns a
-    bracket that holds the value.  ``solver_trace`` is the objective after
-    the first inner descent and after every outer step, and ``bracket`` is
-    (lo, hi) at the returned point.  ``certified_gap`` is hi - lo, at every
-    alphabet size; the value lies within it of the max-min value.
+    bracket that holds the value; ``stop_reason`` names the exit.
+    ``solver_trace`` is the objective after the first inner descent and
+    after every outer step, and ``bracket`` is (lo, hi) at the returned
+    point.  ``certified_gap`` is hi - lo, at every alphabet size; the value
+    lies within it of the max-min value.
 
     The solve draws no random numbers and has one trajectory, so ``seed``,
     ``restarts`` and ``certify`` change nothing.  They are still accepted
     because the benchmark workloads in ``perfbench/`` pass them, and a call
     they made that was refused would fail every workload run.
     """
-    value, p, q, trace, (lo, hi) = _saddle_solve(w.states, outer_iter, inner_iter, tol)
+    value, p, q, trace, (lo, hi), reason = _saddle_solve(w.states, outer_iter, inner_iter, tol)
     return CapacityResult(
         value=value,
         argmax_p=p,
@@ -574,6 +572,7 @@ def capacity_informed_jammer(
         solver_trace=trace,
         certified_gap=hi - lo,
         bracket=(lo, hi),
+        stop_reason=reason,
     )
 
 

@@ -48,13 +48,10 @@ def project_simplex_rows(y):
     y = np.asarray(y, dtype=float)
     flat = y.reshape(-1, y.shape[-1])
     u = -np.sort(-flat, axis=1)
-    css = np.cumsum(u, axis=1) - 1.0
-    idx = np.arange(1, y.shape[-1] + 1)
-    cond = u - css / idx > 0
-    rho = np.count_nonzero(cond, axis=1)
+    css = u.cumsum(axis=1) - 1.0
+    rho = (u - css / np.arange(1, y.shape[-1] + 1) > 0).sum(axis=1)
     theta = css[np.arange(flat.shape[0]), rho - 1] / rho
-    out = np.maximum(flat - theta[:, None], 0.0)
-    return out.reshape(y.shape)
+    return np.maximum(flat - theta[:, None], 0.0).reshape(y.shape)
 
 
 def _free_entries(q, g):
@@ -72,7 +69,7 @@ def _kkt_matrix(h, rows, nrows):
     to zero within each group: A[r, k] = 1 where rows[k] == r, for nrows groups."""
     nf = h.shape[0]
     kkt = np.zeros((nf + nrows, nf + nrows))
-    kkt[:nf, :nf] = h + _NEWTON_SHIFT * np.max(np.diag(h)) * np.eye(nf)
+    kkt[:nf, :nf] = h + _NEWTON_SHIFT * h.diagonal().max() * np.eye(nf)
     kkt[nf:, :nf] = rows == np.arange(nrows)[:, None]
     kkt[:nf, nf:] = kkt[nf:, :nf].T
     return kkt

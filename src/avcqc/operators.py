@@ -115,9 +115,8 @@ def entropy_from_eigenvalues(eigs, floor=DEFAULT_TOL.psd_floor):
         raise NotPositive(
             f"eigenvalue {lam.min():.3e} below the clamp floor -{floor:.1e}"
         )
-    lam = np.clip(lam, 0.0, None)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(lam > 0.0, lam * np.log2(np.where(lam > 0.0, lam, 1.0)), 0.0)
+    lam = np.maximum(lam, 0.0)
+    terms = np.where(lam > 0.0, lam * np.log2(np.where(lam > 0.0, lam, 1.0)), 0.0)
     # 0 - sum, not -sum: an all-zero sum (a pure state) gives +0.0, not -0.0
     return 0.0 - terms.sum(axis=-1)
 

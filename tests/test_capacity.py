@@ -318,6 +318,25 @@ class TestSaddleBracket:
         ref = dense_saddle_bracket(w.states, res.argmax_p, res.argmin_q.rows)
         assert np.max(np.abs(np.subtract(res.bracket, ref))) <= 1e-10
 
+    def test_step_budget_reports_max_iter(self):
+        # one outer step leaves this draw's bracket open: the solve says it
+        # ran out of steps, and its bracket still holds the max-min value
+        w = self._instance()
+        res = capacity_informed_jammer(w, outer_iter=1)
+        lo, hi = res.bracket
+        assert res.stop_reason == "max_iter"
+        assert hi - lo > DEFAULT_TOL.maxmin_bracket
+        closed = capacity_informed_jammer(w)
+        assert closed.stop_reason == "bracket"
+        assert lo <= res.value <= hi and lo <= closed.value <= hi
+
+    def test_rejected_newton_step_reports_no_step(self, monkeypatch):
+        w = self._instance()
+        monkeypatch.setattr(capacity, "_newton_ascent", lambda *a: None)
+        res = capacity_informed_jammer(w)
+        assert res.stop_reason == "no_step"
+        assert res.bracket[1] - res.bracket[0] > DEFAULT_TOL.maxmin_bracket
+
     def test_bracket_absorbs_rounding_only(self, monkeypatch):
         # the returned bracket is widened to hold the value by rounding
         # only; a bracket that misses chi by more is a solver fault
@@ -326,8 +345,8 @@ class TestSaddleBracket:
         shift = []
 
         def move_hi_below_chi(*args):
-            chi, p, q, (lo, hi), trace = ascend(*args)
-            return chi, p, q, (lo, chi - shift[0]), trace
+            chi, p, q, (lo, hi), trace, reason = ascend(*args)
+            return chi, p, q, (lo, chi - shift[0]), trace, reason
 
         monkeypatch.setattr(capacity, "_ascend", move_hi_below_chi)
         shift.append(1e-14)
@@ -610,24 +629,35 @@ def test_grid_oracle_certifies_known_values():
 
 
 def test_matrix_log_matches_eigendecomposition():
-    from avcqc.capacity import _log2_from_spectra
-    from avcqc.operators import eigh_stack
+    # the solver builds no matrix log: it reads tr W log2 sigma as diagonal
+    # traces of the rotated states against sigma's floored log2 spectrum.
+    # With q = 1 on the first column, rho_x = W_x0, and the traces against
+    # rho_x and rho_bar match the matrix logs of one np.linalg.eigh each
+    def log2m(m):
+        w, v = np.linalg.eigh(m)
+        return v @ np.diag(np.log2(np.clip(w, 1e-18, None))) @ v.conj().T
 
-    def _log2_psd_stack(mats):
-        return _log2_from_spectra(*eigh_stack(mats))
+    def traces(states, p):
+        q = np.zeros(states.shape[:2])
+        q[:, 0] = 1.0
+        pt = capacity._Point(states, p, q).derive()
+        log_bar = log2m(np.einsum("x,xij->ij", p, states[:, 0]))
+        ref = np.array([[np.real(np.trace(m @ (log2m(row[0]) - log_bar))) for m in row]
+                        for row in states])
+        return pt.ratio, ref
 
     rng = np.random.default_rng(47)
     for d in (2, 3):
         mats = np.stack([wishart_state(rng, d) for _ in range(10)])
-        got = _log2_psd_stack(mats)
-        for k in range(10):
-            w, v = np.linalg.eigh(mats[k])
-            ref = v @ np.diag(np.log2(np.clip(w, 1e-18, None))) @ v.conj().T
-            assert np.allclose(got[k], ref, atol=1e-9)
-    # degenerate spectrum branch
-    mixed = np.broadcast_to(np.eye(2, dtype=complex) / 2, (3, 2, 2))
-    got = _log2_psd_stack(mixed)
-    assert np.allclose(got, -np.eye(2), atol=1e-12)
+        got, ref = traces(mats.reshape(5, 2, d, d), np.full(5, 0.2))
+        assert np.allclose(got, ref, atol=1e-9)
+    # degenerate spectrum branch: rho_x = rho_bar = I / 2, log2 of which is -I
+    mixed = np.broadcast_to(np.eye(2, dtype=complex) / 2, (3, 2, 2, 2))
+    got, ref = traces(mixed, np.full(3, 1 / 3))
+    assert np.allclose(got, ref, atol=1e-12)
+    pure = np.stack([np.stack([ZERO, ONE])] * 2)
+    pt = capacity._Point(pure, np.array([0.5, 0.5]), np.full((2, 2), 0.5)).derive()
+    assert np.allclose(pt.ratio, 0.0, atol=1e-12) and np.allclose(pt.d_x, 0.0, atol=1e-12)
 
 
 def _descent_draw(kind):
@@ -647,14 +677,14 @@ class TestKernelDescent:
         # the Daleckii-Krein Hessian against central differences of the
         # gradient, one kernel entry at a time
         states, p, q = _descent_draw(kind)
-        h = capacity._kernel_hessian(p, states, capacity._mixture_spectra(p, states, q))
+        h = capacity._Point(states, p, q).derive().kernel_hessian
         step = 1e-6
         fd = np.empty_like(h)
         for k in range(q.size):
             e = np.zeros(q.size)
             e[k] = step
             e = e.reshape(q.shape)
-            up, down = (capacity._grad_q(p, states, capacity._mixture_spectra(p, states, q + sgn * e))
+            up, down = (capacity._Point(states, p, q + sgn * e).derive().grad
                         for sgn in (1.0, -1.0))
             fd[:, k] = ((up - down) / (2.0 * step)).ravel()
         assert np.max(np.abs(h - fd)) <= 1e-6 * np.max(np.abs(h))
@@ -664,7 +694,8 @@ class TestKernelDescent:
         # the gap recomputed with one np.linalg.eigh per matrix: chi at the
         # returned kernel minus the Frank-Wolfe lower bound there
         states, p, _ = _descent_draw(kind)
-        f, q, _, gap = capacity._descend_kernel(states, p, np.full((3, 3), 1.0 / 3), 2000)
+        pt = capacity._descend_kernel(states, p, np.full((3, 3), 1.0 / 3), 2000)
+        f, q, gap = pt.chi, pt.q, pt.gap
         lo, _ = dense_saddle_bracket(states, p, q)
         assert gap <= capacity._KERNEL_GAP
         assert abs((f - lo) - gap) <= 1e-12
@@ -678,7 +709,8 @@ class TestKernelDescent:
         p = rng.dirichlet(np.ones(2))
         values = []
         for q0 in rng.dirichlet(np.ones(3), size=(6, 2)):
-            f, q, (wq, _), _ = capacity._descend_kernel(w.states, p, q0, max_iter=300)
+            pt = capacity._descend_kernel(w.states, p, q0, max_iter=300)
+            f, q, wq = pt.chi, pt.q, pt.spec[0]
             assert np.max(np.abs(wq - capacity._mixture_spectra(p, w.states, q)[0])) <= 1e-12
             kernel = JammerKernel(w.x_alphabet, w.s_alphabet, q)
             assert abs(f - holevo_chi(p, averaged_channel(w, kernel))) <= 1e-12
@@ -690,9 +722,10 @@ class TestKernelDescent:
         # kernel and that kernel's gap, which still bounds the minimum below
         states, p, _ = _descent_draw("d3")
         start = np.full((3, 3), 1.0 / 3)
-        f_newton, _, _, _ = capacity._descend_kernel(states, p, start, max_iter=2000)
+        f_newton = capacity._descend_kernel(states, p, start, max_iter=2000).chi
         monkeypatch.setattr(capacity, "_newton_direction", lambda *a: None)
-        f, q, _, gap = capacity._descend_kernel(states, p, start, max_iter=300)
+        pt = capacity._descend_kernel(states, p, start, max_iter=300)
+        f, q, gap = pt.chi, pt.q, pt.gap
         lo, _ = dense_saddle_bracket(states, p, start)
         assert np.array_equal(q, start)
         assert abs((f - lo) - gap) <= 1e-12
@@ -706,7 +739,8 @@ class TestKernelDescent:
         w = serialize.load_channel(str(SPECS / "mirror_pair_fixed_channel.json"))
         calls = []
         monkeypatch.setattr(capacity, "_try_kernel", lambda *a: calls.append(a))
-        f, q, _, gap = capacity._descend_kernel(w.states, np.array([0.5, 0.5]), np.ones((2, 1)), 2000)
+        pt = capacity._descend_kernel(w.states, np.array([0.5, 0.5]), np.ones((2, 1)), 2000)
+        f, q, gap = pt.chi, pt.q, pt.gap
         assert calls == [] and gap == 0.0
         assert np.array_equal(q, np.ones((2, 1)))
         assert f == pytest.approx(holevo_chi([0.5, 0.5], CqChannel(w.x_alphabet, w.states[:, 0])))
@@ -751,9 +785,8 @@ def _outer_draw(kind):
 
 
 def _inner_minimum(states, p, q0):
-    """(kernel, spectra) of the inner minimum, run down to a Frank-Wolfe gap of 1e-14."""
-    _, q, spec, _ = capacity._descend_kernel(states, p, q0, 2000, gap_stop=1e-14)
-    return q, spec
+    """The derived point of the inner minimum, run down to a Frank-Wolfe gap of 1e-14."""
+    return capacity._descend_kernel(states, p, q0, 2000, gap_stop=1e-14)
 
 
 class TestOuterNewton:
@@ -763,13 +796,12 @@ class TestOuterNewton:
     def test_chi_pp_matches_finite_differences(self, kind):
         # d_x = D(rho_x || rho_bar) at a fixed kernel, one letter at a time
         states, p, q = _outer_draw(kind)
-        chi_pp, _ = capacity._input_hessian(p, states, q, capacity._mixture_spectra(p, states, q))
+        chi_pp, _ = capacity._input_hessian(capacity._Point(states, p, q).derive())
         fd = np.empty_like(chi_pp)
         for k in range(p.size):
             e = np.zeros(p.size)
             e[k] = self.STEP
-            up, down = (capacity._grad_p(p + sgn * e, states, q,
-                                         capacity._mixture_spectra(p + sgn * e, states, q))
+            up, down = (capacity._Point(states, p + sgn * e, q).derive().d_x
                         for sgn in (1.0, -1.0))
             fd[:, k] = (up - down) / (2.0 * self.STEP)
         assert np.allclose(chi_pp, chi_pp.T, rtol=0.0, atol=1e-12)
@@ -780,14 +812,13 @@ class TestOuterNewton:
         # d_x at a fixed p along zero-sum moves of one kernel row: the
         # per-row constant of chi_pq drops out
         states, p, q = _outer_draw(kind)
-        _, chi_pq = capacity._input_hessian(p, states, q, capacity._mixture_spectra(p, states, q))
+        _, chi_pq = capacity._input_hessian(capacity._Point(states, p, q).derive())
         nx, ns = q.shape
         for x in range(nx):
             for s in range(1, ns):
                 e = np.zeros(q.shape)
                 e[x, s], e[x, 0] = self.STEP, -self.STEP
-                up, down = (capacity._grad_p(p, states, q + sgn * e,
-                                             capacity._mixture_spectra(p, states, q + sgn * e))
+                up, down = (capacity._Point(states, p, q + sgn * e).derive().d_x
                             for sgn in (1.0, -1.0))
                 fd = (up - down) / (2.0 * self.STEP)
                 model = chi_pq @ (e.ravel() / self.STEP)
@@ -799,8 +830,8 @@ class TestOuterNewton:
         # zero-sum moves of the letters with p_x > 0; the Schur complement
         # is symmetric and negative semidefinite on them
         states, p, q0 = _outer_draw(kind)
-        q, spec = _inner_minimum(states, p, q0)
-        h = capacity._envelope_hessian(p, states, q, spec)
+        pt = _inner_minimum(states, p, q0)
+        h, _ = capacity._envelope_hessian(pt)
         used = np.flatnonzero(p > 0.0)
         for k in used[1:]:
             u = np.zeros(p.size)
@@ -808,8 +839,7 @@ class TestOuterNewton:
             grads = []
             for sgn in (1.0, -1.0):
                 pk = p + sgn * self.STEP * u
-                qk, speck = _inner_minimum(states, pk, q)
-                grads.append(capacity._grad_p(pk, states, qk, speck))
+                grads.append(_inner_minimum(states, pk, pt.q).d_x)
             fd = (grads[0] - grads[1]) / (2.0 * self.STEP)
             assert np.max(np.abs(h @ u - fd)) <= 1e-7 * np.max(np.abs(h[np.ix_(used, used)]))
         block = h[np.ix_(used, used)]
@@ -853,9 +883,9 @@ class TestOuterNewton:
         # step of Blahut-Arimoto on chi_pp
         states, p, _ = _outer_draw("interior")
         states, q = states[:, :1], np.ones((3, 1))
-        spec = capacity._mixture_spectra(p, states, q)
-        chi_pp, _ = capacity._input_hessian(p, states, q, spec)
-        assert np.allclose(capacity._envelope_hessian(p, states, q, spec), chi_pp,
+        pt = capacity._Point(states, p, q).derive()
+        chi_pp, _ = capacity._input_hessian(pt)
+        assert np.allclose(capacity._envelope_hessian(pt)[0], chi_pp,
                            rtol=0.0, atol=1e-12 * np.max(np.abs(chi_pp)))
 
     def test_upper_end_holds_on_a_rank_deficient_mixture(self):
@@ -864,7 +894,7 @@ class TestOuterNewton:
         # d 1e-18 / ln 2 from max_x D(rho_x || rho_bar) taken on the support;
         # hi stays above chi, and the value is that of the channel at d = 2
         states, _, _ = _outer_draw("rank2")
-        chi, p, q, (lo, hi), _ = capacity._ascend(states, 400, 120, DEFAULT_TOL)
+        chi, p, q, (lo, hi), _, _ = capacity._ascend(states, 400, 120, DEFAULT_TOL)
         assert lo <= chi <= hi
         rho_x = np.einsum("xs,xsij->xij", q, states[:, :, :2, :2])
         log_bar = _log2m(np.einsum("x,xij->ij", p, rho_x))
@@ -880,3 +910,93 @@ def _log2m(m):
     """Matrix log base 2 of a full-rank density matrix, one np.linalg.eigh."""
     lam, vec = np.linalg.eigh(m)
     return (vec * np.log2(lam)) @ vec.conj().T
+
+
+def _spy_outer_steps(monkeypatch):
+    """Log of the solver's calls: "direction" per outer Newton step, "descend" per inner descent."""
+    log = []
+    for name, tag in (("_input_direction", "direction"), ("_descend_kernel", "descend")):
+        def spy(*args, _real=getattr(capacity, name), _tag=tag, **kwargs):
+            log.append(_tag)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(capacity, name, spy)
+    return log
+
+
+class TestCandidateExit:
+    def test_closing_candidate_skips_the_last_inner_descent(self, monkeypatch):
+        # default_rng(71) 3x3 d3: at the last Newton candidate the kernel's
+        # first-order response already closes the bracket, so no inner
+        # descent runs after the last direction; the bracket reported is
+        # that point's own, recomputed with one np.linalg.eigh per matrix
+        w = wishart_avcqc(np.random.default_rng(71), 3, 3, 3)
+        log = _spy_outer_steps(monkeypatch)
+        res = capacity_informed_jammer(w)
+        last = len(log) - 1 - log[::-1].index("direction")
+        assert "descend" not in log[last:]
+        assert res.stop_reason == "bracket" and len(res.solver_trace) == 4
+        ref = dense_saddle_bracket(w.states, res.argmax_p, res.argmin_q.rows)
+        assert np.max(np.abs(np.subtract(res.bracket, ref))) <= 1e-10
+
+    def test_open_candidate_keeps_the_trajectory(self, monkeypatch):
+        # on the wishart_3x3_d2 spec no first-order candidate closes the
+        # bracket: every outer step re-solves the inner minimum, and the
+        # trace has the 3 entries it had before the candidate exit
+        from avcqc import serialize
+
+        w = serialize.load_channel(str(SPECS / "wishart_3x3_d2_channel.json"))
+        log = _spy_outer_steps(monkeypatch)
+        res = capacity_informed_jammer(w)
+        assert len(res.solver_trace) == 3
+        assert log[0] == "descend" and log[-1] == "descend" and log.count("direction") == 2
+        assert all(log[k + 1] == "descend" for k, tag in enumerate(log) if tag == "direction")
+
+
+def _haar_unitary(rng, d):
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    u, r = np.linalg.qr(z)
+    return u * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+# Wishart draws of default_rng(3), in this order: past |X|, |S| <= 3, where
+# the grid oracle gives up
+_PAST_THE_ORACLE = [(4, 4, 3), (6, 3, 4), (8, 2, 2), (5, 5, 2), (4, 4, 6)]
+
+
+def _past_the_oracle_draws():
+    rng = np.random.default_rng(3)
+    return [wishart_avcqc(rng, *shape) for shape in _PAST_THE_ORACLE]
+
+
+class TestPastTheOracle:
+    def test_value_lies_in_the_dense_bracket(self):
+        # the test-side saddle certificate, from one np.linalg.eigh per
+        # matrix, at the returned (argmax_p, argmin_q)
+        for w in _past_the_oracle_draws():
+            res = capacity_informed_jammer(w)
+            lo, hi = dense_saddle_bracket(w.states, res.argmax_p, res.argmin_q.rows)
+            assert lo - 1e-12 <= res.value <= hi + 1e-12
+            assert hi - lo <= DEFAULT_TOL.maxmin_bracket
+
+    def test_unitary_rotation_moves_the_value_by_rounding_only(self):
+        # V W V^dag for every state leaves chi and its bracket at a fixed
+        # (p, q) unchanged.  At the returned point, five Haar unitaries per
+        # draw move them by far less than the _BRACKET_ROUNDING (1e-12) by
+        # which the returned bracket may be widened to hold the value.  The
+        # rotated solves need not follow the same trajectory (on the 5x5 d2
+        # draw their values spread by 5.9e-12), but their brackets all hold
+        # the one max-min value, so any two meet up to that rounding
+        rng = np.random.default_rng(17)
+        for w in _past_the_oracle_draws():
+            res = capacity_informed_jammer(w)
+            p, q = res.argmax_p, res.argmin_q.rows
+            base = capacity._Point(w.states, p, q).derive()
+            for _ in range(5):
+                v = _haar_unitary(rng, w.dim)
+                rotated = v @ w.states @ v.conj().T
+                pt = capacity._Point(rotated, p, q).derive()
+                moved = np.subtract((pt.chi, *pt.bracket()), (base.chi, *base.bracket()))
+                assert np.max(np.abs(moved)) <= 1e-13
+                other = capacity_informed_jammer(Avcqc(w.x_alphabet, w.s_alphabet, rotated))
+                lo, hi = max(res.bracket[0], other.bracket[0]), min(res.bracket[1], other.bracket[1])
+                assert lo <= hi + 1e-12
