@@ -702,7 +702,7 @@ class TestKernelDescent:
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_single_row_returns_its_own_spectra(self, dim):
-        # the cached spectra belong to the returned kernel, chi is its Holevo
+        # the returned point's spectra belong to its kernel, chi is its Holevo
         # quantity, and descents from six starts agree within the gap
         rng = np.random.default_rng(61)
         w = random_avcqc(rng, 2, 3, dim=dim)
