@@ -455,11 +455,14 @@ def _newton_ascent(pt, inner_iter, gap_stop, width):
         if (cand_p == pt.p).all():
             return None
         moved = (response @ (cand_p - pt.p)).reshape(pt.q.shape)
-        guess = _Point(pt.states, cand_p, project_simplex_rows(pt.q + moved)).derive()
-        lo, hi = guess.bracket()
+        cand = _Point(pt.states, cand_p, project_simplex_rows(pt.q + moved)).derive()
+        lo, hi = cand.bracket()
         if hi - lo <= width:
-            return guess
-        cand = _descend_kernel(pt.states, cand_p, pt.q, inner_iter, gap_stop)
+            return cand
+        # at q itself (one jammer letter: no response) and within gap_stop,
+        # the candidate is the point the inner descent from q stops on at once
+        if not ((cand.q == pt.q).all() and cand.gap <= gap_stop):
+            cand = _descend_kernel(pt.states, cand_p, pt.q, inner_iter, gap_stop)
         if cand.chi >= pt.chi - gap_stop:
             return cand
         t /= 2.0
@@ -480,10 +483,8 @@ def _ascend(states, outer_iter, inner_iter, tol):
     bracket at most a thousandth of its width.  The ascent ends once the
     bracket is at most tol.maxmin_bracket wide ("bracket"), after
     outer_iter steps ("max_iter"), or when no Newton candidate is accepted
-    ("no_step"), and returns the bracket at that point.
-
-    Returns chi at the returned point, its p and kernel, its bracket
-    (lo, hi), the objective trace and the stop reason.
+    ("no_step").  Returns chi at the returned point, its p and kernel, its
+    bracket (lo, hi), the objective trace and the stop reason.
     """
     width = tol.maxmin_bracket
     gap_stop = min(_KERNEL_GAP, width * _KERNEL_SHARE)
