@@ -326,6 +326,10 @@ def main(argv=None):
     except ToolkitError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # numpy raises a private subclass; the class users know is MemoryError
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -246,21 +246,23 @@ def _state_words(w, n, caps):
     return list(iproduct(w.s_alphabet, repeat=n))
 
 
-def _success_table(w, xs, g):
-    """tr((W(x_1, s_1) (x) ... (x) W(x_n, s_n)) G) for every state word s.
+def _success_table(w, xs, g, ss=None):
+    """tr((W(x_1, s_1) (x) ... (x) W(x_n, s_n)) G) for every state word s,
+    in lexicographic order, or for the one state word ss when given.
 
     Contracts the legs of G site by site, first site first: the running
     table (T, d*rest, d*rest) is copied to (T, d^2, rest^2) with the
     site's legs (b, a) as one axis, and one matmul by W(x_i, .)^T as
-    (|S|, d^2) gives the next table (T*|S|, rest, rest).  The values come
-    out in the lexicographic order of the state words and no product
-    state is built.
+    (|S|, d^2), or by W(x_i, s_i)^T as (1, d^2), gives the next table
+    (T*|S|, rest, rest), or (T, rest, rest); no product state is built.
+    A stack g of shape (..., D, D) gives the values G by G.
     """
     d = w.dim
+    s_rows = [slice(None)] * len(xs) if ss is None else [[w.s_alphabet.index(s)] for s in ss]
     t = g[None]                                  # (state words so far, rest, rest)
-    for x in xs:
+    for x, rows in zip(xs, s_rows):
         rest = t.shape[-1] // d
-        site = w.states[w.x_alphabet.index(x)].swapaxes(1, 2).reshape(-1, d * d)
+        site = w.states[w.x_alphabet.index(x), rows].swapaxes(1, 2).reshape(-1, d * d)
         legs = t.reshape(-1, d, rest, d, rest).transpose(0, 1, 3, 2, 4)
         t = (site @ legs.reshape(-1, d * d, rest * rest)).reshape(-1, rest, rest)
     return np.real(t.ravel())
@@ -759,15 +761,17 @@ def cr_generation_run(w, src, code, trials, seed, caps=DEFAULT_CAPS):
     row from the one stream, so a record does not depend on `trials`: the
     first m rows of a run are the rows of an m-trial run.
 
-    The outcome probabilities of all trials come from one batched pass.
-    A RepetitionPrecode's are _site_products of the site traces
-    T[b, bit, x, s] at each trial's blocks and state word (m = 1), with no
-    product state or dense decoder; a CorrelationCode contracts each
-    distinct (receiver word, codeword) pair with its decoders once, on one
-    product state per codeword.  A TwoPartCode's are sum_k pre[k] inner[k, j]:
-    its pre part's as above on the first pre.n letters, its inner part's
-    from one product state per distinct (inner word, inner state word).
-    They are clipped at 0 and completed by the failure entry
+    The outcome probabilities of all trials come from one batched pass
+    that builds no product state.  A RepetitionPrecode's are
+    _site_products of the site traces T[b, bit, x, s] at each trial's
+    blocks and state word (m = 1); a CorrelationCode's are one
+    _success_table call per distinct (receiver word, codeword) pair, on
+    its decoders at the jammer's state word.  A TwoPartCode's are
+    sum_k pre[k] inner[k, j]: its pre part's as above on the first pre.n
+    letters, its inner part's one _success_table call per distinct (inner
+    word, inner state word) and key, on that key's decoders.
+    caps.product_dim bounds d^n of each part so contracted.  The
+    probabilities are clipped at 0 and completed by the failure entry
     max(1 - sum, 0).  Returns a dict
     with the agreement rate, the empirical entropy (bits) of the agreed
     value, and per-trial records.  `trials` must be an integer >= 1 and
@@ -814,13 +818,6 @@ def cr_generation_run(w, src, code, trials, seed, caps=DEFAULT_CAPS):
     states = [jammer(xs) for xs in words]
 
     # probability pass: the pre part's, then a two-part code's inner part's
-    rhos = {}   # product state per distinct (part word, part state word)
-
-    def part_states(part):
-        pairs = [(xs[part], ss[part]) for xs, ss in zip(words, states)]
-        rhos.update((p, product_output(w, *p, caps)) for p in dict.fromkeys(pairs) if p not in rhos)
-        return np.array([rhos[p] for p in pairs])
-
     if isinstance(pre, RepetitionPrecode):
         traces = _site_traces(pre, w)
         iota = l // pre.n
@@ -830,18 +827,20 @@ def cr_generation_run(w, src, code, trials, seed, caps=DEFAULT_CAPS):
         sites = traces[blocks, :, xi[word, : pre.n], si[word, : pre.n]]   # (trials, nu, 2)
         probs = _site_products(sites[..., None], pre.bit_keys, pre.num_messages)[..., 0]
     else:
-        pre_rhos = part_states(slice(pre.n))
+        _check_product_dim(w.dim, pre.n, caps)
         v_index = v_letters @ n_v ** np.arange(l - 1, -1, -1)
         seen, pair_of = np.unique(v_index * len(words) + word, return_inverse=True)
         table = [
-            np.real(np.einsum("jab,ba->j", pre.decoders[v_i], pre_rhos[c]))
+            _success_table(w, words[c][: pre.n], pre.decoders[v_i], states[c][: pre.n])
             for v_i, c in (divmod(vc, len(words)) for vc in seen.tolist())
         ]
         probs = np.array(table)[pair_of]
     if two_part:
-        dec = np.stack([det.decoders for det in code.inner.codes])   # (K, J, D, D)
-        inner_probs = np.real(np.einsum("kjab,cba->ckj", dec, part_states(slice(pre.n, None))))
-        probs = np.einsum("tk,tkj->tj", probs, inner_probs[word])
+        _check_product_dim(w.dim, code.inner.n, caps)
+        parts = [(xs[pre.n :], ss[pre.n :]) for xs, ss in zip(words, states)]
+        tables = {p: [_success_table(w, p[0], det.decoders, p[1]) for det in code.inner.codes]
+                  for p in dict.fromkeys(parts)}
+        probs = np.einsum("tk,tkj->tj", probs, np.array([tables[p] for p in parts])[word])
 
     # outcome pass: the completion entry takes the missing mass
     probs = np.clip(probs, 0.0, None)

@@ -724,13 +724,44 @@ print(json.dumps({"at_import": at_import, "codes": codes,
 
     def test_no_command_imports_numpy_ma(self, tmp_path):
         commands = [c.format(s=SPECS, o=tmp_path) for c in self.COMMANDS]
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
         run = subprocess.run([sys.executable, "-c", self.SCRIPT, json.dumps(commands)],
-                             capture_output=True, text=True, env=env, check=True)
+                             capture_output=True, text=True, env=child_env(), check=True)
         res = json.loads(run.stdout)
         if res["at_import"]:
             pytest.skip("this numpy loads numpy.ma when it is imported")
         assert res["codes"] == [0] * len(commands)
         assert res["ma"] == []
+
+
+def child_env():
+    """The environment of a child Python that imports this checkout's package."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+class TestOutOfMemory:
+    """A command whose arrays do not fit the address space exits 1, as a ToolkitError does."""
+
+    # the child limits its own address space to 2 GiB before numpy loads,
+    # so the 894 GiB draw table of 10^10 trials fails without being touched
+    SCRIPT = """
+import resource, sys
+limit = 2 << 30
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from avcqc.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+    def test_huge_trials_exit_1_without_output(self, tmp_path):
+        out = tmp_path / "trials.csv"
+        argv = ["simulate", "--channel", str(SPECS / "orthogonal_channel.json"),
+                "--source", str(SPECS / "flip10_source.json"), "--seed", "7",
+                "--trials", "10000000000", "--out", str(out)]
+        run = subprocess.run([sys.executable, "-c", self.SCRIPT, *argv],
+                             capture_output=True, text=True, env=child_env())
+        assert run.returncode == 1, run.stderr
+        assert run.stderr.startswith("error: MemoryError: Unable to allocate"), run.stderr
+        assert "Traceback" not in run.stderr
+        assert not out.exists()

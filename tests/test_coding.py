@@ -20,7 +20,7 @@ from avcqc import (
     separation_test,
     worst_case_error_informed,
 )
-from avcqc import coding
+from avcqc import channels, coding
 from avcqc import serialize as io
 from avcqc.channels import product_output
 from avcqc.coding import two_part_error_informed, worst_case_error_brute_force
@@ -175,6 +175,21 @@ class TestContraction:
         xs = tuple(int(b) for b in rng.integers(0, 2, n))
         table = coding._success_table(w, xs, g)
         assert np.abs(table - einsum_success_table(w, xs, g)).max() <= 1e-13
+
+    @pytest.mark.parametrize("d, n", [(2, 4), (3, 3)])
+    def test_one_state_word_gives_the_column_of_the_table(self, d, n):
+        rng = np.random.default_rng([107, d])
+        states = np.stack([[wishart_state(rng, d) for _ in range(3)] for _ in range(d)])
+        w = Avcqc(tuple("pqr"[:d]), ("a", "b", "c"), states)
+        xs = tuple(w.x_alphabet[i] for i in rng.integers(0, d, n))
+        shape = (3, d ** n, d ** n)
+        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        want = np.array([einsum_success_table(w, xs, g_m) for g_m in g])   # (3, |S|^n)
+        assert np.abs(coding._success_table(w, xs, g).reshape(want.shape) - want).max() <= 1e-13
+        for i, ss in enumerate(iproduct(w.s_alphabet, repeat=n)):
+            got = coding._success_table(w, xs, g, ss)
+            assert got.shape == (3,)
+            assert np.abs(got - want[:, i]).max() <= 1e-13
 
     @pytest.mark.parametrize("n", range(4, 9))
     def test_evaluators_match_with_the_einsum_reference(self, n, monkeypatch):
@@ -523,21 +538,6 @@ class TestTwoPartCode:
         assert cr_generation_run(w, src, two, trials=60, seed=5, caps=small) == cr_generation_run(
             w, src, want, trials=60, seed=5
         )
-
-    @pytest.mark.parametrize("dense", [False, True], ids=["site", "dense"])
-    def test_no_product_state_on_the_whole_word(self, dense, monkeypatch):
-        w, src, pre, inner = toy_two_part(leak=0.2)
-        pre = as_dense(pre) if dense else pre
-        lengths = []
-
-        def spy(w, xs, ss, caps=DEFAULT_CAPS):
-            lengths.append(len(xs))
-            return product_output(w, xs, ss, caps)
-
-        monkeypatch.setattr(coding, "product_output", spy)
-        two = assemble_two_part(pre, inner, w, src)
-        cr_generation_run(w, src, two, trials=200, seed=5)
-        assert lengths and max(lengths) <= max(pre.n, inner.n)
 
     def test_inner_letters_checked(self):
         w, src, pre, _ = toy_two_part()
@@ -894,13 +894,15 @@ def wide_dense_code():
 
 
 def code_instance(kind):
-    """(w, src, code) of each code kind cr_generation_run accepts."""
+    """(w, src, code) of each code kind cr_generation_run accepts: a
+    two-part code's pre part is site-form, or dense for "two-part-dense-pre"."""
     if kind == "site":
         return leaky_precode(3, 4)
     if kind == "dense":
         w, src, pre = leaky_precode(3, 4)
         return w, src, as_dense(pre)
     w, src, pre, inner = toy_two_part(leak=0.2)
+    pre = as_dense(pre) if kind == "two-part-dense-pre" else pre
     return w, src, assemble_two_part(pre, inner, w, src)
 
 
@@ -957,18 +959,24 @@ class TestCrGenerationStreams:
         cr_generation_run(w, src, code, trials=200, seed=5)
         assert made == [(5,)]
 
-    @pytest.mark.parametrize("kind", ["dense", "two-part"])
-    def test_one_product_state_per_codeword(self, kind, monkeypatch):
+    @pytest.mark.parametrize("kind", ["dense", "two-part", "two-part-dense-pre"])
+    def test_builds_no_product_state(self, kind, monkeypatch):
         w, src, code = code_instance(kind)
-        built = []
 
-        def spy(w, xs, ss, caps=DEFAULT_CAPS):
-            built.append((tuple(xs), tuple(ss)))
-            return product_output(w, xs, ss, caps)
+        def refuse(*args, **kwargs):
+            raise AssertionError("product state built")
 
-        monkeypatch.setattr(coding, "product_output", spy)
-        cr_generation_run(w, src, code, trials=200, seed=5)
-        assert len(set(built)) == len(built) < 200
+        monkeypatch.setattr(coding, "product_output", refuse)
+        monkeypatch.setattr(channels, "product_output", refuse)
+        res = cr_generation_run(w, src, code, trials=200, seed=5)
+        assert len(res["rows"]) == 200
+
+    @pytest.mark.parametrize("kind", ["dense", "two-part", "two-part-dense-pre"])
+    def test_product_dim_bounds_the_contracted_parts(self, kind):
+        # each part has d^n = 8 > 4; the two-part codes were assembled under the default caps
+        w, src, code = code_instance(kind)
+        with pytest.raises(DimOverflow):
+            cr_generation_run(w, src, code, trials=20, seed=5, caps=Caps(product_dim=4))
 
 
 class TestCodeFitsSourceAndChannel:
