@@ -539,6 +539,15 @@ class TestTwoPartCode:
             w, src, want, trials=60, seed=5
         )
 
+    @pytest.mark.parametrize("dense", [False, True], ids=["site", "dense"])
+    def test_no_product_state_on_the_whole_word(self, dense, monkeypatch):
+        # the run contracts each part on its own: no table is taken on a whole word
+        w, src, pre, inner = toy_two_part(leak=0.2)
+        pre = as_dense(pre) if dense else pre
+        two = assemble_two_part(pre, inner, w, src)
+        lengths = [len(xs) for xs, _, _ in run_tables(monkeypatch, w, src, two)]
+        assert lengths and max(lengths) <= max(pre.n, inner.n)
+
     def test_inner_letters_checked(self):
         w, src, pre, _ = toy_two_part()
         det = projective_code(3, [(0, 0, 0), (1, 1, 1)])
@@ -906,6 +915,23 @@ def code_instance(kind):
     return w, src, assemble_two_part(pre, inner, w, src)
 
 
+def run_tables(monkeypatch, w, src, code, trials=200, seed=5):
+    """(codeword, state word, decoders) of each _success_table call that
+    cr_generation_run makes at one state word; the decoders are named by
+    their address, which tells a code's equal decoders apart."""
+    calls = []
+    success_table = coding._success_table
+
+    def spy(w, xs, g, ss=None):
+        if ss is not None:
+            calls.append((tuple(xs), tuple(ss), g.ctypes.data))
+        return success_table(w, xs, g, ss)
+
+    monkeypatch.setattr(coding, "_success_table", spy)
+    cr_generation_run(w, src, code, trials=trials, seed=seed)
+    return calls
+
+
 def assert_runs_match_reference(w, src, code, trials=(1, 7, 200), seeds=(3, 11, 2024)):
     for t in trials:
         for seed in seeds:
@@ -958,6 +984,13 @@ class TestCrGenerationStreams:
         monkeypatch.setattr(np.random, "SeedSequence", no_seed_sequence)
         cr_generation_run(w, src, code, trials=200, seed=5)
         assert made == [(5,)]
+
+    @pytest.mark.parametrize("kind", ["dense", "two-part"])
+    def test_one_product_state_per_codeword(self, kind, monkeypatch):
+        # a codeword's contraction at the jammer's state word is made once, not once per trial
+        w, src, code = code_instance(kind)
+        built = run_tables(monkeypatch, w, src, code, trials=2000)
+        assert 0 < len(set(built)) == len(built) < 2000
 
     @pytest.mark.parametrize("kind", ["dense", "two-part", "two-part-dense-pre"])
     def test_builds_no_product_state(self, kind, monkeypatch):
