@@ -87,7 +87,8 @@ from .channels import JammerKernel, _input_distribution
 from .config import DEFAULT_TOL, with_overrides
 from .errors import InvalidArgument, NonBinarySource
 from .errors import ProfileOutOfRange, SolverDiverged
-from .geometry import _STEP_FLOOR, _free_entries, _kkt_matrix, _solve_newton, project_simplex_rows
+from .geometry import _STEP_FLOOR, _STEP_TRIALS, _free_entries, _kkt_matrix, _newton_steps
+from .geometry import _solve_newton, project_simplex_rows
 from .operators import eigh_stack, eigvalsh_stack, entropy_from_eigenvalues
 
 LN2 = np.log(2.0)
@@ -111,8 +112,6 @@ _HOLEVO_BRACKET = 1e-9
 # the width to the outer ascent
 _KERNEL_GAP = 1e-9
 _KERNEL_SHARE = 1e-3
-# step halvings tried on a Newton direction before the kernel descent stops
-_NEWTON_HALVINGS = 20
 # the outer Newton step holds at 0 the letters below the maximum of d_x
 # whose p_x is at most this, or at most the distance from a stationary point
 _HOLD_CAP = 1e-3
@@ -245,64 +244,41 @@ def holevo_capacity(w):
 # inner minimization over jamming kernels
 # ---------------------------------------------------------------------------
 
-def _kernel_kkt(pt):
-    """KKT matrix of the kernel's Newton system, (F+X, F+X), and its F free entries (mask).
-
-    ``geometry._free_entries`` picks the free entries (a free rounding
-    residue at 0 could block the step and stop the descent); they carry one
-    zero-sum constraint per row.  The shift of ``geometry._kkt_matrix``
-    keeps the system solvable where chi is flat in the kernel, as with a
-    duplicated jammer letter.
-    """
-    nx, ns = pt.q.shape
-    free = _free_entries(pt.q, pt.grad).ravel()
-    h = pt.kernel_hessian[free][:, free]
-    return _kkt_matrix(h, np.arange(nx).repeat(ns)[free], nx), free
-
-
-def _newton_direction(pt):
-    """Minimizer of chi's quadratic model on the free entries of ``_kernel_kkt``, one
-    zero-sum constraint per row, or None if its system is singular or overflows."""
-    kkt, free = _kernel_kkt(pt)
-    sol = _solve_newton(kkt, np.concatenate([-pt.grad.ravel()[free], np.zeros(pt.q.shape[0])]))
-    if sol is None:
-        return None
-    step = np.zeros(pt.q.size)
-    step[free] = sol[: free.sum()]
-    return step.reshape(pt.q.shape)
-
-
 def _descend_kernel(states, p, q, max_iter, gap_stop=_KERNEL_GAP):
     """Projected Newton descent of chi over one jamming kernel q (X, S) at fixed p.
 
-    Each step solves the Newton system of ``_newton_direction`` and tries
-    project_simplex_rows(q + t D) for t = 1, 1/2, ..., accepting the first
-    candidate at which chi does not rise beyond rounding.  The descent ends
-    once the Frank-Wolfe gap is at most gap_stop, when no candidate is
-    accepted (chi has reached its rounding floor, or the Newton system is
-    singular), or after max_iter steps.  It returns its last point, derived:
-    chi - gap there bounds the inner minimum from below wherever it stops.
-    On |S| = 1 the gap is 0 and no step is taken.
+    Each step is the set distance's (``geometry._newton_steps``): the
+    feasible Newton direction D of chi on the entries ``_free_entries``
+    leaves free, tried at project_simplex_rows(q + t D) for t = 1, the
+    blocking t (which walks q onto a face of minimizing kernels) and its
+    halvings, accepting the first candidate at which chi does not rise
+    beyond rounding.  The descent ends once the Frank-Wolfe gap is at most
+    gap_stop, when no candidate is accepted (chi has reached its rounding
+    floor, or the Newton system is singular), or after max_iter steps.  It
+    returns its last point, derived: chi - gap there bounds the inner
+    minimum from below wherever it stops.  On |S| = 1 no step is taken.
     """
     pt = _Point(states, p, np.array(q, dtype=float))
     if not np.isfinite(pt.chi):
         raise SolverDiverged("non-finite objective at the initial kernel")
+    nx, ns = pt.q.shape
+    owner = np.arange(nx).repeat(ns)
     for step in range(max_iter + 1):
         pt.derive()
         if pt.gap <= gap_stop or step == max_iter:
             break
-        direction = _newton_direction(pt)
-        if direction is None:
-            break
-        t, found = 1.0, None
-        for _try in range(_NEWTON_HALVINGS):
-            found = _try_kernel(pt, pt.q + t * direction)
-            if found is not None:
-                break
-            t /= 2.0
+        free = _free_entries(pt.q, pt.grad).ravel()
+        found = _newton_steps(pt.kernel_hessian, pt.grad.ravel(), pt.q.ravel(), free, owner, nx)
         if found is None:
             break
-        pt = found
+        direction, lengths = found
+        for t in lengths:
+            cand = _try_kernel(pt, pt.q + t * direction.reshape(pt.q.shape))
+            if cand is not None:
+                break
+        else:
+            break
+        pt = cand
     if not np.isfinite(pt.chi):
         raise SolverDiverged("non-finite objective during kernel descent")
     return pt
@@ -326,8 +302,8 @@ def min_chi_over_jammer(w, p, tol=DEFAULT_TOL):
     it: seeded restarts could only find the same minimum again.  The descent
     (``_descend_kernel``) takes projected Newton steps and stops once its
     Frank-Wolfe gap is at most _KERNEL_GAP, so the value lies within 1e-9 of
-    the minimum.  It also stops, further from the minimum, if no Newton
-    candidate keeps chi from rising; no measured draw does.
+    the minimum, also where the minimizing kernels fill a face (the letters'
+    outputs made to coincide): its blocking step walks onto the face.
     """
     pv = _input_distribution(p, w, tol)
     nx, ns = len(w.x_alphabet), len(w.s_alphabet)
@@ -379,14 +355,16 @@ def _envelope_hessian(pt):
     """Hessian of phi(p) = min_q chi(p, q) at an inner minimizer (X, X) and dq/dp (X*S, X), or None.
 
     The Schur complement chi_pp - chi_pq chi_qq^-1 chi_qp over the free
-    kernel entries of ``_kernel_kkt``, under their row constraints: the
-    kernel's response dq/dp solves the kernel's KKT system with the
-    right-hand sides -chi_qp, and phi'' = chi_pp + chi_pq dq/dp.  The
-    response is 0 on the held entries and sums to zero in each kernel row,
-    so per-row constants in chi_pq drop out.  None if the system is singular.
+    kernel entries of ``_free_entries``, under their row constraints: the
+    kernel's response dq/dp solves the shifted KKT system of ``_kkt_matrix``
+    with the right-hand sides -chi_qp, and phi'' = chi_pp + chi_pq dq/dp.
+    The response is 0 on the held entries and sums to zero in each kernel
+    row, so per-row constants in chi_pq drop out.  None if it is singular.
     """
     chi_pp, chi_pq = _input_hessian(pt)
-    kkt, free = _kernel_kkt(pt)
+    nx, ns = pt.q.shape
+    free = _free_entries(pt.q, pt.grad).ravel()
+    kkt = _kkt_matrix(pt.kernel_hessian[free][:, free], np.arange(nx).repeat(ns)[free], nx)
     nf = int(free.sum())
     rhs = np.zeros((kkt.shape[0], pt.p.size))
     rhs[:nf] = -chi_pq[:, free].T
@@ -450,7 +428,7 @@ def _newton_ascent(pt, inner_iter, gap_stop, width):
         return None
     direction, response = found
     t = 1.0
-    for _try in range(_NEWTON_HALVINGS):
+    for _try in range(_STEP_TRIALS):
         cand_p = project_simplex_rows(pt.p + t * direction)
         if (cand_p == pt.p).all():
             return None

@@ -229,18 +229,14 @@ def source_distance(s1, s2):
     return float(np.abs(s1.joint - s2.joint).sum())
 
 
-# hull distances at most this count as intersecting (the value of the
-# separation test's Tolerances.not_separable_below)
-_HULL_GAP = 1e-7
-
-
 def zero_capacity_condition(w, n=1, caps=DEFAULT_CAPS):
     """Evidence check for zero deterministic capacity with an informed jammer.
 
     True iff for every pair of input words of length n the convex hulls of
-    their jammer-reachable product outputs intersect (hull distance at most
-    _HULL_GAP).  A True answer is necessary evidence at the tested
-    n only; the underlying condition quantifies over all block lengths.
+    their jammer-reachable product outputs intersect: hull distance at most
+    DEFAULT_TOL.not_separable_below, the separation test's own threshold.
+    A True answer is necessary evidence at the tested n only; the
+    underlying condition quantifies over all block lengths.
     """
     nx = len(w.x_alphabet) ** n
     ns = len(w.s_alphabet) ** n
@@ -259,6 +255,6 @@ def zero_capacity_condition(w, n=1, caps=DEFAULT_CAPS):
     for i, x1 in enumerate(words_x):
         for x2 in words_x[i + 1 :]:
             dist, *_ = affine_set_distance(gens[x1], gens[x2], len(words_s), len(words_s))
-            if dist > _HULL_GAP:
+            if dist > DEFAULT_TOL.not_separable_below:
                 return False
     return True

@@ -5,9 +5,10 @@ embedding used here preserves the trace inner product, so Euclidean
 geometry on the embedded vectors is Frobenius geometry on operators.
 The distance solver decides whether two affinely parameterized convex
 sets (images of products of probability simplices) intersect.  The
-Euclidean projection onto the simplex and the pieces of a projected Newton
-step on products of simplices (its active set and its KKT system), which
-the kernel descent in capacity shares, live here too.
+Euclidean projection onto the simplex and the projected Newton step on
+products of simplices (``_newton_steps``: direction and step lengths),
+which the kernel descent in capacity shares with its own accept test, live
+here too.
 """
 
 import numpy as np
@@ -24,6 +25,8 @@ _NEWTON_SHIFT = 1e-12
 _GAP_STOP = 1e-12
 # Newton steps of the set-distance solve when the caller gives no budget
 _DISTANCE_STEPS = 100
+# step lengths tried on one Newton direction (``_newton_steps``) before a solve stops
+_STEP_TRIALS = 20
 
 
 def embed_stack(mats):
@@ -84,18 +87,22 @@ def _solve_newton(kkt, rhs):
     return sol if np.all(np.isfinite(sol)) else None
 
 
-def _feasible_direction(hess, grad, z, free, owner, nrows):
-    """Newton direction of f on the free entries of z, or None if its system is singular.
+def _newton_steps(hess, grad, z, free, owner, nrows):
+    """Feasible Newton direction D of f at z and the step lengths to try on it, or None.
 
-    The KKT system of the Hessian hess carries one zero-sum constraint per
-    row (owner gives each entry's row).  Free entries at 0 that the
-    direction would push below 0 are held there as well and the system is
-    solved again, until the direction is feasible.  Every row keeps its
-    entries above _STEP_FLOOR, so none is left without a free entry.
+    D solves the KKT system of the Hessian hess on the free entries, one
+    zero-sum constraint per row (owner gives each entry's row).  Free
+    entries at 0 that D would push below 0 are held there as well and the
+    system is solved again, until D is feasible; every row keeps its entries
+    above _STEP_FLOOR, so none is left without a free entry.  None if a
+    system is singular.  The _STEP_TRIALS lengths are 1, then the blocking t
+    that lands an entry on 0 if that is shorter (computed only once 1 is
+    refused), then halvings of that t.  The caller projects z + t D onto its
+    simplices and accepts by its own test.
     """
     while True:
         sol = _solve_newton(
-            _kkt_matrix(hess[np.ix_(free, free)], owner[free], nrows),
+            _kkt_matrix(hess[free][:, free], owner[free], nrows),
             np.concatenate([-grad[free], np.zeros(nrows)]),
         )
         if sol is None:
@@ -104,8 +111,19 @@ def _feasible_direction(hess, grad, z, free, owner, nrows):
         direction[free] = sol[: free.sum()]
         leaving = free & (z <= _STEP_FLOOR) & (direction < 0.0)
         if not leaving.any():
-            return direction
+            break
         free = free & ~leaving
+
+    def lengths():
+        yield 1.0
+        down = direction < 0.0
+        t = float(np.min(z[down] / -direction[down])) if down.any() else 1.0
+        t = t if t < 1.0 else 0.5
+        for _trial in range(_STEP_TRIALS - 1):
+            yield t
+            t /= 2.0
+
+    return direction, lengths()
 
 
 def affine_set_distance(gen0, gen1, row_len0, row_len1, tol=_GAP_STOP, max_iter=_DISTANCE_STEPS):
@@ -116,14 +134,14 @@ def affine_set_distance(gen0, gen1, row_len0, row_len1, tol=_GAP_STOP, max_iter=
     on a probability simplex.  f(z) = |gen0 q0 - gen1 q1|^2 is a convex
     quadratic in z = (q0, q1) with the constant Hessian 2G, G the Gram
     matrix of [gen0, -gen1], so a Newton step on the right face is exact.
-    From the uniform kernels, each step holds at 0 the entries that
-    ``_free_entries`` holds, and also every entry at 0 that the step would
-    push below 0, so that the direction D from the KKT system of 2G on the
-    free entries (one zero-sum constraint per row) is feasible.  It tries
-    the projection of z + t D for t = 1 and then for the largest t that
-    keeps the free entries nonnegative, which lands the blocking entry on 0
-    (halving t would only halve it), and accepts the first point at which
-    f does not rise.  The solve ends once the Frank-Wolfe gap
+    From the uniform kernels, each step (``_newton_steps``, shared with the
+    kernel descent) holds at 0 the entries ``_free_entries`` holds and every
+    entry at 0 that the step would push below 0, so that the direction D
+    from the KKT system of 2G on the free entries (one zero-sum constraint
+    per row) is feasible.  It tries the projection of z + t D for t = 1,
+    the largest t that keeps the entries nonnegative (landing the blocking
+    entry on 0) and halvings of that t, and accepts the first point at
+    which f does not rise.  The solve ends once the Frank-Wolfe gap
     grad f(z) . z - sum over rows of min_i grad f(z)_i, which bounds
     f(z) - min f, is <= tol, after max_iter steps, or when no step finds a
     new point.  One to three steps close the gap on the separation draws.
@@ -157,12 +175,11 @@ def affine_set_distance(gen0, gen1, row_len0, row_len1, tol=_GAP_STOP, max_iter=
         if gap <= tol or step == max_iter:
             break
         free = np.concatenate([_free_entries(q, g).ravel() for q, g in zip(rows(z), rows(grad))])
-        direction = _feasible_direction(hess, grad, z, free, owner, nrows)
-        if direction is None:
+        found = _newton_steps(hess, grad, z, free, owner, nrows)
+        if found is None:
             break
-        down = direction < 0.0
-        t_block = min(1.0, float(np.min(z[down] / -direction[down]))) if down.any() else 1.0
-        for t in (1.0, t_block) if t_block < 1.0 else (1.0,):
+        direction, lengths = found
+        for t in lengths:
             cand = proj(z + t * direction)
             # f(cand) - f(z), free of the cancellation between the two values
             moved = joint @ (cand - z)

@@ -1,3 +1,4 @@
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -671,6 +672,23 @@ def _descent_draw(kind):
     return states, rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3), size=3)
 
 
+# (|X|, |S|, d) of the face draws: 30 Wishart draws each, of default_rng
+# seeded with the shape.  Many have a zero max-min value, where the jammer
+# makes the letters' outputs coincide on a whole face of kernels; a kernel
+# step halved from a full Newton step that crosses the face used to stall
+# on 34 of the 90, leaving brackets up to 0.24 bits wide
+_FACE_SHAPES = [(2, 6, 2), (3, 6, 2), (2, 10, 3)]
+
+
+@cache
+def _face_draws():
+    draws = []
+    for shape in _FACE_SHAPES:
+        rng = np.random.default_rng(list(shape))
+        draws += [wishart_avcqc(rng, *shape) for _ in range(30)]
+    return tuple(draws)
+
+
 class TestKernelDescent:
     @pytest.mark.parametrize("kind", ["d2", "d3", "rank1"])
     def test_hessian_matches_finite_differences(self, kind):
@@ -717,13 +735,23 @@ class TestKernelDescent:
             values.append(f)
         assert max(values) - min(values) <= capacity._KERNEL_GAP
 
+    def test_face_draws_end_on_their_frank_wolfe_gap(self):
+        # min_chi_over_jammer at the uniform input: chi at the returned kernel
+        # lies within _KERNEL_GAP of the Frank-Wolfe bound recomputed with one
+        # np.linalg.eigh per matrix, also where the minimizing kernels fill a face
+        for w in _face_draws():
+            p = np.full(len(w.x_alphabet), 1.0 / len(w.x_alphabet))
+            val, q = min_chi_over_jammer(w, p)
+            lo, _ = dense_saddle_bracket(w.states, p, q.rows)
+            assert lo - 1e-12 <= val <= lo + capacity._KERNEL_GAP + 1e-12
+
     def test_refused_newton_system_stops_on_its_gap(self, monkeypatch):
         # with every Newton system refused, the descent returns its start
         # kernel and that kernel's gap, which still bounds the minimum below
         states, p, _ = _descent_draw("d3")
         start = np.full((3, 3), 1.0 / 3)
         f_newton = capacity._descend_kernel(states, p, start, max_iter=2000).chi
-        monkeypatch.setattr(capacity, "_newton_direction", lambda *a: None)
+        monkeypatch.setattr(capacity, "_newton_steps", lambda *a: None)
         pt = capacity._descend_kernel(states, p, start, max_iter=300)
         f, q, gap = pt.chi, pt.q, pt.gap
         lo, _ = dense_saddle_bracket(states, p, start)
@@ -971,12 +999,14 @@ def _past_the_oracle_draws():
 class TestPastTheOracle:
     def test_value_lies_in_the_dense_bracket(self):
         # the test-side saddle certificate, from one np.linalg.eigh per
-        # matrix, at the returned (argmax_p, argmin_q)
-        for w in _past_the_oracle_draws():
+        # matrix, at the returned (argmax_p, argmin_q); the face draws run
+        # alongside, each closing its bracket
+        for w in _past_the_oracle_draws() + list(_face_draws()):
             res = capacity_informed_jammer(w)
             lo, hi = dense_saddle_bracket(w.states, res.argmax_p, res.argmin_q.rows)
             assert lo - 1e-12 <= res.value <= hi + 1e-12
             assert hi - lo <= DEFAULT_TOL.maxmin_bracket
+            assert res.stop_reason == "bracket"
 
     def test_unitary_rotation_moves_the_value_by_rounding_only(self):
         # V W V^dag for every state leaves chi and its bracket at a fixed
