@@ -5,11 +5,9 @@ evaluation and common-randomness protocols."""
 
 from .capacity import (
     CapacityResult,
-    CorrelationLengthProfile,
     CrCapacityResult,
     capacity_informed_jammer,
     cr_capacity,
-    cr_rate_limited_lower_bound,
     holevo_capacity,
     holevo_chi,
     min_chi_over_jammer,
@@ -52,11 +50,13 @@ from .operators import (
 )
 from .separation import (
     BinaryAvc,
+    CorrelationLengthProfile,
     GPair,
     NotSeparable,
     SeparationCertificate,
     binary_avc_positivity,
     build_g_pair,
+    cr_rate_limited_lower_bound,
     ensemble_state,
     induced_binary_avc,
     separation_test,

@@ -85,11 +85,10 @@ import numpy as np
 
 from .channels import JammerKernel, _input_distribution
 from .config import DEFAULT_TOL, with_overrides
-from .errors import InvalidArgument, NonBinarySource
-from .errors import ProfileOutOfRange, SolverDiverged
+from .errors import InvalidArgument, NonBinarySource, SolverDiverged
 from .geometry import _STEP_FLOOR, _STEP_TRIALS, _free_entries, _kkt_matrix, _newton_steps
 from .geometry import _solve_newton, project_simplex_rows
-from .operators import eigh_stack, eigvalsh_stack, entropy_from_eigenvalues
+from .operators import _integer, eigh_stack, eigvalsh_stack, entropy_from_eigenvalues
 
 LN2 = np.log(2.0)
 _LOG_FLOOR = 1e-18
@@ -115,8 +114,6 @@ _KERNEL_SHARE = 1e-3
 # the outer Newton step holds at 0 the letters below the maximum of d_x
 # whose p_x is at most this, or at most the distance from a stationary point
 _HOLD_CAP = 1e-3
-# probabilities in [-this, 0) are rounding and count as 0 in the CR entropies
-_PROB_CLAMP = 1e-12
 # cells of the graded grid on which the binary CR dual builds its minorant
 _DUAL_CELLS = 4096
 # the CR dual's multiplier is bisected to an interval this narrow, relative to it
@@ -493,12 +490,8 @@ def _saddle_solve(states, outer_iter, inner_iter, tol):
     """(value, p, q, trace, (lo, hi), stop reason) of the max-min solve on states (X, S, d, d).
 
     One ``_ascend`` trajectory; its bracket is widened to hold the value by
-    at most _BRACKET_ROUNDING.  A negative step budget raises InvalidArgument.
+    at most _BRACKET_ROUNDING.
     """
-    if min(outer_iter, inner_iter) < 0:
-        raise InvalidArgument(
-            f"outer_iter and inner_iter must be >= 0, got {outer_iter!r} and {inner_iter!r}"
-        )
     if not tol.maxmin_bracket > _BRACKET_ROUNDING:
         raise InvalidArgument(
             f"maxmin_bracket must exceed the bracket rounding {_BRACKET_ROUNDING}, "
@@ -541,8 +534,11 @@ def capacity_informed_jammer(
     The solve draws no random numbers and has one trajectory, so ``seed``,
     ``restarts`` and ``certify`` change nothing.  They are still accepted
     because the benchmark workloads in ``perfbench/`` pass them, and a call
-    they made that was refused would fail every workload run.
+    they made that was refused would fail every workload run.  outer_iter
+    and inner_iter must be integers >= 0, or InvalidArgument is raised.
     """
+    outer_iter = _integer(outer_iter, "outer_iter", 0)
+    inner_iter = _integer(inner_iter, "inner_iter", 0)
     value, p, q, trace, (lo, hi), reason = _saddle_solve(w.states, outer_iter, inner_iter, tol)
     return CapacityResult(
         value=value,
@@ -570,7 +566,7 @@ class CrCapacityResult:
 
 
 def _entropy_rows(p):
-    return entropy_from_eigenvalues(p, floor=_PROB_CLAMP)
+    return entropy_from_eigenvalues(p, floor=DEFAULT_TOL.prob_sum)
 
 
 def _aux_objective(joint_vv, k_rows):
@@ -726,52 +722,3 @@ def cr_capacity(w, src, tol=DEFAULT_TOL):
         )
     value, aux, upper = _large_correlation(src.joint, lo, hi)
     return CrCapacityResult(value, "large_correlation", aux, c_star, i_vv, (value, upper))
-
-
-@dataclass(frozen=True)
-class CorrelationLengthProfile:
-    """Growth profile of the correlation budget (l_n) against log n and n."""
-
-    liminf_log_ratio: float      # liminf l_n / log n
-    limsup_log_ratio: float      # limsup l_n / log n
-    asymptotic_fraction: float   # lim l_n / n
-
-
-def cr_rate_limited_lower_bound(w, src, profile):
-    """Lower bound on the common-randomness rate under a correlation budget.
-
-    Evaluates (1 - f) * maxmin + f * r'' where f is the asymptotic fraction
-    of channel uses spent on correlation and r'' = 3 / r comes from the rate
-    of the induced binary channel, whose correct-decision intervals are
-    exact at every alphabet size.  When no separating pair exists (r = 0)
-    the correlation part contributes nothing and the profile window check
-    is moot.
-    """
-    from .separation import (
-        NotSeparable,
-        binary_avc_positivity,
-        build_g_pair,
-        induced_binary_avc,
-        separation_test,
-    )
-
-    f = profile.asymptotic_fraction
-    if not (0.0 <= f <= 1.0):
-        raise ProfileOutOfRange(f"asymptotic fraction {f} outside [0, 1]")
-    c_star = capacity_informed_jammer(w).value
-    gp = build_g_pair(src, w.x_alphabet)
-    cert = separation_test(w, src, gp)
-    rate = 0.0
-    if not isinstance(cert, NotSeparable):
-        pos = binary_avc_positivity(induced_binary_avc(cert, w, src, gp))
-        if pos["positive"]:
-            rate = pos["rate_r"]
-    if rate <= 0.0:
-        return (1.0 - f) * c_star
-    r_pp = 3.0 / rate
-    if not (r_pp < profile.liminf_log_ratio <= profile.limsup_log_ratio < np.inf):
-        raise ProfileOutOfRange(
-            f"need r'' = {r_pp:.6g} < liminf ratio {profile.liminf_log_ratio} "
-            f"<= limsup ratio {profile.limsup_log_ratio} < inf"
-        )
-    return (1.0 - f) * c_star + f * r_pp

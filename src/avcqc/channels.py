@@ -25,6 +25,7 @@ from .errors import (
 from .geometry import affine_set_distance, embed_stack
 from .operators import (
     _distribution_rows,
+    _integer,
     mutual_information,
     read_only,
     trace_norm,
@@ -165,7 +166,8 @@ class JammerStrategy:
 
     @classmethod
     def full(cls, x_alphabet, n, fn):
-        """Tabulate fn on all of X^n (total function, small n only)."""
+        """Tabulate fn on all of X^n (total function, small n only); n must be an integer >= 1."""
+        n = _integer(n, "n", 1)
         return cls({xs: tuple(fn(xs)) for xs in product(tuple(x_alphabet), repeat=n)})
 
 
@@ -236,8 +238,10 @@ def zero_capacity_condition(w, n=1, caps=DEFAULT_CAPS):
     their jammer-reachable product outputs intersect: hull distance at most
     DEFAULT_TOL.not_separable_below, the separation test's own threshold.
     A True answer is necessary evidence at the tested n only; the
-    underlying condition quantifies over all block lengths.
+    underlying condition quantifies over all block lengths.  n must be an
+    integer >= 1, or InvalidArgument is raised.
     """
+    n = _integer(n, "n", 1)
     nx = len(w.x_alphabet) ** n
     ns = len(w.s_alphabet) ** n
     if nx > caps.enumeration or ns > caps.jammer_states:

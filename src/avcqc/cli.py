@@ -21,7 +21,7 @@ import numpy as np
 
 from . import serialize as io
 from .capacity import capacity_informed_jammer, cr_capacity
-from .channels import Avcqc, CorrelatedSource, CqChannel
+from .channels import Avcqc, CorrelatedSource, CqChannel, source_distance
 from .coding import cr_generation_run, repetition_precode
 from .config import Caps, Tolerances, with_overrides
 from .errors import Indeterminate, NoSeparatingPrecode, SpecParseError, ToolkitError
@@ -29,9 +29,8 @@ from .separation import NotSeparable, build_g_pair, separation_test
 from .typicality import verify_typicality_bounds
 
 
-# fields no command reads from the run's config: specs are validated under
-# DEFAULT_TOL, and no command materializes a projector
-_INERT_FIELDS = {"hermitian", "psd_floor", "trace_one", "projector_matrix_dim"}
+# fields no command reads from the run's config: specs are validated under DEFAULT_TOL
+_INERT_FIELDS = {"hermitian", "psd_floor", "trace_one"}
 
 
 def _parse_overrides(pairs, record, caster):
@@ -292,8 +291,6 @@ def cmd_discontinuity_demo(args):
     states = np.stack([[delta, delta], [delta, delta]])
     w = Avcqc(("0", "1"), ("0", "1"), states)
     limit = _demo_source(np.inf)  # eps = 2**-inf = 0: the n -> infinity limit
-    from .channels import source_distance
-
     rows = [("n", "source_distance_to_limit", "cr_capacity")]
     for n in args.n_list:
         src = _demo_source(n)

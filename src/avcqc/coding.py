@@ -15,7 +15,7 @@ from itertools import chain, product as iproduct, zip_longest
 import numpy as np
 
 from .channels import JammerStrategy, _check_product_dim, product_output
-from .config import DEFAULT_CAPS
+from .config import DEFAULT_CAPS, DEFAULT_TOL
 from .errors import (
     AlphabetMismatch,
     DimensionMismatch,
@@ -26,7 +26,14 @@ from .errors import (
     NotHermitian,
     NotPositive,
 )
-from .operators import eigvalsh_stack, entropy_from_eigenvalues, read_only
+from .operators import (
+    _adjoint_deviation,
+    _integer,
+    _positive,
+    eigvalsh_stack,
+    entropy_from_eigenvalues,
+    read_only,
+)
 
 # Float slack of the POVM and error-chain checks: sums of D x D operators and
 # of exact errors carry rounding well above machine epsilon.
@@ -39,16 +46,13 @@ _CHOLESKY_ENTRIES = 1 << 15
 # pick: mathematically equal values differ by rounding, and by a different
 # rounding in the site-form and the dense evaluator
 _TIE_SLACK = 1e-12
-# clamp floor for the entropy of the empirical key distribution, whose
-# entries are counts over a total and never negative
-_PROB_CLAMP = 1e-12
 
 
-def _validate_povm(ops, first_word=0, unit="word"):
+def _validate_povm(ops, unit="word"):
     """Check a stack (..., J, D, D) of J-outcome POVMs; return it as a complex array.
 
-    Every error names the offending POVM as `unit` i, counted from
-    first_word.  A non-finite entry raises InvalidArgument.  With
+    Every error names the offending POVM as `unit` i, counted from 0.
+    A non-finite entry raises InvalidArgument.  With
     tol = _CHECK_SLACK, a stack is accepted once every operator is Hermitian
     within tol (max |A - A†| entry) and every A + tol I and
     (1 + tol) I - sum_j A_j has a Cholesky factor, in batches of at most
@@ -66,7 +70,7 @@ def _validate_povm(ops, first_word=0, unit="word"):
     if not finite.all():
         i, k = np.unravel_index(int(np.argmin(finite)), finite.shape)
         raise InvalidArgument(
-            f"decoding operator {k} of {unit} {first_word + i} has a non-finite entry"
+            f"decoding operator {k} of {unit} {i} has a non-finite entry"
         )
     if _has_cholesky_factors(flat, _CHECK_SLACK):
         return ops
@@ -74,7 +78,7 @@ def _validate_povm(ops, first_word=0, unit="word"):
     if (dev > _CHECK_SLACK).any():
         i, k = np.unravel_index(int(np.argmax(dev > _CHECK_SLACK)), dev.shape)
         raise NotHermitian(
-            f"decoding operator {k} of {unit} {first_word + i} has max |A - A†| entry "
+            f"decoding operator {k} of {unit} {i} has max |A - A†| entry "
             f"{dev[i, k]:.3e} > {_CHECK_SLACK:.1e}"
         )
     lo = eigvalsh_stack(flat)[..., 0]
@@ -87,18 +91,13 @@ def _validate_povm(ops, first_word=0, unit="word"):
             k = int(np.argmax(neg[i]))
             raise NotPositive(
                 f"decoding operator {k} has eigenvalue {lo[i, k]:.3e} < -{_CHECK_SLACK:.1e} "
-                f"in {unit} {first_word + i}"
+                f"in {unit} {i}"
             )
         raise NotPositive(
             f"decoder sum exceeds the identity by {excess[i]:.3e} > {_CHECK_SLACK:.1e} "
-            f"in {unit} {first_word + i}"
+            f"in {unit} {i}"
         )
     return ops
-
-
-def _adjoint_deviation(a):
-    """max |A - A†| entry of each matrix of the stack (..., D, D)."""
-    return np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
 
 
 def _has_cholesky_factors(flat, tol):
@@ -635,9 +634,12 @@ def repetition_precode(cert, gp, src, w, num_keys=2, nu=3, caps=DEFAULT_CAPS):
     words (see _key_words), the first on a tie.  Returns the code in site
     form: the |V|^iota measurement pairs are checked as POVMs, and no
     d^nu x d^nu decoder is built.  caps.product_dim bounds d^nu, the side
-    of the decoders a reader may build.
+    of the decoders a reader may build.  num_keys must be an integer >= 2
+    and nu >= 1, or InvalidArgument is raised; more than 2**nu keys raise
+    KeySetMismatch.
     """
-    if not 2 <= num_keys <= 2 ** nu:
+    num_keys, nu = _integer(num_keys, "num_keys", 2), _integer(nu, "nu", 1)
+    if num_keys > 2 ** nu:
         raise KeySetMismatch(f"cannot place {num_keys} keys in {nu} bits")
     iota = gp.iota
     l = nu * iota
@@ -721,11 +723,9 @@ def two_part_design(rate_r, n, c_k=1.0):
     channel's max-min rate.  rate_r and c_k must be finite and > 0 and n an
     integer >= 2, and both sizes finite, or InvalidArgument is raised.
     """
-    for name, v in (("rate_r", rate_r), ("c_k", c_k)):
-        if not (isinstance(v, (int, float, np.integer, np.floating)) and 0 < v < np.inf):
-            raise InvalidArgument(f"{name} must be a finite number > 0, got {v!r}")
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
-        raise InvalidArgument(f"channel length n must be an integer >= 2, got {n!r}")
+    _positive(rate_r, "rate_r")
+    _positive(c_k, "c_k")
+    _integer(n, "channel length n", 2)
     try:
         return {"nu": int(np.ceil((3.0 / rate_r) * np.log2(float(n)))),
                 "num_keys": int(np.ceil(c_k * n * n))}
@@ -778,13 +778,7 @@ def cr_generation_run(w, src, code, trials, seed, caps=DEFAULT_CAPS):
     `seed` a nonnegative integer: None, which would draw fresh OS entropy
     on every run, is refused.
     """
-    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)):
-        raise InvalidArgument(f"trials must be an integer, got {trials!r}")
-    if trials < 1:
-        raise InvalidArgument(f"trials must be >= 1, got {trials!r}")
-    trials = int(trials)
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InvalidArgument(f"seed must be a nonnegative integer, got {seed!r}")
+    trials, seed = _integer(trials, "trials", 1), _integer(seed, "seed", 0)
     two_part = isinstance(code, TwoPartCode)
     if two_part:
         pre, jammer = code.pre, code.jammer
@@ -854,7 +848,7 @@ def cr_generation_run(w, src, code, trials, seed, caps=DEFAULT_CAPS):
     hits = int(ok.sum())
     if hits:
         counts = np.bincount(msg[ok], minlength=j_n).astype(float)
-        entropy = float(entropy_from_eigenvalues(counts / counts.sum(), floor=_PROB_CLAMP))
+        entropy = float(entropy_from_eigenvalues(counts / counts.sum(), floor=DEFAULT_TOL.prob_sum))
     else:
         entropy = 0.0
     vp_text = np.array([str(c) for c in src.v_prime_alphabet], dtype=object)[vp_letters]

@@ -28,10 +28,9 @@ class Tolerances:
 
 @dataclass(frozen=True)
 class Caps:
-    product_dim: int = 4096           # max d**n: product states and the exact evaluator's operators
+    product_dim: int = 4096           # max d**n: product states, projectors, evaluator operators
     enumeration: int = 1 << 20        # max typical-set sequences; verifier count-table cells
     jammer_states: int = 1 << 16      # max |S|**n per codeword in error maxima
-    projector_matrix_dim: int = 1024  # max dimension for materialized projectors
 
 
 DEFAULT_TOL = Tolerances()

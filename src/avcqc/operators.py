@@ -8,6 +8,9 @@ here is a pure function of its inputs.
 Logarithms are base 2 throughout.
 """
 
+from math import inf
+from numbers import Integral, Real
+
 import numpy as np
 
 from .config import DEFAULT_TOL
@@ -45,6 +48,25 @@ def _refuse(bad, error, message):
         raise error((f"at {list(map(int, at))}: " if at else "") + message(at))
 
 
+def _integer(value, name, low):
+    """int(value) if it is an integer >= low (numpy integers too, not bools), else InvalidArgument."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+        raise InvalidArgument(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def _positive(value, name):
+    """value if it is a finite real number > 0 (not a bool), else InvalidArgument."""
+    if isinstance(value, bool) or not (isinstance(value, Real) and 0.0 < value < inf):
+        raise InvalidArgument(f"{name} must be a finite number > 0, got {value!r}")
+    return value
+
+
+def _adjoint_deviation(a):
+    """max |A - A†| entry of each matrix of the stack (..., D, D)."""
+    return np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+
+
 def require_hermitian(m, tol=DEFAULT_TOL.hermitian):
     """Hermitian part of a matrix or a stack (..., d, d) of them, read-only.
 
@@ -53,11 +75,10 @@ def require_hermitian(m, tol=DEFAULT_TOL.hermitian):
     """
     a = _as_complex_square(m)
     _refuse(~np.isfinite(a), InvalidArgument, lambda at: f"entry {a[at]} is not finite")
-    adj = a.conj().swapaxes(-1, -2)
-    dev = np.abs(a - adj).max(axis=(-2, -1), initial=0.0)
+    dev = _adjoint_deviation(a)
     _refuse(dev > tol, NotHermitian,
             lambda at: f"max |m - m†| entry is {dev[at]:.3e}, exceeds tolerance {tol:.1e}")
-    return read_only((a + adj) / 2.0)
+    return read_only((a + a.conj().swapaxes(-1, -2)) / 2.0)
 
 
 def validate_density(m, tol=DEFAULT_TOL):
@@ -232,8 +253,9 @@ def partial_trace(op, dims, axis):
     """Trace out one tensor factor of an operator.
 
     dims lists the factor dimensions in tensor order; axis selects the
-    factor to remove.
+    factor to remove, an integer >= 0.
     """
+    axis = _integer(axis, "axis", 0)
     a = _as_complex_square(op)
     dims = tuple(int(d) for d in dims)
     total = int(np.prod(dims))
@@ -241,7 +263,7 @@ def partial_trace(op, dims, axis):
         raise DimensionMismatch(
             f"operator of shape {a.shape} is not square of side the product of factors {total}"
         )
-    if not (0 <= axis < len(dims)):
+    if axis >= len(dims):
         raise BadSubsystemIndex(f"axis {axis} out of range for {len(dims)} factors")
     t = a.reshape(dims + dims)
     t = np.trace(t, axis1=axis, axis2=axis + len(dims))

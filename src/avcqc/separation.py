@@ -5,7 +5,8 @@ source symbols, forms the receiver-side ensemble states they induce,
 decides whether the two jammer-reachable convex sets are disjoint, and,
 when they are, produces a separating operator, a two-outcome measurement
 and the induced binary classical channel whose positivity yields a
-jam-proof one-bit subchannel.
+jam-proof one-bit subchannel.  The budget-limited common-randomness lower
+bound combines that subchannel's rate with the max-min value.
 """
 
 from dataclasses import dataclass
@@ -14,6 +15,7 @@ from math import comb
 
 import numpy as np
 
+from .capacity import capacity_informed_jammer
 from .channels import Avcqc, JammerKernel
 from .config import DEFAULT_CAPS, DEFAULT_TOL
 from .errors import (
@@ -22,10 +24,11 @@ from .errors import (
     Indeterminate,
     InvalidArgument,
     NonBinarySource,
+    ProfileOutOfRange,
     ZeroMutualInformation,
 )
 from .geometry import affine_set_distance, embed_stack
-from .operators import validate_density
+from .operators import _integer, validate_density
 
 __all__ = [
     "GPair",
@@ -39,6 +42,8 @@ __all__ = [
     "certificate_soundness_sweep",
     "induced_binary_avc",
     "binary_avc_positivity",
+    "CorrelationLengthProfile",
+    "cr_rate_limited_lower_bound",
 ]
 
 # a source whose mutual information is at most this counts as uncorrelated
@@ -320,7 +325,11 @@ def _functional_tables(op, w, src, gp):
 
 
 def certificate_soundness_sweep(cert, w, src, gp, kernels=1000, seed=0):
-    """Count random kernels violating the half-margin separation bands."""
+    """Count random kernels violating the half-margin separation bands.
+
+    kernels must be an integer >= 1 and seed >= 0, or InvalidArgument is raised.
+    """
+    kernels, seed = _integer(kernels, "kernels", 1), _integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     nx, ns = len(w.x_alphabet), len(w.s_alphabet)
     qs = rng.dirichlet(np.ones(ns), size=(kernels, nx)).reshape(kernels, nx * ns)
@@ -376,8 +385,6 @@ def binary_avc_positivity(bavc):
     two-state varying channel with diagonal (classical) outputs and solved
     by the same max-min machinery as the general case.
     """
-    from .capacity import capacity_informed_jammer
-
     m00, m11 = bavc.min_correct
     positive = bool(m00 + m11 > 1.0 + _POSITIVITY_MARGIN)
     (lo0, hi0), (lo1, hi1) = bavc.correct_intervals
@@ -393,3 +400,44 @@ def binary_avc_positivity(bavc):
     reduced = Avcqc((0, 1), ("lo", "hi"), states)
     res = capacity_informed_jammer(reduced)
     return {"positive": positive, "rate_r": res.value}
+
+
+@dataclass(frozen=True)
+class CorrelationLengthProfile:
+    """Growth profile of the correlation budget (l_n) against log n and n."""
+
+    liminf_log_ratio: float      # liminf l_n / log n
+    limsup_log_ratio: float      # limsup l_n / log n
+    asymptotic_fraction: float   # lim l_n / n
+
+
+def cr_rate_limited_lower_bound(w, src, profile):
+    """Lower bound on the common-randomness rate under a correlation budget.
+
+    Evaluates (1 - f) * maxmin + f * r'' where f is the asymptotic fraction
+    of channel uses spent on correlation and r'' = 3 / r comes from the rate
+    of the induced binary channel, whose correct-decision intervals are
+    exact at every alphabet size.  When no separating pair exists (r = 0)
+    the correlation part contributes nothing and the profile window check
+    is moot.
+    """
+    f = profile.asymptotic_fraction
+    if not (0.0 <= f <= 1.0):
+        raise ProfileOutOfRange(f"asymptotic fraction {f} outside [0, 1]")
+    c_star = capacity_informed_jammer(w).value
+    gp = build_g_pair(src, w.x_alphabet)
+    cert = separation_test(w, src, gp)
+    rate = 0.0
+    if not isinstance(cert, NotSeparable):
+        pos = binary_avc_positivity(induced_binary_avc(cert, w, src, gp))
+        if pos["positive"]:
+            rate = pos["rate_r"]
+    if rate <= 0.0:
+        return (1.0 - f) * c_star
+    r_pp = 3.0 / rate
+    if not (r_pp < profile.liminf_log_ratio <= profile.limsup_log_ratio < np.inf):
+        raise ProfileOutOfRange(
+            f"need r'' = {r_pp:.6g} < liminf ratio {profile.liminf_log_ratio} "
+            f"<= limsup ratio {profile.limsup_log_ratio} < inf"
+        )
+    return (1.0 - f) * c_star + f * r_pp

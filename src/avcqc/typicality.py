@@ -21,14 +21,13 @@ masses on flat count tables that block lengths share while their words agree.
 from dataclasses import dataclass
 from itertools import repeat
 from math import factorial, inf, log2, prod
-from numbers import Integral, Real
 
 import numpy as np
 
-from .channels import CqChannel, _input_distribution
+from .channels import CqChannel, _check_product_dim, _input_distribution
 from .config import DEFAULT_CAPS, DEFAULT_TOL
-from .errors import AlphabetMismatch, DimOverflow, EnumerationOverflow, InvalidArgument
-from .operators import entropy_from_eigenvalues, validate_probability_vector
+from .errors import AlphabetMismatch, EnumerationOverflow, InvalidArgument
+from .operators import _integer, _positive, entropy_from_eigenvalues, validate_probability_vector
 
 # Labels with less probability than this are pinned to count 0: they are
 # rounding residue of clipped eigenvalues, not support.
@@ -43,19 +42,6 @@ _BASIS_NORM_FLOOR = 1e-6
 _MASS_GAP_FLOOR = 1e-15
 # A fitted exponent still passes a row it misses by this rounding margin.
 _PASS_SLACK = 1e-12
-
-
-def _block_length(n):
-    """n if it is an integer >= 1 (not a bool), else InvalidArgument."""
-    if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
-        raise InvalidArgument(f"block length must be an integer >= 1, got {n!r}")
-    return int(n)
-
-
-def _check_window(v, name):
-    """Raise InvalidArgument naming v unless it is a finite real number > 0, not a bool."""
-    if isinstance(v, bool) or not (isinstance(v, Real) and 0.0 < v < inf):
-        raise InvalidArgument(f"{name} must be finite and > 0, got {v!r}")
 
 
 def stable_eigh(m):
@@ -217,8 +203,8 @@ def typical_set(p, n, delta, caps=DEFAULT_CAPS, tol=DEFAULT_TOL):
     >= 1 and delta finite and > 0.
     """
     pv = validate_probability_vector(p, tol)
-    n = _block_length(n)
-    _check_window(delta, "delta")
+    n = _integer(n, "block length", 1)
+    _positive(delta, "delta")
     seqs = _label_sequences(pv, n, delta / pv.size, tol.typicality_boundary, caps)
     return [tuple(s) for s in seqs.tolist()]
 
@@ -241,12 +227,9 @@ class TypicalProjector:
         return len(self.basis_labels)
 
     def matrix(self, caps=DEFAULT_CAPS):
-        """Materialize the projector; guarded by the matrix-dimension cap."""
+        """Materialize the projector; caps.product_dim bounds its side d^n."""
+        _check_product_dim(self.dim, self.n, caps)
         total = self.dim ** self.n
-        if total > caps.projector_matrix_dim:
-            raise DimOverflow(
-                f"projector dimension {total} exceeds cap {caps.projector_matrix_dim}"
-            )
         if not self.basis_labels:
             return np.zeros((total, total), dtype=complex)
         cols = []
@@ -266,8 +249,8 @@ def typical_projector(rho, n, alpha, caps=DEFAULT_CAPS):
     typical projector of the one-letter channel rho on the word of n copies
     of its letter; rho must be a density operator and n an integer >= 1.
     """
-    return conditional_typical_projector(CqChannel((0,), [rho]), (0,) * _block_length(n),
-                                         alpha, caps)
+    word = (0,) * _integer(n, "block length", 1)
+    return conditional_typical_projector(CqChannel((0,), [rho]), word, alpha, caps)
 
 
 def conditional_typical_projector(w, xs, alpha, caps=DEFAULT_CAPS):
@@ -282,8 +265,8 @@ def conditional_typical_projector(w, xs, alpha, caps=DEFAULT_CAPS):
     input alphabet and an alpha that is not finite and > 0.
     """
     xs = tuple(xs)
-    n, d = _block_length(len(xs)), w.dim
-    _check_window(alpha, "alpha")
+    n, d = _integer(len(xs), "block length", 1), w.dim
+    _positive(alpha, "alpha")
     letters = sorted(dict.fromkeys(xs), key=str)
     if stray := [x for x in letters if x not in w.x_alphabet]:
         raise AlphabetMismatch(f"letters {stray} are not in the input alphabet {w.x_alphabet}")
@@ -432,10 +415,10 @@ def verify_typicality_bounds(w, p, n_range, alpha, caps=DEFAULT_CAPS, tol=DEFAUL
     non-empty, of integers >= 1, and alpha finite and > 0.
     """
     pv = _input_distribution(p, w, tol)
-    ns = [_block_length(n) for n in n_range]
+    ns = [_integer(n, "block length", 1) for n in n_range]
     if not ns:
         raise InvalidArgument("n_range holds no block length")
-    _check_window(alpha, "alpha")
+    _positive(alpha, "alpha")
     sig_lam, sig_u = stable_eigh(np.einsum("x,xij->ij", pv, w.states))
     # spectra: the averaged state's, then each letter's; diag: the letters in its eigenbasis
     spec = np.clip([sig_lam] + [stable_eigh(w.state(x))[0] for x in w.x_alphabet], 0.0, None)

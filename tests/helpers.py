@@ -9,7 +9,6 @@ from avcqc import Avcqc, CorrelatedSource, CqChannel, DeterministicCode, RandomC
 from avcqc.capacity import _aux_objective
 from avcqc.channels import JammerStrategy, product_output
 from avcqc.coding import (
-    _PROB_CLAMP,
     RepetitionPrecode,
     TwoPartCode,
     _site_traces,
@@ -579,7 +578,7 @@ def cr_generation_reference(w, src, code, trials, seed, caps=DEFAULT_CAPS):
         )
     if agreed:
         counts = np.bincount(np.array(agreed), minlength=j_n).astype(float)
-        entropy = float(entropy_from_eigenvalues(counts / counts.sum(), floor=_PROB_CLAMP))
+        entropy = float(entropy_from_eigenvalues(counts / counts.sum(), floor=DEFAULT_TOL.prob_sum))
     else:
         entropy = 0.0
     return {"agreement_rate": hits / trials, "empirical_entropy": entropy, "rows": rows}

@@ -112,7 +112,8 @@ class TestBoundaryValidation:
     @pytest.mark.parametrize("budget", [{"outer_iter": -1}, {"inner_iter": -1},
                                         {"outer_iter": -3, "inner_iter": -2}])
     def test_negative_step_budget_refused(self, budget):
-        with pytest.raises(InvalidArgument, match="outer_iter and inner_iter must be >= 0"):
+        name, value = next(iter(budget.items()))  # outer_iter is checked first
+        with pytest.raises(InvalidArgument, match=f"{name} must be an integer >= 0, got {value}"):
             capacity_informed_jammer(bitflip_channel(), **budget)
 
     def test_zero_step_budgets_accepted(self):

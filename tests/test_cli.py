@@ -447,8 +447,9 @@ class TestArgumentValidation:
         "--cap=projector_matrix_dim=2048",
     ])
     def test_override_without_effect_is_refused(self, tmp_path, capsys, override):
-        # specs are validated under the default tolerances and no command
-        # materializes a projector: these fields would change nothing
+        # specs are validated under the default tolerances, so these fields
+        # would change nothing; projector_matrix_dim, folded into product_dim,
+        # is an unknown field
         chan = write_channel(tmp_path, bitflip_channel())
         argv = ["capacity", "--channel", chan, "--seed", "1", override]
         self._rejects(argv, tmp_path, capsys, override.split("=")[1])

@@ -791,7 +791,7 @@ class TestCrGeneration:
             encoders=[[(0,), (1,)], [(1,), (0,)]],
             decoders=np.stack([np.stack([ZERO, ONE]), np.stack([ONE, ZERO])]),
         )
-        with pytest.raises(InvalidArgument, match=f"trials must be >= 1, got {trials}"):
+        with pytest.raises(InvalidArgument, match=f"trials must be an integer >= 1, got {trials}"):
             cr_generation_run(w, src, code, trials=trials, seed=1)
 
     @pytest.mark.parametrize("trials", [2.5, True, "3"])
@@ -821,7 +821,7 @@ class TestCrGeneration:
             raise AssertionError("computed before the seed was checked")
 
         monkeypatch.setattr(coding, "correlation_code_error_informed", no_work)
-        with pytest.raises(InvalidArgument, match="seed must be a nonnegative integer"):
+        with pytest.raises(InvalidArgument, match="seed must be an integer >= 0"):
             cr_generation_run(w, src, pre, trials=3, seed=seed)
 
     def test_numpy_integer_seed_is_its_int(self):

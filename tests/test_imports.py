@@ -1,7 +1,8 @@
 """Static scans of the package source.
 
-Every name a module imports is read somewhere in it, and every tolerance
-below 1e-6 is named: a field of config.Tolerances or a module constant.
+Every name a module imports is read somewhere in it, no module imports a
+sibling inside a function, and every tolerance below 1e-6 is named: a field
+of config.Tolerances or a module constant.
 """
 
 import ast
@@ -45,6 +46,35 @@ def test_scan_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def function_level_imports(source):
+    """(line, module) of package imports made inside a function body."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "avcqc"
+            ):
+                found.add((node.lineno, "." * node.level + (node.module or "")))
+            elif isinstance(node, ast.Import):
+                found.update((node.lineno, a.name) for a in node.names
+                             if a.name.split(".")[0] == "avcqc")
+    return sorted(found)
+
+
+def test_scan_flags_a_function_level_import():
+    src = ("from .config import Caps\nimport numpy\n"
+           "def f():\n    from .channels import Avcqc\n    import json\n"
+           "    def g():\n        import avcqc.coding\n")
+    assert function_level_imports(src) == [(4, ".channels"), (7, "avcqc.coding")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_level_sibling_imports(path):
+    assert function_level_imports(path.read_text()) == []
 
 
 def bare_tolerances(source):

@@ -200,7 +200,7 @@ class TestTypicalProjector:
     def test_matrix_cap(self):
         tp = typical_projector(np.diag([0.75, 0.25]), 12, 0.1)
         with pytest.raises(DimOverflow):
-            tp.matrix(caps=Caps(projector_matrix_dim=64))
+            tp.matrix(caps=Caps(product_dim=64))
 
     def test_mass_monotone_in_alpha(self):
         rho = np.diag([0.7, 0.3])
