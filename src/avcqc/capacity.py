@@ -8,20 +8,22 @@ The central object is the max-min value
 together with the correlation-assisted common-randomness capacities built
 on top of it.  chi is convex in the kernel (joint convexity of the
 relative entropy) and concave in the input distribution, so the max-min
-value is a saddle value (Sion's minimax theorem).  The solver ascends
-phi(P) = min_Q chi(P, W_Q), which is concave, along one trajectory from the
-uniform start: every candidate P gets a projected Newton descent on the
-kernel, and P takes projected Newton steps on phi.  It brackets the value
-after the first inner descent and after every outer step: a Frank-Wolfe
-lower bound from the convexity in the kernel, and the Holevo upper bound
-max_x D(rho_x || rho_bar).  A bracket at most Tolerances.maxmin_bracket
-wide (default 1e-6) ends the solve, and its width is the certified gap at
-every alphabet size.  A trajectory that stops short of that width (no
-Newton candidate accepted, or the outer step budget spent) returns the
-bracket at its last point, which still holds the value.  The
-inner minimum alone (``min_chi_over_jammer``) is one kernel descent from the
-uniform kernel, for the same convexity; the Holevo capacity of a fixed
-channel (``holevo_capacity``) is the solve with one jammer letter.
+value is a saddle value (Sion's minimax theorem).  The solver follows one
+trajectory from the uniform (P, Q) start: projected Newton steps on P and
+Q together while each halves the saddle bracket, then the ascent of
+phi(P) = min_Q chi(P, W_Q), which is concave, with a projected Newton
+descent on the kernel at every candidate P.  It brackets the value at the
+start, at the inner minimum where that ascent takes over and after every
+outer step: a Frank-Wolfe lower bound from the
+convexity in the kernel, and the Holevo upper bound max_x D(rho_x ||
+rho_bar).  A bracket at most Tolerances.maxmin_bracket wide (default 1e-6)
+ends the solve, and its width is the certified gap at every alphabet
+size.  A trajectory that stops short of that width (no Newton candidate
+accepted, or the outer step budget spent) returns the bracket at its last
+point, which still holds the value.  The inner minimum alone
+(``min_chi_over_jammer``) is one kernel descent from the uniform kernel,
+for the same convexity; the Holevo capacity of a fixed channel
+(``holevo_capacity``) is the solve with one jammer letter.
 
 Each point (P, Q) is evaluated once (``_Point``).  A candidate costs one
 batched eigendecomposition of the mixtures rho_x and rho_bar and their
@@ -37,18 +39,21 @@ a state sigma = sum_i l_i |i><i| and directions A, B,
 with A~ = V^dag A V in sigma's eigenbasis and the Daleckii-Krein divided
 differences Lambda_ij = (ln l_i - ln l_j) / (l_i - l_j), and 1 / l_i where
 the (floored) eigenvalues coincide.  The kernel block chi_qq gives the inner
-step.  The outer step needs the Hessian of phi, which by the envelope
-theorem is the Schur complement chi_pp - chi_pq chi_qq^-1 chi_qp at the
-inner minimizer, over the free kernel entries and under their row
-constraints; chi_pp and chi_pq come from rho_bar's rotation the same way.
-Its solve is the kernel's response dQ/dP.  At an outer Newton candidate P'
-the point (P', project(Q + dQ/dP (P' - P))) is evaluated first, and if its
-own bracket is closed the solve ends there, without the inner re-solve.
-Near the saddle the outer step converges quadratically: the bracket closes
-in a few steps at 1e-6 and at 1e-10 alike.  The kernel descent stops once
-its Frank-Wolfe gap is at most min(1e-9, width / 1000).  The bracket's
-lower end is lo = chi - gap, so that stop leaves the width to the outer
-ascent; a tighter inner stop would buy the bracket nothing.
+step.  With chi_pp and chi_pq, read from rho_bar's rotation the same way,
+it gives the joint step: one KKT solve of chi's quadratic model, maximized
+in P and minimized in Q on the free entries under their row constraints.
+Eliminating dQ leaves the Newton step of phi on the Schur complement
+chi_pp - chi_pq chi_qq^-1 chi_qp (the envelope theorem), and dQ = dQ/dP dP
+plus the kernel's own Newton correction, so no step waits for an inner
+minimum.  Once a joint candidate fails to halve the bracket, the ascent
+on phi takes over from the kernel's inner minimum: at its candidate P' the
+point (P', project(Q + dQ/dP (P' - P))) is evaluated first, ends the solve
+if its own bracket is closed, and else starts the inner descent.  Near
+the saddle both steps converge quadratically: the bracket closes in a few
+steps at 1e-6 and at 1e-10 alike.  The kernel descent stops once its
+Frank-Wolfe gap is at most min(1e-9, width / 1000).  The bracket's lower
+end is lo = chi - gap, so that stop leaves the width to the outer ascent;
+a tighter inner stop would buy the bracket nothing.
 
 The upper end needs no support-aware relative entropy.  Flooring rho_bar's
 spectrum at 1e-18 replaces rho_bar by a full-rank positive operator sigma,
@@ -160,7 +165,9 @@ class _Point:
         self.chi = self.s[-1] - p @ self.s[:-1]
 
     def derive(self):
-        """The rotated states, the kernel gradient, its Frank-Wolfe gap and d_x; returns self."""
+        """The rotated states, kernel gradient, Frank-Wolfe gap and d_x, made once; returns self."""
+        if hasattr(self, "d_x"):
+            return self
         w, v = self.spec
         vh = v.conj().swapaxes(-1, -2)
         self.own = vh[:-1, None] @ self.states @ v[:-1, None]
@@ -205,6 +212,10 @@ class _Point:
     def bracket(self):  # (lo, hi) around the max-min value, see ``_ascend``
         return float(self.chi - self.gap), float(self.d_x.max())
 
+    def width(self):
+        lo, hi = self.bracket()
+        return hi - lo
+
 
 # ---------------------------------------------------------------------------
 # Holevo quantity and fixed-channel capacity
@@ -241,8 +252,8 @@ def holevo_capacity(w):
 # inner minimization over jamming kernels
 # ---------------------------------------------------------------------------
 
-def _descend_kernel(states, p, q, max_iter, gap_stop=_KERNEL_GAP):
-    """Projected Newton descent of chi over one jamming kernel q (X, S) at fixed p.
+def _descend_kernel(pt, max_iter, gap_stop=_KERNEL_GAP):
+    """Projected Newton descent of chi over the kernel q (X, S) of the evaluated point pt, at its p.
 
     Each step is the set distance's (``geometry._newton_steps``): the
     feasible Newton direction D of chi on the entries ``_free_entries``
@@ -255,7 +266,6 @@ def _descend_kernel(states, p, q, max_iter, gap_stop=_KERNEL_GAP):
     returns its last point, derived: chi - gap there bounds the inner
     minimum from below wherever it stops.  On |S| = 1 no step is taken.
     """
-    pt = _Point(states, p, np.array(q, dtype=float))
     if not np.isfinite(pt.chi):
         raise SolverDiverged("non-finite objective at the initial kernel")
     nx, ns = pt.q.shape
@@ -304,7 +314,7 @@ def min_chi_over_jammer(w, p, tol=DEFAULT_TOL):
     """
     pv = _input_distribution(p, w, tol)
     nx, ns = len(w.x_alphabet), len(w.s_alphabet)
-    pt = _descend_kernel(w.states, pv, np.full((nx, ns), 1.0 / ns), max_iter=2000)
+    pt = _descend_kernel(_Point(w.states, pv, np.full((nx, ns), 1.0 / ns)), max_iter=2000)
     return float(max(pt.chi, 0.0)), JammerKernel(w.x_alphabet, w.s_alphabet, pt.q)
 
 
@@ -348,96 +358,96 @@ def _input_hessian(pt):
     return chi_pp, chi_pq
 
 
-def _envelope_hessian(pt):
-    """Hessian of phi(p) = min_q chi(p, q) at an inner minimizer (X, X) and dq/dp (X*S, X), or None.
+def _saddle_direction(pt, kernel_grad):
+    """Projected Newton direction (dp, dq) on (p, q) together at a derived point, or None.
 
-    The Schur complement chi_pp - chi_pq chi_qq^-1 chi_qp over the free
-    kernel entries of ``_free_entries``, under their row constraints: the
-    kernel's response dq/dp solves the shifted KKT system of ``_kkt_matrix``
-    with the right-hand sides -chi_qp, and phi'' = chi_pp + chi_pq dq/dp.
-    The response is 0 on the held entries and sums to zero in each kernel
-    row, so per-row constants in chi_pq drop out.  None if it is singular.
+    One KKT solve of chi's quadratic model with the gradients d_x and
+    kernel_grad, maximized in p and minimized in q: one zero-sum row for p
+    and one per kernel row, the p rows negated so that both diagonal blocks
+    of ``_kkt_matrix`` are convex.  The kernel entries ``_free_entries``
+    holds stay put.  Letters whose d_x is below the maximum and whose p_x
+    is at most min(_HOLD_CAP, |p - project(p + d)|_1) go to 0: the bound
+    shrinks with the distance from a stationary point (Bertsekas'
+    epsilon-active set), so near the saddle only letters at 0 are held,
+    while far from it a letter about to leave the support is not left to
+    the model, where a nearly duplicated letter makes it steer the whole
+    step.  The step is scaled so that dp has entries of at most 1, the
+    width of the simplex: a nearly flat model would otherwise put every
+    trial step far outside it.  None if the system is singular.
     """
-    chi_pp, chi_pq = _input_hessian(pt)
+    p, d_x = pt.p, pt.d_x
     nx, ns = pt.q.shape
-    free = _free_entries(pt.q, pt.grad).ravel()
-    kkt = _kkt_matrix(pt.kernel_hessian[free][:, free], np.arange(nx).repeat(ns)[free], nx)
-    nf = int(free.sum())
-    rhs = np.zeros((kkt.shape[0], pt.p.size))
-    rhs[:nf] = -chi_pq[:, free].T
-    sol = _solve_newton(kkt, rhs)
+    chi_pp, chi_pq = _input_hessian(pt)
+    floor = min(_HOLD_CAP, float(np.sum(np.abs(p - project_simplex_rows(p + d_x)))))
+    free = np.concatenate([(p > max(floor, _STEP_FLOOR)) | (d_x == d_x.max()),
+                           _free_entries(pt.q, pt.grad).ravel()])
+    hess = np.block([[-chi_pp, -chi_pq], [chi_pq.T, pt.kernel_hessian]])
+    step = np.zeros(free.size)
+    step[:nx] = np.where(free[:nx], 0.0, -p)
+    rhs = np.concatenate([d_x, -kernel_grad.ravel()]) - hess @ step
+    owner = np.concatenate([np.zeros(nx, dtype=int), 1 + np.arange(nx).repeat(ns)])
+    sol = _solve_newton(_kkt_matrix(hess[free][:, free], owner[free], nx + 1),
+                        np.concatenate([rhs[free], [-step.sum()], np.zeros(nx)]))
     if sol is None:
         return None
-    response = np.zeros((pt.q.size, pt.p.size))
-    response[free] = sol[:nf]
-    return chi_pp + chi_pq[:, free] @ sol[:nf], response
+    step[free] = sol[: free.sum()]
+    step /= max(1.0, np.max(np.abs(step[:nx])))
+    return step[:nx], step[nx:].reshape(pt.q.shape)
 
 
 def _input_direction(pt):
-    """Projected Newton direction on p for phi(p) = min_q chi(p, q) and dq/dp, or None.
+    """The Newton direction (dp, dq) on phi at an inner minimizer, or None: the
+    saddle direction with the kernel's own gradient left out, so dq = dq/dp dp."""
+    return _saddle_direction(pt, np.zeros_like(pt.grad))
 
-    Letters whose d_x is below the maximum and whose p_x is at most
-    min(_HOLD_CAP, |p - project(p + d)|_1) are held: the step takes them
-    to 0.  The bound shrinks with the distance from a stationary point
-    (the epsilon-active set of Bertsekas' projected Newton method), so near
-    the saddle only letters at 0 are held, while far from it a letter about
-    to leave the support is not left to the Newton model, where a nearly
-    duplicated letter makes it steer the whole step.  On the rest, the
-    quadratic model of phi with the envelope gradient d_x and the Hessian
-    of ``_envelope_hessian`` is maximized under sum delta = 0 (the same
-    shifted KKT system as the kernel's).  The direction is scaled to
-    entries of at most 1, the width of the simplex: a nearly flat model
-    would otherwise put every trial step far outside it.
+
+def _joint_candidate(pt):
+    """The derived point at the full saddle direction from pt, or None.
+
+    None also, with no point evaluated, where the projection onto the
+    simplices moves the full step by more than half its largest entry: the
+    model's step then ends far outside the face it was built on, and the
+    safeguarded step is taken instead.
     """
-    found = _envelope_hessian(pt)
+    found = _saddle_direction(pt, pt.grad)
     if found is None:
         return None
-    h, response = found
-    p, d_x = pt.p, pt.d_x
-    floor = min(_HOLD_CAP, float(np.sum(np.abs(p - project_simplex_rows(p + d_x)))))
-    free = (p > max(floor, _STEP_FLOOR)) | (d_x == d_x.max())
-    held = np.where(free, 0.0, -p)
-    kkt = _kkt_matrix(-h[free][:, free], np.zeros(int(free.sum()), dtype=int), 1)
-    rhs = np.concatenate([d_x[free] + h[free] @ held, [-held.sum()]])
-    sol = _solve_newton(kkt, rhs)
-    if sol is None:
+    dp, dq = found
+    p, q = project_simplex_rows(pt.p + dp), project_simplex_rows(pt.q + dq)
+    cut = max(np.max(np.abs(p - pt.p - dp)), np.max(np.abs(q - pt.q - dq)))
+    if cut > 0.5 * max(np.max(np.abs(dp)), np.max(np.abs(dq))):
         return None
-    step = held
-    step[free] = sol[:-1]
-    return step / max(1.0, np.max(np.abs(step))), response
+    return _Point(pt.states, p, q).derive()
 
 
 def _newton_ascent(pt, inner_iter, gap_stop, width):
     """The derived point at the first accepted candidate on the Newton direction, or None.
 
-    Tries project_simplex_rows(p + t delta) for t = 1, 1/2, ...  A candidate
-    p' whose point at the kernel's first-order response, project_simplex_rows
-    (q + dq/dp (p' - p)), has a bracket at most width wide is returned as
-    it is.  Otherwise p' gets an inner descent warm-started from q, and is
-    accepted if the inner minimum falls by at most gap_stop.  Both inner
-    minima are known only to the kernel descent's Frank-Wolfe stop
-    gap_stop, so a smaller fall is no loss of the concave objective.
-    Compared more finely, every candidate was rejected on draws whose phi
-    is nearly flat between two input letters 1e-6 apart.
+    The safeguarded step of the ascent on phi, from a point at its inner
+    minimum.  Tries project_simplex_rows(p + t dp) for t = 1, 1/2, ... on
+    the direction of ``_input_direction``.  A candidate whose point at the
+    kernel's first-order response, project_simplex_rows(q + t dq), has a
+    bracket at most width wide is returned as it is.  Otherwise the inner
+    descent starts from that evaluated point, and the candidate is accepted
+    if the inner minimum falls by at most gap_stop.  Both inner minima are
+    known only to the kernel descent's Frank-Wolfe stop gap_stop, so a
+    smaller fall is no loss of the concave objective.  Compared more
+    finely, every candidate was rejected on draws whose phi is nearly flat
+    between two input letters 1e-6 apart.
     """
     found = _input_direction(pt)
     if found is None:
         return None
-    direction, response = found
+    dp, dq = found
     t = 1.0
     for _try in range(_STEP_TRIALS):
-        cand_p = project_simplex_rows(pt.p + t * direction)
+        cand_p = project_simplex_rows(pt.p + t * dp)
         if (cand_p == pt.p).all():
             return None
-        moved = (response @ (cand_p - pt.p)).reshape(pt.q.shape)
-        cand = _Point(pt.states, cand_p, project_simplex_rows(pt.q + moved)).derive()
-        lo, hi = cand.bracket()
-        if hi - lo <= width:
+        cand = _Point(pt.states, cand_p, project_simplex_rows(pt.q + t * dq)).derive()
+        if cand.width() <= width:
             return cand
-        # at q itself (one jammer letter: no response) and within gap_stop,
-        # the candidate is the point the inner descent from q stops on at once
-        if not ((cand.q == pt.q).all() and cand.gap <= gap_stop):
-            cand = _descend_kernel(pt.states, cand_p, pt.q, inner_iter, gap_stop)
+        cand = _descend_kernel(cand, inner_iter, gap_stop)
         if cand.chi >= pt.chi - gap_stop:
             return cand
         t /= 2.0
@@ -445,28 +455,30 @@ def _newton_ascent(pt, inner_iter, gap_stop, width):
 
 
 def _ascend(states, outer_iter, inner_iter, tol):
-    """Newton ascent on p from the uniform (p, q), stopped by its saddle bracket.
+    """Newton steps on the saddle from the uniform (p, q), stopped by its bracket.
 
-    The objective is phi(p) = min_q chi(p, q), concave in p.  Its envelope
-    gradient is the per-letter relative entropy d_x at the inner minimizer,
-    and its Hessian the Schur complement of ``_envelope_hessian``.  Each
-    outer step is the projected Newton step of ``_newton_ascent``, whose
-    inner descents end on a Frank-Wolfe gap of at most
-    min(_KERNEL_GAP, _KERNEL_SHARE * tol.maxmin_bracket).  The saddle
-    bracket is taken after the initial inner descent and after every outer
-    step; its lower end is chi minus that gap, so the gap stop costs the
-    bracket at most a thousandth of its width.  The ascent ends once the
-    bracket is at most tol.maxmin_bracket wide ("bracket"), after
-    outer_iter steps ("max_iter"), or when no Newton candidate is accepted
-    ("no_step").  Returns chi at the returned point, its p and kernel, its
-    bracket (lo, hi), the objective trace and the stop reason.
+    Each outer step is a joint Newton step on (p, q) (``_joint_candidate``;
+    none with one jammer letter), kept while its bracket is at most half as
+    wide as the current one, or closed.  The first one refused hands the
+    solve over to the ascent of phi(p) = min_q chi(p, q): the kernel is
+    descended to its inner minimum (at most 400 steps and no outer step; its
+    chi replaces the last trace entry), and each further outer step is one
+    ``_newton_ascent``.  Inner descents end on a Frank-Wolfe gap of at most
+    min(_KERNEL_GAP, _KERNEL_SHARE * tol.maxmin_bracket).  The bracket, whose
+    lower end is chi minus the point's gap, is checked at every point the
+    loop holds.  The ascent ends once it is at most tol.maxmin_bracket wide
+    ("bracket"), after outer_iter steps ("max_iter"), or when no Newton
+    candidate is accepted ("no_step").  Returns chi at the returned point,
+    its p and kernel, its bracket (lo, hi), the trace and the stop reason.
     """
     width = tol.maxmin_bracket
     gap_stop = min(_KERNEL_GAP, width * _KERNEL_SHARE)
     nx, ns = states.shape[:2]
-    pt = _descend_kernel(states, np.full(nx, 1.0 / nx), np.full((nx, ns), 1.0 / ns), 400, gap_stop)
-    trace = [float(pt.chi)]
-    for step in range(outer_iter + 1):
+    pt = _Point(states, np.full(nx, 1.0 / nx), np.full((nx, ns), 1.0 / ns)).derive()
+    if not np.isfinite(pt.chi):
+        raise SolverDiverged("non-finite objective at the initial kernel")
+    trace, joint = [float(pt.chi)], ns > 1
+    while True:
         # chi(p, W_Q) is convex in Q, so chi minus the kernel's Frank-Wolfe
         # gap bounds min_Q chi(p, W_Q), hence the max-min value, from below;
         # the value is at most C_Holevo(W_q) <= max_x D(rho_x || rho_bar),
@@ -474,14 +486,18 @@ def _ascend(states, outer_iter, inner_iter, tol):
         # on rho_bar's spectrum).  Both meet at a saddle point, and both
         # are read from the point, so the bracket costs no LAPACK call
         lo, hi = pt.bracket()
-        if hi - lo <= width or step == outer_iter:
+        if hi - lo <= width or len(trace) > outer_iter:
             reason = "bracket" if hi - lo <= width else "max_iter"
             break
-        found = _newton_ascent(pt, inner_iter, gap_stop, width)
-        if found is None:
+        cand = _joint_candidate(pt) if joint else _newton_ascent(pt, inner_iter, gap_stop, width)
+        if joint and (cand is None or cand.width() > max(width, (hi - lo) / 2)):
+            joint, pt = False, _descend_kernel(pt, 400, gap_stop)
+            trace[-1] = float(pt.chi)
+            continue
+        if cand is None:
             reason = "no_step"
             break
-        pt = found
+        pt = cand
         trace.append(float(pt.chi))
     return pt.chi, pt.p, pt.q, (lo, hi), trace, reason
 
@@ -521,15 +537,18 @@ def capacity_informed_jammer(
     ``_ascend`` once from the uniform (P, Q) start and brackets the value
     at the point it reaches; a bracket at most tol.maxmin_bracket wide ends
     the solve, and a width at most _BRACKET_ROUNDING raises InvalidArgument.
-    ``_ascend`` checks the bracket after its first inner descent and after
-    every outer step, so a start that is already a saddle point costs one
-    inner descent.  A trajectory that stops with its bracket open (after
+    ``_ascend`` checks the bracket at the start and after every outer
+    step, so a start that is already a saddle point costs one evaluated
+    point.  A trajectory that stops with its bracket open (after
     outer_iter steps, or with no Newton candidate accepted) still returns a
     bracket that holds the value; ``stop_reason`` names the exit.
-    ``solver_trace`` is the objective after the first inner descent and
-    after every outer step, and ``bracket`` is (lo, hi) at the returned
-    point.  ``certified_gap`` is hi - lo, at every alphabet size; the value
-    lies within it of the max-min value.
+    ``solver_trace`` is the objective at the start and after every outer
+    step, the entry before the first refused joint step taken after its
+    kernel descent, and ``bracket`` is (lo, hi) at the returned point.
+    ``certified_gap`` is hi - lo, at every alphabet size; the value lies
+    within it of the max-min value.  inner_iter bounds the inner descents
+    at the candidates of the ascent on phi; the one descent that hands
+    the solve over to that ascent has its own budget of 400 steps.
 
     The solve draws no random numbers and has one trajectory, so ``seed``,
     ``restarts`` and ``certify`` change nothing.  They are still accepted

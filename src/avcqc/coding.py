@@ -371,9 +371,10 @@ def random_code_error_informed(code, w, caps=DEFAULT_CAPS, return_strategy=False
 
 
 def _product_joint(src, l):
-    joint = np.ones((1, 1))
+    joint, rows = np.ones((1, 1)), len(src.joint)
     for _ in range(l):
-        joint = np.kron(joint, src.joint)
+        # the Kronecker product, one broadcast outer product per factor
+        joint = (joint[:, None, :, None] * src.joint[:, None]).reshape(len(joint) * rows, -1)
     return joint  # (|V'|^l, |V|^l), lexicographic word order
 
 

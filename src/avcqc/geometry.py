@@ -11,6 +11,8 @@ which the kernel descent in capacity shares with its own accept test, live
 here too.
 """
 
+from functools import cache
+
 import numpy as np
 
 # entries at most this are under the rounding of a simplex projection, which
@@ -29,6 +31,15 @@ _DISTANCE_STEPS = 100
 _STEP_TRIALS = 20
 
 
+@cache
+def _embed_indices(d):
+    """Read-only index arrays (diagonal, upper rows, upper columns) of a d x d matrix."""
+    indices = (np.arange(d), *np.triu_indices(d, k=1))
+    for a in indices:
+        a.flags.writeable = False
+    return indices
+
+
 def embed_stack(mats):
     """Embed a stack (..., d, d) of Hermitian matrices; returns (..., d**2).
 
@@ -37,9 +48,8 @@ def embed_stack(mats):
     tr(A B) for Hermitian A, B.
     """
     a = np.asarray(mats, dtype=complex)
-    d = a.shape[-1]
-    iu, ju = np.triu_indices(d, k=1)
-    diag = np.real(a[..., np.arange(d), np.arange(d)])
+    ii, iu, ju = _embed_indices(a.shape[-1])
+    diag = np.real(a[..., ii, ii])
     off = a[..., iu, ju]
     return np.concatenate(
         [diag, np.sqrt(2.0) * np.real(off), np.sqrt(2.0) * np.imag(off)], axis=-1
@@ -68,8 +78,10 @@ def _free_entries(q, g):
 
 
 def _kkt_matrix(h, rows, nrows):
-    """[[h + shift I, A^T], [A, 0]] for a convex model h (F, F) whose entries sum
-    to zero within each group: A[r, k] = 1 where rows[k] == r, for nrows groups."""
+    """[[h + shift I, A^T], [A, 0]] for a model Hessian h (F, F) with a nonnegative
+    diagonal, convex or a saddle's block with its maximized rows negated, whose
+    entries sum to zero within each group: A[r, k] = 1 where rows[k] == r, for
+    nrows groups."""
     nf = h.shape[0]
     kkt = np.zeros((nf + nrows, nf + nrows))
     kkt[:nf, :nf] = h + _NEWTON_SHIFT * h.diagonal().max() * np.eye(nf)

@@ -173,17 +173,17 @@ def _ensemble_blocks(w, weights, q_rows):
     return np.einsum("xs,xv,xsij->vij", q_rows, weights, w.states)
 
 
-def _gram_factor(w, weights):
+def _gram_factor(embedded, weights):
     """Real (|V|^iota * d^2, |X||S|) matrix whose Gram matrix is
     Gram[(x,s),(x',s')] = sum_v w_x(v) w_x'(v) tr(W(x,s) W(x',s')).
 
-    Column (x, s) stacks the embedded generator w_x(v) W(x, s) of every
-    block v; the embedding keeps the trace inner product, so Euclidean
-    distances between combinations of columns are Frobenius distances
-    between ensemble states.
+    embedded is embed_stack(w.states), (X, S, d^2).  Column (x, s) stacks
+    the embedded generator w_x(v) W(x, s) of every block v; the embedding
+    keeps the trace inner product, so Euclidean distances between
+    combinations of columns are Frobenius distances between ensemble states.
     """
-    nx, ns = len(w.x_alphabet), len(w.s_alphabet)
-    return np.einsum("xv,xse->vexs", weights, embed_stack(w.states)).reshape(-1, nx * ns)
+    nx, ns = embedded.shape[:2]
+    return np.einsum("xv,xse->vexs", weights, embedded).reshape(-1, nx * ns)
 
 
 def _coefficients(w, weights, blocks):
@@ -265,8 +265,10 @@ def separation_test(w, src, gp, seed=0, tol=DEFAULT_TOL, caps=DEFAULT_CAPS):
     nx, ns = len(w.x_alphabet), len(w.s_alphabet)
     wgt0 = _block_weights(src, gp.g0, gp.iota, w.x_alphabet)
     wgt1 = _block_weights(src, gp.g1, gp.iota, w.x_alphabet)
+    embedded = embed_stack(w.states)
     dist, lower, q0, q1 = affine_set_distance(
-        _gram_factor(w, wgt0), _gram_factor(w, wgt1), ns, ns, tol=tol.quadratic_solver
+        _gram_factor(embedded, wgt0), _gram_factor(embedded, wgt1), ns, ns,
+        tol=tol.quadratic_solver,
     )
     q0, q1 = q0.reshape(nx, ns), q1.reshape(nx, ns)
     if dist <= tol.not_separable_below:

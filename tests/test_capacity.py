@@ -320,6 +320,23 @@ class TestSaddleBracket:
         ref = dense_saddle_bracket(w.states, res.argmax_p, res.argmin_q.rows)
         assert np.max(np.abs(np.subtract(res.bracket, ref))) <= 1e-10
 
+    def test_refused_step_after_the_hand_over_keeps_its_descent(self, monkeypatch):
+        # the joint step at this draw's start is refused, so the kernel is
+        # descended to its inner minimum; with no Newton direction after
+        # that, the solve returns the descended kernel and its bracket
+        w = self._instance()
+        gap_stop = min(capacity._KERNEL_GAP, capacity._KERNEL_SHARE * DEFAULT_TOL.maxmin_bracket)
+        start = capacity._Point(w.states, np.full(3, 1 / 3), np.full((3, 3), 1 / 3))
+        descended = capacity._descend_kernel(start, 400, gap_stop)
+        monkeypatch.setattr(capacity, "_input_direction", lambda pt: None)
+        res = capacity_informed_jammer(w)
+        assert res.stop_reason == "no_step" and res.solver_trace == (res.value,)
+        assert np.array_equal(res.argmin_q.rows, descended.q)
+        assert res.bracket == descended.bracket()
+        assert res.value - res.bracket[0] <= gap_stop
+        ref = dense_saddle_bracket(w.states, res.argmax_p, res.argmin_q.rows)
+        assert np.max(np.abs(np.subtract(res.bracket, ref))) <= 1e-10
+
     def test_step_budget_reports_max_iter(self):
         # one outer step leaves this draw's bracket open: the solve says it
         # ran out of steps, and its bracket still holds the max-min value
@@ -690,6 +707,14 @@ def _face_draws():
     return tuple(draws)
 
 
+def _spy_spectra(monkeypatch):
+    """The arguments (p, states, q) of every ``_mixture_spectra`` call from now on."""
+    calls = []
+    real = capacity._mixture_spectra
+    monkeypatch.setattr(capacity, "_mixture_spectra", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
 class TestKernelDescent:
     @pytest.mark.parametrize("kind", ["d2", "d3", "rank1"])
     def test_hessian_matches_finite_differences(self, kind):
@@ -713,7 +738,7 @@ class TestKernelDescent:
         # the gap recomputed with one np.linalg.eigh per matrix: chi at the
         # returned kernel minus the Frank-Wolfe lower bound there
         states, p, _ = _descent_draw(kind)
-        pt = capacity._descend_kernel(states, p, np.full((3, 3), 1.0 / 3), 2000)
+        pt = capacity._descend_kernel(capacity._Point(states, p, np.full((3, 3), 1.0 / 3)), 2000)
         f, q, gap = pt.chi, pt.q, pt.gap
         lo, _ = dense_saddle_bracket(states, p, q)
         assert gap <= capacity._KERNEL_GAP
@@ -728,7 +753,7 @@ class TestKernelDescent:
         p = rng.dirichlet(np.ones(2))
         values = []
         for q0 in rng.dirichlet(np.ones(3), size=(6, 2)):
-            pt = capacity._descend_kernel(w.states, p, q0, max_iter=300)
+            pt = capacity._descend_kernel(capacity._Point(w.states, p, q0), max_iter=300)
             f, q, wq = pt.chi, pt.q, pt.spec[0]
             assert np.max(np.abs(wq - capacity._mixture_spectra(p, w.states, q)[0])) <= 1e-12
             kernel = JammerKernel(w.x_alphabet, w.s_alphabet, q)
@@ -751,14 +776,25 @@ class TestKernelDescent:
         # kernel and that kernel's gap, which still bounds the minimum below
         states, p, _ = _descent_draw("d3")
         start = np.full((3, 3), 1.0 / 3)
-        f_newton = capacity._descend_kernel(states, p, start, max_iter=2000).chi
+        f_newton = capacity._descend_kernel(capacity._Point(states, p, start), max_iter=2000).chi
         monkeypatch.setattr(capacity, "_newton_steps", lambda *a: None)
-        pt = capacity._descend_kernel(states, p, start, max_iter=300)
+        pt = capacity._descend_kernel(capacity._Point(states, p, start), max_iter=300)
         f, q, gap = pt.chi, pt.q, pt.gap
         lo, _ = dense_saddle_bracket(states, p, start)
         assert np.array_equal(q, start)
         assert abs((f - lo) - gap) <= 1e-12
         assert f - gap <= f_newton + 1e-12
+
+    def test_descent_from_an_evaluated_point_reuses_it(self, monkeypatch):
+        # the descent never evaluates its start again, and a start already
+        # on its gap stop is returned as it is
+        states, p, _ = _descent_draw("d3")
+        start = capacity._Point(states, p, np.full((3, 3), 1.0 / 3))
+        evaluated = _spy_spectra(monkeypatch)
+        done = capacity._descend_kernel(start, 2000)
+        assert evaluated and not any(np.array_equal(a[2], start.q) for a in evaluated)
+        evaluated.clear()
+        assert capacity._descend_kernel(done, 2000) is done and evaluated == []
 
     def test_single_state_takes_no_step(self, monkeypatch):
         # |S| = 1: the kernel is fixed, its gap is 0, and the descent returns
@@ -768,7 +804,8 @@ class TestKernelDescent:
         w = serialize.load_channel(str(SPECS / "mirror_pair_fixed_channel.json"))
         calls = []
         monkeypatch.setattr(capacity, "_try_kernel", lambda *a: calls.append(a))
-        pt = capacity._descend_kernel(w.states, np.array([0.5, 0.5]), np.ones((2, 1)), 2000)
+        start = capacity._Point(w.states, np.array([0.5, 0.5]), np.ones((2, 1)))
+        pt = capacity._descend_kernel(start, 2000)
         f, q, gap = pt.chi, pt.q, pt.gap
         assert calls == [] and gap == 0.0
         assert np.array_equal(q, np.ones((2, 1)))
@@ -815,7 +852,36 @@ def _outer_draw(kind):
 
 def _inner_minimum(states, p, q0):
     """The derived point of the inner minimum, run down to a Frank-Wolfe gap of 1e-14."""
-    return capacity._descend_kernel(states, p, q0, 2000, gap_stop=1e-14)
+    return capacity._descend_kernel(capacity._Point(states, p, q0), 2000, gap_stop=1e-14)
+
+
+def _envelope_hessian(pt):
+    """Hessian of phi(p) = min_q chi(p, q) at an inner minimizer: the Schur complement
+    chi_pp - chi_pq chi_qq^-1 chi_qp over the free kernel entries, under their row
+    constraints, which the solver's joint KKT solve eliminates without forming it."""
+    chi_pp, chi_pq = capacity._input_hessian(pt)
+    nx, ns = pt.q.shape
+    free = capacity._free_entries(pt.q, pt.grad).ravel()
+    kkt = capacity._kkt_matrix(pt.kernel_hessian[free][:, free], np.arange(nx).repeat(ns)[free], nx)
+    nf = int(free.sum())
+    rhs = np.zeros((kkt.shape[0], pt.p.size))
+    rhs[:nf] = -chi_pq[:, free].T
+    return chi_pp + chi_pq[:, free] @ np.linalg.solve(kkt, rhs)[:nf]
+
+
+def _assert_newton_step(pt, h, used):
+    """``_input_direction`` at pt moves p by the Newton step of the model with the
+    gradient d_x and the Hessian h on the letters used, scaled to entries of at
+    most 1; the solver's KKT shift of 1e-12 times the largest diagonal entry
+    moves it by about 3e-11 of its size.  Its kernel move keeps every row's sum."""
+    n = used.size
+    kkt = np.block([[-h[np.ix_(used, used)], np.ones((n, 1))], [np.ones((1, n)), np.zeros((1, 1))]])
+    ref = np.zeros(pt.p.size)
+    ref[used] = np.linalg.solve(kkt, np.concatenate([pt.d_x[used], [0.0]]))[:n]
+    ref /= max(1.0, np.max(np.abs(ref)))
+    dp, dq = capacity._input_direction(pt)
+    assert np.max(np.abs(dp - ref)) <= 1e-9 * np.max(np.abs(ref))
+    assert np.max(np.abs(dq.sum(axis=1))) <= 1e-12
 
 
 class TestOuterNewton:
@@ -857,10 +923,11 @@ class TestOuterNewton:
     def test_envelope_hessian_matches_finite_differences(self, kind):
         # the envelope gradient d_x at the re-solved inner minimum, along
         # zero-sum moves of the letters with p_x > 0; the Schur complement
-        # is symmetric and negative semidefinite on them
+        # is symmetric and negative semidefinite on them, and the input
+        # direction is its Newton step there
         states, p, q0 = _outer_draw(kind)
         pt = _inner_minimum(states, p, q0)
-        h, _ = capacity._envelope_hessian(pt)
+        h = _envelope_hessian(pt)
         used = np.flatnonzero(p > 0.0)
         for k in used[1:]:
             u = np.zeros(p.size)
@@ -875,6 +942,7 @@ class TestOuterNewton:
         assert np.allclose(block, block.T, rtol=0.0, atol=1e-9 * np.max(np.abs(block)))
         centred = np.eye(used.size) - 1.0 / used.size
         assert np.max(np.linalg.eigvalsh(centred @ block @ centred)) <= 1e-9 * np.max(np.abs(block))
+        _assert_newton_step(pt, h, used)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_nearly_duplicated_input_letter_closes(self, seed):
@@ -914,8 +982,9 @@ class TestOuterNewton:
         states, q = states[:, :1], np.ones((3, 1))
         pt = capacity._Point(states, p, q).derive()
         chi_pp, _ = capacity._input_hessian(pt)
-        assert np.allclose(capacity._envelope_hessian(pt)[0], chi_pp,
+        assert np.allclose(_envelope_hessian(pt), chi_pp,
                            rtol=0.0, atol=1e-12 * np.max(np.abs(chi_pp)))
+        _assert_newton_step(pt, chi_pp, np.arange(3))
 
     def test_upper_end_holds_on_a_rank_deficient_mixture(self):
         # every state inside one 2-dimensional subspace of C^3: rho_bar's
@@ -967,6 +1036,16 @@ class TestCandidateExit:
         ref = dense_saddle_bracket(w.states, res.argmax_p, res.argmin_q.rows)
         assert np.max(np.abs(np.subtract(res.bracket, ref))) <= 1e-10
 
+    def test_cut_joint_step_is_not_evaluated(self, monkeypatch):
+        # default_rng(71) 3x3 d3: at the uniform start the joint step takes
+        # q[2, 0] from 1/3 to -0.49, and the projection cuts it by more than
+        # half its largest entry, so no point is evaluated there and the
+        # ascent on phi runs from the start
+        w = wishart_avcqc(np.random.default_rng(71), 3, 3, 3)
+        start = capacity._Point(w.states, np.full(3, 1 / 3), np.full((3, 3), 1 / 3)).derive()
+        evaluated = _spy_spectra(monkeypatch)
+        assert capacity._joint_candidate(start) is None and evaluated == []
+
     def test_open_candidate_keeps_the_trajectory(self, monkeypatch):
         # on the wishart_3x3_d2 spec no first-order candidate closes the
         # bracket: every outer step re-solves the inner minimum, and the
@@ -979,6 +1058,51 @@ class TestCandidateExit:
         assert len(res.solver_trace) == 3
         assert log[0] == "descend" and log[-1] == "descend" and log.count("direction") == 2
         assert all(log[k + 1] == "descend" for k, tag in enumerate(log) if tag == "direction")
+
+
+def _maxmin_solve_draws():
+    """The instances of the maxmin-solve benchmark workload at seed 1: the
+    pinned 4x4 d=4 and 3x3 d=3 draws, then fifteen 2x2 d=3 draws of one
+    generator, which draws each job's solver seed after its instance."""
+    draws = [wishart_avcqc(np.random.default_rng([2024, *shape]), *shape)
+             for shape in ((4, 4, 4), (3, 3, 3))]
+    rng = np.random.default_rng([1, 1])
+    for _ in range(15):
+        draws.append(wishart_avcqc(rng, 2, 2, 3))
+        rng.integers(2**31)
+    return draws
+
+
+class TestSolverBudget:
+    def test_benchmark_draws_close_on_few_points(self, monkeypatch):
+        # the 17 solves evaluated 185 points (one eigh_stack each) when every
+        # outer step waited for the kernel's inner minimum, and 87 with the
+        # joint Newton steps on (p, q); each bracket is the point's own
+        evaluated = []
+
+        class CountedPoint(capacity._Point):
+            def __init__(self, *args):
+                evaluated.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(capacity, "_Point", CountedPoint)
+        for w in _maxmin_solve_draws():
+            res = capacity_informed_jammer(w)
+            assert res.certified_gap <= DEFAULT_TOL.maxmin_bracket
+            ref = dense_saddle_bracket(w.states, res.argmax_p, res.argmin_q.rows)
+            assert np.max(np.abs(np.subtract(res.bracket, ref))) <= 1e-10
+        assert len(evaluated) <= 0.6 * 185
+
+    def test_near_duplicate_letters_spec_closes_in_few_steps(self):
+        # the first joint candidate is refused, and the safeguarded steps
+        # close the bracket in 10 outer steps, 11 trace entries (31 steps
+        # when every outer step waited for the kernel's inner minimum)
+        from avcqc import serialize
+
+        w = serialize.load_channel(str(SPECS / "near_duplicate_letters_channel.json"))
+        res = capacity_informed_jammer(w)
+        assert res.certified_gap <= DEFAULT_TOL.maxmin_bracket
+        assert len(res.solver_trace) <= 12
 
 
 def _haar_unitary(rng, d):

@@ -7,7 +7,7 @@ import helpers
 from avcqc import geometry
 from avcqc.capacity import _aux_objective
 from avcqc.cli import _demo_source
-from avcqc.geometry import affine_set_distance
+from avcqc.geometry import affine_set_distance, embed_stack
 from avcqc.separation import _block_weights, _gram_factor, build_g_pair
 from helpers import (
     bitflip_channel,
@@ -59,7 +59,9 @@ class TestCompositions:
 def pair_generators(w, src):
     """The separation test's generator matrices (D, |X||S|) of g0 and g1."""
     gp = build_g_pair(src, w.x_alphabet)
-    return [_gram_factor(w, _block_weights(src, g, gp.iota, w.x_alphabet)) for g in (gp.g0, gp.g1)]
+    embedded = embed_stack(w.states)
+    return [_gram_factor(embedded, _block_weights(src, g, gp.iota, w.x_alphabet))
+            for g in (gp.g0, gp.g1)]
 
 
 class TestAffineSetDistance:

@@ -195,7 +195,8 @@ class TestEmbedding:
         wgt1 = _block_weights(src, gp.g1, gp.iota, w.x_alphabet)
         traces = np.einsum("xsij,yrji->xsyr", w.states, w.states).real
         expected = np.einsum("xv,yv,xsyr->xsyr", wgt0, wgt1, traces).reshape(6, 6)
-        gram = _gram_factor(w, wgt0).T @ _gram_factor(w, wgt1)
+        embedded = embed_stack(w.states)
+        gram = _gram_factor(embedded, wgt0).T @ _gram_factor(embedded, wgt1)
         assert np.allclose(gram, expected, atol=1e-15)
 
 
@@ -375,7 +376,7 @@ class TestSetDistanceBracket:
         # decision under that budget is a sound certificate or Indeterminate
         w, src, gp = fixed_draw(2, 2)
         wgt0, wgt1 = (_block_weights(src, g, gp.iota, w.x_alphabet) for g in (gp.g0, gp.g1))
-        gens = (_gram_factor(w, wgt0), _gram_factor(w, wgt1))
+        gens = tuple(_gram_factor(embed_stack(w.states), wgt) for wgt in (wgt0, wgt1))
         dist, lower, _, _ = separation.affine_set_distance(*gens, 2, 2, max_iter=max_iter)
         assert dist**2 - lower**2 > DEFAULT_TOL.quadratic_solver
         assert lower <= PINNED_DISTANCES[2, 2] <= dist
