@@ -9,18 +9,16 @@ together with the correlation-assisted common-randomness capacities built
 on top of it.  chi is convex in the kernel (joint convexity of the
 relative entropy) and concave in the input distribution, so the max-min
 value is a saddle value (Sion's minimax theorem).  The solver follows one
-trajectory from the uniform (P, Q) start: projected Newton steps on P and
-Q together while each halves the saddle bracket, then the ascent of
-phi(P) = min_Q chi(P, W_Q), which is concave, with a projected Newton
-descent on the kernel at every candidate P.  It brackets the value at the
-start, at the inner minimum where that ascent takes over and after every
-outer step: a Frank-Wolfe lower bound from the
-convexity in the kernel, and the Holevo upper bound max_x D(rho_x ||
-rho_bar).  A bracket at most Tolerances.maxmin_bracket wide (default 1e-6)
-ends the solve, and its width is the certified gap at every alphabet
-size.  A trajectory that stops short of that width (no Newton candidate
-accepted, or the outer step budget spent) returns the bracket at its last
-point, which still holds the value.  The inner minimum alone
+trajectory from the uniform (P, Q) start with one kind of outer step, a
+projected Newton step on P and Q together (``_outer_step``).  It brackets
+the value at the start, after every outer step and after every descent
+of the held kernel: a Frank-Wolfe lower bound from the convexity in the
+kernel, and the Holevo upper bound max_x D(rho_x || rho_bar).  A bracket
+at most Tolerances.maxmin_bracket wide (default 1e-6) ends the solve, and
+its width is the certified gap at every alphabet size.  A trajectory that
+stops short of that width (no outer step found, or the outer step budget
+spent) returns the bracket at its last point, which still holds the
+value.  The inner minimum alone
 (``min_chi_over_jammer``) is one kernel descent from the uniform kernel,
 for the same convexity; the Holevo capacity of a fixed channel
 (``holevo_capacity``) is the solve with one jammer letter.
@@ -40,20 +38,21 @@ with A~ = V^dag A V in sigma's eigenbasis and the Daleckii-Krein divided
 differences Lambda_ij = (ln l_i - ln l_j) / (l_i - l_j), and 1 / l_i where
 the (floored) eigenvalues coincide.  The kernel block chi_qq gives the inner
 step.  With chi_pp and chi_pq, read from rho_bar's rotation the same way,
-it gives the joint step: one KKT solve of chi's quadratic model, maximized
+it gives the outer step: one KKT solve of chi's quadratic model, maximized
 in P and minimized in Q on the free entries under their row constraints.
-Eliminating dQ leaves the Newton step of phi on the Schur complement
-chi_pp - chi_pq chi_qq^-1 chi_qp (the envelope theorem), and dQ = dQ/dP dP
-plus the kernel's own Newton correction, so no step waits for an inner
-minimum.  Once a joint candidate fails to halve the bracket, the ascent
-on phi takes over from the kernel's inner minimum: at its candidate P' the
-point (P', project(Q + dQ/dP (P' - P))) is evaluated first, ends the solve
-if its own bracket is closed, and else starts the inner descent.  Near
-the saddle both steps converge quadratically: the bracket closes in a few
-steps at 1e-6 and at 1e-10 alike.  The kernel descent stops once its
-Frank-Wolfe gap is at most min(1e-9, width / 1000).  The bracket's lower
-end is lo = chi - gap, so that stop leaves the width to the outer ascent;
-a tighter inner stop would buy the bracket nothing.
+Eliminating dQ leaves the Newton step of phi(P) = min_Q chi(P, W_Q), which
+is concave, on the Schur complement chi_pp - chi_pq chi_qq^-1 chi_qp (the
+envelope theorem), and dQ = dQ/dP dP plus the kernel's own Newton
+correction, so no step waits for an inner minimum.  A step whose point
+does not halve the bracket is refused, and the held kernel is descended
+to its inner minimum.  From there each trial point of the halved steps is
+descended too, and the first at which phi falls by at most the descent's
+own stop is kept.  Near the saddle the steps converge quadratically: the
+bracket closes in a few steps at 1e-6 and at 1e-10 alike.  The kernel
+descent stops once its Frank-Wolfe gap is at most min(1e-9, width /
+1000).  The bracket's lower end is lo = chi - gap, so that stop leaves
+the width to the outer steps; a tighter inner stop would buy the bracket
+nothing.
 
 The upper end needs no support-aware relative entropy.  Flooring rho_bar's
 spectrum at 1e-18 replaces rho_bar by a full-rank positive operator sigma,
@@ -237,8 +236,8 @@ def holevo_capacity(w):
     """Holevo capacity of a fixed cq channel: the max-min solver on its single-state AVC.
 
     Returns (capacity, optimal input distribution).  With one jammer letter
-    the kernel is fixed, the inner minimum is chi itself and the outer
-    Newton step of ``_ascend`` is a Newton step of Blahut-Arimoto on p.  The
+    the kernel is fixed, the inner minimum is chi itself and the
+    ``_outer_step`` is a Newton step of Blahut-Arimoto on p.  The
     solve is that one trajectory from the uniform p.  It keeps the standard
     sandwich chi(p) <= C <= max_x D(W(x) || ensemble average) and ends once
     it is at most _HOLEVO_BRACKET wide, after 400 outer steps, or when no
@@ -395,58 +394,35 @@ def _saddle_direction(pt, kernel_grad):
     return step[:nx], step[nx:].reshape(pt.q.shape)
 
 
-def _input_direction(pt):
-    """The Newton direction (dp, dq) on phi at an inner minimizer, or None: the
-    saddle direction with the kernel's own gradient left out, so dq = dq/dp dp."""
-    return _saddle_direction(pt, np.zeros_like(pt.grad))
+def _outer_step(pt, inner_iter, gap_stop, width):
+    """The derived point of one outer step from the derived point pt, or None.
 
-
-def _joint_candidate(pt):
-    """The derived point at the full saddle direction from pt, or None.
-
-    None also, with no point evaluated, where the projection onto the
-    simplices moves the full step by more than half its largest entry: the
-    model's step then ends far outside the face it was built on, and the
-    safeguarded step is taken instead.
+    Tries (project_simplex_rows(p + t dp), project_simplex_rows(q + t dq))
+    for t = 1, 1/2, ... (_STEP_TRIALS lengths) on the ``_saddle_direction``
+    at pt, and keeps the first trial point whose bracket is at most
+    max(width, half the width of pt's).  At a point at its kernel's inner
+    minimum (pt.gap <= gap_stop) a trial not kept is descended to its own
+    inner minimum and kept if chi falls by at most gap_stop from pt: both
+    minima are known only to the descent's Frank-Wolfe stop, so a smaller
+    fall is no loss of phi(p) = min_q chi(p, q), which is concave.  Compared
+    more finely, every trial was refused on draws whose phi is nearly flat
+    between two input letters 1e-6 apart.  At any other point a trial not
+    kept ends the step with None, and so does one that leaves p where it
+    is: no shorter step moves p either, and the descent alone moves q.
     """
     found = _saddle_direction(pt, pt.grad)
     if found is None:
         return None
     dp, dq = found
-    p, q = project_simplex_rows(pt.p + dp), project_simplex_rows(pt.q + dq)
-    cut = max(np.max(np.abs(p - pt.p - dp)), np.max(np.abs(q - pt.q - dq)))
-    if cut > 0.5 * max(np.max(np.abs(dp)), np.max(np.abs(dq))):
-        return None
-    return _Point(pt.states, p, q).derive()
-
-
-def _newton_ascent(pt, inner_iter, gap_stop, width):
-    """The derived point at the first accepted candidate on the Newton direction, or None.
-
-    The safeguarded step of the ascent on phi, from a point at its inner
-    minimum.  Tries project_simplex_rows(p + t dp) for t = 1, 1/2, ... on
-    the direction of ``_input_direction``.  A candidate whose point at the
-    kernel's first-order response, project_simplex_rows(q + t dq), has a
-    bracket at most width wide is returned as it is.  Otherwise the inner
-    descent starts from that evaluated point, and the candidate is accepted
-    if the inner minimum falls by at most gap_stop.  Both inner minima are
-    known only to the kernel descent's Frank-Wolfe stop gap_stop, so a
-    smaller fall is no loss of the concave objective.  Compared more
-    finely, every candidate was rejected on draws whose phi is nearly flat
-    between two input letters 1e-6 apart.
-    """
-    found = _input_direction(pt)
-    if found is None:
-        return None
-    dp, dq = found
+    keep = max(width, pt.width() / 2)
     t = 1.0
     for _try in range(_STEP_TRIALS):
-        cand_p = project_simplex_rows(pt.p + t * dp)
-        if (cand_p == pt.p).all():
-            return None
-        cand = _Point(pt.states, cand_p, project_simplex_rows(pt.q + t * dq)).derive()
-        if cand.width() <= width:
+        p = project_simplex_rows(pt.p + t * dp)
+        cand = _Point(pt.states, p, project_simplex_rows(pt.q + t * dq)).derive()
+        if cand.width() <= keep:
             return cand
+        if pt.gap > gap_stop or (p == pt.p).all():
+            return None
         cand = _descend_kernel(cand, inner_iter, gap_stop)
         if cand.chi >= pt.chi - gap_stop:
             return cand
@@ -457,19 +433,19 @@ def _newton_ascent(pt, inner_iter, gap_stop, width):
 def _ascend(states, outer_iter, inner_iter, tol):
     """Newton steps on the saddle from the uniform (p, q), stopped by its bracket.
 
-    Each outer step is a joint Newton step on (p, q) (``_joint_candidate``;
-    none with one jammer letter), kept while its bracket is at most half as
-    wide as the current one, or closed.  The first one refused hands the
-    solve over to the ascent of phi(p) = min_q chi(p, q): the kernel is
-    descended to its inner minimum (at most 400 steps and no outer step; its
-    chi replaces the last trace entry), and each further outer step is one
-    ``_newton_ascent``.  Inner descents end on a Frank-Wolfe gap of at most
-    min(_KERNEL_GAP, _KERNEL_SHARE * tol.maxmin_bracket).  The bracket, whose
-    lower end is chi minus the point's gap, is checked at every point the
-    loop holds.  The ascent ends once it is at most tol.maxmin_bracket wide
-    ("bracket"), after outer_iter steps ("max_iter"), or when no Newton
-    candidate is accepted ("no_step").  Returns chi at the returned point,
-    its p and kernel, its bracket (lo, hi), the trace and the stop reason.
+    Each outer step is one ``_outer_step``.  Where it finds none from a
+    point off its kernel's inner minimum, the kernel there is descended to
+    that minimum (not an outer step; its chi replaces the point's trace
+    entry), the solve ends if that bracket is closed, and else one more
+    outer step is tried from the descended point.  Every inner descent
+    takes at most inner_iter Newton steps and ends on a Frank-Wolfe gap of
+    at most min(_KERNEL_GAP, _KERNEL_SHARE * tol.maxmin_bracket).  The
+    bracket, whose lower end is chi minus the point's gap, is checked at
+    every point the loop holds.  The solve ends once it is at most
+    tol.maxmin_bracket wide ("bracket"), after outer_iter steps
+    ("max_iter"), or when no outer step is found ("no_step").  Returns chi
+    at the returned point, its p and kernel, its bracket (lo, hi), the
+    trace and the stop reason.
     """
     width = tol.maxmin_bracket
     gap_stop = min(_KERNEL_GAP, width * _KERNEL_SHARE)
@@ -477,7 +453,7 @@ def _ascend(states, outer_iter, inner_iter, tol):
     pt = _Point(states, np.full(nx, 1.0 / nx), np.full((nx, ns), 1.0 / ns)).derive()
     if not np.isfinite(pt.chi):
         raise SolverDiverged("non-finite objective at the initial kernel")
-    trace, joint = [float(pt.chi)], ns > 1
+    trace = [float(pt.chi)]
     while True:
         # chi(p, W_Q) is convex in Q, so chi minus the kernel's Frank-Wolfe
         # gap bounds min_Q chi(p, W_Q), hence the max-min value, from below;
@@ -489,11 +465,15 @@ def _ascend(states, outer_iter, inner_iter, tol):
         if hi - lo <= width or len(trace) > outer_iter:
             reason = "bracket" if hi - lo <= width else "max_iter"
             break
-        cand = _joint_candidate(pt) if joint else _newton_ascent(pt, inner_iter, gap_stop, width)
-        if joint and (cand is None or cand.width() > max(width, (hi - lo) / 2)):
-            joint, pt = False, _descend_kernel(pt, 400, gap_stop)
+        cand = _outer_step(pt, inner_iter, gap_stop, width)
+        if cand is None and pt.gap > gap_stop:
+            pt = _descend_kernel(pt, inner_iter, gap_stop)
             trace[-1] = float(pt.chi)
-            continue
+            lo, hi = pt.bracket()
+            if hi - lo <= width:
+                reason = "bracket"
+                break
+            cand = _outer_step(pt, inner_iter, gap_stop, width)
         if cand is None:
             reason = "no_step"
             break
@@ -537,18 +517,17 @@ def capacity_informed_jammer(
     ``_ascend`` once from the uniform (P, Q) start and brackets the value
     at the point it reaches; a bracket at most tol.maxmin_bracket wide ends
     the solve, and a width at most _BRACKET_ROUNDING raises InvalidArgument.
-    ``_ascend`` checks the bracket at the start and after every outer
-    step, so a start that is already a saddle point costs one evaluated
-    point.  A trajectory that stops with its bracket open (after
-    outer_iter steps, or with no Newton candidate accepted) still returns a
-    bracket that holds the value; ``stop_reason`` names the exit.
-    ``solver_trace`` is the objective at the start and after every outer
-    step, the entry before the first refused joint step taken after its
-    kernel descent, and ``bracket`` is (lo, hi) at the returned point.
-    ``certified_gap`` is hi - lo, at every alphabet size; the value lies
-    within it of the max-min value.  inner_iter bounds the inner descents
-    at the candidates of the ascent on phi; the one descent that hands
-    the solve over to that ascent has its own budget of 400 steps.
+    ``_ascend`` checks the bracket at the start, after every outer step
+    and after every descent of the held kernel, so a start that is already
+    a saddle point costs one evaluated point.  A trajectory that stops
+    with its bracket open (after outer_iter steps, or with no outer step
+    found) still returns a bracket that holds the value; ``stop_reason``
+    names the exit.  ``solver_trace`` holds chi at the start and after
+    every outer step; a descent of the held kernel replaces the held
+    point's entry with chi after it.  ``bracket`` is (lo, hi) at the
+    returned point, and ``certified_gap`` is hi - lo, at every alphabet
+    size; the value lies within it of the max-min value.  inner_iter
+    bounds every inner descent, the held kernel's and the trial points'.
 
     The solve draws no random numbers and has one trajectory, so ``seed``,
     ``restarts`` and ``certify`` change nothing.  They are still accepted

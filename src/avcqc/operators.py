@@ -145,9 +145,13 @@ def entropy_from_eigenvalues(eigs, floor=DEFAULT_TOL.psd_floor):
 def _closed_form_2x2(a):
     """Centre m, half-difference delta, off-diagonal b and radius r of 2x2 stacks.
 
-    The eigenvalues are m -+ r; used by both spectral helpers below, since
-    the closed form is much faster than LAPACK on the solver's small stacks
-    and exactly reproducible.
+    The eigenvalues are m -+ r; used by both spectral helpers below.  It is
+    not faster on the solver's stacks of |X|+1 mixtures: on 1-5 matrices
+    ``eigh_stack`` takes 22-36 us against 6-11 us for np.linalg.eigh, and
+    ``eigvalsh_stack`` 9-13 us against 4-7 us for np.linalg.eigvalsh
+    (numpy 2.4, 2-core x86-64 host).  It wins from about 17 matrices for
+    the eigenvalues alone and from somewhere between 17 and 64 for the
+    eigenvectors too.  Seeded d = 2 outputs are computed with its rounding.
     """
     m = np.real(a[..., 0, 0] + a[..., 1, 1]) / 2.0
     delta = np.real(a[..., 0, 0] - a[..., 1, 1]) / 2.0

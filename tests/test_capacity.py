@@ -304,12 +304,13 @@ class TestSaddleBracket:
         assert np.max(np.abs(np.subtract(res.bracket, ref))) <= 1e-10
 
     def test_rejected_newton_step_ends_the_trajectory(self, monkeypatch):
-        # with no Newton candidate accepted the solve stops after its first
-        # inner descent, at the uniform input, with an open bracket around
-        # the max-min value
+        # with no outer step found the solve descends the uniform start's
+        # kernel to its inner minimum, finds no step from there either and
+        # stops at the uniform input, with an open bracket around the
+        # max-min value
         w = self._instance()
         closed = capacity_informed_jammer(w)
-        monkeypatch.setattr(capacity, "_newton_ascent", lambda *a: None)
+        monkeypatch.setattr(capacity, "_outer_step", lambda *a: None)
         res = capacity_informed_jammer(w)
         lo, hi = res.bracket
         assert len(res.solver_trace) == 1
@@ -321,14 +322,14 @@ class TestSaddleBracket:
         assert np.max(np.abs(np.subtract(res.bracket, ref))) <= 1e-10
 
     def test_refused_step_after_the_hand_over_keeps_its_descent(self, monkeypatch):
-        # the joint step at this draw's start is refused, so the kernel is
-        # descended to its inner minimum; with no Newton direction after
-        # that, the solve returns the descended kernel and its bracket
+        # no outer step is found from this draw's start, so the kernel is
+        # descended to its inner minimum; with no outer step from there
+        # either, the solve returns the descended kernel and its own bracket
         w = self._instance()
         gap_stop = min(capacity._KERNEL_GAP, capacity._KERNEL_SHARE * DEFAULT_TOL.maxmin_bracket)
         start = capacity._Point(w.states, np.full(3, 1 / 3), np.full((3, 3), 1 / 3))
-        descended = capacity._descend_kernel(start, 400, gap_stop)
-        monkeypatch.setattr(capacity, "_input_direction", lambda pt: None)
+        descended = capacity._descend_kernel(start, 120, gap_stop)
+        monkeypatch.setattr(capacity, "_outer_step", lambda *a: None)
         res = capacity_informed_jammer(w)
         assert res.stop_reason == "no_step" and res.solver_trace == (res.value,)
         assert np.array_equal(res.argmin_q.rows, descended.q)
@@ -351,7 +352,7 @@ class TestSaddleBracket:
 
     def test_rejected_newton_step_reports_no_step(self, monkeypatch):
         w = self._instance()
-        monkeypatch.setattr(capacity, "_newton_ascent", lambda *a: None)
+        monkeypatch.setattr(capacity, "_outer_step", lambda *a: None)
         res = capacity_informed_jammer(w)
         assert res.stop_reason == "no_step"
         assert res.bracket[1] - res.bracket[0] > DEFAULT_TOL.maxmin_bracket
@@ -870,16 +871,17 @@ def _envelope_hessian(pt):
 
 
 def _assert_newton_step(pt, h, used):
-    """``_input_direction`` at pt moves p by the Newton step of the model with the
-    gradient d_x and the Hessian h on the letters used, scaled to entries of at
-    most 1; the solver's KKT shift of 1e-12 times the largest diagonal entry
-    moves it by about 3e-11 of its size.  Its kernel move keeps every row's sum."""
+    """``_saddle_direction`` at pt, with the kernel's own gradient left out, moves p
+    by the Newton step of the model with the gradient d_x and the Hessian h on
+    the letters used, scaled to entries of at most 1; the solver's KKT shift of
+    1e-12 times the largest diagonal entry moves it by about 3e-11 of its size.
+    Its kernel move keeps every row's sum."""
     n = used.size
     kkt = np.block([[-h[np.ix_(used, used)], np.ones((n, 1))], [np.ones((1, n)), np.zeros((1, 1))]])
     ref = np.zeros(pt.p.size)
     ref[used] = np.linalg.solve(kkt, np.concatenate([pt.d_x[used], [0.0]]))[:n]
     ref /= max(1.0, np.max(np.abs(ref)))
-    dp, dq = capacity._input_direction(pt)
+    dp, dq = capacity._saddle_direction(pt, np.zeros_like(pt.grad))
     assert np.max(np.abs(dp - ref)) <= 1e-9 * np.max(np.abs(ref))
     assert np.max(np.abs(dq.sum(axis=1))) <= 1e-12
 
@@ -1011,9 +1013,9 @@ def _log2m(m):
 
 
 def _spy_outer_steps(monkeypatch):
-    """Log of the solver's calls: "direction" per outer Newton step, "descend" per inner descent."""
+    """Log of the solver's calls: "direction" per outer step, "descend" per inner descent."""
     log = []
-    for name, tag in (("_input_direction", "direction"), ("_descend_kernel", "descend")):
+    for name, tag in (("_saddle_direction", "direction"), ("_descend_kernel", "descend")):
         def spy(*args, _real=getattr(capacity, name), _tag=tag, **kwargs):
             log.append(_tag)
             return _real(*args, **kwargs)
@@ -1023,40 +1025,33 @@ def _spy_outer_steps(monkeypatch):
 
 class TestCandidateExit:
     def test_closing_candidate_skips_the_last_inner_descent(self, monkeypatch):
-        # default_rng(71) 3x3 d3: at the last Newton candidate the kernel's
-        # first-order response already closes the bracket, so no inner
-        # descent runs after the last direction; the bracket reported is
-        # that point's own, recomputed with one np.linalg.eigh per matrix
-        w = wishart_avcqc(np.random.default_rng(71), 3, 3, 3)
+        # the seed-1 maxmin-solve job solver-2x2-d3-12: the step from the
+        # uniform start is refused and its kernel descended once; the trial
+        # point of the next direction already closes the bracket, so no
+        # inner descent runs after the last direction; the bracket reported
+        # is that point's own, recomputed with one np.linalg.eigh per matrix
+        w = _maxmin_solve_draws()[14]
         log = _spy_outer_steps(monkeypatch)
         res = capacity_informed_jammer(w)
         last = len(log) - 1 - log[::-1].index("direction")
-        assert "descend" not in log[last:]
-        assert res.stop_reason == "bracket" and len(res.solver_trace) == 4
+        assert "descend" not in log[last:] and log.count("descend") == 1
+        assert res.stop_reason == "bracket" and len(res.solver_trace) == 2
         ref = dense_saddle_bracket(w.states, res.argmax_p, res.argmin_q.rows)
         assert np.max(np.abs(np.subtract(res.bracket, ref))) <= 1e-10
 
-    def test_cut_joint_step_is_not_evaluated(self, monkeypatch):
-        # default_rng(71) 3x3 d3: at the uniform start the joint step takes
-        # q[2, 0] from 1/3 to -0.49, and the projection cuts it by more than
-        # half its largest entry, so no point is evaluated there and the
-        # ascent on phi runs from the start
-        w = wishart_avcqc(np.random.default_rng(71), 3, 3, 3)
-        start = capacity._Point(w.states, np.full(3, 1 / 3), np.full((3, 3), 1 / 3)).derive()
-        evaluated = _spy_spectra(monkeypatch)
-        assert capacity._joint_candidate(start) is None and evaluated == []
-
     def test_open_candidate_keeps_the_trajectory(self, monkeypatch):
-        # on the wishart_3x3_d2 spec no first-order candidate closes the
-        # bracket: every outer step re-solves the inner minimum, and the
-        # trace has the 3 entries it had before the candidate exit
+        # on the wishart_3x3_d2 spec the step from the uniform start is
+        # refused and its kernel descended; from there on no trial point
+        # halves the bracket, so each kept step is a trial point descended
+        # to its inner minimum first, and the trace has 3 entries
         from avcqc import serialize
 
         w = serialize.load_channel(str(SPECS / "wishart_3x3_d2_channel.json"))
         log = _spy_outer_steps(monkeypatch)
         res = capacity_informed_jammer(w)
         assert len(res.solver_trace) == 3
-        assert log[0] == "descend" and log[-1] == "descend" and log.count("direction") == 2
+        assert log[:2] == ["direction", "descend"] and log[-1] == "descend"
+        assert log.count("direction") == 3
         assert all(log[k + 1] == "descend" for k, tag in enumerate(log) if tag == "direction")
 
 
@@ -1073,19 +1068,31 @@ def _maxmin_solve_draws():
     return draws
 
 
+def _spy_points(monkeypatch):
+    """The arguments of every ``_Point`` built from now on: one evaluated point, one
+    ``eigh_stack``, each."""
+    evaluated = []
+
+    class CountedPoint(capacity._Point):
+        def __init__(self, *args):
+            evaluated.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(capacity, "_Point", CountedPoint)
+    return evaluated
+
+
+# (|X|, |S|, d) of the budget draws: 25 Wishart draws each, in this order, of
+# one default_rng(12345)
+_BUDGET_SHAPES = [(2, 2, 2), (2, 2, 3), (3, 3, 3), (3, 2, 2), (2, 3, 3), (4, 4, 3)]
+
+
 class TestSolverBudget:
     def test_benchmark_draws_close_on_few_points(self, monkeypatch):
         # the 17 solves evaluated 185 points (one eigh_stack each) when every
         # outer step waited for the kernel's inner minimum, and 87 with the
         # joint Newton steps on (p, q); each bracket is the point's own
-        evaluated = []
-
-        class CountedPoint(capacity._Point):
-            def __init__(self, *args):
-                evaluated.append(args)
-                super().__init__(*args)
-
-        monkeypatch.setattr(capacity, "_Point", CountedPoint)
+        evaluated = _spy_points(monkeypatch)
         for w in _maxmin_solve_draws():
             res = capacity_informed_jammer(w)
             assert res.certified_gap <= DEFAULT_TOL.maxmin_bracket
@@ -1093,16 +1100,32 @@ class TestSolverBudget:
             assert np.max(np.abs(np.subtract(res.bracket, ref))) <= 1e-10
         assert len(evaluated) <= 0.6 * 185
 
-    def test_near_duplicate_letters_spec_closes_in_few_steps(self):
-        # the first joint candidate is refused, and the safeguarded steps
-        # close the bracket in 10 outer steps, 11 trace entries (31 steps
-        # when every outer step waited for the kernel's inner minimum)
+    def test_wishart_draws_close_on_few_points(self, monkeypatch):
+        # the 150 draws evaluated 1,992 points when every outer step waited
+        # for the kernel's inner minimum, and 1,124 when a refused joint step
+        # handed the solve over for good to the steps on phi(p) = min_q chi
+        rng = np.random.default_rng(12345)
+        draws = [wishart_avcqc(rng, *shape) for shape in _BUDGET_SHAPES for _ in range(25)]
+        evaluated = _spy_points(monkeypatch)
+        for w in draws:
+            res = capacity_informed_jammer(w)
+            assert res.certified_gap <= DEFAULT_TOL.maxmin_bracket
+            ref = dense_saddle_bracket(w.states, res.argmax_p, res.argmin_q.rows)
+            assert np.max(np.abs(np.subtract(res.bracket, ref))) <= 1e-10
+        assert len(evaluated) <= 1030
+
+    def test_near_duplicate_letters_spec_closes_in_few_steps(self, monkeypatch):
+        # the bracket closes in 10 outer steps, 11 trace entries (31 steps
+        # when every outer step waited for the kernel's inner minimum), on
+        # at most 41 evaluated points (46 with the one-way hand-over)
         from avcqc import serialize
 
         w = serialize.load_channel(str(SPECS / "near_duplicate_letters_channel.json"))
+        evaluated = _spy_points(monkeypatch)
         res = capacity_informed_jammer(w)
         assert res.certified_gap <= DEFAULT_TOL.maxmin_bracket
         assert len(res.solver_trace) <= 12
+        assert len(evaluated) <= 41
 
 
 def _haar_unitary(rng, d):
@@ -1138,8 +1161,9 @@ class TestPastTheOracle:
         # (p, q) unchanged.  At the returned point, five Haar unitaries per
         # draw move them by far less than the _BRACKET_ROUNDING (1e-12) by
         # which the returned bracket may be widened to hold the value.  The
-        # rotated solves need not follow the same trajectory (on the 5x5 d2
-        # draw their values spread by 5.9e-12), but their brackets all hold
+        # rotated solves need not follow the same trajectory (an earlier
+        # solver spread the 5x5 d2 draw's values by 5.9e-12, this one by
+        # 3.3e-16), but their brackets all hold
         # the one max-min value, so any two meet up to that rounding
         rng = np.random.default_rng(17)
         for w in _past_the_oracle_draws():
