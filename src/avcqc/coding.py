@@ -484,10 +484,11 @@ def two_part_error_informed(pre, inner, w, src, caps=DEFAULT_CAPS):
     full transmitted word (both parts).  Pre word x under key k followed by
     key k's inner word j has the success table sum_k' a_k'(s_pre) b_k'(s_inner)
     / JK: a the pre part's (x, k) table (see _key_tables), whose row k' is
-    the mass decoding to key k', and b_k' the inner word's _success_table
-    against inner.codes[k'].decoders[j].  A pre part that does not fit the
-    source and channel (see _check_code_alphabets), or an inner codeword
-    letter outside the channel's inputs, raises AlphabetMismatch.
+    the mass decoding to key k', and b the inner word's one _success_table
+    against all K keys' decoders of j, whose largest intermediate is K times
+    one decoder's; caps.product_dim bounds their side d^n.  A pre part that
+    does not fit the source and channel (see _check_code_alphabets), or an
+    inner codeword letter outside the channel's inputs, raises AlphabetMismatch.
     """
     _check_code_alphabets(pre, w, src)
     for det in inner.codes:
@@ -495,12 +496,10 @@ def two_part_error_informed(pre, inner, w, src, caps=DEFAULT_CAPS):
     j_n, k_n = inner.num_messages, inner.num_keys
     s_words = _state_words(w, pre.n + inner.n, caps)
     pairs, a = pre._key_tables(w, src, caps)
+    stack = read_only(np.stack([det.decoders for det in inner.codes]))   # (K, J, D, D)
     # b[k, j, k'] is inner word j of key k against key k''s decoder of j
-    b = np.array([
-        [[_success_table(w, xs, det.decoders[j]) for det in inner.codes]
-         for j, xs in enumerate(sent.codebook)]
-        for sent in inner.codes
-    ])
+    b = np.array([[_success_table(w, xs, stack[:, j]).reshape(k_n, -1)
+                   for j, xs in enumerate(sent.codebook)] for sent in inner.codes])
     whole = np.einsum("nka,njkb->njab", a, b[[k for _, k in pairs]]) / (j_n * k_n)
     return _jammer_picks(
         ((x_pre + xs, table.ravel()) for (x_pre, k), rows in zip(pairs, whole)
@@ -770,8 +769,9 @@ def cr_generation_run(w, src, code, trials, seed, caps=DEFAULT_CAPS):
     its decoders at the jammer's state word.  A TwoPartCode's are
     sum_k pre[k] inner[k, j]: its pre part's as above on the first pre.n
     letters, its inner part's one _success_table call per distinct (inner
-    word, inner state word) and key, on that key's decoders.
-    caps.product_dim bounds d^n of each part so contracted.  The
+    word, inner state word) on all keys' decoders, a (K, J, D, D) stack, so
+    its largest intermediate has K J D^2 entries, not one key's J D^2.
+    caps.product_dim bounds d^n = D of each part so contracted.  The
     probabilities are clipped at 0 and completed by the failure entry
     max(1 - sum, 0).  Returns a dict
     with the agreement rate, the empirical entropy (bits) of the agreed
@@ -833,7 +833,8 @@ def cr_generation_run(w, src, code, trials, seed, caps=DEFAULT_CAPS):
     if two_part:
         _check_product_dim(w.dim, code.inner.n, caps)
         parts = [(xs[pre.n :], ss[pre.n :]) for xs, ss in zip(words, states)]
-        tables = {p: [_success_table(w, p[0], det.decoders, p[1]) for det in code.inner.codes]
+        stack = read_only(np.stack([det.decoders for det in code.inner.codes]))
+        tables = {p: _success_table(w, p[0], stack, p[1]).reshape(k_n, j_n)
                   for p in dict.fromkeys(parts)}
         probs = np.einsum("tk,tkj->tj", probs, np.array([tables[p] for p in parts])[word])
 

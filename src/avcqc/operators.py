@@ -142,35 +142,13 @@ def entropy_from_eigenvalues(eigs, floor=DEFAULT_TOL.psd_floor):
     return 0.0 - terms.sum(axis=-1)
 
 
-def _closed_form_2x2(a):
-    """Centre m, half-difference delta, off-diagonal b and radius r of 2x2 stacks.
-
-    The eigenvalues are m -+ r; used by both spectral helpers below.  It is
-    not faster on the solver's stacks of |X|+1 mixtures: on 1-5 matrices
-    ``eigh_stack`` takes 22-36 us against 6-11 us for np.linalg.eigh, and
-    ``eigvalsh_stack`` 9-13 us against 4-7 us for np.linalg.eigvalsh
-    (numpy 2.4, 2-core x86-64 host).  It wins from about 17 matrices for
-    the eigenvalues alone and from somewhere between 17 and 64 for the
-    eigenvectors too.  Seeded d = 2 outputs are computed with its rounding.
-    """
-    m = np.real(a[..., 0, 0] + a[..., 1, 1]) / 2.0
-    delta = np.real(a[..., 0, 0] - a[..., 1, 1]) / 2.0
-    b = a[..., 0, 1]
-    r = np.sqrt(delta**2 + np.abs(b) ** 2)
-    return m, delta, b, r
-
-
 def eigvalsh_stack(mats):
     """Eigenvalues of a stack (..., d, d) of Hermitian matrices, ascending.
 
     The eigenvalue-only path, for callers that need entropies and nothing
-    else; 2x2 inputs use the closed form.
+    else: one LAPACK call on the complex stack.
     """
-    a = np.asarray(mats, dtype=complex)
-    if a.shape[-1] == 2:
-        m, _, _, r = _closed_form_2x2(a)
-        return np.stack([m - r, m + r], axis=-1)
-    return np.linalg.eigvalsh(a)
+    return np.linalg.eigvalsh(np.asarray(mats, dtype=complex))
 
 
 def eigh_stack(mats):
@@ -178,30 +156,11 @@ def eigh_stack(mats):
 
     w holds the eigenvalues, ascending, and the columns of v the matching
     orthonormal eigenvectors, so entropies come from w and any matrix
-    function f from v diag(f(w)) v†.  2x2 inputs use the closed form (the
-    eigenvalues are bit-identical to ``eigvalsh_stack``'s); a multiple of
-    the identity gets the standard basis.
+    function f from v diag(f(w)) v†.  One LAPACK call on the complex
+    stack; its eigenvalues may differ from ``eigvalsh_stack``'s in the
+    last bits.
     """
-    a = np.asarray(mats, dtype=complex)
-    if a.shape[-1] != 2:
-        return np.linalg.eigh(a)
-    m, delta, b, r = _closed_form_2x2(a)
-    # top eigenvector: (delta + r, conj b) or (b, r - delta), whichever
-    # avoids cancellation; it vanishes only when r = 0
-    pos = delta >= 0.0
-    x = np.where(pos, delta + r, b)
-    y = np.where(pos, np.conj(b), r - delta)
-    norm = np.sqrt(np.abs(x) ** 2 + np.abs(y) ** 2)
-    scalar = norm == 0.0
-    norm = np.where(scalar, 1.0, norm)
-    x = np.where(scalar, 1.0, x / norm)
-    y = y / norm
-    v = np.empty(a.shape, dtype=complex)
-    v[..., 0, 0] = -np.conj(y)
-    v[..., 1, 0] = np.conj(x)
-    v[..., 0, 1] = x
-    v[..., 1, 1] = y
-    return np.stack([m - r, m + r], axis=-1), v
+    return np.linalg.eigh(np.asarray(mats, dtype=complex))
 
 
 def von_neumann_entropy(rho, tol=DEFAULT_TOL):

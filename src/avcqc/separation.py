@@ -28,7 +28,7 @@ from .errors import (
     ZeroMutualInformation,
 )
 from .geometry import affine_set_distance, embed_stack
-from .operators import _integer, validate_density
+from .operators import _integer, eigvalsh_stack, validate_density
 
 __all__ = [
     "GPair",
@@ -296,7 +296,7 @@ def separation_test(w, src, gp, seed=0, tol=DEFAULT_TOL, caps=DEFAULT_CAPS):
         )
     a_op = _block_diag(direction, caps)
     shifted = a_op - b * np.eye(a_op.shape[0])
-    eigs = np.linalg.eigvalsh(shifted)
+    eigs = eigvalsh_stack(shifted)
     lam_top = float(eigs[-1])
     lam_floor = float(min(0.0, eigs[0]))
     m1 = (shifted - lam_floor * np.eye(a_op.shape[0])) / (lam_top - lam_floor)

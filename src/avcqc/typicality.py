@@ -27,7 +27,8 @@ import numpy as np
 from .channels import CqChannel, _check_product_dim, _input_distribution
 from .config import DEFAULT_CAPS, DEFAULT_TOL
 from .errors import AlphabetMismatch, EnumerationOverflow, InvalidArgument
-from .operators import _integer, _positive, entropy_from_eigenvalues, validate_probability_vector
+from .operators import _integer, _positive, eigh_stack, entropy_from_eigenvalues
+from .operators import validate_probability_vector
 
 # Labels with less probability than this are pinned to count 0: they are
 # rounding residue of clipped eigenvalues, not support.
@@ -52,10 +53,8 @@ def stable_eigh(m):
     orthogonalizing in standard-basis order, then every vector's phase is
     fixed so its largest-magnitude entry is real positive.
     """
-    a = np.asarray(m, dtype=complex)
-    w, v = np.linalg.eigh(a)
-    w, v = w[::-1].copy(), v[:, ::-1].copy()
-    d = a.shape[0]
+    w, v = (a[..., ::-1].copy() for a in eigh_stack(m))
+    d = w.size
     start = 0
     while start < d:
         stop = start + 1
@@ -195,15 +194,22 @@ def _label_sequences(p, n, half_width, guard, caps):
     return seqs[np.lexsort(seqs.T[::-1])] if n else seqs
 
 
+def _block_length(n):
+    """int(n) if n is an integer in [1, 2^63), the int64 counts, else InvalidArgument."""
+    if _integer(n, "block length", 1) > np.iinfo(np.int64).max:
+        raise InvalidArgument(f"block length {n} exceeds 2^63 - 1, the largest int64 count")
+    return int(n)
+
+
 def typical_set(p, n, delta, caps=DEFAULT_CAPS, tol=DEFAULT_TOL):
     """Enumerate sequences whose letter frequencies are delta/|alphabet| close to p.
 
     Sequences are tuples of indices into p's alphabet, in lexicographic
     order; more than caps.enumeration of them raise.  n must be an integer
-    >= 1 and delta finite and > 0.
+    in [1, 2^63) and delta finite and > 0.
     """
     pv = validate_probability_vector(p, tol)
-    n = _integer(n, "block length", 1)
+    n = _block_length(n)
     _positive(delta, "delta")
     seqs = _label_sequences(pv, n, delta / pv.size, tol.typicality_boundary, caps)
     return [tuple(s) for s in seqs.tolist()]
@@ -247,9 +253,9 @@ def typical_projector(rho, n, alpha, caps=DEFAULT_CAPS):
 
     The window is +-alpha per eigenlabel frequency.  This is the conditional
     typical projector of the one-letter channel rho on the word of n copies
-    of its letter; rho must be a density operator and n an integer >= 1.
+    of its letter; rho must be a density operator and n an integer in [1, 2^63).
     """
-    word = (0,) * _integer(n, "block length", 1)
+    word = (0,) * _block_length(n)
     return conditional_typical_projector(CqChannel((0,), [rho]), word, alpha, caps)
 
 
@@ -412,10 +418,10 @@ def verify_typicality_bounds(w, p, n_range, alpha, caps=DEFAULT_CAPS, tol=DEFAUL
     realized empirical type, each letter's classes enumerated once per count.
     The first n over caps.enumeration raises with the first check it fails:
     source window, letter windows in order, count table.  n_range must be
-    non-empty, of integers >= 1, and alpha finite and > 0.
+    non-empty, of integers in [1, 2^63), and alpha finite and > 0.
     """
     pv = _input_distribution(p, w, tol)
-    ns = [_integer(n, "block length", 1) for n in n_range]
+    ns = [_block_length(n) for n in n_range]
     if not ns:
         raise InvalidArgument("n_range holds no block length")
     _positive(alpha, "alpha")

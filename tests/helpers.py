@@ -17,7 +17,7 @@ from avcqc.coding import (
 from avcqc.config import DEFAULT_CAPS, DEFAULT_TOL
 from avcqc.errors import AlphabetMismatch, EnumerationOverflow, NotPositive, SpecParseError
 from avcqc.geometry import project_simplex_rows
-from avcqc.operators import eigvalsh_stack, entropy_from_eigenvalues, validate_probability_vector
+from avcqc.operators import entropy_from_eigenvalues, validate_probability_vector
 from avcqc.serialize import _count, _field, _load_json, _operators, _words, matrix_to_json
 from avcqc.typicality import (
     _MASS_GAP_FLOOR,
@@ -234,8 +234,11 @@ def dense_saddle_bracket(states, p, q):
 
 
 def _entropies(mats):
-    """Von Neumann entropies of a stack; eigenvalues in [-1e-9, 0) count as 0."""
-    return entropy_from_eigenvalues(eigvalsh_stack(mats), floor=1e-9)
+    """Von Neumann entropies of a stack; eigenvalues in [-1e-9, 0) count as 0.
+
+    The spectra come from numpy, not from the package's spectral helper."""
+    lam = np.linalg.eigvalsh(np.asarray(mats, dtype=complex))
+    return entropy_from_eigenvalues(lam, floor=1e-9)
 
 
 def _chi_batch(p, states, q):
@@ -587,15 +590,15 @@ def cr_generation_reference(w, src, code, trials, seed, caps=DEFAULT_CAPS):
 def spectral_validate_povm(ops, tol_eig=1e-9):
     """Reference POVM check of a stack (..., J, D, D) from full spectra.
 
-    Computes every operator's and every sum's eigenvalues and raises
-    NotPositive for the first offender, in POVM order and positivity before
-    the sum, with the messages of the package's check on words counted
-    from 0.
+    Computes every operator's and every sum's eigenvalues with
+    np.linalg.eigvalsh and raises NotPositive for the first offender, in
+    POVM order and positivity before the sum, with the messages of the
+    package's check on words counted from 0.
     """
     ops = np.asarray(ops, dtype=complex)
     flat = ops.reshape(-1, *ops.shape[-3:])
-    lo = eigvalsh_stack(flat)[..., 0]
-    excess = eigvalsh_stack(flat.sum(axis=1) - np.eye(ops.shape[-1]))[..., -1]
+    lo = np.linalg.eigvalsh(flat)[..., 0]
+    excess = np.linalg.eigvalsh(flat.sum(axis=1) - np.eye(ops.shape[-1]))[..., -1]
     neg = lo < -tol_eig
     bad = neg.any(axis=1) | (excess > tol_eig)
     if bad.any():

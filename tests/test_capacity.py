@@ -681,8 +681,8 @@ def test_matrix_log_matches_eigendecomposition():
 
 
 def _descent_draw(kind):
-    """(states, p, q): a Wishart draw at d = 2 (closed-form spectra), at
-    d = 3 (LAPACK), or at d = 3 with one rank-1 state, and an interior point."""
+    """(states, p, q): a Wishart draw at d = 2, at d = 3, or at d = 3 with
+    one rank-1 state, and an interior point."""
     rng = np.random.default_rng({"d2": 81, "d3": 82, "rank1": 83}[kind])
     w = wishart_avcqc(rng, 3, 3, 2 if kind == "d2" else 3)
     states = np.array(w.states)

@@ -237,6 +237,15 @@ class TestTypicalityCommand:
         assert capsys.readouterr().err.startswith("error: EnumerationOverflow")
         assert not out.exists()
 
+    def test_block_length_past_int64_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "typ.csv"
+        rc = main(["typicality", "--channel", str(SPECS / "mirror_pair_fixed_channel.json"),
+                   "--n-min", str(10**20), "--n-max", str(10**20), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: InvalidArgument: block length {10**20} exceeds"), err
+        assert len(err.splitlines()) == 1 and not out.exists()
+
     def test_d8_window_overflows_fast(self, tmp_path, capsys):
         # 62,891,499 compositions of 40 into 8 parts; the window's candidates
         # are counted against the enumeration cap before they are built

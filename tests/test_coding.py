@@ -428,8 +428,9 @@ class TestPovmCheck:
             coding._validate_povm(ops)
 
     def test_upper_only_off_diagonal_is_refused_at_d2(self):
-        # the D = 2 closed-form spectrum reads the upper entry and Cholesky the
-        # lower one; with only the upper set, the matrix has eigenvalue -0.4
+        # LAPACK's spectrum and Cholesky both read the lower triangle, which
+        # holds 0 here, so neither sees the upper entry; the Hermitian check
+        # does (read from its upper triangle the matrix has eigenvalue -0.4)
         bad = np.array([[0.5, 0.9], [0.0, 0.5]], dtype=complex)
         with pytest.raises(NotHermitian, match=r"operator 0 of word 0 has max \|A - A†\| entry 9\.000e-01"):
             DeterministicCode(1, ((0,), (1,)), np.stack([bad, 0.5 * np.eye(2)]))

@@ -1,8 +1,9 @@
 """Static scans of the package source.
 
 Every name a module imports is read somewhere in it, no module imports a
-sibling inside a function, and every tolerance below 1e-6 is named: a field
-of config.Tolerances or a module constant.
+sibling inside a function, every tolerance below 1e-6 is named: a field
+of config.Tolerances or a module constant, and only operators.py calls
+numpy.linalg.eigh or eigvalsh, so every spectrum takes one path.
 """
 
 import ast
@@ -106,3 +107,29 @@ def test_scan_flags_a_bare_tolerance():
 )
 def test_no_bare_tolerances(path):
     assert bare_tolerances(path.read_text()) == []
+
+
+def lapack_spectra(source):
+    """(line, name) of numpy.linalg.eigh / eigvalsh references, as attributes or imports."""
+    names = {"eigh", "eigvalsh"}
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in names
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
+            found.add((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            found.update((node.lineno, a.name) for a in node.names if a.name in names)
+    return sorted(found)
+
+
+def test_scan_flags_a_lapack_spectrum():
+    src = ("import numpy as np\nfrom numpy.linalg import eigvalsh, norm\n"
+           "w, v = np.linalg.eigh(a)\nnp.linalg.norm(a)\nnumpy.linalg.eigvalsh(a)\n")
+    assert lapack_spectra(src) == [(2, "eigvalsh"), (3, "eigh"), (5, "eigvalsh")]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "operators.py"], ids=lambda p: p.name
+)
+def test_spectra_go_through_operators(path):
+    assert lapack_spectra(path.read_text()) == []

@@ -219,7 +219,7 @@ class TestTraceDistance:
 
 
 class TestEigvalshStack:
-    def test_closed_form_matches_lapack(self):
+    def test_d2_stack_matches_lapack(self):
         from avcqc.operators import eigvalsh_stack
 
         rng = np.random.default_rng(19)
@@ -244,7 +244,7 @@ class TestEighStack:
         assert np.allclose((v * w[..., None, :]) @ v.conj().swapaxes(-1, -2), h, atol=1e-12)
         assert np.all(np.diff(w, axis=-1) >= 0.0)
 
-    def test_closed_form_is_a_decomposition(self):
+    def test_d2_decomposition_with_diagonal_and_scalar_inputs(self):
         from avcqc.operators import eigh_stack, eigvalsh_stack
 
         rng = np.random.default_rng(21)

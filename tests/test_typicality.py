@@ -662,11 +662,19 @@ class TestBoundaryValidation:
         (lambda: typical_set([0.5, 0.5], 4, INF), InvalidArgument, "delta"),
         (lambda: typical_set([0.5, 0.5], 4, True), InvalidArgument, "delta"),
         (lambda: typical_set([NAN, 1.0], 4, 0.3), InvalidArgument, "not finite"),
+        # block lengths past int64 are refused before any count array is cast;
+        # 2^63 - 1 passes, and its window is refused by the cap
+        (lambda: typical_set([0.9, 0.1], 2**63, 0.1), InvalidArgument,
+         r"block length 9223372036854775808 exceeds 2\^63 - 1"),
+        (lambda: typical_set([0.9, 0.1], 2**63 - 1, 0.1), EnumerationOverflow,
+         "window candidates exceed cap"),
         (lambda: typical_projector(HALF, -1, 0.1), InvalidArgument, "block length"),
         (lambda: typical_projector(HALF, 0, 0.1), InvalidArgument, "block length"),
         (lambda: typical_projector(HALF, 2.0, 0.1), InvalidArgument, "block length"),
         (lambda: typical_projector(HALF, 3, 0.0), InvalidArgument, "alpha"),
         (lambda: typical_projector(HALF, 3, NAN), InvalidArgument, "alpha"),
+        (lambda: typical_projector(HALF, 2**63, 0.1), InvalidArgument,
+         "block length 9223372036854775808"),
         (lambda: conditional_typical_projector(mirror_pair_channel(), (), 0.1),
          InvalidArgument, "block length"),
         (lambda: conditional_typical_projector(mirror_pair_channel(), (0, 2, 1), 0.1),
@@ -679,6 +687,10 @@ class TestBoundaryValidation:
          InvalidArgument, "block length"),
         (lambda: verify_typicality_bounds(mirror_pair_channel(), [0.5, 0.5], [4, 5.0], 0.1),
          InvalidArgument, "block length"),
+        (lambda: verify_typicality_bounds(mirror_pair_channel(), [0.5, 0.5], [4, 2**63], 0.1),
+         InvalidArgument, "block length 9223372036854775808"),
+        (lambda: verify_typicality_bounds(mirror_pair_channel(), [0.5, 0.5], [10**20], 0.1),
+         InvalidArgument, f"block length {10**20}"),
         (lambda: verify_typicality_bounds(mirror_pair_channel(), [0.5, 0.5], range(4, 8), -1.0),
          InvalidArgument, "alpha"),
         (lambda: verify_typicality_bounds(mirror_pair_channel(), [0.5, 0.5], range(4, 8), NAN),
@@ -691,10 +703,13 @@ class TestBoundaryValidation:
          AlphabetMismatch, "distribution over 3 letters, channel has 2"),
     ], ids=[
         "set n=-1", "set n=0", "set n=2.0", "set n=True", "set delta<0", "set delta nan",
-        "set delta inf", "set delta=True", "set p nan", "projector n=-1", "projector n=0",
-        "projector n=2.0", "projector alpha=0", "projector alpha nan", "conditional empty word",
+        "set delta inf", "set delta=True", "set p nan", "set n=2^63", "set n=2^63-1",
+        "projector n=-1", "projector n=0",
+        "projector n=2.0", "projector alpha=0", "projector alpha nan", "projector n=2^63",
+        "conditional empty word",
         "conditional stray letter", "conditional alpha<0", "verify empty range",
-        "verify n=-2", "verify n=5.0", "verify alpha<0", "verify alpha nan", "verify alpha inf",
+        "verify n=-2", "verify n=5.0", "verify n=2^63", "verify n=10^20", "verify alpha<0",
+        "verify alpha nan", "verify alpha inf",
         "verify alpha=True",
         "verify p over 3 letters",
     ])
