@@ -90,8 +90,8 @@ import numpy as np
 from .channels import JammerKernel, _input_distribution
 from .config import DEFAULT_TOL, with_overrides
 from .errors import InvalidArgument, NonBinarySource, SolverDiverged
-from .geometry import _STEP_FLOOR, _STEP_TRIALS, _free_entries, _kkt_matrix, _newton_steps
-from .geometry import _solve_newton, project_simplex_rows
+from .geometry import _STEP_FLOOR, _STEP_TRIALS, _bordered, _free_entries, _newton_steps
+from .geometry import _solve_kkt, project_simplex_rows
 from .operators import _integer, eigh_stack, eigvalsh_stack, entropy_from_eigenvalues
 
 LN2 = np.log(2.0)
@@ -130,25 +130,24 @@ _LAMBDA_RTOL = 1e-12
 
 def _mixture_spectra(p, states, q):
     """One batched decomposition of the mixtures rho_x then rho_bar: (X+1, d[, d])."""
-    rho_x = np.einsum("xs,xsij->xij", q, states)
-    rho_bar = p @ rho_x.reshape(len(p), -1)
-    return eigh_stack(np.concatenate([rho_x, rho_bar.reshape(rho_x[:1].shape)]))
+    nx = len(p)
+    mix = np.empty((nx + 1, *states.shape[2:]), dtype=complex)
+    np.einsum("xs,xsij->xij", q, states, out=mix[:nx])
+    np.matmul(p, mix[:nx].reshape(nx, -1), out=mix[nx].reshape(-1))
+    return eigh_stack(mix)
 
 
-def _dk_weights(w):
-    """Daleckii-Krein divided differences of ln at a spectrum: (..., d, d).
+def _dk_weights(lam):
+    """Daleckii-Krein divided differences of ln at a spectrum floored at _LOG_FLOOR: (..., d, d).
 
     Lambda_ij = (ln l_i - ln l_j) / (l_i - l_j), and 1 / l_i where the two
-    coincide, with the eigenvalues floored at _LOG_FLOOR.  Written as
-    log1p(x) / x / b with b the smaller eigenvalue and x = (a - b) / b,
-    which keeps its digits when a and b are close.
+    coincide.  Written as log1p(x) / x / b with b the smaller eigenvalue and
+    x = (a - b) / b, which keeps its digits when a and b are close.
     """
-    lam = np.maximum(w, _LOG_FLOOR)
     a = np.maximum(lam[..., :, None], lam[..., None, :])
     b = np.minimum(lam[..., :, None], lam[..., None, :])
     x = (a - b) / b
-    safe = np.where(x > 0.0, x, 1.0)
-    return np.where(x > 0.0, np.log1p(safe) / safe, 1.0) / b
+    return np.divide(np.log1p(x), x, out=np.ones(x.shape), where=x > 0.0) / b
 
 
 class _Point:
@@ -173,7 +172,8 @@ class _Point:
         self.bar = vh[-1] @ self.states @ v[-1]
         # tr W log2 sigma = sum_i (V^dag W V)_ii log2 l_i in sigma's eigenbasis
         # V, with the spectrum floored at _LOG_FLOOR: no matrix log is built
-        lw = np.log2(np.maximum(w, _LOG_FLOOR))
+        self.floored = np.maximum(w, _LOG_FLOOR)
+        lw = np.log2(self.floored)
         own_log = (self.own.diagonal(axis1=-2, axis2=-1).real @ lw[:-1, :, None])[..., 0]
         bar_log = self.bar.diagonal(axis1=-2, axis2=-1).real @ lw[-1]
         # tr W_xs (log2 rho_x - log2 rho_bar): the kernel gradient of chi per unit p_x
@@ -181,17 +181,21 @@ class _Point:
         self.grad = self.p[:, None] * self.ratio
         # chi is convex in q, so chi at q exceeds the inner minimum by at most
         # this Frank-Wolfe gap: the linearisation's drop to its best vertex
-        self.gap = float((self.grad * self.q).sum() - self.grad.min(axis=-1).sum())
+        self.gap = float(np.add.reduce(self.grad * self.q, axis=None)
+                         - np.add.reduce(np.minimum.reduce(self.grad, axis=-1)))
         # d_x = D(rho_x || rho_bar), the supergradient of chi in p.  0 - S -
         # cross, not -S - cross: a pure rho_x inside rho_bar's support gives +0.0
-        self.d_x = 0.0 - self.s[:-1] - (self.q * bar_log).sum(axis=-1)
+        self.d_x = 0.0 - self.s[:-1] - np.add.reduce(self.q * bar_log, axis=-1)
+        # the bracket (lo, hi) around the max-min value, see ``_ascend``
+        self.lo, self.hi = float(self.chi - self.gap), float(np.maximum.reduce(self.d_x))
         return self
 
     @cached_property
     def lam(self):
-        """Daleckii-Krein weights of the X+1 spectra, (X+1, 2 d^2): each twice, as
-        sum_ij A_ij B_ji Lambda_ij (A, B Hermitian) is real, a product of (Re, Im) pairs."""
-        return _dk_weights(self.spec[0]).reshape(len(self.s), -1).repeat(2, axis=-1)
+        """Daleckii-Krein weights of the X+1 spectra of a derived point, (X+1, 2 d^2): each
+        twice, as sum_ij A_ij B_ji Lambda_ij (A, B Hermitian) is real, a product of (Re, Im)
+        pairs."""
+        return _dk_weights(self.floored).reshape(len(self.s), -1).repeat(2, axis=-1)
 
     @cached_property
     def kernel_hessian(self):
@@ -199,21 +203,31 @@ class _Point:
         (weight p_x) and rho_x with its own row only, so H[(x,s),(x',s')] =
         (delta_xx' p_x K_x(W_xs, W_xs') - p_x p_x' K_bar(W_xs, W_x's')) / ln 2."""
         nx, ns = self.q.shape
-        bar = self.bar.reshape(nx * ns, -1).view(float)
+        k = nx * ns
+        bar = self.bar.reshape(k, -1).view(float)
         own = self.own.reshape(nx, ns, -1).view(float)
         pw = self.p.repeat(ns)
-        h = -(pw[:, None] * pw) * ((bar * self.lam[-1]) @ bar.T)
-        k_x = (own * self.lam[:-1, None]) @ own.swapaxes(-1, -2)
-        rows = np.arange(nx)
-        h.reshape(nx, ns, nx, ns)[rows, :, rows, :] += self.p[:, None, None] * k_x
-        return h / LN2
+        # h leads a buffer k entries longer, so that its diagonal blocks
+        # h[(x, :), (x, :)] are one strided view of it
+        buf = np.empty(k * (k + 1))
+        h = buf[: k * k].reshape(k, k)
+        np.multiply(np.multiply.outer(-pw, pw), (bar * self.lam[-1]) @ bar.T, out=h)
+        blocks = buf.reshape(nx, -1)[:, : ns * k].reshape(nx, ns, k)[:, :, :ns]
+        blocks += self.p[:, None, None] * ((own * self.lam[:-1, None]) @ own.swapaxes(-1, -2))
+        h /= LN2
+        return h
 
-    def bracket(self):  # (lo, hi) around the max-min value, see ``_ascend``
-        return float(self.chi - self.gap), float(self.d_x.max())
+    @cached_property
+    def stack(self):
+        """p over the kernel rows, (X+1, max(X, S)), rows padded with 0 (``_stacked``); a
+        trial point of ``_outer_step`` is cut from its own projected stack, which it keeps."""
+        return _stacked(self.p, self.q, 0.0)
+
+    def bracket(self):
+        return self.lo, self.hi
 
     def width(self):
-        lo, hi = self.bracket()
-        return hi - lo
+        return self.hi - self.lo
 
 
 # ---------------------------------------------------------------------------
@@ -332,93 +346,146 @@ class CapacityResult:
     stop_reason: str              # "bracket", "max_iter" or "no_step": how the outer ascent ended
 
 
-def _input_hessian(pt):
-    """chi_pp (X, X) and chi_pq (X, X*S) at a derived point.
+class _SaddleSystem:
+    """The outer step's KKT system on (p, q), p (X,) and q (X, S), built once per solve.
 
-    In rho_bar's eigenbasis V, with A~ = V^dag A V and Lambda from
-    ``_dk_weights`` at rho_bar's spectrum,
-
-        chi_pp[x, x']       = -(1/ln 2) sum_ij (rho~_x)_ij (rho~_x')_ji Lambda_ij,
-        chi_pq[x, (x', s')] = delta_xx' tr W_x's' (log2 rho_x - log2 rho_bar)
-                              - (p_x' / ln 2) sum_ij (rho~_x)_ij (W~_x's')_ji Lambda_ij:
-
-    p enters chi through rho_bar and linearly through -sum_x p_x S(rho_x),
-    and the kernel row x' moves rho_x' and, with weight p_x', rho_bar.
+    ``kkt`` is the ``geometry._bordered`` matrix of the n = X + X S entries
+    (p, then the kernel rows) with one zero-sum row for p and one per kernel
+    row; ``write_hessian`` fills its (n, n) block ``hess`` at each point.
+    ``keep`` marks the rows a direction solves on (the constraint rows are
+    always kept) and ``rhs`` is its right-hand side.
     """
-    nx, ns = pt.q.shape
-    bar = pt.bar.reshape(nx, ns, -1).view(float)
-    rho = (pt.q[:, None] @ bar)[:, 0]
-    bar = bar.reshape(nx * ns, -1)
-    weighted = rho * pt.lam[-1]
-    chi_pp = -(weighted @ rho.T) / LN2
-    chi_pq = -(weighted @ bar.T) * pt.p.repeat(ns) / LN2
-    rows = np.arange(nx)
-    chi_pq.reshape(nx, nx, ns)[rows, rows] += pt.ratio
-    return chi_pp, chi_pq
+
+    def __init__(self, nx, ns):
+        n = nx + nx * ns
+        size = n + nx + 1
+        self.shape, self.n = (nx, ns), n
+        self.kkt = _bordered(np.concatenate([np.zeros(nx, dtype=int), 1 + np.arange(nx).repeat(ns)]),
+                             nx + 1)
+        self.hess = self.kkt[:n, :n]
+        # the entries (x, (x, s)) of -chi_pq, where kernel row x moves its own rho_x
+        self.own_rows = self.kkt.reshape(-1)[nx : nx + nx * (size + ns)].reshape(nx, -1)[:, :ns]
+        self.keep = np.ones(size, dtype=bool)
+        self.rhs = np.zeros(size)
+
+    def write_hessian(self, pt):
+        """The saddle Hessian [[-chi_pp, -chi_pq], [chi_pq^T, chi_qq]] at a derived point, into hess.
+
+        In rho_bar's eigenbasis V, with A~ = V^dag A V and Lambda from
+        ``_dk_weights`` at rho_bar's spectrum,
+
+            chi_pp[x, x']       = -(1/ln 2) sum_ij (rho~_x)_ij (rho~_x')_ji Lambda_ij,
+            chi_pq[x, (x', s')] = delta_xx' tr W_x's' (log2 rho_x - log2 rho_bar)
+                                  - (p_x' / ln 2) sum_ij (rho~_x)_ij (W~_x's')_ji Lambda_ij:
+
+        p enters chi through rho_bar and linearly through -sum_x p_x S(rho_x),
+        and the kernel row x' moves rho_x' and, with weight p_x', rho_bar.
+        chi_qq is the point's ``kernel_hessian``.
+        """
+        nx, ns = self.shape
+        h = self.hess
+        bar = pt.bar.reshape(nx, ns, -1).view(float)
+        rho = (pt.q[:, None] @ bar)[:, 0]
+        weighted = rho * pt.lam[-1]
+        np.divide(weighted @ rho.T, LN2, out=h[:nx, :nx])
+        top = np.multiply(weighted @ bar.reshape(nx * ns, -1).T, pt.p.repeat(ns), out=h[:nx, nx:])
+        top /= LN2
+        self.own_rows -= pt.ratio
+        np.negative(top.T, out=h[nx:, :nx])
+        h[nx:, nx:] = pt.kernel_hessian
 
 
-def _saddle_direction(pt, kernel_grad):
+def _saddle_direction(pt, kernel_grad, system=None):
     """Projected Newton direction (dp, dq) on (p, q) together at a derived point, or None.
 
     One KKT solve of chi's quadratic model with the gradients d_x and
     kernel_grad, maximized in p and minimized in q: one zero-sum row for p
     and one per kernel row, the p rows negated so that both diagonal blocks
-    of ``_kkt_matrix`` are convex.  The kernel entries ``_free_entries``
-    holds stay put.  Letters whose d_x is below the maximum and whose p_x
-    is at most min(_HOLD_CAP, |p - project(p + d)|_1) go to 0: the bound
-    shrinks with the distance from a stationary point (Bertsekas'
-    epsilon-active set), so near the saddle only letters at 0 are held,
-    while far from it a letter about to leave the support is not left to
-    the model, where a nearly duplicated letter makes it steer the whole
-    step.  The step is scaled so that dp has entries of at most 1, the
-    width of the simplex: a nearly flat model would otherwise put every
-    trial step far outside it.  None if the system is singular.
+    are convex.  The Hessian is written into the solve's ``_SaddleSystem``
+    (one is built if none is given) and the system is gathered once on the
+    free entries (``geometry._solve_kkt``).  The kernel entries
+    ``_free_entries`` holds stay put.  Letters whose d_x is below the
+    maximum and whose p_x is at most min(_HOLD_CAP, |p - project(p + d)|_1)
+    go to 0: the bound shrinks with the distance from a stationary point
+    (Bertsekas' epsilon-active set), so near the saddle only letters at 0
+    are held, while far from it a letter about to leave the support is not
+    left to the model, where a nearly duplicated letter makes it steer the
+    whole step.  A held letter's move to 0 enters the right-hand side
+    through the Hessian; with none held that product is 0 and is skipped.
+    The step is scaled so that dp has entries of at most 1, the width of
+    the simplex: a nearly flat model would otherwise put every trial step
+    far outside it.  None if the system is singular.
     """
     p, d_x = pt.p, pt.d_x
     nx, ns = pt.q.shape
-    chi_pp, chi_pq = _input_hessian(pt)
-    floor = min(_HOLD_CAP, float(np.sum(np.abs(p - project_simplex_rows(p + d_x)))))
-    free = np.concatenate([(p > max(floor, _STEP_FLOOR)) | (d_x == d_x.max()),
-                           _free_entries(pt.q, pt.grad).ravel()])
-    hess = np.block([[-chi_pp, -chi_pq], [chi_pq.T, pt.kernel_hessian]])
-    step = np.zeros(free.size)
-    step[:nx] = np.where(free[:nx], 0.0, -p)
-    rhs = np.concatenate([d_x, -kernel_grad.ravel()]) - hess @ step
-    owner = np.concatenate([np.zeros(nx, dtype=int), 1 + np.arange(nx).repeat(ns)])
-    sol = _solve_newton(_kkt_matrix(hess[free][:, free], owner[free], nx + 1),
-                        np.concatenate([rhs[free], [-step.sum()], np.zeros(nx)]))
-    if sol is None:
-        return None
-    step[free] = sol[: free.sum()]
-    step /= max(1.0, np.max(np.abs(step[:nx])))
-    return step[:nx], step[nx:].reshape(pt.q.shape)
-
-
-def _outer_step(pt, inner_iter, gap_stop, width):
-    """The derived point of one outer step from the derived point pt, or None.
-
-    Tries (project_simplex_rows(p + t dp), project_simplex_rows(q + t dq))
-    for t = 1, 1/2, ... (_STEP_TRIALS lengths) on the ``_saddle_direction``
-    at pt, and keeps the first trial point whose bracket is at most
-    max(width, half the width of pt's).  At a point at its kernel's inner
-    minimum (pt.gap <= gap_stop) a trial not kept is descended to its own
-    inner minimum and kept if chi falls by at most gap_stop from pt: both
-    minima are known only to the descent's Frank-Wolfe stop, so a smaller
-    fall is no loss of phi(p) = min_q chi(p, q), which is concave.  Compared
-    more finely, every trial was refused on draws whose phi is nearly flat
-    between two input letters 1e-6 apart.  At any other point a trial not
-    kept ends the step with None, and so does one that leaves p where it
-    is: no shorter step moves p either, and the descent alone moves q.
-    """
-    found = _saddle_direction(pt, pt.grad)
+    if system is None:
+        system = _SaddleSystem(nx, ns)
+    n, keep, rhs = system.n, system.keep, system.rhs
+    system.write_hessian(pt)
+    keep[nx:n] = _free_entries(pt.q, pt.grad).ravel()
+    rhs[:nx] = d_x
+    np.negative(kernel_grad, out=rhs[nx:n].reshape(nx, ns))
+    step = np.zeros(n)
+    keep[:nx] = True
+    # the bound is at most _HOLD_CAP, so with every p_x above it no letter is
+    # held and the distance from a stationary point need not be computed
+    if np.minimum.reduce(p) <= _HOLD_CAP:
+        floor = min(_HOLD_CAP, float(np.add.reduce(np.abs(p - project_simplex_rows(p + d_x)))))
+        free_p = (p > max(floor, _STEP_FLOOR)) | (d_x == pt.hi)
+        keep[:nx] = free_p
+        if not np.logical_and.reduce(free_p):
+            step[:nx] = np.where(free_p, 0.0, -p)
+            rhs[:n] -= system.hess @ step
+    rhs[n] = -np.add.reduce(step)
+    found = _solve_kkt(system.kkt, keep, rhs, nx + 1)
     if found is None:
         return None
-    dp, dq = found
+    step[found[0]] = found[1]
+    step /= max(1.0, np.maximum.reduce(np.abs(step[:nx])))
+    return step[:nx], step[nx:].reshape(nx, ns)
+
+
+def _stacked(p, q, pad):
+    """p over the rows of q (X, S) in one (X+1, max(X, S)) array, each row padded with pad."""
+    nx, ns = q.shape
+    out = np.full((nx + 1, max(nx, ns)), pad)
+    out[0, :nx] = p
+    out[1:, :ns] = q
+    return out
+
+
+def _outer_step(pt, inner_iter, gap_stop, width, system):
+    """The derived point of one outer step from the derived point pt, or None.
+
+    Tries the projection of (p + t dp, q + t dq) for t = 1, 1/2, ...
+    (_STEP_TRIALS lengths) on the ``_saddle_direction`` at pt, p and the
+    kernel rows stacked and padded with -inf so that each trial point costs
+    one ``project_simplex_rows`` call, and keeps the first trial point
+    whose bracket is at most max(width, half the width of pt's).  At a
+    point at its kernel's inner minimum (pt.gap <= gap_stop) a trial not
+    kept is descended to its own inner minimum and kept if chi falls by at
+    most gap_stop from pt: both minima are known only to the descent's
+    Frank-Wolfe stop, so a smaller fall is no loss of phi(p) = min_q
+    chi(p, q), which is concave.  Compared more finely, every trial was
+    refused on draws whose phi is nearly flat between two input letters
+    1e-6 apart.  At any other point a trial not kept ends the step with
+    None, and so does one that leaves p where it is: no shorter step moves
+    p either, and the descent alone moves q.
+    """
+    found = _saddle_direction(pt, pt.grad, system)
+    if found is None:
+        return None
+    nx, ns = pt.q.shape
+    # the pads: 0 in pt's stack plus -inf in the move stay below every entry
+    move = _stacked(*found, -np.inf)
     keep = max(width, pt.width() / 2)
     t = 1.0
     for _try in range(_STEP_TRIALS):
-        p = project_simplex_rows(pt.p + t * dp)
-        cand = _Point(pt.states, p, project_simplex_rows(pt.q + t * dq)).derive()
+        trial = project_simplex_rows(pt.stack + t * move)
+        p = trial[0, :nx]
+        cand = _Point(pt.states, p, trial[1:, :ns])
+        cand.stack = trial
+        cand.derive()
         if cand.width() <= keep:
             return cand
         if pt.gap > gap_stop or (p == pt.p).all():
@@ -454,6 +521,7 @@ def _ascend(states, outer_iter, inner_iter, tol):
     if not np.isfinite(pt.chi):
         raise SolverDiverged("non-finite objective at the initial kernel")
     trace = [float(pt.chi)]
+    system = _SaddleSystem(nx, ns)
     while True:
         # chi(p, W_Q) is convex in Q, so chi minus the kernel's Frank-Wolfe
         # gap bounds min_Q chi(p, W_Q), hence the max-min value, from below;
@@ -465,7 +533,7 @@ def _ascend(states, outer_iter, inner_iter, tol):
         if hi - lo <= width or len(trace) > outer_iter:
             reason = "bracket" if hi - lo <= width else "max_iter"
             break
-        cand = _outer_step(pt, inner_iter, gap_stop, width)
+        cand = _outer_step(pt, inner_iter, gap_stop, width, system)
         if cand is None and pt.gap > gap_stop:
             pt = _descend_kernel(pt, inner_iter, gap_stop)
             trace[-1] = float(pt.chi)
@@ -473,7 +541,7 @@ def _ascend(states, outer_iter, inner_iter, tol):
             if hi - lo <= width:
                 reason = "bracket"
                 break
-            cand = _outer_step(pt, inner_iter, gap_stop, width)
+            cand = _outer_step(pt, inner_iter, gap_stop, width, system)
         if cand is None:
             reason = "no_step"
             break

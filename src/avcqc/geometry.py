@@ -57,13 +57,22 @@ def embed_stack(mats):
 
 
 def project_simplex_rows(y):
-    """Euclidean projection of each row of y onto the probability simplex."""
+    """Euclidean projection of each row of y onto the probability simplex.
+
+    Entries of -inf pad a row: they sort below every real entry, project to
+    0 and leave the row's other entries as its unpadded projection, bit for
+    bit, so rows of unequal width share one call.
+    """
     y = np.asarray(y, dtype=float)
     flat = y.reshape(-1, y.shape[-1])
-    u = -np.sort(-flat, axis=1)
-    css = u.cumsum(axis=1) - 1.0
-    rho = (u - css / np.arange(1, y.shape[-1] + 1) > 0).sum(axis=1)
-    theta = css[np.arange(flat.shape[0]), rho - 1] / rho
+    u = -flat
+    u.sort(axis=1)
+    np.negative(u, out=u)
+    # u > css / k, not u - css / k > 0: the same test on finite entries, and
+    # -inf > -inf is false where -inf - -inf would be nan
+    mean = (u.cumsum(axis=1) - 1.0) / np.arange(1, y.shape[-1] + 1)
+    rho = np.add.reduce(u > mean, axis=1)
+    theta = mean[np.arange(flat.shape[0]), rho - 1]
     return np.maximum(flat - theta[:, None], 0.0).reshape(y.shape)
 
 
@@ -74,20 +83,7 @@ def _free_entries(q, g):
     is held at 0; every other entry is free.  The row's minimizing entries
     are always free, so each row keeps at least one.
     """
-    return (q > _STEP_FLOOR) | (g == g.min(axis=-1, keepdims=True))
-
-
-def _kkt_matrix(h, rows, nrows):
-    """[[h + shift I, A^T], [A, 0]] for a model Hessian h (F, F) with a nonnegative
-    diagonal, convex or a saddle's block with its maximized rows negated, whose
-    entries sum to zero within each group: A[r, k] = 1 where rows[k] == r, for
-    nrows groups."""
-    nf = h.shape[0]
-    kkt = np.zeros((nf + nrows, nf + nrows))
-    kkt[:nf, :nf] = h + _NEWTON_SHIFT * h.diagonal().max() * np.eye(nf)
-    kkt[nf:, :nf] = rows == np.arange(nrows)[:, None]
-    kkt[:nf, nf:] = kkt[nf:, :nf].T
-    return kkt
+    return (q > _STEP_FLOOR) | (g == np.minimum.reduce(g, axis=-1, keepdims=True))
 
 
 def _solve_newton(kkt, rhs):
@@ -96,7 +92,39 @@ def _solve_newton(kkt, rhs):
         sol = np.linalg.solve(kkt, rhs)
     except np.linalg.LinAlgError:
         return None
-    return sol if np.all(np.isfinite(sol)) else None
+    return sol if np.logical_and.reduce(np.isfinite(sol)) else None
+
+
+def _bordered(owner, nrows):
+    """[[0, A^T], [A, 0]] (F + nrows, F + nrows) with A[r, k] = 1 where owner[k] == r: the
+    KKT matrix of the zero-sum constraint of each of nrows groups of F entries, whose
+    (F, F) block the caller fills with its model Hessian before ``_solve_kkt``."""
+    nf = len(owner)
+    kkt = np.zeros((nf + nrows, nf + nrows))
+    kkt[nf:, :nf] = owner == np.arange(nrows)[:, None]
+    kkt[:nf, nf:] = kkt[nf:, :nf].T
+    return kkt
+
+
+def _solve_kkt(kkt, keep, rhs, nrows):
+    """(free, x) of one Newton system on the entries a mask keeps, or None.
+
+    kkt is a ``_bordered`` matrix whose Hessian block h has a nonnegative
+    diagonal, convex or a saddle's block with its maximized rows negated;
+    keep marks its rows, the nrows constraint rows last and all kept.  The
+    kept rows and columns are gathered with one index, the kept block of h
+    is shifted by _NEWTON_SHIFT times its largest diagonal entry, and the
+    system is solved against rhs[keep]: free holds the kept entries of h's
+    index and x the solution on them.  None if the system is singular or
+    the solution overflows.
+    """
+    idx = keep.nonzero()[0]
+    sub = kkt[idx[:, None], idx]
+    nf = idx.size - nrows
+    diag = sub.reshape(-1)[: nf * (idx.size + 1) : idx.size + 1]
+    diag += _NEWTON_SHIFT * np.maximum.reduce(diag)
+    sol = _solve_newton(sub, rhs[idx])
+    return None if sol is None else (idx[:nf], sol[:nf])
 
 
 def _newton_steps(hess, grad, z, free, owner, nrows):
@@ -112,15 +140,17 @@ def _newton_steps(hess, grad, z, free, owner, nrows):
     refused), then halvings of that t.  The caller projects z + t D onto its
     simplices and accepts by its own test.
     """
+    kkt = _bordered(owner, nrows)
+    kkt[: z.size, : z.size] = hess
+    keep = np.ones(z.size + nrows, dtype=bool)
+    rhs = np.concatenate([-grad, np.zeros(nrows)])
     while True:
-        sol = _solve_newton(
-            _kkt_matrix(hess[free][:, free], owner[free], nrows),
-            np.concatenate([-grad[free], np.zeros(nrows)]),
-        )
-        if sol is None:
+        keep[: z.size] = free
+        found = _solve_kkt(kkt, keep, rhs, nrows)
+        if found is None:
             return None
-        direction = np.zeros_like(z)
-        direction[free] = sol[: free.sum()]
+        direction = np.zeros(z.shape)
+        direction[found[0]] = found[1]
         leaving = free & (z <= _STEP_FLOOR) & (direction < 0.0)
         if not leaving.any():
             break

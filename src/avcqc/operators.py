@@ -132,14 +132,14 @@ def entropy_from_eigenvalues(eigs, floor=DEFAULT_TOL.psd_floor):
     NotPositive.  Works on stacked inputs (entropy taken over the last axis).
     """
     lam = np.asarray(eigs, dtype=float)
-    if lam.size and lam.min() < -floor:
+    if lam.size and np.minimum.reduce(lam, axis=None) < -floor:
         raise NotPositive(
             f"eigenvalue {lam.min():.3e} below the clamp floor -{floor:.1e}"
         )
-    lam = np.maximum(lam, 0.0)
-    terms = np.where(lam > 0.0, lam * np.log2(np.where(lam > 0.0, lam, 1.0)), 0.0)
+    pos = lam > 0.0
+    terms = np.where(pos, lam * np.log2(np.where(pos, lam, 1.0)), 0.0)
     # 0 - sum, not -sum: an all-zero sum (a pure state) gives +0.0, not -0.0
-    return 0.0 - terms.sum(axis=-1)
+    return 0.0 - np.add.reduce(terms, axis=-1)
 
 
 def eigvalsh_stack(mats):

@@ -19,7 +19,7 @@ masses on flat count tables that block lengths share while their words agree.
 """
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 from math import factorial, inf, log2, prod
 
 import numpy as np
@@ -418,10 +418,16 @@ def verify_typicality_bounds(w, p, n_range, alpha, caps=DEFAULT_CAPS, tol=DEFAUL
     realized empirical type, each letter's classes enumerated once per count.
     The first n over caps.enumeration raises with the first check it fails:
     source window, letter windows in order, count table.  n_range must be
-    non-empty, of integers in [1, 2^63), and alpha finite and > 0.
+    non-empty, of integers in [1, 2^63), and alpha finite and > 0; it is
+    read no further than caps.enumeration + 1 block lengths, and a range
+    holding more raises EnumerationOverflow before any is checked.
     """
     pv = _input_distribution(p, w, tol)
-    ns = [_block_length(n) for n in n_range]
+    ns = list(islice(n_range, caps.enumeration + 1))
+    if len(ns) > caps.enumeration:
+        raise EnumerationOverflow(
+            f"n_range holds more than {caps.enumeration} block lengths, the enumeration cap")
+    ns = [_block_length(n) for n in ns]
     if not ns:
         raise InvalidArgument("n_range holds no block length")
     _positive(alpha, "alpha")

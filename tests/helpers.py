@@ -6,7 +6,7 @@ from math import comb, inf, log2, prod
 import numpy as np
 
 from avcqc import Avcqc, CorrelatedSource, CqChannel, DeterministicCode, RandomCode
-from avcqc.capacity import _aux_objective
+from avcqc.capacity import _HOLD_CAP, LN2, _aux_objective
 from avcqc.channels import JammerStrategy, product_output
 from avcqc.coding import (
     RepetitionPrecode,
@@ -16,7 +16,13 @@ from avcqc.coding import (
 )
 from avcqc.config import DEFAULT_CAPS, DEFAULT_TOL
 from avcqc.errors import AlphabetMismatch, EnumerationOverflow, NotPositive, SpecParseError
-from avcqc.geometry import project_simplex_rows
+from avcqc.geometry import (
+    _NEWTON_SHIFT,
+    _STEP_FLOOR,
+    _free_entries,
+    _solve_newton,
+    project_simplex_rows,
+)
 from avcqc.operators import entropy_from_eigenvalues, validate_probability_vector
 from avcqc.serialize import _count, _field, _load_json, _operators, _words, matrix_to_json
 from avcqc.typicality import (
@@ -233,11 +239,77 @@ def dense_saddle_bracket(states, p, q):
     return float(lo), float(d_x.max())
 
 
+def kkt_matrix(h, rows, nrows):
+    """[[h + shift I, A^T], [A, 0]] for a model Hessian h (F, F), with A[r, k] = 1 where
+    rows[k] == r for nrows groups and the shift _NEWTON_SHIFT times h's largest diagonal
+    entry: the KKT matrix assembled afresh from the free block, independently of the
+    bordered matrix that ``geometry._solve_kkt`` gathers."""
+    nf = h.shape[0]
+    kkt = np.zeros((nf + nrows, nf + nrows))
+    kkt[:nf, :nf] = h + _NEWTON_SHIFT * h.diagonal().max() * np.eye(nf)
+    kkt[nf:, :nf] = rows == np.arange(nrows)[:, None]
+    kkt[:nf, nf:] = kkt[nf:, :nf].T
+    return kkt
+
+
+def input_hessian_reference(pt):
+    """chi_pp (X, X) and chi_pq (X, X*S) at a derived solver point, from its rotated
+    states and Daleckii-Krein weights, each block on its own."""
+    nx, ns = pt.q.shape
+    bar = pt.bar.reshape(nx, ns, -1).view(float)
+    rho = (pt.q[:, None] @ bar)[:, 0]
+    bar = bar.reshape(nx * ns, -1)
+    weighted = rho * pt.lam[-1]
+    chi_pp = -(weighted @ rho.T) / LN2
+    chi_pq = -(weighted @ bar.T) * pt.p.repeat(ns) / LN2
+    rows = np.arange(nx)
+    chi_pq.reshape(nx, nx, ns)[rows, rows] += pt.ratio
+    return chi_pp, chi_pq
+
+
+def saddle_hessian_reference(pt):
+    """The saddle Hessian [[-chi_pp, -chi_pq], [chi_pq^T, chi_qq]] put together with np.block."""
+    chi_pp, chi_pq = input_hessian_reference(pt)
+    return np.block([[-chi_pp, -chi_pq], [chi_pq.T, pt.kernel_hessian]])
+
+
+def saddle_direction_reference(pt, kernel_grad):
+    """The solver's projected Newton direction (dp, dq) at a derived point, or None, from an
+    independent assembly: np.block, the free block copied by hess[free][:, free] into
+    ``kkt_matrix``, the hold bound always computed and the held letters' move always
+    multiplied through the Hessian."""
+    p, d_x = pt.p, pt.d_x
+    nx, ns = pt.q.shape
+    floor = min(_HOLD_CAP, float(np.sum(np.abs(p - project_simplex_rows(p + d_x)))))
+    free = np.concatenate([(p > max(floor, _STEP_FLOOR)) | (d_x == d_x.max()),
+                           _free_entries(pt.q, pt.grad).ravel()])
+    hess = saddle_hessian_reference(pt)
+    step = np.zeros(free.size)
+    step[:nx] = np.where(free[:nx], 0.0, -p)
+    rhs = np.concatenate([d_x, -kernel_grad.ravel()]) - hess @ step
+    owner = np.concatenate([np.zeros(nx, dtype=int), 1 + np.arange(nx).repeat(ns)])
+    sol = _solve_newton(kkt_matrix(hess[free][:, free], owner[free], nx + 1),
+                        np.concatenate([rhs[free], [-step.sum()], np.zeros(nx)]))
+    if sol is None:
+        return None
+    step[free] = sol[: free.sum()]
+    step /= max(1.0, np.max(np.abs(step[:nx])))
+    return step[:nx], step[nx:].reshape(pt.q.shape)
+
+
 def _entropies(mats):
     """Von Neumann entropies of a stack; eigenvalues in [-1e-9, 0) count as 0.
 
-    The spectra come from numpy, not from the package's spectral helper."""
-    lam = np.linalg.eigvalsh(np.asarray(mats, dtype=complex))
+    The spectra do not come from the package's spectral helper: at d = 2
+    they are (a + c)/2 -+ hypot((a - c)/2, |b|) for the matrix [[a, b], [b*, c]],
+    and above it numpy's eigvalsh."""
+    m = np.asarray(mats, dtype=complex)
+    if m.shape[-1] == 2:
+        a, c = m[..., 0, 0].real, m[..., 1, 1].real
+        mid, rad = (a + c) / 2.0, np.hypot((a - c) / 2.0, np.abs(m[..., 0, 1]))
+        lam = np.stack([mid - rad, mid + rad], axis=-1)
+    else:
+        lam = np.linalg.eigvalsh(m)
     return entropy_from_eigenvalues(lam, floor=1e-9)
 
 
@@ -746,7 +818,8 @@ def per_block_typicality_bounds(w, p, n_range, alpha, caps=DEFAULT_CAPS, tol=DEF
 
     Each n enumerates its own source and conditional window classes, sums
     their aggregates class by class and runs its own cross-mass DP over its
-    n positions; the first n with a count over caps.enumeration raises.
+    n positions; the first n with a count over caps.enumeration raises.  A
+    range of more block lengths than caps.enumeration raises before any n.
     """
     pv = validate_probability_vector(p, tol)
     if pv.size != len(w.x_alphabet):
@@ -754,6 +827,9 @@ def per_block_typicality_bounds(w, p, n_range, alpha, caps=DEFAULT_CAPS, tol=DEF
             f"distribution over {pv.size} letters, channel has {len(w.x_alphabet)}"
         )
     ns = list(n_range)
+    if len(ns) > caps.enumeration:
+        raise EnumerationOverflow(
+            f"n_range holds more than {caps.enumeration} block lengths, the enumeration cap")
     sigma = np.einsum("x,xij->ij", pv, w.states)
     sig_lam, sig_u = stable_eigh(sigma)
     sig_spec = np.clip(sig_lam, 0.0, None)

@@ -39,9 +39,12 @@ from helpers import (
     constant_channel,
     dense_saddle_bracket,
     flip_source,
+    kkt_matrix,
     maxmin_grid_oracle,
     orthogonal_channel,
     random_avcqc,
+    saddle_direction_reference,
+    saddle_hessian_reference,
     wishart_avcqc,
     wishart_state,
 )
@@ -856,14 +859,23 @@ def _inner_minimum(states, p, q0):
     return capacity._descend_kernel(capacity._Point(states, p, q0), 2000, gap_stop=1e-14)
 
 
+def _input_hessian(pt):
+    """chi_pp and chi_pq at a derived point, read from the saddle Hessian
+    [[-chi_pp, -chi_pq], [chi_pq^T, chi_qq]] that the solver writes."""
+    nx, ns = pt.q.shape
+    system = capacity._SaddleSystem(nx, ns)
+    system.write_hessian(pt)
+    return -system.hess[:nx, :nx], -system.hess[:nx, nx:]
+
+
 def _envelope_hessian(pt):
     """Hessian of phi(p) = min_q chi(p, q) at an inner minimizer: the Schur complement
     chi_pp - chi_pq chi_qq^-1 chi_qp over the free kernel entries, under their row
     constraints, which the solver's joint KKT solve eliminates without forming it."""
-    chi_pp, chi_pq = capacity._input_hessian(pt)
+    chi_pp, chi_pq = _input_hessian(pt)
     nx, ns = pt.q.shape
     free = capacity._free_entries(pt.q, pt.grad).ravel()
-    kkt = capacity._kkt_matrix(pt.kernel_hessian[free][:, free], np.arange(nx).repeat(ns)[free], nx)
+    kkt = kkt_matrix(pt.kernel_hessian[free][:, free], np.arange(nx).repeat(ns)[free], nx)
     nf = int(free.sum())
     rhs = np.zeros((kkt.shape[0], pt.p.size))
     rhs[:nf] = -chi_pq[:, free].T
@@ -893,7 +905,7 @@ class TestOuterNewton:
     def test_chi_pp_matches_finite_differences(self, kind):
         # d_x = D(rho_x || rho_bar) at a fixed kernel, one letter at a time
         states, p, q = _outer_draw(kind)
-        chi_pp, _ = capacity._input_hessian(capacity._Point(states, p, q).derive())
+        chi_pp, _ = _input_hessian(capacity._Point(states, p, q).derive())
         fd = np.empty_like(chi_pp)
         for k in range(p.size):
             e = np.zeros(p.size)
@@ -909,7 +921,7 @@ class TestOuterNewton:
         # d_x at a fixed p along zero-sum moves of one kernel row: the
         # per-row constant of chi_pq drops out
         states, p, q = _outer_draw(kind)
-        _, chi_pq = capacity._input_hessian(capacity._Point(states, p, q).derive())
+        _, chi_pq = _input_hessian(capacity._Point(states, p, q).derive())
         nx, ns = q.shape
         for x in range(nx):
             for s in range(1, ns):
@@ -983,7 +995,7 @@ class TestOuterNewton:
         states, p, _ = _outer_draw("interior")
         states, q = states[:, :1], np.ones((3, 1))
         pt = capacity._Point(states, p, q).derive()
-        chi_pp, _ = capacity._input_hessian(pt)
+        chi_pp, _ = _input_hessian(pt)
         assert np.allclose(_envelope_hessian(pt), chi_pp,
                            rtol=0.0, atol=1e-12 * np.max(np.abs(chi_pp)))
         _assert_newton_step(pt, chi_pp, np.arange(3))
@@ -1004,6 +1016,82 @@ class TestOuterNewton:
         res2 = capacity_informed_jammer(Avcqc((0, 1, 2), (0, 1, 2), states[:, :, :2, :2]))
         assert res3.bracket[0] <= res3.value <= res3.bracket[1]
         assert abs(res3.value - res2.value) <= DEFAULT_TOL.maxmin_bracket
+
+
+def _branch_point(kind):
+    """A derived point at which the outer step's direction takes one branch: a held input
+    letter, kernel entries held at 0, |S| = 1, |X| = 1, or a singular KKT system (zero
+    operators for states, whose saddle Hessian is exactly 0)."""
+    if kind == "held letter":
+        # letter 2 repeats letter 0, which rho_bar lies close to, at p_2 = 0
+        states, _, q = _outer_draw("interior")
+        states[2], q[2] = states[0], q[0]
+        p = np.array([0.8, 0.2, 0.0])
+    elif kind == "held kernel entries":
+        states, p, _ = _outer_draw("interior")
+        q = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.2, 0.0, 0.8]])
+    elif kind == "single state":
+        states, p, q = _outer_draw("interior")
+        states, q = states[:, :1], np.ones((3, 1))
+    elif kind == "single input":
+        states, _, q = _outer_draw("interior")
+        states, p, q = states[:1], np.ones(1), q[:1]
+    else:
+        states = np.zeros((2, 2, 2, 2), dtype=complex)
+        p, q = np.array([0.3, 0.7]), np.array([[0.4, 0.6], [0.9, 0.1]])
+    pt = capacity._Point(states, p, q).derive()
+    held_p = (pt.p == 0.0) & (pt.d_x < pt.d_x.max())
+    held_q = ~capacity._free_entries(pt.q, pt.grad)
+    assert held_p.any() == (kind == "held letter")
+    assert held_q.any() == (kind == "held kernel entries")
+    return pt
+
+
+_BRANCHES = ["held letter", "held kernel entries", "single state", "single input", "singular"]
+
+
+class TestSaddleAssembly:
+    """The outer step's one bordered KKT matrix, gathered once on the free entries, gives
+    the direction of the np.block assembly with its KKT matrix built afresh, bit for bit."""
+
+    @pytest.mark.parametrize("kind", _BRANCHES)
+    def test_written_hessian_is_the_block_assembly(self, kind):
+        pt = _branch_point(kind)
+        nx, ns = pt.q.shape
+        system = capacity._SaddleSystem(nx, ns)
+        system.write_hessian(pt)
+        assert np.array_equal(system.hess, saddle_hessian_reference(pt))
+
+    @pytest.mark.parametrize("kind", _BRANCHES)
+    def test_direction_matches_the_fresh_assembly(self, kind):
+        pt = _branch_point(kind)
+        for kernel_grad in (pt.grad, np.zeros_like(pt.grad)):
+            got = capacity._saddle_direction(pt, kernel_grad)
+            ref = saddle_direction_reference(pt, kernel_grad)
+            if kind == "singular":
+                assert got is None and ref is None
+            else:
+                assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+    def test_one_system_serves_every_direction_of_a_solve(self, monkeypatch):
+        # the seed-1 maxmin-solve draws: every direction of each solve, from
+        # the one system the solve builds, is the fresh assembly's
+        real, seen = capacity._saddle_direction, []
+
+        def checked(pt, kernel_grad, system=None):
+            got = real(pt, kernel_grad, system)
+            ref = saddle_direction_reference(pt, kernel_grad)
+            assert (got is None) == (ref is None)
+            assert got is None or all(np.array_equal(a, b) for a, b in zip(got, ref))
+            seen.append(system)
+            return got
+
+        monkeypatch.setattr(capacity, "_saddle_direction", checked)
+        for w in _maxmin_solve_draws():
+            before = len(seen)
+            capacity_informed_jammer(w)
+            assert len({id(system) for system in seen[before:]}) == 1
+        assert len(seen) >= 17
 
 
 def _log2m(m):

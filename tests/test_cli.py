@@ -775,3 +775,31 @@ sys.exit(main(sys.argv[1:]))
         assert run.stderr.startswith("error: MemoryError: Unable to allocate"), run.stderr
         assert "Traceback" not in run.stderr
         assert not out.exists()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+class TestLongTypicalityRange:
+    """A typicality range of more block lengths than the enumeration cap is refused
+    after reading one past the cap, not listed whole."""
+
+    # 10^20 block lengths: listed whole they would need far more than the
+    # child's 3 GiB of address space
+    SCRIPT = """
+import resource, sys
+limit = 3 << 30
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from avcqc.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+    def test_range_past_the_cap_exits_1_without_output(self, tmp_path):
+        out = tmp_path / "bounds.csv"
+        argv = ["typicality", "--channel", str(SPECS / "mirror_pair_fixed_channel.json"),
+                "--n-min", "4", "--n-max", "100000000000000000000", "--out", str(out)]
+        run = subprocess.run([sys.executable, "-c", self.SCRIPT, *argv],
+                             capture_output=True, text=True, env=child_env())
+        assert run.returncode == 1, run.stderr
+        assert run.stderr.splitlines() == [
+            "error: EnumerationOverflow: n_range holds more than 1048576 block lengths, "
+            "the enumeration cap"]
+        assert not out.exists()

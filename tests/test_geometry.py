@@ -2,6 +2,8 @@ from itertools import product as iproduct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from avcqc import geometry
@@ -121,6 +123,30 @@ class TestAffineSetDistance:
         dist, lower, _, _ = affine_set_distance(gen0, gen1, 2, 2, max_iter=3)
         assert dist**2 - lower**2 <= 1e-12
         assert dist == pytest.approx(affine_set_distance(gen0, gen1, 2, 2)[0], abs=1e-15)
+
+
+@st.composite
+def ragged_rows(draw):
+    """Rows of unequal widths, with ties, signed zeros and entries far outside the simplex."""
+    entry = st.one_of(st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False),
+                      st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 1e-17]))
+    widths = draw(st.lists(st.integers(1, 7), min_size=1, max_size=6))
+    return [np.array(draw(st.lists(entry, min_size=k, max_size=k))) for k in widths]
+
+
+class TestPaddedProjection:
+    @given(ragged_rows())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_padded_stack_projects_each_row_bit_for_bit(self, rows):
+        # rows padded with -inf to one width and projected in one call: each
+        # row's entries are its own call's, bit for bit, and the pads are 0
+        stack = np.full((len(rows), max(r.size for r in rows)), -np.inf)
+        for i, r in enumerate(rows):
+            stack[i, : r.size] = r
+        joint = geometry.project_simplex_rows(stack)
+        for i, r in enumerate(rows):
+            assert joint[i, : r.size].tobytes() == geometry.project_simplex_rows(r).tobytes()
+            assert not joint[i, r.size :].any()
 
 
 class TestPatternSearch:

@@ -1,5 +1,5 @@
 import tracemalloc
-from itertools import product as iproduct
+from itertools import count, product as iproduct
 from math import comb, prod
 
 import numpy as np
@@ -642,6 +642,34 @@ class TestTypicalityBoundaryOverride:
         rows = verify_typicality_bounds(*args, tol=wide).to_csv_rows()
         assert rows != verify_typicality_bounds(*args).to_csv_rows()
         assert rows == per_block_typicality_bounds(*args, tol=wide).to_csv_rows()
+
+
+class TestRangeCap:
+    def test_range_past_the_cap_is_read_one_past_it(self):
+        # the block lengths are read lazily: cap + 1 of them decide, and the
+        # rest of an endless range is never listed
+        read = []
+
+        def lengths():
+            for n in count(4):
+                read.append(n)
+                yield n
+
+        with pytest.raises(EnumerationOverflow,
+                           match="^n_range holds more than 11 block lengths, the enumeration cap$"):
+            verify_typicality_bounds(mirror_pair_channel(), [0.5, 0.5], lengths(), 0.1,
+                                     caps=Caps(enumeration=11))
+        assert read == list(range(4, 16))
+
+    def test_range_within_the_cap_runs(self):
+        # 9 block lengths under a cap of 11: the rows of the default cap
+        args = (mirror_pair_channel(), [0.5, 0.5], range(4, 13), 0.1)
+        assert (verify_typicality_bounds(*args, caps=Caps(enumeration=11)).to_csv_rows()
+                == verify_typicality_bounds(*args).to_csv_rows())
+
+    def test_range_of_1e20_is_refused(self):
+        with pytest.raises(EnumerationOverflow, match="more than 1048576 block lengths"):
+            verify_typicality_bounds(mirror_pair_channel(), [0.5, 0.5], range(4, 10**20 + 1), 0.1)
 
 
 NAN, INF = float("nan"), float("inf")
