@@ -90,7 +90,7 @@ import numpy as np
 from .channels import JammerKernel, _input_distribution
 from .config import DEFAULT_TOL, with_overrides
 from .errors import InvalidArgument, NonBinarySource, SolverDiverged
-from .geometry import _STEP_FLOOR, _STEP_TRIALS, _bordered, _free_entries, _newton_steps
+from .geometry import _STEP_FLOOR, _STEP_TRIALS, _bordered, _free_entries, _projected_newton
 from .geometry import _solve_kkt, project_simplex_rows
 from .operators import _integer, eigh_stack, eigvalsh_stack, entropy_from_eigenvalues
 
@@ -268,49 +268,31 @@ def holevo_capacity(w):
 def _descend_kernel(pt, max_iter, gap_stop=_KERNEL_GAP):
     """Projected Newton descent of chi over the kernel q (X, S) of the evaluated point pt, at its p.
 
-    Each step is the set distance's (``geometry._newton_steps``): the
-    feasible Newton direction D of chi on the entries ``_free_entries``
-    leaves free, tried at project_simplex_rows(q + t D) for t = 1, the
-    blocking t (which walks q onto a face of minimizing kernels) and its
-    halvings, accepting the first candidate at which chi does not rise
-    beyond rounding.  The descent ends once the Frank-Wolfe gap is at most
-    gap_stop, when no candidate is accepted (chi has reached its rounding
-    floor, or the Newton system is singular), or after max_iter steps.  It
-    returns its last point, derived: chi - gap there bounds the inner
-    minimum from below wherever it stops.  On |S| = 1 no step is taken.
+    One run of the set distance's loop ``geometry._projected_newton`` on
+    the kernel rows with chi's ``kernel_hessian``, keeping the first trial
+    kernel at which chi does not rise beyond _DESCENT_SLACK; its blocking
+    step walks q onto a face of minimizing kernels.  It ends on the loop's
+    stop: a gap at most gap_stop, max_iter steps, a singular system, or no
+    trial kept.  It returns its last point, derived: chi - gap there bounds
+    the inner minimum from below wherever it stops.  On |S| = 1 no step is
+    taken.
     """
     if not np.isfinite(pt.chi):
         raise SolverDiverged("non-finite objective at the initial kernel")
-    nx, ns = pt.q.shape
-    owner = np.arange(nx).repeat(ns)
-    for step in range(max_iter + 1):
+
+    def at(pt):
         pt.derive()
-        if pt.gap <= gap_stop or step == max_iter:
-            break
-        free = _free_entries(pt.q, pt.grad).ravel()
-        found = _newton_steps(pt.kernel_hessian, pt.grad.ravel(), pt.q.ravel(), free, owner, nx)
-        if found is None:
-            break
-        direction, lengths = found
-        for t in lengths:
-            cand = _try_kernel(pt, pt.q + t * direction.reshape(pt.q.shape))
-            if cand is not None:
-                break
-        else:
-            break
-        pt = cand
+        return pt.q.ravel(), pt.grad.ravel(), pt.gap, lambda: pt.kernel_hessian
+
+    def accept(pt, q):
+        cand = _Point(pt.states, pt.p, q.reshape(pt.q.shape))
+        return cand if cand.chi <= pt.chi + _DESCENT_SLACK else None
+
+    parts = ((slice(0, pt.q.size), pt.q.shape[1]),)
+    pt = _projected_newton(pt, parts, at, accept, max_iter, gap_stop)[0]
     if not np.isfinite(pt.chi):
         raise SolverDiverged("non-finite objective during kernel descent")
     return pt
-
-
-def _try_kernel(pt, target):
-    """The point at the projection of target, if chi does not rise there from pt."""
-    cand = project_simplex_rows(target)
-    if (cand == pt.q).all():
-        return None
-    found = _Point(pt.states, pt.p, cand)
-    return found if found.chi <= pt.chi + _DESCENT_SLACK else None
 
 
 def min_chi_over_jammer(w, p, tol=DEFAULT_TOL):
@@ -320,7 +302,8 @@ def min_chi_over_jammer(w, p, tol=DEFAULT_TOL):
     convexity of the relative entropy), so every local minimum over the
     kernel polytope is global and one descent from the uniform kernel finds
     it: seeded restarts could only find the same minimum again.  The descent
-    (``_descend_kernel``) takes projected Newton steps and stops once its
+    (``_descend_kernel``) takes the projected Newton steps of the one loop
+    ``geometry._projected_newton``, the set distance's too, and stops once its
     Frank-Wolfe gap is at most _KERNEL_GAP, so the value lies within 1e-9 of
     the minimum, also where the minimizing kernels fill a face (the letters'
     outputs made to coincide): its blocking step walks onto the face.

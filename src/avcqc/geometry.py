@@ -5,10 +5,9 @@ embedding used here preserves the trace inner product, so Euclidean
 geometry on the embedded vectors is Frobenius geometry on operators.
 The distance solver decides whether two affinely parameterized convex
 sets (images of products of probability simplices) intersect.  The
-Euclidean projection onto the simplex and the projected Newton step on
-products of simplices (``_newton_steps``: direction and step lengths),
-which the kernel descent in capacity shares with its own accept test, live
-here too.
+Euclidean projection onto the simplex and the one projected Newton loop on
+products of simplices (``_projected_newton``), which the kernel descent in
+capacity drives with its own point and accept test, live here too.
 """
 
 from functools import cache
@@ -27,7 +26,7 @@ _NEWTON_SHIFT = 1e-12
 _GAP_STOP = 1e-12
 # Newton steps of the set-distance solve when the caller gives no budget
 _DISTANCE_STEPS = 100
-# step lengths tried on one Newton direction (``_newton_steps``) before a solve stops
+# step lengths tried on one Newton direction (``_projected_newton``) before a solve stops
 _STEP_TRIALS = 20
 
 
@@ -127,45 +126,71 @@ def _solve_kkt(kkt, keep, rhs, nrows):
     return None if sol is None else (idx[:nf], sol[:nf])
 
 
-def _newton_steps(hess, grad, z, free, owner, nrows):
-    """Feasible Newton direction D of f at z and the step lengths to try on it, or None.
+def _projected_newton(state, parts, at, accept, max_iter, gap_stop):
+    """Projected Newton descent on a product of simplices: (last state, steps, reason).
 
-    D solves the KKT system of the Hessian hess on the free entries, one
-    zero-sum constraint per row (owner gives each entry's row).  Free
-    entries at 0 that D would push below 0 are held there as well and the
-    system is solved again, until D is feasible; every row keeps its entries
-    above _STEP_FLOOR, so none is left without a free entry.  None if a
-    system is singular.  The _STEP_TRIALS lengths are 1, then the blocking t
-    that lands an entry on 0 if that is shorter (computed only once 1 is
-    refused), then halvings of that t.  The caller projects z + t D onto its
-    simplices and accepts by its own test.
+    parts lists the (slice, row length) of each block of the flat point,
+    whose rows lie on probability simplices.  at(state) gives (z, grad, gap,
+    hess): the point, its gradient, its Frank-Wolfe gap and a callable for
+    the Hessian, called only once the gap is open.  A step holds at 0 the
+    entries ``_free_entries`` holds and every entry at 0 that the direction
+    D would push below 0, solving the KKT system (one zero-sum row per
+    simplex) on the rest until D is feasible.  It tries _STEP_TRIALS lengths,
+    1, the blocking t that lands an entry on 0 if shorter (computed once 1
+    is refused), then halvings of it, projecting z + t D once per part;
+    accept(state, candidate) gives the next state or None.  The reason is
+    "gap" (gap <= gap_stop), "max_iter", "singular" (a singular KKT system)
+    or "no_step": every length refused, or a projection that returns z, as
+    the normal cone at z is a cone and every shorter length returns z too.
     """
-    kkt = _bordered(owner, nrows)
-    kkt[: z.size, : z.size] = hess
-    keep = np.ones(z.size + nrows, dtype=bool)
-    rhs = np.concatenate([-grad, np.zeros(nrows)])
+    steps = 0
     while True:
-        keep[: z.size] = free
-        found = _solve_kkt(kkt, keep, rhs, nrows)
-        if found is None:
-            return None
-        direction = np.zeros(z.shape)
-        direction[found[0]] = found[1]
-        leaving = free & (z <= _STEP_FLOOR) & (direction < 0.0)
-        if not leaving.any():
-            break
-        free = free & ~leaving
-
-    def lengths():
-        yield 1.0
-        down = direction < 0.0
-        t = float(np.min(z[down] / -direction[down])) if down.any() else 1.0
-        t = t if t < 1.0 else 0.5
-        for _trial in range(_STEP_TRIALS - 1):
-            yield t
-            t /= 2.0
-
-    return direction, lengths()
+        z, grad, gap, hess = at(state)
+        if gap <= gap_stop:
+            return state, steps, "gap"
+        if steps == max_iter:
+            return state, steps, "max_iter"
+        if steps == 0:
+            n, rows = z.size, [(sl.stop - sl.start) // r for sl, r in parts]
+            nrows = sum(rows)
+            # each entry's row: row i repeated by its length
+            owner = np.arange(nrows).repeat(np.repeat([r for _sl, r in parts], rows))
+            kkt = _bordered(owner, nrows)
+            keep = np.ones(n + nrows, dtype=bool)
+            rhs = np.zeros(n + nrows)
+        kkt[:n, :n] = hess()
+        np.negative(grad, out=rhs[:n])
+        for sl, r in parts:
+            keep[sl] = _free_entries(z[sl].reshape(-1, r), grad[sl].reshape(-1, r)).ravel()
+        while True:
+            solved = _solve_kkt(kkt, keep, rhs, nrows)
+            if solved is None:
+                return state, steps, "singular"
+            direction = np.zeros(n)
+            direction[solved[0]] = solved[1]
+            leaving = keep[:n] & (z <= _STEP_FLOOR) & (direction < 0.0)
+            if not leaving.any():
+                break
+            keep[:n] &= ~leaving
+        t = 1.0
+        for trial in range(_STEP_TRIALS):
+            cand = z + t * direction
+            for sl, r in parts:
+                cand[sl] = project_simplex_rows(cand[sl].reshape(-1, r)).ravel()
+            if np.array_equal(cand, z):
+                return state, steps, "no_step"
+            nxt = accept(state, cand)
+            if nxt is not None:
+                break
+            if trial == 0:
+                down = direction < 0.0
+                t = float(np.min(z[down] / -direction[down])) if down.any() else 1.0
+                t = t if t < 1.0 else 0.5
+            else:
+                t /= 2.0
+        else:
+            return state, steps, "no_step"
+        state, steps = nxt, steps + 1
 
 
 def affine_set_distance(gen0, gen1, row_len0, row_len1, tol=_GAP_STOP, max_iter=_DISTANCE_STEPS):
@@ -176,17 +201,13 @@ def affine_set_distance(gen0, gen1, row_len0, row_len1, tol=_GAP_STOP, max_iter=
     on a probability simplex.  f(z) = |gen0 q0 - gen1 q1|^2 is a convex
     quadratic in z = (q0, q1) with the constant Hessian 2G, G the Gram
     matrix of [gen0, -gen1], so a Newton step on the right face is exact.
-    From the uniform kernels, each step (``_newton_steps``, shared with the
-    kernel descent) holds at 0 the entries ``_free_entries`` holds and every
-    entry at 0 that the step would push below 0, so that the direction D
-    from the KKT system of 2G on the free entries (one zero-sum constraint
-    per row) is feasible.  It tries the projection of z + t D for t = 1,
-    the largest t that keeps the entries nonnegative (landing the blocking
-    entry on 0) and halvings of that t, and accepts the first point at
-    which f does not rise.  The solve ends once the Frank-Wolfe gap
-    grad f(z) . z - sum over rows of min_i grad f(z)_i, which bounds
-    f(z) - min f, is <= tol, after max_iter steps, or when no step finds a
-    new point.  One to three steps close the gap on the separation draws.
+    From the uniform kernels, the loop ``_projected_newton`` (the kernel
+    descent's too) steps on 2G and keeps the first trial point at which f
+    does not rise, read from the exact residual difference.  It stops once
+    the Frank-Wolfe gap grad f(z) . z - sum over rows of min_i grad f(z)_i,
+    which bounds f(z) - min f, is <= tol, after max_iter steps, or on a
+    singular system or no new point.  One to three steps close the gap on
+    the separation draws.
 
     Returns (distance, lower, q0, q1): distance = sqrt f at the returned
     point and lower = sqrt max(f - gap, 0), a certified lower bound; f and
@@ -198,39 +219,24 @@ def affine_set_distance(gen0, gen1, row_len0, row_len1, tol=_GAP_STOP, max_iter=
     joint = np.concatenate([g0, -g1], axis=1)
     hess = 2.0 * (joint.T @ joint)
     parts = ((slice(0, k0), row_len0), (slice(k0, k0 + k1), row_len1))
-    owner = np.concatenate([np.arange(k0) // row_len0, k0 // row_len0 + np.arange(k1) // row_len1])
-    nrows = int(owner[-1]) + 1
 
-    def rows(v):
-        return [v[sl].reshape(-1, r) for sl, r in parts]
-
-    def proj(v):
-        return np.concatenate([project_simplex_rows(r).ravel() for r in rows(v)])
-
-    z = np.concatenate([np.full(sl.stop - sl.start, 1.0 / r) for sl, r in parts])
-    # f and its gradient from the residual, so f near 0 is not lost to
-    # cancellation in z . G z
-    resid = joint @ z
-    for step in range(max_iter + 1):
+    def point(z):
+        # f and its gradient from the residual, so f near 0 is not lost to
+        # cancellation in z . G z
+        resid = joint @ z
         f, grad = float(resid @ resid), 2.0 * (joint.T @ resid)
-        gap = float(grad @ z) - sum(float(g.min(axis=1).sum()) for g in rows(grad))
-        if gap <= tol or step == max_iter:
-            break
-        free = np.concatenate([_free_entries(q, g).ravel() for q, g in zip(rows(z), rows(grad))])
-        found = _newton_steps(hess, grad, z, free, owner, nrows)
-        if found is None:
-            break
-        direction, lengths = found
-        for t in lengths:
-            cand = proj(z + t * direction)
-            # f(cand) - f(z), free of the cancellation between the two values
-            moved = joint @ (cand - z)
-            if float(moved @ (2.0 * resid + moved)) <= 0.0:
-                break
-        else:
-            break
-        if np.array_equal(cand, z):
-            break
-        z, resid = cand, joint @ cand
+        gap = float(grad @ z) - sum(float(grad[sl].reshape(-1, r).min(axis=1).sum())
+                                    for sl, r in parts)
+        return z, resid, f, grad, gap
+
+    def accept(state, cand):
+        z, resid = state[:2]
+        # f(cand) - f(z), free of the cancellation between the two values
+        moved = joint @ (cand - z)
+        return point(cand) if float(moved @ (2.0 * resid + moved)) <= 0.0 else None
+
+    start = point(np.concatenate([np.full(sl.stop - sl.start, 1.0 / r) for sl, r in parts]))
+    (z, _, f, _, gap), _, _ = _projected_newton(
+        start, parts, lambda s: (s[0], s[3], s[4], lambda: hess), accept, max_iter, tol)
     # f - gap <= min f in exact arithmetic; a negative gap is rounding
     return float(np.sqrt(f)), float(np.sqrt(max(f - max(gap, 0.0), 0.0))), z[:k0], z[k0:]

@@ -391,6 +391,29 @@ def separable_instance(rng, nx, d):
     return Avcqc(tuple(range(nx)), (0, 1), states), src
 
 
+def projected_gradient_distance(gen0, gen1, row_len0, row_len1, steps):
+    """|gen0 q0 - gen1 q1| at the best of `steps` accelerated projected-gradient (FISTA)
+    iterates from the uniform kernels, each row of q0 and q1 on a simplex: the distance
+    at a feasible point, an upper bound on the set distance found without Newton steps."""
+    joint = np.concatenate([gen0, -gen1], axis=1)
+    k0 = gen0.shape[1]
+    step = 1.0 / (2.0 * np.linalg.norm(joint, 2) ** 2)
+
+    def proj(v):
+        return np.concatenate([project_simplex_rows(v[:k0].reshape(-1, row_len0)).ravel(),
+                               project_simplex_rows(v[k0:].reshape(-1, row_len1)).ravel()])
+
+    z = np.concatenate([np.full(k0, 1.0 / row_len0), np.full(gen1.shape[1], 1.0 / row_len1)])
+    y, t, best = z, 1.0, np.linalg.norm(joint @ z)
+    for _ in range(steps):
+        nxt = proj(y - step * 2.0 * (joint.T @ (joint @ y)))
+        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        y = nxt + ((t - 1.0) / t_next) * (nxt - z)
+        z, t = nxt, t_next
+        best = min(best, np.linalg.norm(joint @ z))
+    return float(best)
+
+
 def scattered_labels(xs, letter_labels):
     """Reference basis labels of a conditional typical projector on the word xs.
 

@@ -18,7 +18,7 @@ from avcqc import (
     holevo_chi,
     min_chi_over_jammer,
 )
-from avcqc import capacity
+from avcqc import capacity, geometry
 from avcqc.capacity import _aux_objective
 from avcqc.config import DEFAULT_TOL, with_overrides
 from avcqc.errors import (
@@ -781,7 +781,7 @@ class TestKernelDescent:
         states, p, _ = _descent_draw("d3")
         start = np.full((3, 3), 1.0 / 3)
         f_newton = capacity._descend_kernel(capacity._Point(states, p, start), max_iter=2000).chi
-        monkeypatch.setattr(capacity, "_newton_steps", lambda *a: None)
+        monkeypatch.setattr(geometry, "_solve_kkt", lambda *a: None)
         pt = capacity._descend_kernel(capacity._Point(states, p, start), max_iter=300)
         f, q, gap = pt.chi, pt.q, pt.gap
         lo, _ = dense_saddle_bracket(states, p, start)
@@ -806,9 +806,8 @@ class TestKernelDescent:
         from avcqc import serialize
 
         w = serialize.load_channel(str(SPECS / "mirror_pair_fixed_channel.json"))
-        calls = []
-        monkeypatch.setattr(capacity, "_try_kernel", lambda *a: calls.append(a))
         start = capacity._Point(w.states, np.array([0.5, 0.5]), np.ones((2, 1)))
+        calls = _spy_points(monkeypatch)
         pt = capacity._descend_kernel(start, 2000)
         f, q, gap = pt.chi, pt.q, pt.gap
         assert calls == [] and gap == 0.0
@@ -834,6 +833,68 @@ class TestKernelDescent:
         w = random_avcqc(np.random.default_rng(draw), nx, ns, dim=3)
         res = capacity_informed_jammer(w, seed=5)
         assert abs(res.value - value) <= 1e-9
+
+
+def _spy_newton(monkeypatch, accept=None):
+    """The (last state, steps, reason) of every kernel descent's ``_projected_newton`` run
+    from now on; with accept given, each run takes that accept test instead of its own."""
+    runs = []
+    real = geometry._projected_newton
+
+    def spy(state, parts, at, own_accept, *rest):
+        runs.append(real(state, parts, at, accept or own_accept, *rest))
+        return runs[-1]
+
+    monkeypatch.setattr(capacity, "_projected_newton", spy)
+    return runs
+
+
+class TestProjectedNewtonStops:
+    # the kernel descent's runs of the one projected Newton loop, driven
+    # into each of its four stop reasons
+
+    def test_open_gap_closes(self, monkeypatch):
+        states, p, _ = _descent_draw("d3")
+        runs = _spy_newton(monkeypatch)
+        pt = capacity._descend_kernel(capacity._Point(states, p, np.full((3, 3), 1.0 / 3)), 2000)
+        [(last, steps, reason)] = runs
+        assert last is pt and reason == "gap" and 0 < steps < 2000
+        assert pt.gap <= capacity._KERNEL_GAP
+
+    def test_one_step_budget_stops_on_it(self, monkeypatch):
+        # the first face draw whose descent from the uniform kernel takes
+        # more than one step, given a budget of one
+        runs = _spy_newton(monkeypatch)
+        for w in _face_draws():
+            nx, ns = w.states.shape[:2]
+            start = capacity._Point(w.states, np.full(nx, 1.0 / nx), np.full((nx, ns), 1.0 / ns))
+            capacity._descend_kernel(start, 2000)
+            if runs[-1][1] > 1:
+                break
+        pt = capacity._descend_kernel(start, 1)
+        last, steps, reason = runs[-1]
+        assert last is pt and pt is not start and reason == "max_iter" and steps == 1
+        assert pt.gap > capacity._KERNEL_GAP
+
+    def test_refused_kkt_system_is_singular(self, monkeypatch):
+        states, p, _ = _descent_draw("d3")
+        monkeypatch.setattr(geometry, "_solve_kkt", lambda *a: None)
+        runs = _spy_newton(monkeypatch)
+        start = capacity._Point(states, p, np.full((3, 3), 1.0 / 3))
+        assert capacity._descend_kernel(start, 300) is start
+        assert [r[1:] for r in runs] == [(0, "singular")]
+
+    def test_refused_trials_leave_no_step(self, monkeypatch):
+        # every length is tried and refused: 1, the blocking length and its
+        # halvings, each a different projected point
+        states, p, _ = _descent_draw("d3")
+        tried = []
+        runs = _spy_newton(monkeypatch, accept=lambda state, cand: tried.append(cand))
+        start = capacity._Point(states, p, np.full((3, 3), 1.0 / 3))
+        assert capacity._descend_kernel(start, 300) is start
+        assert [r[1:] for r in runs] == [(0, "no_step")]
+        assert len(tried) == geometry._STEP_TRIALS
+        assert len({c.tobytes() for c in tried}) == len(tried)
 
 
 def _outer_draw(kind):

@@ -18,6 +18,7 @@ from helpers import (
     flip_source,
     kernel_grid,
     pattern_search,
+    projected_gradient_distance,
     separable_instance,
     simplex_grid,
 )
@@ -123,6 +124,51 @@ class TestAffineSetDistance:
         dist, lower, _, _ = affine_set_distance(gen0, gen1, 2, 2, max_iter=3)
         assert dist**2 - lower**2 <= 1e-12
         assert dist == pytest.approx(affine_set_distance(gen0, gen1, 2, 2)[0], abs=1e-15)
+
+
+def near_twin_generators(seed):
+    """(gen0, gen1, row_len0, row_len1): gen1's columns repeat gen0's up to 1e-9, each
+    scaled by 10^U(0, 4), so that the Gram matrix is near-singular along the repeats."""
+    rng = np.random.default_rng([seed])
+    dim = int(rng.integers(3, 8))
+    r0, r1 = (int(v) for v in rng.integers(2, 5, size=2))
+    m0, m1 = (int(v) for v in rng.integers(2, 4, size=2))
+    gen0 = rng.standard_normal((dim, m0 * r0))
+    gen1 = gen0[:, rng.integers(0, m0 * r0, size=m1 * r1)]
+    gen1 = (gen1 + 1e-9 * rng.standard_normal(gen1.shape)) * 10.0 ** rng.uniform(0, 4, size=m1 * r1)
+    return gen0, gen1, r0, r1
+
+
+class TestProjectedNewton:
+    def test_projection_onto_its_own_point_stops_before_a_trial(self):
+        # a zero gradient under an open gap gives the direction 0, whose
+        # projected point is z itself: the solve stops without an accept test
+        z = np.array([0.2, 0.8, 0.5, 0.5])
+        tried = []
+        last, steps, reason = geometry._projected_newton(
+            z, ((slice(0, 2), 2), (slice(2, 4), 2)),
+            lambda state: (state, np.zeros(4), 1.0, lambda: np.eye(4)),
+            lambda state, cand: tried.append(cand), 100, 0.0)
+        assert last is z and (steps, reason) == (0, "no_step") and tried == []
+
+
+class TestNearTwinGenerators:
+    @pytest.mark.parametrize("seed", [63, 106, 185])
+    def test_open_gap_keeps_the_lower_bound_sound(self, monkeypatch, seed):
+        # sets 40-165 apart whose solve stops with its gap open (gap/f of
+        # 0.26-0.82), its distance about 4% above the one 20,000
+        # projected-gradient steps reach: the lower end still holds, and the
+        # stop reads "gap" only where the gap at the returned point is closed
+        runs = []
+        real = geometry._projected_newton
+        monkeypatch.setattr(geometry, "_projected_newton",
+                            lambda *a: runs.append(real(*a)) or runs[-1])
+        gens = near_twin_generators(seed)
+        dist, lower, _, _ = affine_set_distance(*gens)
+        [((_, _, f, _, gap), _, reason)] = runs
+        assert 0.0 < lower <= dist == np.sqrt(f)
+        assert lower <= projected_gradient_distance(*gens, 2000)
+        assert (reason == "gap") == (gap <= geometry._GAP_STOP)
 
 
 @st.composite
