@@ -82,15 +82,15 @@ flows from a single seed; identical seeds give identical results bit for
 bit.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .channels import JammerKernel, _input_distribution
-from .config import DEFAULT_TOL, with_overrides
+from .config import DEFAULT_TOL
 from .errors import InvalidArgument, NonBinarySource, SolverDiverged
-from .geometry import _STEP_FLOOR, _STEP_TRIALS, _bordered, _free_entries, _projected_newton
+from .geometry import _STEP_FLOOR, _STEP_TRIALS, _Simplices, _free_entries, _projected_newton
 from .geometry import _solve_kkt, project_simplex_rows
 from .operators import _integer, eigh_stack, eigvalsh_stack, entropy_from_eigenvalues
 
@@ -217,12 +217,6 @@ class _Point:
         h /= LN2
         return h
 
-    @cached_property
-    def stack(self):
-        """p over the kernel rows, (X+1, max(X, S)), rows padded with 0 (``_stacked``); a
-        trial point of ``_outer_step`` is cut from its own projected stack, which it keeps."""
-        return _stacked(self.p, self.q, 0.0)
-
     def bracket(self):
         return self.lo, self.hi
 
@@ -257,7 +251,7 @@ def holevo_capacity(w):
     it is at most _HOLEVO_BRACKET wide, after 400 outer steps, or when no
     Newton step is accepted; the capacity returned is chi at the returned p.
     """
-    tol = with_overrides(DEFAULT_TOL, maxmin_bracket=_HOLEVO_BRACKET)
+    tol = replace(DEFAULT_TOL, maxmin_bracket=_HOLEVO_BRACKET)
     return _saddle_solve(w.states[:, None], outer_iter=400, inner_iter=120, tol=tol)[:2]
 
 
@@ -329,27 +323,21 @@ class CapacityResult:
     stop_reason: str              # "bracket", "max_iter" or "no_step": how the outer ascent ended
 
 
-class _SaddleSystem:
-    """The outer step's KKT system on (p, q), p (X,) and q (X, S), built once per solve.
+class _SaddleSystem(_Simplices):
+    """The outer step's product of simplices (p, q), p (X,) and q (X, S), built once per solve.
 
-    ``kkt`` is the ``geometry._bordered`` matrix of the n = X + X S entries
-    (p, then the kernel rows) with one zero-sum row for p and one per kernel
-    row; ``write_hessian`` fills its (n, n) block ``hess`` at each point.
-    ``keep`` marks the rows a direction solves on (the constraint rows are
-    always kept) and ``rhs`` is its right-hand side.
+    The ``geometry._Simplices`` of the n = X + X S entries, p then the
+    kernel rows, whose KKT system and projection the outer step uses.  The
+    saddle's own are ``write_hessian``, which fills the Hessian block
+    ``hess`` at each point, and ``own_rows``, the entries of it that a
+    kernel row moves through its own rho_x.
     """
 
     def __init__(self, nx, ns):
-        n = nx + nx * ns
-        size = n + nx + 1
-        self.shape, self.n = (nx, ns), n
-        self.kkt = _bordered(np.concatenate([np.zeros(nx, dtype=int), 1 + np.arange(nx).repeat(ns)]),
-                             nx + 1)
-        self.hess = self.kkt[:n, :n]
+        super().__init__(((slice(0, nx), nx), (slice(nx, nx + nx * ns), ns)))
+        self.shape, size = (nx, ns), self.kkt.shape[0]
         # the entries (x, (x, s)) of -chi_pq, where kernel row x moves its own rho_x
         self.own_rows = self.kkt.reshape(-1)[nx : nx + nx * (size + ns)].reshape(nx, -1)[:, :ns]
-        self.keep = np.ones(size, dtype=bool)
-        self.rhs = np.zeros(size)
 
     def write_hessian(self, pt):
         """The saddle Hessian [[-chi_pp, -chi_pq], [chi_pq^T, chi_qq]] at a derived point, into hess.
@@ -384,8 +372,8 @@ def _saddle_direction(pt, kernel_grad, system=None):
     One KKT solve of chi's quadratic model with the gradients d_x and
     kernel_grad, maximized in p and minimized in q: one zero-sum row for p
     and one per kernel row, the p rows negated so that both diagonal blocks
-    are convex.  The Hessian is written into the solve's ``_SaddleSystem``
-    (one is built if none is given) and the system is gathered once on the
+    are convex.  The Hessian is written into the KKT system of the solve's
+    ``_SaddleSystem`` (one is built if none is given), gathered once on the
     free entries (``geometry._solve_kkt``).  The kernel entries
     ``_free_entries`` holds stay put.  Letters whose d_x is below the
     maximum and whose p_x is at most min(_HOLD_CAP, |p - project(p + d)|_1)
@@ -420,7 +408,7 @@ def _saddle_direction(pt, kernel_grad, system=None):
             step[:nx] = np.where(free_p, 0.0, -p)
             rhs[:n] -= system.hess @ step
     rhs[n] = -np.add.reduce(step)
-    found = _solve_kkt(system.kkt, keep, rhs, nx + 1)
+    found = _solve_kkt(system)
     if found is None:
         return None
     step[found[0]] = found[1]
@@ -428,46 +416,36 @@ def _saddle_direction(pt, kernel_grad, system=None):
     return step[:nx], step[nx:].reshape(nx, ns)
 
 
-def _stacked(p, q, pad):
-    """p over the rows of q (X, S) in one (X+1, max(X, S)) array, each row padded with pad."""
-    nx, ns = q.shape
-    out = np.full((nx + 1, max(nx, ns)), pad)
-    out[0, :nx] = p
-    out[1:, :ns] = q
-    return out
-
-
 def _outer_step(pt, inner_iter, gap_stop, width, system):
     """The derived point of one outer step from the derived point pt, or None.
 
     Tries the projection of (p + t dp, q + t dq) for t = 1, 1/2, ...
-    (_STEP_TRIALS lengths) on the ``_saddle_direction`` at pt, p and the
-    kernel rows stacked and padded with -inf so that each trial point costs
-    one ``project_simplex_rows`` call, and keeps the first trial point
-    whose bracket is at most max(width, half the width of pt's).  At a
-    point at its kernel's inner minimum (pt.gap <= gap_stop) a trial not
-    kept is descended to its own inner minimum and kept if chi falls by at
-    most gap_stop from pt: both minima are known only to the descent's
-    Frank-Wolfe stop, so a smaller fall is no loss of phi(p) = min_q
-    chi(p, q), which is concave.  Compared more finely, every trial was
-    refused on draws whose phi is nearly flat between two input letters
-    1e-6 apart.  At any other point a trial not kept ends the step with
-    None, and so does one that leaves p where it is: no shorter step moves
-    p either, and the descent alone moves q.
+    (_STEP_TRIALS lengths) on the ``_saddle_direction`` at pt, each trial
+    point one ``project`` of the flat (p, q) through the solve's
+    ``_SaddleSystem``, and keeps the first trial point whose bracket is at
+    most max(width, half the width of pt's).  At a point at its kernel's
+    inner minimum (pt.gap <= gap_stop) a trial not kept is descended to its
+    own inner minimum and kept if chi falls by at most gap_stop from pt:
+    both minima are known only to the descent's Frank-Wolfe stop, so a
+    smaller fall is no loss of phi(p) = min_q chi(p, q), which is concave.
+    Compared more finely, every trial was refused on draws whose phi is
+    nearly flat between two input letters 1e-6 apart.  At any other point a
+    trial not kept ends the step with None, and so does one that leaves p
+    where it is: no shorter step moves p either, and the descent alone
+    moves q.
     """
     found = _saddle_direction(pt, pt.grad, system)
     if found is None:
         return None
-    nx, ns = pt.q.shape
-    # the pads: 0 in pt's stack plus -inf in the move stay below every entry
-    move = _stacked(*found, -np.inf)
+    nx = pt.p.size
+    z = np.concatenate([pt.p, pt.q.ravel()])
+    move = np.concatenate([found[0], found[1].ravel()])
     keep = max(width, pt.width() / 2)
     t = 1.0
     for _try in range(_STEP_TRIALS):
-        trial = project_simplex_rows(pt.stack + t * move)
-        p = trial[0, :nx]
-        cand = _Point(pt.states, p, trial[1:, :ns])
-        cand.stack = trial
+        trial = system.project(z + t * move)
+        p = trial[:nx]
+        cand = _Point(pt.states, p, trial[nx:].reshape(pt.q.shape))
         cand.derive()
         if cand.width() <= keep:
             return cand

@@ -106,10 +106,10 @@ class JammerKernel:
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=float)
         _check_alphabets("kernel shape", rows.shape, self.x_alphabet, self.s_alphabet)
-        _distribution_rows(rows, DEFAULT_TOL)
+        rows = _distribution_rows(rows, DEFAULT_TOL)
         object.__setattr__(self, "x_alphabet", tuple(self.x_alphabet))
         object.__setattr__(self, "s_alphabet", tuple(self.s_alphabet))
-        object.__setattr__(self, "rows", read_only(rows))
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def uniform(cls, x_alphabet, s_alphabet):

@@ -15,7 +15,7 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from . import serialize as io
 from .capacity import capacity_informed_jammer, cr_capacity
 from .channels import Avcqc, CorrelatedSource, CqChannel, source_distance
 from .coding import cr_generation_run, repetition_precode
-from .config import Caps, Tolerances, with_overrides
+from .config import Caps, Tolerances
 from .errors import Indeterminate, NoSeparatingPrecode, SpecParseError, ToolkitError
 from .separation import NotSeparable, build_g_pair, separation_test
 from .typicality import verify_typicality_bounds
@@ -44,7 +44,7 @@ def _parse_overrides(pairs, record, caster):
         if name in _INERT_FIELDS:
             raise SpecParseError(f"override field {name!r} has no effect on any command")
         out[name] = caster(name, value)
-    return with_overrides(record, **out) if out else record
+    return replace(record, **out) if out else record
 
 
 def _override_number(kind, name, text):

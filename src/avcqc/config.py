@@ -5,7 +5,7 @@ validation error can state which bound was violated, and so CLI overrides
 land in a single place.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,3 @@ class Caps:
 
 DEFAULT_TOL = Tolerances()
 DEFAULT_CAPS = Caps()
-
-
-def with_overrides(base, **kwargs):
-    """Return a copy of a Tolerances/Caps record with fields replaced."""
-    return replace(base, **kwargs)

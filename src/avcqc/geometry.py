@@ -5,14 +5,18 @@ embedding used here preserves the trace inner product, so Euclidean
 geometry on the embedded vectors is Frobenius geometry on operators.
 The distance solver decides whether two affinely parameterized convex
 sets (images of products of probability simplices) intersect.  The
-Euclidean projection onto the simplex and the one projected Newton loop on
-products of simplices (``_projected_newton``), which the kernel descent in
-capacity drives with its own point and accept test, live here too.
+Euclidean projection onto the simplex, the layout of a product of simplices
+with its KKT system (``_Simplices``) and the one projected Newton loop on it
+(``_projected_newton``), which the kernel descent in capacity drives with
+its own point and accept test, live here too.
 """
 
 from functools import cache
 
 import numpy as np
+
+from .errors import DimensionMismatch, InvalidArgument
+from .operators import _integer
 
 # entries at most this are under the rounding of a simplex projection, which
 # leaves residues of about 3e-17 where it should leave zeros: such an entry
@@ -60,7 +64,7 @@ def project_simplex_rows(y):
 
     Entries of -inf pad a row: they sort below every real entry, project to
     0 and leave the row's other entries as its unpadded projection, bit for
-    bit, so rows of unequal width share one call.
+    bit, so rows of unequal width share one call (``_Simplices.project``).
     """
     y = np.asarray(y, dtype=float)
     flat = y.reshape(-1, y.shape[-1])
@@ -94,35 +98,53 @@ def _solve_newton(kkt, rhs):
     return sol if np.logical_and.reduce(np.isfinite(sol)) else None
 
 
-def _bordered(owner, nrows):
-    """[[0, A^T], [A, 0]] (F + nrows, F + nrows) with A[r, k] = 1 where owner[k] == r: the
-    KKT matrix of the zero-sum constraint of each of nrows groups of F entries, whose
-    (F, F) block the caller fills with its model Hessian before ``_solve_kkt``."""
-    nf = len(owner)
-    kkt = np.zeros((nf + nrows, nf + nrows))
-    kkt[nf:, :nf] = owner == np.arange(nrows)[:, None]
-    kkt[:nf, nf:] = kkt[nf:, :nf].T
-    return kkt
+class _Simplices:
+    """A product of probability simplices laid out in one flat point, built once per solve.
 
-
-def _solve_kkt(kkt, keep, rhs, nrows):
-    """(free, x) of one Newton system on the entries a mask keeps, or None.
-
-    kkt is a ``_bordered`` matrix whose Hessian block h has a nonnegative
-    diagonal, convex or a saddle's block with its maximized rows negated;
-    keep marks its rows, the nrows constraint rows last and all kept.  The
-    kept rows and columns are gathered with one index, the kept block of h
-    is shifted by _NEWTON_SHIFT times its largest diagonal entry, and the
-    system is solved against rhs[keep]: free holds the kept entries of h's
-    index and x the solution on them.  None if the system is singular or
-    the solution overflows.
+    parts lists the (slice, row length) of each block of the n entries, in
+    order; the blocks' nrows rows each lie on a simplex.  ``kkt`` is the
+    bordered matrix [[h, A^T], [A, 0]], A[r, k] = 1 where entry k lies in
+    row r: the solve writes its model Hessian into the view ``hess`` of h,
+    marks in ``keep`` the rows a system solves on (the constraint rows last,
+    always kept) and writes ``rhs`` before each ``_solve_kkt``.
     """
-    idx = keep.nonzero()[0]
-    sub = kkt[idx[:, None], idx]
-    nf = idx.size - nrows
+
+    def __init__(self, parts):
+        lengths = [r for sl, r in parts for _ in range(sl.start, sl.stop, r)]
+        self.n, self.nrows = n, nrows = sum(lengths), len(lengths)
+        self.kkt = np.zeros((n + nrows, n + nrows))
+        # entry k and the constraint row of its simplex, row i repeated by its length
+        entry, row = np.arange(n), np.arange(n, n + nrows).repeat(lengths)
+        self.kkt[row, entry] = self.kkt[entry, row] = 1.0
+        self.hess = self.kkt[:n, :n]
+        self.keep, self.rhs = np.ones(n + nrows, dtype=bool), np.zeros(n + nrows)
+        # the rows padded with -inf to one width, and the slots of the n entries in it
+        self.rows = np.full((nrows, max(lengths)), -np.inf)
+        self.slots = np.arange(max(lengths)) < np.array(lengths)[:, None]
+
+    def project(self, y):
+        """The Euclidean projection of the flat point y onto the product: one
+        ``project_simplex_rows`` call on every row at once, padded with -inf."""
+        self.rows[self.slots] = y
+        return project_simplex_rows(self.rows)[self.slots]
+
+
+def _solve_kkt(system):
+    """(free, x) of the Newton system of a ``_Simplices`` on the entries it keeps, or None.
+
+    The Hessian block has a nonnegative diagonal, convex or a saddle's block
+    with its maximized rows negated.  The kept rows and columns are gathered
+    with one index, the kept Hessian block is shifted by _NEWTON_SHIFT times
+    its largest diagonal entry, and the system is solved against rhs on
+    them: free holds the kept entries and x the solution on them.  None if
+    the system is singular or the solution overflows.
+    """
+    idx = system.keep.nonzero()[0]
+    sub = system.kkt[idx[:, None], idx]
+    nf = idx.size - system.nrows
     diag = sub.reshape(-1)[: nf * (idx.size + 1) : idx.size + 1]
     diag += _NEWTON_SHIFT * np.maximum.reduce(diag)
-    sol = _solve_newton(sub, rhs[idx])
+    sol = _solve_newton(sub, system.rhs[idx])
     return None if sol is None else (idx[:nf], sol[:nf])
 
 
@@ -134,10 +156,10 @@ def _projected_newton(state, parts, at, accept, max_iter, gap_stop):
     hess): the point, its gradient, its Frank-Wolfe gap and a callable for
     the Hessian, called only once the gap is open.  A step holds at 0 the
     entries ``_free_entries`` holds and every entry at 0 that the direction
-    D would push below 0, solving the KKT system (one zero-sum row per
-    simplex) on the rest until D is feasible.  It tries _STEP_TRIALS lengths,
-    1, the blocking t that lands an entry on 0 if shorter (computed once 1
-    is refused), then halvings of it, projecting z + t D once per part;
+    D would push below 0, solving the KKT system of the solve's one
+    ``_Simplices`` on the rest until D is feasible.  It tries _STEP_TRIALS
+    lengths, 1, the blocking t that lands an entry on 0 if shorter (computed
+    once 1 is refused), then halvings of it, projecting z + t D in one call;
     accept(state, candidate) gives the next state or None.  The reason is
     "gap" (gap <= gap_stop), "max_iter", "singular" (a singular KKT system)
     or "no_step": every length refused, or a projection that returns z, as
@@ -151,19 +173,14 @@ def _projected_newton(state, parts, at, accept, max_iter, gap_stop):
         if steps == max_iter:
             return state, steps, "max_iter"
         if steps == 0:
-            n, rows = z.size, [(sl.stop - sl.start) // r for sl, r in parts]
-            nrows = sum(rows)
-            # each entry's row: row i repeated by its length
-            owner = np.arange(nrows).repeat(np.repeat([r for _sl, r in parts], rows))
-            kkt = _bordered(owner, nrows)
-            keep = np.ones(n + nrows, dtype=bool)
-            rhs = np.zeros(n + nrows)
-        kkt[:n, :n] = hess()
+            system = _Simplices(parts)
+            n, keep, rhs = system.n, system.keep, system.rhs
+        system.hess[...] = hess()
         np.negative(grad, out=rhs[:n])
         for sl, r in parts:
             keep[sl] = _free_entries(z[sl].reshape(-1, r), grad[sl].reshape(-1, r)).ravel()
         while True:
-            solved = _solve_kkt(kkt, keep, rhs, nrows)
+            solved = _solve_kkt(system)
             if solved is None:
                 return state, steps, "singular"
             direction = np.zeros(n)
@@ -174,9 +191,7 @@ def _projected_newton(state, parts, at, accept, max_iter, gap_stop):
             keep[:n] &= ~leaving
         t = 1.0
         for trial in range(_STEP_TRIALS):
-            cand = z + t * direction
-            for sl, r in parts:
-                cand[sl] = project_simplex_rows(cand[sl].reshape(-1, r)).ravel()
+            cand = system.project(z + t * direction)
             if np.array_equal(cand, z):
                 return state, steps, "no_step"
             nxt = accept(state, cand)
@@ -211,14 +226,23 @@ def affine_set_distance(gen0, gen1, row_len0, row_len1, tol=_GAP_STOP, max_iter=
 
     Returns (distance, lower, q0, q1): distance = sqrt f at the returned
     point and lower = sqrt max(f - gap, 0), a certified lower bound; f and
-    the gap are taken from the residual gen0 q0 - gen1 q1.
+    the gap are taken from the residual gen0 q0 - gen1 q1.  A row length
+    not an integer >= 1 or a non-finite entry raises InvalidArgument, and
+    generators not (D, K*) with K* a positive multiple of their row length
+    raise DimensionMismatch.
     """
-    g0 = np.asarray(gen0, dtype=float)
-    g1 = np.asarray(gen1, dtype=float)
+    r0, r1 = _integer(row_len0, "row_len0", 1), _integer(row_len1, "row_len1", 1)
+    g0, g1 = np.asarray(gen0, dtype=float), np.asarray(gen1, dtype=float)
+    if not (g0.ndim == g1.ndim == 2 and len(g0) == len(g1) and g0.shape[1] and g1.shape[1]
+            and g0.shape[1] % r0 == g1.shape[1] % r1 == 0):
+        raise DimensionMismatch(f"generators of shapes {g0.shape} and {g1.shape} are not (D, K) "
+                                f"with K a positive multiple of the row lengths {r0} and {r1}")
     k0, k1 = g0.shape[1], g1.shape[1]
     joint = np.concatenate([g0, -g1], axis=1)
+    if not np.logical_and.reduce(np.isfinite(joint), axis=None):
+        raise InvalidArgument("a generator entry is not finite")
     hess = 2.0 * (joint.T @ joint)
-    parts = ((slice(0, k0), row_len0), (slice(k0, k0 + k1), row_len1))
+    parts = ((slice(0, k0), r0), (slice(k0, k0 + k1), r1))
 
     def point(z):
         # f and its gradient from the residual, so f near 0 is not lost to

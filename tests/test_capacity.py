@@ -1,3 +1,4 @@
+from dataclasses import replace
 from functools import cache
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from avcqc import (
 )
 from avcqc import capacity, geometry
 from avcqc.capacity import _aux_objective
-from avcqc.config import DEFAULT_TOL, with_overrides
+from avcqc.config import DEFAULT_TOL
 from avcqc.errors import (
     AlphabetMismatch,
     InvalidArgument,
@@ -159,7 +160,7 @@ class TestHolevoCapacity:
         assert len(runs) == 1 and len(runs[0][4]) - 1 <= 8
         lo, hi = dense_saddle_bracket(w.states, p, np.ones((3, 1)))
         assert lo - 1e-12 <= val <= hi and hi - lo <= 1e-9
-        assert val == capacity_informed_jammer(w, tol=with_overrides(
+        assert val == capacity_informed_jammer(w, tol=replace(
             DEFAULT_TOL, maxmin_bracket=1e-9)).value
 
 
@@ -404,7 +405,7 @@ class TestSaddleBracket:
         # 4x4 d4, 5x5 d3, 6x4 d4: the mirror step took up to 732 outer steps
         # to a 1e-10 bracket; each closes in at most 12, inside the default
         # solve's bracket
-        tight = with_overrides(DEFAULT_TOL, maxmin_bracket=1e-10)
+        tight = replace(DEFAULT_TOL, maxmin_bracket=1e-10)
         rng = np.random.default_rng(5)
         for shape in [(2, 2, 2), (3, 2, 2), (2, 3, 2), (3, 3, 3), (4, 4, 4), (5, 5, 3), (6, 4, 4)]:
             w = wishart_avcqc(rng, *shape)
@@ -419,7 +420,7 @@ class TestSaddleBracket:
     def test_width_within_the_bracket_rounding_is_refused(self, width):
         with pytest.raises(InvalidArgument, match="maxmin_bracket"):
             capacity_informed_jammer(orthogonal_channel(),
-                                     tol=with_overrides(DEFAULT_TOL, maxmin_bracket=width))
+                                     tol=replace(DEFAULT_TOL, maxmin_bracket=width))
 
     def test_zero_capacity_is_positive_zero(self):
         from avcqc import serialize

@@ -12,7 +12,7 @@ from avcqc import (
     source_distance,
     zero_capacity_condition,
 )
-from avcqc.config import Caps
+from avcqc.config import DEFAULT_TOL, Caps
 from avcqc.errors import (
     AlphabetMismatch,
     DimOverflow,
@@ -261,6 +261,14 @@ class TestStackedValidation:
         with pytest.raises(InvalidJoint, match=r"^at \[2\]: negative weight -1.000e-01"):
             JammerKernel((0, 1, 2), (0, 1), [[0.5, 0.5], [0.5, 0.5], [1.1, -0.1]])
 
+    def test_kernel_stores_rounding_negatives_as_zero(self):
+        # an entry in [-prob_sum, 0) is rounding: the kernel keeps its rows
+        # clipped at +0.0, read-only, as CorrelatedSource keeps its joint
+        for neg in (-1e-13, -DEFAULT_TOL.prob_sum):
+            q = JammerKernel((0, 1), (0, 1), np.array([[0.25, 0.75], [1.0 - neg, neg]]))
+            assert q.rows.tobytes() == np.array([[0.25, 0.75], [1.0 - neg, 0.0]]).tobytes()
+            assert not q.rows.flags.writeable
+
     def test_state_table_shape_mismatch(self):
         with pytest.raises(AlphabetMismatch, match=r"table \(2,\) does not match alphabet \(3,\)"):
             CqChannel((0, 1, 2), np.stack([ZERO, ONE]))
@@ -301,5 +309,3 @@ class TestStackedValidation:
         w = Avcqc((0, 1), (0, 1), states)
         assert w.states.tobytes() == states.astype(complex).tobytes()
         assert not w.states.flags.writeable
-        rows = np.array([[0.25, 0.75], [1.0 + 1e-13, -1e-13]])
-        assert JammerKernel((0, 1), (0, 1), rows).rows.tobytes() == rows.tobytes()

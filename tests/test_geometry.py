@@ -2,13 +2,14 @@ from itertools import product as iproduct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import helpers
 from avcqc import geometry
 from avcqc.capacity import _aux_objective
 from avcqc.cli import _demo_source
+from avcqc.errors import DimensionMismatch, InvalidArgument
 from avcqc.geometry import affine_set_distance, embed_stack
 from avcqc.separation import _block_weights, _gram_factor, build_g_pair
 from helpers import (
@@ -17,6 +18,7 @@ from helpers import (
     constant_channel,
     flip_source,
     kernel_grid,
+    kkt_matrix,
     pattern_search,
     projected_gradient_distance,
     separable_instance,
@@ -193,6 +195,81 @@ class TestPaddedProjection:
         for i, r in enumerate(rows):
             assert joint[i, : r.size].tobytes() == geometry.project_simplex_rows(r).tobytes()
             assert not joint[i, r.size :].any()
+
+
+class TestSetDistanceArguments:
+    @pytest.mark.parametrize("gen0, gen1, row_len0, error, text", [
+        (np.ones((2, 3)), np.ones((2, 2)), 2, DimensionMismatch, r"shapes \(2, 3\) and \(2, 2\)"),
+        (np.ones((2, 2)), np.ones((2, 2)), 0, InvalidArgument, "row_len0 must be an integer >= 1"),
+        (np.ones((2, 2)), np.ones((3, 2)), 2, DimensionMismatch, r"shapes \(2, 2\) and \(3, 2\)"),
+        (np.ones((2, 2)), np.ones((2, 2)), 2.0, InvalidArgument, "row_len0 must be an integer"),
+        (np.full((2, 2), np.nan), np.ones((2, 2)), 2, InvalidArgument, "entry is not finite"),
+    ], ids=["columns", "zero row length", "rows", "float row length", "nan"])
+    def test_malformed_call_raises_a_toolkit_error(self, gen0, gen1, row_len0, error, text):
+        with pytest.raises(error, match=text):
+            affine_set_distance(gen0, gen1, row_len0, 2)
+
+
+@st.composite
+def simplex_parts(draw):
+    """(parts, y, h): blocks of rows of unequal lengths laid out in one flat point, a point y
+    off the product and a symmetric positive semidefinite model Hessian h for it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts, start = [], 0
+    for _ in range(draw(st.integers(1, 4))):
+        r, m = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+        parts.append((slice(start, start + m * r), r))
+        start += m * r
+    a = rng.standard_normal((start + 1, start))
+    return tuple(parts), 2.0 * rng.standard_normal(start), a.T @ a
+
+
+def row_owners(parts):
+    """Each entry's row, the rows of all parts counted in order."""
+    lengths = [r for sl, r in parts for _ in range(sl.start, sl.stop, r)]
+    return np.arange(len(lengths)).repeat(lengths)
+
+
+class TestSimplices:
+    @given(simplex_parts())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_constraint_block_is_the_kkt_layout(self, drawn):
+        parts, y, _ = drawn
+        system = geometry._Simplices(parts)
+        owner = row_owners(parts)
+        ref = kkt_matrix(np.zeros((y.size, y.size)), owner, owner[-1] + 1)
+        assert (system.n, system.nrows) == (y.size, owner[-1] + 1)
+        assert np.array_equal(system.kkt, ref) and np.shares_memory(system.hess, system.kkt)
+        assert system.keep.all() and not system.rhs.any()
+
+    @given(simplex_parts())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_projection_is_each_parts_own_bit_for_bit(self, drawn):
+        parts, y, _ = drawn
+        system = geometry._Simplices(parts)
+        for scale in (1.0, 1e-3):
+            ref = np.concatenate([geometry.project_simplex_rows(scale * y[sl].reshape(-1, r))
+                                  .ravel() for sl, r in parts])
+            assert system.project(scale * y).tobytes() == ref.tobytes()
+
+    @given(simplex_parts(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_kkt_solve_is_a_fresh_solve_of_the_kept_block(self, drawn, seed):
+        parts, _, h = drawn
+        rng = np.random.default_rng(seed)
+        system = geometry._Simplices(parts)
+        system.hess[...] = h
+        system.rhs[:] = rng.standard_normal(system.rhs.size)
+        system.keep[: system.n] = rng.random(system.n) < 0.7
+        free, owner = system.keep[: system.n], row_owners(parts)
+        # every row keeps an entry, or its constraint row is a zero row
+        assume(np.isin(np.arange(system.nrows), owner[free]).all())
+        ref = np.linalg.solve(kkt_matrix(h[free][:, free], owner[free], system.nrows),
+                              system.rhs[system.keep])
+        idx, sol = geometry._solve_kkt(system)
+        assert np.array_equal(idx, free.nonzero()[0])
+        assert np.array_equal(sol, ref[: idx.size])
+        assert np.array_equal(system.hess, h)
 
 
 class TestPatternSearch:

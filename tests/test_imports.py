@@ -5,7 +5,8 @@ sibling inside a function, every tolerance below 1e-6 is named: a field
 of config.Tolerances or a module constant, and only operators.py calls
 numpy.linalg.eigh or eigvalsh, so every spectrum takes one path.  Only the
 projected Newton loop and the saddle step solve a KKT system, so every
-simplex descent takes one loop.
+simplex descent takes one loop, and every trial point of a Newton step is
+projected in geometry, through the one product-of-simplices layout.
 """
 
 import ast
@@ -137,14 +138,14 @@ def test_spectra_go_through_operators(path):
     assert lapack_spectra(path.read_text()) == []
 
 
-def kkt_solvers(source):
-    """Top-level definitions (or "<module>") that refer to _solve_kkt, by name or attribute."""
+def referrers(source, name):
+    """Top-level definitions (or "<module>") that refer to name, by name or attribute."""
     found = set()
     for stmt in ast.parse(source).body:
         owner = getattr(stmt, "name", "<module>")
         for node in ast.walk(stmt):
-            if (isinstance(node, ast.Name) and node.id == "_solve_kkt") or (
-                    isinstance(node, ast.Attribute) and node.attr == "_solve_kkt"):
+            if (isinstance(node, ast.Name) and node.id == name) or (
+                    isinstance(node, ast.Attribute) and node.attr == name):
                 found.add(owner)
     return sorted(found)
 
@@ -153,9 +154,17 @@ def test_scan_flags_a_kkt_solve():
     src = ("from .geometry import _solve_kkt\nimport avcqc.geometry as g\n"
            "def f():\n    return _solve_kkt\nclass C:\n    def m(self):\n        g._solve_kkt()\n"
            "def _solve_kkt():\n    pass\nx = _solve_kkt\n")
-    assert kkt_solvers(src) == ["<module>", "C", "f"]
+    assert referrers(src, "_solve_kkt") == ["<module>", "C", "f"]
 
 
 def test_one_loop_solves_the_kkt_systems():
-    callers = {(p.stem, name) for p in MODULES for name in kkt_solvers(p.read_text())}
+    callers = {(p.stem, name) for p in MODULES for name in referrers(p.read_text(), "_solve_kkt")}
     assert callers == {("geometry", "_projected_newton"), ("capacity", "_saddle_direction")}
+
+
+def test_simplex_projections_stay_in_geometry():
+    # a Newton trial point is projected by geometry._Simplices; outside
+    # geometry only the saddle step's hold bound projects, p + d_x alone
+    callers = {(p.stem, name) for p in MODULES
+               for name in referrers(p.read_text(), "project_simplex_rows")}
+    assert {c for c in callers if c[0] != "geometry"} == {("capacity", "_saddle_direction")}
