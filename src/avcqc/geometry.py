@@ -227,21 +227,29 @@ def affine_set_distance(gen0, gen1, row_len0, row_len1, tol=_GAP_STOP, max_iter=
     Returns (distance, lower, q0, q1): distance = sqrt f at the returned
     point and lower = sqrt max(f - gap, 0), a certified lower bound; f and
     the gap are taken from the residual gen0 q0 - gen1 q1.  A row length
-    not an integer >= 1 or a non-finite entry raises InvalidArgument, and
-    generators not (D, K*) with K* a positive multiple of their row length
-    raise DimensionMismatch.
+    not an integer >= 1, a max_iter not an integer >= 0, generators not of
+    real numbers, or a Gram matrix that is not finite (an entry not finite or
+    too large) raises InvalidArgument, and generators not (D, K*) with K* a
+    positive multiple of their row length raise DimensionMismatch.
     """
     r0, r1 = _integer(row_len0, "row_len0", 1), _integer(row_len1, "row_len1", 1)
-    g0, g1 = np.asarray(gen0, dtype=float), np.asarray(gen1, dtype=float)
+    max_iter = _integer(max_iter, "max_iter", 0)
+    g0, g1 = np.asarray(gen0), np.asarray(gen1)
+    if g0.dtype.kind not in "iuf" or g1.dtype.kind not in "iuf":
+        raise InvalidArgument(f"generators must be real numbers, got {g0.dtype} and {g1.dtype}")
+    g0, g1 = g0.astype(float, copy=False), g1.astype(float, copy=False)
     if not (g0.ndim == g1.ndim == 2 and len(g0) == len(g1) and g0.shape[1] and g1.shape[1]
             and g0.shape[1] % r0 == g1.shape[1] % r1 == 0):
         raise DimensionMismatch(f"generators of shapes {g0.shape} and {g1.shape} are not (D, K) "
                                 f"with K a positive multiple of the row lengths {r0} and {r1}")
     k0, k1 = g0.shape[1], g1.shape[1]
     joint = np.concatenate([g0, -g1], axis=1)
-    if not np.logical_and.reduce(np.isfinite(joint), axis=None):
-        raise InvalidArgument("a generator entry is not finite")
-    hess = 2.0 * (joint.T @ joint)
+    with np.errstate(over="ignore", invalid="ignore"):
+        hess = 2.0 * (joint.T @ joint)
+    # a non-finite entry makes the Gram matrix non-finite, as does one whose square overflows
+    if not np.logical_and.reduce(np.isfinite(hess), axis=None):
+        raise InvalidArgument("the generators' Gram matrix is not finite: an entry is not finite "
+                              "or too large")
     parts = ((slice(0, k0), r0), (slice(k0, k0 + k1), r1))
 
     def point(z):

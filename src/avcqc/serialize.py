@@ -1,13 +1,15 @@
 """JSON/CSV interchange for channels, sources, codes and results.
 
 Complex matrices travel as row-major nested arrays of [re, im] pairs.
-Dumps are canonical (sorted keys, fixed separators, repr floats) so that
-identical inputs produce byte-identical output files.
+Dumps are written directly, with the bytes of ``json.dumps(obj, sort_keys=True,
+indent=2)``: canonical, so identical inputs give byte-identical output files.
 """
 
 import json
 import math
 import reprlib
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -17,8 +19,8 @@ from .errors import SpecParseError
 
 
 def matrix_to_json(m):
-    a = np.asarray(m, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in a]
+    a = np.ascontiguousarray(m, dtype=complex)
+    return a.view(float).reshape(*a.shape, 2).tolist()
 
 
 def _number(v, what):
@@ -125,8 +127,36 @@ def _load_json(path):
         raise SpecParseError(f"{path}: {exc}") from exc
 
 
+def _encode(o, level):
+    """The text of json.dumps(o, sort_keys=True, indent=2) for o nested `level` deep."""
+    if type(o) in (str, int) or type(o) is float and math.isfinite(o):
+        return encode_basestring_ascii(o) if type(o) is str else repr(o)
+    pad = "\n" + "  " * level
+    if isinstance(o, dict) and o and all(isinstance(k, str) for k in o):
+        return "{" + ",".join(f"{pad}  {encode_basestring_ascii(k)}: {_encode(v, level + 1)}"
+                              for k, v in sorted(o.items())) + pad + "}"
+    shape, flat = [], [o]
+    while set(map(type, flat)) == {list} and len(n := set(map(len, flat))) == 1 and 0 not in n:
+        shape += n
+        flat = list(chain.from_iterable(flat))
+    if shape and set(map(type, flat)) == {float} and all(map(math.isfinite, flat)):
+        # one block: after a float, close the k lists ending there, then a comma and k opens
+        leaf = pad + "  " * len(shape)
+        after, ends, starts = ["," + leaf], "", ""
+        for d in reversed(range(len(shape))):
+            ends, starts = ends + pad + "  " * d + "]", pad + "  " * d + "[" + starts
+            after *= shape[d]
+            after[-1] = ends + ("," + starts + leaf if d else "")
+        text = [""] * (2 * len(flat))
+        text[::2], text[1::2] = map(float.__repr__, flat), after
+        return starts.lstrip() + leaf + "".join(text)
+    if isinstance(o, (list, tuple)) and o:
+        return "[" + ",".join(pad + "  " + _encode(v, level + 1) for v in o) + pad + "]"
+    return json.dumps(o, sort_keys=True, indent=2).replace("\n", pad)
+
+
 def dump_json(obj, path):
-    text = json.dumps(obj, sort_keys=True, indent=2)
+    text = _encode(obj, 0)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 

@@ -196,7 +196,7 @@ def _label_sequences(p, n, half_width, guard, caps):
 
 def _block_length(n):
     """int(n) if n is an integer in [1, 2^63), the int64 counts, else InvalidArgument."""
-    if _integer(n, "block length", 1) > np.iinfo(np.int64).max:
+    if _integer(n, "block length", 1) >= 1 << 63:
         raise InvalidArgument(f"block length {n} exceeds 2^63 - 1, the largest int64 count")
     return int(n)
 

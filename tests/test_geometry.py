@@ -204,10 +204,28 @@ class TestSetDistanceArguments:
         (np.ones((2, 2)), np.ones((3, 2)), 2, DimensionMismatch, r"shapes \(2, 2\) and \(3, 2\)"),
         (np.ones((2, 2)), np.ones((2, 2)), 2.0, InvalidArgument, "row_len0 must be an integer"),
         (np.full((2, 2), np.nan), np.ones((2, 2)), 2, InvalidArgument, "entry is not finite"),
-    ], ids=["columns", "zero row length", "rows", "float row length", "nan"])
+        ((1 + 1j) * np.ones((2, 2)), np.ones((2, 2)), 2, InvalidArgument, "real numbers"),
+        ([["1", 0.5], [0.5, 0.5]], np.ones((2, 2)), 2, InvalidArgument, "real numbers"),
+        (np.full((2, 2), 1e200), np.ones((2, 2)), 2, InvalidArgument, "Gram matrix is not finite"),
+    ], ids=["columns", "zero row length", "rows", "float row length", "nan", "complex", "string",
+            "gram overflow"])
     def test_malformed_call_raises_a_toolkit_error(self, gen0, gen1, row_len0, error, text):
+        # complex entries were cast to their real parts (distance 0.0 for
+        # (1+1j)-ones against ones), "1" parsed as a number and 1e200 gave
+        # (inf, nan)
         with pytest.raises(error, match=text):
             affine_set_distance(gen0, gen1, row_len0, 2)
+
+    @pytest.mark.parametrize("max_iter", [-1, 2.5, True])
+    def test_step_budget_must_be_a_count(self, max_iter):
+        # a negative or fractional budget never met the step count: no budget
+        with pytest.raises(InvalidArgument, match="max_iter must be an integer >= 0"):
+            affine_set_distance(np.eye(2), np.ones((2, 2)), 2, 2, max_iter=max_iter)
+
+    def test_zero_step_budget_returns_the_uniform_start(self):
+        dist, _, q0, q1 = affine_set_distance(np.eye(2), np.ones((2, 2)), 2, 2, max_iter=0)
+        assert np.array_equal(q0, [0.5, 0.5]) and np.array_equal(q1, q0)
+        assert dist == pytest.approx(np.sqrt(0.5), rel=1e-15)
 
 
 @st.composite

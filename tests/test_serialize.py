@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avcqc import DeterministicCode, RandomCode, serialize as io
 from avcqc.errors import SpecParseError
@@ -24,6 +28,71 @@ class TestMatrixRoundTrip:
     def test_bad_payload(self):
         with pytest.raises(SpecParseError):
             io.matrix_from_json([[1.0, 2.0], [3.0, 4.0]])
+
+
+def old_matrix_to_json(m):
+    """Reference: the per-entry comprehension matrix_to_json replaced."""
+    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, dtype=complex)]
+
+
+class TestMatrixToJson:
+    @pytest.mark.parametrize("m", [
+        np.arange(6.0).reshape(2, 3) - 2.5,
+        [[1, 2], [3, 4]],
+        np.array([[0.5, 0.25 + 0.1j], [0.25 - 0.1j, 0.5]]),
+        np.array([[-0.0, complex(0.0, -0.0)], [complex(-0.0, 1e-300), -1e300]]),
+        np.asfortranarray(np.arange(12.0).reshape(3, 4) * (1 - 2j) / 7),
+        (np.arange(30.0).reshape(5, 6) * (1 + 1j) / 3)[::2, ::-3],
+    ], ids=["real", "integer", "complex", "signed zeros", "fortran", "strided"])
+    def test_pairs_are_the_per_entry_comprehension(self, m):
+        got = io.matrix_to_json(m)
+        # repr tells -0.0 from 0.0 and float from np.float64
+        assert repr(got) == repr(old_matrix_to_json(m))
+        assert {type(v) for row in got for pair in row for v in pair} == {float}
+
+
+@st.composite
+def float_blocks(draw):
+    """A regular nested list of Python floats, 1-3 deep: finite, or with NaN and infinities."""
+    shape = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    finite = draw(st.booleans())
+    entry = st.floats(allow_nan=not finite, allow_infinity=not finite) | st.just(-0.0)
+    flat = draw(st.lists(entry, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    return np.reshape(np.array(flat, dtype=float), shape).tolist()
+
+
+# what json.dumps writes or refuses: np.int64 and sets raise TypeError
+json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.floats().map(np.float64),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 1e300]),
+    st.text(), st.sampled_from(["", "é\n\"\\", "\u2603\U0001f600"]), float_blocks(),
+    st.integers(-2**63, 2**63 - 1).map(np.int64) | st.sets(st.integers(), max_size=2),
+)
+json_objects = st.recursive(json_leaves, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
+    st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    st.dictionaries(st.integers(-3, 3) | st.floats(allow_nan=False), inner, max_size=3),
+), max_leaves=20)
+
+
+def outcome(encode, obj):
+    try:
+        return encode(obj)
+    except Exception as exc:
+        return type(exc)
+
+
+class TestDumpJson:
+    @given(json_objects)
+    @settings(max_examples=1000, derandomize=True, deadline=None)
+    def test_text_is_the_stdlib_indented_dump(self, obj):
+        assert outcome(lambda o: io._encode(o, 0), obj) == outcome(
+            lambda o: json.dumps(o, sort_keys=True, indent=2), obj)
+
+    def test_file_is_the_dump_and_a_newline(self, tmp_path):
+        obj = {"b": [[[0.5, -0.0]]], "a": (None, True, "é", float("nan")), "c": {}}
+        io.dump_json(obj, tmp_path / "out.json")
+        assert (tmp_path / "out.json").read_text() == json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 class TestChannelRoundTrip:
