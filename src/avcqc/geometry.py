@@ -12,6 +12,7 @@ its own point and accept test, live here too.
 """
 
 from functools import cache
+from math import isfinite
 
 import numpy as np
 
@@ -228,9 +229,10 @@ def affine_set_distance(gen0, gen1, row_len0, row_len1, tol=_GAP_STOP, max_iter=
     point and lower = sqrt max(f - gap, 0), a certified lower bound; f and
     the gap are taken from the residual gen0 q0 - gen1 q1.  A row length
     not an integer >= 1, a max_iter not an integer >= 0, generators not of
-    real numbers, or a Gram matrix that is not finite (an entry not finite or
-    too large) raises InvalidArgument, and generators not (D, K*) with K* a
-    positive multiple of their row length raise DimensionMismatch.
+    real numbers, a Gram matrix that is not finite (an entry not finite or
+    too large), or an f or gradient at the uniform start that is not finite
+    raises InvalidArgument, and generators not (D, K*) with K* a positive
+    multiple of their row length raise DimensionMismatch.
     """
     r0, r1 = _integer(row_len0, "row_len0", 1), _integer(row_len1, "row_len1", 1)
     max_iter = _integer(max_iter, "max_iter", 0)
@@ -267,7 +269,12 @@ def affine_set_distance(gen0, gen1, row_len0, row_len1, tol=_GAP_STOP, max_iter=
         moved = joint @ (cand - z)
         return point(cand) if float(moved @ (2.0 * resid + moved)) <= 0.0 else None
 
-    start = point(np.concatenate([np.full(sl.stop - sl.start, 1.0 / r) for sl, r in parts]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        start = point(np.concatenate([np.full(sl.stop - sl.start, 1.0 / r) for sl, r in parts]))
+    # f never rises from the start, so a start with f and the gap finite keeps them finite
+    if not (isfinite(start[2]) and isfinite(start[4])):
+        raise InvalidArgument("the generators are too large: f or its gradient at the uniform "
+                              "start is not finite")
     (z, _, f, _, gap), _, _ = _projected_newton(
         start, parts, lambda s: (s[0], s[3], s[4], lambda: hess), accept, max_iter, tol)
     # f - gap <= min f in exact arithmetic; a negative gap is rounding

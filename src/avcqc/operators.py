@@ -72,13 +72,18 @@ def require_hermitian(m, tol=DEFAULT_TOL.hermitian):
 
     A non-finite entry raises InvalidArgument, a max |m - m†| entry above
     tol raises NotHermitian; either names the first offender of a stack.
+    Entries near the float maximum, whose sum with their adjoint overflows,
+    are halved before they are added; every other input keeps (a + a†) / 2.
     """
     a = _as_complex_square(m)
     _refuse(~np.isfinite(a), InvalidArgument, lambda at: f"entry {a[at]} is not finite")
-    dev = _adjoint_deviation(a)
+    with np.errstate(over="ignore", invalid="ignore"):  # entries near the float maximum
+        dev, total = _adjoint_deviation(a), a + a.conj().swapaxes(-1, -2)
     _refuse(dev > tol, NotHermitian,
             lambda at: f"max |m - m†| entry is {dev[at]:.3e}, exceeds tolerance {tol:.1e}")
-    return read_only((a + a.conj().swapaxes(-1, -2)) / 2.0)
+    if not np.isfinite(total).all():
+        return read_only(a / 2.0 + a.conj().swapaxes(-1, -2) / 2.0)
+    return read_only(total / 2.0)
 
 
 def validate_density(m, tol=DEFAULT_TOL):

@@ -207,12 +207,16 @@ class TestSetDistanceArguments:
         ((1 + 1j) * np.ones((2, 2)), np.ones((2, 2)), 2, InvalidArgument, "real numbers"),
         ([["1", 0.5], [0.5, 0.5]], np.ones((2, 2)), 2, InvalidArgument, "real numbers"),
         (np.full((2, 2), 1e200), np.ones((2, 2)), 2, InvalidArgument, "Gram matrix is not finite"),
+        (np.full((1, 2), 6e153), np.full((1, 2), -6e153), 1, InvalidArgument,
+         "gradient at the uniform start is not finite"),
     ], ids=["columns", "zero row length", "rows", "float row length", "nan", "complex", "string",
-            "gram overflow"])
+            "gram overflow", "residual overflow"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_malformed_call_raises_a_toolkit_error(self, gen0, gen1, row_len0, error, text):
         # complex entries were cast to their real parts (distance 0.0 for
-        # (1+1j)-ones against ones), "1" parsed as a number and 1e200 gave
-        # (inf, nan)
+        # (1+1j)-ones against ones), "1" parsed as a number, 1e200 gave
+        # (inf, nan), and so did 6e153, whose Gram matrix is finite but
+        # whose residual at the start overflows
         with pytest.raises(error, match=text):
             affine_set_distance(gen0, gen1, row_len0, 2)
 

@@ -19,7 +19,7 @@ from avcqc.errors import (
     NotPositive,
     TraceNotOne,
 )
-from avcqc.operators import validate_joint, validate_probability_vector
+from avcqc.operators import require_hermitian, validate_joint, validate_probability_vector
 from helpers import ONE, PLUS, ZERO, wishart_state
 
 
@@ -74,6 +74,29 @@ class TestValidateDensity:
         m[0, 1] = bad
         with pytest.raises(InvalidArgument, match=r"^at \[0, 1\]: entry .* is not finite"):
             validate_density(m)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_entries_near_the_float_maximum_name_their_own_trace(self):
+        # (m + m†) / 2 overflowed: two warnings, then "trace is inf"
+        with pytest.raises(TraceNotOne, match=r"^trace is 1e\+308,"):
+            validate_density(np.diag([1e308, 0.0]))
+        with pytest.raises(NotHermitian, match="entry is inf"):
+            validate_density([[0.5, 1e308], [-1e308, 0.5]])
+        m = np.array([[8e307, 5e-324j], [-5e-324j, -8e307]])
+        assert np.array_equal(require_hermitian(m), m)
+        assert np.array_equal(require_hermitian(np.diag([1.7e308, 0.0])), np.diag([1.7e308, 0.0]))
+
+    def test_hermitian_part_keeps_its_bits_while_the_sum_is_finite(self):
+        # subnormal entries lose their last bit when halved before the sum
+        rng = np.random.default_rng(8)
+        for scale in (1.0, 1e-320, 1e300, 8e307):
+            g = (rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))) * scale
+            m = g + 1e-14 * scale * rng.standard_normal((3, 3, 3))
+            m = np.where(np.isfinite(m), m, 0.0)
+            with np.errstate(over="ignore"):
+                total = m + m.conj().swapaxes(-1, -2)
+            if np.isfinite(total).all():
+                assert np.array_equal(require_hermitian(m, tol=np.inf), total / 2.0)
 
     def test_non_square_stack(self):
         with pytest.raises(DimensionMismatch):

@@ -16,6 +16,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -137,6 +138,7 @@ def mutated_code_specs(draw):
     return _mutated(draw, CODE_SPEC)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(mutated_specs())
 def test_malformed_spec_exits_one_with_spec_parse_error(case):
@@ -156,6 +158,7 @@ def test_malformed_spec_exits_one_with_spec_parse_error(case):
     assert "error: SpecParseError:" in err.getvalue()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(mutated_code_specs())
 def test_malformed_code_spec_exits_one_with_spec_parse_error(code):
@@ -171,3 +174,19 @@ def test_malformed_code_spec_exits_one_with_spec_parse_error(code):
         assert not (tmp / "out.csv").exists()
     assert rc == 1
     assert "error: SpecParseError:" in err.getvalue()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_entry_near_the_float_maximum_names_its_trace():
+    # (m + m†) / 2 overflowed: two RuntimeWarnings, then "trace is inf"
+    channel = json.loads((SPECS / "bitflip_channel.json").read_text())
+    channel["states"]["0,0"][0][0] = [1e308, 0.0]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "channel.json"
+        path.write_text(json.dumps(channel))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["capacity", "--channel", str(path), "--seed", "7",
+                       "--out", str(Path(tmp) / "out.json")])
+    assert rc == 1
+    assert "error: TraceNotOne: at [0, 0]: trace is 1e+308," in err.getvalue()

@@ -23,6 +23,8 @@ from avcqc.errors import (
 )
 from avcqc.typicality import (
     _SUPPORT_FLOOR,
+    BoundRow,
+    TypicalityReport,
     _cross_mass,
     _window_classes,
     stable_eigh,
@@ -311,6 +313,20 @@ class TestVerifyBounds:
             "average_state_mass",
         }
 
+    def test_report_holds_its_rows_built(self):
+        # the call builds every row: no property or cache on the report
+        # builds them, or the constants, when they are first read
+        rep = verify_typicality_bounds(mirror_pair_channel(), [0.5, 0.5], range(4, 13), 0.1)
+        assert set(vars(rep)) == {"rows", "constants"}
+        assert not hasattr(TypicalityReport, "rows") and not hasattr(TypicalityReport, "constants")
+        rows = vars(rep)["rows"]
+        assert type(rows) is tuple and len(rows) == 7 * 9
+        assert all(type(r) is BoundRow for r in rows)
+        fields = ("bound_id", "n", "lhs", "rhs", "slack", "passed")
+        assert {tuple(type(getattr(r, f)) for f in fields) for r in rows} == {
+            (str, int, float, float, float, bool)}
+        assert type(vars(rep)["constants"]) is dict and len(vars(rep)["constants"]) == 7
+
     def test_maximally_mixed_rank_equality(self):
         # every label sequence is typical: the rank exponent fits at zero
         w = CqChannel((0, 1), np.stack([np.eye(2, dtype=complex) / 2] * 2))
@@ -594,11 +610,12 @@ class TestPrefixSharedTables:
         rng = np.random.default_rng(seed)
         return CqChannel(tuple(range(nx)), np.stack([wishart_state(rng, d) for _ in range(nx)]))
 
-    @pytest.mark.parametrize("d, ns, seed", [(3, range(4, 49), 31), (4, range(4, 37), 32),
-                                             (4, range(4, 37), 33)])
+    @pytest.mark.parametrize("d, ns, seed", [(2, range(4, 73), 40), (3, range(4, 49), 31),
+                                             (4, range(4, 37), 32), (4, range(4, 37), 33)])
     def test_benchmark_shapes_against_per_block(self, d, ns, seed):
         # two letters and alpha = 0.1 at the block lengths of the benchmark's
-        # d = 3 and d = 4 draws, up to its largest count tables
+        # draws, up to its largest count tables; at d = 2 the source ranks of
+        # seed 40 pass 2**63 from n = 65
         w = self.wishart_channel(seed, d)
         u = np.random.default_rng(seed).uniform(0.3, 0.7)
         p = [u, 1.0 - u]
