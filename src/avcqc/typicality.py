@@ -2,22 +2,23 @@
 
 The letter-frequency typical set follows the displayed alphabet-normalized
 window (|freq - p| <= delta/|alphabet|); the subspace projectors use a
-per-eigenlabel window of half-width alpha, the convention under which the
-bound suite below is satisfiable at small n.  Both comparisons carry a 1e-12
-guard so float rounding drops no exact boundary fraction.  The typical set
-and both projectors expand the window's count classes into label sequences,
-so caps.enumeration bounds the typical sequences, never |alphabet|**n.
+per-eigenlabel window of half-width alpha, which is the convention under
+which the finite-block-length bound suite below is satisfiable at small n.
+Both comparisons carry a 1e-12 guard so exact boundary fractions are not
+dropped by float rounding.  The typical set and both projectors expand the
+window's count classes into their label sequences, so caps.enumeration
+bounds the number of typical sequences, never |alphabet|**n.
 
-The bound verifier never materializes d**n operators: masses, ranks,
-extremal eigenvalue products and cross-basis overlap masses reduce to
-aggregates over letter-count classes, all the operators being diagonal in
-per-site eigenbases.  One array pass covers a range of block lengths: one
-enumerator grows the classes of the source and every letter at every n, and
-one DP runs the cross masses on count tables shared while words agree.
+The bound verifier never materializes d**n operators: every quantity it
+needs (masses, ranks, extremal eigenvalue products, cross-basis overlap
+masses) reduces to aggregates over letter-count classes because all the
+operators involved are diagonal in per-site eigenbases.  One array pass
+covers a range of block lengths: one enumerator grows the classes of the
+source and every letter at every n, and one dynamic program runs the cross
+masses on flat count tables that block lengths share while their words agree.
 """
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import chain, islice, repeat
 from math import factorial, inf, log2, prod
 from typing import NamedTuple
@@ -30,11 +31,14 @@ from .errors import AlphabetMismatch, EnumerationOverflow, InvalidArgument
 from .operators import _integer, _positive, eigh_stack, entropy_from_eigenvalues
 from .operators import validate_probability_vector
 
-# Labels with less probability than this are pinned to count 0: rounding residue, not support.
+# Labels with less probability than this are pinned to count 0: they are
+# rounding residue of clipped eigenvalues, not support.
 _SUPPORT_FLOOR = 1e-15
-# Eigenvalues closer than this share a cluster whose basis is rebuilt (eigh's is arbitrary).
+# Eigenvalues closer than this share a cluster whose basis is rebuilt, so
+# eigh's arbitrary basis of a degenerate eigenspace never leaks out.
 _CLUSTER_GAP = 1e-9
-# A projected standard-basis vector shorter than this lies in the span kept: it is skipped.
+# A projected standard-basis vector shorter than this lies (up to rounding)
+# in the span of the vectors already kept, so it is skipped.
 _BASIS_NORM_FLOOR = 1e-6
 # A mass within this of 1 is 1 up to rounding: its exponent is unbounded.
 _MASS_GAP_FLOOR = 1e-15
@@ -51,25 +55,32 @@ def stable_eigh(m):
     fixed so its largest-magnitude entry is real positive.
     """
     w, v = (a[..., ::-1].copy() for a in eigh_stack(m))
-    d, start = w.size, 0
+    d = w.size
+    start = 0
     while start < d:
         stop = start + 1
         while stop < d and w[start] - w[stop] < _CLUSTER_GAP:
             stop += 1
         if stop - start > 1:
-            proj, basis = v[:, start:stop] @ v[:, start:stop].conj().T, []
+            span = v[:, start:stop]
+            proj = span @ span.conj().T
+            basis = []
             for k in range(d):
                 cand = proj @ np.eye(d, dtype=complex)[:, k]
                 for b in basis:
                     cand = cand - b * (b.conj() @ cand)
-                if (nrm := np.linalg.norm(cand)) > _BASIS_NORM_FLOOR:
+                nrm = np.linalg.norm(cand)
+                if nrm > _BASIS_NORM_FLOOR:
                     basis.append(cand / nrm)
                 if len(basis) == stop - start:
                     break
             v[:, start:stop] = np.stack(basis, axis=1)
         start = stop
-    top = v[np.argmax(np.abs(v), axis=0), np.arange(d)]
-    return w, v / np.array([z / abs(z) for z in top])
+    for k in range(d):
+        i = int(np.argmax(np.abs(v[:, k])))
+        ph = v[i, k] / abs(v[i, k])
+        v[:, k] = v[:, k] / ph
+    return w, v
 
 
 def _chunks(extents, cap):
@@ -85,7 +96,8 @@ def _chunks(extents, cap):
 
 def _spread(values, bounds, fill):
     """Row g holds values[bounds[g]:bounds[g + 1]] in order, then at least one fill."""
-    rows = np.repeat(np.arange(len(bounds) - 1), sizes := np.diff(bounds))
+    sizes = np.diff(bounds)
+    rows = np.repeat(np.arange(sizes.size), sizes)
     out = np.full((sizes.size, sizes.max(initial=0) + 1), fill, dtype=np.asarray(values).dtype)
     out[rows, np.arange(len(values)) - bounds[rows]] = values
     return out
@@ -155,7 +167,8 @@ def _multinomials(counts, bounds):
     odd = inv = np.multiply.accumulate((k // (k & -k)).astype(np.uint64))  # k!'s odd part
     for _ in range(5):  # each Newton step doubles the inverse's correct low bits: 3 to 96
         inv = inv * (2 - odd * inv)
-    twos, logs = k - np.bitwise_count(k), np.cumsum(np.log2(k))  # k!'s power of 2, log2 k!
+    twos = np.cumsum(np.log2(k & -k).astype(int))  # k!'s power of 2, k & -k that of k
+    logs = np.cumsum(np.log2(k))  # log2 k!
     mult = (odd[n] * np.multiply.reduce(inv[counts], axis=1)
             << (twos[n] - twos[counts].sum(axis=1)).astype(np.uint64)).view(np.int64)
     big = np.flatnonzero(logs[n] - logs[counts].sum(axis=1) > 61)
@@ -192,13 +205,15 @@ def _label_sequences(p, n, half_width, guard, caps):
     """The length-n label sequences with counts in the window, (m, n) ints in lexicographic order.
 
     Their number, the sum of the classes' multinomials, is checked against
-    caps.enumeration before any is built; each class is expanded position by
-    position, every row branching on the labels it has left, rows sorted once.
+    caps.enumeration before any is built.  Each class is expanded position
+    by position, every row branching on the labels it has left, and the
+    rows are sorted once.
     """
     counts, bounds, over = _window_classes(p, [n], half_width, guard, caps)
     if over[0]:
         raise EnumerationOverflow(over[0])
-    if (total := _multinomials(counts, bounds)[1][0]) > caps.enumeration:
+    total = _multinomials(counts, bounds)[1][0]
+    if total > caps.enumeration:
         raise EnumerationOverflow(f"{total} typical sequences exceed enumeration cap "
                                   f"{caps.enumeration}")
     left, seqs = counts, np.zeros((len(counts), 0), dtype=int)
@@ -224,7 +239,8 @@ def typical_set(p, n, delta, caps=DEFAULT_CAPS, tol=DEFAULT_TOL):
     order; more than caps.enumeration of them raise.  n must be an integer
     in [1, 2^63) and delta finite and > 0.
     """
-    pv, n = validate_probability_vector(p, tol), _block_length(n)
+    pv = validate_probability_vector(p, tol)
+    n = _block_length(n)
     _positive(delta, "delta")
     seqs = _label_sequences(pv, n, delta / pv.size, tol.typicality_boundary, caps)
     return [tuple(s) for s in seqs.tolist()]
@@ -253,8 +269,13 @@ class TypicalProjector:
         total = self.dim ** self.n
         if not self.basis_labels:
             return np.zeros((total, total), dtype=complex)
-        b = np.stack([reduce(np.kron, (self.site_bases[i][:, j] for i, j in enumerate(labels)),
-                             np.ones(1, dtype=complex)) for labels in self.basis_labels], axis=1)
+        cols = []
+        for labels in self.basis_labels:
+            vec = np.ones(1, dtype=complex)
+            for i, j in enumerate(labels):
+                vec = np.kron(vec, self.site_bases[i][:, j])
+            cols.append(vec)
+        b = np.stack(cols, axis=1)
         return b @ b.conj().T
 
 
@@ -292,9 +313,11 @@ def conditional_typical_projector(w, xs, alpha, caps=DEFAULT_CAPS):
     blocks = [_label_sequences(np.clip(eig[x][0], 0.0, None), len(pos), alpha,
                                DEFAULT_TOL.typicality_boundary, caps)
               for x, pos in zip(letters, positions)]
-    if (total_rank := prod(map(len, blocks))) > caps.enumeration:
-        raise EnumerationOverflow(f"conditional typical rank {total_rank} exceeds cap "
-                                  f"{caps.enumeration}")
+    total_rank = prod(map(len, blocks))
+    if total_rank > caps.enumeration:
+        raise EnumerationOverflow(
+            f"conditional typical rank {total_rank} exceeds cap {caps.enumeration}"
+        )
     pick = np.indices([len(b) for b in blocks]).reshape(len(blocks), total_rank)
     labels = np.zeros((total_rank, n), dtype=int)
     for block, pos, rows in zip(blocks, positions, pick):
@@ -307,9 +330,15 @@ def conditional_typical_projector(w, xs, alpha, caps=DEFAULT_CAPS):
 # bound verification
 # ---------------------------------------------------------------------------
 
-# the verifier's rows, bound by bound; the mass bounds are 0, 3 and 6
-BOUND_IDS = ("source_mass", "source_rank", "source_eigen_window", "conditional_mass",
-             "conditional_eigen_window", "conditional_rank", "average_state_mass")
+BOUND_IDS = (
+    "source_mass",
+    "source_rank",
+    "source_eigen_window",
+    "conditional_mass",
+    "conditional_eigen_window",
+    "conditional_rank",
+    "average_state_mass",
+)
 
 
 class BoundRow(NamedTuple):
@@ -335,9 +364,13 @@ class TypicalityReport:
         return all(v > 0.0 for v in self.constants.values())
 
     def to_csv_rows(self):
-        return [("bound_id", "n", "lhs", "rhs", "slack", "fitted_constant")] + [
+        head = ("bound_id", "n", "lhs", "rhs", "slack", "fitted_constant")
+        body = [
             (r.bound_id, r.n, repr(r.lhs), repr(r.rhs), repr(r.slack),
-             repr(self.constants[r.bound_id])) for r in self.rows]
+             repr(self.constants[r.bound_id]))
+            for r in self.rows
+        ]
+        return [head] + body
 
 
 def _cross_mass(values, runs, classes, bounds, d, caps=DEFAULT_CAPS):
@@ -420,12 +453,12 @@ def verify_typicality_bounds(w, p, n_range, alpha, caps=DEFAULT_CAPS, tol=DEFAUL
     read no further than caps.enumeration + 1 block lengths, and a range
     holding more raises EnumerationOverflow before any is checked.
     """
-    pv, ns = _input_distribution(p, w, tol), list(islice(n_range, caps.enumeration + 1))
+    pv = _input_distribution(p, w, tol)
+    ns = list(islice(n_range, caps.enumeration + 1))
     if len(ns) > caps.enumeration:
         raise EnumerationOverflow(
             f"n_range holds more than {caps.enumeration} block lengths, the enumeration cap")
-    if not set(map(type, ns)) <= {int} or min(ns, default=1) < 1 or max(ns, default=1) >> 63:
-        ns = [_block_length(n) for n in ns]
+    ns = [_block_length(n) for n in ns]
     if not ns:
         raise InvalidArgument("n_range holds no block length")
     _positive(alpha, "alpha")
@@ -450,7 +483,8 @@ def verify_typicality_bounds(w, p, n_range, alpha, caps=DEFAULT_CAPS, tol=DEFAUL
     cond = np.where(on, np.column_stack([f + np.searchsorted(m, col) for f, m, col in
                                          zip(first[1:], ms, types.T)]), 0)
     for g in at.tolist() if any(over) or any(cross_over) else ():
-        if msg := next(filter(None, [over[r] for r in [g, *cond[g, on[g]]]] + [cross_over[g]]), 0):
+        checks = [over[r] for r in [g, *cond[g, on[g]]]] + [cross_over[g]]
+        if msg := next(filter(None, checks), None):
             raise EnumerationOverflow(msg)
     # rows source, conditional: letters' masses multiply and log2 ranges add, letter by letter
     src, fill = slice(grid.size), np.array([1.0, 0.0, 0.0])[:, None, None]
