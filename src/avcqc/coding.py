@@ -236,13 +236,13 @@ class CorrelationCode:
 # exact error evaluation
 # ---------------------------------------------------------------------------
 
-def _state_words(w, n, caps):
+def _check_state_words(w, n, caps):
+    """Raise EnumerationOverflow when the |S|^n state words exceed caps.jammer_states."""
     count = len(w.s_alphabet) ** n
     if count > caps.jammer_states:
         raise EnumerationOverflow(
             f"|S|^n = {count} exceeds jammer enumeration cap {caps.jammer_states}"
         )
-    return list(iproduct(w.s_alphabet, repeat=n))
 
 
 def _success_table(w, xs, g, ss=None):
@@ -267,23 +267,29 @@ def _success_table(w, xs, g, ss=None):
     return np.real(t.ravel())
 
 
-def _jammer_picks(tables, s_words):
-    """(error, JammerStrategy) from (codeword, success per state word) pairs.
+def _jammer_picks(tables, w, n, return_strategy):
+    """The error, and with return_strategy its JammerStrategy, from
+    (codeword, success per state word) pairs, state words of length n in
+    lexicographic order.
 
-    Tables of equal codewords are added up in order.  For each codeword
-    the jammer picks the first state word (in lexicographic order) whose
-    success is within _TIE_SLACK of the minimum, so that exact ties do not
-    go to whichever word rounding favours; the error is one minus the
-    minima summed in codeword order, clipped to [0, 1].
+    Tables of equal codewords are added up in order; the error is one minus
+    their minima summed in codeword order, clipped to [0, 1].  Only with
+    return_strategy are the state words listed: for each codeword the
+    jammer picks the first one whose success is within _TIE_SLACK of the
+    minimum, so that exact ties do not go to whichever word rounding
+    favours.
     """
     grouped = {}
     for xs, vals in tables:
         grouped[xs] = grouped[xs] + vals if xs in grouped else vals
-    vals = np.reshape(list(grouped.values()), (len(grouped), len(s_words)))
+    vals = np.reshape(list(grouped.values()), (len(grouped), -1))
     low = vals.min(axis=1)
+    err = float(min(max(1.0 - sum(low.tolist()), 0.0), 1.0))
+    if not return_strategy:
+        return err
+    s_words = list(iproduct(w.s_alphabet, repeat=n))
     picks = np.argmax(vals <= low[:, None] + _TIE_SLACK, axis=1).tolist()
-    strategy = JammerStrategy({xs: s_words[i] for xs, i in zip(grouped, picks)})
-    return float(min(max(1.0 - sum(low.tolist()), 0.0), 1.0)), strategy
+    return err, JammerStrategy({xs: s_words[i] for xs, i in zip(grouped, picks)})
 
 
 def _check_codeword_letters(w, codewords):
@@ -297,8 +303,9 @@ def _check_codeword_letters(w, codewords):
                 )
 
 
-def _informed_error(w, n, entries, weight, caps):
-    """Exact informed-jammer (error, JammerStrategy) from (codeword, operator) pairs.
+def _informed_error(w, n, entries, weight, caps, return_strategy):
+    """Exact informed-jammer error, and with return_strategy its
+    JammerStrategy, from (codeword, operator) pairs.
 
     Operators of equal codewords are summed into one grouped operator G_x,
     whose success table, times the entries' common weight (1/J, or 1/(J K)
@@ -313,10 +320,11 @@ def _informed_error(w, n, entries, weight, caps):
     for xs, g in entries:
         grouped[xs] = grouped[xs] + g if xs in grouped else g
     _check_codeword_letters(w, grouped)
-    s_words = _state_words(w, n, caps)
+    _check_state_words(w, n, caps)
     _check_product_dim(w.dim, n, caps)
     return _jammer_picks(
-        ((xs, _success_table(w, xs, g) * weight) for xs, g in grouped.items()), s_words
+        ((xs, _success_table(w, xs, g) * weight) for xs, g in grouped.items()), w, n,
+        return_strategy,
     )
 
 
@@ -325,16 +333,17 @@ def worst_case_error_informed(code, w, caps=DEFAULT_CAPS, return_strategy=False)
 
     The maximum over jamming functions equals the sum over distinct
     codewords of the per-codeword worst case (messages sharing a codeword
-    are tied together and handled as one group).
+    are tied together and handled as one group).  The JammerStrategy is
+    built only with return_strategy, which returns (error, strategy).
     """
     entries = zip(code.codebook, code.decoders)
-    err, strategy = _informed_error(w, code.n, entries, 1 / code.num_messages, caps)
-    return (err, strategy) if return_strategy else err
+    return _informed_error(w, code.n, entries, 1 / code.num_messages, caps, return_strategy)
 
 
 def worst_case_error_brute_force(code, w, caps=DEFAULT_CAPS):
     """Reference oracle: enumerate jamming functions on the codebook image."""
-    s_words = _state_words(w, code.n, caps)
+    _check_state_words(w, code.n, caps)
+    s_words = list(iproduct(w.s_alphabet, repeat=code.n))
     distinct = sorted(set(code.codebook))
     if len(s_words) ** len(distinct) > caps.jammer_states:
         raise EnumerationOverflow(
@@ -362,12 +371,13 @@ def random_code_error_informed(code, w, caps=DEFAULT_CAPS, return_strategy=False
     """Exact informed-jammer error of a key-randomized code.
 
     The jammer sees the transmitted word but not the key: for each distinct
-    codeword value it attacks the key-conditional expected decoder.
+    codeword value it attacks the key-conditional expected decoder.  The
+    JammerStrategy is built only with return_strategy, which returns
+    (error, strategy).
     """
     entries = chain.from_iterable(zip(det.codebook, det.decoders) for det in code.codes)
     weight = 1 / (code.num_messages * code.num_keys)
-    err, strategy = _informed_error(w, code.n, entries, weight, caps)
-    return (err, strategy) if return_strategy else err
+    return _informed_error(w, code.n, entries, weight, caps, return_strategy)
 
 
 def _product_joint(src, l):
@@ -433,21 +443,23 @@ def correlation_code_error_informed(code, w, src, caps=DEFAULT_CAPS, return_stra
     of sender words) but neither source realization directly.  The
     success of a codeword is the sum, over the messages j it carries, of
     row j of its (codeword, j) success table (see _key_tables), divided by
-    J; a RepetitionPrecode never builds its dense decoders.  A code that
-    does not fit the source and channel raises AlphabetMismatch (see
-    _check_code_alphabets).
+    J.  The word count |V'|^l * |V|^l is taken from the source's alphabet
+    sizes, and a RepetitionPrecode builds neither its word tables, its
+    encoders nor its dense decoders.  A code that does not fit the source
+    and channel raises AlphabetMismatch (see _check_code_alphabets).  The
+    JammerStrategy is built only with return_strategy, which returns
+    (error, strategy).
     """
-    n_words = len(code.v_prime_words) * len(code.v_words)
+    n_words = (len(src.v_prime_alphabet) * len(src.v_alphabet)) ** code.l
     if n_words > caps.enumeration:
         raise EnumerationOverflow(
             f"|V'|^l * |V|^l = {n_words} exceeds enumeration cap {caps.enumeration}"
         )
     _check_code_alphabets(code, w, src)
-    s_words = _state_words(w, code.n, caps)
+    _check_state_words(w, code.n, caps)
     pairs, tables = code._key_tables(w, src, caps)
     success = tables[np.arange(len(pairs)), [k for _, k in pairs]] / code.num_messages
-    err, strategy = _jammer_picks(zip((xs for xs, _ in pairs), success), s_words)
-    return (err, strategy) if return_strategy else err
+    return _jammer_picks(zip((xs for xs, _ in pairs), success), w, code.n, return_strategy)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +506,7 @@ def two_part_error_informed(pre, inner, w, src, caps=DEFAULT_CAPS):
     for det in inner.codes:
         _check_codeword_letters(w, det.codebook)
     j_n, k_n = inner.num_messages, inner.num_keys
-    s_words = _state_words(w, pre.n + inner.n, caps)
+    _check_state_words(w, pre.n + inner.n, caps)
     pairs, a = pre._key_tables(w, src, caps)
     stack = read_only(np.stack([det.decoders for det in inner.codes]))   # (K, J, D, D)
     # b[k, j, k'] is inner word j of key k against key k''s decoder of j
@@ -504,7 +516,7 @@ def two_part_error_informed(pre, inner, w, src, caps=DEFAULT_CAPS):
     return _jammer_picks(
         ((x_pre + xs, table.ravel()) for (x_pre, k), rows in zip(pairs, whole)
          for xs, table in zip(inner.codes[k].codebook, rows)),
-        s_words,
+        w, pre.n + inner.n, return_strategy=True,
     )
 
 
@@ -551,17 +563,17 @@ class RepetitionPrecode:
     blocks of a word are its base-(number of blocks) digits, first use
     first, since words and blocks both enumerate letter tuples
     lexicographically.  The outcome words, in iproduct order, decode to the
-    keys bit_keys.  It has every field of CorrelationCode; the dense
-    decoders are built on first read, for readers such as
-    correlation_code_to_json: the error, the two-part error and simulate
-    run on the site pairs.
+    keys bit_keys.  It reads as a CorrelationCode, but holds only the two
+    source alphabets: the word tables v_prime_words and v_words, the
+    encoders and the dense decoders are each built on first read, for
+    readers such as correlation_code_to_json and simulate.  The error and
+    the two-part error run on the site pairs and read none of them.
     """
 
     l: int                       # correlation block length, n * iota
     n: int                       # channel uses, one bit each
-    v_prime_words: tuple         # sender words, fixed order
-    v_words: tuple               # receiver words, fixed order
-    encoders: tuple              # (|V'|^l rows) x (K keys) of input words
+    v_prime_alphabet: tuple      # sender source letters
+    v_alphabet: tuple            # receiver source letters
     key_words: tuple             # key -> bit word of length n
     bit_keys: np.ndarray         # (2^n,) key of each outcome word
     block_letters: tuple         # sender block -> (letter under g0, letter under g1)
@@ -595,13 +607,36 @@ class RepetitionPrecode:
         maps_to = (letters[:, :, None] == np.arange(len(w.x_alphabet))).astype(float)
         weighted = np.einsum("ub,bkxs->ukxs", joint, _site_traces(self, w))
         a = np.einsum("ucx,ukxs->cxks", maps_to, weighted)
+        # the distinct letters bit c sends, in block order, and their indices
+        sent = [list(dict.fromkeys(p[c] for p in self.block_letters)) for c in (0, 1)]
+        sent_i = [[w.x_alphabet.index(x) for x in xs] for xs in sent]
         words, xi, keys = [], [], []
         for k, bits in enumerate(self.key_words):
-            words += iproduct(*(dict.fromkeys(p[c] for p in self.block_letters) for c in bits))
-            xi += iproduct(*(dict.fromkeys(letters[:, c].tolist()) for c in bits))
+            words += iproduct(*(sent[c] for c in bits))
+            xi += iproduct(*(sent_i[c] for c in bits))
             keys += [k] * (len(xi) - len(keys))
         factors = a[np.array(self.key_words)[keys], np.array(xi)]    # (pairs, nu, 2, |S|)
         return list(zip(words, keys)), _site_products(factors, self.bit_keys, self.num_messages)
+
+    @cached_property
+    def v_prime_words(self):
+        """Sender words, the l-words of v_prime_alphabet in lexicographic order."""
+        return tuple(iproduct(self.v_prime_alphabet, repeat=self.l))
+
+    @cached_property
+    def v_words(self):
+        """Receiver words, the l-words of v_alphabet in lexicographic order."""
+        return tuple(iproduct(self.v_alphabet, repeat=self.l))
+
+    @cached_property
+    def encoders(self):
+        """(|V'|^l rows) x (K keys) of input words: row u, key k holds, use
+        by use, the letter key k's bit gives the use's sender block."""
+        per_key = (
+            iproduct(*([pair[bit] for pair in self.block_letters] for bit in kw))
+            for kw in self.key_words
+        )
+        return tuple(zip(*per_key))
 
     @cached_property
     def decoders(self):
@@ -609,7 +644,7 @@ class RepetitionPrecode:
         in bits order, one broadcast product over the sites gives that
         outcome's operator for every receiver word at once, and it is added
         into the decoder of the key the word decodes to."""
-        n_v, d = len(self.v_words), self.site.shape[-1]
+        n_v, d = len(self.site) ** self.n, self.site.shape[-1]
         blocks = np.array(list(iproduct(range(len(self.site)), repeat=self.n)), dtype=np.intp)
         decoders = np.zeros((n_v, self.num_messages, d ** self.n, d ** self.n), dtype=complex)
         for bits, k in zip(iproduct((0, 1), repeat=self.n), self.bit_keys):
@@ -632,11 +667,12 @@ def repetition_precode(cert, gp, src, w, num_keys=2, nu=3, caps=DEFAULT_CAPS):
     receiver measures each use with the matching block of the separating
     measurement and decodes the key by minimum Hamming distance to the key
     words (see _key_words), the first on a tie.  Returns the code in site
-    form: the |V|^iota measurement pairs are checked as POVMs, and no
-    d^nu x d^nu decoder is built.  caps.product_dim bounds d^nu, the side
-    of the decoders a reader may build.  num_keys must be an integer >= 2
-    and nu >= 1, or InvalidArgument is raised; more than 2**nu keys raise
-    KeySetMismatch.
+    form: the |V|^iota measurement pairs, the diagonal blocks of the
+    certificate's m0 and m1, are checked as POVMs, and no word table,
+    encoder or d^nu x d^nu decoder is built (see RepetitionPrecode).
+    caps.product_dim bounds d^nu, the side of the decoders a reader may
+    build.  num_keys must be an integer >= 2 and nu >= 1, or
+    InvalidArgument is raised; more than 2**nu keys raise KeySetMismatch.
     """
     num_keys, nu = _integer(num_keys, "num_keys", 2), _integer(nu, "nu", 1)
     if num_keys > 2 ** nu:
@@ -650,25 +686,26 @@ def repetition_precode(cert, gp, src, w, num_keys=2, nu=3, caps=DEFAULT_CAPS):
         )
     _check_product_dim(w.dim, nu, caps)
     key_words = _key_words(nu, num_keys)
-    bit_keys = [
-        int(np.argmin([sum(a != b for a, b in zip(bits, kw)) for kw in key_words]))
-        for bits in iproduct((0, 1), repeat=nu)
-    ]
+    # outcome word i's bits are the base-2 digits of i, first use first
+    bits = np.arange(2 ** nu)[:, None] >> np.arange(nu - 1, -1, -1) & 1
+    bit_keys = (bits[:, None] != np.array(key_words)).sum(axis=2).argmin(axis=1)
     block_letters = tuple(
         (gp.g0[u], gp.g1[u]) for u in iproduct(src.v_prime_alphabet, repeat=iota)
     )
-    # key k's codewords, in sender word order: one letter column per use
-    per_key = (iproduct(*([pair[bit] for pair in block_letters] for bit in kw)) for kw in key_words)
-    encoders = tuple(zip(*per_key))
-    site = [
-        [cert.measurement_block(bit, b) for bit in (0, 1)] for b in range(n_v_letters ** iota)
-    ]
+    # the diagonal d x d blocks of m0 and m1, one (m0, m1) pair per receiver block
+    nv, d = n_v_letters ** iota, cert.output_dim
+    if cert.m0.shape != (nv * d, nv * d) or cert.m1.shape != cert.m0.shape:
+        raise DimensionMismatch(
+            f"certificate measurements of shapes {cert.m0.shape} and {cert.m1.shape} do not "
+            f"hold {nv} receiver blocks of side {d}"
+        )
+    blocks = np.arange(nv)
+    site = np.stack((cert.m0, cert.m1)).reshape(2, nv, d, nv, d)[:, blocks, :, blocks]
     return RepetitionPrecode(
         l=l,
         n=nu,
-        v_prime_words=tuple(iproduct(src.v_prime_alphabet, repeat=l)),
-        v_words=tuple(iproduct(src.v_alphabet, repeat=l)),
-        encoders=encoders,
+        v_prime_alphabet=tuple(src.v_prime_alphabet),
+        v_alphabet=tuple(src.v_alphabet),
         key_words=tuple(key_words),
         bit_keys=bit_keys,
         block_letters=block_letters,

@@ -149,23 +149,27 @@ class EnsembleState:
     v_words: tuple
 
 
-def _block_weights(src, g, iota, x_alphabet):
-    """weights[x, v] = P_V(v word) * P(V'-preimage of x under g | v word).
+def _block_weights(src, gs, iota, x_alphabet):
+    """weights[x, v] = P_V(v word) * P(V'-preimage of x under g | v word), one table per g of gs.
 
     Rows follow x_alphabet, columns the receiver words in lexicographic
     order.  P(u word | v word) and P_V(v word) are products of per-symbol
-    entries taken left to right, gathered at once for every (sender
-    word of g, receiver word) pair; the rows of each letter's preimage
-    are added in the order of g.
+    entries taken left to right, gathered once for every (sender word,
+    receiver word) pair and shared by the encoders; the rows of each
+    letter's preimage are added in the order of its g.
     """
-    vp_index = {sym: i for i, sym in enumerate(src.v_prime_alphabet)}
+    row = {u: i for i, u in enumerate(iproduct(src.v_prime_alphabet, repeat=iota))}
     x_index = {x: i for i, x in enumerate(x_alphabet)}
-    u_idx = np.array([[vp_index[c] for c in u] for u in g])
+    u_idx = np.indices((len(src.v_prime_alphabet),) * iota).reshape(iota, -1).T
     v_idx = np.indices((len(src.v_alphabet),) * iota).reshape(iota, -1)
     cond = src.sender_given_receiver[u_idx[:, :, None], v_idx].prod(axis=1)
-    acc = np.zeros((len(x_alphabet), v_idx.shape[1]))
-    np.add.at(acc, [x_index[x] for x in g.values()], cond)
-    return acc * src.receiver_marginal[v_idx].prod(axis=0)
+    marginal = src.receiver_marginal[v_idx].prod(axis=0)
+    tables = []
+    for g in gs:
+        acc = np.zeros((len(x_alphabet), v_idx.shape[1]))
+        np.add.at(acc, [x_index[x] for x in g.values()], cond[[row[u] for u in g]])
+        tables.append(acc * marginal)
+    return tables
 
 
 def _ensemble_blocks(w, weights, q_rows):
@@ -206,7 +210,7 @@ def ensemble_state(src, g, q, w, caps=DEFAULT_CAPS):
     if q.x_alphabet != w.x_alphabet or q.s_alphabet != w.s_alphabet:
         raise AlphabetMismatch("kernel alphabets do not match the channel")
     iota = len(next(iter(g)))
-    blocks = _ensemble_blocks(w, _block_weights(src, g, iota, w.x_alphabet), q.rows)
+    blocks = _ensemble_blocks(w, _block_weights(src, [g], iota, w.x_alphabet)[0], q.rows)
     mat = validate_density(_block_diag(blocks, caps))
     v_words = iproduct(range(len(src.v_alphabet)), repeat=iota)
     return EnsembleState(matrix=mat, blocks=blocks, v_words=tuple(v_words))
@@ -260,11 +264,13 @@ def separation_test(w, src, gp, seed=0, tol=DEFAULT_TOL, caps=DEFAULT_CAPS):
     threshold yields NotSeparable with the witness kernels; lower above the
     separability threshold yields a certificate built from the connecting
     direction between the closest points; any other bracket raises
-    Indeterminate.
+    Indeterminate.  Both encoders' weights come from one _block_weights
+    pass.  The certificate's operator is block diagonal, so lambda_top and
+    lambda_floor come from the spectra of its |V|^iota d x d shifted
+    blocks, and the dense operator's spectrum is never taken.
     """
     nx, ns = len(w.x_alphabet), len(w.s_alphabet)
-    wgt0 = _block_weights(src, gp.g0, gp.iota, w.x_alphabet)
-    wgt1 = _block_weights(src, gp.g1, gp.iota, w.x_alphabet)
+    wgt0, wgt1 = _block_weights(src, (gp.g0, gp.g1), gp.iota, w.x_alphabet)
     embedded = embed_stack(w.states)
     dist, lower, q0, q1 = affine_set_distance(
         _gram_factor(embedded, wgt0), _gram_factor(embedded, wgt1), ns, ns,
@@ -296,9 +302,10 @@ def separation_test(w, src, gp, seed=0, tol=DEFAULT_TOL, caps=DEFAULT_CAPS):
         )
     a_op = _block_diag(direction, caps)
     shifted = a_op - b * np.eye(a_op.shape[0])
-    eigs = eigvalsh_stack(shifted)
-    lam_top = float(eigs[-1])
-    lam_floor = float(min(0.0, eigs[0]))
+    # the spectrum of the block-diagonal shifted operator is its blocks' spectra
+    eigs = eigvalsh_stack(direction - b * np.eye(w.dim))
+    lam_top = float(eigs[:, -1].max())
+    lam_floor = float(min(0.0, eigs[:, 0].min()))
     m1 = (shifted - lam_floor * np.eye(a_op.shape[0])) / (lam_top - lam_floor)
     m0 = np.eye(a_op.shape[0]) - m1
     return SeparationCertificate(
@@ -321,8 +328,8 @@ def _functional_tables(op, w, src, gp):
     nv, d = op.shape[0] // w.dim, w.dim
     blocks = op.reshape(nv, d, nv, d)[np.arange(nv), :, np.arange(nv), :]
     return [
-        _coefficients(w, _block_weights(src, g, gp.iota, w.x_alphabet), blocks).ravel()
-        for g in (gp.g0, gp.g1)
+        _coefficients(w, wgt, blocks).ravel()
+        for wgt in _block_weights(src, (gp.g0, gp.g1), gp.iota, w.x_alphabet)
     ]
 
 

@@ -226,9 +226,17 @@ def _label_sequences(p, n, half_width, guard, caps):
 
 
 def _block_length(n):
-    """int(n) if n is an integer in [1, 2^63), the int64 counts, else InvalidArgument."""
-    if _integer(n, "block length", 1) >= 1 << 63:
-        raise InvalidArgument(f"block length {n} exceeds 2^63 - 1, the largest int64 count")
+    """int(n) if n is an integer in [1, 2^53), else InvalidArgument.
+
+    The window test compares c / n with p in floats, which is the rounded
+    quotient only while c and n convert to floats exactly, below 2^53;
+    past it, counts that pass the test drop out of the classes.
+    """
+    if _integer(n, "block length", 1) >= 1 << 53:
+        raise InvalidArgument(
+            f"block length {n} exceeds 2^53 - 1, the largest whose counts convert to floats "
+            f"exactly in the window test"
+        )
     return int(n)
 
 
@@ -237,7 +245,7 @@ def typical_set(p, n, delta, caps=DEFAULT_CAPS, tol=DEFAULT_TOL):
 
     Sequences are tuples of indices into p's alphabet, in lexicographic
     order; more than caps.enumeration of them raise.  n must be an integer
-    in [1, 2^63) and delta finite and > 0.
+    in [1, 2^53) and delta finite and > 0.
     """
     pv = validate_probability_vector(p, tol)
     n = _block_length(n)
@@ -284,7 +292,7 @@ def typical_projector(rho, n, alpha, caps=DEFAULT_CAPS):
 
     The window is +-alpha per eigenlabel frequency.  This is the conditional
     typical projector of the one-letter channel rho on the word of n copies
-    of its letter; rho must be a density operator and n an integer in [1, 2^63).
+    of its letter; rho must be a density operator and n an integer in [1, 2^53).
     """
     word = (0,) * _block_length(n)
     return conditional_typical_projector(CqChannel((0,), [rho]), word, alpha, caps)
@@ -449,7 +457,7 @@ def verify_typicality_bounds(w, p, n_range, alpha, caps=DEFAULT_CAPS, tol=DEFAUL
     realized empirical type, each letter's classes enumerated once per count.
     The first n over caps.enumeration raises with the first check it fails:
     source window, letter windows in order, count table.  n_range must be
-    non-empty, of integers in [1, 2^63), and alpha finite and > 0; it is
+    non-empty, of integers in [1, 2^53), and alpha finite and > 0; it is
     read no further than caps.enumeration + 1 block lengths, and a range
     holding more raises EnumerationOverflow before any is checked.
     """

@@ -1,7 +1,8 @@
 """Shared instance builders and independent references for the test suite."""
 
+from fractions import Fraction
 from itertools import chain, combinations, product as iproduct
-from math import comb, inf, log2, prod
+from math import ceil, comb, floor, inf, log2, prod
 
 import numpy as np
 
@@ -733,21 +734,29 @@ def per_block_window_classes(p, n, half_width, guard=DEFAULT_TOL.typicality_boun
 
     Labels with probability below the support floor are pinned to count 0.
     Counts grow label by label inside the window widened by one, each step's
-    candidates checked against caps.enumeration first.  Lexicographic order.
+    candidates checked against caps.enumeration first.  The window and the
+    test are exact rationals, c/n against p and the float half_width + guard,
+    so no count is lost to rounding at any n.  Lexicographic order.
     """
     p = np.asarray(p, dtype=float)
-    reach = n * (half_width + guard)
-    lo = np.clip(np.ceil(n * p[:-1] - reach) - 1, 0, n).astype(int)
-    hi = np.where(p[:-1] < _SUPPORT_FLOOR, 0, np.clip(np.floor(n * p[:-1] + reach) + 1, 0, n))
-    counts = np.zeros((1, 0), dtype=int)
-    for side in map(np.arange, lo, hi.astype(int) + 1):
+    exact_p, width = [Fraction(pj) for pj in p.tolist()], Fraction(half_width + guard)
+    sides = []
+    for pj, exact in zip(p[:-1].tolist(), exact_p):
+        lo = max(0, min(n, ceil(n * (exact - width)) - 1))
+        hi = 0 if pj < _SUPPORT_FLOOR else max(0, min(n, floor(n * (exact + width)) + 1))
+        sides.append(np.arange(lo, hi + 1, dtype=np.int64))
+    counts = np.zeros((1, 0), dtype=np.int64)
+    for side in sides:
         if (rows := len(counts) * side.size) > caps.enumeration:
             raise EnumerationOverflow(f"{rows} window candidates exceed cap {caps.enumeration}")
         counts = np.column_stack([np.repeat(counts, side.size, axis=0), np.tile(side, len(counts))])
         counts = counts[counts.sum(axis=1) <= n]
     counts = np.column_stack([counts, n - counts.sum(axis=1)])
-    bad = (np.abs(counts / n - p) > half_width + guard) | ((p < _SUPPORT_FLOOR) & (counts > 0))
-    return [tuple(c) for c in counts[~bad.any(axis=1)].tolist()]
+    return [
+        tuple(c) for c in counts.tolist()
+        if all(abs(Fraction(cj, n) - exact) <= width and not (pj < _SUPPORT_FLOOR and cj)
+               for cj, exact, pj in zip(c, exact_p, p.tolist()))
+    ]
 
 
 def _type_counts(p, n):

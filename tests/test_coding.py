@@ -29,6 +29,7 @@ from avcqc.errors import (
     AlphabetMismatch,
     DimensionMismatch,
     DimOverflow,
+    EnumerationOverflow,
     InvalidArgument,
     KeySetMismatch,
     NotHermitian,
@@ -231,7 +232,7 @@ class TestContraction:
             g_t = np.ascontiguousarray(g.T)
             chosen = strategy(xs)
             success = product_success(w, xs, chosen, g_t)
-            one_err, one = coding._informed_error(w, 10, [(xs, g)], 1.0, DEFAULT_CAPS)
+            one_err, one = coding._informed_error(w, 10, [(xs, g)], 1.0, DEFAULT_CAPS, True)
             assert one(xs) == chosen
             assert success == pytest.approx(1.0 - one_err, abs=1e-12)
             for ss in rng.integers(0, 2, size=(32, 10)):
@@ -722,6 +723,86 @@ class TestRepetitionPrecode:
         bad = dataclasses.replace(cert, **{which: m})
         with pytest.raises(error, match=message):
             repetition_precode(bad, gp, src, w, num_keys=2, nu=2)
+
+    @pytest.mark.parametrize("instance", ["orthogonal-flip10"], indirect=True)
+    def test_certificate_of_another_block_count_refused(self, instance):
+        cert, gp, src, w = instance
+        short = dataclasses.replace(cert, m0=cert.m0[:-2, :-2], m1=cert.m1[:-2, :-2])
+        message = r"shapes \(14, 14\) and \(14, 14\) do not hold 8 receiver blocks of side 2"
+        with pytest.raises(DimensionMismatch, match=message):
+            repetition_precode(short, gp, src, w, num_keys=2, nu=2)
+
+
+class TestDeferredBuilds:
+    """The error path builds no JammerStrategy, state-word list, word table
+    or encoder; each is built, as before, when something reads it."""
+
+    SPECS = TestRepetitionPrecode.SPECS
+
+    def test_error_without_the_strategy_is_the_error_with_it(self):
+        rng = np.random.default_rng(73)
+        for k in range(16):
+            n, j = int(rng.integers(1, 4)), int(rng.integers(2, 5))
+            w = random_avcqc(rng, ns=int(rng.integers(1, 4)))
+            det = random_projective_code(rng, n, j, allow_duplicates=(k % 4 == 0))
+            rand = RandomCode((det, random_projective_code(rng, n, j)))
+            for evaluate, code in ((worst_case_error_informed, det),
+                                   (random_code_error_informed, rand)):
+                assert evaluate(code, w) == evaluate(code, w, return_strategy=True)[0]
+        for nx, d in ((2, 2), (3, 2), (2, 3), (4, 3)):
+            w, src = separable_instance(np.random.default_rng([2024, nx, d]), nx, d)
+            gp = build_g_pair(src, w.x_alphabet)
+            cert = separation_test(w, src, gp)
+            pre = repetition_precode(cert, gp, src, w, num_keys=int(rng.integers(2, 5)), nu=2)
+            for code in (pre, as_dense(pre)):
+                err, _ = correlation_code_error_informed(code, w, src, return_strategy=True)
+                assert correlation_code_error_informed(code, w, src) == err
+
+    def test_error_path_builds_no_strategy_or_word_table(self, monkeypatch):
+        w, src, pre, inner = toy_two_part(leak=0.2)
+
+        def built(*args, **kwargs):
+            raise AssertionError("built on the error path")
+
+        for name in ("v_prime_words", "v_words", "encoders", "decoders"):
+            monkeypatch.setattr(coding.RepetitionPrecode, name, property(built))
+        two_part_error_informed(pre, inner, w, src)
+        monkeypatch.setattr(coding, "JammerStrategy", built)
+        correlation_code_error_informed(pre, w, src)
+        worst_case_error_informed(inner.codes[0], w)
+        random_code_error_informed(inner, w)
+
+    def test_state_word_cap_without_the_strategy(self):
+        w, src, pre, inner = toy_two_part()
+        caps = Caps(jammer_states=7)          # |S|^3 = 8 state words
+        for call in (
+            lambda: worst_case_error_informed(inner.codes[0], w, caps),
+            lambda: random_code_error_informed(inner, w, caps),
+            lambda: correlation_code_error_informed(pre, w, src, caps),
+        ):
+            with pytest.raises(EnumerationOverflow,
+                               match=r"^\|S\|\^n = 8 exceeds jammer enumeration cap 7$"):
+                call()
+
+    @pytest.mark.parametrize("nu, keys", [(1, 2), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4)])
+    def test_lazy_tables_are_the_eager_ones(self, nu, keys, tmp_path):
+        w = io.load_channel(self.SPECS / "orthogonal_channel.json")
+        src = io.load_source(self.SPECS / "flip10_source.json")
+        gp = build_g_pair(src, w.x_alphabet)
+        cert = separation_test(w, src, gp)
+        l = nu * gp.iota
+        encoders, decoders = kron_chain_precode(cert, gp, src, w, keys, nu)
+        eager = CorrelationCode(
+            l=l, n=nu, v_prime_words=tuple(iproduct(src.v_prime_alphabet, repeat=l)),
+            v_words=tuple(iproduct(src.v_alphabet, repeat=l)), encoders=encoders,
+            decoders=decoders,
+        )
+        code = repetition_precode(cert, gp, src, w, num_keys=keys, nu=nu)
+        for name in ("v_prime_words", "v_words", "encoders"):
+            assert getattr(code, name) == getattr(eager, name)
+        io.dump_json(io.correlation_code_to_json(code), tmp_path / "lazy.json")
+        io.dump_json(io.correlation_code_to_json(eager), tmp_path / "eager.json")
+        assert (tmp_path / "lazy.json").read_bytes() == (tmp_path / "eager.json").read_bytes()
 
 
 class TestTwoPartDesign:

@@ -65,8 +65,8 @@ def pair_generators(w, src):
     """The separation test's generator matrices (D, |X||S|) of g0 and g1."""
     gp = build_g_pair(src, w.x_alphabet)
     embedded = embed_stack(w.states)
-    return [_gram_factor(embedded, _block_weights(src, g, gp.iota, w.x_alphabet))
-            for g in (gp.g0, gp.g1)]
+    return [_gram_factor(embedded, wgt)
+            for wgt in _block_weights(src, (gp.g0, gp.g1), gp.iota, w.x_alphabet)]
 
 
 class TestAffineSetDistance:

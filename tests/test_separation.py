@@ -1,4 +1,5 @@
 from itertools import product as iproduct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from avcqc import (
     separation_test,
 )
 from avcqc import separation
+from avcqc import serialize as io
 from avcqc.config import DEFAULT_TOL
 from avcqc.errors import (
     Indeterminate,
@@ -137,16 +139,18 @@ class TestEnsembleState:
 
 
 class TestBlockWeights:
-    """_block_weights gives the Kronecker-power reference's table bit for bit."""
+    """_block_weights gives the Kronecker-power reference's table bit for bit,
+    one encoder at a time and from the pass g0 and g1 share."""
 
     @pytest.mark.parametrize("nx, d", [(nx, d) for nx in (2, 3, 4, 5) for d in (2, 3)])
     def test_fixed_draws(self, nx, d):
         w, src = separable_instance(np.random.default_rng([2024, nx, d]), nx, d)
         gp = build_g_pair(src, w.x_alphabet)
-        for g in (gp.g0, gp.g1):
-            got = _block_weights(src, g, gp.iota, w.x_alphabet)
+        shared = _block_weights(src, (gp.g0, gp.g1), gp.iota, w.x_alphabet)
+        for g, pair_table in zip((gp.g0, gp.g1), shared):
             want = kron_block_weights(src, g, gp.iota, w.x_alphabet)
-            assert got.shape == want.shape and (got == want).all()
+            for got in (_block_weights(src, [g], gp.iota, w.x_alphabet)[0], pair_table):
+                assert got.shape == want.shape and (got == want).all()
 
     @pytest.mark.parametrize("joint", [
         [[0.3, 0.05, 0.12], [0.02, 0.33, 0.18]],
@@ -156,11 +160,35 @@ class TestBlockWeights:
         src = CorrelatedSource(("u", "w"), ("a", "b", "c"), joint)
         for letters in (("x", "y"), ("x", "y", "z")):
             gp = build_g_pair(src, letters)
-            for g in (gp.g0, gp.g1):
-                got = _block_weights(src, g, gp.iota, letters)
+            shared = _block_weights(src, (gp.g0, gp.g1), gp.iota, letters)
+            for g, pair_table in zip((gp.g0, gp.g1), shared):
                 want = kron_block_weights(src, g, gp.iota, letters)
-                assert got.shape == (len(letters), 3 ** gp.iota)
-                assert (got == want).all()
+                for got in (_block_weights(src, [g], gp.iota, letters)[0], pair_table):
+                    assert got.shape == (len(letters), 3 ** gp.iota)
+                    assert (got == want).all()
+
+
+class TestCertificateSpectrum:
+    """lambda_top and lambda_floor come from the spectra of the certificate's
+    d x d blocks; on these draws they are the dense spectrum's extremes bit
+    for bit."""
+
+    SPECS = Path(__file__).resolve().parents[1] / "specs"
+
+    @pytest.mark.parametrize(
+        "case", [(nx, d) for nx in (2, 3, 4, 5) for d in (2, 3)] + ["orthogonal-flip10"], ids=str
+    )
+    def test_block_extremes_are_the_dense_ones(self, case):
+        if case == "orthogonal-flip10":
+            w = io.load_channel(self.SPECS / "orthogonal_channel.json")
+            src = io.load_source(self.SPECS / "flip10_source.json")
+        else:
+            w, src = separable_instance(np.random.default_rng([2024, *case]), *case)
+        cert = separation_test(w, src, build_g_pair(src, w.x_alphabet))
+        assert isinstance(cert, SeparationCertificate)
+        eigs = np.linalg.eigvalsh(cert.operator_a - cert.threshold_b * np.eye(cert.block_dim))
+        assert cert.lambda_top == float(eigs[-1])
+        assert cert.lambda_floor == float(min(0.0, eigs[0]))
 
 
 class TestEmbedding:
@@ -191,8 +219,7 @@ class TestEmbedding:
         # sum_v w_x(v) w_x'(v) tr(W(x, s) W(x', s'))
         w, src = separable_instance(np.random.default_rng([2024, 3, 3]), 3, 3)
         gp = build_g_pair(src, w.x_alphabet)
-        wgt0 = _block_weights(src, gp.g0, gp.iota, w.x_alphabet)
-        wgt1 = _block_weights(src, gp.g1, gp.iota, w.x_alphabet)
+        wgt0, wgt1 = _block_weights(src, (gp.g0, gp.g1), gp.iota, w.x_alphabet)
         traces = np.einsum("xsij,yrji->xsyr", w.states, w.states).real
         expected = np.einsum("xv,yv,xsyr->xsyr", wgt0, wgt1, traces).reshape(6, 6)
         embedded = embed_stack(w.states)
@@ -375,7 +402,7 @@ class TestSetDistanceBracket:
         # the bracket still holds the pinned distance, and the separation
         # decision under that budget is a sound certificate or Indeterminate
         w, src, gp = fixed_draw(2, 2)
-        wgt0, wgt1 = (_block_weights(src, g, gp.iota, w.x_alphabet) for g in (gp.g0, gp.g1))
+        wgt0, wgt1 = _block_weights(src, (gp.g0, gp.g1), gp.iota, w.x_alphabet)
         gens = tuple(_gram_factor(embed_stack(w.states), wgt) for wgt in (wgt0, wgt1))
         dist, lower, _, _ = separation.affine_set_distance(*gens, 2, 2, max_iter=max_iter)
         assert dist**2 - lower**2 > DEFAULT_TOL.quadratic_solver

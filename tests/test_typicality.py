@@ -591,6 +591,37 @@ class TestBatchedCaps:
             verify_typicality_bounds(w, p, ns, 0.1, caps=Caps(enumeration=cells - 1))
 
 
+class TestBlockLengthBound:
+    """Block lengths stop at 2^53 - 1: below it counts and n convert to
+    floats exactly, and the window test keeps every count that passes it."""
+
+    def test_draw_past_the_bound_is_refused(self):
+        # past 2^53 the float test keeps no class of this window, while 75
+        # counts pass the exact rational test
+        n, p, width = 2377949110151686093, [0.77, 1 - 0.77], 1.58e-17
+        assert len(per_block_window_classes(p, n, width, guard=0.0)) == 75
+        assert _window_classes(p, [n], width, guard=0.0)[0].size == 0
+        for call in (
+            lambda: typical_set(p, n, 0.1),
+            lambda: typical_projector(HALF, n, 0.1),
+            lambda: verify_typicality_bounds(mirror_pair_channel(), [0.5, 0.5], [4, n], 0.1),
+        ):
+            with pytest.raises(InvalidArgument, match=rf"block length {n} exceeds 2\^53 - 1"):
+                call()
+
+    def test_classes_below_the_bound_pass_the_float_test(self):
+        rng = np.random.default_rng(53)
+        for n in [2**53 - 1] + rng.integers(2**50, 2**53, size=99).tolist():
+            p0 = rng.uniform(0.05, 0.95)
+            p, width = np.array([p0, 1 - p0]), rng.uniform(2, 40) / n
+            # every window count lies within 41 of n * p0
+            c0 = round(n * p0) + np.arange(-60, 61)
+            cols = np.stack([c0, n - c0])
+            passing = ~(np.abs(cols / n - p[:, None]) > width).any(axis=0)
+            got = _window_classes(p, [n], width, guard=0.0)[0]
+            assert got.tolist() == cols.T[passing].tolist()
+
+
 def smallest_fitting_cap(w, p, ns, alpha):
     """The least caps.enumeration under which the per-block reference raises nothing."""
     lo, hi = 1, Caps().enumeration
@@ -707,11 +738,16 @@ class TestBoundaryValidation:
         (lambda: typical_set([0.5, 0.5], 4, INF), InvalidArgument, "delta"),
         (lambda: typical_set([0.5, 0.5], 4, True), InvalidArgument, "delta"),
         (lambda: typical_set([NAN, 1.0], 4, 0.3), InvalidArgument, "not finite"),
-        # block lengths past int64 are refused before any count array is cast;
-        # 2^63 - 1 passes, and its window is refused by the cap
+        # block lengths from 2^53 on, where counts stop converting to floats
+        # exactly, are refused before any window is tested; 2^53 - 1 passes,
+        # and its window is refused by the cap
         (lambda: typical_set([0.9, 0.1], 2**63, 0.1), InvalidArgument,
-         r"block length 9223372036854775808 exceeds 2\^63 - 1"),
-        (lambda: typical_set([0.9, 0.1], 2**63 - 1, 0.1), EnumerationOverflow,
+         r"block length 9223372036854775808 exceeds 2\^53 - 1"),
+        (lambda: typical_set([0.9, 0.1], 2**63 - 1, 0.1), InvalidArgument,
+         r"block length 9223372036854775807 exceeds 2\^53 - 1"),
+        (lambda: typical_set([0.9, 0.1], 2**53, 0.1), InvalidArgument,
+         r"block length 9007199254740992 exceeds 2\^53 - 1"),
+        (lambda: typical_set([0.9, 0.1], 2**53 - 1, 0.1), EnumerationOverflow,
          "window candidates exceed cap"),
         (lambda: typical_projector(HALF, -1, 0.1), InvalidArgument, "block length"),
         (lambda: typical_projector(HALF, 0, 0.1), InvalidArgument, "block length"),
@@ -749,6 +785,7 @@ class TestBoundaryValidation:
     ], ids=[
         "set n=-1", "set n=0", "set n=2.0", "set n=True", "set delta<0", "set delta nan",
         "set delta inf", "set delta=True", "set p nan", "set n=2^63", "set n=2^63-1",
+        "set n=2^53", "set n=2^53-1",
         "projector n=-1", "projector n=0",
         "projector n=2.0", "projector alpha=0", "projector alpha nan", "projector n=2^63",
         "conditional empty word",
