@@ -740,7 +740,12 @@ def cr_capacity(w, src, tol=DEFAULT_TOL):
     and the dual at hi, and NonBinarySource for |V'| > 2.  ``value`` is the
     feasible lower end.  Nothing is drawn at random.
     """
-    cap = capacity_informed_jammer(w, tol=tol)
+    return _cr_from_capacity(capacity_informed_jammer(w, tol=tol), src, tol)
+
+
+def _cr_from_capacity(cap, src, tol):
+    """cr_capacity from the channel's solved max-min CapacityResult `cap`,
+    so that sources over one channel share one solve."""
     c_star, (lo, hi) = cap.value, cap.bracket
     i_vv = src.mutual_information()
     if i_vv <= c_star + tol.case_tie_band:

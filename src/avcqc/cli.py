@@ -20,7 +20,7 @@ from dataclasses import fields, replace
 import numpy as np
 
 from . import serialize as io
-from .capacity import capacity_informed_jammer, cr_capacity
+from .capacity import _cr_from_capacity, capacity_informed_jammer, cr_capacity
 from .channels import Avcqc, CorrelatedSource, CqChannel, source_distance
 from .coding import cr_generation_run, repetition_precode
 from .config import Caps, Tolerances
@@ -291,12 +291,14 @@ def cmd_discontinuity_demo(args):
     states = np.stack([[delta, delta], [delta, delta]])
     w = Avcqc(("0", "1"), ("0", "1"), states)
     limit = _demo_source(np.inf)  # eps = 2**-inf = 0: the n -> infinity limit
+    # one max-min solve of the fixed channel serves every source
+    cap = capacity_informed_jammer(w, tol=args.tol)
     rows = [("n", "source_distance_to_limit", "cr_capacity")]
     for n in args.n_list:
         src = _demo_source(n)
-        res = cr_capacity(w, src, tol=args.tol)
+        res = _cr_from_capacity(cap, src, args.tol)
         rows.append((n, repr(source_distance(src, limit)), repr(res.value)))
-    res = cr_capacity(w, limit, tol=args.tol)
+    res = _cr_from_capacity(cap, limit, args.tol)
     rows.append(("limit", repr(0.0), repr(res.value)))
     io.write_csv(rows, args.out)
     return 0

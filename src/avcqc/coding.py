@@ -38,10 +38,10 @@ from .operators import (
 # Float slack of the POVM and error-chain checks: sums of D x D operators and
 # of exact errors carry rounding well above machine epsilon.
 _CHECK_SLACK = 1e-9
-# complex entries per batched Cholesky call of the POVM check (512 KiB): a
-# shifted copy of the whole decoder stack, and its factor, would each add the
-# stack's size to the peak memory
-_CHOLESKY_ENTRIES = 1 << 15
+# complex entries (512 KiB) of one stacked step, the matrices of a batched
+# Cholesky call of the POVM check or the tables of a chunk of codewords in
+# _success_tables: a whole stack's copy would add its size to the peak memory
+_STACK_ENTRIES = 1 << 15
 # success values of one codeword this close count as a tie for the jammer's
 # pick: mathematically equal values differ by rounding, and by a different
 # rounding in the site-form and the dense evaluator
@@ -56,7 +56,7 @@ def _validate_povm(ops, unit="word"):
     tol = _CHECK_SLACK, a stack is accepted once every operator is Hermitian
     within tol (max |A - A†| entry) and every A + tol I and
     (1 + tol) I - sum_j A_j has a Cholesky factor, in batches of at most
-    _CHOLESKY_ENTRIES entries (one matrix at the least).  Only when a batch
+    _STACK_ENTRIES entries (one matrix at the least).  Only when a batch
     fails do the full checks run, to name the first offender: a
     non-Hermitian operator raises NotHermitian, then the two batched spectra
     name the first POVM in order, positivity before the sum.  Once the stack
@@ -106,7 +106,7 @@ def _has_cholesky_factors(flat, tol):
     stack (N, J, D, D)."""
     eye = np.eye(flat.shape[-1])
     singles = flat.reshape(-1, *flat.shape[-2:])
-    step = max(1, _CHOLESKY_ENTRIES // len(eye) ** 2)
+    step = max(1, _STACK_ENTRIES // len(eye) ** 2)
     try:
         for i in range(0, len(singles), step):
             if _adjoint_deviation(singles[i : i + step]).max() > tol:
@@ -155,9 +155,9 @@ class RandomCode:
         codes = tuple(self.codes)
         if not codes:
             raise KeySetMismatch("random code needs at least one key")
-        j0, n0 = codes[0].num_messages, codes[0].n
-        if any(c.num_messages != j0 or c.n != n0 for c in codes):
-            raise KeySetMismatch("per-key codes must share message set and length")
+        n0, shape = codes[0].n, codes[0].decoders.shape
+        if any(c.n != n0 or c.decoders.shape != shape for c in codes):
+            raise KeySetMismatch("per-key codes must share message set, length and decoder side")
         object.__setattr__(self, "codes", codes)
 
     @property
@@ -211,25 +211,22 @@ class CorrelationCode:
         return len(self.encoders[0])
 
     def _key_tables(self, w, src, caps):
-        """(pairs, tables) per distinct (codeword, sent message) pair, in
-        encoder order: tables[i, k] is _success_table of pair i against
-        message k's decoders, each weighted by the source mass its receiver
-        word has jointly with the sender words sending pair i."""
-        if self.decoders.shape[-1] != w.dim ** self.n:
-            raise DimensionMismatch(
-                f"decoder side {self.decoders.shape[-1]} != d^n = {w.dim ** self.n}"
-            )
+        """(words, ids, keys, tables), a row per distinct (codeword, message)
+        pair in encoder order: row r sends message keys[r] by words[ids[r]],
+        and tables[r, k] is its success table against message k's decoders,
+        each weighted by the source mass its receiver word has jointly with
+        the sender words sending the pair; one _success_tables pass."""
         _check_product_dim(w.dim, self.n, caps)
         joint_l = _product_joint(src, self.l)
         weights = {}
         for ui, row in enumerate(self.encoders):
             for j, xs in enumerate(row):
                 weights[xs, j] = weights.get((xs, j), 0.0) + joint_l[ui]
-        tables = [
-            [_success_table(w, xs, g) for g in np.tensordot(wv, self.decoders, axes=1)]
-            for (xs, _), wv in weights.items()
-        ]
-        return list(weights), np.array(tables)
+        word_ids = {}
+        ids = [word_ids.setdefault(xs, len(word_ids)) for xs, _ in weights]
+        ops = [np.tensordot(wv, self.decoders, axes=1) for wv in weights.values()]
+        tables = _success_tables(w, _letter_indices(w, word_ids)[ids], ops)
+        return list(word_ids), ids, [j for _, j in weights], tables
 
 
 # ---------------------------------------------------------------------------
@@ -245,87 +242,106 @@ def _check_state_words(w, n, caps):
         )
 
 
-def _success_table(w, xs, g, ss=None):
-    """tr((W(x_1, s_1) (x) ... (x) W(x_n, s_n)) G) for every state word s,
-    in lexicographic order, or for the one state word ss when given.
+def _success_tables(w, xi, ops, si=None):
+    """(N, ..., |S|^n) tables tr((W(x_1, s_1) (x) ... (x) W(x_n, s_n)) G) of
+    the codewords of letter indices xi (N, n), state words s in
+    lexicographic order, G over the stack ops[i] (..., D, D), D = d^n or
+    DimensionMismatch; with state indices si (N, n), (N, ...) at si[i] only.
 
-    Contracts the legs of G site by site, first site first: the running
-    table (T, d*rest, d*rest) is copied to (T, d^2, rest^2) with the
-    site's legs (b, a) as one axis, and one matmul by W(x_i, .)^T as
-    (|S|, d^2), or by W(x_i, s_i)^T as (1, d^2), gives the next table
-    (T*|S|, rest, rest), or (T, rest, rest); no product state is built.
-    A stack g of shape (..., D, D) gives the values G by G.
+    No product state is built: site by site, the table (T, d*rest,
+    d*rest) is copied to (T, d^2, rest^2), the site's legs as one axis, and
+    a matmul by W(x_t, .)^T as (|S|, d^2), or W(x_t, s_t)^T, gives the next
+    (T*|S|, rest, rest).  Rows go in chunks whose tables, M max(d^{2n},
+    |S|^n) entries a row of M operators, fit _STACK_ENTRIES (one row at the
+    least): each ops[i] is copied from where it lies into the chunk's first
+    stack, and each site is one matmul over the chunk, every row's product
+    the one a contraction of that codeword alone makes.
     """
-    d = w.dim
-    s_rows = [slice(None)] * len(xs) if ss is None else [[w.s_alphabet.index(s)] for s in ss]
-    t = g[None]                                  # (state words so far, rest, rest)
-    for x, rows in zip(xs, s_rows):
-        rest = t.shape[-1] // d
-        site = w.states[w.x_alphabet.index(x), rows].swapaxes(1, 2).reshape(-1, d * d)
-        legs = t.reshape(-1, d, rest, d, rest).transpose(0, 1, 3, 2, 4)
-        t = (site @ legs.reshape(-1, d * d, rest * rest)).reshape(-1, rest, rest)
-    return np.real(t.ravel())
+    d, (n_rows, n) = w.dim, np.shape(xi)
+    side, batch = d ** n, np.shape(ops[0])[:-2]
+    for op in ops:
+        if np.shape(op)[-2:] != (side, side):
+            raise DimensionMismatch(f"decoder side {np.shape(op)[-1]} != d^n = {side}")
+    sites = w.states.swapaxes(-1, -2).reshape(len(w.x_alphabet), len(w.s_alphabet), d * d)
+    n_s, m = len(w.s_alphabet) if si is None else 1, np.size(ops[0]) // side ** 2
+    step = max(1, _STACK_ENTRIES // (m * max(d ** (2 * n), n_s ** n)))
+    out = np.empty((n_rows, *batch, n_s ** n))
+    for lo in range(0, n_rows, step):
+        rows = slice(lo, lo + step)
+        site = sites[xi[rows]] if si is None else sites[xi[rows], si[rows]][:, :, None]
+        c, rest = len(site), side // d
+        legs = np.empty((c, m, d, d, rest, rest), dtype=complex)
+        for i, op in enumerate(ops[rows]):
+            legs[i] = np.reshape(op, (m, d, rest, d, rest)).transpose(0, 1, 3, 2, 4)
+        t = site[:, None, 0] @ legs.reshape(c, m, d * d, rest * rest)
+        for k in range(1, n):
+            rest //= d
+            legs = t.reshape(c, -1, d, rest, d, rest).transpose(0, 1, 2, 4, 3, 5)
+            t = site[:, None, k] @ legs.reshape(c, -1, d * d, rest * rest)
+        out[rows] = t.real.reshape(c, *batch, -1)
+    return out if si is None else out[..., 0]
 
 
-def _jammer_picks(tables, w, n, return_strategy):
-    """The error, and with return_strategy its JammerStrategy, from
-    (codeword, success per state word) pairs, state words of length n in
-    lexicographic order.
+def _jammer_picks(words, ids, table, w, n, return_strategy):
+    """The error, and with return_strategy its JammerStrategy, from success
+    tables (R, |S|^n), state words in lexicographic order: row r is of
+    codeword words[ids[r]], or of words[r] when ids is None.
 
-    Tables of equal codewords are added up in order; the error is one minus
-    their minima summed in codeword order, clipped to [0, 1].  Only with
-    return_strategy are the state words listed: for each codeword the
-    jammer picks the first one whose success is within _TIE_SLACK of the
-    minimum, so that exact ties do not go to whichever word rounding
-    favours.
+    A codeword's rows are added up in row order, in one pass over the ids;
+    the error is one minus the codewords' minima summed in order, clipped
+    to [0, 1].  Only with return_strategy are the state words listed: for
+    each codeword the jammer picks the first one whose success is within
+    _TIE_SLACK of the minimum, so that exact ties do not go to whichever
+    word rounding favours.
     """
-    grouped = {}
-    for xs, vals in tables:
-        grouped[xs] = grouped[xs] + vals if xs in grouped else vals
-    vals = np.reshape(list(grouped.values()), (len(grouped), -1))
+    vals = table
+    if ids is not None:
+        vals = np.zeros((len(words), table.shape[1]))
+        np.add.at(vals, ids, table)
     low = vals.min(axis=1)
     err = float(min(max(1.0 - sum(low.tolist()), 0.0), 1.0))
     if not return_strategy:
         return err
     s_words = list(iproduct(w.s_alphabet, repeat=n))
     picks = np.argmax(vals <= low[:, None] + _TIE_SLACK, axis=1).tolist()
-    return err, JammerStrategy({xs: s_words[i] for xs, i in zip(grouped, picks)})
+    return err, JammerStrategy({xs: s_words[i] for xs, i in zip(words, picks)})
 
 
-def _check_codeword_letters(w, codewords):
-    """Raise AlphabetMismatch naming the first letter outside the channel's inputs."""
+def _letter_indices(w, codewords):
+    """(N, n) input letter indices of N codewords of length n; the first
+    letter outside the channel's inputs raises AlphabetMismatch naming it."""
+    index = {x: i for i, x in enumerate(w.x_alphabet)}
     for xs in codewords:
         for x in xs:
-            if x not in w.x_alphabet:
+            if x not in index:
                 raise AlphabetMismatch(
                     f"letter {x!r} of codeword {xs} is not in the channel's input "
                     f"alphabet {w.x_alphabet}"
                 )
+    return np.array([[index[x] for x in xs] for xs in codewords], dtype=np.intp)
 
 
 def _informed_error(w, n, entries, weight, caps, return_strategy):
     """Exact informed-jammer error, and with return_strategy its
     JammerStrategy, from (codeword, operator) pairs.
 
-    Operators of equal codewords are summed into one grouped operator G_x,
-    whose success table, times the entries' common weight (1/J, or 1/(J K)
-    for a random code), goes to _jammer_picks.  A codeword letter outside
-    the channel's input alphabet raises AlphabetMismatch naming the letter
-    and the codeword.  _success_table takes about
-    n * max(|S| d^{2n}, |S|^n d^2) operations, and its largest
-    intermediate has max(d^{2n}, |S|^n) entries.  caps.product_dim bounds
-    d^n, the side of G_x.
+    Operators of equal codewords are summed in order into one G_x, the only
+    grouping, and one stacked _success_tables pass gives every G_x's table,
+    times the common weight (1/J, or 1/(J K) for a random code).  A letter
+    outside the channel's inputs raises AlphabetMismatch naming it and its
+    codeword.  The pass takes about n * max(|S| d^{2n}, |S|^n d^2)
+    operations a codeword, in chunks of _STACK_ENTRIES = 2^15 table
+    entries, so its largest intermediate has max(2^15, d^{2n}, |S|^n)
+    entries.  caps.product_dim bounds d^n, the side of G_x.
     """
     grouped = {}
     for xs, g in entries:
         grouped[xs] = grouped[xs] + g if xs in grouped else g
-    _check_codeword_letters(w, grouped)
+    xi = _letter_indices(w, grouped)
     _check_state_words(w, n, caps)
     _check_product_dim(w.dim, n, caps)
-    return _jammer_picks(
-        ((xs, _success_table(w, xs, g) * weight) for xs, g in grouped.items()), w, n,
-        return_strategy,
-    )
+    table = _success_tables(w, xi, list(grouped.values())) * weight
+    return _jammer_picks(list(grouped), None, table, w, n, return_strategy)
 
 
 def worst_case_error_informed(code, w, caps=DEFAULT_CAPS, return_strategy=False):
@@ -350,16 +366,9 @@ def worst_case_error_brute_force(code, w, caps=DEFAULT_CAPS):
             f"{len(s_words)}^{len(distinct)} jamming functions exceed the cap"
         )
     j_n = code.num_messages
-    succ = {
-        (xs, ss): float(
-            np.real(np.trace(product_output(w, xs, ss, caps) @ dsum))
-        )
-        for xs, dsum in (
-            (xs, sum(code.decoders[j] for j, c in enumerate(code.codebook) if c == xs))
-            for xs in distinct
-        )
-        for ss in s_words
-    }
+    dsum = {xs: sum(g for c, g in zip(code.codebook, code.decoders) if c == xs) for xs in distinct}
+    succ = {(xs, ss): float(np.real(np.trace(product_output(w, xs, ss, caps) @ dsum[xs])))
+            for xs in distinct for ss in s_words}
     worst = 0.0
     for assignment in iproduct(s_words, repeat=len(distinct)):
         tot = sum(succ[(xs, ss)] for xs, ss in zip(distinct, assignment))
@@ -457,9 +466,9 @@ def correlation_code_error_informed(code, w, src, caps=DEFAULT_CAPS, return_stra
         )
     _check_code_alphabets(code, w, src)
     _check_state_words(w, code.n, caps)
-    pairs, tables = code._key_tables(w, src, caps)
-    success = tables[np.arange(len(pairs)), [k for _, k in pairs]] / code.num_messages
-    return _jammer_picks(zip((xs for xs, _ in pairs), success), w, code.n, return_strategy)
+    words, ids, keys, tables = code._key_tables(w, src, caps)
+    success = tables[np.arange(len(keys)), keys] / code.num_messages
+    return _jammer_picks(words, ids, success, w, code.n, return_strategy)
 
 
 # ---------------------------------------------------------------------------
@@ -496,28 +505,27 @@ def two_part_error_informed(pre, inner, w, src, caps=DEFAULT_CAPS):
     full transmitted word (both parts).  Pre word x under key k followed by
     key k's inner word j has the success table sum_k' a_k'(s_pre) b_k'(s_inner)
     / JK: a the pre part's (x, k) table (see _key_tables), whose row k' is
-    the mass decoding to key k', and b the inner word's one _success_table
-    against all K keys' decoders of j, whose largest intermediate is K times
-    one decoder's; caps.product_dim bounds their side d^n.  A pre part that
-    does not fit the source and channel (see _check_code_alphabets), or an
-    inner codeword letter outside the channel's inputs, raises AlphabetMismatch.
+    the mass decoding to key k', and b the inner words' tables against all
+    K keys' decoders of j, from one _success_tables pass whose largest
+    intermediate a word is K times one decoder's; caps.product_dim bounds
+    their side d^n.  A pre part that does not fit the source and channel
+    (see _check_code_alphabets), or an inner codeword letter outside the
+    channel's inputs, raises AlphabetMismatch.
     """
     _check_code_alphabets(pre, w, src)
-    for det in inner.codes:
-        _check_codeword_letters(w, det.codebook)
+    xi = np.concatenate([_letter_indices(w, det.codebook) for det in inner.codes])
     j_n, k_n = inner.num_messages, inner.num_keys
     _check_state_words(w, pre.n + inner.n, caps)
-    pairs, a = pre._key_tables(w, src, caps)
+    words, ids, keys, a = pre._key_tables(w, src, caps)
     stack = read_only(np.stack([det.decoders for det in inner.codes]))   # (K, J, D, D)
     # b[k, j, k'] is inner word j of key k against key k''s decoder of j
-    b = np.array([[_success_table(w, xs, stack[:, j]).reshape(k_n, -1)
-                   for j, xs in enumerate(sent.codebook)] for sent in inner.codes])
-    whole = np.einsum("nka,njkb->njab", a, b[[k for _, k in pairs]]) / (j_n * k_n)
-    return _jammer_picks(
-        ((x_pre + xs, table.ravel()) for (x_pre, k), rows in zip(pairs, whole)
-         for xs, table in zip(inner.codes[k].codebook, rows)),
-        w, pre.n + inner.n, return_strategy=True,
-    )
+    b = _success_tables(w, xi, list(stack.swapaxes(0, 1)) * k_n).reshape(k_n, j_n, k_n, -1)
+    whole = np.einsum("nka,njkb->njab", a, b[keys]) / (j_n * k_n)
+    whole_ids = {}
+    rows = [whole_ids.setdefault(words[i] + xs, len(whole_ids))
+            for i, k in zip(ids, keys) for xs in inner.codes[k].codebook]
+    return _jammer_picks(list(whole_ids), rows, whole.reshape(len(rows), -1), w,
+                         pre.n + inner.n, return_strategy=True)
 
 
 def assemble_two_part(pre, inner, w, src, caps=DEFAULT_CAPS):
@@ -591,7 +599,7 @@ class RepetitionPrecode:
         return len(self.key_words)
 
     def _key_tables(self, w, src, caps):
-        """(pairs, tables) as CorrelationCode._key_tables, site by site.
+        """(words, ids, keys, tables) as CorrelationCode._key_tables, site by site.
 
         The source is i.i.d. and each encoder acts block by block, so a
         (x^n, k) table is _site_products of the factors A[c_t, x_t], c_t =
@@ -607,16 +615,16 @@ class RepetitionPrecode:
         maps_to = (letters[:, :, None] == np.arange(len(w.x_alphabet))).astype(float)
         weighted = np.einsum("ub,bkxs->ukxs", joint, _site_traces(self, w))
         a = np.einsum("ucx,ukxs->cxks", maps_to, weighted)
-        # the distinct letters bit c sends, in block order, and their indices
+        # the distinct letters bit c sends, in block order
         sent = [list(dict.fromkeys(p[c] for p in self.block_letters)) for c in (0, 1)]
-        sent_i = [[w.x_alphabet.index(x) for x in xs] for xs in sent]
-        words, xi, keys = [], [], []
+        word_ids, ids, keys = {}, [], []
         for k, bits in enumerate(self.key_words):
-            words += iproduct(*(sent[c] for c in bits))
-            xi += iproduct(*(sent_i[c] for c in bits))
-            keys += [k] * (len(xi) - len(keys))
-        factors = a[np.array(self.key_words)[keys], np.array(xi)]    # (pairs, nu, 2, |S|)
-        return list(zip(words, keys)), _site_products(factors, self.bit_keys, self.num_messages)
+            words = iproduct(*(sent[c] for c in bits))
+            ids += (word_ids.setdefault(xs, len(word_ids)) for xs in words)
+            keys += [k] * (len(ids) - len(keys))
+        xi = _letter_indices(w, word_ids)[ids]
+        factors = a[np.array(self.key_words)[keys], xi]    # (rows, nu, 2, |S|)
+        return list(word_ids), ids, keys, _site_products(factors, self.bit_keys, self.num_messages)
 
     @cached_property
     def v_prime_words(self):
@@ -681,9 +689,7 @@ def repetition_precode(cert, gp, src, w, num_keys=2, nu=3, caps=DEFAULT_CAPS):
     l = nu * iota
     n_v_letters = len(src.v_alphabet)
     if (len(src.v_prime_alphabet) * n_v_letters) ** l > caps.enumeration:
-        raise EnumerationOverflow(
-            f"source word tables at l = {l} exceed the enumeration cap"
-        )
+        raise EnumerationOverflow(f"source word tables at l = {l} exceed the enumeration cap")
     _check_product_dim(w.dim, nu, caps)
     key_words = _key_words(nu, num_keys)
     # outcome word i's bits are the base-2 digits of i, first use first
@@ -702,14 +708,8 @@ def repetition_precode(cert, gp, src, w, num_keys=2, nu=3, caps=DEFAULT_CAPS):
     blocks = np.arange(nv)
     site = np.stack((cert.m0, cert.m1)).reshape(2, nv, d, nv, d)[:, blocks, :, blocks]
     return RepetitionPrecode(
-        l=l,
-        n=nu,
-        v_prime_alphabet=tuple(src.v_prime_alphabet),
-        v_alphabet=tuple(src.v_alphabet),
-        key_words=tuple(key_words),
-        bit_keys=bit_keys,
-        block_letters=block_letters,
-        site=site,
+        l=l, n=nu, v_prime_alphabet=tuple(src.v_prime_alphabet), v_alphabet=tuple(src.v_alphabet),
+        key_words=tuple(key_words), bit_keys=bit_keys, block_letters=block_letters, site=site,
     )
 
 
@@ -801,18 +801,16 @@ def cr_generation_run(w, src, code, trials, seed, caps=DEFAULT_CAPS):
     The outcome probabilities of all trials come from one batched pass
     that builds no product state.  A RepetitionPrecode's are
     _site_products of the site traces T[b, bit, x, s] at each trial's
-    blocks and state word (m = 1); a CorrelationCode's are one
-    _success_table call per distinct (receiver word, codeword) pair, on
-    its decoders at the jammer's state word.  A TwoPartCode's are
-    sum_k pre[k] inner[k, j]: its pre part's as above on the first pre.n
-    letters, its inner part's one _success_table call per distinct (inner
-    word, inner state word) on all keys' decoders, a (K, J, D, D) stack, so
-    its largest intermediate has K J D^2 entries, not one key's J D^2.
+    blocks and state word (m = 1); a CorrelationCode's one _success_tables
+    pass over the distinct (receiver word, codeword) pairs at the jammer's
+    state word.  A TwoPartCode's are sum_k pre[k] inner[k, j]: its pre
+    part's as above on the first pre.n letters, its inner part's one pass
+    over the distinct (inner word, inner state word) pairs on all keys'
+    decoders, a (K, J, D, D) stack: K J D^2 entries a pair, not J D^2.
     caps.product_dim bounds d^n = D of each part so contracted.  The
     probabilities are clipped at 0 and completed by the failure entry
-    max(1 - sum, 0).  Returns a dict
-    with the agreement rate, the empirical entropy (bits) of the agreed
-    value, and per-trial records.  `trials` must be an integer >= 1 and
+    max(1 - sum, 0).  Returns a dict with the agreement rate, the empirical
+    entropy (bits) of the agreed value, and per-trial records.  `trials` must be an integer >= 1 and
     `seed` a nonnegative integer: None, which would draw fresh OS entropy
     on every run, is refused.
     """
@@ -850,30 +848,30 @@ def cr_generation_run(w, src, code, trials, seed, caps=DEFAULT_CAPS):
     states = [jammer(xs) for xs in words]
 
     # probability pass: the pre part's, then a two-part code's inner part's
+    xi = _letter_indices(w, words)
+    si = np.array([[w.s_alphabet.index(s) for s in ss] for ss in states], dtype=np.intp)
     if isinstance(pre, RepetitionPrecode):
         traces = _site_traces(pre, w)
         iota = l // pre.n
         blocks = v_letters.reshape(trials, pre.n, iota) @ n_v ** np.arange(iota - 1, -1, -1)
-        xi = np.array([[w.x_alphabet.index(x) for x in xs] for xs in words], dtype=np.intp)
-        si = np.array([[w.s_alphabet.index(s) for s in ss] for ss in states], dtype=np.intp)
         sites = traces[blocks, :, xi[word, : pre.n], si[word, : pre.n]]   # (trials, nu, 2)
         probs = _site_products(sites[..., None], pre.bit_keys, pre.num_messages)[..., 0]
     else:
         _check_product_dim(w.dim, pre.n, caps)
         v_index = v_letters @ n_v ** np.arange(l - 1, -1, -1)
         seen, pair_of = np.unique(v_index * len(words) + word, return_inverse=True)
-        table = [
-            _success_table(w, words[c][: pre.n], pre.decoders[v_i], states[c][: pre.n])
-            for v_i, c in (divmod(vc, len(words)) for vc in seen.tolist())
-        ]
-        probs = np.array(table)[pair_of]
+        v_i, c = np.divmod(seen, len(words))
+        ops = [pre.decoders[v] for v in v_i.tolist()]
+        probs = _success_tables(w, xi[c, : pre.n], ops, si[c, : pre.n])[pair_of]
     if two_part:
         _check_product_dim(w.dim, code.inner.n, caps)
-        parts = [(xs[pre.n :], ss[pre.n :]) for xs, ss in zip(words, states)]
+        part_ids = {}
+        part = np.array([part_ids.setdefault((xs[pre.n :], ss[pre.n :]), len(part_ids))
+                         for xs, ss in zip(words, states)], dtype=np.intp)
+        first = np.unique(part, return_index=True)[1]   # the first word of each part
         stack = read_only(np.stack([det.decoders for det in code.inner.codes]))
-        tables = {p: _success_table(w, p[0], stack, p[1]).reshape(k_n, j_n)
-                  for p in dict.fromkeys(parts)}
-        probs = np.einsum("tk,tkj->tj", probs, np.array([tables[p] for p in parts])[word])
+        tables = _success_tables(w, xi[first, pre.n :], [stack] * len(first), si[first, pre.n :])
+        probs = np.einsum("tk,tkj->tj", probs, tables[part[word]])
 
     # outcome pass: the completion entry takes the missing mass
     probs = np.clip(probs, 0.0, None)

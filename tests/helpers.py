@@ -13,6 +13,7 @@ from avcqc.coding import (
     RepetitionPrecode,
     TwoPartCode,
     _site_traces,
+    _success_tables,
     correlation_code_error_informed,
 )
 from avcqc.config import DEFAULT_CAPS, DEFAULT_TOL
@@ -472,9 +473,46 @@ def kron_block_weights(src, g, iota, x_alphabet):
     return acc * pv_word
 
 
+def per_codeword_success_table(w, xs, g, ss=None):
+    """Reference for one row of coding._success_tables: the contraction of
+    one codeword xs alone, site by site, the running table (T, d*rest,
+    d*rest) copied to (T, d^2, rest^2) and multiplied by W(x_i, .)^T as
+    (|S|, d^2), or by W(x_i, s_i)^T as (1, d^2) at the state word ss."""
+    d = w.dim
+    s_rows = [slice(None)] * len(xs) if ss is None else [[w.s_alphabet.index(s)] for s in ss]
+    t = g[None]                                  # (state words so far, rest, rest)
+    for x, rows in zip(xs, s_rows):
+        rest = t.shape[-1] // d
+        site = w.states[w.x_alphabet.index(x), rows].swapaxes(1, 2).reshape(-1, d * d)
+        legs = t.reshape(-1, d, rest, d, rest).transpose(0, 1, 3, 2, 4)
+        t = (site @ legs.reshape(-1, d * d, rest * rest)).reshape(-1, rest, rest)
+    return np.real(t.ravel())
+
+
+def success_table(w, xs, g, ss=None):
+    """coding._success_tables on the one codeword xs, in letters, and the
+    one stack g (..., D, D), at the state word ss when given, raveled."""
+    xi = np.array([[w.x_alphabet.index(x) for x in xs]])
+    si = None if ss is None else np.array([[w.s_alphabet.index(s) for s in ss]])
+    return _success_tables(w, xi, [g], si)[0].ravel()
+
+
+def einsum_success_tables(w, xi, ops, si=None):
+    """Reference for coding._success_tables without state words: the
+    einsum_success_table of each row and each operator of its stack,
+    (N, ..., |S|^n)."""
+    assert si is None
+    tables = []
+    for row, g in zip(xi, ops):
+        xs = tuple(w.x_alphabet[i] for i in row)
+        flat = [einsum_success_table(w, xs, g_m) for g_m in np.reshape(g, (-1, *g.shape[-2:]))]
+        tables.append(np.reshape(flat, (*g.shape[:-2], -1)))
+    return np.array(tables)
+
+
 def einsum_success_table(w, xs, g):
-    """Reference for coding._success_table: each site contracted by one
-    five-axis einsum, first site first."""
+    """Reference for one row of coding._success_tables: each site
+    contracted by one five-axis einsum, first site first."""
     d = w.dim
     t = g[None]
     for x in xs:

@@ -386,6 +386,25 @@ class TestDiscontinuityDemo:
         assert float(rows["3"][1]) <= 1e-3
         assert float(rows["limit"][1]) == pytest.approx(1.0, abs=1e-6)
 
+    def test_one_maxmin_solve_per_run(self, tmp_path, monkeypatch):
+        # the fixed channel's max-min is solved once for every source of the run
+        from avcqc import capacity, cli
+
+        solves = []
+        solve = capacity.capacity_informed_jammer
+
+        def spy(*args, **kwargs):
+            solves.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(capacity, "capacity_informed_jammer", spy)
+        monkeypatch.setattr(cli, "capacity_informed_jammer", spy)
+        out = tmp_path / "demo.csv"
+        rc = main(["discontinuity-demo", "--n-list", "3,4,5", "--seed", "7", "--out", str(out)])
+        assert rc == 0
+        assert len(solves) == 1
+        assert len(out.read_text().strip().splitlines()) == 5
+
     def test_rejects_small_n(self, tmp_path):
         out = tmp_path / "demo.csv"
         rc = main(["discontinuity-demo", "--n-list", "2,3", "--seed", "11",

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avcqc import (
     Avcqc,
@@ -44,12 +46,15 @@ from helpers import (
     constant_channel,
     cr_generation_reference,
     einsum_success_table,
+    einsum_success_tables,
     flip_source,
     kron_chain_precode,
     orthogonal_channel,
+    per_codeword_success_table,
     random_avcqc,
     random_povm_stack,
     separable_instance,
+    success_table,
     two_part_error_reference,
     wishart_state,
 )
@@ -146,6 +151,45 @@ def product_success(w, xs, ss, g_t):
     return float(np.real(np.dot(product_output(w, xs, ss).ravel(), g_t.ravel())))
 
 
+@st.composite
+def stacked_rows(draw):
+    """A channel, 1-6 rows of (letter indices, state indices, operator
+    stack), the stacks as one array, a list of arrays or a list of strided
+    views, and a stacking budget that puts chunk boundaries anywhere from
+    every row to none."""
+    d, nx, ns = draw(st.sampled_from((2, 3))), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n, rows = draw(st.integers(1, 4 if d == 2 else 3)), draw(st.integers(1, 6))
+    batch = draw(st.sampled_from(((), (2,), (3, 2))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = Avcqc(tuple("pqr"[:nx]), tuple("abc"[:ns]),
+              np.stack([[wishart_state(rng, d) for _ in range(ns)] for _ in range(nx)]))
+    shape = (*batch, rows, d ** n, d ** n)
+    ops = np.moveaxis(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), -3, 0)
+    layout = draw(st.sampled_from(("array", "list", "strided")))
+    if layout != "strided":
+        ops = np.ascontiguousarray(ops)
+    if layout != "array":
+        ops = list(ops)
+    per_row = int(np.prod(batch)) * max(d ** (2 * n), ns ** n)
+    budget = draw(st.sampled_from((1, per_row, 2 * per_row - 1, 2 * per_row, 5 * per_row, 1 << 15)))
+    return w, rng.integers(0, nx, (rows, n)), rng.integers(0, ns, (rows, n)), ops, budget
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(stacked_rows(), st.booleans())
+def test_stacked_tables_equal_the_per_codeword_contraction(instance, at_state_words):
+    w, xi, si, ops, budget = instance
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coding, "_STACK_ENTRIES", budget)
+        got = coding._success_tables(w, xi, ops, si if at_state_words else None)
+    words = () if at_state_words else (len(w.s_alphabet) ** xi.shape[1],)
+    assert got.shape == (len(xi), *ops[0].shape[:-2], *words)
+    for row, states, g, table in zip(xi, si, ops, got):
+        xs = tuple(w.x_alphabet[i] for i in row)
+        ss = tuple(w.s_alphabet[i] for i in states) if at_state_words else None
+        assert np.array_equal(table.ravel(), per_codeword_success_table(w, xs, g, ss))
+
+
 class TestContraction:
     def test_table_matches_product_states(self):
         # d = |S| = 3, non-Hermitian G and non-index letters expose any swapped leg
@@ -154,7 +198,7 @@ class TestContraction:
         w = Avcqc(("p", "q", "r"), ("a", "b", "c"), states)
         g = rng.standard_normal((27, 27)) + 1j * rng.standard_normal((27, 27))
         xs = ("r", "p", "q")
-        table = coding._success_table(w, xs, g)
+        table = success_table(w, xs, g)
         want = [product_success(w, xs, ss, g.T) for ss in iproduct(w.s_alphabet, repeat=3)]
         assert np.allclose(table, want, rtol=0.0, atol=1e-12)
 
@@ -165,7 +209,7 @@ class TestContraction:
         g = rng.standard_normal((27, 27)) + 1j * rng.standard_normal((27, 27))
         for xs in (("r", "p", "q"), ("q",), ("p", "p")):
             g_n = g[: 3 ** len(xs), : 3 ** len(xs)]
-            table = coding._success_table(w, xs, g_n)
+            table = success_table(w, xs, g_n)
             assert np.abs(table - einsum_success_table(w, xs, g_n)).max() <= 1e-13
 
     @pytest.mark.parametrize("n", range(1, 9))
@@ -174,7 +218,7 @@ class TestContraction:
         w = random_avcqc(rng)
         g = rng.standard_normal((2 ** n, 2 ** n)) + 1j * rng.standard_normal((2 ** n, 2 ** n))
         xs = tuple(int(b) for b in rng.integers(0, 2, n))
-        table = coding._success_table(w, xs, g)
+        table = success_table(w, xs, g)
         assert np.abs(table - einsum_success_table(w, xs, g)).max() <= 1e-13
 
     @pytest.mark.parametrize("d, n", [(2, 4), (3, 3)])
@@ -186,9 +230,9 @@ class TestContraction:
         shape = (3, d ** n, d ** n)
         g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         want = np.array([einsum_success_table(w, xs, g_m) for g_m in g])   # (3, |S|^n)
-        assert np.abs(coding._success_table(w, xs, g).reshape(want.shape) - want).max() <= 1e-13
+        assert np.abs(success_table(w, xs, g).reshape(want.shape) - want).max() <= 1e-13
         for i, ss in enumerate(iproduct(w.s_alphabet, repeat=n)):
-            got = coding._success_table(w, xs, g, ss)
+            got = success_table(w, xs, g, ss)
             assert got.shape == (3,)
             assert np.abs(got - want[:, i]).max() <= 1e-13
 
@@ -214,7 +258,7 @@ class TestContraction:
             ]
 
         got = evaluate()
-        monkeypatch.setattr(coding, "_success_table", einsum_success_table)
+        monkeypatch.setattr(coding, "_success_tables", einsum_success_tables)
         for (err, strategy), (want, want_strategy) in zip(got, evaluate()):
             assert abs(err - want) <= 1e-14
             assert strategy == want_strategy
@@ -319,6 +363,37 @@ class TestRandomCodeError:
         det3 = projective_code(2, [(0, 0), (1, 1), (0, 1)])
         with pytest.raises(KeySetMismatch):
             RandomCode((det2, det3))
+
+    def test_decoder_side_mismatch(self):
+        det = projective_code(2, [(0, 0), (1, 1)])
+        wide = DeterministicCode(2, det.codebook, np.stack([np.eye(8) / 2] * 2))
+        with pytest.raises(KeySetMismatch, match="decoder side"):
+            RandomCode((det, wide))
+
+
+class TestDecoderSide:
+    """Decoders whose side is not d^n are refused, not read as a table: at
+    side 8 for d^n = 4 the evaluators once returned error 1.0, and at side
+    2 they failed inside numpy."""
+
+    @pytest.mark.parametrize("side", [2, 8])
+    def test_deterministic_and_random_codes(self, side):
+        det = DeterministicCode(2, ((0, 0), (1, 1)), np.stack([np.eye(side) / 2] * 2))
+        message = rf"^decoder side {side} != d\^n = 4$"
+        with pytest.raises(DimensionMismatch, match=message):
+            worst_case_error_informed(det, orthogonal_channel())
+        with pytest.raises(DimensionMismatch, match=message):
+            random_code_error_informed(RandomCode((det, det)), orthogonal_channel())
+
+    @pytest.mark.parametrize("side", [4, 16])
+    def test_two_part_inner_code(self, side):
+        w, src, pre, inner = toy_two_part()
+        bad = DeterministicCode(3, inner.codes[0].codebook, np.stack([np.eye(side) / 2] * 2))
+        message = rf"^decoder side {side} != d\^n = 8$"
+        with pytest.raises(DimensionMismatch, match=message):
+            two_part_error_informed(pre, RandomCode((bad, bad)), w, src)
+        with pytest.raises(DimensionMismatch, match=message):
+            assemble_two_part(pre, RandomCode((bad, bad)), w, src)
 
 
 def trivial_correlation_code(det):
@@ -598,6 +673,12 @@ def separable_d3_instance(seed=1):
     return Avcqc((0, 1), (0, 1), states), flip_source(0.1)
 
 
+def key_tables(code, w, src):
+    """{(codeword, sent key): table} of a pre-code's _key_tables rows."""
+    words, ids, keys, tables = code._key_tables(w, src, DEFAULT_CAPS)
+    return {(words[i], k): table for i, k, table in zip(ids, keys, tables)}
+
+
 class TestRepetitionPrecode:
     SPECS = Path(__file__).resolve().parents[1] / "specs"
 
@@ -691,8 +772,7 @@ class TestRepetitionPrecode:
             pre = repetition_precode(separation_test(w, src, gp, seed=1), gp, src, w)
         else:
             w, src, pre, _ = toy_two_part(**({"flip": 0.1} if instance == "flip" else {"leak": 0.2}))
-        site = dict(zip(*pre._key_tables(w, src, DEFAULT_CAPS)))
-        dense = dict(zip(*as_dense(pre)._key_tables(w, src, DEFAULT_CAPS)))
+        site, dense = (key_tables(code, w, src) for code in (pre, as_dense(pre)))
         assert site.keys() == dense.keys()
         assert max(np.abs(site[p] - dense[p]).max() for p in site) <= 1e-13
         sent_under = {}
@@ -998,18 +1078,20 @@ def code_instance(kind):
 
 
 def run_tables(monkeypatch, w, src, code, trials=200, seed=5):
-    """(codeword, state word, decoders) of each _success_table call that
-    cr_generation_run makes at one state word; the decoders are named by
-    their address, which tells a code's equal decoders apart."""
+    """(codeword, state word, decoders) of each row that cr_generation_run
+    contracts in a _success_tables pass at one state word, codeword and
+    state word as letter indices; the decoders are named by their address,
+    which tells a code's equal decoders apart."""
     calls = []
-    success_table = coding._success_table
+    success_tables = coding._success_tables
 
-    def spy(w, xs, g, ss=None):
-        if ss is not None:
-            calls.append((tuple(xs), tuple(ss), g.ctypes.data))
-        return success_table(w, xs, g, ss)
+    def spy(w, xi, ops, si=None):
+        if si is not None:
+            calls.extend((tuple(xs), tuple(ss), g.ctypes.data)
+                         for xs, ss, g in zip(xi.tolist(), si.tolist(), ops))
+        return success_tables(w, xi, ops, si)
 
-    monkeypatch.setattr(coding, "_success_table", spy)
+    monkeypatch.setattr(coding, "_success_tables", spy)
     cr_generation_run(w, src, code, trials=trials, seed=seed)
     return calls
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from avcqc import Avcqc, CorrelatedSource, CqChannel, capacity_informed_jammer, holevo_capacity
 from avcqc.capacity import _aux_objective, _large_correlation
-from avcqc.coding import _CHOLESKY_ENTRIES, _validate_povm
+from avcqc.coding import _STACK_ENTRIES, _validate_povm
 from avcqc.errors import NotPositive
 from helpers import (
     aux_channel_search,
@@ -71,7 +71,7 @@ def povm_stacks(draw):
     operator with eigenvalue -m, or a word whose sum has eigenvalue 1 + m,
     for m >= 1e-6, far clear of the check's 1e-9 slack."""
     d = draw(st.sampled_from((2, 3, 4, 9)))
-    chunk = max(1, _CHOLESKY_ENTRIES // d**2)     # matrices per Cholesky call
+    chunk = max(1, _STACK_ENTRIES // d**2)     # matrices per Cholesky call
     n = draw(st.sampled_from((1, 63, 64, 65, 200, chunk - 1, chunk, chunk + 1)))
     j = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
