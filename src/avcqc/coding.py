@@ -507,8 +507,10 @@ def two_part_error_informed(pre, inner, w, src, caps=DEFAULT_CAPS):
     / JK: a the pre part's (x, k) table (see _key_tables), whose row k' is
     the mass decoding to key k', and b the inner words' tables against all
     K keys' decoders of j, from one _success_tables pass whose largest
-    intermediate a word is K times one decoder's; caps.product_dim bounds
-    their side d^n.  A pre part that does not fit the source and channel
+    intermediate a word is K times one decoder's.  caps.product_dim bounds
+    the side d^n of a dense part's decoders, checked before they are
+    contracted; a site-form pre part builds no d^nu operator, and its side
+    is not checked.  A pre part that does not fit the source and channel
     (see _check_code_alphabets), or an inner codeword letter outside the
     channel's inputs, raises AlphabetMismatch.
     """
@@ -516,6 +518,7 @@ def two_part_error_informed(pre, inner, w, src, caps=DEFAULT_CAPS):
     xi = np.concatenate([_letter_indices(w, det.codebook) for det in inner.codes])
     j_n, k_n = inner.num_messages, inner.num_keys
     _check_state_words(w, pre.n + inner.n, caps)
+    _check_product_dim(w.dim, inner.n, caps)
     words, ids, keys, a = pre._key_tables(w, src, caps)
     stack = read_only(np.stack([det.decoders for det in inner.codes]))   # (K, J, D, D)
     # b[k, j, k'] is inner word j of key k against key k''s decoder of j
@@ -675,9 +678,9 @@ def repetition_precode(cert, gp, src, w, num_keys=2, nu=3, caps=DEFAULT_CAPS):
     receiver measures each use with the matching block of the separating
     measurement and decodes the key by minimum Hamming distance to the key
     words (see _key_words), the first on a tie.  Returns the code in site
-    form: the |V|^iota measurement pairs, the diagonal blocks of the
-    certificate's m0 and m1, are checked as POVMs, and no word table,
-    encoder or d^nu x d^nu decoder is built (see RepetitionPrecode).
+    form: the certificate's |V|^iota measurement pairs are checked as
+    POVMs, and no word table, encoder or d^nu x d^nu decoder is built (see
+    RepetitionPrecode).
     caps.product_dim bounds d^nu, the side of the decoders a reader may
     build.  num_keys must be an integer >= 2 and nu >= 1, or
     InvalidArgument is raised; more than 2**nu keys raise KeySetMismatch.
@@ -698,15 +701,12 @@ def repetition_precode(cert, gp, src, w, num_keys=2, nu=3, caps=DEFAULT_CAPS):
     block_letters = tuple(
         (gp.g0[u], gp.g1[u]) for u in iproduct(src.v_prime_alphabet, repeat=iota)
     )
-    # the diagonal d x d blocks of m0 and m1, one (m0, m1) pair per receiver block
-    nv, d = n_v_letters ** iota, cert.output_dim
-    if cert.m0.shape != (nv * d, nv * d) or cert.m1.shape != cert.m0.shape:
+    site, nv = cert.measurement, n_v_letters ** iota
+    if site.shape != (nv, 2, w.dim, w.dim):
         raise DimensionMismatch(
-            f"certificate measurements of shapes {cert.m0.shape} and {cert.m1.shape} do not "
-            f"hold {nv} receiver blocks of side {d}"
+            f"certificate measurement of shape {site.shape} does not hold {nv} receiver "
+            f"blocks of side {w.dim}"
         )
-    blocks = np.arange(nv)
-    site = np.stack((cert.m0, cert.m1)).reshape(2, nv, d, nv, d)[:, blocks, :, blocks]
     return RepetitionPrecode(
         l=l, n=nu, v_prime_alphabet=tuple(src.v_prime_alphabet), v_alphabet=tuple(src.v_alphabet),
         key_words=tuple(key_words), bit_keys=bit_keys, block_letters=block_letters, site=site,

@@ -10,6 +10,7 @@ bound combines that subchannel's rate with the max-min value.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as iproduct
 from math import comb
 
@@ -24,11 +25,13 @@ from .errors import (
     Indeterminate,
     InvalidArgument,
     NonBinarySource,
+    NotPositive,
     ProfileOutOfRange,
+    TraceNotOne,
     ZeroMutualInformation,
 )
 from .geometry import affine_set_distance, embed_stack
-from .operators import _integer, eigvalsh_stack, validate_density
+from .operators import _integer, eigvalsh_stack, require_hermitian
 
 __all__ = [
     "GPair",
@@ -129,24 +132,17 @@ def build_g_pair(src, x_alphabet):
     for u in leftovers:
         g0[u] = g1[u] = x_alphabet[0]
         groups[u] = 3
-
-    # letter-marginal matching is exact: per weight class the two encoders
-    # hit every letter equally often
-    for x in x_alphabet:
-        for h in range(iota + 1):
-            c0 = sum(1 for u, v in g0.items() if v == x and sum(1 for c in u if c == one) == h)
-            c1 = sum(1 for u, v in g1.items() if v == x and sum(1 for c in u if c == one) == h)
-            assert c0 == c1
     return GPair(iota=iota, g0=g0, g1=g1, groups=groups)
 
 
 @dataclass(frozen=True, eq=False)
 class EnsembleState:
-    """Receiver-side block state: sum_v P(v) |v><v| (x) (conditional output)."""
+    """Receiver-side block state sum_v P(v) |v><v| (x) (conditional output):
+    its diagonal blocks, with the dense matrix built on first read."""
 
-    matrix: np.ndarray           # (|V|^iota * d, ...) block diagonal
-    blocks: np.ndarray           # (|V|^iota, d, d), trace of block v is P(v)
+    blocks: np.ndarray           # (|V|^iota, d, d), Hermitian, trace of block v is P(v)
     v_words: tuple
+    matrix = cached_property(lambda self: _block_diag(self.blocks))
 
 
 def _block_weights(src, gs, iota, x_alphabet):
@@ -195,25 +191,39 @@ def _coefficients(w, weights, blocks):
     return np.einsum("xv,xsij,vji->xs", weights, w.states, blocks).real
 
 
-def _block_diag(blocks, caps):
-    """Dense block-diagonal operator on (receiver words) x (output dim)."""
-    nv, d, _ = blocks.shape
+def _check_ensemble_dim(nv, d, caps):
+    """Raise DimOverflow when the dense side nv * d exceeds caps.product_dim."""
     if nv * d > caps.product_dim:
         raise DimOverflow(f"ensemble dimension {nv * d} exceeds cap {caps.product_dim}")
+
+
+def _block_diag(blocks):
+    """Read-only dense block-diagonal operator on (receiver words) x (output dim)."""
+    nv, d, _ = blocks.shape
     out = np.zeros((nv, d, nv, d), dtype=complex)
     out[np.arange(nv), :, np.arange(nv), :] = blocks
+    out.flags.writeable = False
     return out.reshape(nv * d, nv * d)
 
 
 def ensemble_state(src, g, q, w, caps=DEFAULT_CAPS):
-    """Block state induced by encoder g under jamming kernel q."""
+    """Block state induced by encoder g under jamming kernel q: its blocks'
+    Hermitian parts, checked as one density operator within DEFAULT_TOL
+    (PSD blocks whose traces sum to 1).  caps.product_dim bounds its side."""
     if q.x_alphabet != w.x_alphabet or q.s_alphabet != w.s_alphabet:
         raise AlphabetMismatch("kernel alphabets do not match the channel")
-    iota = len(next(iter(g)))
-    blocks = _ensemble_blocks(w, _block_weights(src, [g], iota, w.x_alphabet)[0], q.rows)
-    mat = validate_density(_block_diag(blocks, caps))
+    iota, tol = len(next(iter(g))), DEFAULT_TOL
+    _check_ensemble_dim(len(src.v_alphabet) ** iota, w.dim, caps)
+    weights = _block_weights(src, [g], iota, w.x_alphabet)[0]
+    blocks = require_hermitian(_ensemble_blocks(w, weights, q.rows), tol.hermitian)
+    low = float(eigvalsh_stack(blocks)[:, 0].min())
+    tr = float(np.trace(blocks, axis1=1, axis2=2).real.sum())
+    if low < -tol.psd_floor:
+        raise NotPositive(f"minimum eigenvalue {low:.3e} is below the floor -{tol.psd_floor:.1e}")
+    if abs(tr - 1.0) > tol.trace_one:
+        raise TraceNotOne(f"trace is {tr!r}, |trace - 1| exceeds {tol.trace_one:.1e}")
     v_words = iproduct(range(len(src.v_alphabet)), repeat=iota)
-    return EnsembleState(matrix=mat, blocks=blocks, v_words=tuple(v_words))
+    return EnsembleState(blocks=blocks, v_words=tuple(v_words))
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,13 +233,14 @@ class SeparationCertificate:
     tr(sigma A) < threshold for every state reachable under g0 and
     tr(sigma A) > threshold under g1; margin is the exact worst-case gap
     on either side (linear programs over the kernel polytope decompose
-    per input letter, so the extremes are computed exactly).
+    per input letter, so the extremes are computed exactly).  It holds the
+    d x d blocks of A and of (M0, M1 = I - M0), block diagonal over the
+    receiver words; the dense operator_a, m0 and m1 are built on first read.
     """
 
-    operator_a: np.ndarray
+    operator_blocks: np.ndarray  # (|V|^iota, d, d) diagonal blocks of A
+    measurement: np.ndarray      # (|V|^iota, 2, d, d) (M0, M1) pair of each receiver word
     threshold_b: float
-    m0: np.ndarray
-    m1: np.ndarray
     margin: float
     distance: float
     distance_lower: float        # certified: the true set distance is at least this
@@ -238,10 +249,9 @@ class SeparationCertificate:
     block_dim: int               # operator acts on (receiver words) x (output dim)
     output_dim: int
 
-    def measurement_block(self, which, v_index):
-        d = self.output_dim
-        m = self.m0 if which == 0 else self.m1
-        return m[v_index * d : (v_index + 1) * d, v_index * d : (v_index + 1) * d]
+    operator_a = cached_property(lambda self: _block_diag(self.operator_blocks))
+    m0 = cached_property(lambda self: _block_diag(self.measurement[:, 0]))
+    m1 = cached_property(lambda self: _block_diag(self.measurement[:, 1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,11 +274,14 @@ def separation_test(w, src, gp, seed=0, tol=DEFAULT_TOL, caps=DEFAULT_CAPS):
     threshold yields NotSeparable with the witness kernels; lower above the
     separability threshold yields a certificate built from the connecting
     direction between the closest points; any other bracket raises
-    Indeterminate.  Both encoders' weights come from one _block_weights
-    pass.  The certificate's operator is block diagonal, so lambda_top and
-    lambda_floor come from the spectra of its |V|^iota d x d shifted
-    blocks, and the dense operator's spectrum is never taken.
+    Indeterminate.  caps.product_dim bounds block_dim = |V|^iota d and is
+    checked first.  Both encoders' weights come from one _block_weights
+    pass.  The operator is block diagonal: lambda_top, lambda_floor and the
+    measurement come from its |V|^iota shifted d x d blocks, and no dense
+    operator is built.
     """
+    nv, d = len(src.v_alphabet) ** gp.iota, w.dim
+    _check_ensemble_dim(nv, d, caps)
     nx, ns = len(w.x_alphabet), len(w.s_alphabet)
     wgt0, wgt1 = _block_weights(src, (gp.g0, gp.g1), gp.iota, w.x_alphabet)
     embedded = embed_stack(w.states)
@@ -300,37 +313,24 @@ def separation_test(w, src, gp, seed=0, tol=DEFAULT_TOL, caps=DEFAULT_CAPS):
         raise Indeterminate(
             f"positive set distance {dist:.3e} but non-positive exact margin {margin:.3e}"
         )
-    a_op = _block_diag(direction, caps)
-    shifted = a_op - b * np.eye(a_op.shape[0])
     # the spectrum of the block-diagonal shifted operator is its blocks' spectra
-    eigs = eigvalsh_stack(direction - b * np.eye(w.dim))
+    shifted = direction - b * np.eye(d)
+    eigs = eigvalsh_stack(shifted)
     lam_top = float(eigs[:, -1].max())
     lam_floor = float(min(0.0, eigs[:, 0].min()))
-    m1 = (shifted - lam_floor * np.eye(a_op.shape[0])) / (lam_top - lam_floor)
-    m0 = np.eye(a_op.shape[0]) - m1
+    m1 = (shifted - lam_floor * np.eye(d)) / (lam_top - lam_floor)
     return SeparationCertificate(
-        operator_a=a_op,
-        threshold_b=b,
-        m0=m0,
-        m1=m1,
-        margin=float(margin),
-        distance=dist,
-        distance_lower=lower,
-        lambda_top=lam_top,
-        lambda_floor=lam_floor,
-        block_dim=a_op.shape[0],
-        output_dim=w.dim,
+        operator_blocks=direction, measurement=np.stack((np.eye(d) - m1, m1), axis=1),
+        threshold_b=b, margin=float(margin), distance=dist, distance_lower=lower,
+        lambda_top=lam_top, lambda_floor=lam_floor, block_dim=nv * d, output_dim=d,
     )
 
 
-def _functional_tables(op, w, src, gp):
-    """c_i[x, s] = tr(op sigma) on the generator (x, s) of encoder g_i, i = 0, 1."""
-    nv, d = op.shape[0] // w.dim, w.dim
-    blocks = op.reshape(nv, d, nv, d)[np.arange(nv), :, np.arange(nv), :]
-    return [
-        _coefficients(w, wgt, blocks).ravel()
-        for wgt in _block_weights(src, (gp.g0, gp.g1), gp.iota, w.x_alphabet)
-    ]
+def _functional_tables(blocks, w, src, gp):
+    """c_i[x, s] = tr(op sigma) on the generator (x, s) of encoder g_i, i = 0, 1,
+    op the block-diagonal operator of the given diagonal blocks."""
+    weights = _block_weights(src, (gp.g0, gp.g1), gp.iota, w.x_alphabet)
+    return [_coefficients(w, wgt, blocks) for wgt in weights]
 
 
 def certificate_soundness_sweep(cert, w, src, gp, kernels=1000, seed=0):
@@ -342,7 +342,7 @@ def certificate_soundness_sweep(cert, w, src, gp, kernels=1000, seed=0):
     rng = np.random.default_rng(seed)
     nx, ns = len(w.x_alphabet), len(w.s_alphabet)
     qs = rng.dirichlet(np.ones(ns), size=(kernels, nx)).reshape(kernels, nx * ns)
-    c0, c1 = _functional_tables(cert.operator_a, w, src, gp)
+    c0, c1 = (c.ravel() for c in _functional_tables(cert.operator_blocks, w, src, gp))
     t0, t1 = qs @ c0, qs @ c1
     half = cert.margin / 2.0
     violations = int(np.sum(t0 >= cert.threshold_b - half))
@@ -376,8 +376,7 @@ def induced_binary_avc(cert, w, src, gp):
     extremes are sum_x min_s c_i[x, s] and sum_x max_s c_i[x, s]: the
     intervals are exact, with no grid.  V(0|0) = 1 - V(1|0).
     """
-    nx, ns = len(w.x_alphabet), len(w.s_alphabet)
-    c0, c1 = (c.reshape(nx, ns) for c in _functional_tables(cert.m1, w, src, gp))
+    c0, c1 = _functional_tables(cert.measurement[:, 1], w, src, gp)
     return BinaryAvc(correct_intervals=(
         (1.0 - c0.max(axis=1).sum(), 1.0 - c0.min(axis=1).sum()),
         (c1.min(axis=1).sum(), c1.max(axis=1).sum()),

@@ -577,7 +577,7 @@ def kron_chain_precode(cert, gp, src, w, num_keys, nu):
             for bits in iproduct((0, 1), repeat=nu):
                 povm = np.ones((1, 1), dtype=complex)
                 for t, bit in enumerate(bits):
-                    povm = np.kron(povm, cert.measurement_block(bit, blocks[t]))
+                    povm = np.kron(povm, cert.measurement[blocks[t], bit])
                 ops[decode_word(bits)] += povm
             site_ops[key] = ops
         decoders[vi] = site_ops[key]

@@ -559,6 +559,18 @@ class TestTwoPartCode:
         assert two.assembled_error <= two.pre_error + two.inner_error + 1e-12
         assert two.assembled_error == pytest.approx(two.pre_error, abs=1e-9)
 
+    def test_inner_side_charged_against_the_product_cap(self):
+        # the inner code's side d^n = 8 is refused as random_code_error_informed
+        # refuses it, before any table is built; the site-form pre part
+        # (side 8 too) builds no d^nu operator and is not charged
+        w, src, pre, inner = toy_two_part()
+        caps = Caps(product_dim=4)
+        for evaluate in (lambda: random_code_error_informed(inner, w, caps),
+                         lambda: two_part_error_informed(pre, inner, w, src, caps)):
+            with pytest.raises(DimOverflow, match=r"product dimension 8 exceeds cap 4$"):
+                evaluate()
+        assert two_part_error_informed(pre, inner, w, src, Caps(product_dim=8))[0] >= 0.0
+
     def test_perfect_pre_code_gives_inner_error(self):
         # error-free key delivery: the key is sent as a basis letter over the
         # jammer-independent orthogonal channel
@@ -791,24 +803,23 @@ class TestRepetitionPrecode:
     ])
     def test_site_povm_check_names_the_block(self, instance, which, defect, error, message):
         cert, gp, src, w = instance
-        d = w.dim
-        m = np.array(getattr(cert, which))
-        blk = slice(5 * d, 6 * d)
+        m = np.array(cert.measurement)
+        blk = m[5, ("m0", "m1").index(which)]   # receiver block 5's operator of that outcome
         if defect == "nan":
-            m[blk, blk][0, 0] = np.nan
+            blk[0, 0] = np.nan
         elif defect == "negative":
-            m[blk, blk] = -0.5 * np.eye(d)
+            blk[...] = -0.5 * np.eye(w.dim)
         else:
-            m[blk, blk] += 0.5 * np.eye(d)
-        bad = dataclasses.replace(cert, **{which: m})
+            blk += 0.5 * np.eye(w.dim)
+        bad = dataclasses.replace(cert, measurement=m)
         with pytest.raises(error, match=message):
             repetition_precode(bad, gp, src, w, num_keys=2, nu=2)
 
     @pytest.mark.parametrize("instance", ["orthogonal-flip10"], indirect=True)
     def test_certificate_of_another_block_count_refused(self, instance):
         cert, gp, src, w = instance
-        short = dataclasses.replace(cert, m0=cert.m0[:-2, :-2], m1=cert.m1[:-2, :-2])
-        message = r"shapes \(14, 14\) and \(14, 14\) do not hold 8 receiver blocks of side 2"
+        short = dataclasses.replace(cert, measurement=cert.measurement[:-1])
+        message = r"shape \(7, 2, 2, 2\) does not hold 8 receiver blocks of side 2"
         with pytest.raises(DimensionMismatch, match=message):
             repetition_precode(short, gp, src, w, num_keys=2, nu=2)
 

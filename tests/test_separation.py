@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import product as iproduct
 from pathlib import Path
 
@@ -18,13 +19,17 @@ from avcqc import (
     induced_binary_avc,
     separation_test,
 )
-from avcqc import separation
+from avcqc import coding, separation
 from avcqc import serialize as io
-from avcqc.config import DEFAULT_TOL
+from avcqc.config import DEFAULT_TOL, Caps
 from avcqc.errors import (
+    DimOverflow,
     Indeterminate,
     InvalidArgument,
     NonBinarySource,
+    NotHermitian,
+    NotPositive,
+    TraceNotOne,
     ZeroMutualInformation,
 )
 from avcqc.geometry import embed_stack
@@ -84,6 +89,14 @@ class TestBuildGPair:
             )
             assert total == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("alpha", [2, 3, 5, 16, 40])
+    def test_letter_counts_match_per_weight_class(self, alpha):
+        # per Hamming weight the two encoders hit every letter equally often,
+        # so the letter marginals match under any binary source
+        gp = build_g_pair(flip_source(0.1), tuple(range(alpha)))
+        c0, c1 = (Counter((sum(u), x) for u, x in g.items()) for g in (gp.g0, gp.g1))
+        assert c0 == c1 and {x for _, x in c0} == set(range(alpha))
+
     def test_rejects_nonbinary_sender(self):
         src = CorrelatedSource((0, 1, 2), (0, 1), np.full((3, 2), 1 / 6))
         with pytest.raises(NonBinarySource):
@@ -102,6 +115,40 @@ class TestBuildGPair:
 
 
 class TestEnsembleState:
+    @pytest.mark.parametrize("defect, error, message", [
+        ("skew", NotHermitian, r"^at \[5\]: max \|m - m†\| entry is 1\.000e-03"),
+        ("negative", NotPositive, r"^minimum eigenvalue -1\.000e-03 is below the floor -1\.0e-10$"),
+        ("scaled", TraceNotOne, r"^trace is 1\.50*[0-9], \|trace - 1\| exceeds 1\.0e-10$"),
+    ])
+    def test_blocks_checked_as_one_density(self, monkeypatch, defect, error, message):
+        # the dense state is checked on its blocks: each Hermitian and PSD,
+        # their traces summing to 1
+        build = separation._ensemble_blocks
+
+        def defective(*args):
+            blocks = np.array(build(*args))
+            if defect == "skew":
+                blocks[5, 0, 1] += 1e-3
+            elif defect == "negative":
+                blocks[5] = -1e-3 * np.eye(2)
+            else:
+                blocks *= 1.5
+            return blocks
+
+        monkeypatch.setattr(separation, "_ensemble_blocks", defective)
+        src, w = flip_source(0.1), orthogonal_channel()
+        g = build_g_pair(src, (0, 1)).g0
+        with pytest.raises(error, match=message):
+            ensemble_state(src, g, JammerKernel.uniform((0, 1), (0, 1)), w)
+
+    def test_dense_side_charged_against_the_cap(self):
+        src, w = flip_source(0.1), orthogonal_channel()
+        g = build_g_pair(src, (0, 1)).g0
+        q = JammerKernel.uniform((0, 1), (0, 1))
+        with pytest.raises(DimOverflow, match=r"^ensemble dimension 16 exceeds cap 15$"):
+            ensemble_state(src, g, q, w, caps=Caps(product_dim=15))
+        assert ensemble_state(src, g, q, w, caps=Caps(product_dim=16)).matrix.shape == (16, 16)
+
     def test_constant_encoder_factorizes(self):
         src = flip_source(0.1)
         w = orthogonal_channel()
@@ -170,8 +217,11 @@ class TestBlockWeights:
 
 class TestCertificateSpectrum:
     """lambda_top and lambda_floor come from the spectra of the certificate's
-    d x d blocks; on these draws they are the dense spectrum's extremes bit
-    for bit."""
+    d x d blocks; they are the extremes of the dense shifted operator built
+    from those blocks within 4 ulps of max(1, |lambda|).  LAPACK rounds the
+    dense and the block spectra differently, by a last bit on some draws,
+    and which draws those are depends on the BLAS kernels: run with
+    OpenBLAS's SkylakeX, Haswell, Prescott and Nehalem kernel sets."""
 
     SPECS = Path(__file__).resolve().parents[1] / "specs"
 
@@ -187,8 +237,62 @@ class TestCertificateSpectrum:
         cert = separation_test(w, src, build_g_pair(src, w.x_alphabet))
         assert isinstance(cert, SeparationCertificate)
         eigs = np.linalg.eigvalsh(cert.operator_a - cert.threshold_b * np.eye(cert.block_dim))
-        assert cert.lambda_top == float(eigs[-1])
-        assert cert.lambda_floor == float(min(0.0, eigs[0]))
+        for block, dense in ((cert.lambda_top, eigs[-1]), (cert.lambda_floor, min(0.0, eigs[0]))):
+            assert abs(block - dense) <= 4 * np.spacing(max(1.0, abs(dense)))
+
+
+class TestBlockForm:
+    """The certificate and the ensemble state hold their d x d blocks: no
+    dense (|V|^iota d)^2 operator is built on the way to a certificate, a
+    pre-code, its error or a key-agreement run, each dense view is built
+    on its first read, and the separation cap is charged before the solve."""
+
+    @pytest.fixture
+    def dense_builds(self, monkeypatch):
+        shapes = []
+        build = separation._block_diag
+        monkeypatch.setattr(separation, "_block_diag", lambda b: shapes.append(b.shape) or build(b))
+        return shapes
+
+    def test_dense_views_only_on_read(self, dense_builds):
+        # iota = 6: 64 receiver blocks of side 4
+        w, src = separable_instance(np.random.default_rng([2024, 16, 4]), 16, 4)
+        gp = build_g_pair(src, w.x_alphabet)
+        cert = separation_test(w, src, gp)
+        assert isinstance(cert, SeparationCertificate) and cert.block_dim == 256
+        pre = coding.repetition_precode(cert, gp, src, w, num_keys=2, nu=1)
+        coding.correlation_code_error_informed(pre, w, src)
+        coding.cr_generation_run(w, src, pre, trials=20, seed=3)
+        certificate_soundness_sweep(cert, w, src, gp, kernels=10)
+        induced_binary_avc(cert, w, src, gp)
+        assert dense_builds == []
+        ens = ensemble_state(src, gp.g0, JammerKernel.uniform(w.x_alphabet, w.s_alphabet), w)
+        assert dense_builds == []
+        views = [(cert, "operator_a", cert.operator_blocks), (cert, "m0", cert.measurement[:, 0]),
+                 (cert, "m1", cert.measurement[:, 1]), (ens, "matrix", ens.blocks)]
+        for k, (owner, name, blocks) in enumerate(views, start=1):
+            dense = getattr(owner, name)
+            assert dense_builds == [(64, 4, 4)] * k
+            assert getattr(owner, name) is dense and not dense.flags.writeable
+            expected = np.zeros((256, 256), dtype=complex)
+            for v, block in enumerate(blocks):
+                expected[4 * v : 4 * v + 4, 4 * v : 4 * v + 4] = block
+            assert np.array_equal(dense, expected)
+
+    def test_cap_charged_before_the_solve(self, monkeypatch):
+        # 8 receiver blocks of side 2: block_dim 16
+        src, w = flip_source(0.1), orthogonal_channel()
+        gp = build_g_pair(src, w.x_alphabet)
+
+        def no_solve(*args, **kwargs):
+            pytest.fail("the distance solve ran before the cap was charged")
+
+        with monkeypatch.context() as m:
+            m.setattr(separation, "affine_set_distance", no_solve)
+            with pytest.raises(DimOverflow, match=r"^ensemble dimension 16 exceeds cap 15$"):
+                separation_test(w, src, gp, caps=Caps(product_dim=15))
+        cert = separation_test(w, src, gp, caps=Caps(product_dim=16))
+        assert isinstance(cert, SeparationCertificate) and cert.block_dim == 16
 
 
 class TestEmbedding:
