@@ -14,14 +14,8 @@ from itertools import product
 
 import numpy as np
 
-from .config import DEFAULT_CAPS, DEFAULT_TOL
-from .errors import (
-    AlphabetMismatch,
-    DimensionMismatch,
-    DimOverflow,
-    EnumerationOverflow,
-    LengthMismatch,
-)
+from .config import DEFAULT_CAPS, DEFAULT_TOL, charge
+from .errors import AlphabetMismatch, DimensionMismatch, LengthMismatch
 from .geometry import affine_set_distance, embed_stack
 from .operators import (
     _distribution_rows,
@@ -181,12 +175,6 @@ def _input_distribution(p, w, tol=DEFAULT_TOL):
     return pv
 
 
-def _check_product_dim(d, n, caps):
-    """Raise DimOverflow when d^n exceeds caps.product_dim."""
-    if d ** n > caps.product_dim:
-        raise DimOverflow(f"product dimension {d ** n} exceeds cap {caps.product_dim}")
-
-
 def averaged_channel(w, q):
     """Channel seen through a memoryless jamming kernel: mix states per input."""
     if q.x_alphabet != w.x_alphabet or q.s_alphabet != w.s_alphabet:
@@ -200,7 +188,7 @@ def product_output(w, xs, ss, caps=DEFAULT_CAPS):
     xs, ss = tuple(xs), tuple(ss)
     if len(xs) != len(ss):
         raise LengthMismatch(f"input word length {len(xs)} != state word length {len(ss)}")
-    _check_product_dim(w.dim, len(xs), caps)
+    charge(caps, "product_dim", w.dim ** len(xs), "product dimension")
     out = np.ones((1, 1), dtype=complex)
     for x, s in zip(xs, ss):
         out = np.kron(out, w.state(x, s))
@@ -242,14 +230,9 @@ def zero_capacity_condition(w, n=1, caps=DEFAULT_CAPS):
     integer >= 1, or InvalidArgument is raised.
     """
     n = _integer(n, "n", 1)
-    nx = len(w.x_alphabet) ** n
-    ns = len(w.s_alphabet) ** n
-    if nx > caps.enumeration or ns > caps.jammer_states:
-        raise EnumerationOverflow(
-            f"|X|^n = {nx} or |S|^n = {ns} exceeds caps "
-            f"({caps.enumeration}, {caps.jammer_states})"
-        )
-    _check_product_dim(w.dim, n, caps)
+    charge(caps, "enumeration", len(w.x_alphabet) ** n, "input word count")
+    charge(caps, "jammer_states", len(w.s_alphabet) ** n, "state word count")
+    charge(caps, "product_dim", w.dim ** n, "product dimension")
     words_x = list(product(w.x_alphabet, repeat=n))
     words_s = list(product(w.s_alphabet, repeat=n))
     gens = {}

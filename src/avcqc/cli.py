@@ -69,10 +69,12 @@ def _cap(name, text):
     value = _override_number("cap", name, text)
     if value != int(value):
         raise SpecParseError(f"cap {name} must be an integer, got {text!r}")
+    if value <= 0:
+        raise SpecParseError(f"cap {name} must be positive")
     return int(value)
 
 
-def _add_common(sub, channel=True, source=False, seed=True):
+def _add_common(sub, channel=True, source=False, seed=True, cap=False):
     if channel:
         sub.add_argument("--channel", required=True, help="AVCQC spec JSON")
     if source:
@@ -81,8 +83,9 @@ def _add_common(sub, channel=True, source=False, seed=True):
         sub.add_argument("--seed", required=True, type=int,
                          help="seed of the simulate trials; the solvers draw no random numbers")
     sub.add_argument("--out", required=True, help="output path")
-    sub.add_argument("--cap", "--caps", dest="cap", action="append",
-                     help="cap override name=value")
+    if cap:  # only the commands that charge a cap take one
+        sub.add_argument("--cap", "--caps", dest="cap", action="append",
+                         help="cap override name=value")
     sub.add_argument("--tol", action="append", help="tolerance override name=value")
 
 
@@ -107,17 +110,17 @@ def build_parser():
     _add_common(s, source=True)
 
     s = subs.add_parser("separate", help="convex separation of the encoder pair")
-    _add_common(s, source=True)
+    _add_common(s, source=True, cap=True)
 
     s = subs.add_parser("typicality", help="typical-subspace bound suite")
-    _add_common(s, seed=False)
+    _add_common(s, seed=False, cap=True)
     s.add_argument("--p", default=None, help="input distribution, comma separated")
     s.add_argument("--n-min", type=int, default=4)
     s.add_argument("--n-max", type=int, default=12)
     s.add_argument("--alpha", type=float, default=0.1)
 
     s = subs.add_parser("simulate", help="common-randomness generation trials")
-    _add_common(s, source=True)
+    _add_common(s, source=True, cap=True)
     s.add_argument("--code", help="correlation code JSON (default: build a pre-code)")
     s.add_argument("--trials", type=int, default=200)
     s.add_argument("--nu", type=int, default=3, help="pre-code channel uses")
@@ -186,10 +189,7 @@ def _config_from_args(args):
         if os.path.realpath(args.trace_csv) == os.path.realpath(args.out):
             raise SpecParseError(f"--trace-csv {args.trace_csv} names the same file as --out")
     args.tol = _parse_overrides(args.tol, Tolerances(), _tolerance)
-    args.caps = _parse_overrides(args.cap, Caps(), _cap)
-    for f in fields(args.caps):
-        if getattr(args.caps, f.name) <= 0:
-            raise SpecParseError(f"cap {f.name} must be positive")
+    args.caps = _parse_overrides(getattr(args, "cap", None), Caps(), _cap)
 
 
 def cmd_capacity(args):

@@ -14,12 +14,11 @@ from itertools import chain, product as iproduct, zip_longest
 
 import numpy as np
 
-from .channels import JammerStrategy, _check_product_dim, product_output
-from .config import DEFAULT_CAPS, DEFAULT_TOL
+from .channels import JammerStrategy, product_output
+from .config import DEFAULT_CAPS, DEFAULT_TOL, charge
 from .errors import (
     AlphabetMismatch,
     DimensionMismatch,
-    EnumerationOverflow,
     InvalidArgument,
     KeySetMismatch,
     LengthMismatch,
@@ -210,13 +209,14 @@ class CorrelationCode:
     def num_messages(self):
         return len(self.encoders[0])
 
-    def _key_tables(self, w, src, caps):
+    def _key_tables(self, w, src, caps, own=False):
         """(words, ids, keys, tables), a row per distinct (codeword, message)
         pair in encoder order: row r sends message keys[r] by words[ids[r]],
         and tables[r, k] is its success table against message k's decoders,
         each weighted by the source mass its receiver word has jointly with
-        the sender words sending the pair; one _success_tables pass."""
-        _check_product_dim(w.dim, self.n, caps)
+        the sender words sending the pair; one _success_tables pass.  With
+        own, tables[r] is row r's table against its own message's decoders."""
+        charge(caps, "product_dim", w.dim ** self.n, "product dimension")
         joint_l = _product_joint(src, self.l)
         weights = {}
         for ui, row in enumerate(self.encoders):
@@ -225,22 +225,14 @@ class CorrelationCode:
         word_ids = {}
         ids = [word_ids.setdefault(xs, len(word_ids)) for xs, _ in weights]
         ops = [np.tensordot(wv, self.decoders, axes=1) for wv in weights.values()]
+        keys = [j for _, j in weights]
         tables = _success_tables(w, _letter_indices(w, word_ids)[ids], ops)
-        return list(word_ids), ids, [j for _, j in weights], tables
+        return list(word_ids), ids, keys, tables[np.arange(len(keys)), keys] if own else tables
 
 
 # ---------------------------------------------------------------------------
 # exact error evaluation
 # ---------------------------------------------------------------------------
-
-def _check_state_words(w, n, caps):
-    """Raise EnumerationOverflow when the |S|^n state words exceed caps.jammer_states."""
-    count = len(w.s_alphabet) ** n
-    if count > caps.jammer_states:
-        raise EnumerationOverflow(
-            f"|S|^n = {count} exceeds jammer enumeration cap {caps.jammer_states}"
-        )
-
 
 def _success_tables(w, xi, ops, si=None):
     """(N, ..., |S|^n) tables tr((W(x_1, s_1) (x) ... (x) W(x_n, s_n)) G) of
@@ -338,8 +330,8 @@ def _informed_error(w, n, entries, weight, caps, return_strategy):
     for xs, g in entries:
         grouped[xs] = grouped[xs] + g if xs in grouped else g
     xi = _letter_indices(w, grouped)
-    _check_state_words(w, n, caps)
-    _check_product_dim(w.dim, n, caps)
+    charge(caps, "jammer_states", len(w.s_alphabet) ** n, "state word count")
+    charge(caps, "product_dim", w.dim ** n, "product dimension")
     table = _success_tables(w, xi, list(grouped.values())) * weight
     return _jammer_picks(list(grouped), None, table, w, n, return_strategy)
 
@@ -358,13 +350,11 @@ def worst_case_error_informed(code, w, caps=DEFAULT_CAPS, return_strategy=False)
 
 def worst_case_error_brute_force(code, w, caps=DEFAULT_CAPS):
     """Reference oracle: enumerate jamming functions on the codebook image."""
-    _check_state_words(w, code.n, caps)
-    s_words = list(iproduct(w.s_alphabet, repeat=code.n))
+    n_s = len(w.s_alphabet) ** code.n
+    charge(caps, "jammer_states", n_s, "state word count")
     distinct = sorted(set(code.codebook))
-    if len(s_words) ** len(distinct) > caps.jammer_states:
-        raise EnumerationOverflow(
-            f"{len(s_words)}^{len(distinct)} jamming functions exceed the cap"
-        )
+    charge(caps, "jammer_states", n_s ** len(distinct), "jamming function count")
+    s_words = list(iproduct(w.s_alphabet, repeat=code.n))
     j_n = code.num_messages
     dsum = {xs: sum(g for c, g in zip(code.codebook, code.decoders) if c == xs) for xs in distinct}
     succ = {(xs, ss): float(np.real(np.trace(product_output(w, xs, ss, caps) @ dsum[xs])))
@@ -451,24 +441,20 @@ def correlation_code_error_informed(code, w, src, caps=DEFAULT_CAPS, return_stra
     observes the channel input word (which may reveal an equivalence class
     of sender words) but neither source realization directly.  The
     success of a codeword is the sum, over the messages j it carries, of
-    row j of its (codeword, j) success table (see _key_tables), divided by
-    J.  The word count |V'|^l * |V|^l is taken from the source's alphabet
-    sizes, and a RepetitionPrecode builds neither its word tables, its
-    encoders nor its dense decoders.  A code that does not fit the source
+    its (codeword, j) success table against message j's decoders (see
+    _key_tables), divided by J.  The word count |V'|^l * |V|^l is taken
+    from the source's alphabet sizes, and a RepetitionPrecode builds
+    neither its word tables, its encoders nor its dense decoders.  A code that does not fit the source
     and channel raises AlphabetMismatch (see _check_code_alphabets).  The
     JammerStrategy is built only with return_strategy, which returns
     (error, strategy).
     """
     n_words = (len(src.v_prime_alphabet) * len(src.v_alphabet)) ** code.l
-    if n_words > caps.enumeration:
-        raise EnumerationOverflow(
-            f"|V'|^l * |V|^l = {n_words} exceeds enumeration cap {caps.enumeration}"
-        )
+    charge(caps, "enumeration", n_words, "source word pair count")
     _check_code_alphabets(code, w, src)
-    _check_state_words(w, code.n, caps)
-    words, ids, keys, tables = code._key_tables(w, src, caps)
-    success = tables[np.arange(len(keys)), keys] / code.num_messages
-    return _jammer_picks(words, ids, success, w, code.n, return_strategy)
+    charge(caps, "jammer_states", len(w.s_alphabet) ** code.n, "state word count")
+    words, ids, _, tables = code._key_tables(w, src, caps, own=True)
+    return _jammer_picks(words, ids, tables / code.num_messages, w, code.n, return_strategy)
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +503,8 @@ def two_part_error_informed(pre, inner, w, src, caps=DEFAULT_CAPS):
     _check_code_alphabets(pre, w, src)
     xi = np.concatenate([_letter_indices(w, det.codebook) for det in inner.codes])
     j_n, k_n = inner.num_messages, inner.num_keys
-    _check_state_words(w, pre.n + inner.n, caps)
-    _check_product_dim(w.dim, inner.n, caps)
+    charge(caps, "jammer_states", len(w.s_alphabet) ** (pre.n + inner.n), "state word count")
+    charge(caps, "product_dim", w.dim ** inner.n, "product dimension")
     words, ids, keys, a = pre._key_tables(w, src, caps)
     stack = read_only(np.stack([det.decoders for det in inner.codes]))   # (K, J, D, D)
     # b[k, j, k'] is inner word j of key k against key k''s decoder of j
@@ -601,7 +587,7 @@ class RepetitionPrecode:
     def num_messages(self):
         return len(self.key_words)
 
-    def _key_tables(self, w, src, caps):
+    def _key_tables(self, w, src, caps, own=False):
         """(words, ids, keys, tables) as CorrelationCode._key_tables, site by site.
 
         The source is i.i.d. and each encoder acts block by block, so a
@@ -610,6 +596,8 @@ class RepetitionPrecode:
           A[c, x, bit, s] = sum_{u : g_c(u) = x} sum_b P_iota(u, b) T[b, bit, x, s].
         Key k sends every product of the letters its bits give some block:
         its pairs come from block_letters, each use's letters in block order.
+        With own, a row adds only the outcome words that decode to its key.
+        The block letters are taken as checked (see _check_code_alphabets).
         """
         joint = _product_joint(src, self.l // self.n)
         if joint.shape != (len(self.block_letters), len(self.site)):
@@ -618,16 +606,18 @@ class RepetitionPrecode:
         maps_to = (letters[:, :, None] == np.arange(len(w.x_alphabet))).astype(float)
         weighted = np.einsum("ub,bkxs->ukxs", joint, _site_traces(self, w))
         a = np.einsum("ucx,ukxs->cxks", maps_to, weighted)
-        # the distinct letters bit c sends, in block order
-        sent = [list(dict.fromkeys(p[c] for p in self.block_letters)) for c in (0, 1)]
+        # the input indices of the distinct letters bit c sends, in block order
+        sent = [list(dict.fromkeys(letters[:, c].tolist())) for c in (0, 1)]
         word_ids, ids, keys = {}, [], []
         for k, bits in enumerate(self.key_words):
-            words = iproduct(*(sent[c] for c in bits))
-            ids += (word_ids.setdefault(xs, len(word_ids)) for xs in words)
+            sends = iproduct(*(sent[c] for c in bits))
+            ids += (word_ids.setdefault(word, len(word_ids)) for word in sends)
             keys += [k] * (len(ids) - len(keys))
-        xi = _letter_indices(w, word_ids)[ids]
+        xi = np.array(list(word_ids), dtype=np.intp)[ids]
         factors = a[np.array(self.key_words)[keys], xi]    # (rows, nu, 2, |S|)
-        return list(word_ids), ids, keys, _site_products(factors, self.bit_keys, self.num_messages)
+        tables = _site_products(factors, self.bit_keys, self.num_messages,
+                                np.array(keys) if own else None)
+        return [tuple(w.x_alphabet[i] for i in word) for word in word_ids], ids, keys, tables
 
     @cached_property
     def v_prime_words(self):
@@ -691,9 +681,9 @@ def repetition_precode(cert, gp, src, w, num_keys=2, nu=3, caps=DEFAULT_CAPS):
     iota = gp.iota
     l = nu * iota
     n_v_letters = len(src.v_alphabet)
-    if (len(src.v_prime_alphabet) * n_v_letters) ** l > caps.enumeration:
-        raise EnumerationOverflow(f"source word tables at l = {l} exceed the enumeration cap")
-    _check_product_dim(w.dim, nu, caps)
+    charge(caps, "enumeration", (len(src.v_prime_alphabet) * n_v_letters) ** l,
+           "source word pair count")
+    charge(caps, "product_dim", w.dim ** nu, "product dimension")
     key_words = _key_words(nu, num_keys)
     # outcome word i's bits are the base-2 digits of i, first use first
     bits = np.arange(2 ** nu)[:, None] >> np.arange(nu - 1, -1, -1) & 1
@@ -726,20 +716,25 @@ def _key_words(nu, num_keys):
                     return words
 
 
-def _site_products(factors, bit_keys, num_keys):
+def _site_products(factors, bit_keys, num_keys, keys=None):
     """(N, K, m^nu) tables from per-use factors (N, nu, 2, m): entry
     [i, k, s^nu] adds, over the outcome words decoding to key k in index
     order, the product over the uses t of factors[i, t, bits_t, s_t],
-    first use first."""
+    first use first.  With the rows' keys (N,), (N, m^nu): each row's own
+    key's table only, the other outcome words' products zeroed, since
+    adding a zero to a sum that starts at +0 leaves its bits."""
     n_rows, nu, _, m = factors.shape
     prods = factors[:, 0]
     for t in range(1, nu):
         prods = prods[:, :, None, :, None] * factors[:, t, None, :, None, :]
         prods = prods.reshape(n_rows, 2 ** (t + 1), m ** (t + 1))
+    if keys is not None:
+        prods = prods * (keys[:, None] == bit_keys)[:, :, None]
+        bit_keys, num_keys = np.zeros_like(bit_keys), 1
     tables = np.zeros((n_rows, num_keys, m ** nu))
     for i, k in enumerate(bit_keys.tolist()):
         tables[:, k] += prods[:, i]
-    return tables
+    return tables if keys is None else tables[:, 0]
 
 
 def _site_traces(code, w):
@@ -857,14 +852,14 @@ def cr_generation_run(w, src, code, trials, seed, caps=DEFAULT_CAPS):
         sites = traces[blocks, :, xi[word, : pre.n], si[word, : pre.n]]   # (trials, nu, 2)
         probs = _site_products(sites[..., None], pre.bit_keys, pre.num_messages)[..., 0]
     else:
-        _check_product_dim(w.dim, pre.n, caps)
+        charge(caps, "product_dim", w.dim ** pre.n, "product dimension")
         v_index = v_letters @ n_v ** np.arange(l - 1, -1, -1)
         seen, pair_of = np.unique(v_index * len(words) + word, return_inverse=True)
         v_i, c = np.divmod(seen, len(words))
         ops = [pre.decoders[v] for v in v_i.tolist()]
         probs = _success_tables(w, xi[c, : pre.n], ops, si[c, : pre.n])[pair_of]
     if two_part:
-        _check_product_dim(w.dim, code.inner.n, caps)
+        charge(caps, "product_dim", w.dim ** code.inner.n, "product dimension")
         part_ids = {}
         part = np.array([part_ids.setdefault((xs[pre.n :], ss[pre.n :]), len(part_ids))
                          for xs, ss in zip(words, states)], dtype=np.intp)

@@ -2,10 +2,15 @@
 
 All modules read their defaults from one frozen record so that every
 validation error can state which bound was violated, and so CLI overrides
-land in a single place.
+land in a single place.  Every size is compared with its cap in one place,
+charge, which also words every overflow.
 """
 
 from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import DimOverflow, EnumerationOverflow
 
 
 @dataclass(frozen=True)
@@ -35,3 +40,22 @@ class Caps:
 
 DEFAULT_TOL = Tolerances()
 DEFAULT_CAPS = Caps()
+
+
+def charge(caps, field, size, what):
+    """Charge the size of what a caller is about to build against caps.<field>.
+
+    A size over the cap raises DimOverflow for product_dim and
+    EnumerationOverflow for enumeration and jammer_states, worded
+    "{what} {size} exceeds the {field} cap {cap}".  An ndarray of sizes, one
+    per row of the typicality verifier, raises nothing: it returns the mask of
+    the rows over the cap and, per row, that wording or None.
+    """
+    cap = getattr(caps, field)
+    over = size > cap
+    if isinstance(size, np.ndarray):
+        return over, [f"{what} {s} exceeds the {field} cap {cap}" if o else None
+                      for s, o in zip(size.tolist(), over.tolist())]
+    if over:
+        error = DimOverflow if field == "product_dim" else EnumerationOverflow
+        raise error(f"{what} {size} exceeds the {field} cap {cap}")

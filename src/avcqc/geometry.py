@@ -232,7 +232,8 @@ def affine_set_distance(gen0, gen1, row_len0, row_len1, tol=_GAP_STOP, max_iter=
     real numbers, a Gram matrix that is not finite (an entry not finite or
     too large), or an f or gradient at the uniform start that is not finite
     raises InvalidArgument, and generators not (D, K*) with K* a positive
-    multiple of their row length raise DimensionMismatch.
+    multiple of their row length raise DimensionMismatch.  Once the
+    arguments are checked, the solve is ``_set_distance`` on [gen0, -gen1].
     """
     r0, r1 = _integer(row_len0, "row_len0", 1), _integer(row_len1, "row_len1", 1)
     max_iter = _integer(max_iter, "max_iter", 0)
@@ -244,15 +245,21 @@ def affine_set_distance(gen0, gen1, row_len0, row_len1, tol=_GAP_STOP, max_iter=
             and g0.shape[1] % r0 == g1.shape[1] % r1 == 0):
         raise DimensionMismatch(f"generators of shapes {g0.shape} and {g1.shape} are not (D, K) "
                                 f"with K a positive multiple of the row lengths {r0} and {r1}")
-    k0, k1 = g0.shape[1], g1.shape[1]
-    joint = np.concatenate([g0, -g1], axis=1)
+    return _set_distance(np.concatenate([g0, -g1], axis=1), g0.shape[1], r0, r1, tol, max_iter)
+
+
+def _set_distance(joint, k0, r0, r1, tol=_GAP_STOP, max_iter=_DISTANCE_STEPS):
+    """affine_set_distance on the joint generator matrix [gen0, -gen1] (D, K0 + K1),
+    gen0's K0 columns first, from arguments already checked.  A Gram matrix
+    that is not finite raises InvalidArgument, as does an f or gradient at
+    the uniform start that is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         hess = 2.0 * (joint.T @ joint)
     # a non-finite entry makes the Gram matrix non-finite, as does one whose square overflows
     if not np.logical_and.reduce(np.isfinite(hess), axis=None):
         raise InvalidArgument("the generators' Gram matrix is not finite: an entry is not finite "
                               "or too large")
-    parts = ((slice(0, k0), r0), (slice(k0, k0 + k1), r1))
+    parts = ((slice(0, k0), r0), (slice(k0, joint.shape[1]), r1))
 
     def point(z):
         # f and its gradient from the residual, so f near 0 is not lost to

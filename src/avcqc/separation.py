@@ -18,10 +18,9 @@ import numpy as np
 
 from .capacity import capacity_informed_jammer
 from .channels import Avcqc, JammerKernel
-from .config import DEFAULT_CAPS, DEFAULT_TOL
+from .config import DEFAULT_CAPS, DEFAULT_TOL, charge
 from .errors import (
     AlphabetMismatch,
-    DimOverflow,
     Indeterminate,
     InvalidArgument,
     NonBinarySource,
@@ -30,7 +29,7 @@ from .errors import (
     TraceNotOne,
     ZeroMutualInformation,
 )
-from .geometry import affine_set_distance, embed_stack
+from .geometry import _set_distance, embed_stack
 from .operators import _integer, eigvalsh_stack, require_hermitian
 
 __all__ = [
@@ -150,19 +149,20 @@ def _block_weights(src, gs, iota, x_alphabet):
 
     Rows follow x_alphabet, columns the receiver words in lexicographic
     order.  P(u word | v word) and P_V(v word) are products of per-symbol
-    entries taken left to right, gathered once for every (sender word,
-    receiver word) pair and shared by the encoders; the rows of each
-    letter's preimage are added in the order of its g.
+    entries taken left to right, one running Kronecker product over the
+    symbols for every (sender word, receiver word) pair, shared by the
+    encoders; the rows of each letter's preimage are added in the order of
+    its g.
     """
     row = {u: i for i, u in enumerate(iproduct(src.v_prime_alphabet, repeat=iota))}
     x_index = {x: i for i, x in enumerate(x_alphabet)}
-    u_idx = np.indices((len(src.v_prime_alphabet),) * iota).reshape(iota, -1).T
-    v_idx = np.indices((len(src.v_alphabet),) * iota).reshape(iota, -1)
-    cond = src.sender_given_receiver[u_idx[:, :, None], v_idx].prod(axis=1)
-    marginal = src.receiver_marginal[v_idx].prod(axis=0)
+    step, cond, marginal = src.sender_given_receiver, np.ones((1, 1)), np.ones(1)
+    for _ in range(iota):
+        cond = (cond[:, None, :, None] * step[:, None]).reshape(len(cond) * len(step), -1)
+        marginal = (marginal[:, None] * src.receiver_marginal).ravel()
     tables = []
     for g in gs:
-        acc = np.zeros((len(x_alphabet), v_idx.shape[1]))
+        acc = np.zeros((len(x_alphabet), len(marginal)))
         np.add.at(acc, [x_index[x] for x in g.values()], cond[[row[u] for u in g]])
         tables.append(acc * marginal)
     return tables
@@ -173,28 +173,9 @@ def _ensemble_blocks(w, weights, q_rows):
     return np.einsum("xs,xv,xsij->vij", q_rows, weights, w.states)
 
 
-def _gram_factor(embedded, weights):
-    """Real (|V|^iota * d^2, |X||S|) matrix whose Gram matrix is
-    Gram[(x,s),(x',s')] = sum_v w_x(v) w_x'(v) tr(W(x,s) W(x',s')).
-
-    embedded is embed_stack(w.states), (X, S, d^2).  Column (x, s) stacks
-    the embedded generator w_x(v) W(x, s) of every block v; the embedding
-    keeps the trace inner product, so Euclidean distances between
-    combinations of columns are Frobenius distances between ensemble states.
-    """
-    nx, ns = embedded.shape[:2]
-    return np.einsum("xv,xse->vexs", weights, embedded).reshape(-1, nx * ns)
-
-
 def _coefficients(w, weights, blocks):
     """c[x, s] = sum_v w_x(v) tr(W(x, s) B_v): the functional B on column (x, s)."""
     return np.einsum("xv,xsij,vji->xs", weights, w.states, blocks).real
-
-
-def _check_ensemble_dim(nv, d, caps):
-    """Raise DimOverflow when the dense side nv * d exceeds caps.product_dim."""
-    if nv * d > caps.product_dim:
-        raise DimOverflow(f"ensemble dimension {nv * d} exceeds cap {caps.product_dim}")
 
 
 def _block_diag(blocks):
@@ -213,7 +194,7 @@ def ensemble_state(src, g, q, w, caps=DEFAULT_CAPS):
     if q.x_alphabet != w.x_alphabet or q.s_alphabet != w.s_alphabet:
         raise AlphabetMismatch("kernel alphabets do not match the channel")
     iota, tol = len(next(iter(g))), DEFAULT_TOL
-    _check_ensemble_dim(len(src.v_alphabet) ** iota, w.dim, caps)
+    charge(caps, "product_dim", len(src.v_alphabet) ** iota * w.dim, "ensemble dimension")
     weights = _block_weights(src, [g], iota, w.x_alphabet)[0]
     blocks = require_hermitian(_ensemble_blocks(w, weights, q.rows), tol.hermitian)
     low = float(eigvalsh_stack(blocks)[:, 0].min())
@@ -268,27 +249,33 @@ def separation_test(w, src, gp, seed=0, tol=DEFAULT_TOL, caps=DEFAULT_CAPS):
     """Decide disjointness of the reachable ensemble-state sets of g0 and g1.
 
     The set distance comes as a bracket [lower, distance] from one
-    projected Newton solve of the convex quadratic (``affine_set_distance``,
-    stopped on a Frank-Wolfe gap of tol.quadratic_solver), which draws no
-    random numbers: seed has no effect.  distance at or below the lower
-    threshold yields NotSeparable with the witness kernels; lower above the
-    separability threshold yields a certificate built from the connecting
-    direction between the closest points; any other bracket raises
-    Indeterminate.  caps.product_dim bounds block_dim = |V|^iota d and is
-    checked first.  Both encoders' weights come from one _block_weights
-    pass.  The operator is block diagonal: lambda_top, lambda_floor and the
-    measurement come from its |V|^iota shifted d x d blocks, and no dense
-    operator is built.
+    projected Newton solve of the convex quadratic (``_set_distance``, the
+    solve of ``affine_set_distance``, stopped on a Frank-Wolfe gap of
+    tol.quadratic_solver), which draws no random numbers: seed has no
+    effect.  distance at or below the lower threshold yields NotSeparable
+    with the witness kernels; lower above the separability threshold yields
+    a certificate built from the connecting direction between the closest
+    points; any other bracket raises Indeterminate.  caps.product_dim
+    bounds block_dim = |V|^iota d and is charged first.  Both encoders'
+    weights come from one _block_weights pass, and one product writes the
+    solve's generator matrix [gen0, -gen1] into one buffer: column (i, x, s)
+    stacks the embedded generator w_x(v) W(x, s) of every block v, negated
+    for g1.  The embedding keeps the trace inner product, so Euclidean
+    distances between combinations of columns are Frobenius distances
+    between ensemble states.  The operator is block diagonal: lambda_top,
+    lambda_floor and the measurement come from its |V|^iota shifted d x d
+    blocks, and no dense operator is built.
     """
     nv, d = len(src.v_alphabet) ** gp.iota, w.dim
-    _check_ensemble_dim(nv, d, caps)
+    charge(caps, "product_dim", nv * d, "ensemble dimension")
     nx, ns = len(w.x_alphabet), len(w.s_alphabet)
     wgt0, wgt1 = _block_weights(src, (gp.g0, gp.g1), gp.iota, w.x_alphabet)
     embedded = embed_stack(w.states)
-    dist, lower, q0, q1 = affine_set_distance(
-        _gram_factor(embedded, wgt0), _gram_factor(embedded, wgt1), ns, ns,
-        tol=tol.quadratic_solver,
-    )
+    joint = np.empty((nv * embedded.shape[-1], 2 * nx * ns))
+    # (-w) e is -(w e) exactly, so g1's half is the negated generators bit for bit
+    np.einsum("ixv,xse->veixs", np.stack((wgt0, -wgt1)), embedded,
+              out=joint.reshape(nv, -1, 2, nx, ns))
+    dist, lower, q0, q1 = _set_distance(joint, nx * ns, ns, ns, tol=tol.quadratic_solver)
     q0, q1 = q0.reshape(nx, ns), q1.reshape(nx, ns)
     if dist <= tol.not_separable_below:
         return NotSeparable(

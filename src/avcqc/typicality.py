@@ -25,8 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import CqChannel, _check_product_dim, _input_distribution
-from .config import DEFAULT_CAPS, DEFAULT_TOL
+from .channels import CqChannel, _input_distribution
+from .config import DEFAULT_CAPS, DEFAULT_TOL, charge
 from .errors import AlphabetMismatch, EnumerationOverflow, InvalidArgument
 from .operators import _integer, _positive, eigh_stack, entropy_from_eigenvalues
 from .operators import validate_probability_vector
@@ -136,9 +136,10 @@ def _window_classes(p, ns, half_width, guard=DEFAULT_TOL.typicality_boundary,
         row, total, cols = np.arange(g0, g1), np.zeros(g1 - g0, dtype=int), []
         for j in range(p.shape[1] - 1):
             cand = np.bincount(row - g0, minlength=g1 - g0) * size[g0:g1, j]
-            for g in np.flatnonzero(cand > caps.enumeration):
-                over[g0 + g] = f"{cand[g]} window candidates exceed cap {caps.enumeration}"
-            reps = np.where(cand[row - g0] > caps.enumeration, 0, size[row, j])
+            hit, words = charge(caps, "enumeration", cand, "window candidate count")
+            for g in np.flatnonzero(hit):
+                over[g0 + g] = words[g]
+            reps = np.where(hit[row - g0], 0, size[row, j])
             if (last := j == p.shape[1] - 2) and j:  # counted: rows missing so far stop here
                 reps[miss(cols, slice(j), row)] = 0
             idx = np.repeat(np.arange(row.size), reps)
@@ -212,10 +213,7 @@ def _label_sequences(p, n, half_width, guard, caps):
     counts, bounds, over = _window_classes(p, [n], half_width, guard, caps)
     if over[0]:
         raise EnumerationOverflow(over[0])
-    total = _multinomials(counts, bounds)[1][0]
-    if total > caps.enumeration:
-        raise EnumerationOverflow(f"{total} typical sequences exceed enumeration cap "
-                                  f"{caps.enumeration}")
+    charge(caps, "enumeration", _multinomials(counts, bounds)[1][0], "typical sequence count")
     left, seqs = counts, np.zeros((len(counts), 0), dtype=int)
     for _ in range(n):
         row, label = np.nonzero(left)
@@ -273,8 +271,8 @@ class TypicalProjector:
 
     def matrix(self, caps=DEFAULT_CAPS):
         """Materialize the projector; caps.product_dim bounds its side d^n."""
-        _check_product_dim(self.dim, self.n, caps)
         total = self.dim ** self.n
+        charge(caps, "product_dim", total, "product dimension")
         if not self.basis_labels:
             return np.zeros((total, total), dtype=complex)
         cols = []
@@ -322,10 +320,7 @@ def conditional_typical_projector(w, xs, alpha, caps=DEFAULT_CAPS):
                                DEFAULT_TOL.typicality_boundary, caps)
               for x, pos in zip(letters, positions)]
     total_rank = prod(map(len, blocks))
-    if total_rank > caps.enumeration:
-        raise EnumerationOverflow(
-            f"conditional typical rank {total_rank} exceeds cap {caps.enumeration}"
-        )
+    charge(caps, "enumeration", total_rank, "conditional typical rank")
     pick = np.indices([len(b) for b in blocks]).reshape(len(blocks), total_rank)
     labels = np.zeros((total_rank, n), dtype=int)
     for block, pos, rows in zip(blocks, positions, pick):
@@ -403,10 +398,9 @@ def _cross_mass(values, runs, classes, bounds, d, caps=DEFAULT_CAPS):
     sizes, top = np.diff(bounds), np.zeros((len(bounds) - 1, d), dtype=int)
     rows, full, keep = np.repeat(np.arange(sizes.size), sizes), sizes > 0, classes[: bounds[-1]]
     top[full] = np.maximum.reduceat(keep, bounds[:-1][full])
-    cells = (top[:, :-1] + 1).prod(axis=1)
-    over = [f"count table of {c} cells exceeds enumeration cap {caps.enumeration}"
-            if s and c > caps.enumeration else None for s, c in zip(full.tolist(), cells.tolist())]
-    live, vals = np.flatnonzero(full & (cells <= caps.enumeration)), np.zeros(len(keep))
+    hit, over = charge(caps, "enumeration", np.where(full, (top[:, :-1] + 1).prod(axis=1), 0),
+                       "count table size")
+    live, vals = np.flatnonzero(full & ~hit), np.zeros(len(keep))
     for a, b in _chunks(top[live, 1:] + 2, caps.enumeration):
         group = live[a:b][np.lexsort(runs[live[a:b]].T[::-1])]  # letter x's tables: segments
         ext, srt = (top[group, 1:].max(axis=0) + 2).tolist(), runs[group]
@@ -463,9 +457,7 @@ def verify_typicality_bounds(w, p, n_range, alpha, caps=DEFAULT_CAPS, tol=DEFAUL
     """
     pv = _input_distribution(p, w, tol)
     ns = list(islice(n_range, caps.enumeration + 1))
-    if len(ns) > caps.enumeration:
-        raise EnumerationOverflow(
-            f"n_range holds more than {caps.enumeration} block lengths, the enumeration cap")
+    charge(caps, "enumeration", len(ns), "n_range length at least")
     ns = [_block_length(n) for n in ns]
     if not ns:
         raise InvalidArgument("n_range holds no block length")

@@ -473,6 +473,15 @@ def kron_block_weights(src, g, iota, x_alphabet):
     return acc * pv_word
 
 
+def encoder_generators(embedded, weights):
+    """One encoder's real (|V|^iota d^2, |X||S|) generator matrix, the einsum
+    separation_test writes each half of its joint matrix [gen0, -gen1] with:
+    column (x, s) stacks the embedded generator w_x(v) W(x, s) of every
+    block v, embedded the embed_stack of the channel's states (X, S, d^2)."""
+    nx, ns = embedded.shape[:2]
+    return np.einsum("xv,xse->vexs", weights, embedded).reshape(-1, nx * ns)
+
+
 def per_codeword_success_table(w, xs, g, ss=None):
     """Reference for one row of coding._success_tables: the contraction of
     one codeword xs alone, site by site, the running table (T, d*rest,
@@ -786,7 +795,8 @@ def per_block_window_classes(p, n, half_width, guard=DEFAULT_TOL.typicality_boun
     counts = np.zeros((1, 0), dtype=np.int64)
     for side in sides:
         if (rows := len(counts) * side.size) > caps.enumeration:
-            raise EnumerationOverflow(f"{rows} window candidates exceed cap {caps.enumeration}")
+            raise EnumerationOverflow(
+                f"window candidate count {rows} exceeds the enumeration cap {caps.enumeration}")
         counts = np.column_stack([np.repeat(counts, side.size, axis=0), np.tile(side, len(counts))])
         counts = counts[counts.sum(axis=1) <= n]
     counts = np.column_stack([counts, n - counts.sum(axis=1)])
@@ -847,7 +857,7 @@ def per_block_cross_mass(site_values, typical_classes, d, caps=DEFAULT_CAPS):
     cells = prod(shape)
     if cells > caps.enumeration:
         raise EnumerationOverflow(
-            f"count table of {cells} cells exceeds enumeration cap {caps.enumeration}"
+            f"count table size {cells} exceeds the enumeration cap {caps.enumeration}"
         )
     table = np.zeros(shape)
     table[(0,) * (d - 1)] = 1.0
@@ -899,7 +909,8 @@ def per_block_typicality_bounds(w, p, n_range, alpha, caps=DEFAULT_CAPS, tol=DEF
     ns = list(n_range)
     if len(ns) > caps.enumeration:
         raise EnumerationOverflow(
-            f"n_range holds more than {caps.enumeration} block lengths, the enumeration cap")
+            f"n_range length at least {caps.enumeration + 1} exceeds the enumeration cap "
+            f"{caps.enumeration}")
     sigma = np.einsum("x,xij->ij", pv, w.states)
     sig_lam, sig_u = stable_eigh(sigma)
     sig_spec = np.clip(sig_lam, 0.0, None)

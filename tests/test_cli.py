@@ -477,10 +477,19 @@ class TestArgumentValidation:
     def test_override_without_effect_is_refused(self, tmp_path, capsys, override):
         # specs are validated under the default tolerances, so these fields
         # would change nothing; projector_matrix_dim, folded into product_dim,
-        # is an unknown field
+        # is an unknown field of separate's --cap
+        self._rejects(self._override_argv(tmp_path, override), tmp_path, capsys,
+                      override.split("=")[1])
+
+    @staticmethod
+    def _override_argv(tmp_path, override):
+        """capacity with a --tol override, separate with a --cap one: the
+        commands that take --cap are the ones that charge a cap."""
         chan = write_channel(tmp_path, bitflip_channel())
-        argv = ["capacity", "--channel", chan, "--seed", "1", override]
-        self._rejects(argv, tmp_path, capsys, override.split("=")[1])
+        if override.startswith("--tol"):
+            return ["capacity", "--channel", chan, "--seed", "7", override]
+        src = write_source(tmp_path, [[0.45, 0.05], [0.05, 0.45]])
+        return ["separate", "--channel", chan, "--source", src, "--seed", "7", override]
 
     @pytest.mark.parametrize("command", ["cr-capacity", "discontinuity-demo"])
     def test_retired_constraint_slack_is_unknown(self, tmp_path, capsys, command):
@@ -509,9 +518,7 @@ class TestArgumentValidation:
     def test_malformed_override_value(self, tmp_path, capsys, override, field):
         # a non-numeric value, a non-finite cap, a negative tolerance and a
         # non-integral cap: each names its field instead of a traceback
-        chan = write_channel(tmp_path, bitflip_channel())
-        argv = ["capacity", "--channel", chan, "--seed", "7", override]
-        self._rejects(argv, tmp_path, capsys, field)
+        self._rejects(self._override_argv(tmp_path, override), tmp_path, capsys, field)
 
     def test_nan_separation_bands_are_refused(self, tmp_path, capsys):
         # NaN bands made every distance indeterminate: exit 2 where the
@@ -538,10 +545,8 @@ class TestArgumentValidation:
         assert not out.exists()
 
     def test_integral_cap_in_float_notation_is_accepted(self, tmp_path):
-        chan = write_channel(tmp_path, bitflip_channel())
-        out = tmp_path / "cap.json"
-        argv = ["capacity", "--channel", chan, "--seed", "7", "--cap", "product_dim=4e3",
-                "--out", str(out)]
+        out = tmp_path / "cert.json"
+        argv = self._override_argv(tmp_path, "--cap=product_dim=4e3") + ["--out", str(out)]
         assert main(argv) == 0 and out.exists()
 
     @pytest.mark.parametrize("alpha", ["-1", "0", "1"])
@@ -692,14 +697,16 @@ class TestCachedParser:
         first = tmp_path / "first.json"
         assert self._capacity(first) == 0
         tight = tmp_path / "tight.json"
-        assert self._capacity(tight, "--tol", "maxmin_bracket=1e-10",
-                              "--cap", "jammer_states=7") == 0
+        assert self._capacity(tight, "--tol", "maxmin_bracket=1e-10") == 0
         again = tmp_path / "again.json"
         assert self._capacity(again) == 0
         assert tight.read_bytes() != first.read_bytes()
         assert again.read_bytes() == first.read_bytes()
-        args = cli.build_parser().parse_args(["capacity", "--channel", "c", "--seed", "7",
-                                              "--out", "o"])
+        # the cap overrides of one parse do not reach the next
+        separate = ["separate", "--channel", "c", "--source", "s", "--seed", "7", "--out", "o"]
+        args = cli.build_parser().parse_args(separate + ["--cap", "product_dim=16"])
+        assert args.cap == ["product_dim=16"]
+        args = cli.build_parser().parse_args(separate)
         assert args.tol is None and args.cap is None
 
     def test_usage_error_then_valid_call(self, tmp_path, capsys):
@@ -819,6 +826,6 @@ sys.exit(main(sys.argv[1:]))
                              capture_output=True, text=True, env=child_env())
         assert run.returncode == 1, run.stderr
         assert run.stderr.splitlines() == [
-            "error: EnumerationOverflow: n_range holds more than 1048576 block lengths, "
-            "the enumeration cap"]
+            "error: EnumerationOverflow: n_range length at least 1048577 exceeds the "
+            "enumeration cap 1048576"]
         assert not out.exists()

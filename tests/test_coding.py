@@ -567,7 +567,8 @@ class TestTwoPartCode:
         caps = Caps(product_dim=4)
         for evaluate in (lambda: random_code_error_informed(inner, w, caps),
                          lambda: two_part_error_informed(pre, inner, w, src, caps)):
-            with pytest.raises(DimOverflow, match=r"product dimension 8 exceeds cap 4$"):
+            with pytest.raises(DimOverflow,
+                               match=r"^product dimension 8 exceeds the product_dim cap 4$"):
                 evaluate()
         assert two_part_error_informed(pre, inner, w, src, Caps(product_dim=8))[0] >= 0.0
 
@@ -734,7 +735,7 @@ class TestRepetitionPrecode:
     @pytest.mark.parametrize("instance", ["separable-d3"], indirect=True)
     def test_product_dim_bounds_the_decoder_side(self, instance):
         cert, gp, src, w = instance
-        with pytest.raises(DimOverflow, match="product dimension 9 exceeds cap 8"):
+        with pytest.raises(DimOverflow, match="^product dimension 9 exceeds the product_dim cap 8$"):
             repetition_precode(cert, gp, src, w, num_keys=2, nu=2, caps=Caps(product_dim=8))
 
     @pytest.mark.parametrize("instance, nu, keys", CASES, indirect=["instance"])
@@ -773,6 +774,20 @@ class TestRepetitionPrecode:
         err, jammer = two_part_error_informed(pre, inner, w, src)
         two = assemble_two_part(pre, inner, w, src)
         assert (two.assembled_error, two.jammer) == (err, jammer)
+
+    @pytest.mark.parametrize("nx, d", [(nx, d) for nx in (2, 3, 4, 5) for d in (2, 3)])
+    def test_own_key_tables_are_the_full_tables_read_column(self, nx, d):
+        # the benchmark's pre-codes, over its fixed separation draws: a row
+        # that adds only the outcome words decoding to its own key gives,
+        # bit for bit, the column of the every-key table that its error reads
+        w, src = separable_instance(np.random.default_rng([2024, nx, d]), nx, d)
+        gp = build_g_pair(src, w.x_alphabet)
+        nu = 3 if gp.iota == 3 else 2
+        pre = repetition_precode(separation_test(w, src, gp), gp, src, w, num_keys=2, nu=nu)
+        words, ids, keys, full = pre._key_tables(w, src, DEFAULT_CAPS)
+        own = pre._key_tables(w, src, DEFAULT_CAPS, own=True)
+        assert own[:3] == (words, ids, keys)
+        assert own[3].tobytes() == full[np.arange(len(keys)), keys].tobytes()
 
     @pytest.mark.parametrize("instance", ["flip", "leak", "separable-d3"])
     def test_site_and_dense_tables_agree(self, instance):
@@ -872,7 +887,7 @@ class TestDeferredBuilds:
             lambda: correlation_code_error_informed(pre, w, src, caps),
         ):
             with pytest.raises(EnumerationOverflow,
-                               match=r"^\|S\|\^n = 8 exceeds jammer enumeration cap 7$"):
+                               match=r"^state word count 8 exceeds the jammer_states cap 7$"):
                 call()
 
     @pytest.mark.parametrize("nu, keys", [(1, 2), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4)])

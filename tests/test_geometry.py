@@ -11,11 +11,12 @@ from avcqc.capacity import _aux_objective
 from avcqc.cli import _demo_source
 from avcqc.errors import DimensionMismatch, InvalidArgument
 from avcqc.geometry import affine_set_distance, embed_stack
-from avcqc.separation import _block_weights, _gram_factor, build_g_pair
+from avcqc.separation import _block_weights, build_g_pair
 from helpers import (
     bitflip_channel,
     compositions,
     constant_channel,
+    encoder_generators,
     flip_source,
     kernel_grid,
     kkt_matrix,
@@ -65,7 +66,7 @@ def pair_generators(w, src):
     """The separation test's generator matrices (D, |X||S|) of g0 and g1."""
     gp = build_g_pair(src, w.x_alphabet)
     embedded = embed_stack(w.states)
-    return [_gram_factor(embedded, wgt)
+    return [encoder_generators(embedded, wgt)
             for wgt in _block_weights(src, (gp.g0, gp.g1), gp.iota, w.x_alphabet)]
 
 

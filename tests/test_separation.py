@@ -2,6 +2,8 @@ from collections import Counter
 from itertools import product as iproduct
 from pathlib import Path
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,10 +34,9 @@ from avcqc.errors import (
     TraceNotOne,
     ZeroMutualInformation,
 )
-from avcqc.geometry import embed_stack
+from avcqc.geometry import affine_set_distance, embed_stack
 from avcqc.separation import (
     _block_weights,
-    _gram_factor,
     certificate_soundness_sweep,
     smallest_block_length,
 )
@@ -45,6 +46,7 @@ from helpers import (
     binary_entropy,
     bitflip_channel,
     constant_channel,
+    encoder_generators,
     flip_source,
     kron_block_weights,
     orthogonal_channel,
@@ -145,7 +147,8 @@ class TestEnsembleState:
         src, w = flip_source(0.1), orthogonal_channel()
         g = build_g_pair(src, (0, 1)).g0
         q = JammerKernel.uniform((0, 1), (0, 1))
-        with pytest.raises(DimOverflow, match=r"^ensemble dimension 16 exceeds cap 15$"):
+        with pytest.raises(DimOverflow,
+                           match=r"^ensemble dimension 16 exceeds the product_dim cap 15$"):
             ensemble_state(src, g, q, w, caps=Caps(product_dim=15))
         assert ensemble_state(src, g, q, w, caps=Caps(product_dim=16)).matrix.shape == (16, 16)
 
@@ -288,11 +291,29 @@ class TestBlockForm:
             pytest.fail("the distance solve ran before the cap was charged")
 
         with monkeypatch.context() as m:
-            m.setattr(separation, "affine_set_distance", no_solve)
-            with pytest.raises(DimOverflow, match=r"^ensemble dimension 16 exceeds cap 15$"):
+            m.setattr(separation, "_set_distance", no_solve)
+            with pytest.raises(DimOverflow,
+                               match=r"^ensemble dimension 16 exceeds the product_dim cap 15$"):
                 separation_test(w, src, gp, caps=Caps(product_dim=15))
         cert = separation_test(w, src, gp, caps=Caps(product_dim=16))
         assert isinstance(cert, SeparationCertificate) and cert.block_dim == 16
+
+    def test_joint_generators_built_once(self):
+        # iota = 8: 256 receiver blocks of side 4, and the joint generator
+        # matrix [gen0, -gen1] is 256 * 16 rows by 2 * 70 * 2 columns, 9.2 MB;
+        # each half built apart, with their concatenation and a negated
+        # copy, and the block weights gathered as a (256, 8, 256) array, the
+        # traced peak was 22 MB
+        w, src = separable_instance(np.random.default_rng([2024, 70, 4]), 70, 4)
+        gp = build_g_pair(src, w.x_alphabet)
+        tracemalloc.start()
+        try:
+            cert = separation_test(w, src, gp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(cert, SeparationCertificate) and cert.block_dim == 1024
+        assert peak <= 15e6, peak
 
 
 class TestEmbedding:
@@ -327,7 +348,7 @@ class TestEmbedding:
         traces = np.einsum("xsij,yrji->xsyr", w.states, w.states).real
         expected = np.einsum("xv,yv,xsyr->xsyr", wgt0, wgt1, traces).reshape(6, 6)
         embedded = embed_stack(w.states)
-        gram = _gram_factor(embedded, wgt0).T @ _gram_factor(embedded, wgt1)
+        gram = encoder_generators(embedded, wgt0).T @ encoder_generators(embedded, wgt1)
         assert np.allclose(gram, expected, atol=1e-15)
 
 
@@ -507,16 +528,16 @@ class TestSetDistanceBracket:
         # decision under that budget is a sound certificate or Indeterminate
         w, src, gp = fixed_draw(2, 2)
         wgt0, wgt1 = _block_weights(src, (gp.g0, gp.g1), gp.iota, w.x_alphabet)
-        gens = tuple(_gram_factor(embed_stack(w.states), wgt) for wgt in (wgt0, wgt1))
-        dist, lower, _, _ = separation.affine_set_distance(*gens, 2, 2, max_iter=max_iter)
+        gens = tuple(encoder_generators(embed_stack(w.states), wgt) for wgt in (wgt0, wgt1))
+        dist, lower, _, _ = affine_set_distance(*gens, 2, 2, max_iter=max_iter)
         assert dist**2 - lower**2 > DEFAULT_TOL.quadratic_solver
         assert lower <= PINNED_DISTANCES[2, 2] <= dist
-        solve = separation.affine_set_distance
+        solve = separation._set_distance
 
         def budget(*args, **kwargs):
             return solve(*args, **kwargs, max_iter=max_iter)
 
-        monkeypatch.setattr(separation, "affine_set_distance", budget)
+        monkeypatch.setattr(separation, "_set_distance", budget)
         try:
             cert = separation_test(w, src, gp)
         except Indeterminate:

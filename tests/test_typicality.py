@@ -127,7 +127,7 @@ class TestWindowCountClasses:
     def test_candidates_over_cap_raise_before_they_are_built(self):
         # at d=8, n=40 there are 62,891,499 compositions; label by label the
         # window reaches 1,749,539 candidates at the sixth label, over the cap
-        with pytest.raises(EnumerationOverflow, match="1749539 window candidates"):
+        with pytest.raises(EnumerationOverflow, match="^window candidate count 1749539 exceeds"):
             _window_count_classes(np.full(8, 1 / 8), 40, 0.1)
         capped = Caps(enumeration=100)
         assert _window_count_classes(np.array([0.5, 0.5]), 40, 0.1, caps=capped)
@@ -146,7 +146,7 @@ class TestWindowCountClasses:
         # the cap check comes before any array the size of a window is allocated
         tracemalloc.start()
         try:
-            with pytest.raises(EnumerationOverflow, match=f"^{count} window candidates exceed"):
+            with pytest.raises(EnumerationOverflow, match=f"^window candidate count {count} exceeds"):
                 call()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -192,7 +192,7 @@ class TestTypicalProjector:
     def test_cap_counts_typical_sequences(self):
         # 2**21 label sequences exceed the cap, but only the typical ones are built
         assert typical_projector(np.diag([0.75, 0.25]), 21, 0.1).rank == 196_878
-        with pytest.raises(EnumerationOverflow, match="1269301 typical sequences"):
+        with pytest.raises(EnumerationOverflow, match="^typical sequence count 1269301 exceeds"):
             typical_projector(np.diag([0.75, 0.25]), 24, 0.1)
 
     def test_rejects_non_density_operator(self):
@@ -562,7 +562,7 @@ class TestBatchedCaps:
     def test_one_block_length_over_the_window_cap(self):
         counts, bounds, over = _window_classes(np.full(4, 0.25), range(4, 16), 0.3,
                                                caps=Caps(enumeration=939))
-        assert over == [None] * 11 + ["940 window candidates exceed cap 939"]
+        assert over == [None] * 11 + ["window candidate count 940 exceeds the enumeration cap 939"]
         for i, n in enumerate(range(4, 15)):
             got = [tuple(c) for c in counts[bounds[i]:bounds[i + 1]].tolist()]
             assert got == per_block_window_classes(np.full(4, 0.25), n, 0.3)
@@ -571,7 +571,7 @@ class TestBatchedCaps:
     @pytest.mark.parametrize("ns", [range(4, 16), [9, 15, 4, 12]])
     def test_verifier_raises_with_that_count(self, ns):
         caps = Caps(enumeration=939)
-        with pytest.raises(EnumerationOverflow, match="^940 window candidates exceed cap 939$"):
+        with pytest.raises(EnumerationOverflow, match="^window candidate count 940 exceeds the enumeration cap 939$"):
             verify_typicality_bounds(self.MIXED, [0.5, 0.5], ns, 0.3, caps=caps)
         rep = verify_typicality_bounds(self.MIXED, [0.5, 0.5], range(4, 15), 0.3, caps=caps)
         assert rep.rows == verify_typicality_bounds(self.MIXED, [0.5, 0.5], range(4, 15), 0.3).rows
@@ -587,7 +587,7 @@ class TestBatchedCaps:
         )
         rep = verify_typicality_bounds(w, p, ns, 0.1, caps=Caps(enumeration=cells))
         assert rep.to_csv_rows() == verify_typicality_bounds(w, p, ns, 0.1).to_csv_rows()
-        with pytest.raises(EnumerationOverflow, match=f"^count table of {cells} cells exceeds"):
+        with pytest.raises(EnumerationOverflow, match=f"^count table size {cells} exceeds"):
             verify_typicality_bounds(w, p, ns, 0.1, caps=Caps(enumeration=cells - 1))
 
 
@@ -704,7 +704,7 @@ class TestRangeCap:
                 yield n
 
         with pytest.raises(EnumerationOverflow,
-                           match="^n_range holds more than 11 block lengths, the enumeration cap$"):
+                           match="^n_range length at least 12 exceeds the enumeration cap 11$"):
             verify_typicality_bounds(mirror_pair_channel(), [0.5, 0.5], lengths(), 0.1,
                                      caps=Caps(enumeration=11))
         assert read == list(range(4, 16))
@@ -716,7 +716,7 @@ class TestRangeCap:
                 == verify_typicality_bounds(*args).to_csv_rows())
 
     def test_range_of_1e20_is_refused(self):
-        with pytest.raises(EnumerationOverflow, match="more than 1048576 block lengths"):
+        with pytest.raises(EnumerationOverflow, match="^n_range length at least 1048577 exceeds"):
             verify_typicality_bounds(mirror_pair_channel(), [0.5, 0.5], range(4, 10**20 + 1), 0.1)
 
 
@@ -748,7 +748,7 @@ class TestBoundaryValidation:
         (lambda: typical_set([0.9, 0.1], 2**53, 0.1), InvalidArgument,
          r"block length 9007199254740992 exceeds 2\^53 - 1"),
         (lambda: typical_set([0.9, 0.1], 2**53 - 1, 0.1), EnumerationOverflow,
-         "window candidates exceed cap"),
+         r"^window candidate count \d+ exceeds the enumeration cap 1048576$"),
         (lambda: typical_projector(HALF, -1, 0.1), InvalidArgument, "block length"),
         (lambda: typical_projector(HALF, 0, 0.1), InvalidArgument, "block length"),
         (lambda: typical_projector(HALF, 2.0, 0.1), InvalidArgument, "block length"),
