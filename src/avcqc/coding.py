@@ -209,13 +209,12 @@ class CorrelationCode:
     def num_messages(self):
         return len(self.encoders[0])
 
-    def _key_tables(self, w, src, caps, own=False):
+    def _key_tables(self, w, src, caps):
         """(words, ids, keys, tables), a row per distinct (codeword, message)
         pair in encoder order: row r sends message keys[r] by words[ids[r]],
         and tables[r, k] is its success table against message k's decoders,
         each weighted by the source mass its receiver word has jointly with
-        the sender words sending the pair; one _success_tables pass.  With
-        own, tables[r] is row r's table against its own message's decoders."""
+        the sender words sending the pair; one _success_tables pass."""
         charge(caps, "product_dim", w.dim ** self.n, "product dimension")
         joint_l = _product_joint(src, self.l)
         weights = {}
@@ -225,9 +224,8 @@ class CorrelationCode:
         word_ids = {}
         ids = [word_ids.setdefault(xs, len(word_ids)) for xs, _ in weights]
         ops = [np.tensordot(wv, self.decoders, axes=1) for wv in weights.values()]
-        keys = [j for _, j in weights]
         tables = _success_tables(w, _letter_indices(w, word_ids)[ids], ops)
-        return list(word_ids), ids, keys, tables[np.arange(len(keys)), keys] if own else tables
+        return list(word_ids), ids, [j for _, j in weights], tables
 
 
 # ---------------------------------------------------------------------------
@@ -441,10 +439,10 @@ def correlation_code_error_informed(code, w, src, caps=DEFAULT_CAPS, return_stra
     observes the channel input word (which may reveal an equivalence class
     of sender words) but neither source realization directly.  The
     success of a codeword is the sum, over the messages j it carries, of
-    its (codeword, j) success table against message j's decoders (see
-    _key_tables), divided by J.  The word count |V'|^l * |V|^l is taken
-    from the source's alphabet sizes, and a RepetitionPrecode builds
-    neither its word tables, its encoders nor its dense decoders.  A code that does not fit the source
+    row j of its (codeword, j) success table (see _key_tables), divided by
+    J.  The word count |V'|^l * |V|^l is taken from the source's alphabet
+    sizes, and a RepetitionPrecode builds neither its word tables, its
+    encoders nor its dense decoders.  A code that does not fit the source
     and channel raises AlphabetMismatch (see _check_code_alphabets).  The
     JammerStrategy is built only with return_strategy, which returns
     (error, strategy).
@@ -453,8 +451,9 @@ def correlation_code_error_informed(code, w, src, caps=DEFAULT_CAPS, return_stra
     charge(caps, "enumeration", n_words, "source word pair count")
     _check_code_alphabets(code, w, src)
     charge(caps, "jammer_states", len(w.s_alphabet) ** code.n, "state word count")
-    words, ids, _, tables = code._key_tables(w, src, caps, own=True)
-    return _jammer_picks(words, ids, tables / code.num_messages, w, code.n, return_strategy)
+    words, ids, keys, tables = code._key_tables(w, src, caps)
+    success = tables[np.arange(len(keys)), keys] / code.num_messages
+    return _jammer_picks(words, ids, success, w, code.n, return_strategy)
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +586,7 @@ class RepetitionPrecode:
     def num_messages(self):
         return len(self.key_words)
 
-    def _key_tables(self, w, src, caps, own=False):
+    def _key_tables(self, w, src, caps):
         """(words, ids, keys, tables) as CorrelationCode._key_tables, site by site.
 
         The source is i.i.d. and each encoder acts block by block, so a
@@ -596,8 +595,6 @@ class RepetitionPrecode:
           A[c, x, bit, s] = sum_{u : g_c(u) = x} sum_b P_iota(u, b) T[b, bit, x, s].
         Key k sends every product of the letters its bits give some block:
         its pairs come from block_letters, each use's letters in block order.
-        With own, a row adds only the outcome words that decode to its key.
-        The block letters are taken as checked (see _check_code_alphabets).
         """
         joint = _product_joint(src, self.l // self.n)
         if joint.shape != (len(self.block_letters), len(self.site)):
@@ -606,18 +603,16 @@ class RepetitionPrecode:
         maps_to = (letters[:, :, None] == np.arange(len(w.x_alphabet))).astype(float)
         weighted = np.einsum("ub,bkxs->ukxs", joint, _site_traces(self, w))
         a = np.einsum("ucx,ukxs->cxks", maps_to, weighted)
-        # the input indices of the distinct letters bit c sends, in block order
-        sent = [list(dict.fromkeys(letters[:, c].tolist())) for c in (0, 1)]
+        # the distinct letters bit c sends, in block order
+        sent = [list(dict.fromkeys(p[c] for p in self.block_letters)) for c in (0, 1)]
         word_ids, ids, keys = {}, [], []
         for k, bits in enumerate(self.key_words):
-            sends = iproduct(*(sent[c] for c in bits))
-            ids += (word_ids.setdefault(word, len(word_ids)) for word in sends)
+            words = iproduct(*(sent[c] for c in bits))
+            ids += (word_ids.setdefault(xs, len(word_ids)) for xs in words)
             keys += [k] * (len(ids) - len(keys))
-        xi = np.array(list(word_ids), dtype=np.intp)[ids]
+        xi = _letter_indices(w, word_ids)[ids]
         factors = a[np.array(self.key_words)[keys], xi]    # (rows, nu, 2, |S|)
-        tables = _site_products(factors, self.bit_keys, self.num_messages,
-                                np.array(keys) if own else None)
-        return [tuple(w.x_alphabet[i] for i in word) for word in word_ids], ids, keys, tables
+        return list(word_ids), ids, keys, _site_products(factors, self.bit_keys, self.num_messages)
 
     @cached_property
     def v_prime_words(self):
@@ -716,25 +711,20 @@ def _key_words(nu, num_keys):
                     return words
 
 
-def _site_products(factors, bit_keys, num_keys, keys=None):
+def _site_products(factors, bit_keys, num_keys):
     """(N, K, m^nu) tables from per-use factors (N, nu, 2, m): entry
     [i, k, s^nu] adds, over the outcome words decoding to key k in index
     order, the product over the uses t of factors[i, t, bits_t, s_t],
-    first use first.  With the rows' keys (N,), (N, m^nu): each row's own
-    key's table only, the other outcome words' products zeroed, since
-    adding a zero to a sum that starts at +0 leaves its bits."""
+    first use first."""
     n_rows, nu, _, m = factors.shape
     prods = factors[:, 0]
     for t in range(1, nu):
         prods = prods[:, :, None, :, None] * factors[:, t, None, :, None, :]
         prods = prods.reshape(n_rows, 2 ** (t + 1), m ** (t + 1))
-    if keys is not None:
-        prods = prods * (keys[:, None] == bit_keys)[:, :, None]
-        bit_keys, num_keys = np.zeros_like(bit_keys), 1
     tables = np.zeros((n_rows, num_keys, m ** nu))
     for i, k in enumerate(bit_keys.tolist()):
         tables[:, k] += prods[:, i]
-    return tables if keys is None else tables[:, 0]
+    return tables
 
 
 def _site_traces(code, w):

@@ -775,20 +775,6 @@ class TestRepetitionPrecode:
         two = assemble_two_part(pre, inner, w, src)
         assert (two.assembled_error, two.jammer) == (err, jammer)
 
-    @pytest.mark.parametrize("nx, d", [(nx, d) for nx in (2, 3, 4, 5) for d in (2, 3)])
-    def test_own_key_tables_are_the_full_tables_read_column(self, nx, d):
-        # the benchmark's pre-codes, over its fixed separation draws: a row
-        # that adds only the outcome words decoding to its own key gives,
-        # bit for bit, the column of the every-key table that its error reads
-        w, src = separable_instance(np.random.default_rng([2024, nx, d]), nx, d)
-        gp = build_g_pair(src, w.x_alphabet)
-        nu = 3 if gp.iota == 3 else 2
-        pre = repetition_precode(separation_test(w, src, gp), gp, src, w, num_keys=2, nu=nu)
-        words, ids, keys, full = pre._key_tables(w, src, DEFAULT_CAPS)
-        own = pre._key_tables(w, src, DEFAULT_CAPS, own=True)
-        assert own[:3] == (words, ids, keys)
-        assert own[3].tobytes() == full[np.arange(len(keys)), keys].tobytes()
-
     @pytest.mark.parametrize("instance", ["flip", "leak", "separable-d3"])
     def test_site_and_dense_tables_agree(self, instance):
         # every (codeword, sent key, decoded key) entry, the off-diagonal

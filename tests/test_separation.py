@@ -1,7 +1,6 @@
 from collections import Counter
 from itertools import product as iproduct
 from pathlib import Path
-
 import tracemalloc
 
 import numpy as np
@@ -338,18 +337,32 @@ class TestEmbedding:
                     float(np.real(np.trace(a @ b))), abs=1e-12
                 )
 
-    def test_gram_factor_keeps_the_trace_inner_product(self):
-        # column (x, s) of the factor is the generator w_x(v) W(x, s) of every
-        # block v, so the factor's Gram matrix is
-        # sum_v w_x(v) w_x'(v) tr(W(x, s) W(x', s'))
+    def test_gram_factor_keeps_the_trace_inner_product(self, monkeypatch):
+        # the matrix separation_test hands to the solve is [gen0, -gen1]:
+        # column (x, s) of gen_i is the generator w_x(v) W(x, s) of every
+        # block v, so gen0^T gen1 is sum_v w_x(v) w_x'(v) tr(W(x, s) W(x', s')).
+        # Both halves equal helpers.encoder_generators bit for bit, which
+        # pins the generators the geometry tests build to the solved ones.
         w, src = separable_instance(np.random.default_rng([2024, 3, 3]), 3, 3)
         gp = build_g_pair(src, w.x_alphabet)
+        solve, seen = separation._set_distance, []
+
+        def spy(joint, k0, *args, **kwargs):
+            seen.append((joint.copy(), k0))
+            return solve(joint, k0, *args, **kwargs)
+
+        monkeypatch.setattr(separation, "_set_distance", spy)
+        separation_test(w, src, gp)
+        [(joint, k0)] = seen
         wgt0, wgt1 = _block_weights(src, (gp.g0, gp.g1), gp.iota, w.x_alphabet)
+        embedded = embed_stack(w.states)
+        assert k0 == 6 and joint.shape == (len(wgt0[0]) * 9, 12)
+        gen0, gen1 = joint[:, :k0], -joint[:, k0:]
+        assert gen0.tobytes() == encoder_generators(embedded, wgt0).tobytes()
+        assert gen1.tobytes() == encoder_generators(embedded, wgt1).tobytes()
         traces = np.einsum("xsij,yrji->xsyr", w.states, w.states).real
         expected = np.einsum("xv,yv,xsyr->xsyr", wgt0, wgt1, traces).reshape(6, 6)
-        embedded = embed_stack(w.states)
-        gram = encoder_generators(embedded, wgt0).T @ encoder_generators(embedded, wgt1)
-        assert np.allclose(gram, expected, atol=1e-15)
+        assert np.allclose(gen0.T @ gen1, expected, atol=1e-15)
 
 
 def leaky_channel():
