@@ -145,6 +145,14 @@ class CorrelatedSource:
         return mutual_information(self.joint)
 
 
+def _product_joint(src, l):
+    joint, rows = np.ones((1, 1)), len(src.joint)
+    for _ in range(l):
+        # the Kronecker product, one broadcast outer product per factor
+        joint = (joint[:, None, :, None] * src.joint[:, None]).reshape(len(joint) * rows, -1)
+    return joint  # (|V'|^l, |V|^l), lexicographic word order
+
+
 @dataclass(frozen=True)
 class JammerStrategy:
     """Explicit table mapping input words to jammer state words.

@@ -14,7 +14,7 @@ from itertools import chain, product as iproduct, zip_longest
 
 import numpy as np
 
-from .channels import JammerStrategy, product_output
+from .channels import JammerStrategy, _product_joint, product_output
 from .config import DEFAULT_CAPS, DEFAULT_TOL, charge
 from .errors import (
     AlphabetMismatch,
@@ -33,6 +33,7 @@ from .operators import (
     entropy_from_eigenvalues,
     read_only,
 )
+from .separation import _block_letters, _block_weights
 
 # Float slack of the POVM and error-chain checks: sums of D x D operators and
 # of exact errors carry rounding well above machine epsilon.
@@ -377,14 +378,6 @@ def random_code_error_informed(code, w, caps=DEFAULT_CAPS, return_strategy=False
     return _informed_error(w, code.n, entries, weight, caps, return_strategy)
 
 
-def _product_joint(src, l):
-    joint, rows = np.ones((1, 1)), len(src.joint)
-    for _ in range(l):
-        # the Kronecker product, one broadcast outer product per factor
-        joint = (joint[:, None, :, None] * src.joint[:, None]).reshape(len(joint) * rows, -1)
-    return joint  # (|V'|^l, |V|^l), lexicographic word order
-
-
 def _check_code_alphabets(code, w, src):
     """Raise AlphabetMismatch, naming the first offending word or letter,
     unless a correlation code fits the source and channel.
@@ -592,17 +585,15 @@ class RepetitionPrecode:
         The source is i.i.d. and each encoder acts block by block, so a
         (x^n, k) table is _site_products of the factors A[c_t, x_t], c_t =
         key_words[k][t], of the source-averaged site table
-          A[c, x, bit, s] = sum_{u : g_c(u) = x} sum_b P_iota(u, b) T[b, bit, x, s].
-        Key k sends every product of the letters its bits give some block:
-        its pairs come from block_letters, each use's letters in block order.
+          A[c, x, bit, s] = sum_b w_c(x, b) T[b, bit, x, s],
+        w the pair's block weights, the table the separation test reads.  Key
+        k sends every product of the letters its bits give some block: its
+        pairs come from block_letters, each use's letters in block order.
         """
-        joint = _product_joint(src, self.l // self.n)
-        if joint.shape != (len(self.block_letters), len(self.site)):
+        weights = _block_weights(src, self.block_letters, self.l // self.n, w.x_alphabet)
+        if weights.shape[-1] != len(self.site):
             raise DimensionMismatch("code block tables do not match the product source")
-        letters = np.array([[w.x_alphabet.index(x) for x in pair] for pair in self.block_letters])
-        maps_to = (letters[:, :, None] == np.arange(len(w.x_alphabet))).astype(float)
-        weighted = np.einsum("ub,bkxs->ukxs", joint, _site_traces(self, w))
-        a = np.einsum("ucx,ukxs->cxks", maps_to, weighted)
+        a = np.einsum("cxb,bkxs->cxks", weights, _site_traces(self, w))
         # the distinct letters bit c sends, in block order
         sent = [list(dict.fromkeys(p[c] for p in self.block_letters)) for c in (0, 1)]
         word_ids, ids, keys = {}, [], []
@@ -683,9 +674,7 @@ def repetition_precode(cert, gp, src, w, num_keys=2, nu=3, caps=DEFAULT_CAPS):
     # outcome word i's bits are the base-2 digits of i, first use first
     bits = np.arange(2 ** nu)[:, None] >> np.arange(nu - 1, -1, -1) & 1
     bit_keys = (bits[:, None] != np.array(key_words)).sum(axis=2).argmin(axis=1)
-    block_letters = tuple(
-        (gp.g0[u], gp.g1[u]) for u in iproduct(src.v_prime_alphabet, repeat=iota)
-    )
+    block_letters = _block_letters(src, gp.g0, gp.g1)
     site, nv = cert.measurement, n_v_letters ** iota
     if site.shape != (nv, 2, w.dim, w.dim):
         raise DimensionMismatch(

@@ -17,10 +17,11 @@ from math import comb
 import numpy as np
 
 from .capacity import capacity_informed_jammer
-from .channels import Avcqc, JammerKernel
+from .channels import Avcqc, JammerKernel, _product_joint
 from .config import DEFAULT_CAPS, DEFAULT_TOL, charge
 from .errors import (
     AlphabetMismatch,
+    DimensionMismatch,
     Indeterminate,
     InvalidArgument,
     NonBinarySource,
@@ -144,28 +145,29 @@ class EnsembleState:
     matrix = cached_property(lambda self: _block_diag(self.blocks))
 
 
-def _block_weights(src, gs, iota, x_alphabet):
-    """weights[x, v] = P_V(v word) * P(V'-preimage of x under g | v word), one table per g of gs.
+def _block_letters(src, *gs):
+    """Letter table of the encoders gs: one row (g(u) for g in gs) per sender
+    block u in lexicographic order, or AlphabetMismatch if a g misses a u."""
+    blocks = iproduct(src.v_prime_alphabet, repeat=len(next(iter(gs[0]))))
+    try:
+        return tuple(tuple(g[u] for g in gs) for u in blocks)
+    except KeyError as missing:
+        raise AlphabetMismatch(f"encoder has no letter for sender block {missing}") from None
 
-    Rows follow x_alphabet, columns the receiver words in lexicographic
-    order.  P(u word | v word) and P_V(v word) are products of per-symbol
-    entries taken left to right, one running Kronecker product over the
-    symbols for every (sender word, receiver word) pair, shared by the
-    encoders; the rows of each letter's preimage are added in the order of
-    its g.
-    """
-    row = {u: i for i, u in enumerate(iproduct(src.v_prime_alphabet, repeat=iota))}
+
+def _block_weights(src, letters, iota, x_alphabet):
+    """weights[c, x, v] = sum_{u : letters[u][c] = x} P_iota(u, v) of a letter
+    table (see _block_letters), v over the receiver blocks in lexicographic
+    order: P_iota is the iota-fold Kronecker power of the source joint, and
+    each letter's preimage rows are added to zero in sender-block order."""
+    joint = _product_joint(src, iota)
+    if len(letters) != len(joint):
+        raise DimensionMismatch(f"{len(letters)} sender blocks, the source has {len(joint)}")
     x_index = {x: i for i, x in enumerate(x_alphabet)}
-    step, cond, marginal = src.sender_given_receiver, np.ones((1, 1)), np.ones(1)
-    for _ in range(iota):
-        cond = (cond[:, None, :, None] * step[:, None]).reshape(len(cond) * len(step), -1)
-        marginal = (marginal[:, None] * src.receiver_marginal).ravel()
-    tables = []
-    for g in gs:
-        acc = np.zeros((len(x_alphabet), len(marginal)))
-        np.add.at(acc, [x_index[x] for x in g.values()], cond[[row[u] for u in g]])
-        tables.append(acc * marginal)
-    return tables
+    xi = np.array([[x_index[x] for x in row] for row in letters], dtype=np.intp)
+    weights = np.zeros((xi.shape[1], len(x_alphabet), joint.shape[1]))
+    np.add.at(weights, (np.arange(xi.shape[1]), xi), joint[:, None])
+    return weights
 
 
 def _ensemble_blocks(w, weights, q_rows):
@@ -195,7 +197,7 @@ def ensemble_state(src, g, q, w, caps=DEFAULT_CAPS):
         raise AlphabetMismatch("kernel alphabets do not match the channel")
     iota, tol = len(next(iter(g))), DEFAULT_TOL
     charge(caps, "product_dim", len(src.v_alphabet) ** iota * w.dim, "ensemble dimension")
-    weights = _block_weights(src, [g], iota, w.x_alphabet)[0]
+    weights = _block_weights(src, _block_letters(src, g), iota, w.x_alphabet)[0]
     blocks = require_hermitian(_ensemble_blocks(w, weights, q.rows), tol.hermitian)
     low = float(eigvalsh_stack(blocks)[:, 0].min())
     tr = float(np.trace(blocks, axis1=1, axis2=2).real.sum())
@@ -257,19 +259,19 @@ def separation_test(w, src, gp, seed=0, tol=DEFAULT_TOL, caps=DEFAULT_CAPS):
     a certificate built from the connecting direction between the closest
     points; any other bracket raises Indeterminate.  caps.product_dim
     bounds block_dim = |V|^iota d and is charged first.  Both encoders'
-    weights come from one _block_weights pass, and one product writes the
-    solve's generator matrix [gen0, -gen1] into one buffer: column (i, x, s)
-    stacks the embedded generator w_x(v) W(x, s) of every block v, negated
-    for g1.  The embedding keeps the trace inner product, so Euclidean
-    distances between combinations of columns are Frobenius distances
-    between ensemble states.  The operator is block diagonal: lambda_top,
-    lambda_floor and the measurement come from its |V|^iota shifted d x d
-    blocks, and no dense operator is built.
+    weights come from the _block_weights table the pre-code reads too, and
+    one product writes the solve's generator matrix [gen0, -gen1] into one
+    buffer: column (i, x, s) stacks the embedded generator w_x(v) W(x, s) of
+    every block v, negated for g1.  The embedding keeps the trace inner
+    product, so Euclidean distances between combinations of columns are
+    Frobenius distances between ensemble states.  The operator is block
+    diagonal: lambda_top, lambda_floor and the measurement come from its
+    |V|^iota shifted d x d blocks, and no dense operator is built.
     """
     nv, d = len(src.v_alphabet) ** gp.iota, w.dim
     charge(caps, "product_dim", nv * d, "ensemble dimension")
     nx, ns = len(w.x_alphabet), len(w.s_alphabet)
-    wgt0, wgt1 = _block_weights(src, (gp.g0, gp.g1), gp.iota, w.x_alphabet)
+    wgt0, wgt1 = _block_weights(src, _block_letters(src, gp.g0, gp.g1), gp.iota, w.x_alphabet)
     embedded = embed_stack(w.states)
     joint = np.empty((nv * embedded.shape[-1], 2 * nx * ns))
     # (-w) e is -(w e) exactly, so g1's half is the negated generators bit for bit
@@ -316,7 +318,7 @@ def separation_test(w, src, gp, seed=0, tol=DEFAULT_TOL, caps=DEFAULT_CAPS):
 def _functional_tables(blocks, w, src, gp):
     """c_i[x, s] = tr(op sigma) on the generator (x, s) of encoder g_i, i = 0, 1,
     op the block-diagonal operator of the given diagonal blocks."""
-    weights = _block_weights(src, (gp.g0, gp.g1), gp.iota, w.x_alphabet)
+    weights = _block_weights(src, _block_letters(src, gp.g0, gp.g1), gp.iota, w.x_alphabet)
     return [_coefficients(w, wgt, blocks) for wgt in weights]
 
 

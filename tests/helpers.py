@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import chain, combinations, product as iproduct
-from math import ceil, comb, floor, inf, log2, prod
+from math import comb, inf, log2, prod
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from avcqc.geometry import (
     project_simplex_rows,
 )
 from avcqc.operators import entropy_from_eigenvalues, validate_probability_vector
+from avcqc.separation import _block_letters, _block_weights
 from avcqc.serialize import _count, _field, _load_json, _operators, _words, matrix_to_json
 from avcqc.typicality import (
     _MASS_GAP_FLOOR,
@@ -456,21 +457,38 @@ def binary_entropy(q):
     return out
 
 
+def pair_block_weights(src, gp, x_alphabet):
+    """separation._block_weights of the pair (g0, g1): (2, |X|, |V|^iota)."""
+    return _block_weights(src, _block_letters(src, gp.g0, gp.g1), gp.iota, x_alphabet)
+
+
 def kron_block_weights(src, g, iota, x_alphabet):
     """Reference for separation._block_weights: weights[x, v] from the
-    iota-fold Kronecker powers of the transition matrix and the receiver
-    marginal, one preimage row added per word of g."""
-    cond, pv_word = np.ones((1, 1)), np.ones(1)
+    iota-fold Kronecker power of the source joint, the rows of the sender
+    words g maps to x added to zero in lexicographic word order."""
+    joint = np.ones((1, 1))
     for _ in range(iota):
-        cond = np.kron(cond, src.sender_given_receiver)     # P(V'=u | V=v)
-        pv_word = np.kron(pv_word, src.receiver_marginal)
-    vp_index = {sym: i for i, sym in enumerate(src.v_prime_alphabet)}
+        joint = np.kron(joint, src.joint)                   # P_iota(u, v)
     x_index = {x: i for i, x in enumerate(x_alphabet)}
-    radix = (len(vp_index),) * iota
-    acc = np.zeros((len(x_alphabet), pv_word.size))
-    for u, x in g.items():
-        acc[x_index[x]] += cond[np.ravel_multi_index([vp_index[c] for c in u], radix)]
-    return acc * pv_word
+    acc = np.zeros((len(x_alphabet), joint.shape[1]))
+    for row, u in zip(joint, iproduct(src.v_prime_alphabet, repeat=iota)):
+        acc[x_index[g[u]]] += row
+    return acc
+
+
+def exact_block_weights(src, g, iota, x_alphabet):
+    """weights[x][v] = sum_{u : g(u) = x} P_iota(u, v) in Fractions of the
+    joint's float entries: the exact value _block_weights rounds."""
+    joint = [[Fraction(p) for p in row] for row in src.joint.tolist()]
+    n_vp, n_v = len(joint), len(joint[0])
+    v_words = list(iproduct(range(n_v), repeat=iota))
+    x_index = {x: i for i, x in enumerate(x_alphabet)}
+    acc = [[Fraction(0)] * len(v_words) for _ in x_alphabet]
+    for u in iproduct(range(n_vp), repeat=iota):
+        row = acc[x_index[g[tuple(src.v_prime_alphabet[a] for a in u)]]]
+        for vi, v in enumerate(v_words):
+            row[vi] += prod((joint[a][b] for a, b in zip(u, v)), start=Fraction(1))
+    return acc
 
 
 def encoder_generators(embedded, weights):
@@ -782,15 +800,20 @@ def per_block_window_classes(p, n, half_width, guard=DEFAULT_TOL.typicality_boun
     Labels with probability below the support floor are pinned to count 0.
     Counts grow label by label inside the window widened by one, each step's
     candidates checked against caps.enumeration first.  The window and the
-    test are exact rationals, c/n against p and the float half_width + guard,
-    so no count is lost to rounding at any n.  Lexicographic order.
+    test are exact, so no count is lost to rounding at any n: with p_j =
+    num/den and the float half_width + guard = wn/wd as rationals, c/n lies
+    in the window when |c den - n num| wd <= n den wn, decided in Python
+    integers.  Lexicographic order.
     """
     p = np.asarray(p, dtype=float)
-    exact_p, width = [Fraction(pj) for pj in p.tolist()], Fraction(half_width + guard)
+    wn, wd = float(half_width + guard).as_integer_ratio()
+    ratios = [pj.as_integer_ratio() for pj in p.tolist()]
     sides = []
-    for pj, exact in zip(p[:-1].tolist(), exact_p):
-        lo = max(0, min(n, ceil(n * (exact - width)) - 1))
-        hi = 0 if pj < _SUPPORT_FLOOR else max(0, min(n, floor(n * (exact + width)) + 1))
+    for pj, (num, den) in zip(p[:-1].tolist(), ratios):
+        # ceil and floor of n (p_j -+ width), each a ratio over den wd
+        lo = max(0, min(n, -(-n * (num * wd - wn * den) // (den * wd)) - 1))
+        top = n * (num * wd + wn * den) // (den * wd)
+        hi = 0 if pj < _SUPPORT_FLOOR else max(0, min(n, top + 1))
         sides.append(np.arange(lo, hi + 1, dtype=np.int64))
     counts = np.zeros((1, 0), dtype=np.int64)
     for side in sides:
@@ -800,11 +823,10 @@ def per_block_window_classes(p, n, half_width, guard=DEFAULT_TOL.typicality_boun
         counts = np.column_stack([np.repeat(counts, side.size, axis=0), np.tile(side, len(counts))])
         counts = counts[counts.sum(axis=1) <= n]
     counts = np.column_stack([counts, n - counts.sum(axis=1)])
-    return [
-        tuple(c) for c in counts.tolist()
-        if all(abs(Fraction(cj, n) - exact) <= width and not (pj < _SUPPORT_FLOOR and cj)
-               for cj, exact, pj in zip(c, exact_p, p.tolist()))
-    ]
+    inside = ~((p < _SUPPORT_FLOOR) & (counts > 0)).any(axis=1)
+    for col, (num, den) in zip(counts.T.astype(object), ratios):   # Python ints
+        inside &= (abs(col * den - n * num) * wd <= n * den * wn).astype(bool)
+    return [tuple(c) for c in counts[inside].tolist()]
 
 
 def _type_counts(p, n):

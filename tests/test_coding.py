@@ -17,6 +17,7 @@ from avcqc import (
     build_g_pair,
     correlation_code_error_informed,
     cr_generation_run,
+    induced_binary_avc,
     random_code_error_informed,
     repetition_precode,
     separation_test,
@@ -24,7 +25,6 @@ from avcqc import (
 )
 from avcqc import channels, coding
 from avcqc import serialize as io
-from avcqc.channels import product_output
 from avcqc.coding import two_part_error_informed, worst_case_error_brute_force
 from avcqc.config import DEFAULT_CAPS, Caps
 from avcqc.errors import (
@@ -146,9 +146,19 @@ class TestDeterministicWorstCase:
             DeterministicCode(2, ((0, 0), (1, 1), (0, 1)), bad)
 
 
-def product_success(w, xs, ss, g_t):
-    """tr(product_output(w, xs, ss) G) from g_t = G.T, without the D x D matrix product."""
-    return float(np.real(np.dot(product_output(w, xs, ss).ravel(), g_t.ravel())))
+def product_successes(w, xs, words, g):
+    """tr(product_output(w, xs, ss) G) of each state word ss of words, site
+    by site: each step contracts the leading site's row and column legs of
+    G.T with its W(x_i, s_i), once per distinct prefix of the words, and no
+    product state is built."""
+    done = {(): np.ascontiguousarray(g.T)}
+    for ss in words:
+        for i, (x, s) in enumerate(zip(xs, ss)):
+            if (prefix := tuple(ss[:i + 1])) not in done:
+                rho, t = w.states[w.x_alphabet.index(x), w.s_alphabet.index(s)], done[prefix[:-1]]
+                d = len(rho)
+                done[prefix] = np.einsum("ab,aibj->ij", rho, t.reshape(d, len(t) // d, d, -1))
+    return [float(done[tuple(ss)].real.item()) for ss in words]
 
 
 @st.composite
@@ -199,7 +209,7 @@ class TestContraction:
         g = rng.standard_normal((27, 27)) + 1j * rng.standard_normal((27, 27))
         xs = ("r", "p", "q")
         table = success_table(w, xs, g)
-        want = [product_success(w, xs, ss, g.T) for ss in iproduct(w.s_alphabet, repeat=3)]
+        want = product_successes(w, xs, list(iproduct(w.s_alphabet, repeat=3)), g)
         assert np.allclose(table, want, rtol=0.0, atol=1e-12)
 
     def test_table_matches_einsum_reference_at_d3(self):
@@ -273,14 +283,15 @@ class TestContraction:
             grouped[xs] = grouped.get(xs, 0) + code.decoders[j] / 4
         total = 0.0
         for xs, g in grouped.items():
-            g_t = np.ascontiguousarray(g.T)
             chosen = strategy(xs)
-            success = product_success(w, xs, chosen, g_t)
             one_err, one = coding._informed_error(w, 10, [(xs, g)], 1.0, DEFAULT_CAPS, True)
             assert one(xs) == chosen
+            drawn = rng.integers(0, 2, size=(32, 10))
+            words = [chosen] + [tuple(int(s) for s in ss) for ss in drawn]
+            success, *others = product_successes(w, xs, words, g)
             assert success == pytest.approx(1.0 - one_err, abs=1e-12)
-            for ss in rng.integers(0, 2, size=(32, 10)):
-                assert success <= product_success(w, xs, tuple(int(s) for s in ss), g_t) + 1e-12
+            for other in others:
+                assert success <= other + 1e-12
             total += success
         assert err == pytest.approx(1.0 - total, abs=1e-12)
 
@@ -751,6 +762,32 @@ class TestRepetitionPrecode:
         assert isinstance(cert, SeparationCertificate)
         pre = repetition_precode(cert, gp, src, w, num_keys=2, nu=3 if gp.iota == 3 else 2)
         assert_site_error_matches_dense(pre, w, src)
+
+    @pytest.mark.parametrize("draw", ["orthogonal-flip10"] + [
+        f"X{nx}-d{d}" for nx in (2, 3, 4, 5) for d in (2, 3)])
+    def test_site_table_gives_the_induced_binary_channel(self, draw):
+        # with one use, a (letter x, sent key c) row is the site table A[c, x]
+        # itself, and A[c, x, 1, s] = sum_b w_c(x, b) tr(W(x, s) M1_b) is the
+        # induced channel's V(1 | c) at kernel column (x, s): its extremes
+        # over s, summed over x, are the induced channel's exact intervals
+        if draw == "orthogonal-flip10":
+            w = io.load_channel(self.SPECS / "orthogonal_channel.json")
+            src = io.load_source(self.SPECS / "flip10_source.json")
+        else:
+            nx, d = (int(v) for v in draw[1:].split("-d"))
+            w, src = separable_instance(np.random.default_rng([2024, nx, d]), nx, d)
+        gp = build_g_pair(src, w.x_alphabet)
+        cert = separation_test(w, src, gp)
+        pre = repetition_precode(cert, gp, src, w, num_keys=2, nu=1)
+        assert pre.key_words == ((0,), (1,))
+        a1 = np.zeros((2, len(w.x_alphabet), len(w.s_alphabet)))
+        for ((x,), c), table in key_tables(pre, w, src).items():
+            a1[c, w.x_alphabet.index(x)] = table[1]
+        c0, c1 = a1
+        got = [(1.0 - c0.max(axis=1).sum(), 1.0 - c0.min(axis=1).sum()),
+               (c1.min(axis=1).sum(), c1.max(axis=1).sum())]
+        want = induced_binary_avc(cert, w, src, gp).correct_intervals
+        assert np.abs(np.array(got) - np.array(want)).max() <= 1e-14
 
     def test_site_form_builds_no_dense_stack(self, monkeypatch):
         w, src, pre, _ = toy_two_part()

@@ -11,7 +11,7 @@ from avcqc.capacity import _aux_objective
 from avcqc.cli import _demo_source
 from avcqc.errors import DimensionMismatch, InvalidArgument
 from avcqc.geometry import affine_set_distance, embed_stack
-from avcqc.separation import _block_weights, build_g_pair
+from avcqc.separation import build_g_pair
 from helpers import (
     bitflip_channel,
     compositions,
@@ -20,6 +20,7 @@ from helpers import (
     flip_source,
     kernel_grid,
     kkt_matrix,
+    pair_block_weights,
     pattern_search,
     projected_gradient_distance,
     separable_instance,
@@ -67,7 +68,7 @@ def pair_generators(w, src):
     gp = build_g_pair(src, w.x_alphabet)
     embedded = embed_stack(w.states)
     return [encoder_generators(embedded, wgt)
-            for wgt in _block_weights(src, (gp.g0, gp.g1), gp.iota, w.x_alphabet)]
+            for wgt in pair_block_weights(src, gp, w.x_alphabet)]
 
 
 class TestAffineSetDistance:

@@ -1,4 +1,5 @@
 from collections import Counter
+from fractions import Fraction
 from itertools import product as iproduct
 from pathlib import Path
 import tracemalloc
@@ -24,6 +25,8 @@ from avcqc import coding, separation
 from avcqc import serialize as io
 from avcqc.config import DEFAULT_TOL, Caps
 from avcqc.errors import (
+    AlphabetMismatch,
+    DimensionMismatch,
     DimOverflow,
     Indeterminate,
     InvalidArgument,
@@ -35,6 +38,7 @@ from avcqc.errors import (
 )
 from avcqc.geometry import affine_set_distance, embed_stack
 from avcqc.separation import (
+    _block_letters,
     _block_weights,
     certificate_soundness_sweep,
     smallest_block_length,
@@ -46,9 +50,11 @@ from helpers import (
     bitflip_channel,
     constant_channel,
     encoder_generators,
+    exact_block_weights,
     flip_source,
     kron_block_weights,
     orthogonal_channel,
+    pair_block_weights,
     separable_instance,
     wishart_avcqc,
 )
@@ -151,6 +157,14 @@ class TestEnsembleState:
             ensemble_state(src, g, q, w, caps=Caps(product_dim=15))
         assert ensemble_state(src, g, q, w, caps=Caps(product_dim=16)).matrix.shape == (16, 16)
 
+    def test_encoder_missing_a_block_is_refused(self):
+        src, w = flip_source(0.1), orthogonal_channel()
+        g = dict(build_g_pair(src, (0, 1)).g0)
+        del g[(1, 0, 1)]
+        message = r"^encoder has no letter for sender block \(1, 0, 1\)$"
+        with pytest.raises(AlphabetMismatch, match=message):
+            ensemble_state(src, g, JammerKernel.uniform((0, 1), (0, 1)), w)
+
     def test_constant_encoder_factorizes(self):
         src = flip_source(0.1)
         w = orthogonal_channel()
@@ -189,17 +203,27 @@ class TestEnsembleState:
 
 class TestBlockWeights:
     """_block_weights gives the Kronecker-power reference's table bit for bit,
-    one encoder at a time and from the pass g0 and g1 share."""
+    one encoder at a time and from the letter table g0 and g1 share, and
+    every weight lies within 2^-50 relative of the exact sum in Fractions."""
+
+    @staticmethod
+    def check(src, gp, x_alphabet):
+        shared = pair_block_weights(src, gp, x_alphabet)
+        assert shared.shape == (2, len(x_alphabet), len(src.v_alphabet) ** gp.iota)
+        for g, pair_table in zip((gp.g0, gp.g1), shared):
+            want = kron_block_weights(src, g, gp.iota, x_alphabet)
+            one = _block_weights(src, _block_letters(src, g), gp.iota, x_alphabet)
+            for got in (one[0], pair_table):
+                assert got.shape == want.shape and (got == want).all()
+            exact = exact_block_weights(src, g, gp.iota, x_alphabet)
+            for got_row, exact_row in zip(pair_table.tolist(), exact):
+                for got, value in zip(got_row, exact_row):
+                    assert abs(Fraction(got) - value) <= value / 2**50
 
     @pytest.mark.parametrize("nx, d", [(nx, d) for nx in (2, 3, 4, 5) for d in (2, 3)])
     def test_fixed_draws(self, nx, d):
         w, src = separable_instance(np.random.default_rng([2024, nx, d]), nx, d)
-        gp = build_g_pair(src, w.x_alphabet)
-        shared = _block_weights(src, (gp.g0, gp.g1), gp.iota, w.x_alphabet)
-        for g, pair_table in zip((gp.g0, gp.g1), shared):
-            want = kron_block_weights(src, g, gp.iota, w.x_alphabet)
-            for got in (_block_weights(src, [g], gp.iota, w.x_alphabet)[0], pair_table):
-                assert got.shape == want.shape and (got == want).all()
+        self.check(src, build_g_pair(src, w.x_alphabet), w.x_alphabet)
 
     @pytest.mark.parametrize("joint", [
         [[0.3, 0.05, 0.12], [0.02, 0.33, 0.18]],
@@ -208,13 +232,13 @@ class TestBlockWeights:
     def test_receiver_alphabets(self, joint):
         src = CorrelatedSource(("u", "w"), ("a", "b", "c"), joint)
         for letters in (("x", "y"), ("x", "y", "z")):
-            gp = build_g_pair(src, letters)
-            shared = _block_weights(src, (gp.g0, gp.g1), gp.iota, letters)
-            for g, pair_table in zip((gp.g0, gp.g1), shared):
-                want = kron_block_weights(src, g, gp.iota, letters)
-                for got in (_block_weights(src, [g], gp.iota, letters)[0], pair_table):
-                    assert got.shape == (len(letters), 3 ** gp.iota)
-                    assert (got == want).all()
+            self.check(src, build_g_pair(src, letters), letters)
+
+    def test_letter_table_of_another_block_length_is_refused(self):
+        src = flip_source(0.1)
+        letters = _block_letters(src, build_g_pair(src, (0, 1)).g0)
+        with pytest.raises(DimensionMismatch, match=r"^8 sender blocks, the source has 16$"):
+            _block_weights(src, letters, 4, (0, 1))
 
 
 class TestCertificateSpectrum:
@@ -354,7 +378,7 @@ class TestEmbedding:
         monkeypatch.setattr(separation, "_set_distance", spy)
         separation_test(w, src, gp)
         [(joint, k0)] = seen
-        wgt0, wgt1 = _block_weights(src, (gp.g0, gp.g1), gp.iota, w.x_alphabet)
+        wgt0, wgt1 = pair_block_weights(src, gp, w.x_alphabet)
         embedded = embed_stack(w.states)
         assert k0 == 6 and joint.shape == (len(wgt0[0]) * 9, 12)
         gen0, gen1 = joint[:, :k0], -joint[:, k0:]
@@ -540,7 +564,7 @@ class TestSetDistanceBracket:
         # the bracket still holds the pinned distance, and the separation
         # decision under that budget is a sound certificate or Indeterminate
         w, src, gp = fixed_draw(2, 2)
-        wgt0, wgt1 = _block_weights(src, (gp.g0, gp.g1), gp.iota, w.x_alphabet)
+        wgt0, wgt1 = pair_block_weights(src, gp, w.x_alphabet)
         gens = tuple(encoder_generators(embed_stack(w.states), wgt) for wgt in (wgt0, wgt1))
         dist, lower, _, _ = affine_set_distance(*gens, 2, 2, max_iter=max_iter)
         assert dist**2 - lower**2 > DEFAULT_TOL.quadratic_solver
